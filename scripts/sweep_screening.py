@@ -49,7 +49,7 @@ def run():
     with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
         fh.write(SWEEP_CFG)
         cfg = fh.name
-    rc = main(["audit", "--config", cfg, "--out", str(OUT), "--jobs", "2"])
+    rc = main(["audit", "--config", cfg, "--out", str(OUT)])
     if rc != 0:
         raise SystemExit(rc)
     index = json.loads((OUT / "index.json").read_text())

@@ -24,18 +24,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .closedform import (
+    N_BRACKETS,
     _mech_branch,
     energy_eq45_result,
     energy_implicit_result,
     energy_mechanical_result,
     intermediates,
 )
-from .errors import DegenerateSigma, ImperfectSquare, NoRealK, NotRepresentable
+from .config import ENGINE_ALIASES
+from .errors import DegenerateSigma, HykgError, ImperfectSquare, NoRealK
 from .hylleraas import (
     HylleraasParams,
     SSign,
@@ -55,8 +59,33 @@ from .nu import BranchGap, lambda_n, solve_k
 from .oracle import RadialGrid, default_grid, effective_potential, solve_relativistic
 from .wavefunction import build_radial
 
-ENGINE_ORDER = (Engine.EQ45_VERBATIM, Engine.IMPLICIT_LAMBDA,
-                Engine.MECHANICAL_NU, Engine.ORACLE)
+# The one engine x level dispatch: Engine -> (params, n, grid, n_brackets) ->
+# levels.  Closed-form entries return every root found; the oracle entry
+# returns its single level, which may be a NoRoot record.  Each entry looks
+# its solver up by module-global name at call time, so wrappers patched onto
+# this module's attributes (bench/tracer.py, test monkeypatching) see every
+# call.  Iterating over Engine gives the column order eq45, implicit,
+# mechanical, oracle.
+ENGINES: dict[Engine, Callable[[HylleraasParams, int, RadialGrid, int],
+                               list[EnergyLevel]]] = {
+    Engine.EQ45_VERBATIM:
+        lambda p, n, grid, nb: energy_eq45_result(p, n, n_brackets=nb).levels,
+    Engine.IMPLICIT_LAMBDA:
+        lambda p, n, grid, nb: energy_implicit_result(p, n, n_brackets=nb).levels,
+    Engine.MECHANICAL_NU:
+        lambda p, n, grid, nb: energy_mechanical_result(p, n, n_brackets=nb).levels,
+    Engine.ORACLE: lambda p, n, grid, nb: [solve_relativistic(p, n, grid)],
+}
+
+# short column names (E_eq45, diff_eq45_oracle, ...) are the config aliases
+_SHORT = {engine: alias for alias, engine in ENGINE_ALIASES.items()}
+
+
+def engine_levels(engine: Engine, params: HylleraasParams, n: int,
+                  grid: RadialGrid, n_brackets: int = N_BRACKETS) -> list[EnergyLevel]:
+    """The levels one engine reports at radial quantum number n."""
+    return ENGINES[engine](params, n, grid, n_brackets)
+
 
 CSV_COLUMNS = [
     "n", "E_eq45", "E_implicit", "E_mechanical", "E_oracle",
@@ -190,7 +219,7 @@ def ode_residual(params: HylleraasParams, level: EnergyLevel,
     for reading, ordering in combos:
         try:
             rad = build_radial(params, level, grid, reading=reading, ordering=ordering)
-        except (NotRepresentable, Exception):
+        except HykgError:
             continue
         R = rad.values
         h = grid.h
@@ -255,9 +284,7 @@ def _identity_columns(params: HylleraasParams, E: float, n: int) -> dict:
 
 def run_audit(params: HylleraasParams, n_max: int,
               grid: RadialGrid | None = None,
-              n_brackets: int = 2000,
-              _levels_override: dict[Engine, dict[int, list[EnergyLevel]]] | None = None,
-              ) -> AuditReport:
+              n_brackets: int = N_BRACKETS) -> AuditReport:
     """One row per n in 0..n_max; engine failures become flags, never aborts."""
     if not (0 <= n_max <= 10):
         raise ValueError("n_max must be in 0..10")
@@ -267,30 +294,18 @@ def run_audit(params: HylleraasParams, n_max: int,
     rows: list[AuditRow] = []
     prev_e: dict[Engine, float] = {}
     for n in range(n_max + 1):
-        per_engine: dict[Engine, tuple[float | None, frozenset[str]]] = {}
-        if _levels_override is not None:
-            for eng in ENGINE_ORDER:
-                per_engine[eng] = _pick(_levels_override.get(eng, {}).get(n, []))
-        else:
-            per_engine[Engine.EQ45_VERBATIM] = _pick(
-                energy_eq45_result(params, n, n_brackets=n_brackets).levels)
-            per_engine[Engine.IMPLICIT_LAMBDA] = _pick(
-                energy_implicit_result(params, n, n_brackets=n_brackets).levels)
-            per_engine[Engine.MECHANICAL_NU] = _pick(
-                energy_mechanical_result(params, n, n_brackets=n_brackets).levels)
-            lvl = solve_relativistic(params, n, grid)
-            per_engine[Engine.ORACLE] = (lvl.E, lvl.flags)
+        per_engine = {eng: _pick(engine_levels(eng, params, n, grid, n_brackets))
+                      for eng in Engine}
 
         flags: set[str] = set()
-        for eng in ENGINE_ORDER:
-            e, fl = per_engine[eng]
+        for eng, (e, fl) in per_engine.items():
             flags |= {f"{eng.value}:{f}" for f in fl}
             if e is not None and eng in prev_e and e < prev_e[eng]:
                 flags.add(FLAG_ORDERING_VIOLATION)
             if e is not None:
                 prev_e[eng] = e
 
-        es = {eng: per_engine[eng][0] for eng in ENGINE_ORDER}
+        es = {eng: e for eng, (e, _) in per_engine.items()}
         # reference energy for the identity columns
         for ref_engine in (Engine.MECHANICAL_NU, Engine.ORACLE,
                            Engine.IMPLICIT_LAMBDA, Engine.EQ45_VERBATIM):
@@ -315,26 +330,17 @@ def run_audit(params: HylleraasParams, n_max: int,
             ode_val = None
             flags.add("IdentityNotComputable")
 
-        def diff(a: Engine, b: Engine) -> float | None:
-            if es[a] is None or es[b] is None:
-                return None
-            return float(abs(es[a] - es[b]))
-
         def opt(x):
             return None if x is None else float(x)
 
+        energies = {f"E_{_SHORT[eng]}": opt(e) for eng, e in es.items()}
+        diffs = {f"diff_{_SHORT[a]}_{_SHORT[b]}":
+                 None if es[a] is None or es[b] is None else float(abs(es[a] - es[b]))
+                 for a, b in combinations(Engine, 2)}
         rows.append(AuditRow(
             n=n,
-            E_eq45=opt(es[Engine.EQ45_VERBATIM]),
-            E_implicit=opt(es[Engine.IMPLICIT_LAMBDA]),
-            E_mechanical=opt(es[Engine.MECHANICAL_NU]),
-            E_oracle=opt(es[Engine.ORACLE]),
-            diff_eq45_implicit=diff(Engine.EQ45_VERBATIM, Engine.IMPLICIT_LAMBDA),
-            diff_eq45_mechanical=diff(Engine.EQ45_VERBATIM, Engine.MECHANICAL_NU),
-            diff_eq45_oracle=diff(Engine.EQ45_VERBATIM, Engine.ORACLE),
-            diff_implicit_mechanical=diff(Engine.IMPLICIT_LAMBDA, Engine.MECHANICAL_NU),
-            diff_implicit_oracle=diff(Engine.IMPLICIT_LAMBDA, Engine.ORACLE),
-            diff_mechanical_oracle=diff(Engine.MECHANICAL_NU, Engine.ORACLE),
+            **energies,
+            **diffs,
             disc_residual=opt(ident["disc_residual"]),
             tau_prime_sign=bool(ident["tau_prime_sign"]),
             eq42_vs_derivative=opt(ident["eq42_vs_derivative"]),
@@ -351,8 +357,8 @@ def run_audit(params: HylleraasParams, n_max: int,
     summary = {
         "rows": len(rows),
         "levels_found": {eng.value: sum(1 for r in rows
-                                        if getattr(r, f"E_{_short(eng)}") is not None)
-                         for eng in ENGINE_ORDER},
+                                        if getattr(r, f"E_{_SHORT[eng]}") is not None)
+                         for eng in Engine},
         "tau_prime_negative_rows": sum(1 for r in rows if r.tau_prime_sign),
         "rows_with_negative_radicands": sum(
             1 for r in rows if FLAG_NEGATIVE_UNDER_SQRT in r.flags),
@@ -365,11 +371,6 @@ def run_audit(params: HylleraasParams, n_max: int,
     }
     return AuditReport(version=f"hykg {__version__}", config=config,
                        rows=tuple(rows), summary=summary)
-
-
-def _short(engine: Engine) -> str:
-    return {Engine.EQ45_VERBATIM: "eq45", Engine.IMPLICIT_LAMBDA: "implicit",
-            Engine.MECHANICAL_NU: "mechanical", Engine.ORACLE: "oracle"}[engine]
 
 
 def params_dict(params: HylleraasParams) -> dict:

@@ -8,27 +8,22 @@ and atomically renamed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import tempfile
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .audit import params_dict, run_audit
-from .closedform import (
-    energy_eq45_result,
-    energy_implicit_result,
-    energy_mechanical_result,
-)
+from .audit import engine_levels, ode_residual, params_dict, run_audit
 from .config import RunConfig, load_config
 from .errors import ConfigError, MissingLevel, TailNotConverged
 from .levels import Engine, EnergyLevel, flags_str
-from .oracle import oracle_eigenvector, solve_relativistic
+from .oracle import RadialGrid, oracle_eigenvector, solve_relativistic
 from .wavefunction import build_radial
 
 SPECTRUM_HEADER = "n,engine,E,Ebar,residual,flags"
@@ -61,23 +56,13 @@ def compute_levels(config: RunConfig) -> list[EnergyLevel]:
     levels: list[EnergyLevel] = []
     for n in range(config.n_max + 1):
         for engine in config.engines:
-            if engine is Engine.EQ45_VERBATIM:
-                levels.extend(energy_eq45_result(config.params, n).levels)
-            elif engine is Engine.IMPLICIT_LAMBDA:
-                levels.extend(energy_implicit_result(config.params, n).levels)
-            elif engine is Engine.MECHANICAL_NU:
-                levels.extend(energy_mechanical_result(config.params, n).levels)
-            elif engine is Engine.ORACLE:
-                lvl = solve_relativistic(config.params, n, grid)
-                if lvl.found:
-                    levels.append(lvl)
+            levels.extend(lvl for lvl in engine_levels(engine, config.params, n, grid)
+                          if lvl.found)
     return levels
 
 
 def spectrum_rows(config: RunConfig) -> list[str]:
-    order = {e: i for i, e in enumerate(
-        (Engine.EQ45_VERBATIM, Engine.IMPLICIT_LAMBDA, Engine.MECHANICAL_NU,
-         Engine.ORACLE))}
+    order = {e: i for i, e in enumerate(Engine)}
     levels = sorted(compute_levels(config),
                     key=lambda l: (l.n, order[l.engine], l.E))
     rows = []
@@ -103,25 +88,20 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> None:
                      json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _closed_form_level(config: RunConfig, n: int) -> EnergyLevel | None:
+def _closed_form_level(config: RunConfig, n: int,
+                       grid: RadialGrid) -> EnergyLevel | None:
     for engine in (Engine.MECHANICAL_NU, Engine.IMPLICIT_LAMBDA,
                    Engine.EQ45_VERBATIM):
-        if engine not in config.engines:
-            continue
-        if engine is Engine.MECHANICAL_NU:
-            found = energy_mechanical_result(config.params, n).levels
-        elif engine is Engine.IMPLICIT_LAMBDA:
-            found = energy_implicit_result(config.params, n).levels
-        else:
-            found = energy_eq45_result(config.params, n).levels
-        if found:
-            return found[0]
+        if engine in config.engines:
+            found = engine_levels(engine, config.params, n, grid)
+            if found:
+                return found[0]
     return None
 
 
 def cmd_wavefunction(config: RunConfig, n: int, out_dir: Path) -> None:
     grid = config.grid()
-    level = _closed_form_level(config, n)
+    level = _closed_form_level(config, n, grid)
     if level is None:
         raise MissingLevel(f"no closed-form level n={n} for the selected engines")
     radial = build_radial(config.params, level, grid)
@@ -143,8 +123,6 @@ def cmd_wavefunction(config: RunConfig, n: int, out_dir: Path) -> None:
     for i, r in enumerate(grid.points):
         lines.append(f"{_fmt(float(r))},{_fmt(float(radial.values[i]))},{oracle_col[i]}")
     atomic_write(out_dir / f"wf_n{n}.csv", "\n".join(lines) + "\n")
-
-    from .audit import ode_residual
 
     ode_val, ode_form = ode_residual(config.params, level, grid)
     sidecar = {
@@ -172,28 +150,17 @@ def cmd_audit(config: RunConfig, out_dir: Path) -> None:
         atomic_write(out_dir / "audit.csv", report.to_csv())
 
 
-def _run_sweep(config: RunConfig, out_dir: Path, jobs: int, worker) -> None:
+def _run_sweep(config: RunConfig, out_dir: Path, worker) -> None:
+    """Run `worker` on each sweep point in turn, then write the index."""
     values = config.sweep.values()
-    points = []
-    for i, value in enumerate(values):
-        sub = out_dir / f"point_{i:03d}"
-        points.append((i, value, sub, config.with_param(config.sweep.parameter, value)))
-
-    def run_point(item):
-        _, _, sub, cfg = item
-        worker(cfg, sub)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_point, points))
-    else:
-        for item in points:
-            run_point(item)
+    points = [config.with_param(config.sweep.parameter, v) for v in values]
+    for i, cfg in enumerate(points):
+        worker(cfg, out_dir / f"point_{i:03d}")
     index = {
         "parameter": config.sweep.parameter,
         "scale": config.sweep.scale,
-        "points": [{"index": i, "value": v, "dir": sub.name}
-                   for i, v, sub, _ in points],
+        "points": [{"index": i, "value": v, "dir": f"point_{i:03d}"}
+                   for i, v in enumerate(values)],
     }
     atomic_write(out_dir / "index.json", json.dumps(index, sort_keys=True, indent=1) + "\n")
 
@@ -320,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None,
                        help="config file (key = value sections); defaults used if omitted")
         p.add_argument("--n-max", type=int, default=None, help="override [run] n_max")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
         p.add_argument("--out", type=str, default="out", help="output directory")
 
     for name in ("spectrum", "audit", "oracle"):
@@ -341,15 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.n_max is not None:
             if not (0 <= args.n_max <= 10):
                 raise ConfigError("--n-max must be in 0..10")
-            config = RunConfig(params=config.params, r_max=config.r_max,
-                               grid_n=config.grid_n, engines=config.engines,
-                               n_max=args.n_max, formats=config.formats,
-                               sweep=config.sweep)
+            config = dataclasses.replace(config, n_max=args.n_max)
         if args.command == "oracle":
-            config = RunConfig(params=config.params, r_max=config.r_max,
-                               grid_n=config.grid_n, engines=(Engine.ORACLE,),
-                               n_max=config.n_max, formats=config.formats,
-                               sweep=config.sweep)
+            config = dataclasses.replace(config, engines=(Engine.ORACLE,))
         out_dir = Path(args.out)
 
         if args.command in ("spectrum", "oracle"):
@@ -365,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"unknown command {args.command}")
 
         if config.sweep is not None:
-            _run_sweep(config, out_dir, max(1, args.jobs), worker)
+            _run_sweep(config, out_dir, worker)
         else:
             worker(config, out_dir)
         return 0

@@ -6,12 +6,12 @@ energy expressions.  Nothing here is "corrected": where the printed algebra
 is internally inconsistent the transcription keeps the printed reading and
 the audit module quantifies the damage.  Three energy engines are exposed:
 
-  * energy_mechanical -- roots of the machine-derived quantization
+  * energy_mechanical_result -- roots of the machine-derived quantization
     lambda(E) = lambda_n(E) built from the printed base polynomials (the
     toolkit's best-effort corrected spectrum);
-  * energy_implicit   -- roots of the printed lambda / lambda_n pair;
-  * energy_eq45       -- roots of the printed explicit energy equation,
-    evaluated with the appendix-form constants it cites.
+  * energy_implicit_result   -- roots of the printed lambda / lambda_n pair;
+  * energy_eq45_result       -- roots of the printed explicit energy
+    equation, evaluated with the appendix-form constants it cites.
 
 Printed radicands go negative in large parameter regions; intermediates are
 then carried in complex arithmetic and flagged, and the root scanners treat
@@ -107,11 +107,6 @@ class ClosedFormIntermediates:
     U2: float
     V2: float
     flags: frozenset[str]
-
-    @property
-    def all_real(self) -> bool:
-        return all(abs(z.imag) == 0.0 for z in
-                   (self.k, self.lam, self.lam_n, self.muJ, self.nuJ))
 
 
 def intermediates(params: HylleraasParams, E: float, n: int,
@@ -314,10 +309,6 @@ def energy_mechanical_result(params: HylleraasParams, n: int,
                      extra_flags_at=extra_flags)
 
 
-def energy_mechanical(params: HylleraasParams, n: int, **kw) -> list[EnergyLevel]:
-    return energy_mechanical_result(params, n, **kw).levels
-
-
 def _real_or_inf(v) -> float:
     return v if isinstance(v, float) else math.inf
 
@@ -352,10 +343,6 @@ def energy_implicit_result(params: HylleraasParams, n: int,
     return _finalize(params, n, Engine.IMPLICIT_LAMBDA, scan,
                      residual_at=lambda E: f(E) if f(E) is not None else math.inf,
                      extra_flags_at=extra_flags)
-
-
-def energy_implicit(params: HylleraasParams, n: int, **kw) -> list[EnergyLevel]:
-    return energy_implicit_result(params, n, **kw).levels
 
 
 def energy_eq45_result(params: HylleraasParams, n: int,
@@ -395,7 +382,3 @@ def energy_eq45_result(params: HylleraasParams, n: int,
     if all_levels:
         region.discard(FLAG_NO_ROOT)
     return EngineResult(all_levels, frozenset(region))
-
-
-def energy_eq45(params: HylleraasParams, n: int, **kw) -> list[EnergyLevel]:
-    return energy_eq45_result(params, n, **kw).levels

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -63,10 +63,7 @@ class RunConfig:
         return default_grid(self.params, n=self.grid_n)
 
     def with_param(self, name: str, value: float) -> "RunConfig":
-        return RunConfig(params=self.params.replace(**{name: value}),
-                         r_max=self.r_max, grid_n=self.grid_n,
-                         engines=self.engines, n_max=self.n_max,
-                         formats=self.formats, sweep=None)
+        return replace(self, params=self.params.replace(**{name: value}), sweep=None)
 
 
 def default_config() -> RunConfig:

@@ -57,10 +57,6 @@ class NoRoot(HykgError):
     """A bracketed scan found no sign change."""
 
 
-class NodeMismatch(HykgError):
-    """The assembled solution has the wrong number of nodes for the requested index."""
-
-
 class ConfigError(HykgError):
     """Invalid or unknown configuration input."""
 

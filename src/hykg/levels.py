@@ -25,7 +25,6 @@ FLAG_SIGN_MINUS = "SignMinus"
 FLAG_ORDERING_VIOLATION = "OrderingViolation"
 FLAG_MULTIPLE_ROOTS = "MultipleRoots"
 FLAG_REFERENCE_FALLBACK = "ReferenceEnergyFallback"
-FLAG_LOW_SIGNAL = "LowSignal"
 FLAG_TAIL_NOT_CONVERGED = "TailNotConverged"
 FLAG_CONFLUENT_FORM = "ConfluentForm"
 

@@ -266,11 +266,6 @@ def select_branch_lenient(candidates: list[NUSolution]) -> tuple[NUSolution, boo
     return best, best.tau_prime < 0.0
 
 
-def rejected_candidates(candidates: list[NUSolution], chosen: NUSolution) -> list[NUSolution]:
-    """Audit trail: every candidate that was not selected."""
-    return [c for c in candidates if c is not chosen]
-
-
 def lambda_n(inp: NUInput, solution: NUSolution, n: int) -> float:
     """lambda_n = -n tau' - n(n-1)/2 sigma''."""
     if n < 0:

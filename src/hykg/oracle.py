@@ -101,39 +101,6 @@ def effective_potential(params: HylleraasParams, e_param: float,
     return 2.0 * (e_param + params.M) * potential_samples(params, grid)
 
 
-@dataclass(frozen=True)
-class EffectiveProblem:
-    """Symmetric tridiagonal operator -d^2/dr^2 + W at a frozen trial energy.
-
-    Dirichlet walls sit one spacing outside both grid ends.  diagonal holds
-    2/h^2 + W(r_i); offdiagonal is the constant -1/h^2 row.
-    """
-
-    e_param: float
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
-
-
-def effective_problem(params: HylleraasParams, e_param: float, grid: RadialGrid,
-                      scalar_potential=None) -> EffectiveProblem:
-    """Build the discretized effective operator.
-
-    The general mixed-coupling form W = 2 (E V + M S) + S^2 - V^2 is
-    supported through `scalar_potential` (samples of S on the grid); only
-    the equal-coupling default S = V is exercised by the solvers, where W
-    collapses to 2 (E + M) V.
-    """
-    v = potential_samples(params, grid)
-    if scalar_potential is None:
-        w = 2.0 * (e_param + params.M) * v
-    else:
-        s = np.asarray(scalar_potential, dtype=float)
-        w = 2.0 * (e_param * v + params.M * s) + s * s - v * v
-    h2 = grid.h * grid.h
-    return EffectiveProblem(e_param=e_param, diagonal=2.0 / h2 + w,
-                            offdiagonal=np.full(grid.n - 1, -1.0 / h2))
-
-
 def eigen_tridiagonal(w_values: np.ndarray, grid: RadialGrid, m: int) -> np.ndarray:
     """m smallest eigenvalues of -d^2/dr^2 + W by Sturm-sequence bisection."""
     h2 = grid.h * grid.h
@@ -162,34 +129,6 @@ def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
     if big.size and v[big[0]] < 0:
         v = -v
     return float(vals[0]), v
-
-
-def sturm_count(w_values: np.ndarray, grid: RadialGrid, shift: float) -> int:
-    """Number of eigenvalues of -d^2/dr^2 + W strictly below `shift`."""
-    h2 = grid.h * grid.h
-    diag = 2.0 / h2 + w_values - shift
-    b2 = (1.0 / h2) ** 2
-    count = 0
-    d = diag[0]
-    if d < 0:
-        count += 1
-    for a in diag[1:]:
-        d = a - b2 / (d if d != 0.0 else 1e-300)
-        if d < 0:
-            count += 1
-    return count
-
-
-def effective_eigen(params: HylleraasParams, e_param: float, grid: RadialGrid,
-                    m: int) -> np.ndarray:
-    """m smallest effective eigenvalues Ebar_i at frozen trial energy e_param."""
-    problem = effective_problem(params, e_param, grid)
-    w = problem.diagonal - 2.0 / grid.h ** 2
-    check_grid(grid, params, w)
-    vals = eigvalsh_tridiagonal(problem.diagonal, problem.offdiagonal,
-                                select="i", select_range=(0, m - 1),
-                                lapack_driver="stebz")
-    return np.asarray(vals, dtype=float)
 
 
 def _scan_with_jump_guard(f, lo: float, hi: float, seeds: int) -> tuple[list[float], list[float]]:

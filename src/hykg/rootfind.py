@@ -78,7 +78,6 @@ class ScanResult:
     merged_duplicates: list[float]   # roots dropped by the dedup tolerance
     rejected: list[float]            # crossings whose refined residual stayed large
     had_gaps: bool                   # some sample points were exclusion zones
-    all_gaps: bool                   # every sample point was an exclusion zone
 
 
 def scan_roots(f: Callable[[float], object], lo: float, hi: float,
@@ -95,7 +94,7 @@ def scan_roots(f: Callable[[float], object], lo: float, hi: float,
     ys = [_as_value(f(x)) for x in xs]
     had_gaps = any(y is None for y in ys)
     if all(y is None for y in ys):
-        return ScanResult([], [], [], had_gaps, True)
+        return ScanResult([], [], [], had_gaps)
 
     roots: list[float] = []
     rejected: list[float] = []
@@ -134,20 +133,7 @@ def scan_roots(f: Callable[[float], object], lo: float, hi: float,
             else:
                 kept.append(r)
         roots = kept
-    return ScanResult(roots, merged, rejected, had_gaps, False)
-
-
-def bisect_monotone_count(count: Callable[[float], int], target: int,
-                          lo: float, hi: float, tol: float) -> float:
-    """Bisection on an integer-valued nondecreasing counter: smallest x with
-    count(x) >= target, located to within tol."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if count(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return ScanResult(roots, merged, rejected, had_gaps)
 
 
 def estimate_order(hs: Sequence[float], values: Sequence[float]) -> tuple[float, bool]:

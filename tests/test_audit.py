@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from hykg import audit
 from hykg.audit import (
     AuditReport,
     AuditRow,
     CSV_COLUMNS,
+    engine_levels,
     identity_checks,
     ode_residual,
     run_audit,
 )
+from hykg.errors import NotRepresentable
 from hykg.hylleraas import DEFAULT_PARAMS
-from hykg.levels import Engine, EnergyLevel
+from hykg.levels import FLAG_NO_ROOT, Engine, EnergyLevel
 from hykg.oracle import default_grid
 
 AUDIT_GRID = None  # use the engine default
@@ -25,13 +28,24 @@ def small_audit():
     return run_audit(DEFAULT_PARAMS, n_max=1, grid=grid, n_brackets=300)
 
 
-def synthetic_levels(E_values):
-    out = {}
-    for eng in Engine:
-        out[eng] = {n: [EnergyLevel(n=n, E=e, Ebar=e * e - 1.0, engine=eng,
-                                    residual=0.0)]
-                    for n, e in enumerate(E_values)}
-    return out
+def synthetic_engine(eng, E_values):
+    """An ENGINES entry reporting one level E_values[n] at each n."""
+    def levels(params, n, grid, n_brackets):
+        e = E_values[n]
+        return [EnergyLevel(n=n, E=e, Ebar=e * e - 1.0, engine=eng, residual=0.0)]
+    return levels
+
+
+class TestEngineTable:
+    def test_one_entry_per_engine(self):
+        assert set(audit.ENGINES) == set(Engine)
+
+    def test_oracle_entry_keeps_no_root_level(self):
+        params = DEFAULT_PARAMS.replace(D_e=0.0)
+        levels = engine_levels(Engine.ORACLE, params, 0, default_grid(params, n=400))
+        assert len(levels) == 1
+        assert not levels[0].found
+        assert FLAG_NO_ROOT in levels[0].flags
 
 
 class TestRunAudit:
@@ -65,11 +79,11 @@ class TestRunAudit:
             assert row.E_eq45 is None and row.E_oracle is None
             assert any(f.endswith("NoRoot") for f in row.flags)
 
-    def test_injected_identical_levels(self):
+    def test_injected_identical_levels(self, monkeypatch):
         grid = default_grid(DEFAULT_PARAMS, n=400)
-        override = synthetic_levels([-0.5, -0.2])
-        report = run_audit(DEFAULT_PARAMS, n_max=1, grid=grid,
-                           _levels_override=override)
+        for eng in Engine:
+            monkeypatch.setitem(audit.ENGINES, eng, synthetic_engine(eng, [-0.5, -0.2]))
+        report = run_audit(DEFAULT_PARAMS, n_max=1, grid=grid)
         for row in report.rows:
             for col in ("diff_eq45_implicit", "diff_eq45_mechanical",
                         "diff_eq45_oracle", "diff_implicit_mechanical",
@@ -158,3 +172,24 @@ class TestOdeResidual:
         closed_defect, _ = ode_residual(default_params, lvl, grid)
         assert oracle_defect < 1e-6
         assert closed_defect > 10 * oracle_defect
+
+    def _level(self):
+        return EnergyLevel(n=0, E=-0.93, Ebar=(-0.93) ** 2 - 1,
+                           engine=Engine.MECHANICAL_NU, residual=0.0)
+
+    def test_genuine_defect_propagates(self, default_params, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("defect in the closed form")
+
+        monkeypatch.setattr(audit, "build_radial", broken)
+        grid = default_grid(default_params, n=400)
+        with pytest.raises(RuntimeError):
+            ode_residual(default_params, self._level(), grid)
+
+    def test_not_representable_reports_none(self, default_params, monkeypatch):
+        def unrepresentable(*args, **kwargs):
+            raise NotRepresentable("negative radicand")
+
+        monkeypatch.setattr(audit, "build_radial", unrepresentable)
+        grid = default_grid(default_params, n=400)
+        assert ode_residual(default_params, self._level(), grid) == (math.inf, "none")

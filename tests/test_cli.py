@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from hykg.cli import main, run_selftest, spectrum_rows
+from hykg import audit
+from hykg.cli import cmd_wavefunction, main, run_selftest, spectrum_rows
 from hykg.config import (
     RunConfig,
     SweepSpec,
@@ -13,8 +15,8 @@ from hykg.config import (
     load_config,
     parse_config,
 )
-from hykg.errors import ConfigError
-from hykg.levels import Engine
+from hykg.errors import ConfigError, MissingLevel
+from hykg.levels import FLAG_NO_ROOT, Engine, EnergyLevel
 
 FAST_CFG = """
 [params]
@@ -43,6 +45,19 @@ def fast_cfg_path(tmp_path):
     p = tmp_path / "fast.cfg"
     p.write_text(FAST_CFG)
     return p
+
+
+def stub_engine(eng, energies, calls=None):
+    """An ENGINES entry reporting found levels at `energies`; a None energy
+    becomes a NoRoot record, the way the oracle entry reports a miss."""
+    def levels(params, n, grid, n_brackets):
+        if calls is not None:
+            calls.append(eng)
+        return [EnergyLevel(n=n, E=None, Ebar=None, engine=eng, residual=None,
+                            flags=frozenset({FLAG_NO_ROOT})) if e is None else
+                EnergyLevel(n=n, E=e, Ebar=e * e - 1.0, engine=eng, residual=0.0)
+                for e in energies]
+    return levels
 
 
 class TestConfig:
@@ -124,6 +139,22 @@ class TestSpectrumCommand:
         body = (out / "spectrum.csv").read_text().strip().split("\n")[1:]
         assert body and all(line.split(",")[1] == "Oracle" for line in body)
 
+    def test_rows_from_engine_table(self, monkeypatch):
+        monkeypatch.setitem(audit.ENGINES, Engine.EQ45_VERBATIM,
+                            stub_engine(Engine.EQ45_VERBATIM, [0.25, -0.5]))
+        monkeypatch.setitem(audit.ENGINES, Engine.MECHANICAL_NU,
+                            stub_engine(Engine.MECHANICAL_NU, [-0.75]))
+        monkeypatch.setitem(audit.ENGINES, Engine.ORACLE,
+                            stub_engine(Engine.ORACLE, [None]))
+        cfg = dataclasses.replace(
+            default_config(), n_max=1,
+            engines=(Engine.ORACLE, Engine.MECHANICAL_NU, Engine.EQ45_VERBATIM))
+        keys = [tuple(r.split(",")[:3]) for r in spectrum_rows(cfg)]
+        # the oracle's NoRoot records are dropped; rows sort by (n, engine, E)
+        assert keys == [(str(n), eng, e) for n in ("0", "1") for eng, e in (
+            ("Eq45Verbatim", "-0.5"), ("Eq45Verbatim", "0.25"),
+            ("MechanicalNU", "-0.75"))]
+
     def test_round_trip_precision(self, fast_cfg_path):
         rows = spectrum_rows(load_config(fast_cfg_path))
         for row in rows:
@@ -174,6 +205,35 @@ class TestWavefunctionCommand:
         assert sidecar["ode_residual_closedform"] == pytest.approx(
             report.rows[0].ode_residual_closedform, rel=1e-12)
 
+    def test_closed_form_preference(self, fast_cfg_path, tmp_path, monkeypatch):
+        cfg = dataclasses.replace(
+            load_config(fast_cfg_path),
+            engines=(Engine.EQ45_VERBATIM, Engine.IMPLICIT_LAMBDA,
+                     Engine.MECHANICAL_NU))
+        real = audit.engine_levels(Engine.MECHANICAL_NU, cfg.params, 0, cfg.grid())[0]
+        calls = []
+        monkeypatch.setitem(audit.ENGINES, Engine.MECHANICAL_NU,
+                            stub_engine(Engine.MECHANICAL_NU, [], calls))
+        monkeypatch.setitem(audit.ENGINES, Engine.IMPLICIT_LAMBDA,
+                            stub_engine(Engine.IMPLICIT_LAMBDA, [real.E, 0.5], calls))
+        monkeypatch.setitem(audit.ENGINES, Engine.EQ45_VERBATIM,
+                            stub_engine(Engine.EQ45_VERBATIM, [real.E], calls))
+        cmd_wavefunction(cfg, 0, tmp_path)
+        # mechanical is asked first and finds nothing; implicit's first level wins
+        assert calls == [Engine.MECHANICAL_NU, Engine.IMPLICIT_LAMBDA]
+        sidecar = json.loads((tmp_path / "wf_n0.flags.json").read_text())
+        assert sidecar["closed_form_engine"] == "ImplicitLambda"
+        assert sidecar["E_closed"] == real.E
+
+    def test_no_closed_form_level(self, fast_cfg_path, tmp_path, monkeypatch):
+        for eng in (Engine.EQ45_VERBATIM, Engine.IMPLICIT_LAMBDA, Engine.MECHANICAL_NU):
+            monkeypatch.setitem(audit.ENGINES, eng, stub_engine(eng, []))
+        cfg = dataclasses.replace(load_config(fast_cfg_path), engines=tuple(Engine))
+        with pytest.raises(MissingLevel):
+            cmd_wavefunction(cfg, 0, tmp_path / "w")
+        assert main(["wavefunction", "--config", str(fast_cfg_path),
+                     "--out", str(tmp_path / "w"), "--n", "0"]) == 4
+
     def test_missing_level_exit_4(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         # n = 1 has no mechanical root at the defaults
@@ -205,8 +265,7 @@ count = 3
 scale = log
 """)
         out = tmp_path / "sweep"
-        assert main(["audit", "--config", str(cfg), "--out", str(out),
-                     "--jobs", "2"]) == 0
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
         index = json.loads((out / "index.json").read_text())
         assert len(index["points"]) == 3
         for point in index["points"]:

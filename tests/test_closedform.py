@@ -4,11 +4,8 @@ import pytest
 
 from hykg.closedform import (
     build_nu_input,
-    energy_eq45,
     energy_eq45_result,
-    energy_implicit,
     energy_implicit_result,
-    energy_mechanical,
     energy_mechanical_result,
     eq45_rhs,
     intermediates,
@@ -100,8 +97,8 @@ class TestMechanical:
             assert FLAG_TAU_PRIME_NONNEG in lvl.flags
 
     def test_levels_sorted_and_deterministic(self, default_params):
-        a = energy_mechanical(default_params, 0)
-        b = energy_mechanical(default_params, 0)
+        a = energy_mechanical_result(default_params, 0).levels
+        b = energy_mechanical_result(default_params, 0).levels
         assert a == b
         es = [l.E for l in a]
         assert es == sorted(es)
@@ -163,7 +160,8 @@ class TestEq45:
 
 class TestDeterminism:
     def test_engines_bitwise_stable(self, default_params):
-        for fn in (energy_mechanical, energy_implicit, energy_eq45):
-            one = fn(default_params, 0, n_brackets=400)
-            two = fn(default_params, 0, n_brackets=400)
+        for fn in (energy_mechanical_result, energy_implicit_result,
+                   energy_eq45_result):
+            one = fn(default_params, 0, n_brackets=400).levels
+            two = fn(default_params, 0, n_brackets=400).levels
             assert one == two

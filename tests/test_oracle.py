@@ -11,7 +11,7 @@ from hykg.oracle import (
     box_grid,
     count_sign_changes,
     default_grid,
-    effective_eigen,
+    effective_potential,
     eigen_tridiagonal,
     eigenvector_tridiagonal,
     numerov_eigenvalue,
@@ -19,7 +19,6 @@ from hykg.oracle import (
     oracle_eigenvector,
     schrodinger_limit,
     solve_relativistic,
-    sturm_count,
 )
 from hykg.rootfind import estimate_order
 
@@ -42,14 +41,6 @@ class TestBox:
     def test_interlacing(self):
         _, vals = box_levels(1000, m=6)
         assert all(x < y for x, y in zip(vals, vals[1:]))
-
-    def test_sturm_count_consistency(self):
-        grid, vals = box_levels(500, m=4)
-        w = np.zeros(grid.n)
-        assert sturm_count(w, grid, 0.5 * vals[0]) == 0
-        for i in range(3):
-            shift = 0.5 * (vals[i] + vals[i + 1])
-            assert sturm_count(w, grid, shift) == i + 1
 
     def test_matrix_convergence_order(self):
         hs, es = [], []
@@ -139,22 +130,9 @@ class TestRelativistic:
         vals = []
         for n_points in (1000, 2000):
             grid = default_grid(DEFAULT_PARAMS, n=n_points)
-            vals.append(effective_eigen(DEFAULT_PARAMS, 0.5, grid, 1)[0])
+            w = effective_potential(DEFAULT_PARAMS, 0.5, grid)
+            vals.append(eigen_tridiagonal(w, grid, 1)[0])
         assert abs(vals[0] - vals[1]) < 1e-5 * max(1.0, abs(vals[1]))
-
-    def test_effective_problem_general_hook(self):
-        from hykg.oracle import effective_problem, potential_samples
-
-        grid = default_grid(DEFAULT_PARAMS, n=400)
-        v = potential_samples(DEFAULT_PARAMS, grid)
-        equal = effective_problem(DEFAULT_PARAMS, 0.5, grid)
-        explicit = effective_problem(DEFAULT_PARAMS, 0.5, grid, scalar_potential=v)
-        # S = V passed explicitly must reproduce the equal-coupling operator
-        assert np.allclose(equal.diagonal, explicit.diagonal, rtol=0, atol=1e-12)
-        assert np.array_equal(equal.offdiagonal, explicit.offdiagonal)
-        # a different scalar channel changes the operator
-        other = effective_problem(DEFAULT_PARAMS, 0.5, grid, scalar_potential=0.5 * v)
-        assert not np.allclose(equal.diagonal, other.diagonal)
 
     def test_node_counts(self):
         grid = default_grid(DEFAULT_PARAMS, n=1500)
