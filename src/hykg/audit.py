@@ -25,13 +25,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import __version__
 from .closedform import (
     N_BRACKETS,
+    EngineResult,
     _mech_branch,
     energy_eq45_result,
     energy_implicit_result,
@@ -56,35 +57,54 @@ from .levels import (
     EnergyLevel,
 )
 from .nu import BranchGap, lambda_n, solve_k
-from .oracle import RadialGrid, default_grid, effective_potential, solve_relativistic
+from .oracle import (
+    RadialGrid,
+    default_grid,
+    effective_potential,
+    solve_levels,
+    # part of this module's namespace: bench/tests checks that the tracer
+    # wraps it here too
+    solve_relativistic,  # noqa: F401
+)
 from .wavefunction import build_radial
 
-# The one engine x level dispatch: Engine -> (params, n, grid, n_brackets) ->
-# levels.  Closed-form entries return every root found; the oracle entry
-# returns its single level, which may be a NoRoot record.  Each entry looks
-# its solver up by module-global name at call time, so wrappers patched onto
-# this module's attributes (bench/tracer.py, test monkeypatching) see every
-# call.  Iterating over Engine gives the column order eq45, implicit,
-# mechanical, oracle.
-ENGINES: dict[Engine, Callable[[HylleraasParams, int, RadialGrid, int],
-                               list[EnergyLevel]]] = {
+
+def _closed_form(results: dict[int, EngineResult]) -> dict[int, list[EnergyLevel]]:
+    return {n: result.levels for n, result in results.items()}
+
+
+def _oracle(levels: dict[int, EnergyLevel]) -> dict[int, list[EnergyLevel]]:
+    return {n: [level] for n, level in levels.items()}
+
+
+# The one engine x level dispatch: Engine -> (params, ns, grid, n_brackets) ->
+# {n: levels}.  Each entry solves every n in ns in one call, so the work that
+# does not depend on n is done once.  Closed-form entries return every root
+# found; the oracle entry returns one level per n, which may be a NoRoot
+# record.  Each entry looks its solver up by module-global name at call time,
+# so wrappers patched onto this module's attributes (bench/tracer.py, test
+# monkeypatching) see every call.  Iterating over Engine gives the column
+# order eq45, implicit, mechanical, oracle.
+ENGINES: dict[Engine, Callable[[HylleraasParams, Iterable[int], RadialGrid, int],
+                               dict[int, list[EnergyLevel]]]] = {
     Engine.EQ45_VERBATIM:
-        lambda p, n, grid, nb: energy_eq45_result(p, n, n_brackets=nb).levels,
+        lambda p, ns, grid, nb: _closed_form(energy_eq45_result(p, ns, n_brackets=nb)),
     Engine.IMPLICIT_LAMBDA:
-        lambda p, n, grid, nb: energy_implicit_result(p, n, n_brackets=nb).levels,
+        lambda p, ns, grid, nb: _closed_form(energy_implicit_result(p, ns, n_brackets=nb)),
     Engine.MECHANICAL_NU:
-        lambda p, n, grid, nb: energy_mechanical_result(p, n, n_brackets=nb).levels,
-    Engine.ORACLE: lambda p, n, grid, nb: [solve_relativistic(p, n, grid)],
+        lambda p, ns, grid, nb: _closed_form(energy_mechanical_result(p, ns, n_brackets=nb)),
+    Engine.ORACLE: lambda p, ns, grid, nb: _oracle(solve_levels(p, ns, grid)),
 }
 
 # short column names (E_eq45, diff_eq45_oracle, ...) are the config aliases
 _SHORT = {engine: alias for alias, engine in ENGINE_ALIASES.items()}
 
 
-def engine_levels(engine: Engine, params: HylleraasParams, n: int,
-                  grid: RadialGrid, n_brackets: int = N_BRACKETS) -> list[EnergyLevel]:
-    """The levels one engine reports at radial quantum number n."""
-    return ENGINES[engine](params, n, grid, n_brackets)
+def engine_levels(engine: Engine, params: HylleraasParams, ns: Iterable[int],
+                  grid: RadialGrid,
+                  n_brackets: int = N_BRACKETS) -> dict[int, list[EnergyLevel]]:
+    """The levels one engine reports at each radial quantum number in ns."""
+    return ENGINES[engine](params, ns, grid, n_brackets)
 
 
 CSV_COLUMNS = [
@@ -291,11 +311,12 @@ def run_audit(params: HylleraasParams, n_max: int,
     if grid is None:
         grid = default_grid(params)
 
+    ns = range(n_max + 1)
+    levels = {eng: engine_levels(eng, params, ns, grid, n_brackets) for eng in Engine}
     rows: list[AuditRow] = []
     prev_e: dict[Engine, float] = {}
-    for n in range(n_max + 1):
-        per_engine = {eng: _pick(engine_levels(eng, params, n, grid, n_brackets))
-                      for eng in Engine}
+    for n in ns:
+        per_engine = {eng: _pick(levels[eng][n]) for eng in Engine}
 
         flags: set[str] = set()
         for eng, (e, fl) in per_engine.items():
@@ -402,9 +423,9 @@ def identity_checks(params: HylleraasParams, e_samples: list[float]) -> list[dic
             "tau_prime_eq42_vs_derivative": abs(im1.tau_prime_printed - im1.tau_slope)
             / max(1.0, abs(im1.tau_slope)),
         }
+        branch = _mech_branch(params, E)
         for n in (1, 2):
             im = intermediates(params, E, n, cst=cst)
-            branch = _mech_branch(params, E)
             if isinstance(branch, BranchGap):
                 row[f"lambda_n_eq44_vs_mech_n{n}"] = math.inf
             else:

@@ -53,11 +53,11 @@ def atomic_write(path: Path, text: str) -> None:
 def compute_levels(config: RunConfig) -> list[EnergyLevel]:
     """All found levels for the selected engines, n = 0..n_max."""
     grid = config.grid()
+    ns = range(config.n_max + 1)
     levels: list[EnergyLevel] = []
-    for n in range(config.n_max + 1):
-        for engine in config.engines:
-            levels.extend(lvl for lvl in engine_levels(engine, config.params, n, grid)
-                          if lvl.found)
+    for engine in config.engines:
+        for found in engine_levels(engine, config.params, ns, grid).values():
+            levels.extend(lvl for lvl in found if lvl.found)
     return levels
 
 
@@ -93,7 +93,7 @@ def _closed_form_level(config: RunConfig, n: int,
     for engine in (Engine.MECHANICAL_NU, Engine.IMPLICIT_LAMBDA,
                    Engine.EQ45_VERBATIM):
         if engine in config.engines:
-            found = engine_levels(engine, config.params, n, grid)
+            found = engine_levels(engine, config.params, (n,), grid)[n]
             if found:
                 return found[0]
     return None

@@ -22,6 +22,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache, partial
+from typing import Iterable
 
 from .hylleraas import (
     AppendixConstants,
@@ -46,7 +48,7 @@ from .nu import (
     NUInput,
     NUSolution,
     Poly2,
-    lambda_n,
+    lambda_n_value,
     pi_candidates,
     select_branch_lenient,
 )
@@ -56,6 +58,13 @@ from .rootfind import ScanResult, scan_roots
 # Scan protocol shared by the closed-form engines: 2000 brackets over the
 # bound-state window, bisection to 1e-12 absolute in E, duplicate roots
 # merged within 1e-9 M.  All config-overridable via keyword arguments.
+#
+# Each engine solves every requested n in one call.  Only lambda_n (and the
+# eq45 n-terms) depend on n; the constant cascade, the NU closure and the
+# branch choice depend on E alone.  That n-free part is computed once per
+# energy and cached for the call as a small tuple, and the seed grid is the
+# same for every n, so each n's seed values are bit-identical to a
+# single-level solve; Brent refinement stays scalar and per n.
 N_BRACKETS = 2000
 TOL_E = 1e-12
 DEDUP_FACTOR = 1e-9
@@ -109,6 +118,11 @@ class ClosedFormIntermediates:
     flags: frozenset[str]
 
 
+def _lam_n_printed(sqrt_upv: complex, a1: float, n: int) -> complex:
+    """Printed lambda_n = 2 n sqrt(U + V) - 2 alpha1 n (n + 3)."""
+    return 2.0 * n * sqrt_upv - 2.0 * a1 * n * (n + 3) if n else 0j
+
+
 def intermediates(params: HylleraasParams, E: float, n: int,
                   cst: AppendixConstants | None = None) -> ClosedFormIntermediates:
     """Evaluate the printed branch selection verbatim.
@@ -149,7 +163,7 @@ def intermediates(params: HylleraasParams, E: float, n: int,
     head = -(cst.Lam2 + cst.Lam3 * cst.eps2)
     k = head - cmath.sqrt(u2mv2)
     lam = k
-    lam_n = 2.0 * n * cmath.sqrt(U + V) - 2.0 * a1 * n * (n + 3) if n else 0j
+    lam_n = _lam_n_printed(muJ, a1, n)
 
     return ClosedFormIntermediates(
         E=E, n=n, k=k,
@@ -183,14 +197,22 @@ def intermediates(params: HylleraasParams, E: float, n: int,
 # which avoid the removable 0/0 at A = 0 (the printed grouping divides by A).
 # ---------------------------------------------------------------------------
 
-def eq45_rhs(params: HylleraasParams, E: float, n: int) -> tuple[float | None, float | None]:
-    """Both printed sign branches of the explicit energy expression, or None
-    where a radicand or denominator makes the branch non-real."""
+def _eq45_forms(params: HylleraasParams, E: float) -> tuple[float, float, float, float]:
+    """The appendix-form constants the explicit equation reads: (A, B, delta, Lam3)."""
     forms = appendix_a_forms(params, E)
-    A = forms.A_a13
-    B = forms.B_a14
-    d = forms.delta_a9
-    L3 = forms.Lam3_a7
+    return forms.A_a13, forms.B_a14, forms.delta_a9, forms.Lam3_a7
+
+
+def eq45_rhs(params: HylleraasParams, E: float, n: int,
+             forms: tuple[float, float, float, float] | None = None,
+             ) -> tuple[float | None, float | None]:
+    """Both printed sign branches of the explicit energy expression, or None
+    where a radicand or denominator makes the branch non-real.
+
+    `forms` is `_eq45_forms(params, E)`, passed in by callers that evaluate
+    several n at one E.
+    """
+    A, B, d, L3 = forms if forms is not None else _eq45_forms(params, E)
     abc = params.abc
     a1 = 1 + abc.b
     w2b = A * A - B
@@ -264,42 +286,67 @@ def _mech_branch(params: HylleraasParams, E: float) -> tuple[NUInput, NUSolution
     return inp, sol, strict_ok
 
 
-def mechanical_residual(params: HylleraasParams, E: float, n: int) -> float | BranchGap:
+MechTerms = tuple[float, float, float, bool]
+
+
+def _mech_terms(params: HylleraasParams, E: float) -> MechTerms | BranchGap:
+    """The n-free part of the mechanical quantization at E:
+    (lambda, tau', sigma'', strict_ok), or the gap marker."""
+    out = _mech_branch(params, E)
+    if isinstance(out, BranchGap):
+        return out
+    inp, sol, strict_ok = out
+    return sol.lam, sol.tau_prime, 2.0 * inp.sigma.c2, strict_ok
+
+
+def mechanical_residual(params: HylleraasParams, E: float, n: int,
+                        branch: MechTerms | BranchGap | None = None) -> float | BranchGap:
     """lambda(E) - lambda_n(E) from the mechanical engine, lenient branch rule.
 
     The strict decreasing-tau rule admits no branch at all over whole
     parameter windows of this potential family (the audit's tau_prime_sign
     column records the outcome), so the energy scan prefers tau' < 0 but
     falls back to the least-positive slope instead of gapping out.
+
+    `branch` is `_mech_terms(params, E)`, passed in by callers that evaluate
+    several n at one E.
     """
-    out = _mech_branch(params, E)
-    if isinstance(out, BranchGap):
-        return out
-    inp, sol, _ = out
-    return sol.lam - lambda_n(inp, sol, n)
+    if branch is None:
+        branch = _mech_terms(params, E)
+    if isinstance(branch, BranchGap):
+        return branch
+    lam, tau_prime, sigma_pp, _ = branch
+    return lam - lambda_n_value(tau_prime, sigma_pp, n)
 
 
-def energy_mechanical_result(params: HylleraasParams, n: int,
+def energy_mechanical_result(params: HylleraasParams, ns: Iterable[int],
                              n_brackets: int = N_BRACKETS,
-                             tol_e: float = TOL_E) -> EngineResult:
+                             tol_e: float = TOL_E) -> dict[int, EngineResult]:
+    """Mechanical-engine levels for every n in ns."""
+    branch = cache(partial(_mech_terms, params))  # lives for this call only
+    return {n: _mechanical_levels(params, n, branch, n_brackets, tol_e) for n in ns}
+
+
+def _mechanical_levels(params: HylleraasParams, n: int, branch,
+                       n_brackets: int, tol_e: float) -> EngineResult:
     lo, hi = _window(params)
 
     def f(E: float):
-        return mechanical_residual(params, E, n)
+        return mechanical_residual(params, E, n, branch=branch(E))
 
     def residual_ok(E: float, fE: float) -> bool:
-        out = _mech_branch(params, E)
+        out = branch(E)
         if isinstance(out, BranchGap):
             return False
-        inp, sol, _ = out
-        scale = max(1.0, abs(sol.lam) + abs(lambda_n(inp, sol, n)))
+        lam, tau_prime, sigma_pp, _ = out
+        scale = max(1.0, abs(lam) + abs(lambda_n_value(tau_prime, sigma_pp, n)))
         return abs(fE) <= RESIDUAL_REL * scale
 
     def extra_flags(E: float) -> set[str]:
-        out = _mech_branch(params, E)
+        out = branch(E)
         if isinstance(out, BranchGap):
             return {FLAG_BRANCH_GAP}
-        _, _, strict_ok = out
+        strict_ok = out[3]
         return set() if strict_ok else {FLAG_TAU_PRIME_NONNEG}
 
     scan = scan_roots(f, lo, hi, n_brackets, tol_e,
@@ -313,26 +360,46 @@ def _real_or_inf(v) -> float:
     return v if isinstance(v, float) else math.inf
 
 
-def implicit_residual(params: HylleraasParams, E: float, n: int) -> float | None:
-    """lambda(E) - lambda_n(E, n) from the printed pair; None when non-real."""
-    im = intermediates(params, E, n)
-    f = im.lam - im.lam_n
-    if im.lam.imag != 0.0 or im.lam_n.imag != 0.0 or not math.isfinite(f.real):
+def _implicit_terms(params: HylleraasParams, E: float) -> tuple[complex, complex]:
+    """The n-free part of the printed pair at E: (lambda, sqrt(U + V))."""
+    im = intermediates(params, E, 0)
+    return im.lam, im.muJ
+
+
+def implicit_residual(params: HylleraasParams, E: float, n: int,
+                      branch: tuple[complex, complex] | None = None) -> float | None:
+    """lambda(E) - lambda_n(E, n) from the printed pair; None when non-real.
+
+    `branch` is `_implicit_terms(params, E)`, passed in by callers that
+    evaluate several n at one E.
+    """
+    lam, sqrt_upv = branch if branch is not None else _implicit_terms(params, E)
+    lam_n = _lam_n_printed(sqrt_upv, 1 + params.abc.b, n)
+    f = lam - lam_n
+    if lam.imag != 0.0 or lam_n.imag != 0.0 or not math.isfinite(f.real):
         return None
     return f.real
 
 
-def energy_implicit_result(params: HylleraasParams, n: int,
+def energy_implicit_result(params: HylleraasParams, ns: Iterable[int],
                            n_brackets: int = N_BRACKETS,
-                           tol_e: float = TOL_E) -> EngineResult:
+                           tol_e: float = TOL_E) -> dict[int, EngineResult]:
+    """Printed-pair levels for every n in ns."""
+    branch = cache(partial(_implicit_terms, params))  # lives for this call only
+    return {n: _implicit_levels(params, n, branch, n_brackets, tol_e) for n in ns}
+
+
+def _implicit_levels(params: HylleraasParams, n: int, branch,
+                     n_brackets: int, tol_e: float) -> EngineResult:
     lo, hi = _window(params)
 
     def f(E: float):
-        return implicit_residual(params, E, n)
+        return implicit_residual(params, E, n, branch=branch(E))
 
     def residual_ok(E: float, fE: float) -> bool:
-        im = intermediates(params, E, n)
-        scale = max(1.0, abs(im.lam) + abs(im.lam_n))
+        lam, sqrt_upv = branch(E)
+        lam_n = _lam_n_printed(sqrt_upv, 1 + params.abc.b, n)
+        scale = max(1.0, abs(lam) + abs(lam_n))
         return abs(fE) <= RESIDUAL_REL * scale
 
     def extra_flags(E: float) -> set[str]:
@@ -345,14 +412,20 @@ def energy_implicit_result(params: HylleraasParams, n: int,
                      extra_flags_at=extra_flags)
 
 
-def energy_eq45_result(params: HylleraasParams, n: int,
+def energy_eq45_result(params: HylleraasParams, ns: Iterable[int],
                        n_brackets: int = N_BRACKETS,
-                       tol_e: float = TOL_E) -> EngineResult:
-    """Roots of Ebar(E) = RHS(E) for both printed sign branches.
+                       tol_e: float = TOL_E) -> dict[int, EngineResult]:
+    """Roots of Ebar(E) = RHS(E) for both printed sign branches, every n in ns.
 
     The constants in the right-hand side depend on E through Vbar, so the
     printed "explicit" expression is solved as a root problem.
     """
+    forms = cache(partial(_eq45_forms, params))  # this call only; both signs share it
+    return {n: _eq45_levels(params, n, forms, n_brackets, tol_e) for n in ns}
+
+
+def _eq45_levels(params: HylleraasParams, n: int, forms,
+                 n_brackets: int, tol_e: float) -> EngineResult:
     lo, hi = _window(params)
     M2 = params.M ** 2
     all_levels: list[EnergyLevel] = []
@@ -360,7 +433,7 @@ def energy_eq45_result(params: HylleraasParams, n: int,
     for pick, sign_flag in ((0, FLAG_SIGN_MINUS), (1, FLAG_SIGN_PLUS)):
 
         def f(E: float):
-            rhs = eq45_rhs(params, E, n)[pick]
+            rhs = eq45_rhs(params, E, n, forms=forms(E))[pick]
             if rhs is None:
                 return None
             return (E * E - M2) - rhs
@@ -375,7 +448,7 @@ def energy_eq45_result(params: HylleraasParams, n: int,
                          extra_flags_at=lambda E: {sign_flag})
         region |= set(part.region_flags)
         all_levels.extend(part.levels)
-    if any(eq45_rhs(params, x, n) == (None, None)
+    if any(eq45_rhs(params, x, n, forms=forms(x)) == (None, None)
            for x in (lo, 0.5 * (lo + hi), hi)):
         region.add(FLAG_NEGATIVE_UNDER_SQRT)
     all_levels.sort(key=lambda l: l.E)

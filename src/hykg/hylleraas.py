@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import DegenerateParams, OutOfRange, SingularPotential
 
@@ -62,10 +63,12 @@ class HylleraasParams:
             raise DegenerateParams("M must be > 0")
         if not (self.mu > 0):
             raise DegenerateParams("mu must be > 0")
-        derive_abc(self.K, self.k1, self.k2)  # validates denominators
+        self.abc  # derives (and caches) a, b, c; validates the denominators
 
-    @property
+    @cached_property
     def abc(self) -> ABC:
+        """Derived once per instance; the cache is not a field, so equality,
+        hashing and replace() see only the physical inputs."""
         return derive_abc(self.K, self.k1, self.k2)
 
     @property

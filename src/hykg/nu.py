@@ -268,10 +268,14 @@ def select_branch_lenient(candidates: list[NUSolution]) -> tuple[NUSolution, boo
 
 def lambda_n(inp: NUInput, solution: NUSolution, n: int) -> float:
     """lambda_n = -n tau' - n(n-1)/2 sigma''."""
+    return lambda_n_value(solution.tau_prime, 2.0 * inp.sigma.c2, n)
+
+
+def lambda_n_value(tau_prime: float, sigma_pp: float, n: int) -> float:
+    """lambda_n from the two slopes it depends on, tau' and sigma''."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    sigma_pp = 2.0 * inp.sigma.c2
-    return -n * solution.tau_prime - 0.5 * n * (n - 1) * sigma_pp
+    return -n * tau_prime - 0.5 * n * (n - 1) * sigma_pp
 
 
 @dataclass(frozen=True)

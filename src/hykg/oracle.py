@@ -17,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
@@ -74,7 +75,11 @@ def box_grid(length: float, n: int) -> RadialGrid:
 
 def check_grid(grid: RadialGrid, params: HylleraasParams | None,
                w_values: np.ndarray) -> None:
-    """Emit (not raise) heuristic warnings: tail coverage and stencil stability."""
+    """Emit (not raise) heuristic warnings: the u(0) = 0 wall placement, tail
+    coverage and stencil stability."""
+    if abs(grid.r_min - grid.h) > 1e-9 * grid.h:
+        warnings.warn("r_min != h moves the u(0) = 0 wall off the origin",
+                      GridHeuristicWarning, stacklevel=3)
     if params is not None:
         if grid.r_max * (1.0 + params.K) * params.omega < 20.0:
             warnings.warn("grid tail coverage below the r_max*(1+K)*omega >= 20 heuristic",
@@ -101,14 +106,22 @@ def effective_potential(params: HylleraasParams, e_param: float,
     return 2.0 * (e_param + params.M) * potential_samples(params, grid)
 
 
-def eigen_tridiagonal(w_values: np.ndarray, grid: RadialGrid, m: int) -> np.ndarray:
-    """m smallest eigenvalues of -d^2/dr^2 + W by Sturm-sequence bisection."""
+def eigen_tridiagonal(w_values: np.ndarray, grid: RadialGrid, m: int,
+                      first: int = 0) -> np.ndarray:
+    """Eigenvalues first..m-1 (0-based, ascending) of -d^2/dr^2 + W.
+
+    Sturm-sequence bisection (LAPACK stebz; Barth, Martin and Wilkinson,
+    Numer. Math. 9, 386 (1967)) computes only the requested indices, so a
+    single level costs one bisection, not m.  The result is a compact copy:
+    scipy returns a view into an N-long work array, which would otherwise
+    stay alive with it.
+    """
     h2 = grid.h * grid.h
     diag = 2.0 / h2 + w_values
     off = np.full(grid.n - 1, -1.0 / h2)
-    vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, m - 1),
+    vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(first, m - 1),
                                 lapack_driver="stebz")
-    return np.asarray(vals, dtype=float)
+    return np.array(vals, dtype=float)
 
 
 def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
@@ -131,11 +144,37 @@ def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
     return float(vals[0]), v
 
 
-def _scan_with_jump_guard(f, lo: float, hi: float, seeds: int) -> tuple[list[float], list[float]]:
-    """Seed scan of f with one deterministic refinement pass where consecutive
+# equal steps of the oracle's seed scan across (-M, M); a shared seed table and
+# a level's own scan both use it, so the two always scan the same energies
+_SEEDS = 64
+
+
+def _seed_energies(M: float) -> list[float]:
+    """The oracle's seed energies: _SEEDS equal steps across (-M, M)."""
+    return list(np.linspace(-M * (1 - 1e-9), M * (1 - 1e-9), _SEEDS + 1))
+
+
+@dataclass(frozen=True)
+class SeedTable:
+    """Eigenvalues 0..m-1 of the effective operator at every seed energy:
+    one scan shared by all the levels of a batched oracle solve."""
+
+    xs: list[float]
+    ebars: np.ndarray   # (len(xs), m)
+
+
+def seed_table(params: HylleraasParams, grid: RadialGrid, m: int) -> SeedTable:
+    """One seed scan for levels 0..m-1 (see solve_relativistic)."""
+    M = params.M
+    v = potential_samples(params, grid)
+    xs = _seed_energies(M)
+    return SeedTable(xs, np.array([eigen_tridiagonal(2.0 * (x + M) * v, grid, m)
+                                   for x in xs]))
+
+
+def _jump_guard(f, xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
+    """One deterministic refinement pass of a seed scan of f where consecutive
     values jump by more than 10x the typical local step."""
-    xs = list(np.linspace(lo, hi, seeds + 1))
-    ys = [f(x) for x in xs]
     steps = [abs(ys[i + 1] - ys[i]) for i in range(len(xs) - 1)]
     finite = sorted(s for s in steps if math.isfinite(s))
     typical = finite[len(finite) // 2] if finite else 0.0
@@ -152,9 +191,33 @@ def _scan_with_jump_guard(f, lo: float, hi: float, seeds: int) -> tuple[list[flo
     return xs, ys
 
 
+def _first_root(g, xs: list[float], ys: list[float], tol: float) -> float | None:
+    """Brent-refined first sign change of the guarded seed scan, or None.
+
+    Brent re-evaluates the bracket ends with g itself, and raises ValueError
+    when they show no sign change.
+    """
+    xs, ys = _jump_guard(g, xs, ys)
+    for i in range(len(xs) - 1):
+        if ys[i] == 0.0:
+            return float(xs[i])
+        if ys[i] * ys[i + 1] < 0:
+            return float(brent(g, xs[i], xs[i + 1], tol))
+    return None
+
+
 def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
-                       seeds: int = 64, tol_factor: float = 1e-10) -> EnergyLevel:
+                       tol_factor: float = 1e-10,
+                       table: SeedTable | None = None) -> EnergyLevel:
     """Lowest root of g(E) = Ebar_n(E) - (E^2 - M^2) on (-M, M).
+
+    A seed scan of g brackets the first sign change; Brent's method (Brent,
+    "Algorithms for Minimization without Derivatives", 1973) refines it.
+    Every g evaluation is a single-index Sturm bisection for eigenvalue n.
+    With `table` (a `seed_table` covering index n) the shared seed values
+    only choose the bracket: the jump guard, Brent and the residual all use
+    this level's own solve, and if that solve finds no sign change on the
+    chosen bracket the level is scanned again with its own seeds.
 
     Returns a flagged NoRoot level when g has no sign change.
     """
@@ -164,23 +227,36 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
 
     def g(E: float) -> float:
         w = 2.0 * (E + M) * v
-        ebar_n = float(eigen_tridiagonal(w, grid, n + 1)[n])
+        ebar_n = float(eigen_tridiagonal(w, grid, n + 1, first=n)[0])
         return ebar_n - (E * E - M * M)
 
-    lo, hi = -M * (1 - 1e-9), M * (1 - 1e-9)
-    xs, ys = _scan_with_jump_guard(g, lo, hi, seeds)
-    for i in range(len(xs) - 1):
-        if ys[i] == 0.0:
-            root = float(xs[i])
-            break
-        if ys[i] * ys[i + 1] < 0:
-            root = float(brent(g, xs[i], xs[i + 1], tol_factor * M))
-            break
+    def own_seeds() -> tuple[list[float], list[float]]:
+        xs = _seed_energies(M)
+        return xs, [g(x) for x in xs]
+
+    tol = tol_factor * M
+    if table is None:
+        root = _first_root(g, *own_seeds(), tol)
     else:
+        ys = [float(e) - (x * x - M * M) for x, e in zip(table.xs, table.ebars[:, n])]
+        try:
+            root = _first_root(g, table.xs, ys, tol)
+        except ValueError:
+            root = _first_root(g, *own_seeds(), tol)
+    if root is None:
         return EnergyLevel(n=n, E=None, Ebar=None, engine=Engine.ORACLE,
                            residual=None, flags=frozenset({FLAG_NO_ROOT}))
     return EnergyLevel(n=n, E=root, Ebar=root * root - M * M,
                        engine=Engine.ORACLE, residual=float(abs(g(root))))
+
+
+def solve_levels(params: HylleraasParams, ns: Iterable[int],
+                 grid: RadialGrid) -> dict[int, EnergyLevel]:
+    """One solve_relativistic level per n in ns, all bracketed from one shared
+    seed scan of levels 0..max(ns)."""
+    ns = list(ns)
+    table = seed_table(params, grid, max(ns) + 1)
+    return {n: solve_relativistic(params, n, grid, table=table) for n in ns}
 
 
 def oracle_eigenvector(params: HylleraasParams, E: float, grid: RadialGrid,

@@ -20,7 +20,13 @@ def _as_value(y) -> float | None:
 
 def brent(f: Callable[[float], float], a: float, b: float, tol: float,
           max_iter: int = 200) -> float:
-    """Classic Brent root refinement on a sign-change interval [a, b]."""
+    """Classic Brent root refinement on a sign-change interval [a, b].
+
+    Inverse quadratic interpolation and secant steps safeguarded by
+    bisection: R. P. Brent, "Algorithms for Minimization without
+    Derivatives" (Prentice-Hall, 1973), ch. 4.  Raises ValueError when
+    f(a) and f(b) have the same sign.
+    """
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a

@@ -174,7 +174,7 @@ def test_criterion_5_hylleraas_end_to_end():
     assert params.s_sign is SSign.NEGATIVE
     grid = default_grid(params)
 
-    mech = energy_mechanical_result(params, 0)
+    mech = energy_mechanical_result(params, (0,))[0]
     assert mech.levels, "mechanical n=0 level missing"
     for lvl in mech.levels:
         assert -params.M < lvl.E < params.M

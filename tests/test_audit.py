@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hykg import audit
+from hykg import audit, oracle
 from hykg.audit import (
     AuditReport,
     AuditRow,
@@ -13,10 +13,11 @@ from hykg.audit import (
     ode_residual,
     run_audit,
 )
+from hykg.config import default_config
 from hykg.errors import NotRepresentable
-from hykg.hylleraas import DEFAULT_PARAMS
+from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign
 from hykg.levels import FLAG_NO_ROOT, Engine, EnergyLevel
-from hykg.oracle import default_grid
+from hykg.oracle import RadialGrid, SeedTable, default_grid, solve_relativistic
 
 AUDIT_GRID = None  # use the engine default
 
@@ -30,9 +31,9 @@ def small_audit():
 
 def synthetic_engine(eng, E_values):
     """An ENGINES entry reporting one level E_values[n] at each n."""
-    def levels(params, n, grid, n_brackets):
-        e = E_values[n]
-        return [EnergyLevel(n=n, E=e, Ebar=e * e - 1.0, engine=eng, residual=0.0)]
+    def levels(params, ns, grid, n_brackets):
+        return {n: [EnergyLevel(n=n, E=E_values[n], Ebar=E_values[n] ** 2 - 1.0,
+                                engine=eng, residual=0.0)] for n in ns}
     return levels
 
 
@@ -42,10 +43,74 @@ class TestEngineTable:
 
     def test_oracle_entry_keeps_no_root_level(self):
         params = DEFAULT_PARAMS.replace(D_e=0.0)
-        levels = engine_levels(Engine.ORACLE, params, 0, default_grid(params, n=400))
+        levels = engine_levels(Engine.ORACLE, params, (0,), default_grid(params, n=400))[0]
         assert len(levels) == 1
         assert not levels[0].found
         assert FLAG_NO_ROOT in levels[0].flags
+
+
+def _asymmetric_positive():
+    params = HylleraasParams(K=2.0, k1=1.0, k2=0.5, omega=0.25, D_e=1.0, M=1.0,
+                             s_sign=SSign.POSITIVE)
+    return params, default_grid(params)
+
+
+# (params, grid) per case; all at n_max = 3
+BATCH_CASES = {
+    "default-config": lambda: (default_config().params, default_config().grid()),
+    # the b < 0 well of scripts/convergence_study.py at N = 1000
+    "b-negative-well": lambda: (
+        DEFAULT_PARAMS.replace(K=1.2, k1=1.0, k2=-0.5, D_e=1000.0, s_sign=SSign.POSITIVE),
+        RadialGrid(r_min=10.0 / 1000, r_max=10.0, n=1000)),
+    "asymmetric-positive": _asymmetric_positive,
+    "negative-De3": lambda: (DEFAULT_PARAMS.replace(D_e=3.0),
+                             default_grid(DEFAULT_PARAMS.replace(D_e=3.0))),
+}
+
+
+class TestBatchedLevels:
+    @pytest.mark.parametrize("engine", list(Engine))
+    @pytest.mark.parametrize("case", list(BATCH_CASES))
+    def test_batched_equals_single_level(self, case, engine):
+        params, grid = BATCH_CASES[case]()
+        ns = range(4)
+        batched = engine_levels(engine, params, ns, grid)
+        assert list(batched) == list(ns)
+        for n in ns:
+            assert batched[n] == engine_levels(engine, params, (n,), grid)[n]
+
+    def test_oracle_rescans_when_shared_bracket_fails(self, monkeypatch):
+        # no level of this well has its root in the first seed interval
+        params, grid = BATCH_CASES["b-negative-well"]()
+        shared = oracle.seed_table
+
+        def flipped(params, grid, m):
+            # the first seed value of every level changes sign, so the shared
+            # table brackets a root in the first interval, where none is
+            table = shared(params, grid, m)
+            ebars = table.ebars.copy()
+            x0 = table.xs[0]
+            ebars[0] = 2.0 * (x0 * x0 - params.M ** 2) - ebars[0]
+            return SeedTable(table.xs, ebars)
+
+        rejected = []
+        brent = oracle.brent
+
+        def recording_brent(*args, **kwargs):
+            try:
+                return brent(*args, **kwargs)
+            except ValueError:
+                rejected.append(args[1])
+                raise
+
+        monkeypatch.setattr(oracle, "seed_table", flipped)
+        monkeypatch.setattr(oracle, "brent", recording_brent)
+        levels = engine_levels(Engine.ORACLE, params, range(4), grid)
+        assert len(rejected) == 4
+        monkeypatch.undo()
+        for n in range(4):
+            assert levels[n] == [solve_relativistic(params, n, grid)]
+        assert levels[0][0].found
 
 
 class TestRunAudit:

@@ -50,13 +50,13 @@ def fast_cfg_path(tmp_path):
 def stub_engine(eng, energies, calls=None):
     """An ENGINES entry reporting found levels at `energies`; a None energy
     becomes a NoRoot record, the way the oracle entry reports a miss."""
-    def levels(params, n, grid, n_brackets):
+    def levels(params, ns, grid, n_brackets):
         if calls is not None:
             calls.append(eng)
-        return [EnergyLevel(n=n, E=None, Ebar=None, engine=eng, residual=None,
-                            flags=frozenset({FLAG_NO_ROOT})) if e is None else
-                EnergyLevel(n=n, E=e, Ebar=e * e - 1.0, engine=eng, residual=0.0)
-                for e in energies]
+        return {n: [EnergyLevel(n=n, E=None, Ebar=None, engine=eng, residual=None,
+                                flags=frozenset({FLAG_NO_ROOT})) if e is None else
+                    EnergyLevel(n=n, E=e, Ebar=e * e - 1.0, engine=eng, residual=0.0)
+                    for e in energies] for n in ns}
     return levels
 
 
@@ -210,7 +210,7 @@ class TestWavefunctionCommand:
             load_config(fast_cfg_path),
             engines=(Engine.EQ45_VERBATIM, Engine.IMPLICIT_LAMBDA,
                      Engine.MECHANICAL_NU))
-        real = audit.engine_levels(Engine.MECHANICAL_NU, cfg.params, 0, cfg.grid())[0]
+        real = audit.engine_levels(Engine.MECHANICAL_NU, cfg.params, (0,), cfg.grid())[0][0]
         calls = []
         monkeypatch.setitem(audit.ENGINES, Engine.MECHANICAL_NU,
                             stub_engine(Engine.MECHANICAL_NU, [], calls))

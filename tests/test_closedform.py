@@ -86,7 +86,7 @@ class TestMechanical:
         assert isinstance(out, BranchGap) or isinstance(out, float)
 
     def test_default_ground_state_exists(self, default_params):
-        res = energy_mechanical_result(default_params, 0)
+        res = energy_mechanical_result(default_params, (0,))[0]
         assert res.levels, "expected at least one n=0 root"
         for lvl in res.levels:
             assert -1 < lvl.E < 1
@@ -97,15 +97,15 @@ class TestMechanical:
             assert FLAG_TAU_PRIME_NONNEG in lvl.flags
 
     def test_levels_sorted_and_deterministic(self, default_params):
-        a = energy_mechanical_result(default_params, 0).levels
-        b = energy_mechanical_result(default_params, 0).levels
+        a = energy_mechanical_result(default_params, (0,))[0].levels
+        b = energy_mechanical_result(default_params, (0,))[0].levels
         assert a == b
         es = [l.E for l in a]
         assert es == sorted(es)
 
     def test_free_case_empty(self):
         p = DEFAULT_PARAMS.replace(D_e=0.0)
-        res = energy_mechanical_result(p, 0, n_brackets=400)
+        res = energy_mechanical_result(p, (0,), n_brackets=400)[0]
         assert res.levels == []
         assert FLAG_NO_ROOT in res.region_flags
 
@@ -114,20 +114,20 @@ class TestImplicit:
     def test_n0_root_exists_at_defaults(self, default_params):
         # lam_n = 0 at n = 0 keeps the printed quantization real wherever
         # U^2 - V^2 >= 0; a sign change exists inside the window.
-        res = energy_implicit_result(default_params, 0)
+        res = energy_implicit_result(default_params, (0,))[0]
         assert res.levels
         for lvl in res.levels:
             assert lvl.residual <= 1e-8 or lvl.residual <= 1e-8 * (1 + abs(lvl.E))
 
     def test_n1_empty_at_defaults(self, default_params):
         # lam_n is complex for n >= 1 across the window -> exclusion zone.
-        res = energy_implicit_result(default_params, 1, n_brackets=400)
+        res = energy_implicit_result(default_params, (1,), n_brackets=400)[1]
         assert res.levels == []
         assert FLAG_NO_ROOT in res.region_flags
 
     def test_free_case_empty(self):
         p = DEFAULT_PARAMS.replace(D_e=0.0)
-        res = energy_implicit_result(p, 0, n_brackets=400)
+        res = energy_implicit_result(p, (0,), n_brackets=400)[0]
         assert res.levels == []
 
 
@@ -139,12 +139,12 @@ class TestEq45:
 
     def test_free_case_no_levels(self):
         p = DEFAULT_PARAMS.replace(D_e=0.0)
-        res = energy_eq45_result(p, 0, n_brackets=400)
+        res = energy_eq45_result(p, (0,), n_brackets=400)[0]
         assert res.levels == []
         assert FLAG_NO_ROOT in res.region_flags
 
     def test_plus_minus_flags_and_dedup(self, default_params):
-        res = energy_eq45_result(default_params, 0, n_brackets=400)
+        res = energy_eq45_result(default_params, (0,), n_brackets=400)[0]
         for lvl in res.levels:
             assert ("SignPlus" in lvl.flags) or ("SignMinus" in lvl.flags)
         es = [l.E for l in res.levels]
@@ -153,7 +153,7 @@ class TestEq45:
             assert abs(x - y) > 1e-9 * default_params.M
 
     def test_residual_definition(self, default_params):
-        res = energy_eq45_result(default_params, 0, n_brackets=400)
+        res = energy_eq45_result(default_params, (0,), n_brackets=400)[0]
         for lvl in res.levels:
             assert lvl.residual / default_params.M ** 2 <= 1e-10
 
@@ -162,6 +162,6 @@ class TestDeterminism:
     def test_engines_bitwise_stable(self, default_params):
         for fn in (energy_mechanical_result, energy_implicit_result,
                    energy_eq45_result):
-            one = fn(default_params, 0, n_brackets=400).levels
-            two = fn(default_params, 0, n_brackets=400).levels
+            one = fn(default_params, (0,), n_brackets=400)[0].levels
+            two = fn(default_params, (0,), n_brackets=400)[0].levels
             assert one == two

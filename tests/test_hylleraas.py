@@ -221,3 +221,29 @@ class TestParamsValidation:
 
     def test_d_e_zero_allowed(self):
         HylleraasParams(K=2, k1=1, k2=1, omega=0.25, D_e=0.0, M=1)
+
+    def test_degenerate_shape_rejected_at_construction(self):
+        with pytest.raises(DegenerateParams):
+            HylleraasParams(K=1.0, k1=-1.0, k2=0.5, omega=0.25, D_e=1, M=1)
+        with pytest.raises(DegenerateParams):
+            HylleraasParams(K=-1.0, k1=0.5, k2=0.0, omega=0.25, D_e=1, M=1)
+
+
+class TestAbcCache:
+    def test_derived_once(self):
+        p = HylleraasParams(K=2.0, k1=1.0, k2=0.5, omega=0.25, D_e=1, M=1)
+        assert p.abc is p.abc
+        assert p.abc == derive_abc(2.0, 1.0, 0.5)
+
+    def test_replace_derives_afresh(self):
+        p = HylleraasParams(K=2.0, k1=1.0, k2=0.5, omega=0.25, D_e=1, M=1)
+        q = p.replace(K=3.0)
+        assert q.abc == derive_abc(3.0, 1.0, 0.5)
+        assert q.abc != p.abc
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        p = HylleraasParams(K=2.0, k1=1.0, k2=0.5, omega=0.25, D_e=1, M=1)
+        q = HylleraasParams(K=2.0, k1=1.0, k2=0.5, omega=0.25, D_e=1, M=1)
+        del q.__dict__["abc"]  # q's cache empty, p's filled
+        assert p == q and hash(p) == hash(q)
+        assert q.abc == p.abc

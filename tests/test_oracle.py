@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +8,12 @@ import pytest
 from hykg.errors import NoRoot
 from hykg.hylleraas import DEFAULT_PARAMS
 from hykg.levels import FLAG_NO_ROOT, FLAG_NODE_MISMATCH
+from hykg.config import default_config
 from hykg.oracle import (
+    GridHeuristicWarning,
     RadialGrid,
     box_grid,
+    check_grid,
     count_sign_changes,
     default_grid,
     effective_potential,
@@ -37,6 +42,14 @@ class TestBox:
         for i, v in enumerate(vals, start=1):
             exact = (i * math.pi / L) ** 2
             assert abs(v - exact) / exact < 1e-4
+
+    def test_compact_result(self):
+        # a view into stebz's N-long work array would keep that array alive
+        grid = box_grid(L, 2000)
+        for m, first in ((1, 0), (3, 0), (3, 2)):
+            vals = eigen_tridiagonal(np.zeros(grid.n), grid, m, first=first)
+            assert vals.base is None
+            assert vals.nbytes == 8 * (m - first)
 
     def test_interlacing(self):
         _, vals = box_levels(1000, m=6)
@@ -237,6 +250,24 @@ class TestGrid:
         grid = default_grid(DEFAULT_PARAMS)
         assert grid.r_max == pytest.approx(40.0)
         assert grid.r_min == pytest.approx(grid.h, rel=1e-9)
+
+    def test_origin_wall_mismatch_warns(self):
+        grid = RadialGrid(r_min=0.05, r_max=10.0, n=1000)
+        with pytest.warns(GridHeuristicWarning, match="r_min"):
+            check_grid(grid, None, np.zeros(grid.n))
+
+    def test_shipped_grids_do_not_warn(self):
+        cfg = default_config()
+        grids = [default_grid(DEFAULT_PARAMS), default_grid(DEFAULT_PARAMS, n=777),
+                 cfg.grid(), replace(cfg, r_max=12.5, grid_n=3001).grid(),
+                 box_grid(L, 2000), box_grid(7.3, 999)]
+        # the refinement study's grids (bench/workloads.py)
+        grids += [RadialGrid(r_min=10.0 / n, r_max=10.0, n=n)
+                  for n in (1000, 2000, 4000, 8000, 16000)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GridHeuristicWarning)
+            for grid in grids:
+                check_grid(grid, None, np.zeros(grid.n))
 
     def test_low_signal_flagged(self):
         slope, low = estimate_order([0.1, 0.05, 0.025], [1.0, 1.0, 1.0])
