@@ -29,9 +29,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, closedform
 from .closedform import (
-    N_BRACKETS,
     EngineResult,
     _mech_branch,
     energy_eq45_result,
@@ -66,7 +65,7 @@ from .oracle import (
     # wraps it here too
     solve_relativistic,  # noqa: F401
 )
-from .wavefunction import build_radial
+from .wavefunction import _is_confluent, build_radial
 
 
 def _closed_form(results: dict[int, EngineResult]) -> dict[int, list[EnergyLevel]]:
@@ -77,23 +76,20 @@ def _oracle(levels: dict[int, EnergyLevel]) -> dict[int, list[EnergyLevel]]:
     return {n: [level] for n, level in levels.items()}
 
 
-# The one engine x level dispatch: Engine -> (params, ns, grid, n_brackets) ->
-# {n: levels}.  Each entry solves every n in ns in one call, so the work that
-# does not depend on n is done once.  Closed-form entries return every root
+# The one engine x level dispatch: Engine -> (params, ns, grid) -> {n: levels}.
+# Each entry solves every n in ns in one call, so the work that does not
+# depend on n is done once.  Closed-form entries return every root
 # found; the oracle entry returns one level per n, which may be a NoRoot
 # record.  Each entry looks its solver up by module-global name at call time,
 # so wrappers patched onto this module's attributes (bench/tracer.py, test
 # monkeypatching) see every call.  Iterating over Engine gives the column
 # order eq45, implicit, mechanical, oracle.
-ENGINES: dict[Engine, Callable[[HylleraasParams, Iterable[int], RadialGrid, int],
+ENGINES: dict[Engine, Callable[[HylleraasParams, Iterable[int], RadialGrid],
                                dict[int, list[EnergyLevel]]]] = {
-    Engine.EQ45_VERBATIM:
-        lambda p, ns, grid, nb: _closed_form(energy_eq45_result(p, ns, n_brackets=nb)),
-    Engine.IMPLICIT_LAMBDA:
-        lambda p, ns, grid, nb: _closed_form(energy_implicit_result(p, ns, n_brackets=nb)),
-    Engine.MECHANICAL_NU:
-        lambda p, ns, grid, nb: _closed_form(energy_mechanical_result(p, ns, n_brackets=nb)),
-    Engine.ORACLE: lambda p, ns, grid, nb: _oracle(solve_levels(p, ns, grid)),
+    Engine.EQ45_VERBATIM: lambda p, ns, grid: _closed_form(energy_eq45_result(p, ns)),
+    Engine.IMPLICIT_LAMBDA: lambda p, ns, grid: _closed_form(energy_implicit_result(p, ns)),
+    Engine.MECHANICAL_NU: lambda p, ns, grid: _closed_form(energy_mechanical_result(p, ns)),
+    Engine.ORACLE: lambda p, ns, grid: _oracle(solve_levels(p, ns, grid)),
 }
 
 # short column names (E_eq45, diff_eq45_oracle, ...) are the config aliases
@@ -101,10 +97,9 @@ _SHORT = {engine: alias for alias, engine in ENGINE_ALIASES.items()}
 
 
 def engine_levels(engine: Engine, params: HylleraasParams, ns: Iterable[int],
-                  grid: RadialGrid,
-                  n_brackets: int = N_BRACKETS) -> dict[int, list[EnergyLevel]]:
+                  grid: RadialGrid) -> dict[int, list[EnergyLevel]]:
     """The levels one engine reports at each radial quantum number in ns."""
-    return ENGINES[engine](params, ns, grid, n_brackets)
+    return ENGINES[engine](params, ns, grid)
 
 
 CSV_COLUMNS = [
@@ -228,9 +223,7 @@ def ode_residual(params: HylleraasParams, level: EnergyLevel,
     are tried and the best (smallest) defect is reported with its label; at
     a = c the mechanical confluent form is the only representation.
     """
-    abc = params.abc
-    confluent = abs(abc.a - abc.c) <= 1e-12 * max(1.0, abs(abc.a), abs(abc.c))
-    combos = ([("printed", "D_on_a")] if confluent else
+    combos = ([("printed", "D_on_a")] if _is_confluent(params) else
               [(r, o) for r in ("printed", "symmetric") for o in ("D_on_a", "F_on_a")])
     w = effective_potential(params, level.E, grid)
     ebar = level.E ** 2 - params.M ** 2
@@ -303,8 +296,7 @@ def _identity_columns(params: HylleraasParams, E: float, n: int) -> dict:
 
 
 def run_audit(params: HylleraasParams, n_max: int,
-              grid: RadialGrid | None = None,
-              n_brackets: int = N_BRACKETS) -> AuditReport:
+              grid: RadialGrid | None = None) -> AuditReport:
     """One row per n in 0..n_max; engine failures become flags, never aborts."""
     if not (0 <= n_max <= 10):
         raise ValueError("n_max must be in 0..10")
@@ -312,7 +304,7 @@ def run_audit(params: HylleraasParams, n_max: int,
         grid = default_grid(params)
 
     ns = range(n_max + 1)
-    levels = {eng: engine_levels(eng, params, ns, grid, n_brackets) for eng in Engine}
+    levels = {eng: engine_levels(eng, params, ns, grid) for eng in Engine}
     rows: list[AuditRow] = []
     prev_e: dict[Engine, float] = {}
     for n in ns:
@@ -388,7 +380,7 @@ def run_audit(params: HylleraasParams, n_max: int,
         "params": params_dict(params),
         "grid": {"r_min": grid.r_min, "r_max": grid.r_max, "n": grid.n},
         "n_max": n_max,
-        "n_brackets": n_brackets,
+        "n_brackets": closedform.N_BRACKETS,
     }
     return AuditReport(version=f"hykg {__version__}", config=config,
                        rows=tuple(rows), summary=summary)
@@ -402,35 +394,3 @@ def params_dict(params: HylleraasParams) -> dict:
         "s_sign": "negative" if params.s_sign is SSign.NEGATIVE else "positive",
     }
 
-
-def identity_checks(params: HylleraasParams, e_samples: list[float]) -> list[dict]:
-    """Per-sample residuals of the printed identities, normalized.
-
-    tau_prime here compares the two *printed* forms (the separately printed
-    slope against the derivative of the printed linear coefficient); its
-    nonzero value is the expected finding.
-    """
-    table = []
-    for E in e_samples:
-        cst = appendix_constants(params, E)
-        im1 = intermediates(params, E, 1, cst=cst)
-        row = {
-            "E": E,
-            "gamma2_eq20_vs_eq23": abs(gamma2_printed(params, E) - cst.gamma2)
-            / max(1.0, abs(cst.eps2) + abs(cst.gammap2)),
-            "delta_a9_vs_eq35": abs(cst.delta_A9 ** 2 - cst.delta2)
-            / max(1.0, cst.delta_A9 ** 2, cst.delta2),
-            "tau_prime_eq42_vs_derivative": abs(im1.tau_prime_printed - im1.tau_slope)
-            / max(1.0, abs(im1.tau_slope)),
-        }
-        branch = _mech_branch(params, E)
-        for n in (1, 2):
-            im = intermediates(params, E, n, cst=cst)
-            if isinstance(branch, BranchGap):
-                row[f"lambda_n_eq44_vs_mech_n{n}"] = math.inf
-            else:
-                inp, sol, _ = branch
-                mech = lambda_n(inp, sol, n)
-                row[f"lambda_n_eq44_vs_mech_n{n}"] = abs(im.lam_n - mech) / max(1.0, abs(mech))
-        table.append(row)
-    return table

@@ -53,11 +53,11 @@ from .nu import (
     select_branch_lenient,
 )
 from .errors import DegenerateSigma, ImperfectSquare, NoRealK
-from .rootfind import ScanResult, scan_roots
+from .rootfind import scan_roots
 
-# Scan protocol shared by the closed-form engines: 2000 brackets over the
-# bound-state window, bisection to 1e-12 absolute in E, duplicate roots
-# merged within 1e-9 M.  All config-overridable via keyword arguments.
+# Scan protocol shared by the closed-form engines (`_scan` reads it at call
+# time): 2000 brackets over the bound-state window |E| <= M (1 - 1e-9),
+# bisection to 1e-12 absolute in E, duplicate roots merged within 1e-9 M.
 #
 # Each engine solves every requested n in one call.  Only lambda_n (and the
 # eq45 n-terms) depend on n; the constant cascade, the NU closure and the
@@ -243,35 +243,36 @@ class EngineResult:
     region_flags: frozenset[str]
 
 
-def _window(params: HylleraasParams) -> tuple[float, float]:
+def _scan(params: HylleraasParams, n: int, engine: Engine, f, residual_ok,
+          flags_at) -> EngineResult:
+    """Every root of f(E) on the bound-state window that `residual_ok` accepts,
+    as `engine` levels at n.
+
+    f returns a float, or a non-float marker where it is undefined; a level's
+    residual is |f(root)|.  `flags_at(root)` gives the engine's own root flags.
+    """
     M = params.M
-    return -M * (1.0 - WINDOW_SHRINK), M * (1.0 - WINDOW_SHRINK)
-
-
-def _finalize(params: HylleraasParams, n: int, engine: Engine, scan: ScanResult,
-              residual_at, extra_flags_at=None) -> EngineResult:
+    hi = M * (1.0 - WINDOW_SHRINK)
+    scan = scan_roots(f, -hi, hi, N_BRACKETS, TOL_E,
+                      dedup=DEDUP_FACTOR * M, residual_ok=residual_ok)
     region: set[str] = set()
     if scan.had_gaps:
         region.add(FLAG_BRANCH_GAP)
     if not scan.roots:
         region.add(FLAG_NO_ROOT)
         return EngineResult([], frozenset(region))
+    # attribute each merge to the surviving root nearest the dropped one
+    merged = {min(scan.roots, key=lambda x: abs(x - r)) for r in scan.merged_duplicates}
     levels = []
-    merged = set()
-    for r in scan.merged_duplicates:
-        # attribute the merge to the surviving root nearest the dropped one
-        merged.add(min(scan.roots, key=lambda x: abs(x - r)))
     for root in scan.roots:
-        flags: set[str] = set()
+        flags = set(flags_at(root))
         if root in merged:
             flags.add(FLAG_DUPLICATE_MERGED)
-        cst = appendix_constants(params, root)
-        if cst.eps2 <= 0:
+        if appendix_constants(params, root).eps2 <= 0:
             flags.add(FLAG_EPS2_NEGATIVE)
-        if extra_flags_at is not None:
-            flags |= extra_flags_at(root)
-        levels.append(EnergyLevel(n=n, E=root, Ebar=root * root - params.M ** 2,
-                                  engine=engine, residual=abs(residual_at(root)),
+        fr = f(root)
+        levels.append(EnergyLevel(n=n, E=root, Ebar=root * root - M ** 2, engine=engine,
+                                  residual=abs(fr) if isinstance(fr, float) else math.inf,
                                   flags=frozenset(flags)))
     return EngineResult(levels, frozenset(region))
 
@@ -319,18 +320,14 @@ def mechanical_residual(params: HylleraasParams, E: float, n: int,
     return lam - lambda_n_value(tau_prime, sigma_pp, n)
 
 
-def energy_mechanical_result(params: HylleraasParams, ns: Iterable[int],
-                             n_brackets: int = N_BRACKETS,
-                             tol_e: float = TOL_E) -> dict[int, EngineResult]:
+def energy_mechanical_result(params: HylleraasParams,
+                             ns: Iterable[int]) -> dict[int, EngineResult]:
     """Mechanical-engine levels for every n in ns."""
     branch = cache(partial(_mech_terms, params))  # lives for this call only
-    return {n: _mechanical_levels(params, n, branch, n_brackets, tol_e) for n in ns}
+    return {n: _mechanical_levels(params, n, branch) for n in ns}
 
 
-def _mechanical_levels(params: HylleraasParams, n: int, branch,
-                       n_brackets: int, tol_e: float) -> EngineResult:
-    lo, hi = _window(params)
-
+def _mechanical_levels(params: HylleraasParams, n: int, branch) -> EngineResult:
     def f(E: float):
         return mechanical_residual(params, E, n, branch=branch(E))
 
@@ -342,22 +339,14 @@ def _mechanical_levels(params: HylleraasParams, n: int, branch,
         scale = max(1.0, abs(lam) + abs(lambda_n_value(tau_prime, sigma_pp, n)))
         return abs(fE) <= RESIDUAL_REL * scale
 
-    def extra_flags(E: float) -> set[str]:
+    def flags_at(E: float) -> set[str]:
         out = branch(E)
         if isinstance(out, BranchGap):
             return {FLAG_BRANCH_GAP}
         strict_ok = out[3]
         return set() if strict_ok else {FLAG_TAU_PRIME_NONNEG}
 
-    scan = scan_roots(f, lo, hi, n_brackets, tol_e,
-                      dedup=DEDUP_FACTOR * params.M, residual_ok=residual_ok)
-    return _finalize(params, n, Engine.MECHANICAL_NU, scan,
-                     residual_at=lambda E: _real_or_inf(f(E)),
-                     extra_flags_at=extra_flags)
-
-
-def _real_or_inf(v) -> float:
-    return v if isinstance(v, float) else math.inf
+    return _scan(params, n, Engine.MECHANICAL_NU, f, residual_ok, flags_at)
 
 
 def _implicit_terms(params: HylleraasParams, E: float) -> tuple[complex, complex]:
@@ -381,18 +370,14 @@ def implicit_residual(params: HylleraasParams, E: float, n: int,
     return f.real
 
 
-def energy_implicit_result(params: HylleraasParams, ns: Iterable[int],
-                           n_brackets: int = N_BRACKETS,
-                           tol_e: float = TOL_E) -> dict[int, EngineResult]:
+def energy_implicit_result(params: HylleraasParams,
+                           ns: Iterable[int]) -> dict[int, EngineResult]:
     """Printed-pair levels for every n in ns."""
     branch = cache(partial(_implicit_terms, params))  # lives for this call only
-    return {n: _implicit_levels(params, n, branch, n_brackets, tol_e) for n in ns}
+    return {n: _implicit_levels(params, n, branch) for n in ns}
 
 
-def _implicit_levels(params: HylleraasParams, n: int, branch,
-                     n_brackets: int, tol_e: float) -> EngineResult:
-    lo, hi = _window(params)
-
+def _implicit_levels(params: HylleraasParams, n: int, branch) -> EngineResult:
     def f(E: float):
         return implicit_residual(params, E, n, branch=branch(E))
 
@@ -402,31 +387,24 @@ def _implicit_levels(params: HylleraasParams, n: int, branch,
         scale = max(1.0, abs(lam) + abs(lam_n))
         return abs(fE) <= RESIDUAL_REL * scale
 
-    def extra_flags(E: float) -> set[str]:
-        return set(intermediates(params, E, n).flags)
+    def flags_at(E: float) -> frozenset[str]:
+        return intermediates(params, E, n).flags
 
-    scan = scan_roots(f, lo, hi, n_brackets, tol_e,
-                      dedup=DEDUP_FACTOR * params.M, residual_ok=residual_ok)
-    return _finalize(params, n, Engine.IMPLICIT_LAMBDA, scan,
-                     residual_at=lambda E: f(E) if f(E) is not None else math.inf,
-                     extra_flags_at=extra_flags)
+    return _scan(params, n, Engine.IMPLICIT_LAMBDA, f, residual_ok, flags_at)
 
 
-def energy_eq45_result(params: HylleraasParams, ns: Iterable[int],
-                       n_brackets: int = N_BRACKETS,
-                       tol_e: float = TOL_E) -> dict[int, EngineResult]:
+def energy_eq45_result(params: HylleraasParams,
+                       ns: Iterable[int]) -> dict[int, EngineResult]:
     """Roots of Ebar(E) = RHS(E) for both printed sign branches, every n in ns.
 
     The constants in the right-hand side depend on E through Vbar, so the
     printed "explicit" expression is solved as a root problem.
     """
     forms = cache(partial(_eq45_forms, params))  # this call only; both signs share it
-    return {n: _eq45_levels(params, n, forms, n_brackets, tol_e) for n in ns}
+    return {n: _eq45_levels(params, n, forms) for n in ns}
 
 
-def _eq45_levels(params: HylleraasParams, n: int, forms,
-                 n_brackets: int, tol_e: float) -> EngineResult:
-    lo, hi = _window(params)
+def _eq45_levels(params: HylleraasParams, n: int, forms) -> EngineResult:
     M2 = params.M ** 2
     all_levels: list[EnergyLevel] = []
     region: set[str] = set()
@@ -438,18 +416,14 @@ def _eq45_levels(params: HylleraasParams, n: int, forms,
                 return None
             return (E * E - M2) - rhs
 
-        def residual_ok(E: float, fE: float) -> bool:
-            return abs(fE) / M2 <= EQ45_RESIDUAL_REL
-
-        scan = scan_roots(f, lo, hi, n_brackets, tol_e,
-                          dedup=DEDUP_FACTOR * params.M, residual_ok=residual_ok)
-        part = _finalize(params, n, Engine.EQ45_VERBATIM, scan,
-                         residual_at=lambda E: (f(E) if f(E) is not None else math.inf),
-                         extra_flags_at=lambda E: {sign_flag})
-        region |= set(part.region_flags)
+        part = _scan(params, n, Engine.EQ45_VERBATIM, f,
+                     residual_ok=lambda E, fE: abs(fE) / M2 <= EQ45_RESIDUAL_REL,
+                     flags_at=lambda E: {sign_flag})
+        region |= part.region_flags
         all_levels.extend(part.levels)
-    if any(eq45_rhs(params, x, n, forms=forms(x)) == (None, None)
-           for x in (lo, 0.5 * (lo + hi), hi)):
+    # both sign branches non-real at an end or the middle of the window
+    hi = params.M * (1.0 - WINDOW_SHRINK)
+    if any(eq45_rhs(params, x, n, forms=forms(x)) == (None, None) for x in (-hi, 0.0, hi)):
         region.add(FLAG_NEGATIVE_UNDER_SQRT)
     all_levels.sort(key=lambda l: l.E)
     if all_levels:

@@ -44,10 +44,6 @@ class EnergyLevel:
     residual: float | None
     flags: frozenset[str] = field(default_factory=frozenset)
 
-    def with_flags(self, *extra: str) -> "EnergyLevel":
-        return EnergyLevel(self.n, self.E, self.Ebar, self.engine, self.residual,
-                           self.flags | frozenset(extra))
-
     @property
     def found(self) -> bool:
         return self.E is not None

@@ -288,26 +288,19 @@ class BranchGap:
     reason: str
 
 
-def quantization_residual(build: Callable[[float], NUInput], E: float, n: int,
-                          strict: bool = True) -> float | BranchGap:
+def quantization_residual(build: Callable[[float], NUInput], E: float,
+                          n: int) -> float | BranchGap:
     """lambda(E) - lambda_n(E) on the selected branch, or a BranchGap marker.
 
-    `build` maps a trial energy to the base polynomials.  With strict=True a
-    missing tau' < 0 branch is a gap; with strict=False the lenient branch
-    preference is used and only genuine closure failures gap out.
+    `build` maps a trial energy to the base polynomials.  A missing tau' < 0
+    branch is a gap (the closed-form engines' lenient rule is
+    `closedform._mech_branch`).
     """
     try:
         inp = build(E)
-        cands = pi_candidates(inp)
-    except (NoRealK, ImperfectSquare, DegenerateSigma) as exc:
+        sol = select_branch(pi_candidates(inp))
+    except (NoRealK, ImperfectSquare, DegenerateSigma, NoValidBranch) as exc:
         return BranchGap(type(exc).__name__)
-    if strict:
-        try:
-            sol = select_branch(cands)
-        except NoValidBranch as exc:
-            return BranchGap(type(exc).__name__)
-    else:
-        sol, _ = select_branch_lenient(cands)
     return sol.lam - lambda_n(inp, sol, n)
 
 

@@ -32,6 +32,10 @@ from .levels import (
 )
 from .rootfind import brent, estimate_order
 
+# Brent tolerance on E for the relativistic roots (solve_relativistic and
+# numerov_shoot), in units of M.
+E_TOL_REL = 1e-10
+
 
 class GridHeuristicWarning(UserWarning):
     """A grid heuristic (tail coverage or stencil stability) is violated."""
@@ -61,9 +65,9 @@ class RadialGrid:
         return np.linspace(self.r_min, self.r_max, self.n)
 
 
-def default_grid(params: HylleraasParams, n: int = 4000, span: float = 30.0) -> RadialGrid:
-    """r_max = span / ((1+K) w), r_min = h; tail coverage ~ e^-span."""
-    r_max = span / ((1.0 + params.K) * params.omega)
+def default_grid(params: HylleraasParams, n: int = 4000) -> RadialGrid:
+    """r_max = 30 / ((1+K) w), r_min = h; tail coverage ~ e^-30."""
+    r_max = 30.0 / ((1.0 + params.K) * params.omega)
     return RadialGrid(r_min=r_max / n, r_max=r_max, n=n)
 
 
@@ -207,7 +211,6 @@ def _first_root(g, xs: list[float], ys: list[float], tol: float) -> float | None
 
 
 def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
-                       tol_factor: float = 1e-10,
                        table: SeedTable | None = None) -> EnergyLevel:
     """Lowest root of g(E) = Ebar_n(E) - (E^2 - M^2) on (-M, M).
 
@@ -234,7 +237,7 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
         xs = _seed_energies(M)
         return xs, [g(x) for x in xs]
 
-    tol = tol_factor * M
+    tol = E_TOL_REL * M
     if table is None:
         root = _first_root(g, *own_seeds(), tol)
     else:
@@ -383,8 +386,7 @@ def numerov_eigenvalue(w_values: np.ndarray, grid: RadialGrid,
 
 
 def numerov_shoot(params: HylleraasParams, n: int, grid: RadialGrid,
-                  e_bracket: tuple[float, float],
-                  tol_factor: float = 1e-10) -> EnergyLevel:
+                  e_bracket: tuple[float, float]) -> EnergyLevel:
     """Independent relativistic solve: Numerov matching inside an E bracket.
 
     The assembled solution's node count must equal n; a mismatch is returned
@@ -401,7 +403,7 @@ def numerov_shoot(params: HylleraasParams, n: int, grid: RadialGrid,
     if defect(lo) * defect(hi) > 0:
         return EnergyLevel(n=n, E=None, Ebar=None, engine=Engine.ORACLE,
                            residual=None, flags=frozenset({FLAG_NO_ROOT}))
-    root = float(brent(defect, lo, hi, tol_factor * M))
+    root = float(brent(defect, lo, hi, E_TOL_REL * M))
     q = 2.0 * (root + M) * v - (root * root - M * M)
     _, assembled, _ = numerov_defect(q, grid.h)
     flags = frozenset()

@@ -50,7 +50,7 @@ def fast_cfg_path(tmp_path):
 def stub_engine(eng, energies, calls=None):
     """An ENGINES entry reporting found levels at `energies`; a None energy
     becomes a NoRoot record, the way the oracle entry reports a miss."""
-    def levels(params, ns, grid, n_brackets):
+    def levels(params, ns, grid):
         if calls is not None:
             calls.append(eng)
         return {n: [EnergyLevel(n=n, E=None, Ebar=None, engine=eng, residual=None,
@@ -201,7 +201,7 @@ class TestWavefunctionCommand:
         main(["wavefunction", "--config", str(fast_cfg_path), "--out", str(out), "--n", "0"])
         sidecar = json.loads((out / "wf_n0.flags.json").read_text())
         cfg = load_config(fast_cfg_path)
-        report = run_audit(cfg.params, 0, grid=cfg.grid(), n_brackets=2000)
+        report = run_audit(cfg.params, 0, grid=cfg.grid())
         assert sidecar["ode_residual_closedform"] == pytest.approx(
             report.rows[0].ode_residual_closedform, rel=1e-12)
 

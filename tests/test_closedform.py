@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hykg import closedform
 from hykg.closedform import (
     build_nu_input,
     energy_eq45_result,
@@ -21,6 +22,11 @@ from hykg.levels import (
 from hykg.nu import BranchGap
 
 from _highprec import constants_hp
+
+
+@pytest.fixture
+def coarse_scan(monkeypatch):
+    monkeypatch.setattr(closedform, "N_BRACKETS", 400)
 
 
 class TestBuildNuInput:
@@ -103,9 +109,10 @@ class TestMechanical:
         es = [l.E for l in a]
         assert es == sorted(es)
 
+    @pytest.mark.usefixtures("coarse_scan")
     def test_free_case_empty(self):
         p = DEFAULT_PARAMS.replace(D_e=0.0)
-        res = energy_mechanical_result(p, (0,), n_brackets=400)[0]
+        res = energy_mechanical_result(p, (0,))[0]
         assert res.levels == []
         assert FLAG_NO_ROOT in res.region_flags
 
@@ -119,15 +126,17 @@ class TestImplicit:
         for lvl in res.levels:
             assert lvl.residual <= 1e-8 or lvl.residual <= 1e-8 * (1 + abs(lvl.E))
 
+    @pytest.mark.usefixtures("coarse_scan")
     def test_n1_empty_at_defaults(self, default_params):
         # lam_n is complex for n >= 1 across the window -> exclusion zone.
-        res = energy_implicit_result(default_params, (1,), n_brackets=400)[1]
+        res = energy_implicit_result(default_params, (1,))[1]
         assert res.levels == []
         assert FLAG_NO_ROOT in res.region_flags
 
+    @pytest.mark.usefixtures("coarse_scan")
     def test_free_case_empty(self):
         p = DEFAULT_PARAMS.replace(D_e=0.0)
-        res = energy_implicit_result(p, (0,), n_brackets=400)[0]
+        res = energy_implicit_result(p, (0,))[0]
         assert res.levels == []
 
 
@@ -137,14 +146,16 @@ class TestEq45:
         # A = 0 at zero coupling and B > 0: A^2 - B < 0 -> no real branch.
         assert eq45_rhs(p, 0.5, 0) == (None, None)
 
+    @pytest.mark.usefixtures("coarse_scan")
     def test_free_case_no_levels(self):
         p = DEFAULT_PARAMS.replace(D_e=0.0)
-        res = energy_eq45_result(p, (0,), n_brackets=400)[0]
+        res = energy_eq45_result(p, (0,))[0]
         assert res.levels == []
         assert FLAG_NO_ROOT in res.region_flags
 
+    @pytest.mark.usefixtures("coarse_scan")
     def test_plus_minus_flags_and_dedup(self, default_params):
-        res = energy_eq45_result(default_params, (0,), n_brackets=400)[0]
+        res = energy_eq45_result(default_params, (0,))[0]
         for lvl in res.levels:
             assert ("SignPlus" in lvl.flags) or ("SignMinus" in lvl.flags)
         es = [l.E for l in res.levels]
@@ -152,16 +163,18 @@ class TestEq45:
         for x, y in zip(es, es[1:]):
             assert abs(x - y) > 1e-9 * default_params.M
 
+    @pytest.mark.usefixtures("coarse_scan")
     def test_residual_definition(self, default_params):
-        res = energy_eq45_result(default_params, (0,), n_brackets=400)[0]
+        res = energy_eq45_result(default_params, (0,))[0]
         for lvl in res.levels:
             assert lvl.residual / default_params.M ** 2 <= 1e-10
 
 
 class TestDeterminism:
+    @pytest.mark.usefixtures("coarse_scan")
     def test_engines_bitwise_stable(self, default_params):
         for fn in (energy_mechanical_result, energy_implicit_result,
                    energy_eq45_result):
-            one = fn(default_params, (0,), n_brackets=400)[0].levels
-            two = fn(default_params, (0,), n_brackets=400)[0].levels
+            one = fn(default_params, (0,))[0].levels
+            two = fn(default_params, (0,))[0].levels
             assert one == two
