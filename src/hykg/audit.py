@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -38,7 +38,7 @@ from .closedform import (
     energy_mechanical_result,
     intermediates,
 )
-from .config import ENGINE_ALIASES
+from .config import ENGINE_ALIASES, N_MAX
 from .errors import DegenerateSigma, HykgError, ImperfectSquare, NoRealK
 from .hylleraas import (
     HylleraasParams,
@@ -102,16 +102,6 @@ def engine_levels(engine: Engine, params: HylleraasParams, ns: Iterable[int],
     return ENGINES[engine](params, ns, grid)
 
 
-CSV_COLUMNS = [
-    "n", "E_eq45", "E_implicit", "E_mechanical", "E_oracle",
-    "diff_eq45_implicit", "diff_eq45_mechanical", "diff_eq45_oracle",
-    "diff_implicit_mechanical", "diff_implicit_oracle", "diff_mechanical_oracle",
-    "disc_residual", "tau_prime_sign", "eq42_vs_derivative", "eq44_vs_eq12",
-    "eq20_vs_eq23", "delta_a9_vs_eq35", "k39_vs_mechanical",
-    "ode_residual_closedform", "ode_form", "reference_E", "flags",
-]
-
-
 @dataclass(frozen=True)
 class AuditRow:
     """One per-n comparison row; numeric fields are None (with a flag) when
@@ -145,11 +135,8 @@ class AuditRow:
         d["flags"] = sorted(self.flags)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AuditRow":
-        kw = dict(d)
-        kw["flags"] = frozenset(kw.get("flags", []))
-        return cls(**kw)
+
+CSV_COLUMNS = [f.name for f in fields(AuditRow)]
 
 
 @dataclass(frozen=True)
@@ -167,13 +154,6 @@ class AuditReport:
             "summary": self.summary,
         }
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "AuditReport":
-        payload = json.loads(text)
-        return cls(version=payload["version"], config=payload["config"],
-                   rows=tuple(AuditRow.from_dict(r) for r in payload["rows"]),
-                   summary=payload["summary"])
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
@@ -298,8 +278,8 @@ def _identity_columns(params: HylleraasParams, E: float, n: int) -> dict:
 def run_audit(params: HylleraasParams, n_max: int,
               grid: RadialGrid | None = None) -> AuditReport:
     """One row per n in 0..n_max; engine failures become flags, never aborts."""
-    if not (0 <= n_max <= 10):
-        raise ValueError("n_max must be in 0..10")
+    if not 0 <= n_max <= N_MAX:
+        raise ValueError(f"n_max must be in 0..{N_MAX}")
     if grid is None:
         grid = default_grid(params)
 
@@ -331,7 +311,7 @@ def run_audit(params: HylleraasParams, n_max: int,
 
         ident = _identity_columns(params, ref_e, n)
         flags |= ident.pop("_flags", set())
-        for key, val in list(ident.items()):
+        for key, val in ident.items():
             if isinstance(val, float) and not math.isfinite(val):
                 ident[key] = None
                 flags.add("IdentityNotComputable")
@@ -354,13 +334,7 @@ def run_audit(params: HylleraasParams, n_max: int,
             n=n,
             **energies,
             **diffs,
-            disc_residual=opt(ident["disc_residual"]),
-            tau_prime_sign=bool(ident["tau_prime_sign"]),
-            eq42_vs_derivative=opt(ident["eq42_vs_derivative"]),
-            eq44_vs_eq12=opt(ident["eq44_vs_eq12"]),
-            eq20_vs_eq23=opt(ident["eq20_vs_eq23"]),
-            delta_a9_vs_eq35=opt(ident["delta_a9_vs_eq35"]),
-            k39_vs_mechanical=opt(ident["k39_vs_mechanical"]),
+            **ident,
             ode_residual_closedform=opt(ode_val),
             ode_form=ode_form,
             reference_E=float(ref_e),

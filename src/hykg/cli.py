@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .audit import engine_levels, ode_residual, params_dict, run_audit
-from .config import RunConfig, load_config
-from .errors import ConfigError, MissingLevel, TailNotConverged
+from .config import N_MAX, RunConfig, load_config
+from .errors import ConfigError, MissingLevel
 from .levels import Engine, EnergyLevel, flags_str
 from .oracle import RadialGrid, oracle_eigenvector, solve_relativistic
 from .wavefunction import build_radial
@@ -305,8 +305,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.n_max is not None:
-            if not (0 <= args.n_max <= 10):
-                raise ConfigError("--n-max must be in 0..10")
+            if not 0 <= args.n_max <= N_MAX:
+                raise ConfigError(f"--n-max must be in 0..{N_MAX}")
             config = dataclasses.replace(config, n_max=args.n_max)
         if args.command == "oracle":
             config = dataclasses.replace(config, engines=(Engine.ORACLE,))
@@ -319,6 +319,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "wavefunction":
             if config.sweep is not None:
                 raise ConfigError("wavefunction does not support sweeps")
+            if not 0 <= args.n <= N_MAX:
+                raise ConfigError(f"--n must be in 0..{N_MAX}")
             cmd_wavefunction(config, args.n, out_dir)
             return 0
         else:  # pragma: no cover
@@ -338,9 +340,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except TailNotConverged as exc:  # pragma: no cover - recorded, not fatal
-        print(f"warning: {exc}", file=sys.stderr)
-        return 0
     except Exception:
         traceback.print_exc()
         return 1

@@ -25,6 +25,9 @@ _ALLOWED = {
     "sweep": {"parameter", "start", "stop", "count", "scale"},
 }
 
+# largest radial quantum number a run, an audit or `wavefunction --n` accepts
+N_MAX = 10
+
 SWEEPABLE = ("K", "k1", "k2", "omega", "D_e", "M", "mu")
 
 
@@ -156,8 +159,8 @@ def parse_config(text: str) -> RunConfig:
     raw = get("run", "n_max")
     if raw is not None:
         n_max = _int("run", "n_max", raw)
-        if not (0 <= n_max <= 10):
-            raise ConfigError("[run] n_max must be in 0..10")
+        if not 0 <= n_max <= N_MAX:
+            raise ConfigError(f"[run] n_max must be in 0..{N_MAX}")
 
     formats = base.formats
     raw = get("run", "formats")

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .closedform import _mech_branch
 from .errors import (
     DegenerateAC,
     DomainError,
@@ -27,7 +28,8 @@ from .errors import (
 )
 from .hylleraas import HylleraasParams, appendix_constants, s_of_r
 from .levels import FLAG_CONFLUENT_FORM, FLAG_TAIL_NOT_CONVERGED, EnergyLevel
-from .nu import NUInput, NUSolution
+from .nu import BranchGap, NUInput, NUSolution
+from .oracle import count_sign_changes
 
 _MAX_RODRIGUES_N = 12
 
@@ -243,20 +245,30 @@ def confluent_radial_factor(inp: NUInput, sol: NUSolution, n: int) -> ConfluentF
 # Radial assembly
 # ---------------------------------------------------------------------------
 
-def radial_R(level: EnergyLevel, params: HylleraasParams, r: float,
-             reading: str = "printed", ordering: str = "D_on_a") -> float:
-    """Pointwise closed-form R(r); dispatches to the confluent form at a = c."""
-    abc = params.abc
-    s = s_of_r(r, params.K, params.omega, params.s_sign)
+def radial_R(level: EnergyLevel, params: HylleraasParams, r: float | np.ndarray,
+             reading: str = "printed", ordering: str = "D_on_a") -> float | np.ndarray:
+    """Closed-form R at a float or an array of radii (a float for a float).
+
+    The level's factor is derived once per call: the confluent form at a = c,
+    otherwise the printed exponents in the chosen (D, F) ordering.  Only then
+    is s(r) sampled and the printed form evaluated as one array expression.
+    """
     if _is_confluent(params):
-        fac = _confluent_for(level, params)
-        return fac(s)
-    wf = exponents_DF(params, level, reading=reading)
-    e_a, e_c = (wf.D, wf.F) if ordering == "D_on_a" else (wf.F, wf.D)
-    if s + abc.a <= 0 or s + abc.c <= 0:
-        raise DomainError("factor bases must be positive")
-    return ((s + abc.a) ** (e_a / 2.0) * (s + abc.c) ** (e_c / 2.0)
-            * rodrigues_chi(level.n, wf.D, wf.F, abc.a, abc.c, s))
+        sample = _confluent_for(level, params)
+    else:
+        abc = params.abc
+        wf = exponents_DF(params, level, reading=reading)
+        e_a, e_c = (wf.D, wf.F) if ordering == "D_on_a" else (wf.F, wf.D)
+
+        def sample(s: np.ndarray) -> np.ndarray:
+            if np.any(s + abc.a <= 0) or np.any(s + abc.c <= 0):
+                raise DomainError("factor bases must be positive")
+            return ((s + abc.a) ** (e_a / 2.0) * (s + abc.c) ** (e_c / 2.0)
+                    * rodrigues_chi(level.n, wf.D, wf.F, abc.a, abc.c, s))
+
+    values = sample(np.array([s_of_r(x, params.K, params.omega, params.s_sign)
+                              for x in np.atleast_1d(r)]))
+    return float(values[0]) if np.isscalar(r) else values
 
 
 def _is_confluent(params: HylleraasParams) -> bool:
@@ -265,9 +277,6 @@ def _is_confluent(params: HylleraasParams) -> bool:
 
 
 def _confluent_for(level: EnergyLevel, params: HylleraasParams) -> ConfluentFactor:
-    from .closedform import _mech_branch  # local import avoids a cycle
-    from .nu import BranchGap
-
     out = _mech_branch(params, level.E)
     if isinstance(out, BranchGap):
         raise NotRepresentable(f"no mechanical branch at E = {level.E}: {out.reason}")
@@ -329,8 +338,6 @@ def simpson_adaptive(f, lo: float, hi: float, rel_tol: float = 1e-9,
 
 def count_nodes(radial: RadialFunction, noise: float = 1e-9) -> int:
     """Strict sign changes of the samples, ignoring a |R| < noise*max band."""
-    from .oracle import count_sign_changes
-
     return count_sign_changes(radial.values, noise=noise)
 
 
@@ -368,17 +375,9 @@ def build_radial(params: HylleraasParams, level: EnergyLevel, grid,
                  reading: str = "printed", ordering: str = "D_on_a") -> RadialFunction:
     """Sample the closed form on an oracle grid and attempt normalization."""
     points = np.asarray(getattr(grid, "points", grid), dtype=float)
+    values = radial_R(level, params, points, reading=reading, ordering=ordering)
     confluent = _is_confluent(params)
-    if confluent:
-        fac = _confluent_for(level, params)
-        s_vals = np.array([s_of_r(r, params.K, params.omega, params.s_sign)
-                           for r in points])
-        values = fac(s_vals)
-        representation = "confluent-mechanical"
-    else:
-        values = np.array([radial_R(level, params, r, reading=reading,
-                                    ordering=ordering) for r in points])
-        representation = f"{reading}/{ordering}"
+    representation = "confluent-mechanical" if confluent else f"{reading}/{ordering}"
     radial = RadialFunction(level=level, grid=points, values=values,
                             norm_constant=1.0, node_count=0,
                             flags=frozenset({FLAG_CONFLUENT_FORM}) if confluent else frozenset(),

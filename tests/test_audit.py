@@ -5,8 +5,6 @@ import pytest
 
 from hykg import audit, closedform, oracle
 from hykg.audit import (
-    AuditReport,
-    AuditRow,
     CSV_COLUMNS,
     engine_levels,
     ode_residual,
@@ -214,10 +212,6 @@ class TestRunAudit:
 
 
 class TestSerialization:
-    def test_json_round_trip(self, small_audit):
-        back = AuditReport.from_json(small_audit.to_json())
-        assert back == small_audit
-
     def test_csv_shape(self, small_audit):
         lines = small_audit.to_csv().strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)

@@ -241,6 +241,13 @@ class TestWavefunctionCommand:
         assert main(["wavefunction", "--config", str(cfg),
                      "--out", str(tmp_path / "w"), "--n", "1"]) == 4
 
+    @pytest.mark.parametrize("n", ["-1", "11"])
+    def test_n_out_of_range_is_config_error(self, fast_cfg_path, tmp_path, n):
+        out = tmp_path / "w"
+        assert main(["wavefunction", "--config", str(fast_cfg_path),
+                     "--out", str(out), "--n", n]) == 2
+        assert not out.exists()
+
 
 class TestAuditCommand:
     def test_audit_files(self, fast_cfg_path, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hykg.errors import DegenerateAC, DomainError, NotRepresentable, TailNotConverged
-from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign, appendix_constants
+from hykg import wavefunction
+from hykg.hylleraas import (
+    DEFAULT_PARAMS,
+    HylleraasParams,
+    SSign,
+    appendix_constants,
+    s_of_r,
+)
 from hykg.levels import Engine, EnergyLevel
 from hykg.wavefunction import (
     ConfluentFactor,
@@ -378,3 +386,80 @@ class TestRadialAssembly:
         grid = default_grid(default_params, n=800)
         rad = build_radial(default_params, level_at(-0.93, n=0), grid)
         assert (rad.norm_constant is None) == ("TailNotConverged" in rad.flags)
+
+
+def _printed_R_pointwise(params, level, r, reading, ordering):
+    """The printed R(r) at one radius in plain math: Leibniz chi_n times the
+    two powers, with the exponents placed by `ordering`."""
+    wf = exponents_DF(params, level, reading=reading)
+    e_a, e_c = (wf.D, wf.F) if ordering == "D_on_a" else (wf.F, wf.D)
+    a, c = params.abc.a, params.abc.c
+    s = s_of_r(r, params.K, params.omega, params.s_sign)
+    n = level.n
+    chi = sum(math.comb(n, k) * math.prod(n + wf.D - j for j in range(k))
+              * math.prod(n + wf.F - j for j in range(n - k))
+              * (s + a) ** (n - k) * (s + c) ** k for k in range(n + 1))
+    return (s + a) ** (e_a / 2.0) * (s + c) ** (e_c / 2.0) * chi
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(wavefunction, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wavefunction, name, counted)
+    return calls
+
+
+class TestArraySampler:
+    RADII = np.array([0.0, 0.3, 1.3, 2.7, 5.0, 9.5])
+
+    def test_one_exponent_derivation_per_printed_build(self, monkeypatch):
+        calls = _counting(monkeypatch, "exponents_DF")
+        grid = np.linspace(0.05, 30.0, 400)
+        build_radial(REPRESENTABLE, level_at(REPRESENTABLE_E, n=1), grid,
+                     reading="symmetric", ordering="F_on_a")
+        assert len(calls) == 1
+
+    def test_one_confluent_derivation_per_build(self, default_params, monkeypatch):
+        from hykg.oracle import default_grid
+
+        calls = _counting(monkeypatch, "_confluent_for")
+        rad = build_radial(default_params, level_at(-0.93, n=0),
+                           default_grid(default_params, n=800))
+        assert rad.representation == "confluent-mechanical"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("reading", ["printed", "symmetric"])
+    @pytest.mark.parametrize("ordering", ["D_on_a", "F_on_a"])
+    def test_array_matches_pointwise_formula(self, reading, ordering):
+        lvl = level_at(REPRESENTABLE_E, n=2)
+        got = radial_R(lvl, REPRESENTABLE, self.RADII, reading=reading,
+                       ordering=ordering)
+        assert isinstance(got, np.ndarray) and got.shape == self.RADII.shape
+        want = [_printed_R_pointwise(REPRESENTABLE, lvl, float(r), reading, ordering)
+                for r in self.RADII]
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_scalar_in_scalar_out(self):
+        lvl = level_at(REPRESENTABLE_E, n=2)
+        got = radial_R(lvl, REPRESENTABLE, 1.3)
+        assert type(got) is float
+        assert got == radial_R(lvl, REPRESENTABLE, np.array([1.3]))[0]
+
+    def test_negative_radicand_not_representable(self, asymmetric_params):
+        with pytest.raises(NotRepresentable):
+            radial_R(level_at(0.5, n=0), asymmetric_params, self.RADII)
+
+    def test_non_positive_base_is_domain_error_without_warnings(self):
+        # a = -1/3 < 0: s + a <= 0 once s = exp(-r) <= 1/3, i.e. r >= ln 3
+        params = HylleraasParams(K=1.0, k1=0.2, k2=2.0, omega=0.25, D_e=0.5,
+                                 M=1.0, s_sign=SSign.NEGATIVE)
+        assert params.abc.a < 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                radial_R(level_at(-0.5, n=1), params, self.RADII)
