@@ -198,7 +198,7 @@ def _fixture_oscillator() -> float:
 
 def _fixture_nu_hydrogen() -> float:
     from .nu import NUInput, Poly2, quantization_residual
-    from .rootfind import scan_roots
+    from .rootfind import sample, scan_roots
 
     worst = 0.0
     beta = 2.0
@@ -206,8 +206,8 @@ def _fixture_nu_hydrogen() -> float:
         for l in (0, 2):
             build = lambda eps: NUInput(Poly2(0.0, 1.0, 0.0), Poly2(0.0, 0.0, 0.0),
                                         Poly2(-l * (l + 1), beta, -eps * eps))
-            res = scan_roots(lambda eps: quantization_residual(build, eps, n),
-                             1e-4, beta, 1200, 1e-13)
+            f = lambda eps: quantization_residual(build, eps, n)
+            res = scan_roots(f, 1e-4, beta, 1200, 1e-13, sample(f, 1e-4, beta, 1200))
             expected = beta / (2.0 * (n + l + 1))
             best = min((abs(r - expected) / expected for r in res.roots),
                        default=math.inf)

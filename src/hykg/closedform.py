@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from functools import cache, partial
 from typing import Iterable
 
+import numpy as np
+
 from .hylleraas import (
     AppendixConstants,
     HylleraasParams,
@@ -49,11 +51,12 @@ from .nu import (
     NUSolution,
     Poly2,
     lambda_n_value,
+    lenient_branch_array,
     pi_candidates,
     select_branch_lenient,
 )
 from .errors import DegenerateSigma, ImperfectSquare, NoRealK
-from .rootfind import scan_roots
+from .rootfind import scan_roots, seed_grid
 
 # Scan protocol shared by the closed-form engines (`_scan` reads it at call
 # time): 2000 brackets over the bound-state window |E| <= M (1 - 1e-9),
@@ -61,10 +64,14 @@ from .rootfind import scan_roots
 #
 # Each engine solves every requested n in one call.  Only lambda_n (and the
 # eq45 n-terms) depend on n; the constant cascade, the NU closure and the
-# branch choice depend on E alone.  That n-free part is computed once per
-# energy and cached for the call as a small tuple, and the seed grid is the
-# same for every n, so each n's seed values are bit-identical to a
-# single-level solve; Brent refinement stays scalar and per n.
+# branch choice depend on E alone.  The seed values are array expressions:
+# the n-free part is evaluated once per call on the whole seed grid, then
+# each n adds its terms.  Seed values only pick the brackets.  Brent
+# refinement, the acceptance tests, the root flags and every reported number
+# use the scalar residuals, whose n-free part is cached per energy for the
+# call.  The mechanical seed values are bit-identical to the scalar
+# residual; the implicit and eq45 ones can differ in the last bits, because
+# numpy squares where Python's ** 2 calls pow (U2, V2, Lam4, B, B_a14).
 N_BRACKETS = 2000
 TOL_E = 1e-12
 DEDUP_FACTOR = 1e-9
@@ -197,10 +204,21 @@ def intermediates(params: HylleraasParams, E: float, n: int,
 # which avoid the removable 0/0 at A = 0 (the printed grouping divides by A).
 # ---------------------------------------------------------------------------
 
-def _eq45_forms(params: HylleraasParams, E: float) -> tuple[float, float, float, float]:
-    """The appendix-form constants the explicit equation reads: (A, B, delta, Lam3)."""
+def _eq45_forms(params: HylleraasParams, E):
+    """The appendix-form constants the explicit equation reads: (A, B, delta,
+    Lam3), at one E or, as arrays for A and B, at an array of E."""
     forms = appendix_a_forms(params, E)
     return forms.A_a13, forms.B_a14, forms.delta_a9, forms.Lam3_a7
+
+
+def _eq45_terms(params: HylleraasParams, A, d: float, L3: float, n: int, W, w2b):
+    """(P, T1, radicand) of the explicit equation, for scalar or array A, W."""
+    a1 = 1 + params.abc.b
+    pref = params.scale2 * W / (2.0 * params.mu * a1 * d * d)
+    t1 = 2.0 * L3 + A / W - A * d * (1 + 2 * n) / w2b
+    t2 = (A * A / (2.0 * W) - A * d * (1 + 2 * n) / w2b
+          + a1 * (1 + 2 * n * (n + 3)) - L3 - W)
+    return pref, t1, t1 * (2.0 * d / W) ** 2 * t2 * t2
 
 
 def eq45_rhs(params: HylleraasParams, E: float, n: int,
@@ -213,20 +231,25 @@ def eq45_rhs(params: HylleraasParams, E: float, n: int,
     several n at one E.
     """
     A, B, d, L3 = forms if forms is not None else _eq45_forms(params, E)
-    abc = params.abc
-    a1 = 1 + abc.b
     w2b = A * A - B
     if w2b <= 0 or d == 0:
         return None, None
-    W = math.sqrt(w2b)
-    pref = params.scale2 * W / (2.0 * params.mu * (1 + abc.b) * d * d)
-    t1 = 2.0 * L3 + A / W - A * d * (1 + 2 * n) / w2b
-    t2 = (A * A / (2.0 * W) - A * d * (1 + 2 * n) / w2b
-          + a1 * (1 + 2 * n * (n + 3)) - L3 - W)
-    radicand = t1 * (2.0 * d / W) ** 2 * t2 * t2
+    pref, t1, radicand = _eq45_terms(params, A, d, L3, n, math.sqrt(w2b), w2b)
     if radicand < 0:
         return None, None
     sq = math.sqrt(radicand)
+    return pref * t1 - pref * sq, pref * t1 + pref * sq
+
+
+def _eq45_seed_rhs(params: HylleraasParams, forms, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """eq45_rhs on arrays: `forms` is `_eq45_forms` of the seed grid; NaN
+    replaces None."""
+    A, B, d, L3 = forms
+    w2b = A * A - B
+    with np.errstate(all="ignore"):
+        W = np.sqrt(np.where((w2b > 0) & (d != 0), w2b, math.nan))
+        pref, t1, radicand = _eq45_terms(params, A, d, L3, n, W, w2b)
+        sq = np.sqrt(radicand)
     return pref * t1 - pref * sq, pref * t1 + pref * sq
 
 
@@ -243,17 +266,28 @@ class EngineResult:
     region_flags: frozenset[str]
 
 
-def _scan(params: HylleraasParams, n: int, engine: Engine, f, residual_ok,
+def _window(params: HylleraasParams) -> tuple[float, float]:
+    """The scanned bound-state window, |E| <= M (1 - WINDOW_SHRINK)."""
+    hi = params.M * (1.0 - WINDOW_SHRINK)
+    return -hi, hi
+
+
+def _seed_energies(params: HylleraasParams) -> np.ndarray:
+    """The seed grid of every scan of one engine call."""
+    return seed_grid(*_window(params), N_BRACKETS)
+
+
+def _scan(params: HylleraasParams, n: int, engine: Engine, f, ys, residual_ok,
           flags_at) -> EngineResult:
     """Every root of f(E) on the bound-state window that `residual_ok` accepts,
     as `engine` levels at n.
 
-    f returns a float, or a non-float marker where it is undefined; a level's
+    `ys` is f on `_seed_energies(params)`, NaN where f is undefined.  f
+    returns a float, or a non-float marker where it is undefined; a level's
     residual is |f(root)|.  `flags_at(root)` gives the engine's own root flags.
     """
     M = params.M
-    hi = M * (1.0 - WINDOW_SHRINK)
-    scan = scan_roots(f, -hi, hi, N_BRACKETS, TOL_E,
+    scan = scan_roots(f, *_window(params), N_BRACKETS, TOL_E, ys,
                       dedup=DEDUP_FACTOR * M, residual_ok=residual_ok)
     region: set[str] = set()
     if scan.had_gaps:
@@ -324,10 +358,15 @@ def energy_mechanical_result(params: HylleraasParams,
                              ns: Iterable[int]) -> dict[int, EngineResult]:
     """Mechanical-engine levels for every n in ns."""
     branch = cache(partial(_mech_terms, params))  # lives for this call only
-    return {n: _mechanical_levels(params, n, branch) for n in ns}
+    inp = build_nu_input(params, _seed_energies(params))
+    lam, tau_prime, _ = lenient_branch_array(inp)  # NaN at the gaps
+    sigma_pp = 2.0 * inp.sigma.c2
+    return {n: _mechanical_levels(params, n, branch,
+                                  lam - lambda_n_value(tau_prime, sigma_pp, n))
+            for n in ns}
 
 
-def _mechanical_levels(params: HylleraasParams, n: int, branch) -> EngineResult:
+def _mechanical_levels(params: HylleraasParams, n: int, branch, ys) -> EngineResult:
     def f(E: float):
         return mechanical_residual(params, E, n, branch=branch(E))
 
@@ -346,7 +385,7 @@ def _mechanical_levels(params: HylleraasParams, n: int, branch) -> EngineResult:
         strict_ok = out[3]
         return set() if strict_ok else {FLAG_TAU_PRIME_NONNEG}
 
-    return _scan(params, n, Engine.MECHANICAL_NU, f, residual_ok, flags_at)
+    return _scan(params, n, Engine.MECHANICAL_NU, f, ys, residual_ok, flags_at)
 
 
 def _implicit_terms(params: HylleraasParams, E: float) -> tuple[complex, complex]:
@@ -370,14 +409,29 @@ def implicit_residual(params: HylleraasParams, E: float, n: int,
     return f.real
 
 
+def _implicit_seed_terms(params: HylleraasParams, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_implicit_terms on arrays: (lambda, sqrt(U + V)), each NaN where it is
+    not real."""
+    cst = appendix_constants(params, E)
+    with np.errstate(invalid="ignore"):
+        lam = -(cst.Lam2 + cst.Lam3 * cst.eps2) - np.sqrt(cst.U2 - cst.V2)
+        sqrt_upv = np.sqrt(math.sqrt(cst.delta2) * (cst.eps2 + cst.A) + np.sqrt(cst.V2))
+    return lam, sqrt_upv
+
+
 def energy_implicit_result(params: HylleraasParams,
                            ns: Iterable[int]) -> dict[int, EngineResult]:
     """Printed-pair levels for every n in ns."""
     branch = cache(partial(_implicit_terms, params))  # lives for this call only
-    return {n: _implicit_levels(params, n, branch) for n in ns}
+    lam, sqrt_upv = _implicit_seed_terms(params, _seed_energies(params))
+    a1 = 1 + params.abc.b
+    # n = 0 reads lambda alone: lambda_0 is 0 whether or not sqrt(U + V) is real
+    return {n: _implicit_levels(params, n, branch,
+                                lam - _lam_n_printed(sqrt_upv, a1, n).real)
+            for n in ns}
 
 
-def _implicit_levels(params: HylleraasParams, n: int, branch) -> EngineResult:
+def _implicit_levels(params: HylleraasParams, n: int, branch, ys) -> EngineResult:
     def f(E: float):
         return implicit_residual(params, E, n, branch=branch(E))
 
@@ -390,7 +444,7 @@ def _implicit_levels(params: HylleraasParams, n: int, branch) -> EngineResult:
     def flags_at(E: float) -> frozenset[str]:
         return intermediates(params, E, n).flags
 
-    return _scan(params, n, Engine.IMPLICIT_LAMBDA, f, residual_ok, flags_at)
+    return _scan(params, n, Engine.IMPLICIT_LAMBDA, f, ys, residual_ok, flags_at)
 
 
 def energy_eq45_result(params: HylleraasParams,
@@ -401,10 +455,15 @@ def energy_eq45_result(params: HylleraasParams,
     printed "explicit" expression is solved as a root problem.
     """
     forms = cache(partial(_eq45_forms, params))  # this call only; both signs share it
-    return {n: _eq45_levels(params, n, forms) for n in ns}
+    E = _seed_energies(params)
+    seed_forms = _eq45_forms(params, E)
+    lhs = E * E - params.M ** 2
+    return {n: _eq45_levels(params, n, forms,
+                            [lhs - rhs for rhs in _eq45_seed_rhs(params, seed_forms, n)])
+            for n in ns}
 
 
-def _eq45_levels(params: HylleraasParams, n: int, forms) -> EngineResult:
+def _eq45_levels(params: HylleraasParams, n: int, forms, seed_values) -> EngineResult:
     M2 = params.M ** 2
     all_levels: list[EnergyLevel] = []
     region: set[str] = set()
@@ -416,14 +475,14 @@ def _eq45_levels(params: HylleraasParams, n: int, forms) -> EngineResult:
                 return None
             return (E * E - M2) - rhs
 
-        part = _scan(params, n, Engine.EQ45_VERBATIM, f,
+        part = _scan(params, n, Engine.EQ45_VERBATIM, f, seed_values[pick],
                      residual_ok=lambda E, fE: abs(fE) / M2 <= EQ45_RESIDUAL_REL,
                      flags_at=lambda E: {sign_flag})
         region |= part.region_flags
         all_levels.extend(part.levels)
     # both sign branches non-real at an end or the middle of the window
-    hi = params.M * (1.0 - WINDOW_SHRINK)
-    if any(eq45_rhs(params, x, n, forms=forms(x)) == (None, None) for x in (-hi, 0.0, hi)):
+    lo, hi = _window(params)
+    if any(eq45_rhs(params, x, n, forms=forms(x)) == (None, None) for x in (lo, 0.0, hi)):
         region.add(FLAG_NEGATIVE_UNDER_SQRT)
     all_levels.sort(key=lambda l: l.E)
     if all_levels:

@@ -33,10 +33,6 @@ class NoValidBranch(HykgError):
     """No sign branch yields a decreasing linearized coefficient."""
 
 
-class ComplexRoots(HykgError):
-    """The leading polynomial has complex roots; factor exponents are out of scope."""
-
-
 class NotRepresentable(HykgError):
     """A printed radicand is negative; the closed-form factor does not exist as a real function."""
 

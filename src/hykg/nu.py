@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import (
-    ComplexRoots,
     DegenerateSigma,
     ImperfectSquare,
     NoRealK,
@@ -266,6 +267,104 @@ def select_branch_lenient(candidates: list[NUSolution]) -> tuple[NUSolution, boo
     return best, best.tau_prime < 0.0
 
 
+# ---------------------------------------------------------------------------
+# Array twin of the lenient closure
+# ---------------------------------------------------------------------------
+#
+# `lenient_branch_array` is select_branch_lenient(pi_candidates(inp)) for
+# many trial points at once: sigma and tau_tilde are scalar and the
+# coefficients of sigma_tilde are arrays.  It repeats the scalar operations in
+# the scalar order, through the same under_root_quadratic / _disc_in_k /
+# _disc_at helpers, so every element is bit-identical to the scalar result; a
+# point where the scalar path raises is a gap.
+
+
+def _polish_array(inp: NUInput, qa: float, qb: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """solve_k's Newton polish, elementwise."""
+    d = _disc_at(inp, k)
+    slope = 2.0 * qa * k + qb
+    k2 = k - d / slope
+    take = ((slope != 0.0) & np.isfinite(slope) & np.isfinite(k2)
+            & (abs(_disc_at(inp, k2)) <= abs(d)))
+    return np.where(take, k2, k)
+
+
+def _solve_k_array(inp: NUInput, scale: np.ndarray):
+    """solve_k per point: the polished (k0, k1) in solve_k's order, whether
+    k1 exists, and the gap mask of the points where solve_k raises."""
+    qa, qb, qc = _disc_in_k(inp)
+    tiny = 1e-14 * np.maximum(1.0, scale * scale)
+    quad = abs(qa) > tiny
+    linear = ~quad & (abs(qb) > tiny)
+    disc = qb * qb - 4.0 * qa * qc
+    sq = np.sqrt(disc)
+    q = -(qb + np.copysign(sq, qb)) / 2.0
+    r1, r2 = q / qa, qc / q
+    # the pair solve_k dedups and sorts: {q/qa, qc/q}, its one root and the
+    # root's partner -qb/qa - x, or {0, -qb/qa} when q vanishes
+    x = np.where(q == 0.0, 0.0, r1)
+    single = ((qc == 0.0) & (sq == 0.0)) | (r1 == r2)
+    y = np.where(q == 0.0, -qb / qa, np.where(single, -qb / qa - r1, r2))
+    two = x != y
+    k0 = np.where(quad, np.where(two, np.minimum(x, y), x), -qc / qb)
+    k1 = np.maximum(x, y)
+    gap = ~(quad | linear) | (quad & (disc < 0))
+    return (_polish_array(inp, qa, qb, k0), _polish_array(inp, qa, qb, k1),
+            quad & two & ~gap, gap)
+
+
+def _linear_sqrt_slope_array(q: Poly2, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_linear_sqrt's slope and whether the root exists, elementwise (the
+    closure reads only the slope of pi)."""
+    tol = math.sqrt(_SQUARE_TOL) * np.maximum(1.0, scale)
+    lead = q.c2 > tol * tol
+    real = lead | ~((q.c2 < -tol * tol) | (abs(q.c1) > tol) | (q.c0 < -tol * tol))
+    return np.where(lead, np.sqrt(q.c2), 0.0), real
+
+
+def lenient_branch_array(inp: NUInput) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, tau', gap) of the lenient branch at every point of inp.sigma_tilde.
+
+    lam and tau' are those of select_branch_lenient(pi_candidates(inp)); gap
+    marks the points where solve_k or pi_candidates raises (lam and tau' are
+    NaN there).
+    """
+    st = inp.sigma_tilde
+    scale = np.maximum(max(inp.sigma.max_abs_coeff(), inp.tau_tilde.max_abs_coeff()),
+                       np.maximum(np.maximum(abs(st.c0), abs(st.c1)), abs(st.c2)))
+    h = inp.half_diff()
+    shape = np.shape(scale)
+    lam = np.full(shape, math.nan)
+    tau_prime = np.full(shape, math.nan)
+    best_k = np.full(shape, math.nan)
+    best_sign = np.zeros(shape, dtype=int)
+    found = np.zeros(shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        k0, k1, has_k1, gap = _solve_k_array(inp, scale)
+        for k, has_k in ((k0, ~gap), (k1, has_k1)):
+            q = under_root_quadratic(inp, k)
+            q_scale = np.maximum(scale, np.maximum(np.maximum(abs(q.c0), abs(q.c1)),
+                                                   abs(q.c2)))
+            # Python's float ** 2 is libm pow, which float_power repeats and a
+            # numpy square does not
+            sq_scale = np.float_power(1.0 + q_scale, 2.0)
+            slope, real = _linear_sqrt_slope_array(q, q_scale)
+            ok = has_k & ~(abs(_disc_at(inp, k)) > _SQUARE_TOL * sq_scale) & real
+            # candidates in pi_candidates' order; the sort key of
+            # select_branch_lenient is (tau', k, 0 for minus / 1 for plus)
+            for s, sign_key in ((1.0, 1), (-1.0, 0)):
+                pi_slope = h.c1 + s * slope
+                tp = inp.tau_tilde.c1 + 2.0 * pi_slope
+                better = ok & (~found | (tp < tau_prime) | ((tp == tau_prime) & (
+                    (k < best_k) | ((k == best_k) & (sign_key < best_sign)))))
+                lam = np.where(better, k + pi_slope, lam)
+                tau_prime = np.where(better, tp, tau_prime)
+                best_k = np.where(better, k, best_k)
+                best_sign = np.where(better, sign_key, best_sign)
+                found |= ok
+    return lam, tau_prime, ~found
+
+
 def lambda_n(inp: NUInput, solution: NUSolution, n: int) -> float:
     """lambda_n = -n tau' - n(n-1)/2 sigma''."""
     return lambda_n_value(solution.tau_prime, 2.0 * inp.sigma.c2, n)
@@ -302,62 +401,3 @@ def quantization_residual(build: Callable[[float], NUInput], E: float,
     except (NoRealK, ImperfectSquare, DegenerateSigma, NoValidBranch) as exc:
         return BranchGap(type(exc).__name__)
     return sol.lam - lambda_n(inp, sol, n)
-
-
-@dataclass(frozen=True)
-class FactorExponents:
-    """Exponent data for the integrating factor phi and the weight rho.
-
-    Power form (exponential_form=False), sigma with distinct roots r1, r2:
-        phi = (s - r1)^p1 (s - r2)^p2,  rho = (s - r1)^q1 (s - r2)^q2
-    Exponential form (exponential_form=True), sigma linear or a double root:
-        phi = (s - r1)^p1 exp(p2 g(s)),  rho = (s - r1)^q1 exp(q2 g(s))
-    where g(s) = s when sigma is linear and g(s) = -1/(s - r1) for a double
-    root.
-    """
-
-    exponential_form: bool
-    r1: float
-    r2: float | None
-    p1: float
-    p2: float
-    q1: float
-    q2: float
-
-
-def wavefactor_exponents(inp: NUInput, solution: NUSolution) -> FactorExponents:
-    """Solve phi'/phi = pi/sigma and (sigma rho)' = tau rho by partial fractions."""
-    sg = inp.sigma
-    pi = solution.pi
-    # rho numerator: rho'/rho = (tau - sigma') / sigma
-    sp = sg.deriv()
-    rho_num = Poly2(solution.tau.c0 - sp.c0, solution.tau.c1 - sp.c1, 0.0)
-
-    if sg.degree == 2:
-        disc = sg.c1 * sg.c1 - 4.0 * sg.c2 * sg.c0
-        scale = max(1.0, sg.max_abs_coeff() ** 2)
-        if disc < -1e-12 * scale:
-            raise ComplexRoots("sigma has complex roots")
-        if disc <= 1e-12 * scale:
-            # double root: phi = (s-r)^p exp(-w/(s-r)) representation
-            r = -sg.c1 / (2.0 * sg.c2)
-            # pi(s)/sigma = [pi1 (s-r) + pi(r)] / (c2 (s-r)^2)
-            p1 = pi.c1 / sg.c2
-            p2 = pi(r) / sg.c2          # coefficient of -1/(s-r) after integration
-            q1 = rho_num.c1 / sg.c2
-            q2 = rho_num(r) / sg.c2
-            return FactorExponents(True, r, None, p1, p2, q1, q2)
-        sq = math.sqrt(disc)
-        r1 = (-sg.c1 - sq) / (2.0 * sg.c2)
-        r2 = (-sg.c1 + sq) / (2.0 * sg.c2)
-        denom = sg.c2 * (r1 - r2)
-        return FactorExponents(False, r1, r2,
-                               pi(r1) / denom, pi(r2) / -denom,
-                               rho_num(r1) / denom, rho_num(r2) / -denom)
-    if sg.degree == 1:
-        # sigma = c1 (s - r): phi = (s-r)^{pi(r)/c1} exp((pi1/c1) s)
-        r = -sg.c0 / sg.c1
-        return FactorExponents(True, r, None,
-                               pi(r) / sg.c1, pi.c1 / sg.c1,
-                               rho_num(r) / sg.c1, rho_num.c1 / sg.c1)
-    raise DegenerateSigma("sigma is constant; no factor structure to extract")

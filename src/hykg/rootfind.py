@@ -2,14 +2,19 @@
 
 Engines evaluate residual functions that are continuous where defined but can
 return a marker object (anything non-float-like) inside degenerate regions.
-The scanner treats marked points as holes: a sign change is only pursued
-between two adjacent valid samples.
+A scan takes the residual's values on its seed grid from the caller (an
+engine evaluates them as one array expression; `sample` evaluates them point
+by point); a non-finite seed value is a hole, and a sign change is only
+pursued between two adjacent valid seeds.  Brent refinement calls the scalar
+residual, so the seed values only pick the brackets.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 
 def _as_value(y) -> float | None:
@@ -86,38 +91,53 @@ class ScanResult:
     had_gaps: bool                   # some sample points were exclusion zones
 
 
+def seed_grid(lo: float, hi: float, n_brackets: int) -> np.ndarray:
+    """The scan's seeds lo + (hi - lo) i / n_brackets, i = 0..n_brackets."""
+    return lo + (hi - lo) * np.arange(n_brackets + 1) / n_brackets
+
+
+def sample(f: Callable[[float], object], lo: float, hi: float,
+           n_brackets: int) -> np.ndarray:
+    """f on the seed grid, one scalar call per seed; a marker becomes NaN."""
+    values = (_as_value(f(x)) for x in seed_grid(lo, hi, n_brackets).tolist())
+    return np.array([math.nan if y is None else y for y in values])
+
+
 def scan_roots(f: Callable[[float], object], lo: float, hi: float,
-               n_brackets: int, tol_x: float,
+               n_brackets: int, tol_x: float, ys: np.ndarray,
                dedup: float = 0.0,
                residual_ok: Callable[[float, float], bool] | None = None) -> ScanResult:
     """Scan [lo, hi] with n_brackets subintervals; refine each sign change.
 
-    `f` may return non-float markers; those samples are skipped.  `residual_ok`
-    (root, f(root)) can reject refined roots whose residual did not collapse
-    (jump discontinuities masquerading as crossings).
+    `ys` holds f on `seed_grid(lo, hi, n_brackets)`; a non-finite value marks
+    a seed where f is undefined.  `f` is called only by Brent and may return
+    non-float markers (see the gap rule below).
+    `residual_ok` (root, f(root)) can reject refined roots whose residual did
+    not collapse (jump discontinuities masquerading as crossings).
     """
-    xs = [lo + (hi - lo) * i / n_brackets for i in range(n_brackets + 1)]
-    ys = [_as_value(f(x)) for x in xs]
-    had_gaps = any(y is None for y in ys)
-    if all(y is None for y in ys):
-        return ScanResult([], [], [], had_gaps)
+    xs = seed_grid(lo, hi, n_brackets).tolist()
+    ys = np.asarray(ys, dtype=float)
+    if ys.shape != (n_brackets + 1,):
+        raise ValueError(f"need {n_brackets + 1} seed values, got shape {ys.shape}")
+    valid = np.isfinite(ys)
+    had_gaps = not valid.all()
+    with np.errstate(over="ignore", under="ignore"):
+        bracketed = valid[:-1] & valid[1:] & ((ys[:-1] == 0.0) | (ys[:-1] * ys[1:] < 0))
 
     roots: list[float] = []
     rejected: list[float] = []
-    for i in range(n_brackets):
-        y0, y1 = ys[i], ys[i + 1]
-        if y0 is None or y1 is None:
-            continue
+    seeds = ys.tolist()
+    for i in np.flatnonzero(bracketed).tolist():
+        y0 = seeds[i]
         if y0 == 0.0:
             roots.append(xs[i])
-            continue
-        if y0 * y1 >= 0:
             continue
 
         def fv(x):
             v = _as_value(f(x))
-            # inside a refined bracket a gap point is vanishingly rare; treat
-            # it as the nearer endpoint's sign to keep bisection moving
+            # a gap point inside a refined bracket is vanishingly rare; it
+            # takes the sign of the bracket's left seed value y0, whichever
+            # endpoint is nearer, so that Brent always gets a number
             return v if v is not None else math.copysign(1e300, y0)
 
         root = brent(fv, xs[i], xs[i + 1], tol_x)

@@ -39,7 +39,7 @@ from hykg.oracle import (
     schrodinger_limit,
     solve_relativistic,
 )
-from hykg.rootfind import estimate_order, scan_roots
+from hykg.rootfind import estimate_order, sample, scan_roots
 from hykg.wavefunction import (
     RadialFunction,
     composite_simpson,
@@ -115,8 +115,8 @@ def test_criterion_3_nu_hydrogen_fixture():
                                         Poly2(-l * (l + 1), beta, -eps * eps))
             # the residual is linear in eps with a single root: a coarse
             # bracket scan plus Brent refinement already pins it to 1e-13
-            res = scan_roots(lambda eps: quantization_residual(build, eps, n),
-                             1e-4, beta, 300, 1e-13)
+            f = lambda eps: quantization_residual(build, eps, n)
+            res = scan_roots(f, 1e-4, beta, 300, 1e-13, sample(f, 1e-4, beta, 300))
             expected = beta / (2.0 * (n + l + 1))
             best = min((abs(r - expected) / expected for r in res.roots),
                        default=math.inf)

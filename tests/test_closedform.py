@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hykg import closedform
 from hykg.closedform import (
@@ -12,7 +15,8 @@ from hykg.closedform import (
     intermediates,
     mechanical_residual,
 )
-from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, appendix_constants
+from hykg.errors import DegenerateParams
+from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign, appendix_constants
 from hykg.levels import (
     FLAG_NEGATIVE_UNDER_SQRT,
     FLAG_NO_ROOT,
@@ -20,6 +24,7 @@ from hykg.levels import (
     Engine,
 )
 from hykg.nu import BranchGap
+from hykg.rootfind import sample
 
 from _highprec import constants_hp
 
@@ -178,3 +183,75 @@ class TestDeterminism:
             one = fn(default_params, (0,))[0].levels
             two = fn(default_params, (0,))[0].levels
             assert one == two
+
+
+# The parameter box of the benchmark's closedform-sweep workload.
+SWEEP_BOX = {"K": (0.5, 3.0), "k1": (0.0, 2.0), "k2": (-0.6, 2.0),
+             "omega": (0.1, 1.0), "D_e": (0.2, 5.0)}
+ENGINE_RESULTS = (energy_mechanical_result, energy_implicit_result, energy_eq45_result)
+
+
+class TestSeedValues:
+    """Each engine's array seed values against its scalar residual, seed by seed."""
+
+    @given(point=st.fixed_dictionaries({name: st.floats(lo, hi)
+                                        for name, (lo, hi) in SWEEP_BOX.items()}),
+           s_sign=st.sampled_from(SSign))
+    @settings(max_examples=60, deadline=None)
+    def test_array_seeds_match_scalar_residual(self, point, s_sign):
+        try:
+            params = HylleraasParams(M=1.0, s_sign=s_sign, **point)
+        except DegenerateParams:
+            assume(False)
+        seen = []
+        scan_roots = closedform.scan_roots
+
+        def recording(f, lo, hi, n_brackets, tol_x, ys, **kwargs):
+            # sampled at call time: eq45's f reads its loop's sign branch
+            seen.append((np.asarray(ys), sample(f, lo, hi, n_brackets)))
+            return scan_roots(f, lo, hi, n_brackets, tol_x, ys, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(closedform, "N_BRACKETS", 200)
+            mp.setattr(closedform, "scan_roots", recording)
+            for engine_result in ENGINE_RESULTS:
+                seen.clear()
+                engine_result(params, range(4))
+                assert len(seen) == (8 if engine_result is energy_eq45_result else 4)
+                for ys, scalar in seen:
+                    valid = np.isfinite(scalar)
+                    assert np.array_equal(np.isfinite(ys), valid)
+                    ys, scalar = ys[valid], scalar[valid]
+                    assert np.array_equal(np.sign(ys), np.sign(scalar))
+                    if engine_result is energy_mechanical_result:
+                        assert ys.tobytes() == scalar.tobytes()
+                    else:
+                        # the engines' residual scales have a floor of 1 (M^2 = 1)
+                        assert np.all(abs(ys - scalar) <= 1e-13 * np.maximum(abs(scalar), 1.0))
+
+
+class TestWorkCount:
+    """One engine call evaluates its seeds as arrays: a per-seed scalar
+    fallback would make ~2,000 of these calls."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        original = getattr(closedform, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(closedform, name, counted)
+        return calls
+
+    def test_mechanical_pi_candidates_calls(self, monkeypatch):
+        calls = self._count(monkeypatch, "pi_candidates")
+        energy_mechanical_result(DEFAULT_PARAMS, range(4))
+        assert 0 < len(calls) < 200
+
+    def test_eq45_appendix_a_forms_calls(self, monkeypatch):
+        calls = self._count(monkeypatch, "appendix_a_forms")
+        energy_eq45_result(DEFAULT_PARAMS, range(4))
+        assert 0 < len(calls) < 200

@@ -3,24 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from hykg.errors import ComplexRoots, ImperfectSquare, NoRealK, NoValidBranch
+from hykg.errors import DegenerateSigma, ImperfectSquare, NoRealK, NoValidBranch
 from hykg.nu import (
     BranchGap,
-    FactorExponents,
     NUInput,
     NUSolution,
     Poly2,
     SignChoice,
     lambda_n,
+    lenient_branch_array,
     pi_candidates,
     quantization_residual,
     select_branch,
     select_branch_lenient,
     solve_k,
     under_root_quadratic,
-    wavefactor_exponents,
 )
-from hykg.rootfind import scan_roots
+from hykg.rootfind import sample, scan_roots
 
 # The classic closed-form fixture: sigma = s, tau_tilde = 0,
 # sigma_tilde = -eps^2 s^2 + beta s - l(l+1).  Hand algebra gives the
@@ -189,8 +188,8 @@ class TestQuantization:
     def test_hydrogen_quantization(self, n, l):
         beta = 2.0
         build = lambda eps: hydrogen_input(eps, beta, l)
-        res = scan_roots(lambda eps: quantization_residual(build, eps, n),
-                         1e-4, beta, 2000, 1e-13)
+        f = lambda eps: quantization_residual(build, eps, n)
+        res = scan_roots(f, 1e-4, beta, 2000, 1e-13, sample(f, 1e-4, beta, 2000))
         expected = beta / (2.0 * (n + l + 1))
         assert any(abs(r - expected) <= 1e-10 * expected for r in res.roots), res.roots
 
@@ -202,60 +201,34 @@ class TestQuantization:
         assert isinstance(out, BranchGap)
 
 
-class TestWavefactor:
-    def test_linear_sigma_exponential_form(self):
-        inp = toy_input()
-        sol = [c for c in pi_candidates(inp)
-               if c.k == pytest.approx(-1.0) and c.sign_choice is SignChoice.MINUS][0]
-        w = wavefactor_exponents(inp, sol)
-        assert w.exponential_form
-        # phi = s^1 exp(-s)
-        assert w.r1 == 0.0
-        assert w.p1 == pytest.approx(1.0)
-        assert w.p2 == pytest.approx(-1.0)
+class TestLenientBranchArray:
+    """The array twin against select_branch_lenient(pi_candidates(.)), point
+    by point: same gaps, bit-identical lam and tau'."""
 
-    def test_partial_fractions_symmetric_zero(self):
-        inp = NUInput(Poly2(-1.0, 0.0, 1.0), Poly2(0, 0, 0), Poly2(-0.25, 0, 0))
-        sol = NUSolution(0.0, Poly2(0.0, 0.0, 0.0), SignChoice.MINUS,
-                         Poly2(0, 0, 0), 0.0, 0.0)
-        w = wavefactor_exponents(inp, sol)
-        assert not w.exponential_form
-        assert w.p1 == 0.0 and w.p2 == 0.0
+    @staticmethod
+    def _scalar(inp):
+        try:
+            sol, _ = select_branch_lenient(pi_candidates(inp))
+        except (NoRealK, ImperfectSquare, DegenerateSigma):
+            return math.nan, math.nan
+        return sol.lam, sol.tau_prime
 
-    def test_partial_fractions_generic(self):
-        # sigma = (s-1)(s-3), pi = 2: p1 = 2/(1-3) = -1, p2 = 2/(3-1) = 1
-        inp = NUInput(Poly2(3.0, -4.0, 1.0), Poly2(0, 0, 0), Poly2(0, 0, 0))
-        sol = NUSolution(0.0, Poly2(2.0, 0.0, 0.0), SignChoice.MINUS,
-                         Poly2(2.0 * 2, 0, 0), 0.0, 0.0)
-        w = wavefactor_exponents(inp, sol)
-        r1, r2 = sorted([w.r1, w.r2])
-        assert (r1, r2) == pytest.approx((1.0, 3.0))
-        assert sorted([w.p1, w.p2]) == pytest.approx([-1.0, 1.0])
-
-    def test_complex_roots_raise(self):
-        inp = NUInput(Poly2(1.0, 0.0, 1.0), Poly2(0, 0, 0), Poly2(0, 0, 0))
-        sol = NUSolution(0.0, Poly2(1.0, 0.0, 0.0), SignChoice.MINUS,
-                         Poly2(2.0, 0, 0), 0.0, 0.0)
-        with pytest.raises(ComplexRoots):
-            wavefactor_exponents(inp, sol)
-
-    def test_rho_satisfies_pearson(self, rng):
-        # (sigma rho)' = tau rho checked numerically at sample points.  The
-        # sigma_tilde is constructed so k = -1 closes the square exactly.
-        inp = NUInput(Poly2(3.0, -4.0, 1.0), Poly2(1.0, 0.0, 0.0),
-                      Poly2(3.1875, -1.25, -0.25))
-        cands = pi_candidates(inp)
-        sol, _ = select_branch_lenient(cands)
-        w = wavefactor_exponents(inp, sol)
-
-        def rho(s):
-            return abs(s - w.r1) ** w.q1 * abs(s - w.r2) ** w.q2
-
-        for s in (4.0, 5.0, 7.0):
-            h = 1e-6
-            lhs = (inp.sigma(s + h) * rho(s + h) - inp.sigma(s - h) * rho(s - h)) / (2 * h)
-            rhs = sol.tau(s) * rho(s)
-            assert lhs == pytest.approx(rhs, rel=2e-5)
+    @pytest.mark.parametrize("sigma, tau_tilde", [
+        (Poly2(3.0, -4.0, 1.0), Poly2(1.0, 0.0, 0.0)),   # distinct roots
+        (Poly2(0.25, 1.0, 1.0), Poly2(1.0, 2.0, 0.0)),   # double root: k-disc linear
+        (Poly2(0.0, 1.0, 0.0), Poly2(0.0, 0.0, 0.0)),    # linear sigma
+        (Poly2(1.0, 0.0, 0.0), Poly2(0.0, 0.0, 0.0)),    # constant sigma
+    ])
+    def test_matches_scalar_bitwise(self, rng, sigma, tau_tilde):
+        coeffs = rng.uniform(-3, 3, size=(3, 600))
+        # small integers and zeros reach the exact-tie branches of solve_k
+        coeffs[:, ::3] = rng.integers(-2, 3, size=(3, 200))
+        lam, tau_prime, gap = lenient_branch_array(NUInput(sigma, tau_tilde, Poly2(*coeffs)))
+        want = np.array([self._scalar(NUInput(sigma, tau_tilde, Poly2(*c)))
+                         for c in coeffs.T.tolist()])
+        assert np.array_equal(gap, np.isnan(want[:, 0]))
+        assert lam[~gap].tobytes() == want[~gap, 0].tobytes()
+        assert tau_prime[~gap].tobytes() == want[~gap, 1].tobytes()
 
 
 class TestProperties:

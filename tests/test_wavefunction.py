@@ -249,25 +249,6 @@ class TestExponents:
         assert printed.F == symmetric.F
         assert printed.D != symmetric.D
 
-    def test_cross_check_against_mechanical_exponents(self):
-        # the printed (D, F) against the mechanical factor exponents: the
-        # comparison must complete with finite numbers; the mismatch itself
-        # is an audit fact, recorded, not asserted.
-        from hykg.closedform import _mech_branch
-        from hykg.nu import wavefactor_exponents
-
-        lvl = level_at(REPRESENTABLE_E)
-        wf = exponents_DF(REPRESENTABLE, lvl)
-        inp, sol, _ = _mech_branch(REPRESENTABLE, REPRESENTABLE_E)
-        mech = wavefactor_exponents(inp, sol)
-        assert not mech.exponential_form
-        gaps = sorted([abs(wf.D / 2 - mech.p1), abs(wf.F / 2 - mech.p2),
-                       abs(wf.D / 2 - mech.p2), abs(wf.F / 2 - mech.p1)])
-        assert all(math.isfinite(g) for g in gaps)
-        print(f"printed (D/2, F/2) = ({wf.D/2:.6f}, {wf.F/2:.6f}); "
-              f"mechanical (p1, p2) = ({mech.p1:.6f}, {mech.p2:.6f}); "
-              f"closest pairing gap = {gaps[0]:.3e} (recorded, not asserted)")
-
 
 class TestNormalize:
     def _gaussian_radial(self, n_pts=2001, r_max=12.0):
