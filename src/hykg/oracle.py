@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable
 
 import numpy as np
@@ -30,7 +30,7 @@ from .levels import (
     Engine,
     EnergyLevel,
 )
-from .rootfind import brent, estimate_order
+from .rootfind import brent, estimate_order, seed_grid
 
 # Brent tolerance on E for the relativistic roots (solve_relativistic and
 # numerov_shoot), in units of M.
@@ -99,7 +99,9 @@ def potential_samples(params: HylleraasParams, grid: RadialGrid) -> np.ndarray:
     expo = 2.0 * (1.0 + params.K) * params.omega * grid.points
     if params.s_sign.value == "negative":
         expo = -expo
-    s = np.exp(expo)
+    # V reaches its limit D_e to double precision long before exp overflows;
+    # the cap keeps s finite so the far tail is D_e, not inf/inf = NaN
+    s = np.exp(np.minimum(expo, 300.0))
     den = (s + abc.a) * (s + abc.c) * (1 + abc.b)
     return params.D_e * (1.0 - (1 + abc.a) * (1 + abc.c) * (s + abc.b) / den)
 
@@ -148,32 +150,30 @@ def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
     return float(vals[0]), v
 
 
-# equal steps of the oracle's seed scan across (-M, M); a shared seed table and
-# a level's own scan both use it, so the two always scan the same energies
+# equal steps of the oracle's seed scan across (-M, M)
 _SEEDS = 64
-
-
-def _seed_energies(M: float) -> list[float]:
-    """The oracle's seed energies: _SEEDS equal steps across (-M, M)."""
-    return list(np.linspace(-M * (1 - 1e-9), M * (1 - 1e-9), _SEEDS + 1))
 
 
 @dataclass(frozen=True)
 class SeedTable:
-    """Eigenvalues 0..m-1 of the effective operator at every seed energy:
-    one scan shared by all the levels of a batched oracle solve."""
+    """Eigenvalues first..first+m-1 of the effective operator at every seed
+    energy: one scan shared by all the levels it covers."""
 
     xs: list[float]
     ebars: np.ndarray   # (len(xs), m)
+    first: int          # the level in column 0
 
 
-def seed_table(params: HylleraasParams, grid: RadialGrid, m: int) -> SeedTable:
-    """One seed scan for levels 0..m-1 (see solve_relativistic)."""
+def seed_table(params: HylleraasParams, grid: RadialGrid,
+               ns: Iterable[int]) -> SeedTable:
+    """One seed scan for levels min(ns)..max(ns) (see solve_relativistic)."""
+    ns = list(ns)
     M = params.M
     v = potential_samples(params, grid)
-    xs = _seed_energies(M)
-    return SeedTable(xs, np.array([eigen_tridiagonal(2.0 * (x + M) * v, grid, m)
-                                   for x in xs]))
+    xs = seed_grid(-M * (1 - 1e-9), M * (1 - 1e-9), _SEEDS).tolist()
+    return SeedTable(xs, np.array([eigen_tridiagonal(2.0 * (x + M) * v, grid,
+                                                     max(ns) + 1, first=min(ns))
+                                   for x in xs]), min(ns))
 
 
 def _jump_guard(f, xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
@@ -195,21 +195,6 @@ def _jump_guard(f, xs: list[float], ys: list[float]) -> tuple[list[float], list[
     return xs, ys
 
 
-def _first_root(g, xs: list[float], ys: list[float], tol: float) -> float | None:
-    """Brent-refined first sign change of the guarded seed scan, or None.
-
-    Brent re-evaluates the bracket ends with g itself, and raises ValueError
-    when they show no sign change.
-    """
-    xs, ys = _jump_guard(g, xs, ys)
-    for i in range(len(xs) - 1):
-        if ys[i] == 0.0:
-            return float(xs[i])
-        if ys[i] * ys[i + 1] < 0:
-            return float(brent(g, xs[i], xs[i + 1], tol))
-    return None
-
-
 def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
                        table: SeedTable | None = None) -> EnergyLevel:
     """Lowest root of g(E) = Ebar_n(E) - (E^2 - M^2) on (-M, M).
@@ -217,10 +202,11 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
     A seed scan of g brackets the first sign change; Brent's method (Brent,
     "Algorithms for Minimization without Derivatives", 1973) refines it.
     Every g evaluation is a single-index Sturm bisection for eigenvalue n.
-    With `table` (a `seed_table` covering index n) the shared seed values
-    only choose the bracket: the jump guard, Brent and the residual all use
-    this level's own solve, and if that solve finds no sign change on the
-    chosen bracket the level is scanned again with its own seeds.
+    The seed values come from a `seed_table`: `table` when given (a shared
+    scan covering level n), else the level's own table of n alone.  The
+    table only chooses the bracket: the jump guard, Brent and the residual
+    all use this level's own solve, and if that solve shows no sign change
+    on a shared table's bracket, the level's own table is scanned instead.
 
     Returns a flagged NoRoot level when g has no sign change.
     """
@@ -233,19 +219,24 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
         ebar_n = float(eigen_tridiagonal(w, grid, n + 1, first=n)[0])
         return ebar_n - (E * E - M * M)
 
-    def own_seeds() -> tuple[list[float], list[float]]:
-        xs = _seed_energies(M)
-        return xs, [g(x) for x in xs]
+    def first_root(t: SeedTable) -> float | None:
+        """Brent-refined first sign change of the guarded scan of t, or None.
+        Brent re-evaluates the bracket ends with g itself, and raises
+        ValueError when they show no sign change."""
+        ys = [float(e) - (x * x - M * M) for x, e in zip(t.xs, t.ebars[:, n - t.first])]
+        xs, ys = _jump_guard(g, t.xs, ys)
+        for i in range(len(xs) - 1):
+            if ys[i] == 0.0:
+                return float(xs[i])
+            if ys[i] * ys[i + 1] < 0:
+                return float(brent(g, xs[i], xs[i + 1], E_TOL_REL * M))
+        return None
 
-    tol = E_TOL_REL * M
-    if table is None:
-        root = _first_root(g, *own_seeds(), tol)
-    else:
-        ys = [float(e) - (x * x - M * M) for x, e in zip(table.xs, table.ebars[:, n])]
-        try:
-            root = _first_root(g, table.xs, ys, tol)
-        except ValueError:
-            root = _first_root(g, *own_seeds(), tol)
+    own = cache(lambda: seed_table(params, grid, (n,)))
+    try:
+        root = first_root(table or own())
+    except ValueError:
+        root = first_root(own())
     if root is None:
         return EnergyLevel(n=n, E=None, Ebar=None, engine=Engine.ORACLE,
                            residual=None, flags=frozenset({FLAG_NO_ROOT}))
@@ -256,9 +247,9 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
 def solve_levels(params: HylleraasParams, ns: Iterable[int],
                  grid: RadialGrid) -> dict[int, EnergyLevel]:
     """One solve_relativistic level per n in ns, all bracketed from one shared
-    seed scan of levels 0..max(ns)."""
+    seed scan of levels min(ns)..max(ns)."""
     ns = list(ns)
-    table = seed_table(params, grid, max(ns) + 1)
+    table = seed_table(params, grid, ns)
     return {n: solve_relativistic(params, n, grid, table=table) for n in ns}
 
 
@@ -294,28 +285,6 @@ def _numerov_outward(q, h, upto):
     return y
 
 
-def _numerov_inward(q, h, downto):
-    """Integrate from the right wall; returns samples downto..N-1."""
-    n = len(q)
-    t = h * h / 12.0
-    y = [0.0] * (n - downto)
-
-    def idx(i):
-        return i - downto
-
-    y[idx(n - 1)] = h
-    if n - 2 >= downto:
-        y[idx(n - 2)] = (2.0 * (1.0 + 5.0 * t * q[n - 1]) * y[idx(n - 1)]) / (1.0 - t * q[n - 2])
-    for i in range(n - 2, downto, -1):
-        y[idx(i - 1)] = (2.0 * (1.0 + 5.0 * t * q[i]) * y[idx(i)]
-                         - (1.0 - t * q[i + 1]) * y[idx(i + 1)]) / (1.0 - t * q[i - 1])
-        if abs(y[idx(i - 1)]) > _RESCALE:
-            scale = abs(y[idx(i - 1)])
-            for j in range(idx(i - 1), idx(n - 1) + 1):
-                y[j] /= scale
-    return y
-
-
 def _matching_index(q: np.ndarray) -> int:
     """Outermost classical turning point of q = W - Ebar; midpoint fallbacks."""
     n = len(q)
@@ -331,32 +300,30 @@ def _matching_index(q: np.ndarray) -> int:
     return max(2, min(n - 3, m))
 
 
-def numerov_defect(q: np.ndarray, h: float) -> tuple[float, np.ndarray, int]:
+def numerov_defect(q: np.ndarray, h: float) -> tuple[float, np.ndarray]:
     """Wronskian mismatch of the outward and inward solutions at the matching
-    point, plus the assembled solution and its matching index."""
+    point, plus the assembled solution."""
     m = _matching_index(q)
     y_out = _numerov_outward(list(q), h, m + 1)
-    y_in = _numerov_inward(list(q), h, m - 1)
+    # the inward solution, samples m-1..n-1, is the outward one of the mirrored q
+    y_in = _numerov_outward(list(q[::-1]), h, len(q) - m)[::-1]
 
-    def din(i):
-        return y_in[i - (m - 1)]
-
-    # scale both to O(1) at the matching point
-    s_out = max(abs(y_out[m]), abs(y_out[m - 1]), abs(y_out[m + 1]), 1e-300)
-    s_in = max(abs(din(m)), abs(din(m - 1)), abs(din(m + 1)), 1e-300)
-    o0, o1, o2 = y_out[m - 1] / s_out, y_out[m] / s_out, y_out[m + 1] / s_out
-    i0, i1, i2 = din(m - 1) / s_in, din(m) / s_in, din(m + 1) / s_in
+    # scale both to O(1) at the matching point: samples m-1, m, m+1
+    out3, in3 = y_out[m - 1:m + 2], y_in[:3]
+    s_out = max(*map(abs, out3), 1e-300)
+    s_in = max(*map(abs, in3), 1e-300)
+    o0, o1, o2 = (y / s_out for y in out3)
+    i0, i1, i2 = (y / s_in for y in in3)
     wronskian = o1 * (i2 - i0) / (2 * h) - i1 * (o2 - o0) / (2 * h)
 
     # assembled solution for node counting: join the inward tail at m
-    n = len(q)
-    assembled = np.empty(n)
+    assembled = np.empty(len(q))
     assembled[: m + 1] = np.asarray(y_out[: m + 1]) / s_out
     tail = np.asarray(y_in[1:])  # samples m .. n-1
     if tail[0] != 0.0:
         tail = tail * (assembled[m] / tail[0])
     assembled[m:] = tail
-    return wronskian, assembled, m
+    return wronskian, assembled
 
 
 def count_sign_changes(values: np.ndarray, noise: float = 1e-9) -> int:
@@ -368,20 +335,26 @@ def count_sign_changes(values: np.ndarray, noise: float = 1e-9) -> int:
     return int(np.sum(np.sign(sig[:-1]) != np.sign(sig[1:]))) if sig.size > 1 else 0
 
 
+def _numerov_root(q_of, h: float, lo: float, hi: float,
+                  tol: float) -> tuple[float, float, np.ndarray]:
+    """Brent root of the matching defect of q_of(x) on [lo, hi]: (root, defect
+    at the root, assembled solution).  Raises ValueError (from brent) when
+    the defect shows no sign change on the bracket."""
+    root = brent(lambda x: numerov_defect(q_of(x), h)[0], lo, hi, tol)
+    wronskian, assembled = numerov_defect(q_of(root), h)
+    return root, wronskian, assembled
+
+
 def numerov_eigenvalue(w_values: np.ndarray, grid: RadialGrid,
                        bracket: tuple[float, float],
                        tol: float = 1e-12) -> tuple[float, np.ndarray]:
     """Eigenvalue of -u'' + W u = Ebar u inside `bracket` by defect root finding."""
-    h = grid.h
-
-    def defect(ebar: float) -> float:
-        return numerov_defect(w_values - ebar, h)[0]
-
     lo, hi = bracket
-    if defect(lo) * defect(hi) > 0:
-        raise NoRoot(f"no defect sign change in bracket {bracket}")
-    root = brent(defect, lo, hi, tol * max(1.0, abs(lo), abs(hi)))
-    _, assembled, _ = numerov_defect(w_values - root, h)
+    try:
+        root, _, assembled = _numerov_root(lambda ebar: w_values - ebar, grid.h, lo, hi,
+                                           tol * max(1.0, abs(lo), abs(hi)))
+    except ValueError:
+        raise NoRoot(f"no defect sign change in bracket {bracket}") from None
     return root, assembled
 
 
@@ -395,22 +368,21 @@ def numerov_shoot(params: HylleraasParams, n: int, grid: RadialGrid,
     M = params.M
     v = potential_samples(params, grid)
 
-    def defect(E: float) -> float:
-        q = 2.0 * (E + M) * v - (E * E - M * M)
-        return numerov_defect(q, grid.h)[0]
+    def q_of(E: float) -> np.ndarray:
+        return 2.0 * (E + M) * v - (E * E - M * M)
 
     lo, hi = e_bracket
-    if defect(lo) * defect(hi) > 0:
+    try:
+        root, wronskian, assembled = _numerov_root(q_of, grid.h, lo, hi, E_TOL_REL * M)
+    except ValueError:
         return EnergyLevel(n=n, E=None, Ebar=None, engine=Engine.ORACLE,
                            residual=None, flags=frozenset({FLAG_NO_ROOT}))
-    root = float(brent(defect, lo, hi, E_TOL_REL * M))
-    q = 2.0 * (root + M) * v - (root * root - M * M)
-    _, assembled, _ = numerov_defect(q, grid.h)
+    root = float(root)
     flags = frozenset()
     if count_sign_changes(assembled) != n:
         flags = frozenset({FLAG_NODE_MISMATCH})
     return EnergyLevel(n=n, E=root, Ebar=root * root - M * M,
-                       engine=Engine.ORACLE, residual=float(abs(defect(root))),
+                       engine=Engine.ORACLE, residual=float(abs(wronskian)),
                        flags=flags)
 
 

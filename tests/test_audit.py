@@ -133,14 +133,18 @@ class TestBatchedLevels:
         params, grid = BATCH_CASES["b-negative-well"]()
         shared = oracle.seed_table
 
-        def flipped(params, grid, m):
-            # the first seed value of every level changes sign, so the shared
-            # table brackets a root in the first interval, where none is
-            table = shared(params, grid, m)
+        def flipped(params, grid, ns):
+            # the first seed value of every level of the shared table changes
+            # sign, so it brackets a root in the first interval, where none
+            # is; a level's own (single-level) table stays intact
+            ns = list(ns)
+            table = shared(params, grid, ns)
+            if len(ns) == 1:
+                return table
             ebars = table.ebars.copy()
             x0 = table.xs[0]
             ebars[0] = 2.0 * (x0 * x0 - params.M ** 2) - ebars[0]
-            return SeedTable(table.xs, ebars)
+            return SeedTable(table.xs, ebars, table.first)
 
         rejected = []
         brent = oracle.brent

@@ -241,6 +241,16 @@ class TestWavefunctionCommand:
         assert main(["wavefunction", "--config", str(cfg),
                      "--out", str(tmp_path / "w"), "--n", "1"]) == 4
 
+    def test_oracle_level_from_engine_table(self, fast_cfg_path, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setitem(audit.ENGINES, Engine.ORACLE,
+                            stub_engine(Engine.ORACLE, [-0.5], calls))
+        assert main(["wavefunction", "--config", str(fast_cfg_path),
+                     "--out", str(tmp_path), "--n", "0"]) == 0
+        sidecar = json.loads((tmp_path / "wf_n0.flags.json").read_text())
+        assert calls == [Engine.ORACLE]
+        assert sidecar["E_oracle"] == -0.5
+
     @pytest.mark.parametrize("n", ["-1", "11"])
     def test_n_out_of_range_is_config_error(self, fast_cfg_path, tmp_path, n):
         out = tmp_path / "w"
@@ -250,6 +260,14 @@ class TestWavefunctionCommand:
 
 
 class TestAuditCommand:
+    def test_far_tail_grid(self, tmp_path):
+        # exp(2 (1+K) w r) overflows on this grid; the potential stays finite
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(FAST_CFG.replace("negative", "positive")
+                       .replace("r_max = 40.0", "r_max = 500.0"))
+        for command in ("spectrum", "audit"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+
     def test_audit_files(self, fast_cfg_path, tmp_path):
         out1, out2 = tmp_path / "a1", tmp_path / "a2"
         assert main(["audit", "--config", str(fast_cfg_path), "--out", str(out1),

@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hykg import oracle
 from hykg.errors import NoRoot
-from hykg.hylleraas import DEFAULT_PARAMS
+from hykg.hylleraas import DEFAULT_PARAMS, SSign
 from hykg.levels import FLAG_NO_ROOT, FLAG_NODE_MISMATCH
 from hykg.config import default_config
 from hykg.oracle import (
@@ -22,6 +23,7 @@ from hykg.oracle import (
     numerov_eigenvalue,
     numerov_shoot,
     oracle_eigenvector,
+    potential_samples,
     schrodinger_limit,
     solve_relativistic,
 )
@@ -183,6 +185,59 @@ class TestRelativistic:
             e_nr = schrodinger_limit(params, 0, grid)
             diffs.append(abs((level.E - params.M) - e_nr))
         assert diffs[0] > diffs[1] > diffs[2]
+
+
+class TestNumerovShooter:
+    def test_one_integration_per_brent_evaluation(self, monkeypatch):
+        # Brent's own evaluations plus one at the root, which gives both the
+        # assembled solution and the residual
+        grid = default_grid(DEFAULT_PARAMS, n=600)
+        E = solve_relativistic(DEFAULT_PARAMS, 0, grid).E
+        counts = {"defect": 0, "fevals": 0}
+        defect, brent = oracle.numerov_defect, oracle.brent
+
+        def counted_defect(*args):
+            counts["defect"] += 1
+            return defect(*args)
+
+        def counted_brent(f, *args):
+            def counted_f(x):
+                counts["fevals"] += 1
+                return f(x)
+            return brent(counted_f, *args)
+
+        monkeypatch.setattr(oracle, "numerov_defect", counted_defect)
+        monkeypatch.setattr(oracle, "brent", counted_brent)
+        shot = numerov_shoot(DEFAULT_PARAMS, 0, grid, (E - 0.005, E + 0.005))
+        assert shot.found
+        assert counts["fevals"] > 2
+        assert counts["defect"] == counts["fevals"] + 1
+        M, v = DEFAULT_PARAMS.M, potential_samples(DEFAULT_PARAMS, grid)
+        q = 2.0 * (shot.E + M) * v - (shot.E * shot.E - M * M)
+        assert shot.residual == abs(defect(q, grid.h)[0])
+
+    def test_no_sign_change(self):
+        # free particle in a box: no level below the first box eigenvalue
+        grid = box_grid(L, 400)
+        exact = (math.pi / L) ** 2
+        with pytest.raises(NoRoot):
+            numerov_eigenvalue(np.zeros(grid.n), grid, (0.2 * exact, 0.5 * exact))
+        params = DEFAULT_PARAMS.replace(D_e=0.0)
+        level = numerov_shoot(params, 0, default_grid(params, n=400), (-0.9, -0.8))
+        assert not level.found
+        assert level.flags == frozenset({FLAG_NO_ROOT})
+
+
+class TestPotential:
+    def test_far_tail_is_finite(self):
+        # 2 (1+K) w r_max = 750: exp(750) overflows, V's limit there is D_e
+        params = DEFAULT_PARAMS.replace(s_sign=SSign.POSITIVE)
+        grid = RadialGrid(r_min=500.0 / 4000, r_max=500.0, n=4000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = potential_samples(params, grid)
+        assert np.all(np.isfinite(v))
+        assert v[-1] == params.D_e
 
 
 class TestConvergenceOrder:
