@@ -21,7 +21,7 @@ import numpy as np
 
 from .audit import engine_levels, ode_residual, params_dict, run_audit
 from .config import N_MAX, RunConfig, load_config
-from .errors import ConfigError, MissingLevel
+from .errors import ConfigError, MissingLevel, OutOfRange
 from .levels import Engine, EnergyLevel, flags_str
 # solve_relativistic stays in this namespace: bench/tests checks that the
 # tracer wraps it here too
@@ -106,7 +106,11 @@ def cmd_wavefunction(config: RunConfig, n: int, out_dir: Path) -> None:
     level = _closed_form_level(config, n, grid)
     if level is None:
         raise MissingLevel(f"no closed-form level n={n} for the selected engines")
-    radial = build_radial(config.params, level, grid)
+    try:
+        radial = build_radial(config.params, level, grid)
+    except OutOfRange as exc:
+        raise ConfigError(f"closed form n={n} out of range on the grid "
+                          f"(r_max = {grid.r_max!r}): {exc}") from None
 
     oracle_col = [""] * grid.n
     overlap = None

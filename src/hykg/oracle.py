@@ -7,20 +7,23 @@ energy-dependent effective eigenproblem
 
 solved on a uniform grid with Dirichlet conditions one step outside both
 ends (u(0) = 0 regularity and a far-wall cutoff).  Bound states are roots of
-g(E) = Ebar_n(E) - (E^2 - M^2).  A Numerov matching integrator provides an
-independent cross-check of the matrix eigenvalues, and a fixed-mass
-Schroedinger solver supports the weak-coupling limit trend tests.
+g(E) = Ebar_n(E) - (E^2 - M^2); one Sturm count per seed energy gives the
+sign of g for every n at once, and so brackets every level.  A Numerov
+matching integrator provides an independent cross-check of the matrix
+eigenvalues, and a fixed-mass Schroedinger solver supports the weak-coupling
+limit trend tests.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from .errors import NoRoot
 from .hylleraas import HylleraasParams
@@ -112,6 +115,12 @@ def effective_potential(params: HylleraasParams, e_param: float,
     return 2.0 * (e_param + params.M) * potential_samples(params, grid)
 
 
+def _operator(w_values: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the three-point -d^2/dr^2 + W."""
+    h2 = grid.h * grid.h
+    return 2.0 / h2 + w_values, np.full(grid.n - 1, -1.0 / h2)
+
+
 def eigen_tridiagonal(w_values: np.ndarray, grid: RadialGrid, m: int,
                       first: int = 0) -> np.ndarray:
     """Eigenvalues first..m-1 (0-based, ascending) of -d^2/dr^2 + W.
@@ -122,12 +131,26 @@ def eigen_tridiagonal(w_values: np.ndarray, grid: RadialGrid, m: int,
     scipy returns a view into an N-long work array, which would otherwise
     stay alive with it.
     """
-    h2 = grid.h * grid.h
-    diag = 2.0 / h2 + w_values
-    off = np.full(grid.n - 1, -1.0 / h2)
+    diag, off = _operator(w_values, grid)
     vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(first, m - 1),
                                 lapack_driver="stebz")
     return np.array(vals, dtype=float)
+
+
+def sturm_count(w_values: np.ndarray, grid: RadialGrid, sigma: float) -> int:
+    """Number of eigenvalues <= sigma of the operator of eigen_tridiagonal.
+
+    One stebz call on the value range (low, sigma]: `low` lies below both
+    sigma and the Gershgorin bound of the spectrum, so the count at sigma is
+    the Sturm count, and a tolerance wider than the range ends the call
+    before any bisection step.
+    """
+    diag, off = _operator(w_values, grid)
+    low = min(float(np.min(diag)) - 4.0 / grid.h ** 2, sigma - 1.0)
+    m, _, _, _, info = dstebz(diag, off, 1, low, sigma, 0, 0, 2.0 * (sigma - low), "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stebz count failed: info = {info}")
+    return int(m)
 
 
 def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
@@ -137,9 +160,7 @@ def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
     The vector is normalized to unit quadrature norm and its sign fixed by
     making the first component of significant magnitude positive.
     """
-    h2 = grid.h * grid.h
-    diag = 2.0 / h2 + w_values
-    off = np.full(grid.n - 1, -1.0 / h2)
+    diag, off = _operator(w_values, grid)
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(index, index))
     v = vecs[:, 0]
     norm = math.sqrt(float(np.sum(v * v)) * grid.h)
@@ -156,59 +177,35 @@ _SEEDS = 64
 
 @dataclass(frozen=True)
 class SeedTable:
-    """Eigenvalues first..first+m-1 of the effective operator at every seed
-    energy: one scan shared by all the levels it covers."""
+    """Sturm counts of the effective operator at every seed energy x: the
+    number of its eigenvalues <= x^2 - M^2.  One scan serves every level."""
 
     xs: list[float]
-    ebars: np.ndarray   # (len(xs), m)
-    first: int          # the level in column 0
+    counts: list[int]
 
 
-def seed_table(params: HylleraasParams, grid: RadialGrid,
-               ns: Iterable[int]) -> SeedTable:
-    """One seed scan for levels min(ns)..max(ns) (see solve_relativistic)."""
-    ns = list(ns)
+def seed_table(params: HylleraasParams, grid: RadialGrid) -> SeedTable:
+    """The seed scan of solve_relativistic: one Sturm count per seed."""
     M = params.M
     v = potential_samples(params, grid)
     xs = seed_grid(-M * (1 - 1e-9), M * (1 - 1e-9), _SEEDS).tolist()
-    return SeedTable(xs, np.array([eigen_tridiagonal(2.0 * (x + M) * v, grid,
-                                                     max(ns) + 1, first=min(ns))
-                                   for x in xs]), min(ns))
-
-
-def _jump_guard(f, xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
-    """One deterministic refinement pass of a seed scan of f where consecutive
-    values jump by more than 10x the typical local step."""
-    steps = [abs(ys[i + 1] - ys[i]) for i in range(len(xs) - 1)]
-    finite = sorted(s for s in steps if math.isfinite(s))
-    typical = finite[len(finite) // 2] if finite else 0.0
-    if typical > 0:
-        refined_x, refined_y = [xs[0]], [ys[0]]
-        for i in range(len(xs) - 1):
-            if steps[i] > 10.0 * typical:
-                mid = 0.5 * (xs[i] + xs[i + 1])
-                refined_x.append(mid)
-                refined_y.append(f(mid))
-            refined_x.append(xs[i + 1])
-            refined_y.append(ys[i + 1])
-        xs, ys = refined_x, refined_y
-    return xs, ys
+    return SeedTable(xs, [sturm_count(2.0 * (x + M) * v, grid, x * x - M * M) for x in xs])
 
 
 def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
                        table: SeedTable | None = None) -> EnergyLevel:
     """Lowest root of g(E) = Ebar_n(E) - (E^2 - M^2) on (-M, M).
 
-    A seed scan of g brackets the first sign change; Brent's method (Brent,
-    "Algorithms for Minimization without Derivatives", 1973) refines it.
-    Every g evaluation is a single-index Sturm bisection for eigenvalue n.
-    The seed values come from a `seed_table`: `table` when given (a shared
-    scan covering level n), else the level's own table of n alone.  The
-    table only chooses the bracket: the jump guard, Brent and the residual
-    all use this level's own solve, and if that solve shows no sign change
-    on a shared table's bracket, the level's own table is scanned instead.
+    A seed scan brackets the sign changes of g; Brent's method (Brent,
+    "Algorithms for Minimization without Derivatives", 1973) refines the
+    first one it confirms.  By Sturm's theorem g > 0 at a seed x exactly
+    when at most n eigenvalues are <= x^2 - M^2, so the sign of g at every
+    seed is read off the counts of a `seed_table` (`table` when given, else
+    a new one), and the table serves every level.  Brent and the residual
+    evaluate g itself, a single-index Sturm bisection for eigenvalue n; a
+    bracket on which g shows no sign change is skipped for the next one.
 
-    Returns a flagged NoRoot level when g has no sign change.
+    Returns a flagged NoRoot level when no bracket holds a root.
     """
     M = params.M
     v = potential_samples(params, grid)
@@ -219,37 +216,26 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
         ebar_n = float(eigen_tridiagonal(w, grid, n + 1, first=n)[0])
         return ebar_n - (E * E - M * M)
 
-    def first_root(t: SeedTable) -> float | None:
-        """Brent-refined first sign change of the guarded scan of t, or None.
-        Brent re-evaluates the bracket ends with g itself, and raises
-        ValueError when they show no sign change."""
-        ys = [float(e) - (x * x - M * M) for x, e in zip(t.xs, t.ebars[:, n - t.first])]
-        xs, ys = _jump_guard(g, t.xs, ys)
-        for i in range(len(xs) - 1):
-            if ys[i] == 0.0:
-                return float(xs[i])
-            if ys[i] * ys[i + 1] < 0:
-                return float(brent(g, xs[i], xs[i + 1], E_TOL_REL * M))
-        return None
-
-    own = cache(lambda: seed_table(params, grid, (n,)))
-    try:
-        root = first_root(table or own())
-    except ValueError:
-        root = first_root(own())
-    if root is None:
-        return EnergyLevel(n=n, E=None, Ebar=None, engine=Engine.ORACLE,
-                           residual=None, flags=frozenset({FLAG_NO_ROOT}))
-    return EnergyLevel(n=n, E=root, Ebar=root * root - M * M,
-                       engine=Engine.ORACLE, residual=float(abs(g(root))))
+    t = table or seed_table(params, grid)
+    positive = [c <= n for c in t.counts]   # the sign of g at each seed
+    for i in range(len(t.xs) - 1):
+        if positive[i] == positive[i + 1]:
+            continue
+        try:
+            root = float(brent(g, t.xs[i], t.xs[i + 1], E_TOL_REL * M))
+        except ValueError:
+            continue
+        return EnergyLevel(n=n, E=root, Ebar=root * root - M * M,
+                           engine=Engine.ORACLE, residual=float(abs(g(root))))
+    return EnergyLevel(n=n, E=None, Ebar=None, engine=Engine.ORACLE,
+                       residual=None, flags=frozenset({FLAG_NO_ROOT}))
 
 
 def solve_levels(params: HylleraasParams, ns: Iterable[int],
                  grid: RadialGrid) -> dict[int, EnergyLevel]:
     """One solve_relativistic level per n in ns, all bracketed from one shared
-    seed scan of levels min(ns)..max(ns)."""
-    ns = list(ns)
-    table = seed_table(params, grid, ns)
+    seed table."""
+    table = seed_table(params, grid)
     return {n: solve_relativistic(params, n, grid, table=table) for n in ns}
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hykg import audit, closedform, oracle
 from hykg.audit import (
@@ -12,10 +14,20 @@ from hykg.audit import (
 )
 from hykg.closedform import EngineResult
 from hykg.config import default_config
-from hykg.errors import NotRepresentable
+from hykg.errors import DegenerateParams, NotRepresentable
 from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign
 from hykg.levels import FLAG_NO_ROOT, Engine, EnergyLevel
-from hykg.oracle import RadialGrid, SeedTable, default_grid, solve_relativistic
+from hykg.oracle import (
+    RadialGrid,
+    SeedTable,
+    default_grid,
+    eigen_tridiagonal,
+    potential_samples,
+    seed_table,
+    solve_relativistic,
+)
+
+from test_closedform import SWEEP_BOX
 
 AUDIT_GRID = None  # use the engine default
 
@@ -117,6 +129,21 @@ BATCH_CASES = {
 }
 
 
+def seed_signs(params, grid, ns):
+    """(count <= n, g_n, accuracy) at every seed of the oracle's seed table,
+    with g_n the single-index g that Brent refines and `accuracy` a bound on
+    its absolute error: stebz bisects to eps times the matrix norm."""
+    M = params.M
+    v = potential_samples(params, grid)
+    table = seed_table(params, grid)
+    for x, count in zip(table.xs, table.counts):
+        w = 2.0 * (x + M) * v
+        accuracy = 8.0 * np.finfo(float).eps * (float(np.max(np.abs(w))) + 4.0 / grid.h ** 2)
+        for n in ns:
+            ebar_n = float(eigen_tridiagonal(w, grid, n + 1, first=n)[0])
+            yield count <= n, ebar_n - (x * x - M * M), accuracy
+
+
 class TestBatchedLevels:
     @pytest.mark.parametrize("engine", list(Engine))
     @pytest.mark.parametrize("case", list(BATCH_CASES))
@@ -128,23 +155,37 @@ class TestBatchedLevels:
         for n in ns:
             assert batched[n] == engine_levels(engine, params, (n,), grid)[n]
 
+    @pytest.mark.parametrize("case", list(BATCH_CASES))
+    def test_seed_counts_give_the_sign_of_g(self, case):
+        params, grid = BATCH_CASES[case]()
+        for positive, g, _ in seed_signs(params, grid, range(4)):
+            assert positive == (g > 0)
+
+    @given(point=st.fixed_dictionaries({name: st.floats(lo, hi)
+                                        for name, (lo, hi) in SWEEP_BOX.items()}),
+           s_sign=st.sampled_from(SSign))
+    @settings(max_examples=30, deadline=None)
+    def test_seed_counts_give_the_sign_of_g_anywhere(self, point, s_sign):
+        try:
+            params = HylleraasParams(M=1.0, s_sign=s_sign, **point)
+        except DegenerateParams:
+            assume(False)
+        for positive, g, accuracy in seed_signs(params, default_grid(params, n=400), range(4)):
+            # where c = 0 and s -> 0 (s_sign negative), W reaches ~1e26 and
+            # g is known only to ~1e10 (see TestSturmCount)
+            if abs(g) > max(1e-9, accuracy):
+                assert positive == (g > 0)
+
     def test_oracle_rescans_when_shared_bracket_fails(self, monkeypatch):
         # no level of this well has its root in the first seed interval
         params, grid = BATCH_CASES["b-negative-well"]()
         shared = oracle.seed_table
 
-        def flipped(params, grid, ns):
-            # the first seed value of every level of the shared table changes
-            # sign, so it brackets a root in the first interval, where none
-            # is; a level's own (single-level) table stays intact
-            ns = list(ns)
-            table = shared(params, grid, ns)
-            if len(ns) == 1:
-                return table
-            ebars = table.ebars.copy()
-            x0 = table.xs[0]
-            ebars[0] = 2.0 * (x0 * x0 - params.M ** 2) - ebars[0]
-            return SeedTable(table.xs, ebars, table.first)
+        def flipped(params, grid):
+            # a first-seed count above every level reads as g < 0 there, so
+            # every level sees a crossing in the first interval, where none is
+            table = shared(params, grid)
+            return SeedTable(table.xs, [10 ** 6] + table.counts[1:])
 
         rejected = []
         brent = oracle.brent

@@ -258,6 +258,20 @@ class TestWavefunctionCommand:
                      "--out", str(out), "--n", n]) == 2
         assert not out.exists()
 
+    def test_far_tail_grid_overflow_is_config_error(self, tmp_path, capfd):
+        # s(r) = exp(2 (1+K) w r) overflows inside this grid, so the closed
+        # form cannot be sampled there
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(FAST_CFG.replace("negative", "positive")
+                       .replace("r_max = 40.0", "r_max = 500.0"))
+        out = tmp_path / "w"
+        assert main(["wavefunction", "--config", str(cfg), "--out", str(out),
+                     "--n", "0"]) == 2
+        err = capfd.readouterr().err
+        assert err.count("\n") == 1
+        assert "overflows" in err and "r_max = 500.0" in err
+        assert not list(out.glob("wf_*"))
+
 
 class TestAuditCommand:
     def test_far_tail_grid(self, tmp_path):

@@ -2,6 +2,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,7 +26,9 @@ from hykg.oracle import (
     oracle_eigenvector,
     potential_samples,
     schrodinger_limit,
+    solve_levels,
     solve_relativistic,
+    sturm_count,
 )
 from hykg.rootfind import estimate_order
 
@@ -185,6 +188,84 @@ class TestRelativistic:
             e_nr = schrodinger_limit(params, 0, grid)
             diffs.append(abs((level.E - params.M) - e_nr))
         assert diffs[0] > diffs[1] > diffs[2]
+
+
+class TestSturmCount:
+    def test_free_box_counts(self):
+        # the three-point box Laplacian has lambda_k = (4/h^2) sin^2(k pi / (2(N+1)))
+        grid = box_grid(L, 1000)
+        w = np.zeros(grid.n)
+        k = np.arange(1, 13)
+        exact = 4.0 / grid.h ** 2 * np.sin(k * math.pi / (2 * (grid.n + 1))) ** 2
+        vals = eigen_tridiagonal(w, grid, 12)
+        for i in range(11):
+            sigma = 0.5 * (exact[i] + exact[i + 1])
+            assert sturm_count(w, grid, sigma) == i + 1
+            assert sturm_count(w, grid, sigma) == int(np.sum(vals <= sigma))
+
+    def test_below_spectrum_is_zero_and_silent(self, capfd):
+        grid = box_grid(L, 400)
+        w = np.zeros(grid.n)
+        for sigma in (0.5 * (math.pi / L) ** 2, 0.0, -1.0, -1e12):
+            assert sturm_count(w, grid, sigma) == 0
+        assert capfd.readouterr().err == ""
+
+    def test_default_operator_agrees_with_eigenvalues(self):
+        config = default_config()
+        params, grid = config.params, config.grid()
+        M = params.M
+        for E in (-0.9, -0.5, 0.0, 0.3, 0.9):
+            w = effective_potential(params, E, grid)
+            sigma = E * E - M * M
+            count = sturm_count(w, grid, sigma)
+            vals = eigen_tridiagonal(w, grid, count + 1)
+            assert vals[count] > sigma
+            assert count == 0 or vals[count - 1] <= sigma
+
+    def test_exact_where_bisection_is_not(self):
+        # c = 0 with s -> 0: W reaches ~1e26 at the far wall, where stebz's
+        # absolute accuracy (eps times the matrix norm) is ~1e10, so a
+        # bisection solve cannot give the sign of g; the count still equals
+        # the 60-digit Sturm count of the same matrix at every seed
+        params = DEFAULT_PARAMS.replace(K=0.5, k1=0.5, omega=1.0)
+        assert params.abc.c == 0.0
+        grid = default_grid(params, n=400)
+        M, v = params.M, potential_samples(params, grid)
+        with mpmath.workdps(60):
+            off2 = mpmath.mpf(1.0 / grid.h ** 2) ** 2
+            for x in oracle.seed_table(params, grid).xs:
+                w = 2.0 * (x + M) * v
+                sigma = x * x - M * M
+                q, exact = None, 0
+                for d in (2.0 / grid.h ** 2 + w).tolist():
+                    q = mpmath.mpf(d) - mpmath.mpf(sigma) - (off2 / q if q is not None else 0)
+                    exact += q < 0
+                assert sturm_count(w, grid, sigma) == exact
+
+    def test_oracle_work_counts(self, monkeypatch):
+        # eigen_tridiagonal serves only g: Brent's evaluations plus one
+        # residual per found level; the seed table is one count per seed
+        config = default_config()
+        counts = {"eigen": 0, "sturm": 0, "fevals": 0}
+        eigen, sturm, brent = oracle.eigen_tridiagonal, oracle.sturm_count, oracle.brent
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def counted_brent(f, *args):
+            return brent(counted("fevals", f), *args)
+
+        monkeypatch.setattr(oracle, "eigen_tridiagonal", counted("eigen", eigen))
+        monkeypatch.setattr(oracle, "sturm_count", counted("sturm", sturm))
+        monkeypatch.setattr(oracle, "brent", counted_brent)
+        levels = solve_levels(config.params, range(4), config.grid())
+        found = sum(level.found for level in levels.values())
+        assert found == 4
+        assert counts["sturm"] == 65
+        assert counts["eigen"] == counts["fevals"] + found
 
 
 class TestNumerovShooter:
