@@ -10,8 +10,9 @@ ends (u(0) = 0 regularity and a far-wall cutoff).  Bound states are roots of
 g(E) = Ebar_n(E) - (E^2 - M^2); one Sturm count per seed energy gives the
 sign of g for every n at once, and so brackets every level.  A Numerov
 matching integrator provides an independent cross-check of the matrix
-eigenvalues, and a fixed-mass Schroedinger solver supports the weak-coupling
-limit trend tests.
+eigenvalues; each integration is one BLAS banded triangular solve, restarted
+only where the solution is rescaled.  A fixed-mass Schroedinger solver
+supports the weak-coupling limit trend tests.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from typing import Iterable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dstebz
 
 from .errors import NoRoot
@@ -201,9 +203,10 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
     first one it confirms.  By Sturm's theorem g > 0 at a seed x exactly
     when at most n eigenvalues are <= x^2 - M^2, so the sign of g at every
     seed is read off the counts of a `seed_table` (`table` when given, else
-    a new one), and the table serves every level.  Brent and the residual
-    evaluate g itself, a single-index Sturm bisection for eigenvalue n; a
-    bracket on which g shows no sign change is skipped for the next one.
+    a new one), and the table serves every level.  Brent evaluates g itself,
+    a single-index Sturm bisection for eigenvalue n, and the residual reuses
+    Brent's own value of g at the root; a bracket on which g shows no sign
+    change is skipped for the next one.
 
     Returns a flagged NoRoot level when no bracket holds a root.
     """
@@ -211,10 +214,13 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
     v = potential_samples(params, grid)
     check_grid(grid, params, 2.0 * (2 * M) * v)
 
+    seen: dict[float, float] = {}
+
     def g(E: float) -> float:
         w = 2.0 * (E + M) * v
         ebar_n = float(eigen_tridiagonal(w, grid, n + 1, first=n)[0])
-        return ebar_n - (E * E - M * M)
+        seen[E] = ebar_n - (E * E - M * M)
+        return seen[E]
 
     t = table or seed_table(params, grid)
     positive = [c <= n for c in t.counts]   # the sign of g at each seed
@@ -226,7 +232,7 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
         except ValueError:
             continue
         return EnergyLevel(n=n, E=root, Ebar=root * root - M * M,
-                           engine=Engine.ORACLE, residual=float(abs(g(root))))
+                           engine=Engine.ORACLE, residual=abs(seen[root]))
     return EnergyLevel(n=n, E=None, Ebar=None, engine=Engine.ORACLE,
                        residual=None, flags=frozenset({FLAG_NO_ROOT}))
 
@@ -253,22 +259,45 @@ def oracle_eigenvector(params: HylleraasParams, E: float, grid: RadialGrid,
 _RESCALE = 1e100
 
 
-def _numerov_outward(q, h, upto):
-    """Integrate y'' = q y from the left wall; returns samples 0..upto."""
+def _numerov_outward(q: np.ndarray, h: float, upto: int) -> np.ndarray:
+    """Integrate y'' = q y from the left wall; returns samples 0..upto.
+
+    With t = h^2/12, A = 2 (1 + 5 t q) and B = 1 - t q, the Numerov steps
+    B[i] y[i] - A[i-1] y[i-1] + B[i-2] y[i-2] = 0 (i >= 2) form a lower
+    triangular band system, solved by one BLAS tbsv call from the two
+    starting samples.  Rescaling: when a sample k first exceeds _RESCALE in
+    magnitude, samples 0..k are divided by |y[k]| and the solve restarts at
+    k+1 from y[k-1], y[k], so there is one solve per rescale, each over the
+    whole remaining range.
+    """
     t = h * h / 12.0
-    y = [0.0] * (upto + 1)
+    q = q[: upto + 1]
+    a = 2.0 * (1.0 + 5.0 * t * q)
+    b = 1.0 - t * q
+    y = np.empty(upto + 1)
     y[0] = h
     if upto >= 1:
         # ghost point y(-1) = 0 contributes nothing to the first step
-        y[1] = (2.0 * (1.0 + 5.0 * t * q[0]) * y[0]) / (1.0 - t * q[1])
-    for i in range(1, upto):
-        y[i + 1] = (2.0 * (1.0 + 5.0 * t * q[i]) * y[i]
-                    - (1.0 - t * q[i - 1]) * y[i - 1]) / (1.0 - t * q[i + 1])
-        if abs(y[i + 1]) > _RESCALE:
-            scale = abs(y[i + 1])
-            for j in range(i + 2):
-                y[j] /= scale
-    return y
+        y[1] = (a[0] * y[0]) / b[1]
+    if upto < 2:
+        return y
+    # band columns: diagonal B, first subdiagonal -A, second subdiagonal B
+    band = np.asfortranarray([b, -a, b])
+    start = 0
+    while True:
+        # rows start and start+1 are identity rows carrying the known samples
+        rest = band[:, start:]
+        rest[0, :2] = 1.0
+        rest[1, 0] = 0.0
+        x = np.zeros(upto + 1 - start)
+        x[:2] = y[start:start + 2]
+        y[start + 2:] = dtbsv(2, rest, x, lower=1, overwrite_x=1)[2:]
+        over = np.flatnonzero(np.abs(y[start + 2:]) > _RESCALE)
+        if over.size == 0:
+            return y
+        k = start + 2 + int(over[0])
+        y[: k + 1] /= abs(y[k])
+        start = k - 1
 
 
 def _matching_index(q: np.ndarray) -> int:
@@ -290,12 +319,12 @@ def numerov_defect(q: np.ndarray, h: float) -> tuple[float, np.ndarray]:
     """Wronskian mismatch of the outward and inward solutions at the matching
     point, plus the assembled solution."""
     m = _matching_index(q)
-    y_out = _numerov_outward(list(q), h, m + 1)
+    y_out = _numerov_outward(q, h, m + 1)
     # the inward solution, samples m-1..n-1, is the outward one of the mirrored q
-    y_in = _numerov_outward(list(q[::-1]), h, len(q) - m)[::-1]
+    y_in = _numerov_outward(q[::-1], h, len(q) - m)[::-1]
 
     # scale both to O(1) at the matching point: samples m-1, m, m+1
-    out3, in3 = y_out[m - 1:m + 2], y_in[:3]
+    out3, in3 = y_out[m - 1:m + 2].tolist(), y_in[:3].tolist()
     s_out = max(*map(abs, out3), 1e-300)
     s_in = max(*map(abs, in3), 1e-300)
     o0, o1, o2 = (y / s_out for y in out3)
@@ -304,8 +333,8 @@ def numerov_defect(q: np.ndarray, h: float) -> tuple[float, np.ndarray]:
 
     # assembled solution for node counting: join the inward tail at m
     assembled = np.empty(len(q))
-    assembled[: m + 1] = np.asarray(y_out[: m + 1]) / s_out
-    tail = np.asarray(y_in[1:])  # samples m .. n-1
+    assembled[: m + 1] = y_out[: m + 1] / s_out
+    tail = y_in[1:]  # samples m .. n-1
     if tail[0] != 0.0:
         tail = tail * (assembled[m] / tail[0])
     assembled[m:] = tail

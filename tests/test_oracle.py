@@ -5,6 +5,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg.blas import dtbsv
 
 from hykg import oracle
 from hykg.errors import NoRoot
@@ -243,8 +244,9 @@ class TestSturmCount:
                 assert sturm_count(w, grid, sigma) == exact
 
     def test_oracle_work_counts(self, monkeypatch):
-        # eigen_tridiagonal serves only g: Brent's evaluations plus one
-        # residual per found level; the seed table is one count per seed
+        # eigen_tridiagonal serves only Brent's evaluations of g (the
+        # residual reuses Brent's value at the root); the seed table is one
+        # count per seed
         config = default_config()
         counts = {"eigen": 0, "sturm": 0, "fevals": 0}
         eigen, sturm, brent = oracle.eigen_tridiagonal, oracle.sturm_count, oracle.brent
@@ -265,7 +267,7 @@ class TestSturmCount:
         found = sum(level.found for level in levels.values())
         assert found == 4
         assert counts["sturm"] == 65
-        assert counts["eigen"] == counts["fevals"] + found
+        assert counts["eigen"] == counts["fevals"]
 
 
 class TestNumerovShooter:
@@ -307,6 +309,120 @@ class TestNumerovShooter:
         level = numerov_shoot(params, 0, default_grid(params, n=400), (-0.9, -0.8))
         assert not level.found
         assert level.flags == frozenset({FLAG_NO_ROOT})
+
+
+def reference_outward(q, h, upto, rescales):
+    """The per-sample recurrence the banded solve replaced, verbatim, plus a
+    record of the samples at which it rescaled."""
+    t = h * h / 12.0
+    y = [0.0] * (upto + 1)
+    y[0] = h
+    if upto >= 1:
+        # ghost point y(-1) = 0 contributes nothing to the first step
+        y[1] = (2.0 * (1.0 + 5.0 * t * q[0]) * y[0]) / (1.0 - t * q[1])
+    for i in range(1, upto):
+        y[i + 1] = (2.0 * (1.0 + 5.0 * t * q[i]) * y[i]
+                    - (1.0 - t * q[i - 1]) * y[i - 1]) / (1.0 - t * q[i + 1])
+        if abs(y[i + 1]) > oracle._RESCALE:
+            rescales.append(i + 1)
+            scale = abs(y[i + 1])
+            for j in range(i + 2):
+                y[j] /= scale
+    return y
+
+
+# the b < 0 well of scripts/convergence_study.py (bench/workloads.well_params
+# at D_e = 1000) on r_max = 10 grids
+B_NEGATIVE_WELL = DEFAULT_PARAMS.replace(K=1.2, k1=1.0, k2=-0.5, D_e=1000.0,
+                                        s_sign=SSign.POSITIVE)
+
+
+def well_grid(n):
+    return RadialGrid(r_min=10.0 / n, r_max=10.0, n=n)
+
+
+def well_q(n, E=0.9105063368870955):
+    """q = W - Ebar of the well; E defaults to its Numerov ground state at N = 1000."""
+    M, v = B_NEGATIVE_WELL.M, potential_samples(B_NEGATIVE_WELL, well_grid(n))
+    return 2.0 * (E + M) * v - (E * E - M * M)
+
+
+class TestNumerovIntegrator:
+    def integrate(self, monkeypatch, q, h, upto):
+        """(samples, rescale positions) of oracle._numerov_outward: every
+        band solve after the first restarts at k-1 for a rescale at k."""
+        lengths = []
+
+        def recording(k, ab, x, **kwargs):
+            lengths.append(len(x))
+            return dtbsv(k, ab, x, **kwargs)
+
+        monkeypatch.setattr(oracle, "dtbsv", recording)
+        y = oracle._numerov_outward(q, h, upto)
+        return y, [upto + 2 - length for length in lengths[1:]]
+
+    def check(self, monkeypatch, q, h, upto):
+        """Agreement with the per-sample recurrence; returns the rescale count."""
+        expected = []
+        ref = np.array(reference_outward(q.tolist(), h, upto, expected))
+        y, rescales = self.integrate(monkeypatch, q, h, upto)
+        assert isinstance(y, np.ndarray) and y.shape == (upto + 1,)
+        assert rescales == expected
+        # relative to the largest sample so far: rounding differences of the
+        # two evaluation orders grow with the recurrence, not with |y[i]|,
+        # which passes through zero at every node
+        envelope = np.maximum.accumulate(np.abs(ref))
+        assert np.all(np.abs(y - ref) <= 1e-12 * envelope)
+        assert np.all(np.abs(y) <= oracle._RESCALE)
+        return len(rescales)
+
+    @pytest.mark.parametrize("upto", [0, 1, 2, 999])
+    def test_short_and_full_ranges(self, monkeypatch, upto):
+        q = well_q(1000)[::-1]
+        self.check(monkeypatch, q, well_grid(1000).h, upto)
+
+    def test_free_box_never_rescales(self, monkeypatch):
+        # the lowest box level: one half-wave, bounded everywhere; on finer
+        # grids the two orders' rounding differences grow past 1e-12
+        # (7e-12 at N = 4000), as the near-double root of the recurrence
+        # amplifies them, so this compares at N = 400
+        grid = box_grid(L, 400)
+        q = np.full(grid.n, -(math.pi / L) ** 2)
+        assert self.check(monkeypatch, q, grid.h, grid.n - 1) == 0
+
+    @pytest.mark.parametrize("n", [1000, 16000])
+    def test_well_both_directions(self, monkeypatch, n):
+        # the two ranges numerov_defect integrates: outward to the matching
+        # point and inward (the mirrored q) from the far wall back to it
+        q, h = well_q(n), well_grid(n).h
+        m = oracle._matching_index(q)
+        outward = self.check(monkeypatch, q, h, m + 1)
+        inward = self.check(monkeypatch, q[::-1], h, n - m)
+        assert outward + inward >= 1
+
+    def test_steep_q_rescales_repeatedly(self, monkeypatch):
+        # growth e^(h sqrt(q)) = e per step passes 1e100 every ~230 samples
+        q = np.full(1000, 1e4)
+        assert self.check(monkeypatch, q, 0.01, 999) >= 3
+
+
+class TestNumerovRegression:
+    # numerov_shoot's E0 on the b < 0 well, recorded from the per-sample
+    # recurrence before it became a banded solve; Brent's tolerance is
+    # 1e-10 M, so the new rounding may move a root by far less than that
+    RECORDED = {1000: 0.9105063368870955, 2000: 0.9105068762515323,
+                4000: 0.9105069099548586}
+
+    @pytest.mark.parametrize("n", sorted(RECORDED))
+    def test_ground_state_pinned(self, n):
+        grid = well_grid(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridHeuristicWarning)
+            E = solve_relativistic(B_NEGATIVE_WELL, 0, grid).E
+            shot = numerov_shoot(B_NEGATIVE_WELL, 0, grid, (E - 0.05, E + 0.05))
+        assert shot.found
+        assert shot.flags == frozenset()
+        assert abs(shot.E - self.RECORDED[n]) <= 1e-11 * B_NEGATIVE_WELL.M
 
 
 class TestPotential:

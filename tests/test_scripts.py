@@ -1,0 +1,25 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_convergence_study_orders():
+    # the only script that drives Numerov: the b < 0 well shows the stencil
+    # orders, the plateau well its wall-dominated drift
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "convergence_study.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    sections = proc.stdout.split("\n== ")[1:]
+    assert [s.splitlines()[0] for s in sections] == [
+        "localized interior well (b < 0)", "default plateau well (wall-dominated)"]
+    orders = [dict(re.findall(r"^(\w+) +self-convergence order: (\S+)", s, re.M))
+              for s in sections]
+    well, plateau = orders
+    assert float(well["matrix"]) == pytest.approx(2.0, abs=0.1)
+    assert float(well["numerov"]) == pytest.approx(4.0, abs=0.15)
+    assert set(plateau) == {"matrix", "numerov"}
