@@ -5,6 +5,7 @@ Writes indexed subdirectories under ./out/omega_sweep and prints how the
 ground-state energies of the mechanical and oracle engines move with omega.
 """
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -49,7 +50,10 @@ def run():
     with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
         fh.write(SWEEP_CFG)
         cfg = fh.name
-    rc = main(["audit", "--config", cfg, "--out", str(OUT)])
+    try:
+        rc = main(["audit", "--config", cfg, "--out", str(OUT)])
+    finally:
+        os.unlink(cfg)
     if rc != 0:
         raise SystemExit(rc)
     index = json.loads((OUT / "index.json").read_text())

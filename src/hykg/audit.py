@@ -31,7 +31,6 @@ import numpy as np
 
 from . import __version__, closedform
 from .closedform import (
-    EngineResult,
     _mech_branch,
     energy_eq45_result,
     energy_implicit_result,
@@ -54,6 +53,7 @@ from .levels import (
     FLAG_REFERENCE_FALLBACK,
     Engine,
     EnergyLevel,
+    EngineResult,
 )
 from .nu import BranchGap, lambda_n, solve_k
 from .oracle import (
@@ -68,28 +68,20 @@ from .oracle import (
 from .wavefunction import _is_confluent, build_radial
 
 
-def _closed_form(results: dict[int, EngineResult]) -> dict[int, list[EnergyLevel]]:
-    return {n: result.levels for n, result in results.items()}
-
-
-def _oracle(levels: dict[int, EnergyLevel]) -> dict[int, list[EnergyLevel]]:
-    return {n: [level] for n, level in levels.items()}
-
-
-# The one engine x level dispatch: Engine -> (params, ns, grid) -> {n: levels}.
-# Each entry solves every n in ns in one call, so the work that does not
-# depend on n is done once.  Closed-form entries return every root
-# found; the oracle entry returns one level per n, which may be a NoRoot
-# record.  Each entry looks its solver up by module-global name at call time,
+# The one engine x level dispatch: Engine -> (params, ns, grid) -> {n: result}.
+# Every entry returns one levels.EngineResult per n in ns: the levels found,
+# ascending in E, or none and NoRoot among the region flags.  Each entry
+# solves every n in one call, so the work that does not depend on n is done
+# once.  Each entry looks its solver up by module-global name at call time,
 # so wrappers patched onto this module's attributes (bench/tracer.py, test
 # monkeypatching) see every call.  Iterating over Engine gives the column
 # order eq45, implicit, mechanical, oracle.
 ENGINES: dict[Engine, Callable[[HylleraasParams, Iterable[int], RadialGrid],
-                               dict[int, list[EnergyLevel]]]] = {
-    Engine.EQ45_VERBATIM: lambda p, ns, grid: _closed_form(energy_eq45_result(p, ns)),
-    Engine.IMPLICIT_LAMBDA: lambda p, ns, grid: _closed_form(energy_implicit_result(p, ns)),
-    Engine.MECHANICAL_NU: lambda p, ns, grid: _closed_form(energy_mechanical_result(p, ns)),
-    Engine.ORACLE: lambda p, ns, grid: _oracle(solve_levels(p, ns, grid)),
+                               dict[int, EngineResult]]] = {
+    Engine.EQ45_VERBATIM: lambda p, ns, grid: energy_eq45_result(p, ns),
+    Engine.IMPLICIT_LAMBDA: lambda p, ns, grid: energy_implicit_result(p, ns),
+    Engine.MECHANICAL_NU: lambda p, ns, grid: energy_mechanical_result(p, ns),
+    Engine.ORACLE: lambda p, ns, grid: solve_levels(p, ns, grid),
 }
 
 # short column names (E_eq45, diff_eq45_oracle, ...) are the config aliases
@@ -97,8 +89,8 @@ _SHORT = {engine: alias for alias, engine in ENGINE_ALIASES.items()}
 
 
 def engine_levels(engine: Engine, params: HylleraasParams, ns: Iterable[int],
-                  grid: RadialGrid) -> dict[int, list[EnergyLevel]]:
-    """The levels one engine reports at each radial quantum number in ns."""
+                  grid: RadialGrid) -> dict[int, EngineResult]:
+    """What one engine reports at each radial quantum number in ns."""
     return ENGINES[engine](params, ns, grid)
 
 
@@ -177,16 +169,14 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def _pick(levels: list[EnergyLevel]) -> tuple[float | None, frozenset[str]]:
-    """Lowest root represents the engine in the row; extra roots are flagged."""
-    if not levels:
+def _pick(result: EngineResult) -> tuple[float | None, frozenset[str]]:
+    """Lowest root represents the engine in the row; extra roots are flagged.
+    A miss is NoRoot alone: region flags stay out of the row."""
+    if not result.levels:
         return None, frozenset({FLAG_NO_ROOT})
-    found = [l for l in levels if l.found]
-    if not found:
-        return None, levels[0].flags | {FLAG_NO_ROOT}
-    first = min(found, key=lambda l: l.E)
+    first = result.levels[0]
     flags = set(first.flags)
-    if len(found) > 1:
+    if len(result.levels) > 1:
         flags.add(FLAG_MULTIPLE_ROOTS)
     return first.E, frozenset(flags)
 

@@ -12,8 +12,8 @@ import dataclasses
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 import traceback
 from pathlib import Path
 
@@ -40,8 +40,14 @@ def _fmt(x) -> str:
 
 
 def atomic_write(path: Path, text: str) -> None:
+    """Write `text` to a fresh sibling temp file, then rename it onto `path`.
+
+    The temp file is created with mode 0o666 less the umask, as a plain
+    open() would, since the rename keeps its mode.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+    tmp = path.parent / f"{path.name}.tmp{secrets.token_hex(8)}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -58,8 +64,8 @@ def compute_levels(config: RunConfig) -> list[EnergyLevel]:
     ns = range(config.n_max + 1)
     levels: list[EnergyLevel] = []
     for engine in config.engines:
-        for found in engine_levels(engine, config.params, ns, grid).values():
-            levels.extend(lvl for lvl in found if lvl.found)
+        for result in engine_levels(engine, config.params, ns, grid).values():
+            levels.extend(result.levels)
     return levels
 
 
@@ -95,7 +101,7 @@ def _closed_form_level(config: RunConfig, n: int,
     for engine in (Engine.MECHANICAL_NU, Engine.IMPLICIT_LAMBDA,
                    Engine.EQ45_VERBATIM):
         if engine in config.engines:
-            found = engine_levels(engine, config.params, (n,), grid)[n]
+            found = engine_levels(engine, config.params, (n,), grid)[n].levels
             if found:
                 return found[0]
     return None
@@ -114,11 +120,12 @@ def cmd_wavefunction(config: RunConfig, n: int, out_dir: Path) -> None:
 
     oracle_col = [""] * grid.n
     overlap = None
-    oracle_level = None
+    e_oracle = None
     if Engine.ORACLE in config.engines:
-        oracle_level = engine_levels(Engine.ORACLE, config.params, (n,), grid)[n][0]
-        if oracle_level.found:
-            vec = oracle_eigenvector(config.params, oracle_level.E, grid, n)
+        found = engine_levels(Engine.ORACLE, config.params, (n,), grid)[n].levels
+        if found:
+            e_oracle = found[0].E
+            vec = oracle_eigenvector(config.params, e_oracle, grid, n)
             oracle_col = [_fmt(float(v)) for v in vec]
             denom = (math.sqrt(float(np.sum(radial.values ** 2)))
                      * math.sqrt(float(np.sum(vec ** 2))))
@@ -135,7 +142,7 @@ def cmd_wavefunction(config: RunConfig, n: int, out_dir: Path) -> None:
         "n": n,
         "closed_form_engine": level.engine.value,
         "E_closed": level.E,
-        "E_oracle": oracle_level.E if oracle_level is not None and oracle_level.found else None,
+        "E_oracle": e_oracle,
         "flags": sorted(radial.flags),
         "norm_constant": radial.norm_constant,
         "node_count": radial.node_count,

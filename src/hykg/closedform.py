@@ -44,6 +44,7 @@ from .levels import (
     FLAG_TAU_PRIME_NONNEG,
     Engine,
     EnergyLevel,
+    EngineResult,
 )
 from .nu import (
     BranchGap,
@@ -256,14 +257,6 @@ def _eq45_seed_rhs(params: HylleraasParams, forms, n: int) -> tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 # Root scanning shared by the three engines
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EngineResult:
-    """Levels found by one engine plus region-level diagnostics."""
-
-    levels: list[EnergyLevel]
-    region_flags: frozenset[str]
 
 
 def _window(params: HylleraasParams) -> tuple[float, float]:

@@ -49,6 +49,19 @@ class EnergyLevel:
         return self.E is not None
 
 
+@dataclass(frozen=True)
+class EngineResult:
+    """What one engine reports at one n: every level it found, ascending in
+    E, plus region-level diagnostics.
+
+    ``levels`` holds found levels only; an empty ``levels`` carries
+    FLAG_NO_ROOT in ``region_flags``, the one way a missing level is reported.
+    """
+
+    levels: list[EnergyLevel]
+    region_flags: frozenset[str]
+
+
 def flags_str(flags: frozenset[str]) -> str:
     """Deterministic single-token rendering used in CSV output."""
     return ";".join(sorted(flags))

@@ -34,8 +34,9 @@ from .levels import (
     FLAG_NODE_MISMATCH,
     Engine,
     EnergyLevel,
+    EngineResult,
 )
-from .rootfind import brent, estimate_order, seed_grid
+from .rootfind import brent, seed_grid
 
 # Brent tolerance on E for the relativistic roots (solve_relativistic and
 # numerov_shoot), in units of M.
@@ -238,11 +239,17 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
 
 
 def solve_levels(params: HylleraasParams, ns: Iterable[int],
-                 grid: RadialGrid) -> dict[int, EnergyLevel]:
-    """One solve_relativistic level per n in ns, all bracketed from one shared
-    seed table."""
+                 grid: RadialGrid) -> dict[int, EngineResult]:
+    """The solve_relativistic level of each n in ns as an EngineResult, all
+    bracketed from one shared seed table; a NoRoot record becomes an empty
+    result flagged NoRoot."""
     table = seed_table(params, grid)
-    return {n: solve_relativistic(params, n, grid, table=table) for n in ns}
+    results = {}
+    for n in ns:
+        level = solve_relativistic(params, n, grid, table=table)
+        results[n] = (EngineResult([level], frozenset()) if level.found else
+                      EngineResult([], frozenset({FLAG_NO_ROOT})))
+    return results
 
 
 def oracle_eigenvector(params: HylleraasParams, E: float, grid: RadialGrid,
@@ -402,37 +409,10 @@ def numerov_shoot(params: HylleraasParams, n: int, grid: RadialGrid,
 
 
 def schrodinger_limit(params: HylleraasParams, n: int, grid: RadialGrid) -> float:
-    """(n+1)-th smallest eigenvalue of -(1/2) d^2/dr^2 + 2 V, unit-mass convention."""
-    v = potential_samples(params, grid)
-    h2 = grid.h * grid.h
-    diag = 1.0 / h2 + 2.0 * v
-    off = np.full(grid.n - 1, -0.5 / h2)
-    vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(n, n),
-                                lapack_driver="stebz")
-    return float(vals[0])
+    """(n+1)-th smallest eigenvalue of -(1/2) d^2/dr^2 + 2 V, unit-mass convention.
 
-
-def convergence_order(params: HylleraasParams, n: int, grids: list[RadialGrid],
-                      method: str = "matrix") -> tuple[float, bool]:
-    """Self-convergence slope of the relativistic solve across halving grids.
-
-    Grids must halve h between consecutive entries.  Returns (slope,
-    low_signal); expected slopes are ~2 for the matrix method and ~4 for
-    Numerov.
+    -(1/2) u'' + 2 V u = lam u is -u'' + 4 V u = 2 lam u, the operator of
+    eigen_tridiagonal with W = 4 V.
     """
-    if len(grids) < 3:
-        raise ValueError("need >= 3 grids")
-    energies = []
-    for grid in grids:
-        level = solve_relativistic(params, n, grid)
-        if not level.found:
-            raise NoRoot(f"no level n={n} on grid n={grid.n}")
-        E = level.E
-        if method == "numerov":
-            span = 0.05 * params.M
-            level = numerov_shoot(params, n, grid, (E - span, E + span))
-            if not level.found:
-                raise NoRoot("numerov lost the bracket")
-            E = level.E
-        energies.append(E)
-    return estimate_order([g.h for g in grids], energies)
+    return 0.5 * float(eigen_tridiagonal(4.0 * potential_samples(params, grid), grid,
+                                         n + 1, first=n)[0])

@@ -12,11 +12,10 @@ from hykg.audit import (
     ode_residual,
     run_audit,
 )
-from hykg.closedform import EngineResult
 from hykg.config import default_config
 from hykg.errors import DegenerateParams, NotRepresentable
 from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign
-from hykg.levels import FLAG_NO_ROOT, Engine, EnergyLevel
+from hykg.levels import FLAG_NO_ROOT, Engine, EnergyLevel, EngineResult
 from hykg.oracle import (
     RadialGrid,
     SeedTable,
@@ -44,8 +43,9 @@ def small_audit():
 def synthetic_engine(eng, E_values):
     """An ENGINES entry reporting one level E_values[n] at each n."""
     def levels(params, ns, grid):
-        return {n: [EnergyLevel(n=n, E=E_values[n], Ebar=E_values[n] ** 2 - 1.0,
-                                engine=eng, residual=0.0)] for n in ns}
+        return {n: EngineResult([EnergyLevel(n=n, E=E_values[n], Ebar=E_values[n] ** 2 - 1.0,
+                                             engine=eng, residual=0.0)], frozenset())
+                for n in ns}
     return levels
 
 
@@ -53,12 +53,30 @@ class TestEngineTable:
     def test_one_entry_per_engine(self):
         assert set(audit.ENGINES) == set(Engine)
 
-    def test_oracle_entry_keeps_no_root_level(self):
+    # the contract of levels.EngineResult, for every entry of the table
+    @pytest.mark.parametrize("engine", list(Engine))
+    def test_entry_reports_a_miss_as_no_root(self, engine):
         params = DEFAULT_PARAMS.replace(D_e=0.0)
-        levels = engine_levels(Engine.ORACLE, params, (0,), default_grid(params, n=400))[0]
-        assert len(levels) == 1
-        assert not levels[0].found
-        assert FLAG_NO_ROOT in levels[0].flags
+        results = engine_levels(engine, params, (0, 1), default_grid(params, n=400))
+        assert list(results) == [0, 1]
+        for result in results.values():
+            assert isinstance(result, EngineResult)
+            assert result.levels == []
+            assert FLAG_NO_ROOT in result.region_flags
+
+    @pytest.mark.parametrize("engine", list(Engine))
+    def test_entry_reports_found_levels_ascending(self, engine):
+        config = default_config()
+        ns = range(config.n_max + 1)
+        results = engine_levels(engine, config.params, ns, config.grid())
+        assert list(results) == list(ns)
+        for n, result in results.items():
+            assert isinstance(result, EngineResult)
+            assert all(level.found and level.engine is engine and level.n == n
+                       for level in result.levels)
+            energies = [level.E for level in result.levels]
+            assert energies == sorted(energies)
+            assert result.levels or FLAG_NO_ROOT in result.region_flags
 
     # bench/tracer.py wraps the solvers by patching module attributes, so the
     # table must look each one up by module-global name at call time
@@ -78,7 +96,7 @@ class TestEngineTable:
         monkeypatch.setattr(audit, solver, stub)
         levels = engine_levels(engine, DEFAULT_PARAMS, (0, 1),
                                default_grid(DEFAULT_PARAMS, n=400))
-        assert levels == {0: [level], 1: [level]}
+        assert levels == {n: EngineResult([level], frozenset()) for n in (0, 1)}
         assert calls == [(DEFAULT_PARAMS, [0, 1])]
 
     def test_oracle_entry_calls_patched_solver(self, monkeypatch):
@@ -92,7 +110,8 @@ class TestEngineTable:
         levels = engine_levels(Engine.ORACLE, DEFAULT_PARAMS, (0, 1),
                                default_grid(DEFAULT_PARAMS, n=400))
         assert calls == [0, 1]
-        assert levels == {n: [stub(DEFAULT_PARAMS, n, None)] for n in (0, 1)}
+        assert levels == {n: EngineResult([stub(DEFAULT_PARAMS, n, None)], frozenset())
+                          for n in (0, 1)}
 
     def test_patched_n_brackets_reaches_scan_and_report(self, monkeypatch):
         seen = []
@@ -203,8 +222,10 @@ class TestBatchedLevels:
         assert len(rejected) == 4
         monkeypatch.undo()
         for n in range(4):
-            assert levels[n] == [solve_relativistic(params, n, grid)]
-        assert levels[0][0].found
+            level = solve_relativistic(params, n, grid)
+            assert levels[n] == (EngineResult([level], frozenset()) if level.found else
+                                 EngineResult([], frozenset({FLAG_NO_ROOT})))
+        assert levels[0].levels
 
 
 class TestRunAudit:

@@ -2,6 +2,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from hykg.config import (
     parse_config,
 )
 from hykg.errors import ConfigError, MissingLevel
-from hykg.levels import FLAG_NO_ROOT, Engine, EnergyLevel
+from hykg.levels import FLAG_NO_ROOT, Engine, EnergyLevel, EngineResult
 
 FAST_CFG = """
 [params]
@@ -48,15 +50,16 @@ def fast_cfg_path(tmp_path):
 
 
 def stub_engine(eng, energies, calls=None):
-    """An ENGINES entry reporting found levels at `energies`; a None energy
-    becomes a NoRoot record, the way the oracle entry reports a miss."""
+    """An ENGINES entry reporting found levels at `energies`, ascending; no
+    energies is a miss, reported as every entry reports one."""
     def levels(params, ns, grid):
         if calls is not None:
             calls.append(eng)
-        return {n: [EnergyLevel(n=n, E=None, Ebar=None, engine=eng, residual=None,
-                                flags=frozenset({FLAG_NO_ROOT})) if e is None else
-                    EnergyLevel(n=n, E=e, Ebar=e * e - 1.0, engine=eng, residual=0.0)
-                    for e in energies] for n in ns}
+        return {n: EngineResult(
+                    [EnergyLevel(n=n, E=e, Ebar=e * e - 1.0, engine=eng, residual=0.0)
+                     for e in sorted(energies)],
+                    frozenset() if energies else frozenset({FLAG_NO_ROOT}))
+                for n in ns}
     return levels
 
 
@@ -118,6 +121,19 @@ class TestSpectrumCommand:
         assert csv1.startswith(b"n,engine,E,Ebar,residual,flags\n")
         assert (out1 / "spectrum.json").read_bytes() == (out2 / "spectrum.json").read_bytes()
 
+    def test_output_mode_follows_umask(self, fast_cfg_path, tmp_path):
+        # the staged temp file is renamed onto the output, so its mode is
+        # the output's: 0o666 less the umask, as a plain open() gives
+        out = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            assert main(["spectrum", "--config", str(fast_cfg_path), "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert sorted(p.name for p in out.iterdir()) == ["spectrum.csv", "spectrum.json"]
+        for path in out.iterdir():
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
     def test_free_case_header_only(self, tmp_path):
         cfg = tmp_path / "free.cfg"
         cfg.write_text(FAST_CFG.replace("D_e = 1.0", "D_e = 0.0"))
@@ -145,12 +161,12 @@ class TestSpectrumCommand:
         monkeypatch.setitem(audit.ENGINES, Engine.MECHANICAL_NU,
                             stub_engine(Engine.MECHANICAL_NU, [-0.75]))
         monkeypatch.setitem(audit.ENGINES, Engine.ORACLE,
-                            stub_engine(Engine.ORACLE, [None]))
+                            stub_engine(Engine.ORACLE, []))
         cfg = dataclasses.replace(
             default_config(), n_max=1,
             engines=(Engine.ORACLE, Engine.MECHANICAL_NU, Engine.EQ45_VERBATIM))
         keys = [tuple(r.split(",")[:3]) for r in spectrum_rows(cfg)]
-        # the oracle's NoRoot records are dropped; rows sort by (n, engine, E)
+        # the oracle's misses give no row; rows sort by (n, engine, E)
         assert keys == [(str(n), eng, e) for n in ("0", "1") for eng, e in (
             ("Eq45Verbatim", "-0.5"), ("Eq45Verbatim", "0.25"),
             ("MechanicalNU", "-0.75"))]
@@ -210,7 +226,8 @@ class TestWavefunctionCommand:
             load_config(fast_cfg_path),
             engines=(Engine.EQ45_VERBATIM, Engine.IMPLICIT_LAMBDA,
                      Engine.MECHANICAL_NU))
-        real = audit.engine_levels(Engine.MECHANICAL_NU, cfg.params, (0,), cfg.grid())[0][0]
+        real = audit.engine_levels(Engine.MECHANICAL_NU, cfg.params, (0,),
+                                   cfg.grid())[0].levels[0]
         calls = []
         monkeypatch.setitem(audit.ENGINES, Engine.MECHANICAL_NU,
                             stub_engine(Engine.MECHANICAL_NU, [], calls))

@@ -263,9 +263,8 @@ class TestSturmCount:
         monkeypatch.setattr(oracle, "eigen_tridiagonal", counted("eigen", eigen))
         monkeypatch.setattr(oracle, "sturm_count", counted("sturm", sturm))
         monkeypatch.setattr(oracle, "brent", counted_brent)
-        levels = solve_levels(config.params, range(4), config.grid())
-        found = sum(level.found for level in levels.values())
-        assert found == 4
+        results = solve_levels(config.params, range(4), config.grid())
+        assert [len(result.levels) for result in results.values()] == [1, 1, 1, 1]
         assert counts["sturm"] == 65
         assert counts["eigen"] == counts["fevals"]
 
@@ -435,41 +434,6 @@ class TestPotential:
             v = potential_samples(params, grid)
         assert np.all(np.isfinite(v))
         assert v[-1] == params.D_e
-
-
-class TestConvergenceOrder:
-    # A shape with b < 0 digs a genuine interior well (depth ~ -11.7 D_e/85)
-    # whose ground state is exponentially localized, unlike the default
-    # plateau well where the far wall dominates the error.
-    WELL = DEFAULT_PARAMS.replace(K=1.2, k1=1.0, k2=-0.5, D_e=1000.0)
-
-    def test_orders_on_localized_state(self):
-        import warnings
-
-        from hykg.hylleraas import SSign
-        from hykg.oracle import GridHeuristicWarning, convergence_order
-
-        params = self.WELL.replace(s_sign=SSign.POSITIVE)
-        grids = [RadialGrid(r_min=10.0 / n, r_max=10.0, n=n)
-                 for n in (500, 1000, 2000, 4000)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridHeuristicWarning)
-            slope_m, low_m = convergence_order(params, 0, grids, method="matrix")
-            slope_n, low_n = convergence_order(params, 0, grids[1:], method="numerov")
-        assert not low_m
-        assert slope_m == pytest.approx(2.0, abs=0.1)
-        assert not low_n
-        assert slope_n == pytest.approx(4.0, abs=0.5)
-
-    def test_wall_dominated_default_is_first_order(self):
-        # documented finding: the default plateau well has no localized state
-        # below its shifted continuum edge, so the moving far wall gives ~h
-        from hykg.oracle import convergence_order
-
-        grids = [default_grid(DEFAULT_PARAMS, n=n) for n in (500, 1000, 2000)]
-        slope, low = convergence_order(DEFAULT_PARAMS, 0, grids, method="matrix")
-        assert not low
-        assert slope == pytest.approx(1.0, abs=0.2)
 
 
 class TestSchrodinger:

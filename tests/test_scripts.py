@@ -1,6 +1,8 @@
+import importlib.util
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -23,3 +25,25 @@ def test_convergence_study_orders():
     assert float(well["matrix"]) == pytest.approx(2.0, abs=0.1)
     assert float(well["numerov"]) == pytest.approx(4.0, abs=0.15)
     assert set(plateau) == {"matrix", "numerov"}
+    # the moving far wall makes the plateau well's drift first order
+    assert float(plateau["matrix"]) == pytest.approx(1.0, abs=0.2)
+    assert "low signal" not in proc.stdout
+
+
+def test_sweep_screening_removes_its_config(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "sweep_screening", ROOT / "scripts" / "sweep_screening.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    seen = []
+
+    def failing_main(argv):
+        seen.append(Path(argv[argv.index("--config") + 1]).read_text())
+        return 2
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(script, "main", failing_main)
+    with pytest.raises(SystemExit):
+        script.run()
+    assert seen == [script.SWEEP_CFG]
+    assert list(tmp_path.iterdir()) == []
