@@ -12,7 +12,6 @@ import dataclasses
 import json
 import math
 import os
-import secrets
 import sys
 import traceback
 from pathlib import Path
@@ -46,7 +45,7 @@ def atomic_write(path: Path, text: str) -> None:
     open() would, since the rename keeps its mode.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f"{path.name}.tmp{secrets.token_hex(8)}"
+    tmp = path.parent / f"{path.name}.tmp{os.urandom(8).hex()}"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:

@@ -154,6 +154,9 @@ def parse_config(text: str) -> RunConfig:
             engines = tuple(ENGINE_ALIASES[nm] for nm in names)
         except KeyError as exc:
             raise ConfigError(f"[run] unknown engine {exc.args[0]!r}") from exc
+        dup = sorted({nm for nm in names if names.count(nm) > 1})
+        if dup:
+            raise ConfigError(f"[run] engine listed twice: {dup}")
 
     n_max = base.n_max
     raw = get("run", "n_max")
@@ -166,6 +169,8 @@ def parse_config(text: str) -> RunConfig:
     raw = get("run", "formats")
     if raw is not None:
         fmts = tuple(t.strip().lower() for t in raw.split(",") if t.strip())
+        if not fmts:
+            raise ConfigError("[run] formats must name at least one format")
         bad = [f for f in fmts if f not in ("csv", "json")]
         if bad:
             raise ConfigError(f"[run] unknown formats: {bad}")

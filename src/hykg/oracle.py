@@ -23,9 +23,6 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dstebz
 
 from .errors import NoRoot
 from .hylleraas import HylleraasParams
@@ -37,6 +34,31 @@ from .levels import (
     EngineResult,
 )
 from .rootfind import brent, seed_grid
+
+
+# Importing scipy.linalg costs more start-up than the whole closed-form path,
+# so its four routines are imported when called: a process that never solves
+# the oracle never loads scipy.  They stay module-level names, so tests can
+# substitute them.
+def eigvalsh_tridiagonal(*args, **kwargs):
+    from scipy.linalg import eigvalsh_tridiagonal
+    return eigvalsh_tridiagonal(*args, **kwargs)
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    from scipy.linalg import eigh_tridiagonal
+    return eigh_tridiagonal(*args, **kwargs)
+
+
+def dstebz(*args, **kwargs):
+    from scipy.linalg.lapack import dstebz
+    return dstebz(*args, **kwargs)
+
+
+def dtbsv(*args, **kwargs):
+    from scipy.linalg.blas import dtbsv
+    return dtbsv(*args, **kwargs)
+
 
 # Brent tolerance on E for the relativistic roots (solve_relativistic and
 # numerov_shoot), in units of M.

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +90,19 @@ class TestConfig:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[run]\nengines = warp\n")
+
+    def test_engine_listed_twice_rejected(self):
+        with pytest.raises(ConfigError, match="engine listed twice"):
+            parse_config("[run]\nengines = mechanical, Mechanical\n")
+
+    def test_empty_formats_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="at least one format"):
+            parse_config("[run]\nformats = ,\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(FAST_CFG.replace("formats = csv, json", "formats = ,"))
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_bad_number_rejected(self):
         with pytest.raises(ConfigError):
@@ -326,6 +341,51 @@ scale = log
         assert len(index["points"]) == 3
         for point in index["points"]:
             assert (out / point["dir"] / "audit.json").is_file()
+
+
+# Runs in a fresh interpreter: the test process has long since loaded scipy.
+_STARTUP_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+cfg, out = sys.argv[2], sys.argv[3]
+loaded = []
+import hykg
+loaded.append("scipy" in sys.modules)
+import hykg.cli
+from hykg.config import load_config
+loaded.append("scipy" in sys.modules)
+load_config(cfg)
+loaded.append("scipy" in sys.modules)
+assert hykg.cli.main(["spectrum", "--config", cfg, "--out", out + "/cf"]) == 0
+assert hykg.cli.main(["wavefunction", "--n", "0", "--config", cfg, "--out", out + "/cf"]) == 0
+loaded.append("scipy" in sys.modules)
+assert hykg.cli.main(["oracle", "--config", cfg, "--out", out + "/oracle"]) == 0
+loaded.append("scipy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+class TestStartup:
+    def test_closed_form_runs_never_load_scipy(self, tmp_path):
+        cfg = tmp_path / "closed.cfg"
+        cfg.write_text(FAST_CFG.replace("engines = mechanical, oracle", "engines = mechanical"))
+        src = Path(__import__("hykg").__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_SCRIPT, str(src), str(cfg), str(tmp_path / "fresh")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        # after import hykg, import hykg.cli, load_config, spectrum and
+        # wavefunction: no scipy; the oracle command loads it
+        assert json.loads(proc.stdout) == [False, False, False, False, True]
+        assert sorted(p.name for p in (tmp_path / "fresh" / "cf").iterdir()) == [
+            "spectrum.csv", "spectrum.json", "wf_n0.csv", "wf_n0.flags.json"]
+
+        here = tmp_path / "here"
+        assert main(["oracle", "--config", str(cfg), "--out", str(here)]) == 0
+        fresh = tmp_path / "fresh" / "oracle"
+        assert sorted(p.name for p in fresh.iterdir()) == ["spectrum.csv", "spectrum.json"]
+        for name in ("spectrum.csv", "spectrum.json"):
+            assert (fresh / name).read_bytes() == (here / name).read_bytes()
 
 
 class TestSelftest:
