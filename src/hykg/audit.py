@@ -37,23 +37,21 @@ from .closedform import (
     energy_mechanical_result,
     intermediates,
 )
-from .config import ENGINE_ALIASES, N_MAX
+from .config import ENGINE_ALIASES, N_MAX, params_dict
 from .errors import DegenerateSigma, HykgError, ImperfectSquare, NoRealK
-from .hylleraas import (
-    HylleraasParams,
-    SSign,
-    appendix_constants,
-    gamma2_printed,
-)
+from .hylleraas import HylleraasParams, appendix_constants, gamma2_printed
 from .levels import (
+    FLAG_IDENTITY_NOT_COMPUTABLE,
     FLAG_MULTIPLE_ROOTS,
     FLAG_NEGATIVE_UNDER_SQRT,
     FLAG_NO_ROOT,
     FLAG_ORDERING_VIOLATION,
     FLAG_REFERENCE_FALLBACK,
+    PREFERENCE,
     Engine,
     EnergyLevel,
     EngineResult,
+    fmt_cell,
 )
 from .nu import BranchGap, lambda_n, solve_k
 from .oracle import (
@@ -68,7 +66,8 @@ from .oracle import (
 from .wavefunction import _is_confluent, build_radial
 
 
-# The one engine x level dispatch: Engine -> (params, ns, grid) -> {n: result}.
+# The one engine x level dispatch: Engine -> (params, ns, grid) -> {n: result};
+# callers index it directly.
 # Every entry returns one levels.EngineResult per n in ns: the levels found,
 # ascending in E, or none and NoRoot among the region flags.  Each entry
 # solves every n in one call, so the work that does not depend on n is done
@@ -86,12 +85,6 @@ ENGINES: dict[Engine, Callable[[HylleraasParams, Iterable[int], RadialGrid],
 
 # short column names (E_eq45, diff_eq45_oracle, ...) are the config aliases
 _SHORT = {engine: alias for alias, engine in ENGINE_ALIASES.items()}
-
-
-def engine_levels(engine: Engine, params: HylleraasParams, ns: Iterable[int],
-                  grid: RadialGrid) -> dict[int, EngineResult]:
-    """What one engine reports at each radial quantum number in ns."""
-    return ENGINES[engine](params, ns, grid)
 
 
 @dataclass(frozen=True)
@@ -149,23 +142,8 @@ class AuditReport:
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            d = row.to_dict()
-            cells = []
-            for col in CSV_COLUMNS:
-                v = d[col]
-                if col == "flags":
-                    cells.append(";".join(v))
-                elif v is None:
-                    cells.append("")
-                elif isinstance(v, bool):
-                    cells.append("true" if v else "false")
-                elif isinstance(v, float):
-                    cells.append(repr(float(v)))
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-
+        lines += [",".join(fmt_cell(getattr(row, col)) for col in CSV_COLUMNS)
+                  for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -274,7 +252,7 @@ def run_audit(params: HylleraasParams, n_max: int,
         grid = default_grid(params)
 
     ns = range(n_max + 1)
-    levels = {eng: engine_levels(eng, params, ns, grid) for eng in Engine}
+    levels = {eng: ENGINES[eng](params, ns, grid) for eng in Engine}
     rows: list[AuditRow] = []
     prev_e: dict[Engine, float] = {}
     for n in ns:
@@ -290,12 +268,8 @@ def run_audit(params: HylleraasParams, n_max: int,
 
         es = {eng: e for eng, (e, _) in per_engine.items()}
         # reference energy for the identity columns
-        for ref_engine in (Engine.MECHANICAL_NU, Engine.ORACLE,
-                           Engine.IMPLICIT_LAMBDA, Engine.EQ45_VERBATIM):
-            if es[ref_engine] is not None:
-                ref_e = es[ref_engine]
-                break
-        else:
+        ref_e = next((es[eng] for eng in PREFERENCE if es[eng] is not None), None)
+        if ref_e is None:
             ref_e = 0.0
             flags.add(FLAG_REFERENCE_FALLBACK)
 
@@ -304,14 +278,14 @@ def run_audit(params: HylleraasParams, n_max: int,
         for key, val in ident.items():
             if isinstance(val, float) and not math.isfinite(val):
                 ident[key] = None
-                flags.add("IdentityNotComputable")
+                flags.add(FLAG_IDENTITY_NOT_COMPUTABLE)
 
         ref_level = EnergyLevel(n=n, E=ref_e, Ebar=ref_e ** 2 - params.M ** 2,
                                 engine=Engine.MECHANICAL_NU, residual=0.0)
         ode_val, ode_form = ode_residual(params, ref_level, grid)
         if not math.isfinite(ode_val):
             ode_val = None
-            flags.add("IdentityNotComputable")
+            flags.add(FLAG_IDENTITY_NOT_COMPUTABLE)
 
         def opt(x):
             return None if x is None else float(x)
@@ -348,13 +322,4 @@ def run_audit(params: HylleraasParams, n_max: int,
     }
     return AuditReport(version=f"hykg {__version__}", config=config,
                        rows=tuple(rows), summary=summary)
-
-
-def params_dict(params: HylleraasParams) -> dict:
-    return {
-        "K": params.K, "k1": params.k1, "k2": params.k2,
-        "omega": params.omega, "D_e": params.D_e, "M": params.M,
-        "mu": params.mu,
-        "s_sign": "negative" if params.s_sign is SSign.NEGATIVE else "positive",
-    }
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -18,8 +18,13 @@ ENGINE_ALIASES = {
     "oracle": Engine.ORACLE,
 }
 
+# The one parameter list: every HylleraasParams field is a [params] key, and
+# every one but s_sign is a number that a [sweep] may vary.
+PARAM_NAMES = tuple(f.name for f in fields(HylleraasParams))
+SWEEPABLE = tuple(name for name in PARAM_NAMES if name != "s_sign")
+
 _ALLOWED = {
-    "params": {"K", "k1", "k2", "omega", "D_e", "M", "mu", "s_sign"},
+    "params": set(PARAM_NAMES),
     "grid": {"r_max", "N"},
     "run": {"engines", "n_max", "formats"},
     "sweep": {"parameter", "start", "stop", "count", "scale"},
@@ -27,8 +32,6 @@ _ALLOWED = {
 
 # largest radial quantum number a run, an audit or `wavefunction --n` accepts
 N_MAX = 10
-
-SWEEPABLE = ("K", "k1", "k2", "omega", "D_e", "M", "mu")
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,7 @@ class RunConfig:
 
 def default_config() -> RunConfig:
     return RunConfig(params=DEFAULT_PARAMS, r_max=None, grid_n=4000,
-                     engines=tuple(ENGINE_ALIASES[k] for k in
-                                   ("eq45", "implicit", "mechanical", "oracle")),
+                     engines=tuple(Engine),
                      n_max=3, formats=("csv", "json"), sweep=None)
 
 
@@ -115,17 +117,16 @@ def parse_config(text: str) -> RunConfig:
     base = default_config()
     p = base.params
     kw = {}
-    for key, attr in (("K", "K"), ("k1", "k1"), ("k2", "k2"), ("omega", "omega"),
-                      ("D_e", "D_e"), ("M", "M"), ("mu", "mu")):
+    for key in SWEEPABLE:
         raw = get("params", key.lower())
         if raw is not None:
-            kw[attr] = _float("params", key, raw)
+            kw[key] = _float("params", key, raw)
     raw_sign = get("params", "s_sign")
     if raw_sign is not None:
         sign = raw_sign.strip().lower()
         if sign not in ("positive", "negative"):
             raise ConfigError("[params] s_sign must be 'positive' or 'negative'")
-        kw["s_sign"] = SSign.POSITIVE if sign == "positive" else SSign.NEGATIVE
+        kw["s_sign"] = SSign(sign)
     try:
         params = p.replace(**kw) if kw else p
     except Exception as exc:
@@ -199,6 +200,12 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(params=params, r_max=r_max, grid_n=grid_n, engines=engines,
                      n_max=n_max, formats=formats, sweep=sweep)
+
+
+def params_dict(params: HylleraasParams) -> dict:
+    """The [params] keys and their values, as the JSON outputs record them."""
+    return {name: getattr(params, name) for name in PARAM_NAMES} | {
+        "s_sign": params.s_sign.value}
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -27,6 +27,13 @@ FLAG_MULTIPLE_ROOTS = "MultipleRoots"
 FLAG_REFERENCE_FALLBACK = "ReferenceEnergyFallback"
 FLAG_TAIL_NOT_CONVERGED = "TailNotConverged"
 FLAG_CONFLUENT_FORM = "ConfluentForm"
+FLAG_IDENTITY_NOT_COMPUTABLE = "IdentityNotComputable"
+
+# The one engine preference order: the audit's reference energy is the first
+# of these with a level, and `wavefunction` samples the first closed form
+# (the oracle skipped) with one.
+PREFERENCE = (Engine.MECHANICAL_NU, Engine.ORACLE, Engine.IMPLICIT_LAMBDA,
+              Engine.EQ45_VERBATIM)
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,15 @@ class EngineResult:
     region_flags: frozenset[str]
 
 
-def flags_str(flags: frozenset[str]) -> str:
-    """Deterministic single-token rendering used in CSV output."""
-    return ";".join(sorted(flags))
+def fmt_cell(x) -> str:
+    """The one CSV cell format: floats at round-trip precision, empty for
+    None, true/false, a flag set as one sorted ;-joined token."""
+    if isinstance(x, float):
+        return repr(float(x))
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, frozenset):
+        return ";".join(sorted(x))
+    return str(x)

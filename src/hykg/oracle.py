@@ -66,7 +66,7 @@ E_TOL_REL = 1e-10
 
 
 class GridHeuristicWarning(UserWarning):
-    """A grid heuristic (tail coverage or stencil stability) is violated."""
+    """A grid heuristic (wall placement or stencil stability) is violated."""
 
 
 @dataclass(frozen=True)
@@ -105,17 +105,12 @@ def box_grid(length: float, n: int) -> RadialGrid:
     return RadialGrid(r_min=h, r_max=length - h, n=n)
 
 
-def check_grid(grid: RadialGrid, params: HylleraasParams | None,
-               w_values: np.ndarray) -> None:
-    """Emit (not raise) heuristic warnings: the u(0) = 0 wall placement, tail
-    coverage and stencil stability."""
+def check_grid(grid: RadialGrid, w_values: np.ndarray) -> None:
+    """Emit (not raise) heuristic warnings: the u(0) = 0 wall placement and
+    stencil stability."""
     if abs(grid.r_min - grid.h) > 1e-9 * grid.h:
         warnings.warn("r_min != h moves the u(0) = 0 wall off the origin",
                       GridHeuristicWarning, stacklevel=3)
-    if params is not None:
-        if grid.r_max * (1.0 + params.K) * params.omega < 20.0:
-            warnings.warn("grid tail coverage below the r_max*(1+K)*omega >= 20 heuristic",
-                          GridHeuristicWarning, stacklevel=3)
     wmax = float(np.max(np.abs(w_values))) if w_values.size else 0.0
     if grid.h ** 2 * wmax >= 0.5:
         warnings.warn("h^2 * max|W| >= 0.5; stencil accuracy is degraded",
@@ -235,7 +230,7 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
     """
     M = params.M
     v = potential_samples(params, grid)
-    check_grid(grid, params, 2.0 * (2 * M) * v)
+    check_grid(grid, 2.0 * (2 * M) * v)
 
     seen: dict[float, float] = {}
 
@@ -370,12 +365,16 @@ def numerov_defect(q: np.ndarray, h: float) -> tuple[float, np.ndarray]:
     return wronskian, assembled
 
 
-def count_sign_changes(values: np.ndarray, noise: float = 1e-9) -> int:
-    """Strict sign changes, ignoring samples below noise * max|values|."""
+# samples below this fraction of max|values| carry no sign
+_SIGN_NOISE = 1e-9
+
+
+def count_sign_changes(values: np.ndarray) -> int:
+    """Strict sign changes, ignoring samples below _SIGN_NOISE * max|values|."""
     vmax = float(np.max(np.abs(values))) if values.size else 0.0
     if vmax == 0.0:
         return 0
-    sig = values[np.abs(values) > noise * vmax]
+    sig = values[np.abs(values) > _SIGN_NOISE * vmax]
     return int(np.sum(np.sign(sig[:-1]) != np.sign(sig[1:]))) if sig.size > 1 else 0
 
 

@@ -23,8 +23,10 @@ def _as_value(y) -> float | None:
     return None
 
 
-def brent(f: Callable[[float], float], a: float, b: float, tol: float,
-          max_iter: int = 200) -> float:
+_BRENT_MAX_ITER = 200
+
+
+def brent(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Classic Brent root refinement on a sign-change interval [a, b].
 
     Inverse quadratic interpolation and secant steps safeguarded by
@@ -42,7 +44,7 @@ def brent(f: Callable[[float], float], a: float, b: float, tol: float,
     c, fc = a, fa
     d = e = b - a
     eps = 2.220446049250313e-16
-    for _ in range(max_iter):
+    for _ in range(_BRENT_MAX_ITER):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb

@@ -336,21 +336,25 @@ def simpson_adaptive(f, lo: float, hi: float, rel_tol: float = 1e-9,
     return prev
 
 
-def count_nodes(radial: RadialFunction, noise: float = 1e-9) -> int:
-    """Strict sign changes of the samples, ignoring a |R| < noise*max band."""
-    return count_sign_changes(radial.values, noise=noise)
+def count_nodes(radial: RadialFunction) -> int:
+    """Strict sign changes of the samples, ignoring a near-zero band
+    (`count_sign_changes`)."""
+    return count_sign_changes(radial.values)
 
 
-def _tails_decayed(grid: np.ndarray, values: np.ndarray,
-                   threshold: float = 1e-8) -> bool:
+# |R| at a grid edge below this fraction of max|R| counts as a decayed tail
+_TAIL_THRESHOLD = 1e-8
+
+
+def _tails_decayed(grid: np.ndarray, values: np.ndarray) -> bool:
     vmax = float(np.max(np.abs(values)))
     if vmax == 0.0:
         return False
     # the left check is vacuous when the grid starts at the physical origin:
     # the support cannot extend below r = 0
     h = float(grid[1] - grid[0])
-    left_ok = grid[0] <= 3.0 * h or abs(values[0]) < threshold * vmax
-    return left_ok and abs(values[-1]) < threshold * vmax
+    left_ok = grid[0] <= 3.0 * h or abs(values[0]) < _TAIL_THRESHOLD * vmax
+    return left_ok and abs(values[-1]) < _TAIL_THRESHOLD * vmax
 
 
 def normalize(radial: RadialFunction) -> RadialFunction:

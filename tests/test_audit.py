@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hykg import audit, closedform, oracle
 from hykg.audit import (
     CSV_COLUMNS,
-    engine_levels,
+    ENGINES,
     ode_residual,
     run_audit,
 )
@@ -57,7 +57,7 @@ class TestEngineTable:
     @pytest.mark.parametrize("engine", list(Engine))
     def test_entry_reports_a_miss_as_no_root(self, engine):
         params = DEFAULT_PARAMS.replace(D_e=0.0)
-        results = engine_levels(engine, params, (0, 1), default_grid(params, n=400))
+        results = ENGINES[engine](params, (0, 1), default_grid(params, n=400))
         assert list(results) == [0, 1]
         for result in results.values():
             assert isinstance(result, EngineResult)
@@ -68,7 +68,7 @@ class TestEngineTable:
     def test_entry_reports_found_levels_ascending(self, engine):
         config = default_config()
         ns = range(config.n_max + 1)
-        results = engine_levels(engine, config.params, ns, config.grid())
+        results = ENGINES[engine](config.params, ns, config.grid())
         assert list(results) == list(ns)
         for n, result in results.items():
             assert isinstance(result, EngineResult)
@@ -94,8 +94,8 @@ class TestEngineTable:
             return {n: EngineResult([level], frozenset()) for n in ns}
 
         monkeypatch.setattr(audit, solver, stub)
-        levels = engine_levels(engine, DEFAULT_PARAMS, (0, 1),
-                               default_grid(DEFAULT_PARAMS, n=400))
+        levels = ENGINES[engine](DEFAULT_PARAMS, (0, 1),
+                                 default_grid(DEFAULT_PARAMS, n=400))
         assert levels == {n: EngineResult([level], frozenset()) for n in (0, 1)}
         assert calls == [(DEFAULT_PARAMS, [0, 1])]
 
@@ -107,8 +107,8 @@ class TestEngineTable:
             return EnergyLevel(n=n, E=-0.5, Ebar=-0.75, engine=Engine.ORACLE, residual=0.0)
 
         monkeypatch.setattr(oracle, "solve_relativistic", stub)
-        levels = engine_levels(Engine.ORACLE, DEFAULT_PARAMS, (0, 1),
-                               default_grid(DEFAULT_PARAMS, n=400))
+        levels = ENGINES[Engine.ORACLE](DEFAULT_PARAMS, (0, 1),
+                                        default_grid(DEFAULT_PARAMS, n=400))
         assert calls == [0, 1]
         assert levels == {n: EngineResult([stub(DEFAULT_PARAMS, n, None)], frozenset())
                           for n in (0, 1)}
@@ -169,10 +169,10 @@ class TestBatchedLevels:
     def test_batched_equals_single_level(self, case, engine):
         params, grid = BATCH_CASES[case]()
         ns = range(4)
-        batched = engine_levels(engine, params, ns, grid)
+        batched = ENGINES[engine](params, ns, grid)
         assert list(batched) == list(ns)
         for n in ns:
-            assert batched[n] == engine_levels(engine, params, (n,), grid)[n]
+            assert batched[n] == ENGINES[engine](params, (n,), grid)[n]
 
     @pytest.mark.parametrize("case", list(BATCH_CASES))
     def test_seed_counts_give_the_sign_of_g(self, case):
@@ -218,7 +218,7 @@ class TestBatchedLevels:
 
         monkeypatch.setattr(oracle, "seed_table", flipped)
         monkeypatch.setattr(oracle, "brent", recording_brent)
-        levels = engine_levels(Engine.ORACLE, params, range(4), grid)
+        levels = ENGINES[Engine.ORACLE](params, range(4), grid)
         assert len(rejected) == 4
         monkeypatch.undo()
         for n in range(4):

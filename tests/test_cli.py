@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hykg import audit
+from hykg import audit, cli
 from hykg.cli import cmd_wavefunction, main, run_selftest, spectrum_rows
 from hykg.config import (
     RunConfig,
@@ -42,6 +43,10 @@ engines = mechanical, oracle
 n_max = 1
 formats = csv, json
 """
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# sha256 of the default `wavefunction --n 0` profile (4000 rows, 194,243 bytes)
+WF_N0_CSV_SHA256 = "fcfceddb814522b45d3aa2d2ef08f2ceb85e06e5894dfccdedbfaea76a03e5a2"
 
 
 @pytest.fixture
@@ -107,6 +112,14 @@ class TestConfig:
     def test_bad_number_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[params]\nK = banana\n")
+
+    def test_sweep_parameter_message(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[sweep]\nparameter = s_sign\nstart = 1\nstop = 2\ncount = 2\n")
+        assert str(err.value) == ("[sweep] parameter must be one of "
+                                  "('K', 'k1', 'k2', 'omega', 'D_e', 'M', 'mu')")
+        with pytest.raises(ConfigError, match=r"^\[params\] D_e: not a number: 'x'$"):
+            parse_config("[params]\nd_e = x\n")
 
     def test_sweep_values(self):
         lin = SweepSpec("omega", 0.1, 0.5, 5, "linear")
@@ -225,6 +238,13 @@ class TestWavefunctionCommand:
         assert sidecar["overlap_closed_oracle"] is not None
         assert math.isfinite(sidecar["ode_residual_closedform"])
 
+    def test_default_outputs_pinned(self, tmp_path):
+        assert main(["wavefunction", "--n", "0", "--out", str(tmp_path)]) == 0
+        assert ((tmp_path / "wf_n0.flags.json").read_text()
+                == (GOLDEN / "wf_n0.flags.json").read_text())
+        digest = hashlib.sha256((tmp_path / "wf_n0.csv").read_bytes()).hexdigest()
+        assert digest == WF_N0_CSV_SHA256
+
     def test_sidecar_matches_audit_column(self, fast_cfg_path, tmp_path):
         from hykg.audit import run_audit
 
@@ -241,8 +261,8 @@ class TestWavefunctionCommand:
             load_config(fast_cfg_path),
             engines=(Engine.EQ45_VERBATIM, Engine.IMPLICIT_LAMBDA,
                      Engine.MECHANICAL_NU))
-        real = audit.engine_levels(Engine.MECHANICAL_NU, cfg.params, (0,),
-                                   cfg.grid())[0].levels[0]
+        real = audit.ENGINES[Engine.MECHANICAL_NU](cfg.params, (0,),
+                                                   cfg.grid())[0].levels[0]
         calls = []
         monkeypatch.setitem(audit.ENGINES, Engine.MECHANICAL_NU,
                             stub_engine(Engine.MECHANICAL_NU, [], calls))
@@ -398,10 +418,14 @@ class TestSelftest:
             assert text.count(name) == 1
         assert "FAIL" not in text
 
-    def test_perturbed_fixture_fails(self):
+    def test_perturbed_fixture_fails(self, monkeypatch):
+        monkeypatch.setattr(cli, "FIXTURES", cli.FIXTURES[:1] + (
+            ("over-tolerance", lambda: 2.0, 1.0),))
         buf = io.StringIO()
-        assert run_selftest(perturb="box-matrix", stream=buf) == 1
-        assert "FAIL" in buf.getvalue()
+        assert run_selftest(stream=buf) == 1
+        lines = buf.getvalue().splitlines()
+        assert len(lines) == 2 and "PASS" in lines[0]
+        assert lines[1].startswith("over-tolerance") and "FAIL" in lines[1]
 
     def test_no_color_env(self, monkeypatch):
         monkeypatch.setenv("HYKG_NO_COLOR", "1")

@@ -470,7 +470,7 @@ class TestGrid:
     def test_origin_wall_mismatch_warns(self):
         grid = RadialGrid(r_min=0.05, r_max=10.0, n=1000)
         with pytest.warns(GridHeuristicWarning, match="r_min"):
-            check_grid(grid, None, np.zeros(grid.n))
+            check_grid(grid, np.zeros(grid.n))
 
     def test_shipped_grids_do_not_warn(self):
         cfg = default_config()
@@ -483,7 +483,20 @@ class TestGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error", GridHeuristicWarning)
             for grid in grids:
-                check_grid(grid, None, np.zeros(grid.n))
+                check_grid(grid, np.zeros(grid.n))
+
+    @pytest.mark.parametrize("n", [1000, 16000])
+    def test_refinement_solve_does_not_warn(self, n):
+        # E0 of this well moves by < 1e-12 when r_max doubles at the same h,
+        # so a short box is no grid fault here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve_relativistic(B_NEGATIVE_WELL, 0, well_grid(n)).found
+
+    def test_stencil_warning_fires(self):
+        params = B_NEGATIVE_WELL.replace(D_e=5000.0)
+        with pytest.warns(GridHeuristicWarning, match="stencil"):
+            solve_relativistic(params, 0, well_grid(1000))
 
     def test_low_signal_flagged(self):
         slope, low = estimate_order([0.1, 0.05, 0.025], [1.0, 1.0, 1.0])
