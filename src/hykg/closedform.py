@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache, partial
 from typing import Iterable
 
 import numpy as np
@@ -68,9 +67,11 @@ from .rootfind import scan_roots, seed_grid
 # branch choice depend on E alone.  The seed values are array expressions:
 # the n-free part is evaluated once per call on the whole seed grid, then
 # each n adds its terms.  Seed values only pick the brackets.  Brent
-# refinement, the acceptance tests, the root flags and every reported number
-# use the scalar residuals, whose n-free part is cached per energy for the
-# call.  The mechanical seed values are bit-identical to the scalar
+# refines each bracket with the public scalar residual, which evaluates
+# everything at its trial energy: Brent does not come back to an energy, so
+# nothing is kept between calls.  Each root is then judged once, by one
+# scalar evaluation that gives its residual, its acceptance and its flags
+# (`_scan`).  The mechanical seed values are bit-identical to the scalar
 # residual; the implicit and eq45 ones can differ in the last bits, because
 # numpy squares where Python's ** 2 calls pow (U2, V2, Lam4, B, B_a14).
 N_BRACKETS = 2000
@@ -222,16 +223,10 @@ def _eq45_terms(params: HylleraasParams, A, d: float, L3: float, n: int, W, w2b)
     return pref, t1, t1 * (2.0 * d / W) ** 2 * t2 * t2
 
 
-def eq45_rhs(params: HylleraasParams, E: float, n: int,
-             forms: tuple[float, float, float, float] | None = None,
-             ) -> tuple[float | None, float | None]:
+def eq45_rhs(params: HylleraasParams, E: float, n: int) -> tuple[float | None, float | None]:
     """Both printed sign branches of the explicit energy expression, or None
-    where a radicand or denominator makes the branch non-real.
-
-    `forms` is `_eq45_forms(params, E)`, passed in by callers that evaluate
-    several n at one E.
-    """
-    A, B, d, L3 = forms if forms is not None else _eq45_forms(params, E)
+    where a radicand or denominator makes the branch non-real."""
+    A, B, d, L3 = _eq45_forms(params, E)
     w2b = A * A - B
     if w2b <= 0 or d == 0:
         return None, None
@@ -270,18 +265,30 @@ def _seed_energies(params: HylleraasParams) -> np.ndarray:
     return seed_grid(*_window(params), N_BRACKETS)
 
 
-def _scan(params: HylleraasParams, n: int, engine: Engine, f, ys, residual_ok,
-          flags_at) -> EngineResult:
-    """Every root of f(E) on the bound-state window that `residual_ok` accepts,
+# An engine's verdict on one root: (residual, accepted, the engine's root flags)
+Verdict = tuple[float, bool, Iterable[str]]
+
+
+def _scan(params: HylleraasParams, n: int, engine: Engine, f, ys, judge) -> EngineResult:
+    """Every root of f(E) on the bound-state window that `judge` accepts,
     as `engine` levels at n.
 
-    `ys` is f on `_seed_energies(params)`, NaN where f is undefined.  f
-    returns a float, or a non-float marker where it is undefined; a level's
-    residual is |f(root)|.  `flags_at(root)` gives the engine's own root flags.
+    `ys` is f on `_seed_energies(params)`, NaN where f is undefined; f is
+    called by Brent only.  `judge(root)` evaluates the engine once at a root
+    and returns its Verdict: `scan_roots` rejects a refined root it does not
+    accept, and the level takes its residual and flags.  A root taken at a
+    seed where f is exactly 0 is never rejected; it is judged for its
+    residual and flags only.
     """
     M = params.M
+    judged: dict[float, Verdict] = {}
+
+    def accept(root: float) -> bool:
+        judged[root] = judge(root)
+        return judged[root][1]
+
     scan = scan_roots(f, *_window(params), N_BRACKETS, TOL_E, ys,
-                      dedup=DEDUP_FACTOR * M, residual_ok=residual_ok)
+                      dedup=DEDUP_FACTOR * M, accept=accept)
     region: set[str] = set()
     if scan.had_gaps:
         region.add(FLAG_BRANCH_GAP)
@@ -292,16 +299,25 @@ def _scan(params: HylleraasParams, n: int, engine: Engine, f, ys, residual_ok,
     merged = {min(scan.roots, key=lambda x: abs(x - r)) for r in scan.merged_duplicates}
     levels = []
     for root in scan.roots:
-        flags = set(flags_at(root))
+        residual, _, engine_flags = judged[root] if root in judged else judge(root)
+        flags = set(engine_flags)
         if root in merged:
             flags.add(FLAG_DUPLICATE_MERGED)
         if appendix_constants(params, root).eps2 <= 0:
             flags.add(FLAG_EPS2_NEGATIVE)
-        fr = f(root)
         levels.append(EnergyLevel(n=n, E=root, Ebar=root * root - M ** 2, engine=engine,
-                                  residual=abs(fr) if isinstance(fr, float) else math.inf,
-                                  flags=frozenset(flags)))
+                                  residual=residual, flags=frozenset(flags)))
     return EngineResult(levels, frozenset(region))
+
+
+def _lambda_verdict(lam, lam_n, f: float | None, flags: Iterable[str]) -> Verdict:
+    """The verdict on a root of lambda = lambda_n, where f is lambda - lambda_n
+    (None where it is not real): accepted when
+    |f| <= RESIDUAL_REL max(1, |lambda| + |lambda_n|)."""
+    if f is None:
+        return math.inf, False, flags
+    ok = math.isfinite(f) and abs(f) <= RESIDUAL_REL * max(1.0, abs(lam) + abs(lam_n))
+    return abs(f), ok, flags
 
 
 def _mech_branch(params: HylleraasParams, E: float) -> tuple[NUInput, NUSolution, bool] | BranchGap:
@@ -314,97 +330,71 @@ def _mech_branch(params: HylleraasParams, E: float) -> tuple[NUInput, NUSolution
     return inp, sol, strict_ok
 
 
-MechTerms = tuple[float, float, float, bool]
-
-
-def _mech_terms(params: HylleraasParams, E: float) -> MechTerms | BranchGap:
-    """The n-free part of the mechanical quantization at E:
-    (lambda, tau', sigma'', strict_ok), or the gap marker."""
+def _mech_lambdas(params: HylleraasParams, E: float,
+                  n: int) -> tuple[float, float, bool] | BranchGap:
+    """(lambda, lambda_n, strict_ok) of the mechanical quantization at (E, n),
+    or the gap marker."""
     out = _mech_branch(params, E)
     if isinstance(out, BranchGap):
         return out
     inp, sol, strict_ok = out
-    return sol.lam, sol.tau_prime, 2.0 * inp.sigma.c2, strict_ok
+    return sol.lam, lambda_n_value(sol.tau_prime, 2.0 * inp.sigma.c2, n), strict_ok
 
 
-def mechanical_residual(params: HylleraasParams, E: float, n: int,
-                        branch: MechTerms | BranchGap | None = None) -> float | BranchGap:
+def mechanical_residual(params: HylleraasParams, E: float, n: int) -> float | BranchGap:
     """lambda(E) - lambda_n(E) from the mechanical engine, lenient branch rule.
 
     The strict decreasing-tau rule admits no branch at all over whole
     parameter windows of this potential family (the audit's tau_prime_sign
     column records the outcome), so the energy scan prefers tau' < 0 but
     falls back to the least-positive slope instead of gapping out.
-
-    `branch` is `_mech_terms(params, E)`, passed in by callers that evaluate
-    several n at one E.
     """
-    if branch is None:
-        branch = _mech_terms(params, E)
-    if isinstance(branch, BranchGap):
-        return branch
-    lam, tau_prime, sigma_pp, _ = branch
-    return lam - lambda_n_value(tau_prime, sigma_pp, n)
+    out = _mech_lambdas(params, E, n)
+    if isinstance(out, BranchGap):
+        return out
+    lam, lam_n, _ = out
+    return lam - lam_n
 
 
 def energy_mechanical_result(params: HylleraasParams,
                              ns: Iterable[int]) -> dict[int, EngineResult]:
     """Mechanical-engine levels for every n in ns."""
-    branch = cache(partial(_mech_terms, params))  # lives for this call only
     inp = build_nu_input(params, _seed_energies(params))
     lam, tau_prime, _ = lenient_branch_array(inp)  # NaN at the gaps
     sigma_pp = 2.0 * inp.sigma.c2
-    return {n: _mechanical_levels(params, n, branch,
-                                  lam - lambda_n_value(tau_prime, sigma_pp, n))
+    return {n: _mechanical_levels(params, n, lam - lambda_n_value(tau_prime, sigma_pp, n))
             for n in ns}
 
 
-def _mechanical_levels(params: HylleraasParams, n: int, branch, ys) -> EngineResult:
-    def f(E: float):
-        return mechanical_residual(params, E, n, branch=branch(E))
-
-    def residual_ok(E: float, fE: float) -> bool:
-        out = branch(E)
+def _mechanical_levels(params: HylleraasParams, n: int, ys) -> EngineResult:
+    def judge(E: float) -> Verdict:
+        out = _mech_lambdas(params, E, n)
         if isinstance(out, BranchGap):
-            return False
-        lam, tau_prime, sigma_pp, _ = out
-        scale = max(1.0, abs(lam) + abs(lambda_n_value(tau_prime, sigma_pp, n)))
-        return abs(fE) <= RESIDUAL_REL * scale
+            return math.inf, False, {FLAG_BRANCH_GAP}
+        lam, lam_n, strict_ok = out
+        return _lambda_verdict(lam, lam_n, lam - lam_n,
+                               set() if strict_ok else {FLAG_TAU_PRIME_NONNEG})
 
-    def flags_at(E: float) -> set[str]:
-        out = branch(E)
-        if isinstance(out, BranchGap):
-            return {FLAG_BRANCH_GAP}
-        strict_ok = out[3]
-        return set() if strict_ok else {FLAG_TAU_PRIME_NONNEG}
-
-    return _scan(params, n, Engine.MECHANICAL_NU, f, ys, residual_ok, flags_at)
+    return _scan(params, n, Engine.MECHANICAL_NU,
+                 lambda E: mechanical_residual(params, E, n), ys, judge)
 
 
-def _implicit_terms(params: HylleraasParams, E: float) -> tuple[complex, complex]:
-    """The n-free part of the printed pair at E: (lambda, sqrt(U + V))."""
-    im = intermediates(params, E, 0)
-    return im.lam, im.muJ
-
-
-def implicit_residual(params: HylleraasParams, E: float, n: int,
-                      branch: tuple[complex, complex] | None = None) -> float | None:
-    """lambda(E) - lambda_n(E, n) from the printed pair; None when non-real.
-
-    `branch` is `_implicit_terms(params, E)`, passed in by callers that
-    evaluate several n at one E.
-    """
-    lam, sqrt_upv = branch if branch is not None else _implicit_terms(params, E)
-    lam_n = _lam_n_printed(sqrt_upv, 1 + params.abc.b, n)
-    f = lam - lam_n
-    if lam.imag != 0.0 or lam_n.imag != 0.0 or not math.isfinite(f.real):
+def _implicit_real(im: ClosedFormIntermediates) -> float | None:
+    """lambda - lambda_n of the printed pair; None when non-real."""
+    f = im.lam - im.lam_n
+    if im.lam.imag != 0.0 or im.lam_n.imag != 0.0 or not math.isfinite(f.real):
         return None
     return f.real
 
 
+def implicit_residual(params: HylleraasParams, E: float, n: int) -> float | None:
+    """lambda(E) - lambda_n(E, n) from the printed pair; None when non-real."""
+    return _implicit_real(intermediates(params, E, n))
+
+
 def _implicit_seed_terms(params: HylleraasParams, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_implicit_terms on arrays: (lambda, sqrt(U + V)), each NaN where it is
-    not real."""
+    """(lambda, sqrt(U + V)) of `intermediates` on arrays, each NaN where it
+    is not real."""
     cst = appendix_constants(params, E)
     with np.errstate(invalid="ignore"):
         lam = -(cst.Lam2 + cst.Lam3 * cst.eps2) - np.sqrt(cst.U2 - cst.V2)
@@ -415,29 +405,20 @@ def _implicit_seed_terms(params: HylleraasParams, E: np.ndarray) -> tuple[np.nda
 def energy_implicit_result(params: HylleraasParams,
                            ns: Iterable[int]) -> dict[int, EngineResult]:
     """Printed-pair levels for every n in ns."""
-    branch = cache(partial(_implicit_terms, params))  # lives for this call only
     lam, sqrt_upv = _implicit_seed_terms(params, _seed_energies(params))
     a1 = 1 + params.abc.b
     # n = 0 reads lambda alone: lambda_0 is 0 whether or not sqrt(U + V) is real
-    return {n: _implicit_levels(params, n, branch,
-                                lam - _lam_n_printed(sqrt_upv, a1, n).real)
+    return {n: _implicit_levels(params, n, lam - _lam_n_printed(sqrt_upv, a1, n).real)
             for n in ns}
 
 
-def _implicit_levels(params: HylleraasParams, n: int, branch, ys) -> EngineResult:
-    def f(E: float):
-        return implicit_residual(params, E, n, branch=branch(E))
+def _implicit_levels(params: HylleraasParams, n: int, ys) -> EngineResult:
+    def judge(E: float) -> Verdict:
+        im = intermediates(params, E, n)
+        return _lambda_verdict(im.lam, im.lam_n, _implicit_real(im), im.flags)
 
-    def residual_ok(E: float, fE: float) -> bool:
-        lam, sqrt_upv = branch(E)
-        lam_n = _lam_n_printed(sqrt_upv, 1 + params.abc.b, n)
-        scale = max(1.0, abs(lam) + abs(lam_n))
-        return abs(fE) <= RESIDUAL_REL * scale
-
-    def flags_at(E: float) -> frozenset[str]:
-        return intermediates(params, E, n).flags
-
-    return _scan(params, n, Engine.IMPLICIT_LAMBDA, f, ys, residual_ok, flags_at)
+    return _scan(params, n, Engine.IMPLICIT_LAMBDA,
+                 lambda E: implicit_residual(params, E, n), ys, judge)
 
 
 def energy_eq45_result(params: HylleraasParams,
@@ -447,35 +428,38 @@ def energy_eq45_result(params: HylleraasParams,
     The constants in the right-hand side depend on E through Vbar, so the
     printed "explicit" expression is solved as a root problem.
     """
-    forms = cache(partial(_eq45_forms, params))  # this call only; both signs share it
     E = _seed_energies(params)
     seed_forms = _eq45_forms(params, E)
     lhs = E * E - params.M ** 2
-    return {n: _eq45_levels(params, n, forms,
+    return {n: _eq45_levels(params, n,
                             [lhs - rhs for rhs in _eq45_seed_rhs(params, seed_forms, n)])
             for n in ns}
 
 
-def _eq45_levels(params: HylleraasParams, n: int, forms, seed_values) -> EngineResult:
+def _eq45_levels(params: HylleraasParams, n: int, seed_values) -> EngineResult:
     M2 = params.M ** 2
     all_levels: list[EnergyLevel] = []
     region: set[str] = set()
     for pick, sign_flag in ((0, FLAG_SIGN_MINUS), (1, FLAG_SIGN_PLUS)):
 
         def f(E: float):
-            rhs = eq45_rhs(params, E, n, forms=forms(E))[pick]
+            rhs = eq45_rhs(params, E, n)[pick]
             if rhs is None:
                 return None
             return (E * E - M2) - rhs
 
-        part = _scan(params, n, Engine.EQ45_VERBATIM, f, seed_values[pick],
-                     residual_ok=lambda E, fE: abs(fE) / M2 <= EQ45_RESIDUAL_REL,
-                     flags_at=lambda E: {sign_flag})
+        def judge(E: float) -> Verdict:
+            fE = f(E)
+            if fE is None:
+                return math.inf, False, {sign_flag}
+            return abs(fE), math.isfinite(fE) and abs(fE) / M2 <= EQ45_RESIDUAL_REL, {sign_flag}
+
+        part = _scan(params, n, Engine.EQ45_VERBATIM, f, seed_values[pick], judge)
         region |= part.region_flags
         all_levels.extend(part.levels)
     # both sign branches non-real at an end or the middle of the window
     lo, hi = _window(params)
-    if any(eq45_rhs(params, x, n, forms=forms(x)) == (None, None) for x in (lo, 0.0, hi)):
+    if any(eq45_rhs(params, x, n) == (None, None) for x in (lo, 0.0, hi)):
         region.add(FLAG_NEGATIVE_UNDER_SQRT)
     all_levels.sort(key=lambda l: l.E)
     if all_levels:

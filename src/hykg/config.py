@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateParams
 from .hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign
 from .levels import Engine
 from .oracle import RadialGrid, default_grid
@@ -197,6 +197,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("[sweep] log scale needs positive endpoints")
         sweep = SweepSpec(parameter=parameter, start=start, stop=stop,
                           count=count, scale=scale)
+        for value in sweep.values():
+            try:
+                params.replace(**{parameter: value})
+            except DegenerateParams as exc:
+                raise ConfigError(f"[sweep] {parameter} = {value!r}: "
+                                  f"invalid parameters: {exc}") from exc
 
     return RunConfig(params=params, r_max=r_max, grid_n=grid_n, engines=engines,
                      n_max=n_max, formats=formats, sweep=sweep)

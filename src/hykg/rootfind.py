@@ -89,7 +89,7 @@ def brent(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
 class ScanResult:
     roots: list[float]
     merged_duplicates: list[float]   # roots dropped by the dedup tolerance
-    rejected: list[float]            # crossings whose refined residual stayed large
+    rejected: list[float]            # refined crossings `accept` turned down
     had_gaps: bool                   # some sample points were exclusion zones
 
 
@@ -108,14 +108,16 @@ def sample(f: Callable[[float], object], lo: float, hi: float,
 def scan_roots(f: Callable[[float], object], lo: float, hi: float,
                n_brackets: int, tol_x: float, ys: np.ndarray,
                dedup: float = 0.0,
-               residual_ok: Callable[[float, float], bool] | None = None) -> ScanResult:
+               accept: Callable[[float], bool] | None = None) -> ScanResult:
     """Scan [lo, hi] with n_brackets subintervals; refine each sign change.
 
     `ys` holds f on `seed_grid(lo, hi, n_brackets)`; a non-finite value marks
     a seed where f is undefined.  `f` is called only by Brent and may return
     non-float markers (see the gap rule below).
-    `residual_ok` (root, f(root)) can reject refined roots whose residual did
-    not collapse (jump discontinuities masquerading as crossings).
+    `accept(root)`, asked once per refined root, can reject roots whose
+    residual did not collapse (jump discontinuities masquerading as
+    crossings).  A root taken at a seed where f is exactly 0 is not refined
+    and not asked about.
     """
     xs = seed_grid(lo, hi, n_brackets).tolist()
     ys = np.asarray(ys, dtype=float)
@@ -143,8 +145,7 @@ def scan_roots(f: Callable[[float], object], lo: float, hi: float,
             return v if v is not None else math.copysign(1e300, y0)
 
         root = brent(fv, xs[i], xs[i + 1], tol_x)
-        fr = _as_value(f(root))
-        if residual_ok is not None and (fr is None or not residual_ok(root, fr)):
+        if accept is not None and not accept(root):
             rejected.append(root)
             continue
         roots.append(root)

@@ -109,6 +109,16 @@ class TestConfig:
         assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_invalid_sweep_point_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(FAST_CFG + "\n[sweep]\nparameter = omega\nstart = -0.5\n"
+                                  "stop = 0.5\ncount = 3\n")
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: [sweep] omega = -0.5: "
+                                           "invalid parameters: omega must be > 0\n")
+        assert not out.exists()
+
     def test_bad_number_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[params]\nK = banana\n")

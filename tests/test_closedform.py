@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hykg import closedform
+from hykg import closedform, rootfind
 from hykg.closedform import (
     build_nu_input,
     energy_eq45_result,
@@ -255,3 +255,26 @@ class TestWorkCount:
         calls = self._count(monkeypatch, "appendix_a_forms")
         energy_eq45_result(DEFAULT_PARAMS, range(4))
         assert 0 < len(calls) < 200
+
+    @pytest.mark.parametrize("engine_result, residual", [
+        (energy_mechanical_result, "mechanical_residual"),
+        (energy_implicit_result, "implicit_residual"),
+    ])
+    def test_public_residual_serves_brent_only(self, monkeypatch, engine_result, residual):
+        # each refined root is judged by one private evaluation, so the
+        # public residual is called exactly once per Brent f-evaluation
+        calls = self._count(monkeypatch, residual)
+        fevals = []
+        brent = rootfind.brent
+
+        def counting_brent(f, a, b, tol):
+            def counted(x):
+                fevals.append(x)
+                return f(x)
+            return brent(counted, a, b, tol)
+
+        monkeypatch.setattr(rootfind, "brent", counting_brent)
+        results = engine_result(DEFAULT_PARAMS, range(4))
+        assert any(r.levels for r in results.values())
+        assert fevals
+        assert len(calls) == len(fevals)
