@@ -39,7 +39,7 @@ from .closedform import (
 )
 from .config import ENGINE_ALIASES, N_MAX, params_dict
 from .errors import DegenerateSigma, HykgError, ImperfectSquare, NoRealK
-from .hylleraas import HylleraasParams, appendix_constants, gamma2_printed
+from .hylleraas import HylleraasParams, appendix_a_forms, appendix_constants, gamma2_printed
 from .levels import (
     FLAG_IDENTITY_NOT_COMPUTABLE,
     FLAG_MULTIPLE_ROOTS,
@@ -56,7 +56,6 @@ from .levels import (
 from .nu import BranchGap, lambda_n, solve_k
 from .oracle import (
     RadialGrid,
-    default_grid,
     effective_potential,
     solve_levels,
     # part of this module's namespace: bench/tests checks that the tracer
@@ -209,10 +208,10 @@ def _identity_columns(params: HylleraasParams, E: float, n: int) -> dict:
     out["eq20_vs_eq23"] = abs(direct - cst.gamma2) / max(1.0, abs(cst.eps2) + abs(cst.gammap2))
 
     # the two printed deltas
-    d_a9_sq = cst.delta_A9 ** 2
+    d_a9_sq = appendix_a_forms(params, E).delta_a9 ** 2
     out["delta_a9_vs_eq35"] = abs(d_a9_sq - cst.delta2) / max(1.0, d_a9_sq, cst.delta2)
 
-    im = intermediates(params, E, n, cst=cst)
+    im = intermediates(params, E, n)
     if FLAG_NEGATIVE_UNDER_SQRT in im.flags:
         flags.add(FLAG_NEGATIVE_UNDER_SQRT)
 
@@ -243,13 +242,10 @@ def _identity_columns(params: HylleraasParams, E: float, n: int) -> dict:
     return out
 
 
-def run_audit(params: HylleraasParams, n_max: int,
-              grid: RadialGrid | None = None) -> AuditReport:
+def run_audit(params: HylleraasParams, n_max: int, grid: RadialGrid) -> AuditReport:
     """One row per n in 0..n_max; engine failures become flags, never aborts."""
     if not 0 <= n_max <= N_MAX:
         raise ValueError(f"n_max must be in 0..{N_MAX}")
-    if grid is None:
-        grid = default_grid(params)
 
     ns = range(n_max + 1)
     levels = {eng: ENGINES[eng](params, ns, grid) for eng in Engine}

@@ -26,12 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hylleraas import (
-    AppendixConstants,
-    HylleraasParams,
-    appendix_a_forms,
-    appendix_constants,
-)
+from .hylleraas import HylleraasParams, appendix_a_forms, appendix_constants
 from .levels import (
     FLAG_BRANCH_GAP,
     FLAG_DUPLICATE_MERGED,
@@ -132,8 +127,7 @@ def _lam_n_printed(sqrt_upv: complex, a1: float, n: int) -> complex:
     return 2.0 * n * sqrt_upv - 2.0 * a1 * n * (n + 3) if n else 0j
 
 
-def intermediates(params: HylleraasParams, E: float, n: int,
-                  cst: AppendixConstants | None = None) -> ClosedFormIntermediates:
+def intermediates(params: HylleraasParams, E: float, n: int) -> ClosedFormIntermediates:
     """Evaluate the printed branch selection verbatim.
 
     k   = -(Lam2 + Lam3 eps^2) - sqrt(U^2 - V^2)
@@ -147,8 +141,7 @@ def intermediates(params: HylleraasParams, E: float, n: int,
     muJ = sqrt(delta (eps^2+A) + sqrt(A^2-B)),
     nuJ = sqrt(delta (eps^2+A) - sqrt(A^2-B)).
     """
-    if cst is None:
-        cst = appendix_constants(params, E)
+    cst = appendix_constants(params, E)
     abc = params.abc
     flags: set[str] = set()
     if cst.eps2 <= 0:

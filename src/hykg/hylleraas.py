@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DegenerateParams, OutOfRange, SingularPotential
 
 # Largest exponent exp() can take before overflowing a double.
@@ -99,30 +101,50 @@ DEFAULT_PARAMS = HylleraasParams(K=2.0, k1=1.0, k2=1.0, omega=0.25, D_e=1.0,
                                  M=1.0, mu=1.0, s_sign=SSign.NEGATIVE)
 
 
-def s_of_r(r: float, K: float, omega: float, s_sign: SSign) -> float:
-    """s = exp(+/- 2(1+K) w r); saturating exponents raise OutOfRange, never inf."""
-    if r < 0:
-        raise OutOfRange("r must be >= 0")
+def _exponent(r: float | np.ndarray, K: float, omega: float,
+              s_sign: SSign) -> float | np.ndarray:
+    """The exponent +/- 2(1+K) w r of s(r), for a float or an array."""
     expo = 2.0 * (1.0 + K) * omega * r
-    if s_sign is SSign.NEGATIVE:
-        expo = -expo
-    if expo > _EXP_MAX:
-        raise OutOfRange(f"s(r) overflows: exponent {expo:.3g}")
-    return math.exp(expo)
+    return -expo if s_sign is SSign.NEGATIVE else expo
 
 
-def potential_from_s(s: float, a: float, b: float, c: float, D_e: float) -> float:
-    """V as a function of the transformed variable s."""
+def s_of_r(r: float | np.ndarray, K: float, omega: float,
+           s_sign: SSign) -> float | np.ndarray:
+    """s = exp(+/- 2(1+K) w r) at a float or an array of radii (a float for a
+    float).  A negative r or a saturating exponent raises OutOfRange, never inf."""
+    if np.any(r < 0):
+        raise OutOfRange("r must be >= 0")
+    expo = _exponent(r, K, omega, s_sign)
+    over = expo > _EXP_MAX
+    if np.any(over):
+        raise OutOfRange(f"s(r) overflows: exponent {np.extract(over, expo)[0]:.3g}")
+    # math.exp per element, not np.exp: the wavefunction samples s(r), and
+    # np.exp's last-bit differences change the audit (the n = 2
+    # ode_residual_closedform cell 0.9853221836034423 -> 0.985322183603442)
+    if np.ndim(expo) == 0:
+        return math.exp(expo)
+    return np.frompyfunc(math.exp, 1, 1)(expo).astype(float)
+
+
+def potential_from_s(s: float | np.ndarray, a: float, b: float, c: float,
+                     D_e: float) -> float | np.ndarray:
+    """V as a function of the transformed variable s, for a float or an array."""
     den = (s + a) * (s + c) * (1 + b)
-    if den == 0:
+    if np.any(den == 0):
         raise SingularPotential(f"(s+a)(s+c)(1+b) vanishes at s={s!r}")
     return D_e * (1.0 - (1 + a) * (1 + c) * (s + b) / den)
 
 
-def potential_V(r: float, params: HylleraasParams) -> float:
-    """V(r); V(0) = 0 exactly up to rounding for every valid parameter set."""
+def potential_V(r: float | np.ndarray, params: HylleraasParams) -> float | np.ndarray:
+    """V(r) at a float or an array of radii; V(0) = 0 exactly up to rounding
+    for every valid parameter set."""
     abc = params.abc
-    s = s_of_r(r, params.K, params.omega, params.s_sign)
+    expo = _exponent(r, params.K, params.omega, params.s_sign)
+    # np.exp on the whole grid: the oracle's energies, and so the golden
+    # files, rest on its bits.  V reaches D_e to double precision long before
+    # exp overflows; the cap keeps s finite so the far tail is D_e, not
+    # inf/inf = NaN
+    s = np.exp(np.minimum(expo, 300.0))
     return potential_from_s(s, abc.a, abc.b, abc.c, params.D_e)
 
 
@@ -131,9 +153,9 @@ class AppendixConstants:
     """The full dimensionless constant cascade at a trial energy E.
 
     All fields follow the defining formulas of the closed-form derivation's
-    main chain; `delta_A9` carries the alternative explicit delta expression,
-    which disagrees with `delta2` and is kept for the audit.  `lam` here is
-    spelled `Lam` to match the audit schema.
+    main chain; the explicit alternative delta, which disagrees with `delta2`,
+    is `AppendixAForms.delta_a9`.  `lam` here is spelled `Lam` to match the
+    audit schema.
     """
 
     Ebar: float
@@ -153,7 +175,6 @@ class AppendixConstants:
     Lam3: float
     Lam4: float
     delta2: float    # Lam3^2 + 12 Lam1, by construction
-    delta_A9: float  # explicit alternative delta (not squared)
     A: float
     B: float
     U2: float        # delta2 * (eps2 + A)^2
@@ -190,16 +211,13 @@ def appendix_constants(params: HylleraasParams, E: float) -> AppendixConstants:
     A = (2.0 * Lam2 * alpha3 + 16.0 * Lam1 * alpha1 ** 2 + 16.0 * Lam1 * xi1) / delta2
     B = (Lam2 ** 2 - 4.0 * Lam1 * Lam4) / delta2
 
-    delta_A9 = 64.0 * (1 + b) ** 2 * (a * (1 - c) - a * (8 * c + 1)
-                                      + c * c * (1 - a) + a + 4.0)
-
     U2 = delta2 * (eps2 + A) ** 2
     V2 = A * A - B
     return AppendixConstants(Ebar=Ebar, Vbar=Vbar, eps2=eps2, betap2=betap2,
                              gammap2=gammap2, beta2=beta2, gamma2=gamma2,
                              alpha1=alpha1, alpha2=alpha2, alpha3=alpha3,
                              xi1=xi1, xi2=xi2, Lam1=Lam1, Lam2=Lam2, Lam3=Lam3,
-                             Lam4=Lam4, delta2=delta2, delta_A9=delta_A9,
+                             Lam4=Lam4, delta2=delta2,
                              A=A, B=B, U2=U2, V2=V2)
 
 

@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NoRoot
-from .hylleraas import HylleraasParams
+from .hylleraas import HylleraasParams, potential_V
 from .levels import (
     FLAG_NO_ROOT,
     FLAG_NODE_MISMATCH,
@@ -117,22 +117,10 @@ def check_grid(grid: RadialGrid, w_values: np.ndarray) -> None:
                       GridHeuristicWarning, stacklevel=3)
 
 
-def potential_samples(params: HylleraasParams, grid: RadialGrid) -> np.ndarray:
-    abc = params.abc
-    expo = 2.0 * (1.0 + params.K) * params.omega * grid.points
-    if params.s_sign.value == "negative":
-        expo = -expo
-    # V reaches its limit D_e to double precision long before exp overflows;
-    # the cap keeps s finite so the far tail is D_e, not inf/inf = NaN
-    s = np.exp(np.minimum(expo, 300.0))
-    den = (s + abc.a) * (s + abc.c) * (1 + abc.b)
-    return params.D_e * (1.0 - (1 + abc.a) * (1 + abc.c) * (s + abc.b) / den)
-
-
 def effective_potential(params: HylleraasParams, e_param: float,
                         grid: RadialGrid) -> np.ndarray:
     """W(r) = 2 (E + M) V(r): the equal-coupling effective potential."""
-    return 2.0 * (e_param + params.M) * potential_samples(params, grid)
+    return 2.0 * (e_param + params.M) * potential_V(grid.points, params)
 
 
 def _operator(w_values: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +195,7 @@ class SeedTable:
 def seed_table(params: HylleraasParams, grid: RadialGrid) -> SeedTable:
     """The seed scan of solve_relativistic: one Sturm count per seed."""
     M = params.M
-    v = potential_samples(params, grid)
+    v = potential_V(grid.points, params)
     xs = seed_grid(-M * (1 - 1e-9), M * (1 - 1e-9), _SEEDS).tolist()
     return SeedTable(xs, [sturm_count(2.0 * (x + M) * v, grid, x * x - M * M) for x in xs])
 
@@ -229,7 +217,7 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
     Returns a flagged NoRoot level when no bracket holds a root.
     """
     M = params.M
-    v = potential_samples(params, grid)
+    v = potential_V(grid.points, params)
     check_grid(grid, 2.0 * (2 * M) * v)
 
     seen: dict[float, float] = {}
@@ -409,7 +397,7 @@ def numerov_shoot(params: HylleraasParams, n: int, grid: RadialGrid,
     as a flagged level (the bracket captured a different state).
     """
     M = params.M
-    v = potential_samples(params, grid)
+    v = potential_V(grid.points, params)
 
     def q_of(E: float) -> np.ndarray:
         return 2.0 * (E + M) * v - (E * E - M * M)
@@ -435,5 +423,5 @@ def schrodinger_limit(params: HylleraasParams, n: int, grid: RadialGrid) -> floa
     -(1/2) u'' + 2 V u = lam u is -u'' + 4 V u = 2 lam u, the operator of
     eigen_tridiagonal with W = 4 V.
     """
-    return 0.5 * float(eigen_tridiagonal(4.0 * potential_samples(params, grid), grid,
+    return 0.5 * float(eigen_tridiagonal(4.0 * potential_V(grid.points, params), grid,
                                          n + 1, first=n)[0])

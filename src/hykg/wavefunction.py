@@ -19,14 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closedform import _mech_branch
+from .closedform import _mech_branch, intermediates
 from .errors import (
     DegenerateAC,
     DomainError,
     NotRepresentable,
     TailNotConverged,
 )
-from .hylleraas import HylleraasParams, appendix_constants, s_of_r
+from .hylleraas import HylleraasParams, s_of_r
 from .levels import FLAG_CONFLUENT_FORM, FLAG_TAIL_NOT_CONVERGED, EnergyLevel
 from .nu import BranchGap, NUInput, NUSolution
 from .oracle import count_sign_changes
@@ -112,6 +112,9 @@ def exponents_DF(params: HylleraasParams, level: EnergyLevel,
         printed:   D = (1 - (muJ c + nuJ)) / (alpha1 (c - a))
         symmetric: D = -(muJ c + nuJ) / (2 alpha1 (c - a))
         both:      F = (muJ a + nuJ) / (2 alpha1 (c - a))
+
+    muJ and nuJ are those of `closedform.intermediates`; where either is
+    complex the factor is NotRepresentable.
     """
     if reading not in ("printed", "symmetric"):
         raise ValueError("reading must be 'printed' or 'symmetric'")
@@ -121,19 +124,12 @@ def exponents_DF(params: HylleraasParams, level: EnergyLevel,
     a, c = abc.a, abc.c
     if a == c:
         raise DegenerateAC("printed exponents divide by c - a = 0")
-    cst = appendix_constants(params, level.E)
-    delta = math.sqrt(cst.delta2)
-    inner = cst.V2
-    if inner < 0:
-        raise NotRepresentable(f"A^2 - B = {inner:.6g} < 0 at E = {level.E}")
-    root_inner = math.sqrt(inner)
-    rad_p = delta * (cst.eps2 + cst.A) + root_inner
-    rad_m = delta * (cst.eps2 + cst.A) - root_inner
-    if rad_p < 0 or rad_m < 0:
-        raise NotRepresentable("negative radicand in the factor exponents")
-    muJ = math.sqrt(rad_p)
-    nuJ = math.sqrt(rad_m)
-    a1 = cst.alpha1
+    im = intermediates(params, level.E, level.n)
+    if im.muJ.imag or im.nuJ.imag:
+        raise NotRepresentable(f"muJ = {im.muJ:.6g} or nuJ = {im.nuJ:.6g} "
+                               f"is not real at E = {level.E}")
+    muJ, nuJ = im.muJ.real, im.nuJ.real
+    a1 = 1 + abc.b
     if reading == "printed":
         D = (1.0 - (muJ * c + nuJ)) / (a1 * (c - a))
     else:
@@ -266,8 +262,7 @@ def radial_R(level: EnergyLevel, params: HylleraasParams, r: float | np.ndarray,
             return ((s + abc.a) ** (e_a / 2.0) * (s + abc.c) ** (e_c / 2.0)
                     * rodrigues_chi(level.n, wf.D, wf.F, abc.a, abc.c, s))
 
-    values = sample(np.array([s_of_r(x, params.K, params.omega, params.s_sign)
-                              for x in np.atleast_1d(r)]))
+    values = sample(s_of_r(np.atleast_1d(r), params.K, params.omega, params.s_sign))
     return float(values[0]) if np.isscalar(r) else values
 
 

@@ -46,8 +46,6 @@ def constants_hp(K, k1, k2, omega, De, M, mu, E):
         delta2 = Lam3 ** 2 + 12 * Lam1
         A = (2 * Lam2 * alpha3 + 16 * Lam1 * alpha1 ** 2 + 16 * Lam1 * xi1) / delta2
         B = (Lam2 ** 2 - 4 * Lam1 * Lam4) / delta2
-        delta_A9 = 64 * (1 + b) ** 2 * (a * (1 - c) - a * (8 * c + 1)
-                                        + c ** 2 * (1 - a) + a + 4)
         return {
             "Ebar": Ebar, "Vbar": Vbar, "eps2": eps2,
             "betap2": betap2, "gammap2": gammap2,
@@ -55,7 +53,7 @@ def constants_hp(K, k1, k2, omega, De, M, mu, E):
             "alpha1": alpha1, "alpha2": alpha2, "alpha3": alpha3,
             "xi1": xi1, "xi2": xi2,
             "Lam1": Lam1, "Lam2": Lam2, "Lam3": Lam3, "Lam4": Lam4,
-            "delta2": delta2, "delta_A9": delta_A9,
+            "delta2": delta2,
             "A": A, "B": B,
             "U2": delta2 * (eps2 + A) ** 2, "V2": A ** 2 - B,
         }

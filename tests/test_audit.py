@@ -14,14 +14,13 @@ from hykg.audit import (
 )
 from hykg.config import default_config
 from hykg.errors import DegenerateParams, NotRepresentable
-from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign
+from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign, potential_V
 from hykg.levels import FLAG_NO_ROOT, Engine, EnergyLevel, EngineResult
 from hykg.oracle import (
     RadialGrid,
     SeedTable,
     default_grid,
     eigen_tridiagonal,
-    potential_samples,
     seed_table,
     solve_relativistic,
 )
@@ -153,7 +152,7 @@ def seed_signs(params, grid, ns):
     with g_n the single-index g that Brent refines and `accuracy` a bound on
     its absolute error: stebz bisects to eps times the matrix norm."""
     M = params.M
-    v = potential_samples(params, grid)
+    v = potential_V(grid.points, params)
     table = seed_table(params, grid)
     for x, count in zip(table.xs, table.counts):
         w = 2.0 * (x + M) * v
@@ -274,7 +273,7 @@ class TestRunAudit:
 
     def test_n_max_bound(self):
         with pytest.raises(ValueError):
-            run_audit(DEFAULT_PARAMS, n_max=11)
+            run_audit(DEFAULT_PARAMS, n_max=11, grid=default_grid(DEFAULT_PARAMS, n=400))
 
 
 class TestSerialization:

@@ -10,8 +10,8 @@ from functools import cache
 import numpy as np
 import pytest
 
-from hykg.hylleraas import HylleraasParams, SSign
-from hykg.oracle import RadialGrid, eigen_tridiagonal, potential_samples
+from hykg.hylleraas import HylleraasParams, SSign, potential_V
+from hykg.oracle import RadialGrid, eigen_tridiagonal
 from hykg.rootfind import brent
 
 from _exact import exact_levels
@@ -47,7 +47,7 @@ def test_exact_levels_match_reference(D_e, s_sign):
 
 def _oracle_level(params, n, grid, E_exact):
     """Root of g_n on E_exact +/- BRACKET."""
-    v = potential_samples(params, grid)
+    v = potential_V(grid.points, params)
     M = params.M
 
     def g(E):

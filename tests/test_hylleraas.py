@@ -86,6 +86,20 @@ class TestSOfR:
         with pytest.raises(OutOfRange):
             s_of_r(-1.0, 1.0, 1.0, SSign.POSITIVE)
 
+    @pytest.mark.parametrize("s_sign", list(SSign))
+    def test_array_is_pointwise(self, s_sign):
+        rs = np.linspace(0.0, 40.0, 401)
+        got = s_of_r(rs, 2.0, 0.25, s_sign)
+        assert got.dtype == float and got.shape == rs.shape
+        assert np.array_equal(got, [s_of_r(r, 2.0, 0.25, s_sign) for r in rs])
+
+    def test_array_overflow_reports_the_first_offending_exponent(self):
+        rs = np.array([1.0, 750.0, 800.0])
+        with pytest.raises(OutOfRange, match="exponent 750$"):
+            s_of_r(rs, 0.0, 0.5, SSign.POSITIVE)
+        with pytest.raises(OutOfRange, match="r must be >= 0"):
+            s_of_r(np.array([1.0, -1.0]), 0.0, 0.5, SSign.POSITIVE)
+
     def test_monotone(self):
         rs = np.linspace(0.0, 5.0, 50)
         vals = [s_of_r(r, 2.0, 0.25, SSign.POSITIVE) for r in rs]

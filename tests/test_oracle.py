@@ -8,8 +8,8 @@ import pytest
 from scipy.linalg.blas import dtbsv
 
 from hykg import oracle
-from hykg.errors import NoRoot
-from hykg.hylleraas import DEFAULT_PARAMS, SSign
+from hykg.errors import NoRoot, OutOfRange
+from hykg.hylleraas import DEFAULT_PARAMS, SSign, potential_V, s_of_r
 from hykg.levels import FLAG_NO_ROOT, FLAG_NODE_MISMATCH
 from hykg.config import default_config
 from hykg.oracle import (
@@ -25,7 +25,6 @@ from hykg.oracle import (
     numerov_eigenvalue,
     numerov_shoot,
     oracle_eigenvector,
-    potential_samples,
     schrodinger_limit,
     solve_levels,
     solve_relativistic,
@@ -231,7 +230,7 @@ class TestSturmCount:
         params = DEFAULT_PARAMS.replace(K=0.5, k1=0.5, omega=1.0)
         assert params.abc.c == 0.0
         grid = default_grid(params, n=400)
-        M, v = params.M, potential_samples(params, grid)
+        M, v = params.M, potential_V(grid.points, params)
         with mpmath.workdps(60):
             off2 = mpmath.mpf(1.0 / grid.h ** 2) ** 2
             for x in oracle.seed_table(params, grid).xs:
@@ -294,7 +293,7 @@ class TestNumerovShooter:
         assert shot.found
         assert counts["fevals"] > 2
         assert counts["defect"] == counts["fevals"] + 1
-        M, v = DEFAULT_PARAMS.M, potential_samples(DEFAULT_PARAMS, grid)
+        M, v = DEFAULT_PARAMS.M, potential_V(grid.points, DEFAULT_PARAMS)
         q = 2.0 * (shot.E + M) * v - (shot.E * shot.E - M * M)
         assert shot.residual == abs(defect(q, grid.h)[0])
 
@@ -342,7 +341,7 @@ def well_grid(n):
 
 def well_q(n, E=0.9105063368870955):
     """q = W - Ebar of the well; E defaults to its Numerov ground state at N = 1000."""
-    M, v = B_NEGATIVE_WELL.M, potential_samples(B_NEGATIVE_WELL, well_grid(n))
+    M, v = B_NEGATIVE_WELL.M, potential_V(well_grid(n).points, B_NEGATIVE_WELL)
     return 2.0 * (E + M) * v - (E * E - M * M)
 
 
@@ -431,9 +430,21 @@ class TestPotential:
         grid = RadialGrid(r_min=500.0 / 4000, r_max=500.0, n=4000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v = potential_samples(params, grid)
+            v = potential_V(grid.points, params)
         assert np.all(np.isfinite(v))
         assert v[-1] == params.D_e
+        with pytest.raises(OutOfRange):
+            s_of_r(grid.points, params.K, params.omega, params.s_sign)
+
+    @pytest.mark.parametrize("s_sign", list(SSign))
+    def test_array_is_pointwise_and_is_what_the_oracle_solves(self, s_sign):
+        params = DEFAULT_PARAMS.replace(s_sign=s_sign)
+        grid = default_grid(params, 4000)
+        v = potential_V(grid.points, params)
+        assert np.array_equal(v, [potential_V(r, params) for r in grid.points])
+        E = -0.5
+        assert np.array_equal(effective_potential(params, E, grid),
+                              2.0 * (E + params.M) * v)
 
 
 class TestSchrodinger:

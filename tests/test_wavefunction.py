@@ -414,6 +414,14 @@ class TestArraySampler:
         assert rad.representation == "confluent-mechanical"
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("confluent", [True, False])
+    def test_one_s_of_r_call_per_sample(self, confluent, default_params, monkeypatch):
+        params, E = (default_params, -0.93) if confluent else (REPRESENTABLE, REPRESENTABLE_E)
+        calls = _counting(monkeypatch, "s_of_r")
+        values = radial_R(level_at(E, n=1), params, self.RADII)
+        assert values.shape == self.RADII.shape
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("reading", ["printed", "symmetric"])
     @pytest.mark.parametrize("ordering", ["D_on_a", "F_on_a"])
     def test_array_matches_pointwise_formula(self, reading, ordering):
