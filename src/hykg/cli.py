@@ -21,7 +21,7 @@ import numpy as np
 
 from .audit import ENGINES, ode_residual, run_audit
 from .config import N_MAX, RunConfig, load_config, params_dict
-from .errors import ConfigError, MissingLevel, OutOfRange
+from .errors import ConfigError, MissingLevel, NotRepresentable, OutOfRange
 from .levels import PREFERENCE, Engine, EnergyLevel, fmt_cell
 # solve_relativistic stays in this namespace: bench/tests checks that the
 # tracer wraps it here too
@@ -104,8 +104,8 @@ def cmd_wavefunction(config: RunConfig, n: int, out_dir: Path) -> None:
         raise MissingLevel(f"no closed-form level n={n} for the selected engines")
     try:
         radial = build_radial(config.params, level, grid)
-    except OutOfRange as exc:
-        raise ConfigError(f"closed form n={n} out of range on the grid "
+    except (OutOfRange, NotRepresentable) as exc:
+        raise ConfigError(f"closed form n={n} cannot be sampled on the grid "
                           f"(r_max = {grid.r_max!r}): {exc}") from None
 
     oracle_col = [""] * grid.n
@@ -304,10 +304,6 @@ def _each_point(worker) -> Callable[[argparse.Namespace], int]:
     return run
 
 
-def _oracle_spectrum(config: RunConfig, out_dir: Path) -> None:
-    cmd_spectrum(dataclasses.replace(config, engines=(Engine.ORACLE,)), out_dir)
-
-
 def _wavefunction(args: argparse.Namespace) -> int:
     config = _run_config(args)
     if config.sweep is not None:
@@ -325,7 +321,6 @@ COMMANDS: dict[str, tuple[Callable[[argparse.ArgumentParser], None],
                           Callable[[argparse.Namespace], int]]] = {
     "spectrum": (_config_arguments, _each_point(cmd_spectrum)),
     "audit": (_config_arguments, _each_point(cmd_audit)),
-    "oracle": (_config_arguments, _each_point(_oracle_spectrum)),
     "wavefunction": (_wavefunction_arguments, _wavefunction),
     "selftest": (lambda p: None, lambda args: run_selftest()),
 }

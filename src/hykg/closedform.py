@@ -66,9 +66,9 @@ from .rootfind import scan_roots, seed_grid
 # everything at its trial energy: Brent does not come back to an energy, so
 # nothing is kept between calls.  Each root is then judged once, by one
 # scalar evaluation that gives its residual, its acceptance and its flags
-# (`_scan`).  The mechanical seed values are bit-identical to the scalar
-# residual; the implicit and eq45 ones can differ in the last bits, because
-# numpy squares where Python's ** 2 calls pow (U2, V2, Lam4, B, B_a14).
+# (`_scan`).  The mechanical and implicit seed values are bit-identical to
+# the scalar residual; the eq45 ones can differ in the last bits, because
+# numpy squares where Python's ** 2 calls pow (B_a14, the eq45 terms).
 N_BRACKETS = 2000
 TOL_E = 1e-12
 DEDUP_FACTOR = 1e-9

@@ -181,6 +181,12 @@ class AppendixConstants:
     V2: float        # A^2 - B
 
 
+def _sq(x: float | np.ndarray) -> float | np.ndarray:
+    """x ** 2 of a float, which is libm pow, for arrays too: np.float_power
+    repeats it bit for bit, where a numpy square can differ in the last bit."""
+    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
+
+
 def appendix_constants(params: HylleraasParams, E: float) -> AppendixConstants:
     """Evaluate every constant of the cascade verbatim at trial energy E."""
     abc = params.abc
@@ -204,14 +210,14 @@ def appendix_constants(params: HylleraasParams, E: float) -> AppendixConstants:
     Lam1 = alpha2 ** 2 - 8.0 * alpha1 * alpha3
     Lam2 = 2.0 * alpha1 * xi1 - 4.0 * alpha1 ** 2 * alpha3 - 8.0 * alpha1 * xi2
     Lam3 = 2.0 * alpha2 - 4.0 * alpha3 - 8.0 * alpha1
-    Lam4 = xi1 ** 2 - 4.0 * alpha1 ** 2 * xi2
+    Lam4 = _sq(xi1) - 4.0 * alpha1 ** 2 * xi2
     delta2 = Lam3 ** 2 + 12.0 * Lam1
     if delta2 == 0:
         raise DegenerateParams("delta2 vanished; A and B are undefined")
     A = (2.0 * Lam2 * alpha3 + 16.0 * Lam1 * alpha1 ** 2 + 16.0 * Lam1 * xi1) / delta2
-    B = (Lam2 ** 2 - 4.0 * Lam1 * Lam4) / delta2
+    B = (_sq(Lam2) - 4.0 * Lam1 * Lam4) / delta2
 
-    U2 = delta2 * (eps2 + A) ** 2
+    U2 = delta2 * _sq(eps2 + A)
     V2 = A * A - B
     return AppendixConstants(Ebar=Ebar, Vbar=Vbar, eps2=eps2, betap2=betap2,
                              gammap2=gammap2, beta2=beta2, gamma2=gamma2,

@@ -7,12 +7,13 @@ energy-dependent effective eigenproblem
 
 solved on a uniform grid with Dirichlet conditions one step outside both
 ends (u(0) = 0 regularity and a far-wall cutoff).  Bound states are roots of
-g(E) = Ebar_n(E) - (E^2 - M^2); one Sturm count per seed energy gives the
-sign of g for every n at once, and so brackets every level.  A Numerov
-matching integrator provides an independent cross-check of the matrix
-eigenvalues; each integration is one BLAS banded triangular solve, restarted
-only where the solution is rescaled.  A fixed-mass Schroedinger solver
-supports the weak-coupling limit trend tests.
+g(E) = Ebar_n(E) - (E^2 - M^2).  By Sturm's theorem g > 0 exactly when at
+most n eigenvalues are <= E^2 - M^2, so level n is where that Sturm count
+crosses n, and counts alone bracket and bisect it.  A Numerov matching
+integrator provides an independent cross-check of the matrix eigenvalues;
+each integration is one BLAS banded triangular solve, restarted only where
+the solution is rescaled.  A fixed-mass Schroedinger solver supports the
+weak-coupling limit trend tests.
 """
 from __future__ import annotations
 
@@ -60,8 +61,8 @@ def dtbsv(*args, **kwargs):
     return dtbsv(*args, **kwargs)
 
 
-# Brent tolerance on E for the relativistic roots (solve_relativistic and
-# numerov_shoot), in units of M.
+# Tolerance on E for the relativistic roots, in units of M: the width of
+# solve_relativistic's final count bracket and numerov_shoot's Brent tolerance.
 E_TOL_REL = 1e-10
 
 
@@ -179,66 +180,64 @@ def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
     return float(vals[0]), v
 
 
-# equal steps of the oracle's seed scan across (-M, M)
+# equal steps of the oracle's seed walk across (-M, M)
 _SEEDS = 64
 
 
-@dataclass(frozen=True)
-class SeedTable:
-    """Sturm counts of the effective operator at every seed energy x: the
-    number of its eigenvalues <= x^2 - M^2.  One scan serves every level."""
+class SeedCounts:
+    """Sturm counts of the effective operator at the seed energies xs (at x,
+    the number of its eigenvalues <= x^2 - M^2), each taken when a walk first
+    reaches its seed: one instance serves every level, counting what they need."""
 
-    xs: list[float]
-    counts: list[int]
+    def __init__(self, params: HylleraasParams, grid: RadialGrid):
+        M = params.M
+        self.params, self.grid = params, grid
+        self.v = potential_V(grid.points, params)
+        self.xs = seed_grid(-M * (1 - 1e-9), M * (1 - 1e-9), _SEEDS).tolist()
+        self._counts: list[int] = []
 
+    def at(self, x: float) -> int:
+        """The count at any energy x."""
+        M = self.params.M
+        return sturm_count(2.0 * (x + M) * self.v, self.grid, x * x - M * M)
 
-def seed_table(params: HylleraasParams, grid: RadialGrid) -> SeedTable:
-    """The seed scan of solve_relativistic: one Sturm count per seed."""
-    M = params.M
-    v = potential_V(grid.points, params)
-    xs = seed_grid(-M * (1 - 1e-9), M * (1 - 1e-9), _SEEDS).tolist()
-    return SeedTable(xs, [sturm_count(2.0 * (x + M) * v, grid, x * x - M * M) for x in xs])
+    def __getitem__(self, i: int) -> int:
+        while len(self._counts) <= i:
+            self._counts.append(self.at(self.xs[len(self._counts)]))
+        return self._counts[i]
 
 
 def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
-                       table: SeedTable | None = None) -> EnergyLevel:
-    """Lowest root of g(E) = Ebar_n(E) - (E^2 - M^2) on (-M, M).
+                       seeds: SeedCounts | None = None) -> EnergyLevel:
+    """Lowest crossing of the Sturm count through n on (-M, M).
 
-    A seed scan brackets the sign changes of g; Brent's method (Brent,
-    "Algorithms for Minimization without Derivatives", 1973) refines the
-    first one it confirms.  By Sturm's theorem g > 0 at a seed x exactly
-    when at most n eigenvalues are <= x^2 - M^2, so the sign of g at every
-    seed is read off the counts of a `seed_table` (`table` when given, else
-    a new one), and the table serves every level.  Brent evaluates g itself,
-    a single-index Sturm bisection for eigenvalue n, and the residual reuses
-    Brent's own value of g at the root; a bracket on which g shows no sign
-    change is skipped for the next one.
+    The walk up the seeds (`seeds` when given, else new ones) stops at the
+    first interval where `count <= n`, the sign of g, flips; bisection on
+    that predicate then narrows it to E_TOL_REL * M and reports the
+    midpoint.  No step reads a computed eigenvalue, whose absolute error
+    (eps times the matrix norm) swamps g where W is huge.  The residual is
+    |g| from one single-index eigensolve at the midpoint.
 
-    Returns a flagged NoRoot level when no bracket holds a root.
+    Returns a flagged NoRoot level when no interval flips.
     """
     M = params.M
-    v = potential_V(grid.points, params)
-    check_grid(grid, 2.0 * (2 * M) * v)
-
-    seen: dict[float, float] = {}
-
-    def g(E: float) -> float:
-        w = 2.0 * (E + M) * v
-        ebar_n = float(eigen_tridiagonal(w, grid, n + 1, first=n)[0])
-        seen[E] = ebar_n - (E * E - M * M)
-        return seen[E]
-
-    t = table or seed_table(params, grid)
-    positive = [c <= n for c in t.counts]   # the sign of g at each seed
-    for i in range(len(t.xs) - 1):
-        if positive[i] == positive[i + 1]:
+    seeds = seeds or SeedCounts(params, grid)
+    check_grid(grid, 2.0 * (2 * M) * seeds.v)
+    for i in range(len(seeds.xs) - 1):
+        below = seeds[i] <= n
+        if below == (seeds[i + 1] <= n):
             continue
-        try:
-            root = float(brent(g, t.xs[i], t.xs[i + 1], E_TOL_REL * M))
-        except ValueError:
-            continue
-        return EnergyLevel(n=n, E=root, Ebar=root * root - M * M,
-                           engine=Engine.ORACLE, residual=abs(seen[root]))
+        lo, hi = seeds.xs[i], seeds.xs[i + 1]
+        while hi - lo > E_TOL_REL * M:
+            mid = 0.5 * (lo + hi)
+            if (seeds.at(mid) <= n) == below:
+                lo = mid
+            else:
+                hi = mid
+        E = 0.5 * (lo + hi)
+        ebar_n = float(eigen_tridiagonal(2.0 * (E + M) * seeds.v, grid, n + 1, first=n)[0])
+        return EnergyLevel(n=n, E=E, Ebar=E * E - M * M, engine=Engine.ORACLE,
+                           residual=abs(ebar_n - (E * E - M * M)))
     return EnergyLevel(n=n, E=None, Ebar=None, engine=Engine.ORACLE,
                        residual=None, flags=frozenset({FLAG_NO_ROOT}))
 
@@ -246,12 +245,12 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
 def solve_levels(params: HylleraasParams, ns: Iterable[int],
                  grid: RadialGrid) -> dict[int, EngineResult]:
     """The solve_relativistic level of each n in ns as an EngineResult, all
-    bracketed from one shared seed table; a NoRoot record becomes an empty
-    result flagged NoRoot."""
-    table = seed_table(params, grid)
+    walking one SeedCounts; a NoRoot record becomes an empty result flagged
+    NoRoot."""
+    seeds = SeedCounts(params, grid)
     results = {}
     for n in ns:
-        level = solve_relativistic(params, n, grid, table=table)
+        level = solve_relativistic(params, n, grid, seeds)
         results[n] = (EngineResult([level], frozenset()) if level.found else
                       EngineResult([], frozenset({FLAG_NO_ROOT})))
     return results

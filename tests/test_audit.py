@@ -14,16 +14,9 @@ from hykg.audit import (
 )
 from hykg.config import default_config
 from hykg.errors import DegenerateParams, NotRepresentable
-from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign, potential_V
+from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign
 from hykg.levels import FLAG_NO_ROOT, Engine, EnergyLevel, EngineResult
-from hykg.oracle import (
-    RadialGrid,
-    SeedTable,
-    default_grid,
-    eigen_tridiagonal,
-    seed_table,
-    solve_relativistic,
-)
+from hykg.oracle import RadialGrid, SeedCounts, default_grid, eigen_tridiagonal
 
 from test_closedform import SWEEP_BOX
 
@@ -101,7 +94,7 @@ class TestEngineTable:
     def test_oracle_entry_calls_patched_solver(self, monkeypatch):
         calls = []
 
-        def stub(params, n, grid, table=None):
+        def stub(params, n, grid, seeds=None):
             calls.append(n)
             return EnergyLevel(n=n, E=-0.5, Ebar=-0.75, engine=Engine.ORACLE, residual=0.0)
 
@@ -148,18 +141,17 @@ BATCH_CASES = {
 
 
 def seed_signs(params, grid, ns):
-    """(count <= n, g_n, accuracy) at every seed of the oracle's seed table,
-    with g_n the single-index g that Brent refines and `accuracy` a bound on
+    """(count <= n, g_n, accuracy) at every seed of the oracle's seed walk,
+    with g_n the single-index g of an eigensolve and `accuracy` a bound on
     its absolute error: stebz bisects to eps times the matrix norm."""
     M = params.M
-    v = potential_V(grid.points, params)
-    table = seed_table(params, grid)
-    for x, count in zip(table.xs, table.counts):
-        w = 2.0 * (x + M) * v
+    seeds = SeedCounts(params, grid)
+    for i, x in enumerate(seeds.xs):
+        w = 2.0 * (x + M) * seeds.v
         accuracy = 8.0 * np.finfo(float).eps * (float(np.max(np.abs(w))) + 4.0 / grid.h ** 2)
         for n in ns:
             ebar_n = float(eigen_tridiagonal(w, grid, n + 1, first=n)[0])
-            yield count <= n, ebar_n - (x * x - M * M), accuracy
+            yield seeds[i] <= n, ebar_n - (x * x - M * M), accuracy
 
 
 class TestBatchedLevels:
@@ -193,38 +185,6 @@ class TestBatchedLevels:
             # g is known only to ~1e10 (see TestSturmCount)
             if abs(g) > max(1e-9, accuracy):
                 assert positive == (g > 0)
-
-    def test_oracle_rescans_when_shared_bracket_fails(self, monkeypatch):
-        # no level of this well has its root in the first seed interval
-        params, grid = BATCH_CASES["b-negative-well"]()
-        shared = oracle.seed_table
-
-        def flipped(params, grid):
-            # a first-seed count above every level reads as g < 0 there, so
-            # every level sees a crossing in the first interval, where none is
-            table = shared(params, grid)
-            return SeedTable(table.xs, [10 ** 6] + table.counts[1:])
-
-        rejected = []
-        brent = oracle.brent
-
-        def recording_brent(*args, **kwargs):
-            try:
-                return brent(*args, **kwargs)
-            except ValueError:
-                rejected.append(args[1])
-                raise
-
-        monkeypatch.setattr(oracle, "seed_table", flipped)
-        monkeypatch.setattr(oracle, "brent", recording_brent)
-        levels = ENGINES[Engine.ORACLE](params, range(4), grid)
-        assert len(rejected) == 4
-        monkeypatch.undo()
-        for n in range(4):
-            level = solve_relativistic(params, n, grid)
-            assert levels[n] == (EngineResult([level], frozenset()) if level.found else
-                                 EngineResult([], frozenset({FLAG_NO_ROOT})))
-        assert levels[0].levels
 
 
 class TestRunAudit:

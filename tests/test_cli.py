@@ -45,8 +45,8 @@ formats = csv, json
 """
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# sha256 of the default `wavefunction --n 0` profile (4000 rows, 194,243 bytes)
-WF_N0_CSV_SHA256 = "fcfceddb814522b45d3aa2d2ef08f2ceb85e06e5894dfccdedbfaea76a03e5a2"
+# sha256 of the default `wavefunction --n 0` profile (4000 rows, 194,298 bytes)
+WF_N0_CSV_SHA256 = "1d0e07a960110a88afcae0115ee9ecba2b42532544d3aa99422c9baabb4aba2a"
 
 
 @pytest.fixture
@@ -187,11 +187,14 @@ class TestSpectrumCommand:
         assert rows
         assert all(r.split(",")[1] == "Oracle" for r in rows)
 
-    def test_oracle_subcommand_restricts_engine(self, fast_cfg_path, tmp_path):
-        out = tmp_path / "out"
-        assert main(["oracle", "--config", str(fast_cfg_path), "--out", str(out)]) == 0
-        body = (out / "spectrum.csv").read_text().strip().split("\n")[1:]
-        assert body and all(line.split(",")[1] == "Oracle" for line in body)
+    def test_oracle_is_an_engine_not_a_command(self, fast_cfg_path, tmp_path, capsys):
+        # `spectrum` with `engines = oracle` (test_engine_filter) is the oracle run
+        assert list(cli.COMMANDS) == ["spectrum", "audit", "wavefunction", "selftest"]
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--config", str(fast_cfg_path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'oracle'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rows_from_engine_table(self, monkeypatch):
         monkeypatch.setitem(audit.ENGINES, Engine.EQ45_VERBATIM,
@@ -320,6 +323,22 @@ class TestWavefunctionCommand:
                      "--out", str(out), "--n", n]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("s_sign", ["negative", "positive"])
+    def test_complex_exponents_are_config_error(self, tmp_path, capfd, s_sign):
+        # at k2 = 0.5 the n = 1 closed form has complex muJ, nuJ: no real
+        # profile to sample
+        cfg = tmp_path / "k2.cfg"
+        cfg.write_text(Path(__file__).resolve().parents[1].joinpath("configs", "default.cfg")
+                       .read_text().replace("k2 = 1.0", "k2 = 0.5")
+                       .replace("s_sign = negative", f"s_sign = {s_sign}"))
+        assert load_config(cfg).params.k2 == 0.5
+        out = tmp_path / "w"
+        assert main(["wavefunction", "--config", str(cfg), "--out", str(out), "--n", "1"]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("config error: closed form n=1") and err.count("\n") == 1
+        assert "is not real" in err
+        assert not out.exists()
+
     def test_far_tail_grid_overflow_is_config_error(self, tmp_path, capfd):
         # s(r) = exp(2 (1+K) w r) overflows inside this grid, so the closed
         # form cannot be sampled there
@@ -377,7 +396,7 @@ scale = log
 _STARTUP_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-cfg, out = sys.argv[2], sys.argv[3]
+cfg, oracle_cfg, out = sys.argv[2], sys.argv[3], sys.argv[4]
 loaded = []
 import hykg
 loaded.append("scipy" in sys.modules)
@@ -389,7 +408,7 @@ loaded.append("scipy" in sys.modules)
 assert hykg.cli.main(["spectrum", "--config", cfg, "--out", out + "/cf"]) == 0
 assert hykg.cli.main(["wavefunction", "--n", "0", "--config", cfg, "--out", out + "/cf"]) == 0
 loaded.append("scipy" in sys.modules)
-assert hykg.cli.main(["oracle", "--config", cfg, "--out", out + "/oracle"]) == 0
+assert hykg.cli.main(["spectrum", "--config", oracle_cfg, "--out", out + "/oracle"]) == 0
 loaded.append("scipy" in sys.modules)
 print(json.dumps(loaded))
 """
@@ -399,19 +418,22 @@ class TestStartup:
     def test_closed_form_runs_never_load_scipy(self, tmp_path):
         cfg = tmp_path / "closed.cfg"
         cfg.write_text(FAST_CFG.replace("engines = mechanical, oracle", "engines = mechanical"))
+        oracle_cfg = tmp_path / "oracle.cfg"
+        oracle_cfg.write_text(FAST_CFG.replace("engines = mechanical, oracle", "engines = oracle"))
         src = Path(__import__("hykg").__file__).resolve().parents[1]
         proc = subprocess.run(
-            [sys.executable, "-c", _STARTUP_SCRIPT, str(src), str(cfg), str(tmp_path / "fresh")],
+            [sys.executable, "-c", _STARTUP_SCRIPT, str(src), str(cfg), str(oracle_cfg),
+             str(tmp_path / "fresh")],
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         # after import hykg, import hykg.cli, load_config, spectrum and
-        # wavefunction: no scipy; the oracle command loads it
+        # wavefunction: no scipy; an oracle spectrum loads it
         assert json.loads(proc.stdout) == [False, False, False, False, True]
         assert sorted(p.name for p in (tmp_path / "fresh" / "cf").iterdir()) == [
             "spectrum.csv", "spectrum.json", "wf_n0.csv", "wf_n0.flags.json"]
 
         here = tmp_path / "here"
-        assert main(["oracle", "--config", str(cfg), "--out", str(here)]) == 0
+        assert main(["spectrum", "--config", str(oracle_cfg), "--out", str(here)]) == 0
         fresh = tmp_path / "fresh" / "oracle"
         assert sorted(p.name for p in fresh.iterdir()) == ["spectrum.csv", "spectrum.json"]
         for name in ("spectrum.csv", "spectrum.json"):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hykg import closedform, rootfind
@@ -197,6 +197,10 @@ class TestSeedValues:
     @given(point=st.fixed_dictionaries({name: st.floats(lo, hi)
                                         for name, (lo, hi) in SWEEP_BOX.items()}),
            s_sign=st.sampled_from(SSign))
+    # U2 = delta2 (eps2 + A)^2 squared by numpy, not pow, put the implicit
+    # seed 1.3e-13 off a residual of -6.98 made by cancellation
+    @example(point={"K": 2.225520697864559, "k1": 0.0, "k2": 0.0, "omega": 0.1, "D_e": 0.2},
+             s_sign=SSign.POSITIVE)
     @settings(max_examples=60, deadline=None)
     def test_array_seeds_match_scalar_residual(self, point, s_sign):
         try:
@@ -223,7 +227,7 @@ class TestSeedValues:
                     assert np.array_equal(np.isfinite(ys), valid)
                     ys, scalar = ys[valid], scalar[valid]
                     assert np.array_equal(np.sign(ys), np.sign(scalar))
-                    if engine_result is energy_mechanical_result:
+                    if engine_result is not energy_eq45_result:
                         assert ys.tobytes() == scalar.tobytes()
                     else:
                         # the engines' residual scales have a floor of 1 (M^2 = 1)

@@ -5,14 +5,17 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg.blas import dtbsv
 
 from hykg import oracle
-from hykg.errors import NoRoot, OutOfRange
-from hykg.hylleraas import DEFAULT_PARAMS, SSign, potential_V, s_of_r
+from hykg.errors import DegenerateParams, NoRoot, OutOfRange
+from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign, potential_V, s_of_r
 from hykg.levels import FLAG_NO_ROOT, FLAG_NODE_MISMATCH
 from hykg.config import default_config
 from hykg.oracle import (
+    E_TOL_REL,
     GridHeuristicWarning,
     RadialGrid,
     box_grid,
@@ -31,6 +34,8 @@ from hykg.oracle import (
     sturm_count,
 )
 from hykg.rootfind import estimate_order
+
+from test_closedform import SWEEP_BOX
 
 L = 20.0
 
@@ -231,41 +236,104 @@ class TestSturmCount:
         assert params.abc.c == 0.0
         grid = default_grid(params, n=400)
         M, v = params.M, potential_V(grid.points, params)
-        with mpmath.workdps(60):
-            off2 = mpmath.mpf(1.0 / grid.h ** 2) ** 2
-            for x in oracle.seed_table(params, grid).xs:
-                w = 2.0 * (x + M) * v
-                sigma = x * x - M * M
-                q, exact = None, 0
-                for d in (2.0 / grid.h ** 2 + w).tolist():
-                    q = mpmath.mpf(d) - mpmath.mpf(sigma) - (off2 / q if q is not None else 0)
-                    exact += q < 0
-                assert sturm_count(w, grid, sigma) == exact
+        for x in oracle.SeedCounts(params, grid).xs:
+            w = 2.0 * (x + M) * v
+            sigma = x * x - M * M
+            assert sturm_count(w, grid, sigma) == sturm_count_hp(w, grid, sigma)
 
     def test_oracle_work_counts(self, monkeypatch):
-        # eigen_tridiagonal serves only Brent's evaluations of g (the
-        # residual reuses Brent's value at the root); the seed table is one
-        # count per seed
+        # every default level lies in the first seed interval: two seed counts
+        # serve all four, each level bisects that interval (2M/64) to
+        # E_TOL_REL * M in at most 29 counts, and its residual is one eigensolve
         config = default_config()
-        counts = {"eigen": 0, "sturm": 0, "fevals": 0}
-        eigen, sturm, brent = oracle.eigen_tridiagonal, oracle.sturm_count, oracle.brent
+        seeds = oracle.SeedCounts(config.params, config.grid()).xs
+        events = []
+        at, eigen = oracle.SeedCounts.at, oracle.eigen_tridiagonal
 
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted_at(self, x):
+            events.append(x)
+            return at(self, x)
 
-        def counted_brent(f, *args):
-            return brent(counted("fevals", f), *args)
+        def counted_eigen(*args, **kwargs):
+            events.append(None)
+            return eigen(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "eigen_tridiagonal", counted("eigen", eigen))
-        monkeypatch.setattr(oracle, "sturm_count", counted("sturm", sturm))
-        monkeypatch.setattr(oracle, "brent", counted_brent)
+        monkeypatch.setattr(oracle.SeedCounts, "at", counted_at)
+        monkeypatch.setattr(oracle, "eigen_tridiagonal", counted_eigen)
         results = solve_levels(config.params, range(4), config.grid())
         assert [len(result.levels) for result in results.values()] == [1, 1, 1, 1]
-        assert counts["sturm"] == 65
-        assert counts["eigen"] == counts["fevals"]
+        assert [x for x in events if x in seeds] == seeds[:2]
+        assert events.count(None) == 4
+        per_level = [[]]
+        for x in events:
+            if x is None:
+                per_level.append([])
+            elif x not in seeds:
+                per_level[-1].append(x)
+        assert per_level[-1] == []
+        assert all(0 < len(xs) <= 29 for xs in per_level[:-1])
+
+
+def sturm_count_hp(w, grid, sigma):
+    """sturm_count of the same matrix, in 60-digit arithmetic."""
+    diag, off = oracle._operator(w, grid)
+    with mpmath.workdps(60):
+        off2 = mpmath.mpf(float(off[0])) ** 2
+        q, count = None, 0
+        for d in diag.tolist():
+            q = mpmath.mpf(d) - mpmath.mpf(sigma) - (off2 / q if q is not None else 0)
+            count += q < 0
+    return count
+
+
+# c = 0 and s_sign negative: W grows like e^{2(1+K) w r}, ~1e26 at the far
+# wall, and the value of g read off a computed eigenvalue is noise
+HUGE_W_PARAMS = DEFAULT_PARAMS.replace(K=0.5, k1=0.5, k2=1.0, omega=1.0, D_e=1.0,
+                                       s_sign=SSign.NEGATIVE)
+
+
+@pytest.mark.filterwarnings("ignore::hykg.oracle.GridHeuristicWarning")
+class TestCountBisection:
+    # Brent on g returned NoRoot at N = 400 and -0.0733769, unflagged, at 4000
+    @pytest.mark.parametrize("n_points, crossing", [(400, -0.5989846), (4000, -0.0873129)])
+    def test_level_is_the_exact_count_crossing(self, monkeypatch, n_points, crossing):
+        grid = default_grid(HUGE_W_PARAMS, n=n_points)
+        counted = []
+        at = oracle.SeedCounts.at
+
+        def recording(self, x):
+            counted.append((x, at(self, x)))
+            return counted[-1][1]
+
+        monkeypatch.setattr(oracle.SeedCounts, "at", recording)
+        level = solve_relativistic(HUGE_W_PARAMS, 0, grid)
+        assert level.found
+        assert abs(level.E - crossing) < 5e-8
+        # the final bracket: the nearest counted energies on either side
+        lo = max(c for c in counted if c[0] < level.E)
+        hi = min(c for c in counted if c[0] > level.E)
+        assert hi[0] - lo[0] <= E_TOL_REL * HUGE_W_PARAMS.M
+        assert (lo[1] <= 0) != (hi[1] <= 0)
+        M, v = HUGE_W_PARAMS.M, potential_V(grid.points, HUGE_W_PARAMS)
+        for x, count in (lo, hi):
+            assert sturm_count_hp(2.0 * (x + M) * v, grid, x * x - M * M) == count
+
+    @given(point=st.fixed_dictionaries({name: st.floats(lo, hi)
+                                        for name, (lo, hi) in SWEEP_BOX.items()}),
+           s_sign=st.sampled_from(SSign))
+    @settings(max_examples=30, deadline=None)
+    def test_levels_are_count_crossings_anywhere(self, point, s_sign):
+        try:
+            params = HylleraasParams(M=1.0, s_sign=s_sign, **point)
+        except DegenerateParams:
+            assume(False)
+        grid = default_grid(params, n=400)
+        seeds = oracle.SeedCounts(params, grid)
+        tol = E_TOL_REL * params.M
+        for n, result in solve_levels(params, range(4), grid).items():
+            for level in result.levels:
+                assert -params.M < level.E < params.M
+                assert (seeds.at(level.E - tol) <= n) != (seeds.at(level.E + tol) <= n)
 
 
 class TestNumerovShooter:
