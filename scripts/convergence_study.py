@@ -5,9 +5,11 @@ Two cases are contrasted:
   * a shape with b < 0 (k2 = -0.5) digs a genuine interior well; its
     localized ground state shows the stencil orders ~2 (matrix) and ~4
     (Numerov);
-  * the default plateau well has no localized state below its shifted
-    asymptote, so the moving far wall dominates and both methods drift at
-    first order -- itself a finding worth seeing.
+  * the default plateau well does hold bound states, at E = -2.63606175456
+    (n = 0) and -3.86413410413 (n = 1), but both lie below -M, outside the
+    (-M, M) window the oracle scans.  The level it finds there is a box
+    state of the far wall, which moves with h (the wall sits at r_max + h),
+    so both methods drift at first order -- itself a finding worth seeing.
 """
 import sys
 from pathlib import Path

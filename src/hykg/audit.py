@@ -31,14 +31,14 @@ import numpy as np
 
 from . import __version__, closedform
 from .closedform import (
-    _mech_branch,
+    build_nu_input,
     energy_eq45_result,
     energy_implicit_result,
     energy_mechanical_result,
     intermediates,
 )
 from .config import ENGINE_ALIASES, N_MAX, params_dict
-from .errors import DegenerateSigma, HykgError, ImperfectSquare, NoRealK
+from .errors import HykgError
 from .hylleraas import HylleraasParams, appendix_a_forms, appendix_constants, gamma2_printed
 from .levels import (
     FLAG_IDENTITY_NOT_COMPUTABLE,
@@ -53,7 +53,7 @@ from .levels import (
     EngineResult,
     fmt_cell,
 )
-from .nu import BranchGap, lambda_n, solve_k
+from .nu import BranchGap, quantization, solve_k
 from .oracle import (
     RadialGrid,
     effective_potential,
@@ -215,7 +215,8 @@ def _identity_columns(params: HylleraasParams, E: float, n: int) -> dict:
     if FLAG_NEGATIVE_UNDER_SQRT in im.flags:
         flags.add(FLAG_NEGATIVE_UNDER_SQRT)
 
-    branch = _mech_branch(params, E)
+    inp = build_nu_input(params, E)
+    branch = quantization(inp, n)
     if isinstance(branch, BranchGap):
         out["disc_residual"] = math.inf
         out["tau_prime_sign"] = False
@@ -224,20 +225,16 @@ def _identity_columns(params: HylleraasParams, E: float, n: int) -> dict:
         out["k39_vs_mechanical"] = math.inf
         out["_flags"] = flags | {branch.reason}
         return out
-    inp, sol, strict_ok = branch
+    sol, lamn_mech, _ = branch
     scale2 = (1.0 + max(inp.scale(), 1.0)) ** 2
     out["disc_residual"] = sol.residual_square / scale2
     out["tau_prime_sign"] = bool(sol.tau_prime < 0.0)
     out["eq42_vs_derivative"] = _complex_gap(im.tau_prime_printed, sol.tau_prime,
                                              abs(sol.tau_prime))
-    lamn_mech = lambda_n(inp, sol, n)
     out["eq44_vs_eq12"] = _complex_gap(im.lam_n, lamn_mech, abs(lamn_mech))
-    try:
-        ks = [k for k, _ in solve_k(inp)]
-        out["k39_vs_mechanical"] = min(
-            abs(im.k.real - k) / max(1.0, abs(k)) for k in ks) if ks else math.inf
-    except (NoRealK, DegenerateSigma, ImperfectSquare):
-        out["k39_vs_mechanical"] = math.inf
+    # the branch closed, so solve_k has real roots at this input
+    out["k39_vs_mechanical"] = min(abs(im.k.real - k) / max(1.0, abs(k))
+                                   for k, _ in solve_k(inp))
     out["_flags"] = flags
     return out
 

@@ -185,16 +185,18 @@ def _fixture_oscillator() -> float:
 
 
 def _fixture_nu_hydrogen() -> float:
-    from .nu import NUInput, Poly2, quantization_residual
+    from .nu import BranchGap, NUInput, Poly2, quantization
     from .rootfind import sample, scan_roots
 
     worst = 0.0
     beta = 2.0
     for n in (0, 2, 5):
         for l in (0, 2):
-            build = lambda eps: NUInput(Poly2(0.0, 1.0, 0.0), Poly2(0.0, 0.0, 0.0),
-                                        Poly2(-l * (l + 1), beta, -eps * eps))
-            f = lambda eps: quantization_residual(build, eps, n)
+            def f(eps):
+                out = quantization(NUInput(Poly2(0.0, 1.0, 0.0), Poly2(0.0, 0.0, 0.0),
+                                           Poly2(-l * (l + 1), beta, -eps * eps)), n)
+                return out if isinstance(out, BranchGap) else out[0].lam - out[1]
+
             res = scan_roots(f, 1e-4, beta, 1200, 1e-13, sample(f, 1e-4, beta, 1200))
             expected = beta / (2.0 * (n + l + 1))
             best = min((abs(r - expected) / expected for r in res.roots),

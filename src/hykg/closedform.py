@@ -7,8 +7,10 @@ is internally inconsistent the transcription keeps the printed reading and
 the audit module quantifies the damage.  Three energy engines are exposed:
 
   * energy_mechanical_result -- roots of the machine-derived quantization
-    lambda(E) = lambda_n(E) built from the printed base polynomials (the
-    toolkit's best-effort corrected spectrum);
+    lambda(E) = lambda_n(E) that `nu.quantization` reads off the printed
+    base polynomials `build_nu_input` (the toolkit's best-effort corrected
+    spectrum; the audit and the confluent wavefunction take their branch
+    from the same two calls);
   * energy_implicit_result   -- roots of the printed lambda / lambda_n pair;
   * energy_eq45_result       -- roots of the printed explicit energy
     equation, evaluated with the appendix-form constants it cites.
@@ -26,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hylleraas import HylleraasParams, appendix_a_forms, appendix_constants
+from .hylleraas import HylleraasParams, appendix_a_forms, appendix_constants, square
 from .levels import (
     FLAG_BRANCH_GAP,
     FLAG_DUPLICATE_MERGED,
@@ -40,17 +42,7 @@ from .levels import (
     EnergyLevel,
     EngineResult,
 )
-from .nu import (
-    BranchGap,
-    NUInput,
-    NUSolution,
-    Poly2,
-    lambda_n_value,
-    lenient_branch_array,
-    pi_candidates,
-    select_branch_lenient,
-)
-from .errors import DegenerateSigma, ImperfectSquare, NoRealK
+from .nu import BranchGap, NUInput, Poly2, lambda_n_value, lenient_branch_array, quantization
 from .rootfind import scan_roots, seed_grid
 
 # Scan protocol shared by the closed-form engines (`_scan` reads it at call
@@ -66,9 +58,11 @@ from .rootfind import scan_roots, seed_grid
 # everything at its trial energy: Brent does not come back to an energy, so
 # nothing is kept between calls.  Each root is then judged once, by one
 # scalar evaluation that gives its residual, its acceptance and its flags
-# (`_scan`).  The mechanical and implicit seed values are bit-identical to
-# the scalar residual; the eq45 ones can differ in the last bits, because
-# numpy squares where Python's ** 2 calls pow (B_a14, the eq45 terms).
+# (`_scan`).  Every engine's seed values are bit-identical to its scalar
+# residual: array squares go through `hylleraas.square`, which repeats
+# Python's ** 2 (libm pow).  The mechanical engine reads the NU closure
+# through `nu.quantization` at one energy and `nu.lenient_branch_array` on
+# the seed grid, its bit-identical twin.
 N_BRACKETS = 2000
 TOL_E = 1e-12
 DEDUP_FACTOR = 1e-9
@@ -213,7 +207,7 @@ def _eq45_terms(params: HylleraasParams, A, d: float, L3: float, n: int, W, w2b)
     t1 = 2.0 * L3 + A / W - A * d * (1 + 2 * n) / w2b
     t2 = (A * A / (2.0 * W) - A * d * (1 + 2 * n) / w2b
           + a1 * (1 + 2 * n * (n + 3)) - L3 - W)
-    return pref, t1, t1 * (2.0 * d / W) ** 2 * t2 * t2
+    return pref, t1, t1 * square(2.0 * d / W) * t2 * t2
 
 
 def eq45_rhs(params: HylleraasParams, E: float, n: int) -> tuple[float | None, float | None]:
@@ -313,40 +307,19 @@ def _lambda_verdict(lam, lam_n, f: float | None, flags: Iterable[str]) -> Verdic
     return abs(f), ok, flags
 
 
-def _mech_branch(params: HylleraasParams, E: float) -> tuple[NUInput, NUSolution, bool] | BranchGap:
-    try:
-        inp = build_nu_input(params, E)
-        cands = pi_candidates(inp)
-    except (NoRealK, ImperfectSquare, DegenerateSigma) as exc:
-        return BranchGap(type(exc).__name__)
-    sol, strict_ok = select_branch_lenient(cands)
-    return inp, sol, strict_ok
-
-
-def _mech_lambdas(params: HylleraasParams, E: float,
-                  n: int) -> tuple[float, float, bool] | BranchGap:
-    """(lambda, lambda_n, strict_ok) of the mechanical quantization at (E, n),
-    or the gap marker."""
-    out = _mech_branch(params, E)
-    if isinstance(out, BranchGap):
-        return out
-    inp, sol, strict_ok = out
-    return sol.lam, lambda_n_value(sol.tau_prime, 2.0 * inp.sigma.c2, n), strict_ok
-
-
 def mechanical_residual(params: HylleraasParams, E: float, n: int) -> float | BranchGap:
-    """lambda(E) - lambda_n(E) from the mechanical engine, lenient branch rule.
+    """lambda(E) - lambda_n(E) from the mechanical engine, or the gap marker.
 
-    The strict decreasing-tau rule admits no branch at all over whole
+    `nu.quantization` prefers tau' < 0 but falls back to the least-positive
+    slope: the decreasing-tau rule admits no branch at all over whole
     parameter windows of this potential family (the audit's tau_prime_sign
-    column records the outcome), so the energy scan prefers tau' < 0 but
-    falls back to the least-positive slope instead of gapping out.
+    column records the outcome).
     """
-    out = _mech_lambdas(params, E, n)
+    out = quantization(build_nu_input(params, E), n)
     if isinstance(out, BranchGap):
         return out
-    lam, lam_n, _ = out
-    return lam - lam_n
+    sol, lam_n, _ = out
+    return sol.lam - lam_n
 
 
 def energy_mechanical_result(params: HylleraasParams,
@@ -361,11 +334,11 @@ def energy_mechanical_result(params: HylleraasParams,
 
 def _mechanical_levels(params: HylleraasParams, n: int, ys) -> EngineResult:
     def judge(E: float) -> Verdict:
-        out = _mech_lambdas(params, E, n)
+        out = quantization(build_nu_input(params, E), n)
         if isinstance(out, BranchGap):
             return math.inf, False, {FLAG_BRANCH_GAP}
-        lam, lam_n, strict_ok = out
-        return _lambda_verdict(lam, lam_n, lam - lam_n,
+        sol, lam_n, strict_ok = out
+        return _lambda_verdict(sol.lam, lam_n, sol.lam - lam_n,
                                set() if strict_ok else {FLAG_TAU_PRIME_NONNEG})
 
     return _scan(params, n, Engine.MECHANICAL_NU,

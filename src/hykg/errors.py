@@ -29,10 +29,6 @@ class ImperfectSquare(HykgError):
     """No solved k leaves the under-root quadratic a perfect square within tolerance."""
 
 
-class NoValidBranch(HykgError):
-    """No sign branch yields a decreasing linearized coefficient."""
-
-
 class NotRepresentable(HykgError):
     """A printed radicand is negative; the closed-form factor does not exist as a real function."""
 

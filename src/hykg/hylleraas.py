@@ -181,7 +181,7 @@ class AppendixConstants:
     V2: float        # A^2 - B
 
 
-def _sq(x: float | np.ndarray) -> float | np.ndarray:
+def square(x: float | np.ndarray) -> float | np.ndarray:
     """x ** 2 of a float, which is libm pow, for arrays too: np.float_power
     repeats it bit for bit, where a numpy square can differ in the last bit."""
     return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
@@ -210,14 +210,14 @@ def appendix_constants(params: HylleraasParams, E: float) -> AppendixConstants:
     Lam1 = alpha2 ** 2 - 8.0 * alpha1 * alpha3
     Lam2 = 2.0 * alpha1 * xi1 - 4.0 * alpha1 ** 2 * alpha3 - 8.0 * alpha1 * xi2
     Lam3 = 2.0 * alpha2 - 4.0 * alpha3 - 8.0 * alpha1
-    Lam4 = _sq(xi1) - 4.0 * alpha1 ** 2 * xi2
+    Lam4 = square(xi1) - 4.0 * alpha1 ** 2 * xi2
     delta2 = Lam3 ** 2 + 12.0 * Lam1
     if delta2 == 0:
         raise DegenerateParams("delta2 vanished; A and B are undefined")
     A = (2.0 * Lam2 * alpha3 + 16.0 * Lam1 * alpha1 ** 2 + 16.0 * Lam1 * xi1) / delta2
-    B = (_sq(Lam2) - 4.0 * Lam1 * Lam4) / delta2
+    B = (square(Lam2) - 4.0 * Lam1 * Lam4) / delta2
 
-    U2 = delta2 * _sq(eps2 + A)
+    U2 = delta2 * square(eps2 + A)
     V2 = A * A - B
     return AppendixConstants(Ebar=Ebar, Vbar=Vbar, eps2=eps2, betap2=betap2,
                              gammap2=gammap2, beta2=beta2, gamma2=gamma2,
@@ -292,7 +292,7 @@ def appendix_a_forms(params: HylleraasParams, E: float) -> AppendixAForms:
     p4 = (16 * b * b - 4 * a * a * c * c - 56 * a * c + a - 24 * b)
     B_a14 = (a * (1 + b) ** 4 * (2 * a - c + 1)
              - 2.0 * (1 + b) ** 2 * (1 + c) * vw * p3
-             + ((1 + a) * (1 + c) * vw) ** 2 * p4) / den
+             + square((1 + a) * (1 + c) * vw) * p4) / den
 
     return AppendixAForms(Lam1_a5=Lam1_a5, Lam2_a6=Lam2_a6, Lam3_a7=Lam3_a7,
                           Lam4_a8=Lam4_a8, delta_a9=delta_a9, xi1_a10=xi1_a10,

@@ -9,22 +9,22 @@ full linear coefficient tau = tau_tilde + 2 pi, and the eigenvalue pair
 (lambda = k + pi', lambda_n = -n tau' - n(n-1)/2 sigma'') with no reliance
 on hand algebra.  Everything is floating point with explicit residual
 tracking; precision loss is observable, never silent.
+
+There is one branch rule, `select_branch_lenient`: the Nikiforov-Uvarov
+branch with tau' < 0, or the least-positive tau' (reported as strict_ok =
+False) where the reduction admits no decreasing tau.  `quantization` is the
+one scalar entry every consumer of the closure calls; `lenient_branch_array`
+is its bit-identical twin over many trial points.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateSigma,
-    ImperfectSquare,
-    NoRealK,
-    NoValidBranch,
-)
+from .errors import DegenerateSigma, ImperfectSquare, NoRealK
 
 _SQUARE_TOL = 1e-10   # perfect-square acceptance, scaled by (1 + max|coeff|)^2
 
@@ -238,33 +238,50 @@ def pi_candidates(inp: NUInput) -> list[NUSolution]:
     return cands
 
 
-def select_branch(candidates: list[NUSolution]) -> NUSolution:
-    """The accepted branch: negative tau', most negative first.
-
-    Exact ties (they occur, e.g. on the hydrogen-like fixture) break
-    deterministically by smaller k, then by the minus sign.
-    """
-    sol, ok = select_branch_lenient(candidates)
-    if not ok:
-        raise NoValidBranch("every candidate has tau' >= 0")
-    return sol
-
-
 def select_branch_lenient(candidates: list[NUSolution]) -> tuple[NUSolution, bool]:
-    """Branch preference that never fails on a nonempty candidate list.
+    """The accepted branch of a (nonempty) pi_candidates list: smallest tau'.
 
     Returns (solution, strict_ok): strict_ok is False when no candidate has
     tau' < 0 and the least-positive tau' was taken instead.  The relaxation
     exists because parameter regions occur where the printed reduction admits
-    no decreasing tau at all; the audit records the sign.
+    no decreasing tau at all; the audit records the sign.  Exact ties (they
+    occur, e.g. on the hydrogen-like fixture) break deterministically by
+    smaller k, then by the minus sign.
     """
-    if not candidates:
-        raise NoValidBranch("empty candidate list")
     ordered = sorted(candidates,
                      key=lambda c: (c.tau_prime, c.k,
                                     0 if c.sign_choice is SignChoice.MINUS else 1))
     best = ordered[0]
     return best, best.tau_prime < 0.0
+
+
+@dataclass(frozen=True)
+class BranchGap:
+    """First-class marker for energies where the reduction degenerates.
+
+    Root scanners treat these as exclusion zones instead of aborting.
+    """
+
+    reason: str
+
+
+def lambda_n_value(tau_prime: float, sigma_pp: float, n: int) -> float:
+    """lambda_n = -n tau' - n(n-1)/2 sigma'', from the two slopes it depends on."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return -n * tau_prime - 0.5 * n * (n - 1) * sigma_pp
+
+
+def quantization(inp: NUInput, n: int) -> tuple[NUSolution, float, bool] | BranchGap:
+    """(branch, lambda_n, strict_ok) of the accepted branch at level n, or a
+    BranchGap naming the closure failure (NoRealK, ImperfectSquare or
+    DegenerateSigma).  The quantization condition is branch.lam == lambda_n.
+    """
+    try:
+        sol, strict_ok = select_branch_lenient(pi_candidates(inp))
+    except (NoRealK, ImperfectSquare, DegenerateSigma) as exc:
+        return BranchGap(type(exc).__name__)
+    return sol, lambda_n_value(sol.tau_prime, 2.0 * inp.sigma.c2, n), strict_ok
 
 
 # ---------------------------------------------------------------------------
@@ -363,41 +380,3 @@ def lenient_branch_array(inp: NUInput) -> tuple[np.ndarray, np.ndarray, np.ndarr
                 best_sign = np.where(better, sign_key, best_sign)
                 found |= ok
     return lam, tau_prime, ~found
-
-
-def lambda_n(inp: NUInput, solution: NUSolution, n: int) -> float:
-    """lambda_n = -n tau' - n(n-1)/2 sigma''."""
-    return lambda_n_value(solution.tau_prime, 2.0 * inp.sigma.c2, n)
-
-
-def lambda_n_value(tau_prime: float, sigma_pp: float, n: int) -> float:
-    """lambda_n from the two slopes it depends on, tau' and sigma''."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return -n * tau_prime - 0.5 * n * (n - 1) * sigma_pp
-
-
-@dataclass(frozen=True)
-class BranchGap:
-    """First-class marker for energies where the reduction degenerates.
-
-    Root scanners treat these as exclusion zones instead of aborting.
-    """
-
-    reason: str
-
-
-def quantization_residual(build: Callable[[float], NUInput], E: float,
-                          n: int) -> float | BranchGap:
-    """lambda(E) - lambda_n(E) on the selected branch, or a BranchGap marker.
-
-    `build` maps a trial energy to the base polynomials.  A missing tau' < 0
-    branch is a gap (the closed-form engines' lenient rule is
-    `closedform._mech_branch`).
-    """
-    try:
-        inp = build(E)
-        sol = select_branch(pi_candidates(inp))
-    except (NoRealK, ImperfectSquare, DegenerateSigma, NoValidBranch) as exc:
-        return BranchGap(type(exc).__name__)
-    return sol.lam - lambda_n(inp, sol, n)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closedform import _mech_branch, intermediates
+from .closedform import build_nu_input, intermediates
 from .errors import (
     DegenerateAC,
     DomainError,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .hylleraas import HylleraasParams, s_of_r
 from .levels import FLAG_CONFLUENT_FORM, FLAG_TAIL_NOT_CONVERGED, EnergyLevel
-from .nu import BranchGap, NUInput, NUSolution
+from .nu import BranchGap, NUInput, NUSolution, quantization
 from .oracle import count_sign_changes
 
 _MAX_RODRIGUES_N = 12
@@ -272,11 +272,11 @@ def _is_confluent(params: HylleraasParams) -> bool:
 
 
 def _confluent_for(level: EnergyLevel, params: HylleraasParams) -> ConfluentFactor:
-    out = _mech_branch(params, level.E)
+    inp = build_nu_input(params, level.E)
+    out = quantization(inp, level.n)
     if isinstance(out, BranchGap):
         raise NotRepresentable(f"no mechanical branch at E = {level.E}: {out.reason}")
-    inp, sol, _ = out
-    return confluent_radial_factor(inp, sol, level.n)
+    return confluent_radial_factor(inp, out[0], level.n)
 
 
 @dataclass(frozen=True)

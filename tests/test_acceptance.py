@@ -21,10 +21,11 @@ from hykg.errors import NoRealK, ImperfectSquare
 from hykg.hylleraas import DEFAULT_PARAMS, SSign
 from hykg.levels import FLAG_NODE_MISMATCH
 from hykg.nu import (
+    BranchGap,
     NUInput,
     Poly2,
     pi_candidates,
-    quantization_residual,
+    quantization,
     select_branch_lenient,
     solve_k,
 )
@@ -111,11 +112,13 @@ def test_criterion_3_nu_hydrogen_fixture():
     worst = 0.0
     for n in range(6):
         for l in range(3):
-            build = lambda eps: NUInput(Poly2(0.0, 1.0, 0.0), Poly2(0.0, 0.0, 0.0),
-                                        Poly2(-l * (l + 1), beta, -eps * eps))
             # the residual is linear in eps with a single root: a coarse
             # bracket scan plus Brent refinement already pins it to 1e-13
-            f = lambda eps: quantization_residual(build, eps, n)
+            def f(eps):
+                out = quantization(NUInput(Poly2(0.0, 1.0, 0.0), Poly2(0.0, 0.0, 0.0),
+                                           Poly2(-l * (l + 1), beta, -eps * eps)), n)
+                return out if isinstance(out, BranchGap) else out[0].lam - out[1]
+
             res = scan_roots(f, 1e-4, beta, 300, 1e-13, sample(f, 1e-4, beta, 300))
             expected = beta / (2.0 * (n + l + 1))
             best = min((abs(r - expected) / expected for r in res.roots),

@@ -15,7 +15,14 @@ from hykg.audit import (
 from hykg.config import default_config
 from hykg.errors import DegenerateParams, NotRepresentable
 from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign
-from hykg.levels import FLAG_NO_ROOT, Engine, EnergyLevel, EngineResult
+from hykg.levels import (
+    FLAG_IDENTITY_NOT_COMPUTABLE,
+    FLAG_NO_ROOT,
+    FLAG_REFERENCE_FALLBACK,
+    Engine,
+    EnergyLevel,
+    EngineResult,
+)
 from hykg.oracle import RadialGrid, SeedCounts, default_grid, eigen_tridiagonal
 
 from test_closedform import SWEEP_BOX
@@ -219,6 +226,12 @@ class TestRunAudit:
         for row in report.rows:
             assert row.E_eq45 is None and row.E_oracle is None
             assert any(f.endswith("NoRoot") for f in row.flags)
+            # a = c and the NU closure gaps: the mechanical identities and the
+            # closed-form ODE defect have nothing to evaluate
+            assert row.disc_residual is None and row.eq44_vs_eq12 is None
+            assert row.ode_residual_closedform is None and row.ode_form == "none"
+            assert {"ImperfectSquare", FLAG_IDENTITY_NOT_COMPUTABLE,
+                    FLAG_REFERENCE_FALLBACK} <= set(row.flags)
 
     def test_injected_identical_levels(self, monkeypatch):
         grid = default_grid(DEFAULT_PARAMS, n=400)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hykg import closedform, rootfind
+from hykg import closedform, nu, rootfind
 from hykg.closedform import (
     build_nu_input,
     energy_eq45_result,
@@ -92,9 +92,8 @@ class TestIntermediates:
 class TestMechanical:
     def test_residual_is_branchgap_when_closure_fails(self):
         p = DEFAULT_PARAMS.replace(D_e=0.0)
-        # with no coupling the square never closes on a real branch here
-        out = mechanical_residual(p, 0.5, 0)
-        assert isinstance(out, BranchGap) or isinstance(out, float)
+        # with no coupling a = c and the square never closes on a real branch
+        assert mechanical_residual(p, 0.5, 0) == BranchGap("ImperfectSquare")
 
     def test_default_ground_state_exists(self, default_params):
         res = energy_mechanical_result(default_params, (0,))[0]
@@ -201,6 +200,10 @@ class TestSeedValues:
     # seed 1.3e-13 off a residual of -6.98 made by cancellation
     @example(point={"K": 2.225520697864559, "k1": 0.0, "k2": 0.0, "omega": 0.1, "D_e": 0.2},
              s_sign=SSign.POSITIVE)
+    # numpy squares in B_a14 and the eq45 radicand made every eq45 scan here
+    # differ from the scalar residual in the last bits
+    @example(point={"K": 2.7641, "k1": 1.1001, "k2": 0.7203, "omega": 0.9704, "D_e": 2.9263},
+             s_sign=SSign.POSITIVE)
     @settings(max_examples=60, deadline=None)
     def test_array_seeds_match_scalar_residual(self, point, s_sign):
         try:
@@ -226,12 +229,7 @@ class TestSeedValues:
                     valid = np.isfinite(scalar)
                     assert np.array_equal(np.isfinite(ys), valid)
                     ys, scalar = ys[valid], scalar[valid]
-                    assert np.array_equal(np.sign(ys), np.sign(scalar))
-                    if engine_result is not energy_eq45_result:
-                        assert ys.tobytes() == scalar.tobytes()
-                    else:
-                        # the engines' residual scales have a floor of 1 (M^2 = 1)
-                        assert np.all(abs(ys - scalar) <= 1e-13 * np.maximum(abs(scalar), 1.0))
+                    assert ys.tobytes() == scalar.tobytes()
 
 
 class TestWorkCount:
@@ -239,19 +237,19 @@ class TestWorkCount:
     fallback would make ~2,000 of these calls."""
 
     @staticmethod
-    def _count(monkeypatch, name):
+    def _count(monkeypatch, name, module=closedform):
         calls = []
-        original = getattr(closedform, name)
+        original = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(closedform, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_mechanical_pi_candidates_calls(self, monkeypatch):
-        calls = self._count(monkeypatch, "pi_candidates")
+        calls = self._count(monkeypatch, "pi_candidates", nu)
         energy_mechanical_result(DEFAULT_PARAMS, range(4))
         assert 0 < len(calls) < 200
 

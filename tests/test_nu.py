@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from hykg.errors import DegenerateSigma, ImperfectSquare, NoRealK, NoValidBranch
+from hykg.errors import ImperfectSquare, NoRealK
 from hykg.nu import (
     BranchGap,
     NUInput,
     NUSolution,
     Poly2,
     SignChoice,
-    lambda_n,
+    lambda_n_value,
     lenient_branch_array,
     pi_candidates,
-    quantization_residual,
-    select_branch,
+    quantization,
     select_branch_lenient,
     solve_k,
     under_root_quadratic,
@@ -33,6 +32,12 @@ def hydrogen_input(eps, beta, l):
 def toy_input():
     # sigma = s, tau_tilde = 0, sigma_tilde = -s^2
     return NUInput(Poly2(0, 1, 0), Poly2(0, 0, 0), Poly2(0, 0, -1))
+
+
+def quantization_residual(inp, n):
+    """lambda - lambda_n of nu.quantization, or its gap marker."""
+    out = quantization(inp, n)
+    return out if isinstance(out, BranchGap) else out[0].lam - out[1]
 
 
 class TestUnderRoot:
@@ -135,83 +140,71 @@ class TestSelectBranch:
                           tau=Poly2(0.0, tau_prime, 0.0), lam=k, residual_square=0.0)
 
     def test_sign_filter(self):
-        cands = [self._mk(2.0), self._mk(-2.0)]
-        assert select_branch(cands).tau_prime == -2.0
+        sol, ok = select_branch_lenient([self._mk(2.0), self._mk(-2.0)])
+        assert ok and sol.tau_prime == -2.0
 
     def test_most_negative_wins(self):
-        cands = [self._mk(-1.0), self._mk(-3.0)]
-        assert select_branch(cands).tau_prime == -3.0
-
-    def test_all_nonnegative_raises(self):
-        with pytest.raises(NoValidBranch):
-            select_branch([self._mk(0.0), self._mk(2.0)])
+        sol, ok = select_branch_lenient([self._mk(-1.0), self._mk(-3.0)])
+        assert ok and sol.tau_prime == -3.0
 
     def test_lenient_falls_back(self):
         sol, ok = select_branch_lenient([self._mk(3.0), self._mk(1.0)])
         assert not ok and sol.tau_prime == 1.0
+        sol, ok = select_branch_lenient([self._mk(0.0), self._mk(2.0)])
+        assert not ok and sol.tau_prime == 0.0
 
     def test_tie_breaks_deterministic(self):
         a = self._mk(-2.0, k=1.0, sign=SignChoice.PLUS)
         b = self._mk(-2.0, k=-1.0, sign=SignChoice.MINUS)
         c = self._mk(-2.0, k=-1.0, sign=SignChoice.PLUS)
-        assert select_branch([a, b, c]) is b
-        assert select_branch([c, a, b]) is b
+        assert select_branch_lenient([a, b, c]) == (b, True)
+        assert select_branch_lenient([c, a, b]) == (b, True)
 
 
 class TestLambdaN:
     def test_simple(self):
-        inp = toy_input()  # sigma'' = 0
-        sol = NUSolution(0.0, Poly2(0, -1, 0), SignChoice.MINUS,
-                         Poly2(0, -2.0, 0), 0.0, 0.0)
-        assert lambda_n(inp, sol, 3) == 6.0
-        assert lambda_n(inp, sol, 0) == 0.0
+        # sigma'' = 0, tau' = -2
+        assert lambda_n_value(-2.0, 0.0, 3) == 6.0
+        assert lambda_n_value(-2.0, 0.0, 0) == 0.0
 
     def test_with_sigma_pp(self):
-        inp = NUInput(Poly2(0, 0, 1.0), Poly2(0, 0, 0), Poly2(0, 0, -1))
-        sol = NUSolution(0.0, Poly2(0, -2, 0), SignChoice.MINUS,
-                         Poly2(0, -4.0, 0), 0.0, 0.0)
-        assert lambda_n(inp, sol, 2) == 8.0 - 2.0
+        # sigma = s^2, tau' = -4
+        assert lambda_n_value(-4.0, 2.0, 2) == 8.0 - 2.0
 
 
 class TestQuantization:
     def test_synthetic_zero(self):
-        # Fixture where lambda = lambda_n by construction at any E: use the
-        # toy input whose selected branch has lam = -2, and n chosen so
-        # lambda_n = -2 ... lambda_n = -n tau' = 2n: no zero for n >= 0 except
-        # matching by hand; instead verify continuity + value directly.
-        val = quantization_residual(lambda E: toy_input(), 0.7, 1)
-        # selected branch: k=-1 minus: tau' = -2, lam = -2; lambda_1 = 2
-        assert val == pytest.approx(-4.0)
+        # the toy input's selected branch: k=-1 minus: tau' = -2, lam = -2;
+        # lambda_1 = -n tau' = 2
+        sol, lam_n, strict_ok = quantization(toy_input(), 1)
+        assert (sol.lam, sol.tau_prime, lam_n, strict_ok) == pytest.approx((-2.0, -2.0, 2.0, True))
+        assert quantization_residual(toy_input(), 1) == pytest.approx(-4.0)
 
     @pytest.mark.parametrize("n", range(6))
     @pytest.mark.parametrize("l", range(3))
     def test_hydrogen_quantization(self, n, l):
         beta = 2.0
-        build = lambda eps: hydrogen_input(eps, beta, l)
-        f = lambda eps: quantization_residual(build, eps, n)
+        f = lambda eps: quantization_residual(hydrogen_input(eps, beta, l), n)
         res = scan_roots(f, 1e-4, beta, 2000, 1e-13, sample(f, 1e-4, beta, 2000))
         expected = beta / (2.0 * (n + l + 1))
         assert any(abs(r - expected) <= 1e-10 * expected for r in res.roots), res.roots
 
     def test_branch_gap_is_value(self):
         # sigma constant and Q_k degree 1: closure impossible -> gap marker.
-        build = lambda E: NUInput(Poly2(1.0, 0, 0), Poly2(0, 0, 0),
-                                  Poly2(0.0, -1.0, 0.0))
-        out = quantization_residual(build, 0.3, 0)
-        assert isinstance(out, BranchGap)
+        inp = NUInput(Poly2(1.0, 0, 0), Poly2(0, 0, 0), Poly2(0.0, -1.0, 0.0))
+        assert quantization(inp, 0) == BranchGap("NoRealK")
 
 
 class TestLenientBranchArray:
-    """The array twin against select_branch_lenient(pi_candidates(.)), point
-    by point: same gaps, bit-identical lam and tau'."""
+    """The array twin against the scalar entry nu.quantization, point by
+    point: same gaps, bit-identical lam and tau'."""
 
     @staticmethod
     def _scalar(inp):
-        try:
-            sol, _ = select_branch_lenient(pi_candidates(inp))
-        except (NoRealK, ImperfectSquare, DegenerateSigma):
+        out = quantization(inp, 0)
+        if isinstance(out, BranchGap):
             return math.nan, math.nan
-        return sol.lam, sol.tau_prime
+        return out[0].lam, out[0].tau_prime
 
     @pytest.mark.parametrize("sigma, tau_tilde", [
         (Poly2(3.0, -4.0, 1.0), Poly2(1.0, 0.0, 0.0)),   # distinct roots
@@ -272,10 +265,6 @@ class TestProperties:
         for inp in self._random_inputs(rng, count=30):
             picks = set()
             for _ in range(3):
-                cands = pi_candidates(inp)
-                try:
-                    sol = select_branch(cands)
-                except NoValidBranch:
-                    break
+                sol, _, _ = quantization(inp, 0)
                 picks.add((sol.k, sol.sign_choice))
-            assert len(picks) <= 1
+            assert len(picks) == 1

@@ -189,14 +189,13 @@ class TestConfluent:
         assert got == pytest.approx(want, rel=1e-5)
 
     def test_confluent_solves_hypergeometric_ode(self, default_params):
-        from hykg.closedform import _mech_branch
-        from hykg.nu import lambda_n
+        from hykg.closedform import build_nu_input
+        from hykg.nu import quantization
 
-        E = -0.5
-        inp, sol, _ = _mech_branch(default_params, E)
+        inp = build_nu_input(default_params, -0.5)
         for n in (0, 1, 2):
+            sol, lam_n, _ = quantization(inp, n)
             fac = confluent_radial_factor(inp, sol, n)
-            lam_n = lambda_n(inp, sol, n)
             coeffs = fac.chi_coeffs
 
             def chi(s):
@@ -209,6 +208,12 @@ class TestConfluent:
                 resid = inp.sigma(s) * ypp + sol.tau(s) * yp + lam_n * y0
                 scale = max(1.0, abs(inp.sigma(s) * ypp), abs(lam_n * y0))
                 assert abs(resid) <= 1e-4 * scale
+
+    def test_closure_gap_not_representable(self):
+        # D_e = 0: a = c, and the NU closure gaps with ImperfectSquare
+        p = DEFAULT_PARAMS.replace(D_e=0.0)
+        with pytest.raises(NotRepresentable, match="ImperfectSquare"):
+            radial_R(level_at(0.5), p, 1.0)
 
 
 class TestExponents:
