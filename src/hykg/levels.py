@@ -41,7 +41,10 @@ class EnergyLevel:
     """One bound-state record.
 
     ``E`` is None when the engine could not produce the level; a flag then
-    explains why.  ``Ebar`` is E^2 - M^2 for found levels.
+    explains why.  ``Ebar`` is E^2 - M^2 for found levels.  For the oracle,
+    ``residual`` is |g_n| = |Ebar_n(E) - (E^2 - M^2)| from one stebz
+    eigensolve, whose absolute accuracy is eps times the matrix norm: where W
+    is huge it is that solve's noise, not an error bar on E.
     """
 
     n: int

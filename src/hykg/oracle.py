@@ -9,11 +9,14 @@ solved on a uniform grid with Dirichlet conditions one step outside both
 ends (u(0) = 0 regularity and a far-wall cutoff).  Bound states are roots of
 g(E) = Ebar_n(E) - (E^2 - M^2).  By Sturm's theorem g > 0 exactly when at
 most n eigenvalues are <= E^2 - M^2, so level n is where that Sturm count
-crosses n, and counts alone bracket and bisect it.  A Numerov matching
-integrator provides an independent cross-check of the matrix eigenvalues;
-each integration is one BLAS banded triangular solve, restarted only where
-the solution is rescaled.  A fixed-mass Schroedinger solver supports the
-weak-coupling limit trend tests.
+crosses n, and counts alone bracket and bisect it.  A count is the number of
+sign changes of the scaled leading minors of the matrix, whose three-term
+recurrence is one BLAS banded triangular solve that stops soon after the
+last classically allowed point.  A Numerov matching integrator provides an
+independent cross-check of the matrix eigenvalues; each integration is the
+same kind of solve, and both restart only where the solution is rescaled.
+A fixed-mass Schroedinger solver supports the weak-coupling limit trend
+tests.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from .rootfind import brent, seed_grid
 
 
 # Importing scipy.linalg costs more start-up than the whole closed-form path,
-# so its four routines are imported when called: a process that never solves
+# so its three routines are imported when called: a process that never solves
 # the oracle never loads scipy.  They stay module-level names, so tests can
 # substitute them.
 def eigvalsh_tridiagonal(*args, **kwargs):
@@ -49,11 +52,6 @@ def eigvalsh_tridiagonal(*args, **kwargs):
 def eigh_tridiagonal(*args, **kwargs):
     from scipy.linalg import eigh_tridiagonal
     return eigh_tridiagonal(*args, **kwargs)
-
-
-def dstebz(*args, **kwargs):
-    from scipy.linalg.lapack import dstebz
-    return dstebz(*args, **kwargs)
 
 
 def dtbsv(*args, **kwargs):
@@ -146,20 +144,78 @@ def eigen_tridiagonal(w_values: np.ndarray, grid: RadialGrid, m: int,
     return np.array(vals, dtype=float)
 
 
+_RESCALE = 1e100
+
+
+def _band_solve(band: np.ndarray, y: np.ndarray, start: int) -> int | None:
+    """Solve a lower triangular band system with two sub-diagonals in place
+    for the samples y[start + 2:start + m], from the known y[start] and
+    y[start + 1]; `band` holds its m columns in LAPACK lower band storage.
+
+    Returns the index of the first solved sample beyond _RESCALE in
+    magnitude, or None.  The caller rescales and restarts from there.
+    """
+    # rows start and start+1 are identity rows carrying the known samples
+    band[0, :2] = 1.0
+    band[1, 0] = 0.0
+    x = y[start:start + band.shape[1]]
+    x[2:] = 0.0
+    x[2:] = dtbsv(2, band, x, lower=1, overwrite_x=1)[2:]
+    over = np.flatnonzero(np.abs(x[2:]) > _RESCALE)
+    return start + 2 + int(over[0]) if over.size else None
+
+
 def sturm_count(w_values: np.ndarray, grid: RadialGrid, sigma: float) -> int:
     """Number of eigenvalues <= sigma of the operator of eigen_tridiagonal.
 
-    One stebz call on the value range (low, sigma]: `low` lies below both
-    sigma and the Gershgorin bound of the spectrum, so the count at sigma is
-    the Sturm count, and a tolerance wider than the range ends the call
-    before any bisection step.
+    By Sturm's theorem it is the number of sign changes of the leading minors
+    of T - sigma.  Scaled, y_k = h^(2k) det(T_k - sigma), they obey
+
+        y_(k+1) = t_k y_k - y_(k-1),   t = 2 + h^2 (W - sigma),   y_0 = 1, y_(-1) = 0,
+
+    a unit lower triangular band system, solved by a BLAS tbsv call as
+    Numerov is.  A y_k that is exactly 0 takes the sign opposite to y_(k-1),
+    as a zero pivot counts in LAPACK stebz.  Two rules keep the work near the
+    classically allowed region, W < sigma:
+
+    * restart: at the first |y_k| > _RESCALE, y_(k-1) and y_k are divided by
+      |y_k|, which changes no sign, and the solve restarts from them;
+    * tail stop: past the last W < sigma every t_k >= 2, and there
+      y_(k+1) - y_k = (t_k - 2) y_k + (y_k - y_(k-1)).  So once y_k != 0 and
+      y_k - y_(k-1) is 0 or has the sign of y_k, every later step does too
+      (rounding keeps this), and y changes sign no more.  The solve stops
+      there.  Near an eigenvalue y decays for a while past the last W < sigma
+      before it turns, so the first solve runs 4x as far as that point and
+      each extension 4x further: a solved row costs nanoseconds, a pass of
+      this loop tens of microseconds.
     """
-    diag, off = _operator(w_values, grid)
-    low = min(float(np.min(diag)) - 4.0 / grid.h ** 2, sigma - 1.0)
-    m, _, _, _, info = dstebz(diag, off, 1, low, sigma, 0, 0, 2.0 * (sigma - low), "E")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"stebz count failed: info = {info}")
-    return int(m)
+    n, h2 = grid.n, grid.h ** 2
+    below = np.flatnonzero(w_values < sigma)
+    tail = int(below[-1]) + 1 if below.size else 0
+    y = np.empty(n + 2)  # y[j] is y_(j-1)
+    y[:2] = 0.0, 1.0
+    count, start, end = 0, 0, 4 * (tail + 2)
+    while True:
+        end = min(end, n + 2)
+        # band columns start..end-1: unit diagonal, sub-diagonals -t and 1
+        band = np.ones((3, end - start), order="F")
+        band[1, 1:-1] = -2.0 - h2 * (w_values[start:end - 2] - sigma)
+        over = _band_solve(band, y, start)
+        last = end - 1 if over is None else over
+        # a zero reads as positive here, which gives the zero rule's count
+        # except for a final y_N = 0 after a positive y_(N-1)
+        neg = y[start + 1:last + 1] < 0
+        count += int(np.count_nonzero(neg[1:] != neg[:-1]))
+        if over is not None:
+            y[last - 1:last + 1] /= abs(y[last])
+        start = last - 1
+        prev, cur = y[start], y[last]
+        if last == n + 1:
+            return count + int(cur == 0.0 and prev > 0.0)
+        if start >= tail and (cur > 0.0 and cur >= prev or cur < 0.0 and cur <= prev):
+            return count
+        if last == end - 1:
+            end *= 4
 
 
 def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
@@ -185,26 +241,30 @@ _SEEDS = 64
 
 
 class SeedCounts:
-    """Sturm counts of the effective operator at the seed energies xs (at x,
-    the number of its eigenvalues <= x^2 - M^2), each taken when a walk first
-    reaches its seed: one instance serves every level, counting what they need."""
+    """Sturm counts of the effective operator at energy x (the number of its
+    eigenvalues <= x^2 - M^2), one memo for every energy asked: the seed
+    energies xs that a walk reaches and the bisection midpoints.  A count
+    does not depend on n, so one instance serves every level and counts each
+    energy once."""
 
     def __init__(self, params: HylleraasParams, grid: RadialGrid):
         M = params.M
         self.params, self.grid = params, grid
         self.v = potential_V(grid.points, params)
         self.xs = seed_grid(-M * (1 - 1e-9), M * (1 - 1e-9), _SEEDS).tolist()
-        self._counts: list[int] = []
+        self._memo: dict[float, int] = {}
 
     def at(self, x: float) -> int:
         """The count at any energy x."""
-        M = self.params.M
-        return sturm_count(2.0 * (x + M) * self.v, self.grid, x * x - M * M)
+        count = self._memo.get(x)
+        if count is None:
+            M = self.params.M
+            count = sturm_count(2.0 * (x + M) * self.v, self.grid, x * x - M * M)
+            self._memo[x] = count
+        return count
 
     def __getitem__(self, i: int) -> int:
-        while len(self._counts) <= i:
-            self._counts.append(self.at(self.xs[len(self._counts)]))
-        return self._counts[i]
+        return self.at(self.xs[i])
 
 
 def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
@@ -216,7 +276,8 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
     that predicate then narrows it to E_TOL_REL * M and reports the
     midpoint.  No step reads a computed eigenvalue, whose absolute error
     (eps times the matrix norm) swamps g where W is huge.  The residual is
-    |g| from one single-index eigensolve at the midpoint.
+    |g| from one single-index eigensolve at the midpoint, so it carries that
+    error: it is no error bar on E.
 
     Returns a flagged NoRoot level when no interval flips.
     """
@@ -267,9 +328,6 @@ def oracle_eigenvector(params: HylleraasParams, E: float, grid: RadialGrid,
 # Numerov matching integrator
 # ---------------------------------------------------------------------------
 
-_RESCALE = 1e100
-
-
 def _numerov_outward(q: np.ndarray, h: float, upto: int) -> np.ndarray:
     """Integrate y'' = q y from the left wall; returns samples 0..upto.
 
@@ -295,20 +353,10 @@ def _numerov_outward(q: np.ndarray, h: float, upto: int) -> np.ndarray:
     # band columns: diagonal B, first subdiagonal -A, second subdiagonal B
     band = np.asfortranarray([b, -a, b])
     start = 0
-    while True:
-        # rows start and start+1 are identity rows carrying the known samples
-        rest = band[:, start:]
-        rest[0, :2] = 1.0
-        rest[1, 0] = 0.0
-        x = np.zeros(upto + 1 - start)
-        x[:2] = y[start:start + 2]
-        y[start + 2:] = dtbsv(2, rest, x, lower=1, overwrite_x=1)[2:]
-        over = np.flatnonzero(np.abs(y[start + 2:]) > _RESCALE)
-        if over.size == 0:
-            return y
-        k = start + 2 + int(over[0])
+    while (k := _band_solve(band[:, start:], y, start)) is not None:
         y[: k + 1] /= abs(y[k])
         start = k - 1
+    return y
 
 
 def _matching_index(q: np.ndarray) -> int:

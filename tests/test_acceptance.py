@@ -144,7 +144,7 @@ def test_criterion_4_perfect_square_invariant():
         try:
             ks = solve_k(inp)
             cands = pi_candidates(inp)
-        except (NoRealK, ImperfectSquare, Exception):
+        except (NoRealK, ImperfectSquare):
             continue
         scale = (1.0 + inp.scale()) ** 2
         for _, res in ks:
@@ -164,7 +164,7 @@ def test_criterion_4_perfect_square_invariant():
                       Poly2(c[5], c[6], c[7]))
         try:
             cands = pi_candidates(inp)
-        except (NoRealK, ImperfectSquare, Exception):
+        except (NoRealK, ImperfectSquare):
             continue
         sol, _ = select_branch_lenient(cands)
         assert picks_a[accepted] == (sol.k, sol.sign_choice.value)

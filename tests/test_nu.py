@@ -85,7 +85,7 @@ class TestSolveK:
                           Poly2(coeffs[5], coeffs[6], rng.uniform(-3, 3)))
             try:
                 ks = solve_k(inp)
-            except (NoRealK, Exception):
+            except NoRealK:
                 continue
             scale = (1.0 + inp.scale()) ** 2
             for _, res in ks:
@@ -235,7 +235,7 @@ class TestProperties:
                           Poly2(c[5], c[6], c[7]))
             try:
                 pi_candidates(inp)
-            except (NoRealK, ImperfectSquare, Exception):
+            except (NoRealK, ImperfectSquare):
                 continue
             found.append(inp)
         return found

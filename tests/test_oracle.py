@@ -195,6 +195,19 @@ class TestRelativistic:
         assert diffs[0] > diffs[1] > diffs[2]
 
 
+@pytest.fixture
+def solved_rows(monkeypatch):
+    """The rows each oracle.dtbsv call solves, appended as the calls are made."""
+    rows = []
+
+    def recording(k, ab, x, **kwargs):
+        rows.append(len(x) - 2)
+        return dtbsv(k, ab, x, **kwargs)
+
+    monkeypatch.setattr(oracle, "dtbsv", recording)
+    return rows
+
+
 class TestSturmCount:
     def test_free_box_counts(self):
         # the three-point box Laplacian has lambda_k = (4/h^2) sin^2(k pi / (2(N+1)))
@@ -241,28 +254,126 @@ class TestSturmCount:
             sigma = x * x - M * M
             assert sturm_count(w, grid, sigma) == sturm_count_hp(w, grid, sigma)
 
+    @given(point=st.fixed_dictionaries({name: st.floats(lo, hi)
+                                        for name, (lo, hi) in SWEEP_BOX.items()}),
+           s_sign=st.sampled_from(SSign),
+           u=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_high_precision_anywhere(self, point, s_sign, u):
+        try:
+            params = HylleraasParams(M=1.0, s_sign=s_sign, **point)
+        except DegenerateParams:
+            assume(False)
+        grid = default_grid(params, n=400)
+        M, x = params.M, u * params.M
+        w = 2.0 * (x + M) * potential_V(grid.points, params)
+        sigma = x * x - M * M
+        assert sturm_count(w, grid, sigma) == sturm_count_hp(w, grid, sigma)
+
+    # h = 1/16 exactly, so t = 2 + h^2 (W - sigma) is exact for these W
+    ZERO_GRID = RadialGrid(r_min=0.0625, r_max=16.0, n=256)
+
+    def test_exact_zero_minor(self):
+        # t_0 = 0 exactly makes y_1 = 0: it takes the sign opposite to y_0,
+        # then y_2 = -y_0 continues with that sign
+        grid = self.ZERO_GRID
+        assert grid.h == 0.0625
+        w = np.zeros(grid.n)
+        w[0] = -2.0 / grid.h ** 2
+        assert 2.0 + grid.h ** 2 * (w[0] - 0.0) == 0.0
+        assert sturm_count(w, grid, 0.0) == sturm_count_hp(w, grid, 0.0) == 1
+
+    def test_exact_zero_last_minor(self):
+        # t = 2 gives y_k = k + 1, and t_(N-1) = (N-1)/N then gives y_N = 0:
+        # sigma = 0 is a simple eigenvalue with every other one above it
+        grid = self.ZERO_GRID
+        w = np.zeros(grid.n)
+        w[-1] = -257.0
+        assert 2.0 + grid.h ** 2 * w[-1] == (grid.n - 1) / grid.n
+        assert sturm_count(w, grid, 0.0) == 1
+        assert sturm_count(w, grid, -1e-9) == 0
+
+    def test_overflow_restart(self, monkeypatch):
+        # sigma above the spectrum (4/h^2 + max W): every t < -2, so y
+        # alternates and grows by |t| per step and passes 1e100 many times
+        params, grid = B_NEGATIVE_WELL.replace(D_e=5000.0), well_grid(1000)
+        w = 2.0 * (0.5 + params.M) * potential_V(grid.points, params)
+        sigma = 1e5
+        assert sigma > 4.0 / grid.h ** 2 + float(np.max(w))
+        overs = []
+        solve = oracle._band_solve
+
+        def recording(*args):
+            overs.append(solve(*args))
+            return overs[-1]
+
+        monkeypatch.setattr(oracle, "_band_solve", recording)
+        assert sturm_count(w, grid, sigma) == sturm_count_hp(w, grid, sigma) == grid.n
+        assert sum(k is not None for k in overs) >= 3
+
+    def test_tail_stop(self, solved_rows):
+        # W ~1e26 at the far wall: the count stops soon after the last
+        # W < sigma and still agrees with the full 60-digit count
+        grid = default_grid(HUGE_W_PARAMS, n=4000)
+        M, v = HUGE_W_PARAMS.M, potential_V(grid.points, HUGE_W_PARAMS)
+        for x in (-0.9, -0.0873129, 0.5):
+            w, sigma = 2.0 * (x + M) * v, x * x - M * M
+            solved_rows.clear()
+            assert sturm_count(w, grid, sigma) == sturm_count_hp(w, grid, sigma)
+            assert sum(solved_rows) < grid.n / 4
+
+    def test_tail_stop_waits_for_a_late_crossing(self):
+        # a square well, W = 0 on the first 100 points and 4 beyond: just
+        # above its eigenvalue, y decays through the barrier for about a
+        # thousand rows before it crosses zero, far past 4x the last W < sigma
+        grid = RadialGrid(r_min=0.01, r_max=40.0, n=4000)
+        w = np.where(np.arange(grid.n) < 100, 0.0, 4.0)
+        lam = float(eigen_tridiagonal(w, grid, 1)[0])
+        assert lam < 4.0
+        for sigma, count in ((lam * (1 + 1e-9), 1), (lam * (1 - 1e-9), 0)):
+            assert sturm_count(w, grid, sigma) == sturm_count_hp(w, grid, sigma) == count
+
+    def test_work_stays_near_the_allowed_region(self, solved_rows):
+        # the count at the refinement well's level, where y decays longest
+        # past the turning point, solves a small part of the finest grid
+        params, grid = B_NEGATIVE_WELL.replace(D_e=5000.0), well_grid(16000)
+        E = solve_relativistic(params, 0, grid).E
+        w = 2.0 * (E + params.M) * potential_V(grid.points, params)
+        solved_rows.clear()
+        sturm_count(w, grid, E * E - params.M ** 2)
+        assert 0 < sum(solved_rows) < grid.n / 4
+
     def test_oracle_work_counts(self, monkeypatch):
         # every default level lies in the first seed interval: two seed counts
         # serve all four, each level bisects that interval (2M/64) to
-        # E_TOL_REL * M in at most 29 counts, and its residual is one eigensolve
+        # E_TOL_REL * M in at most 29 counts, and its residual is one
+        # eigensolve; one memo counts each energy once, so the four walks
+        # share their seeds and their common first midpoints
         config = default_config()
         seeds = oracle.SeedCounts(config.params, config.grid()).xs
-        events = []
-        at, eigen = oracle.SeedCounts.at, oracle.eigen_tridiagonal
+        events, counts = [], []
+        at, count, eigen = oracle.SeedCounts.at, oracle.sturm_count, oracle.eigen_tridiagonal
 
-        def counted_at(self, x):
+        def recorded_at(self, x):
             events.append(x)
             return at(self, x)
+
+        def counted_count(*args):
+            counts.append(args[2])
+            return count(*args)
 
         def counted_eigen(*args, **kwargs):
             events.append(None)
             return eigen(*args, **kwargs)
 
-        monkeypatch.setattr(oracle.SeedCounts, "at", counted_at)
+        monkeypatch.setattr(oracle.SeedCounts, "at", recorded_at)
+        monkeypatch.setattr(oracle, "sturm_count", counted_count)
         monkeypatch.setattr(oracle, "eigen_tridiagonal", counted_eigen)
         results = solve_levels(config.params, range(4), config.grid())
         assert [len(result.levels) for result in results.values()] == [1, 1, 1, 1]
-        assert [x for x in events if x in seeds] == seeds[:2]
+        distinct = list(dict.fromkeys(x for x in events if x is not None))
+        assert [x for x in distinct if x in seeds] == seeds[:2]
+        assert len(counts) == len(distinct) == 112
         assert events.count(None) == 4
         per_level = [[]]
         for x in events:
@@ -275,13 +386,17 @@ class TestSturmCount:
 
 
 def sturm_count_hp(w, grid, sigma):
-    """sturm_count of the same matrix, in 60-digit arithmetic."""
+    """sturm_count of the same matrix, in 60-digit arithmetic: the number of
+    negative pivots of T - sigma.  A pivot that is exactly 0 counts as
+    negative and goes on as a negligible negative one, as in LAPACK stebz."""
     diag, off = oracle._operator(w, grid)
     with mpmath.workdps(60):
         off2 = mpmath.mpf(float(off[0])) ** 2
         q, count = None, 0
         for d in diag.tolist():
             q = mpmath.mpf(d) - mpmath.mpf(sigma) - (off2 / q if q is not None else 0)
+            if q == 0:
+                q = -mpmath.mpf(10) ** -40
             count += q < 0
     return count
 
