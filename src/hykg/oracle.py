@@ -106,14 +106,15 @@ def box_grid(length: float, n: int) -> RadialGrid:
 
 def check_grid(grid: RadialGrid, w_values: np.ndarray) -> None:
     """Emit (not raise) heuristic warnings: the u(0) = 0 wall placement and
-    stencil stability."""
+    stencil stability.  SeedCounts calls it, so a warning names the line that
+    called solve_relativistic or solve_levels."""
     if abs(grid.r_min - grid.h) > 1e-9 * grid.h:
         warnings.warn("r_min != h moves the u(0) = 0 wall off the origin",
-                      GridHeuristicWarning, stacklevel=3)
+                      GridHeuristicWarning, stacklevel=4)
     wmax = float(np.max(np.abs(w_values))) if w_values.size else 0.0
     if grid.h ** 2 * wmax >= 0.5:
         warnings.warn("h^2 * max|W| >= 0.5; stencil accuracy is degraded",
-                      GridHeuristicWarning, stacklevel=3)
+                      GridHeuristicWarning, stacklevel=4)
 
 
 def effective_potential(params: HylleraasParams, e_param: float,
@@ -245,12 +246,14 @@ class SeedCounts:
     eigenvalues <= x^2 - M^2), one memo for every energy asked: the seed
     energies xs that a walk reaches and the bisection midpoints.  A count
     does not depend on n, so one instance serves every level and counts each
-    energy once."""
+    energy once.  The grid is checked once here, against the largest W on
+    the window, 2 (2M) V."""
 
     def __init__(self, params: HylleraasParams, grid: RadialGrid):
         M = params.M
         self.params, self.grid = params, grid
         self.v = potential_V(grid.points, params)
+        check_grid(grid, 2.0 * (2 * M) * self.v)
         self.xs = seed_grid(-M * (1 - 1e-9), M * (1 - 1e-9), _SEEDS).tolist()
         self._memo: dict[float, int] = {}
 
@@ -276,14 +279,13 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
     that predicate then narrows it to E_TOL_REL * M and reports the
     midpoint.  No step reads a computed eigenvalue, whose absolute error
     (eps times the matrix norm) swamps g where W is huge.  The residual is
-    |g| from one single-index eigensolve at the midpoint, so it carries that
-    error: it is no error bar on E.
+    the half-width of the final bracket: the counts at its ends straddle n,
+    so it bounds the distance from E to the crossing.
 
     Returns a flagged NoRoot level when no interval flips.
     """
     M = params.M
     seeds = seeds or SeedCounts(params, grid)
-    check_grid(grid, 2.0 * (2 * M) * seeds.v)
     for i in range(len(seeds.xs) - 1):
         below = seeds[i] <= n
         if below == (seeds[i + 1] <= n):
@@ -296,9 +298,8 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
             else:
                 hi = mid
         E = 0.5 * (lo + hi)
-        ebar_n = float(eigen_tridiagonal(2.0 * (E + M) * seeds.v, grid, n + 1, first=n)[0])
         return EnergyLevel(n=n, E=E, Ebar=E * E - M * M, engine=Engine.ORACLE,
-                           residual=abs(ebar_n - (E * E - M * M)))
+                           residual=0.5 * (hi - lo))
     return EnergyLevel(n=n, E=None, Ebar=None, engine=Engine.ORACLE,
                        residual=None, flags=frozenset({FLAG_NO_ROOT}))
 

@@ -182,6 +182,7 @@ class TestBatchedLevels:
                                         for name, (lo, hi) in SWEEP_BOX.items()}),
            s_sign=st.sampled_from(SSign))
     @settings(max_examples=30, deadline=None)
+    @pytest.mark.filterwarnings("ignore::hykg.oracle.GridHeuristicWarning")
     def test_seed_counts_give_the_sign_of_g_anywhere(self, point, s_sign):
         try:
             params = HylleraasParams(M=1.0, s_sign=s_sign, **point)

@@ -240,6 +240,7 @@ class TestSturmCount:
             assert vals[count] > sigma
             assert count == 0 or vals[count - 1] <= sigma
 
+    @pytest.mark.filterwarnings("ignore::hykg.oracle.GridHeuristicWarning")
     def test_exact_where_bisection_is_not(self):
         # c = 0 with s -> 0: W reaches ~1e26 at the far wall, where stebz's
         # absolute accuracy (eps times the matrix norm) is ~1e10, so a
@@ -346,43 +347,43 @@ class TestSturmCount:
     def test_oracle_work_counts(self, monkeypatch):
         # every default level lies in the first seed interval: two seed counts
         # serve all four, each level bisects that interval (2M/64) to
-        # E_TOL_REL * M in at most 29 counts, and its residual is one
-        # eigensolve; one memo counts each energy once, so the four walks
-        # share their seeds and their common first midpoints
+        # E_TOL_REL * M in at most 29 counts and makes no eigensolve; one
+        # memo counts each energy once, so the four walks share their seeds
+        # and their common first midpoints
         config = default_config()
         seeds = oracle.SeedCounts(config.params, config.grid()).xs
-        events, counts = [], []
-        at, count, eigen = oracle.SeedCounts.at, oracle.sturm_count, oracle.eigen_tridiagonal
+        per_level, counts, eigensolves = [], [], []
+        at, count = oracle.SeedCounts.at, oracle.sturm_count
+        solve, eigen = oracle.solve_relativistic, oracle.eigen_tridiagonal
 
         def recorded_at(self, x):
-            events.append(x)
+            per_level[-1].append(x)
             return at(self, x)
 
         def counted_count(*args):
             counts.append(args[2])
             return count(*args)
 
+        def grouped_solve(*args):
+            per_level.append([])
+            return solve(*args)
+
         def counted_eigen(*args, **kwargs):
-            events.append(None)
+            eigensolves.append(args[2:])
             return eigen(*args, **kwargs)
 
         monkeypatch.setattr(oracle.SeedCounts, "at", recorded_at)
         monkeypatch.setattr(oracle, "sturm_count", counted_count)
+        monkeypatch.setattr(oracle, "solve_relativistic", grouped_solve)
         monkeypatch.setattr(oracle, "eigen_tridiagonal", counted_eigen)
         results = solve_levels(config.params, range(4), config.grid())
         assert [len(result.levels) for result in results.values()] == [1, 1, 1, 1]
-        distinct = list(dict.fromkeys(x for x in events if x is not None))
+        assert eigensolves == []
+        assert len(per_level) == 4
+        distinct = list(dict.fromkeys(x for xs in per_level for x in xs))
         assert [x for x in distinct if x in seeds] == seeds[:2]
         assert len(counts) == len(distinct) == 112
-        assert events.count(None) == 4
-        per_level = [[]]
-        for x in events:
-            if x is None:
-                per_level.append([])
-            elif x not in seeds:
-                per_level[-1].append(x)
-        assert per_level[-1] == []
-        assert all(0 < len(xs) <= 29 for xs in per_level[:-1])
+        assert all(0 < len([x for x in xs if x not in seeds]) <= 29 for xs in per_level)
 
 
 def sturm_count_hp(w, grid, sigma):
@@ -432,6 +433,12 @@ class TestCountBisection:
         M, v = HUGE_W_PARAMS.M, potential_V(grid.points, HUGE_W_PARAMS)
         for x, count in (lo, hi):
             assert sturm_count_hp(2.0 * (x + M) * v, grid, x * x - M * M) == count
+        # the residual bounds |E - crossing|; the stebz |g_n| it replaced
+        # read 8.6e9 at N = 400 and 1.6e4 at 4000
+        assert level.residual <= E_TOL_REL * HUGE_W_PARAMS.M / 2
+        ends = [sturm_count_hp(2.0 * (x + M) * v, grid, x * x - M * M) <= 0
+                for x in (level.E - level.residual, level.E + level.residual)]
+        assert ends[0] != ends[1]
 
     @given(point=st.fixed_dictionaries({name: st.floats(lo, hi)
                                         for name, (lo, hi) in SWEEP_BOX.items()}),
@@ -449,6 +456,10 @@ class TestCountBisection:
             for level in result.levels:
                 assert -params.M < level.E < params.M
                 assert (seeds.at(level.E - tol) <= n) != (seeds.at(level.E + tol) <= n)
+                # the residual is the final bracket's half-width: a bound on E
+                assert 0 < level.residual <= tol / 2
+                lo, hi = level.E - level.residual, level.E + level.residual
+                assert (seeds.at(lo) <= n) != (seeds.at(hi) <= n)
 
 
 class TestNumerovShooter:
@@ -691,6 +702,16 @@ class TestGrid:
         params = B_NEGATIVE_WELL.replace(D_e=5000.0)
         with pytest.warns(GridHeuristicWarning, match="stencil"):
             solve_relativistic(params, 0, well_grid(1000))
+
+    def test_levels_check_their_grid_once(self):
+        # the check does not depend on n: one per grid, not one per level
+        params = B_NEGATIVE_WELL.replace(D_e=5000.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_levels(params, range(4), well_grid(1000))
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, GridHeuristicWarning)] == [
+            "h^2 * max|W| >= 0.5; stencil accuracy is degraded"]
 
     def test_low_signal_flagged(self):
         slope, low = estimate_order([0.1, 0.05, 0.025], [1.0, 1.0, 1.0])
