@@ -12,14 +12,16 @@ most n eigenvalues are <= E^2 - M^2, so level n is where that Sturm count
 crosses n, and counts alone bracket and bisect it.  A count is the number of
 sign changes of the scaled leading minors of the matrix, whose three-term
 recurrence is one BLAS banded triangular solve that stops soon after the
-last classically allowed point.  A Numerov matching integrator provides an
-independent cross-check of the matrix eigenvalues; each integration is the
-same kind of solve, and both restart only where the solution is rescaled.
-A fixed-mass Schroedinger solver supports the weak-coupling limit trend
-tests.
+last classically allowed point; it forms W only on the rows it solves.  A
+Numerov matching integrator provides an independent cross-check of the
+matrix eigenvalues: one band per energy, solved forward to the matching
+point and backward from the far wall, in windows, so a rescale of the
+solution re-solves only the rest of its window.  A fixed-mass Schroedinger
+solver supports the weak-coupling limit trend tests.
 """
 from __future__ import annotations
 
+import importlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,22 +43,23 @@ from .rootfind import brent, seed_grid
 
 
 # Importing scipy.linalg costs more start-up than the whole closed-form path,
-# so its three routines are imported when called: a process that never solves
-# the oracle never loads scipy.  They stay module-level names, so tests can
-# substitute them.
-def eigvalsh_tridiagonal(*args, **kwargs):
-    from scipy.linalg import eigvalsh_tridiagonal
-    return eigvalsh_tridiagonal(*args, **kwargs)
+# so its three routines are imported when first called: a process that never
+# solves the oracle never loads scipy.  The first call puts scipy's routine in
+# the stand-in's place, so later calls go straight to it; each stays a
+# module-level name that tests can substitute.
+def _on_first_call(module: str, name: str):
+    def first_call(*args, **kwargs):
+        routine = getattr(importlib.import_module(module), name)
+        if globals()[name] is first_call:
+            globals()[name] = routine
+        return routine(*args, **kwargs)
+    first_call.__name__ = first_call.__qualname__ = name
+    return first_call
 
 
-def eigh_tridiagonal(*args, **kwargs):
-    from scipy.linalg import eigh_tridiagonal
-    return eigh_tridiagonal(*args, **kwargs)
-
-
-def dtbsv(*args, **kwargs):
-    from scipy.linalg.blas import dtbsv
-    return dtbsv(*args, **kwargs)
+eigvalsh_tridiagonal = _on_first_call("scipy.linalg", "eigvalsh_tridiagonal")
+eigh_tridiagonal = _on_first_call("scipy.linalg", "eigh_tridiagonal")
+dtbsv = _on_first_call("scipy.linalg.blas", "dtbsv")
 
 
 # Tolerance on E for the relativistic roots, in units of M: the width of
@@ -148,29 +151,41 @@ def eigen_tridiagonal(w_values: np.ndarray, grid: RadialGrid, m: int,
 _RESCALE = 1e100
 
 
-def _band_solve(band: np.ndarray, y: np.ndarray, start: int) -> int | None:
-    """Solve a lower triangular band system with two sub-diagonals in place
-    for the samples y[start + 2:start + m], from the known y[start] and
-    y[start + 1]; `band` holds its m columns in LAPACK lower band storage.
+def _band_solve(band: np.ndarray, x: np.ndarray, lower: bool = True,
+                unit: bool = False) -> int | None:
+    """Solve a triangular band system with two off-diagonals in place for x
+    from its two known end samples: x[0] and x[1] for a lower system, which
+    is solved forward, x[-2] and x[-1] for an upper one, solved backward.
+    `band` holds its len(x) columns in LAPACK band storage of that kind; the
+    rows of the known samples become identity rows.  `unit` skips the
+    diagonal, which must then be 1.
 
-    Returns the index of the first solved sample beyond _RESCALE in
-    magnitude, or None.  The caller rescales and restarts from there.
+    Returns j >= 2 when the first solved sample beyond _RESCALE in magnitude
+    is the j-th in solve order (x[j], or x[-1 - j] for an upper system), or
+    None.  The caller rescales and restarts from there.
     """
-    # rows start and start+1 are identity rows carrying the known samples
-    band[0, :2] = 1.0
-    band[1, 0] = 0.0
-    x = y[start:start + band.shape[1]]
-    x[2:] = 0.0
-    x[2:] = dtbsv(2, band, x, lower=1, overwrite_x=1)[2:]
-    over = np.flatnonzero(np.abs(x[2:]) > _RESCALE)
-    return start + 2 + int(over[0]) if over.size else None
+    if lower:
+        band[0, :2] = 1.0
+        band[1, 0] = 0.0
+        x[2:] = 0.0
+        x[2:] = dtbsv(2, band, x, lower=1, diag=unit, overwrite_x=1)[2:]
+        over = (np.abs(x[2:]) > _RESCALE).nonzero()[0]
+        return 2 + int(over[0]) if over.size else None
+    band[2, -2:] = 1.0
+    band[1, -1] = 0.0
+    x[:-2] = 0.0
+    x[:-2] = dtbsv(2, band, x, lower=0, diag=unit, overwrite_x=1)[:-2]
+    over = (np.abs(x[:-2]) > _RESCALE).nonzero()[0]
+    return len(x) - 1 - int(over[-1]) if over.size else None
 
 
-def sturm_count(w_values: np.ndarray, grid: RadialGrid, sigma: float) -> int:
-    """Number of eigenvalues <= sigma of the operator of eigen_tridiagonal.
+class SturmCounter:
+    """Sturm counts of -d^2/dr^2 + c v, the operator of eigen_tridiagonal
+    with W = c v, on one grid: count(c, sigma) is its number of eigenvalues
+    <= sigma.
 
-    By Sturm's theorem it is the number of sign changes of the leading minors
-    of T - sigma.  Scaled, y_k = h^(2k) det(T_k - sigma), they obey
+    By Sturm's theorem that is the number of sign changes of the leading
+    minors of T - sigma.  Scaled, y_k = h^(2k) det(T_k - sigma), they obey
 
         y_(k+1) = t_k y_k - y_(k-1),   t = 2 + h^2 (W - sigma),   y_0 = 1, y_(-1) = 0,
 
@@ -189,34 +204,80 @@ def sturm_count(w_values: np.ndarray, grid: RadialGrid, sigma: float) -> int:
       before it turns, so the first solve runs 4x as far as that point and
       each extension 4x further: a solved row costs nanoseconds, a pass of
       this loop tens of microseconds.
+
+    A count touches only the rows it solves.  W_k = fl(c v_k) is formed on
+    those rows alone, into band and work buffers kept for the grid, and the
+    last W < sigma comes from a binary search of v's suffix extrema: fl(c u)
+    is monotone in u, so the smallest fl(c v_j) over j >= k is fl(c u) at the
+    smallest of those v_j for c >= 0 and at the largest for c < 0.
     """
-    n, h2 = grid.n, grid.h ** 2
-    below = np.flatnonzero(w_values < sigma)
-    tail = int(below[-1]) + 1 if below.size else 0
-    y = np.empty(n + 2)  # y[j] is y_(j-1)
-    y[:2] = 0.0, 1.0
-    count, start, end = 0, 0, 4 * (tail + 2)
-    while True:
-        end = min(end, n + 2)
-        # band columns start..end-1: unit diagonal, sub-diagonals -t and 1
-        band = np.ones((3, end - start), order="F")
-        band[1, 1:-1] = -2.0 - h2 * (w_values[start:end - 2] - sigma)
-        over = _band_solve(band, y, start)
-        last = end - 1 if over is None else over
-        # a zero reads as positive here, which gives the zero rule's count
-        # except for a final y_N = 0 after a positive y_(N-1)
-        neg = y[start + 1:last + 1] < 0
-        count += int(np.count_nonzero(neg[1:] != neg[:-1]))
-        if over is not None:
-            y[last - 1:last + 1] /= abs(y[last])
-        start = last - 1
-        prev, cur = y[start], y[last]
-        if last == n + 1:
-            return count + int(cur == 0.0 and prev > 0.0)
-        if start >= tail and (cur > 0.0 and cur >= prev or cur < 0.0 and cur <= prev):
-            return count
-        if last == end - 1:
-            end *= 4
+
+    def __init__(self, v: np.ndarray, grid: RadialGrid):
+        self.v, self.n, self.h2 = v, grid.n, grid.h ** 2
+        self.band = np.ones((3, self.n + 2), order="F")  # row 2 stays 1
+        self.y = np.empty(self.n + 2)  # y[j] is y_(j-1)
+        self.work = np.empty(self.n)
+
+    # memoryviews: indexing one gives a Python float, the binary search's
+    # fastest operand, and making one copies nothing
+    @cached_property
+    def _suffix_min(self) -> memoryview:
+        return memoryview(np.minimum.accumulate(self.v[::-1])[::-1])
+
+    @cached_property
+    def _suffix_max(self) -> memoryview:
+        return memoryview(np.maximum.accumulate(self.v[::-1])[::-1])
+
+    def tail(self, c: float, sigma: float) -> int:
+        """1 + the last k with fl(c v_k) < sigma, or 0 if there is none."""
+        ext = self._suffix_min if c >= 0 else self._suffix_max
+        lo, hi = 0, len(ext)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if c * ext[mid] < sigma:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def count(self, c: float, sigma: float) -> int:
+        """Number of eigenvalues <= sigma of -d^2/dr^2 + c v."""
+        n, h2, v, y = self.n, self.h2, self.v, self.y
+        tail = self.tail(c, sigma)
+        y[:2] = 0.0, 1.0
+        count, start, end = 0, 0, 4 * (tail + 2)
+        while True:
+            end = min(end, n + 2)
+            # band columns start..end-1: unit diagonal, sub-diagonals -t and 1,
+            # with -t = -2 - h^2 (c v - sigma) formed in the work buffer
+            band = self.band[:, :end - start]
+            work = self.work[:end - start - 2]
+            np.multiply(v[start:end - 2], c, out=work)
+            work -= sigma
+            work *= h2
+            np.subtract(-2.0, work, out=band[1, 1:-1])
+            over = _band_solve(band, y[start:end], unit=True)
+            last = end - 1 if over is None else start + over
+            # a zero reads as positive here, which gives the zero rule's count
+            # except for a final y_N = 0 after a positive y_(N-1)
+            neg = y[start + 1:last + 1] < 0
+            count += int(np.count_nonzero(neg[1:] != neg[:-1]))
+            if over is not None:
+                y[last - 1:last + 1] /= abs(y[last])
+            start = last - 1
+            prev, cur = y[start], y[last]
+            if last == n + 1:
+                return count + int(cur == 0.0 and prev > 0.0)
+            if start >= tail and (cur > 0.0 and cur >= prev or cur < 0.0 and cur <= prev):
+                return count
+            if last == end - 1:
+                end *= 4
+
+
+def sturm_count(w_values: np.ndarray, grid: RadialGrid, sigma: float) -> int:
+    """Number of eigenvalues <= sigma of the operator of eigen_tridiagonal:
+    the SturmCounter count with c = 1, as 1 * w_values is w_values exactly."""
+    return SturmCounter(w_values, grid).count(1.0, sigma)
 
 
 def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
@@ -254,15 +315,16 @@ class SeedCounts:
         self.params, self.grid = params, grid
         self.v = potential_V(grid.points, params)
         check_grid(grid, 2.0 * (2 * M) * self.v)
+        self.counter = SturmCounter(self.v, grid)
         self.xs = seed_grid(-M * (1 - 1e-9), M * (1 - 1e-9), _SEEDS).tolist()
         self._memo: dict[float, int] = {}
 
     def at(self, x: float) -> int:
-        """The count at any energy x."""
+        """The count at any energy x: W = 2 (x + M) V at x^2 - M^2."""
         count = self._memo.get(x)
         if count is None:
             M = self.params.M
-            count = sturm_count(2.0 * (x + M) * self.v, self.grid, x * x - M * M)
+            count = self.counter.count(2.0 * (x + M), x * x - M * M)
             self._memo[x] = count
         return count
 
@@ -329,35 +391,107 @@ def oracle_eigenvector(params: HylleraasParams, E: float, grid: RadialGrid,
 # Numerov matching integrator
 # ---------------------------------------------------------------------------
 
-def _numerov_outward(q: np.ndarray, h: float, upto: int) -> np.ndarray:
-    """Integrate y'' = q y from the left wall; returns samples 0..upto.
+def _numerov_band(q: np.ndarray, h: float) -> np.ndarray:
+    """The Numerov steps of y'' = q y as one band [B, -A, B] in Fortran order.
 
-    With t = h^2/12, A = 2 (1 + 5 t q) and B = 1 - t q, the Numerov steps
-    B[i] y[i] - A[i-1] y[i-1] + B[i-2] y[i-2] = 0 (i >= 2) form a lower
-    triangular band system, solved by one BLAS tbsv call from the two
-    starting samples.  Rescaling: when a sample k first exceeds _RESCALE in
-    magnitude, samples 0..k are divided by |y[k]| and the solve restarts at
-    k+1 from y[k-1], y[k], so there is one solve per rescale, each over the
-    whole remaining range.
+    With t = h^2/12, A = 2 (1 + 5 t q) and B = 1 - t q, the steps
+    B[i+1] y[i+1] - A[i] y[i] + B[i-1] y[i-1] = 0 read forward are a lower
+    triangular band system whose columns (diagonal, first and second
+    sub-diagonal) are (B, -A, B), and read backward an upper one whose
+    columns (second and first super-diagonal, diagonal) are (B, -A, B) too.
+    So one array serves both directions.
     """
     t = h * h / 12.0
-    q = q[: upto + 1]
-    a = 2.0 * (1.0 + 5.0 * t * q)
-    b = 1.0 - t * q
+    band = np.empty((3, len(q)), order="F")
+    work = q * (5.0 * t)
+    work += 1.0
+    work *= -2.0
+    band[1] = work
+    np.multiply(q, t, out=work)
+    np.subtract(1.0, work, out=work)
+    band[0] = work
+    band[2] = work
+    return band
+
+
+def _numerov_sweep(band: np.ndarray, y: np.ndarray, lower: bool) -> list[int]:
+    """Solve the Numerov steps of `band` (len(y) columns) in place for y from
+    its two known end samples: forward from y[0], y[1] when `lower`, else
+    backward from y[-2], y[-1].  Returns the rescale positions, counted in
+    solve order.
+
+    Rescaling: when a sample k (in solve order) first exceeds _RESCALE in
+    magnitude, samples 0..k are divided by |y[k]| and the solve restarts
+    from samples k-1 and k.  The sweep solves in windows, each starting from
+    the last two samples of the one before, so a rescale re-solves only the
+    rest of its window.  A window spans the rows that the growth seen so far
+    predicts before the next rescale, plus an eighth.  The first window
+    takes the growth log|lambda| of one step of the wall's q, where
+    |lambda| + 1/|lambda| = |A/B| (none, and the whole range, where
+    |A/B| <= 2); a window after a rescale spans the last rescale interval;
+    any other takes the growth since the last rescale, or 4x the rows of
+    the window before if y has not grown.
+    """
+    n = len(y)
+    ys = y if lower else y[::-1]  # y in solve order
+    # one step of the wall's q: |lambda| + 1/|lambda| = |A/B|
+    a, b = (band[1, 0], band[0, 0]) if lower else (band[1, -1], band[2, -1])
+    a, b = abs(float(a)), abs(float(b))
+    growth = 0.0 if a <= 2.0 * b else math.inf if b == 0.0 else math.acosh(0.5 * a / b)
+    mag = max(abs(ys[0]), abs(ys[1]))
+    span = _span(growth, mag, n)
+    rescales = []
+    done, base, base_mag = 2, 0, mag  # samples known; the last rescale
+    while done < n:
+        rows = min(span, n - done)
+        lo, hi = (done - 2, done + rows) if lower else (n - done - rows, n - done + 2)
+        j = _band_solve(band[:, lo:hi], y[lo:hi], lower)
+        if j is not None:
+            k = done - 2 + j
+            ys[:k + 1] /= abs(ys[k])
+            rescales.append(k)
+            span = (k - base) * 9 // 8 + 16
+            base, base_mag, done = k, 1.0, k + 1
+            continue
+        done += rows
+        mag = max(abs(ys[done - 2]), abs(ys[done - 1]))
+        if mag > base_mag:
+            span = _span(math.log(mag / base_mag) / (done - 1 - base), mag, n)
+        else:
+            span = 4 * rows
+    return rescales
+
+
+def _span(growth: float, mag: float, n: int) -> int:
+    """Rows until a solution of magnitude mag growing by e^growth per row
+    passes _RESCALE, plus an eighth; n when it does not grow."""
+    if not growth > 0.0:
+        return n
+    headroom = math.log(_RESCALE / mag) if 0.0 < mag < _RESCALE else 0.0
+    return min(int(headroom / growth * 1.125) + 16, n)
+
+
+def _numerov_outward(band: np.ndarray, h: float, upto: int) -> tuple[np.ndarray, list[int]]:
+    """Samples 0..upto of y'' = q y from the left wall, for the band of q;
+    and the rescale positions.  The ghost point y(-1) = 0 makes y[1] =
+    A[0] y[0] / B[1] from y[0] = h."""
     y = np.empty(upto + 1)
     y[0] = h
     if upto >= 1:
-        # ghost point y(-1) = 0 contributes nothing to the first step
-        y[1] = (a[0] * y[0]) / b[1]
-    if upto < 2:
-        return y
-    # band columns: diagonal B, first subdiagonal -A, second subdiagonal B
-    band = np.asfortranarray([b, -a, b])
-    start = 0
-    while (k := _band_solve(band[:, start:], y, start)) is not None:
-        y[: k + 1] /= abs(y[k])
-        start = k - 1
-    return y
+        y[1] = (-band[1, 0] * h) / band[0, 1]
+    rescales = _numerov_sweep(band[:, :upto + 1], y, True) if upto >= 2 else []
+    return y, rescales
+
+
+def _numerov_inward(band: np.ndarray, h: float, downto: int) -> tuple[np.ndarray, list[int]]:
+    """Samples downto..N-1 of y'' = q y from the right wall, for the band of
+    q; and the rescale positions, counted from the wall.  It is
+    _numerov_outward of the mirrored q, solved on the same band."""
+    y = np.empty(band.shape[1] - downto)
+    y[-1] = h
+    y[-2] = (-band[1, -1] * h) / band[2, -2]
+    rescales = _numerov_sweep(band[:, downto:], y, False) if len(y) > 2 else []
+    return y, rescales
 
 
 def _matching_index(q: np.ndarray) -> int:
@@ -379,9 +513,13 @@ def numerov_defect(q: np.ndarray, h: float) -> tuple[float, np.ndarray]:
     """Wronskian mismatch of the outward and inward solutions at the matching
     point, plus the assembled solution."""
     m = _matching_index(q)
-    y_out = _numerov_outward(q, h, m + 1)
-    # the inward solution, samples m-1..n-1, is the outward one of the mirrored q
-    y_in = _numerov_outward(q[::-1], h, len(q) - m)[::-1]
+    band = _numerov_band(q, h)
+    # The sweeps share the band, and neither reads what the other's identity
+    # rows change: outward changes row 0 only at columns <= m and row 1 at
+    # columns < m, inward changes row 2 only at columns >= m and row 1 at
+    # columns > m.
+    y_out, _ = _numerov_outward(band, h, m + 1)
+    y_in, _ = _numerov_inward(band, h, m - 1)  # samples m-1..n-1
 
     # scale both to O(1) at the matching point: samples m-1, m, m+1
     out3, in3 = y_out[m - 1:m + 2].tolist(), y_in[:3].tolist()

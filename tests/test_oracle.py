@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -260,7 +261,10 @@ class TestSturmCount:
            s_sign=st.sampled_from(SSign),
            u=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
     @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore::hykg.oracle.GridHeuristicWarning")
     def test_matches_high_precision_anywhere(self, point, s_sign, u):
+        # sturm_count of W, and SeedCounts' count, which forms W = c V on
+        # the rows it solves only
         try:
             params = HylleraasParams(M=1.0, s_sign=s_sign, **point)
         except DegenerateParams:
@@ -269,7 +273,9 @@ class TestSturmCount:
         M, x = params.M, u * params.M
         w = 2.0 * (x + M) * potential_V(grid.points, params)
         sigma = x * x - M * M
-        assert sturm_count(w, grid, sigma) == sturm_count_hp(w, grid, sigma)
+        expected = sturm_count_hp(w, grid, sigma)
+        assert sturm_count(w, grid, sigma) == expected
+        assert oracle.SeedCounts(params, grid).at(x) == expected
 
     # h = 1/16 exactly, so t = 2 + h^2 (W - sigma) is exact for these W
     ZERO_GRID = RadialGrid(r_min=0.0625, r_max=16.0, n=256)
@@ -304,8 +310,8 @@ class TestSturmCount:
         overs = []
         solve = oracle._band_solve
 
-        def recording(*args):
-            overs.append(solve(*args))
+        def recording(*args, **kwargs):
+            overs.append(solve(*args, **kwargs))
             return overs[-1]
 
         monkeypatch.setattr(oracle, "_band_solve", recording)
@@ -353,16 +359,16 @@ class TestSturmCount:
         config = default_config()
         seeds = oracle.SeedCounts(config.params, config.grid()).xs
         per_level, counts, eigensolves = [], [], []
-        at, count = oracle.SeedCounts.at, oracle.sturm_count
+        at, count = oracle.SeedCounts.at, oracle.SturmCounter.count
         solve, eigen = oracle.solve_relativistic, oracle.eigen_tridiagonal
 
         def recorded_at(self, x):
             per_level[-1].append(x)
             return at(self, x)
 
-        def counted_count(*args):
-            counts.append(args[2])
-            return count(*args)
+        def counted_count(self, c, sigma):
+            counts.append(sigma)
+            return count(self, c, sigma)
 
         def grouped_solve(*args):
             per_level.append([])
@@ -373,7 +379,7 @@ class TestSturmCount:
             return eigen(*args, **kwargs)
 
         monkeypatch.setattr(oracle.SeedCounts, "at", recorded_at)
-        monkeypatch.setattr(oracle, "sturm_count", counted_count)
+        monkeypatch.setattr(oracle.SturmCounter, "count", counted_count)
         monkeypatch.setattr(oracle, "solve_relativistic", grouped_solve)
         monkeypatch.setattr(oracle, "eigen_tridiagonal", counted_eigen)
         results = solve_levels(config.params, range(4), config.grid())
@@ -384,6 +390,82 @@ class TestSturmCount:
         assert [x for x in distinct if x in seeds] == seeds[:2]
         assert len(counts) == len(distinct) == 112
         assert all(0 < len([x for x in xs if x not in seeds]) <= 29 for xs in per_level)
+
+    def test_counts_touch_only_the_rows_they_solve(self):
+        # the count at the refinement well's level solves a small part of the
+        # finest grid, and allocates far less than one N-long array: W, the
+        # band and y live only on the solved rows or in the grid's buffers
+        params, grid = B_NEGATIVE_WELL.replace(D_e=5000.0), well_grid(16000)
+        seeds = oracle.SeedCounts(params, grid)
+        E = solve_relativistic(params, 0, grid, seeds).E
+        x = math.nextafter(E, 1.0)
+        assert x not in seeds._memo
+        tracemalloc.start()
+        try:
+            seeds.at(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * grid.n / 2
+
+
+class TestTailRule:
+    """SturmCounter.tail, a binary search of v's suffix extrema, against the
+    last fl(c v_k) < sigma found by a full scan."""
+
+    @staticmethod
+    def scanned(c, v, sigma):
+        below = np.flatnonzero(c * v < sigma)
+        return int(below[-1]) + 1 if below.size else 0
+
+    def check(self, v, c, sigma):
+        counter = oracle.SturmCounter(v, RadialGrid(r_min=0.01, r_max=10.0, n=len(v)))
+        assert counter.tail(c, sigma) == self.scanned(c, v, sigma)
+        return counter.tail(c, sigma)
+
+    def test_sigma_equal_to_a_product(self):
+        # sigma at fl(c v_k) itself, which is not below it, and at the
+        # floats on either side
+        v = potential_V(well_grid(1000).points, B_NEGATIVE_WELL)
+        for c in (2.0 * (0.3 + 1.0), 1.0, 0.7071067811865476, -1.9):
+            for k in (0, 1, 17, 500, 998, 999):
+                sigma = c * float(v[k])
+                for s in (math.nextafter(sigma, -math.inf), sigma,
+                          math.nextafter(sigma, math.inf)):
+                    self.check(v, c, s)
+
+    def test_flat_plateaus(self):
+        v = np.repeat([3.0, 1.0, 1.0, 2.0, 0.5, 0.5, 4.0, 4.0], 25)
+        for c in (1.0, 1.5, -1.5, 0.0):
+            for u in (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0):
+                for s in (math.nextafter(c * u, -math.inf), c * u,
+                          math.nextafter(c * u, math.inf)):
+                    self.check(v, c, s)
+
+    def test_no_row_and_every_row(self):
+        v = potential_V(well_grid(1000).points, B_NEGATIVE_WELL)
+        c = 1.3
+        assert self.check(v, c, c * float(np.min(v))) == 0
+        assert self.check(v, c, -math.inf) == 0
+        assert self.check(v, c, math.nextafter(c * float(v[-1]), math.inf)) == len(v)
+        assert self.check(v, c, math.inf) == len(v)
+
+    @given(point=st.fixed_dictionaries({name: st.floats(lo, hi)
+                                        for name, (lo, hi) in SWEEP_BOX.items()}),
+           s_sign=st.sampled_from(SSign),
+           u=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+           k=st.integers(0, 399))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_box_grids(self, point, s_sign, u, k):
+        try:
+            params = HylleraasParams(M=1.0, s_sign=s_sign, **point)
+        except DegenerateParams:
+            assume(False)
+        v = potential_V(default_grid(params, n=400).points, params)
+        c = 2.0 * (u + params.M)
+        for sigma in (u * u - params.M ** 2, c * float(v[k])):
+            self.check(v, c, sigma)
+            self.check(v, -c, sigma)
 
 
 def sturm_count_hp(w, grid, sigma):
@@ -539,63 +621,131 @@ def well_q(n, E=0.9105063368870955):
     return 2.0 * (E + M) * v - (E * E - M * M)
 
 
+def restart_solve(q, h, upto):
+    """The outward integration before windows, verbatim: one lower band
+    solve over the whole remaining range after every rescale."""
+    t = h * h / 12.0
+    q = q[: upto + 1]
+    a = 2.0 * (1.0 + 5.0 * t * q)
+    b = 1.0 - t * q
+    y = np.empty(upto + 1)
+    y[0] = h
+    y[1] = (a[0] * y[0]) / b[1]
+    band = np.asfortranarray([b, -a, b])
+    start = 0
+    while True:
+        band[0, start:start + 2] = 1.0
+        band[1, start] = 0.0
+        x = y[start:]
+        x[2:] = 0.0
+        x[2:] = dtbsv(2, band[:, start:], x, lower=1)[2:]
+        over = np.flatnonzero(np.abs(x[2:]) > oracle._RESCALE)
+        if not over.size:
+            return y
+        k = start + 2 + int(over[0])
+        y[: k + 1] /= abs(y[k])
+        start = k - 1
+
+
 class TestNumerovIntegrator:
-    def integrate(self, monkeypatch, q, h, upto):
-        """(samples, rescale positions) of oracle._numerov_outward: every
-        band solve after the first restarts at k-1 for a rescale at k."""
-        lengths = []
+    def outward(self, q, h, upto):
+        return oracle._numerov_outward(oracle._numerov_band(q, h), h, upto)
 
-        def recording(k, ab, x, **kwargs):
-            lengths.append(len(x))
-            return dtbsv(k, ab, x, **kwargs)
+    def inward(self, q, h, downto):
+        return oracle._numerov_inward(oracle._numerov_band(q, h), h, downto)
 
-        monkeypatch.setattr(oracle, "dtbsv", recording)
-        y = oracle._numerov_outward(q, h, upto)
-        return y, [upto + 2 - length for length in lengths[1:]]
-
-    def check(self, monkeypatch, q, h, upto):
-        """Agreement with the per-sample recurrence; returns the rescale count."""
-        expected = []
-        ref = np.array(reference_outward(q.tolist(), h, upto, expected))
-        y, rescales = self.integrate(monkeypatch, q, h, upto)
-        assert isinstance(y, np.ndarray) and y.shape == (upto + 1,)
-        assert rescales == expected
+    @staticmethod
+    def agree(y, ref):
         # relative to the largest sample so far: rounding differences of the
         # two evaluation orders grow with the recurrence, not with |y[i]|,
         # which passes through zero at every node
         envelope = np.maximum.accumulate(np.abs(ref))
         assert np.all(np.abs(y - ref) <= 1e-12 * envelope)
         assert np.all(np.abs(y) <= oracle._RESCALE)
-        return len(rescales)
+
+    def check(self, q, h, upto):
+        """Samples 0..upto of the outward solve of q, and the inward solve of
+        the mirrored q read backward, against the per-sample recurrence on
+        q; both must also rescale at its samples.  Returns the rescale count."""
+        expected = []
+        ref = np.array(reference_outward(q.tolist(), h, upto, expected))
+        y, rescales = self.outward(q, h, upto)
+        assert isinstance(y, np.ndarray) and y.shape == (upto + 1,)
+        assert rescales == expected
+        self.agree(y, ref)
+        if upto >= 1:
+            y, rescales = self.inward(q[::-1], h, len(q) - 1 - upto)
+            assert y.shape == (upto + 1,)
+            assert rescales == expected
+            self.agree(y[::-1], ref)
+        return len(expected)
 
     @pytest.mark.parametrize("upto", [0, 1, 2, 999])
-    def test_short_and_full_ranges(self, monkeypatch, upto):
+    def test_short_and_full_ranges(self, upto):
         q = well_q(1000)[::-1]
-        self.check(monkeypatch, q, well_grid(1000).h, upto)
+        self.check(q, well_grid(1000).h, upto)
 
-    def test_free_box_never_rescales(self, monkeypatch):
+    def test_free_box_never_rescales(self):
         # the lowest box level: one half-wave, bounded everywhere; on finer
         # grids the two orders' rounding differences grow past 1e-12
         # (7e-12 at N = 4000), as the near-double root of the recurrence
         # amplifies them, so this compares at N = 400
         grid = box_grid(L, 400)
         q = np.full(grid.n, -(math.pi / L) ** 2)
-        assert self.check(monkeypatch, q, grid.h, grid.n - 1) == 0
+        assert self.check(q, grid.h, grid.n - 1) == 0
 
     @pytest.mark.parametrize("n", [1000, 16000])
-    def test_well_both_directions(self, monkeypatch, n):
+    def test_well_both_directions(self, n):
         # the two ranges numerov_defect integrates: outward to the matching
-        # point and inward (the mirrored q) from the far wall back to it
+        # point, and inward from the far wall back to it, which is the
+        # outward solve of the mirrored q
         q, h = well_q(n), well_grid(n).h
         m = oracle._matching_index(q)
-        outward = self.check(monkeypatch, q, h, m + 1)
-        inward = self.check(monkeypatch, q[::-1], h, n - m)
+        outward = self.check(q, h, m + 1)
+        inward = self.check(q[::-1], h, n - m)
         assert outward + inward >= 1
 
-    def test_steep_q_rescales_repeatedly(self, monkeypatch):
+    def test_steep_q_rescales_repeatedly(self):
         # growth e^(h sqrt(q)) = e per step passes 1e100 every ~230 samples
         q = np.full(1000, 1e4)
-        assert self.check(monkeypatch, q, 0.01, 999) >= 3
+        assert self.check(q, 0.01, 999) >= 3
+
+    @pytest.mark.filterwarnings("ignore::hykg.oracle.GridHeuristicWarning")
+    @pytest.mark.parametrize("case", ["well", "huge-w", "steep", "box"])
+    def test_windows_change_no_bit(self, case):
+        # each sweep gives bit for bit the samples of one solve over the whole
+        # remaining range after every rescale, outward and inward alike
+        if case == "steep":
+            q, h = np.linspace(1e4, 3e4, 3000), 0.01
+        elif case == "box":
+            grid = box_grid(L, 4000)
+            q, h = np.full(grid.n, -(3 * math.pi / L) ** 2), grid.h
+        else:
+            params = B_NEGATIVE_WELL if case == "well" else HUGE_W_PARAMS
+            grid = well_grid(16000) if case == "well" else default_grid(params, n=4000)
+            E = solve_relativistic(params, 0, grid).E
+            M = params.M
+            q = 2.0 * (E + M) * potential_V(grid.points, params) - (E * E - M * M)
+            h = grid.h
+        n = len(q)
+        for upto in (2, 40, n // 3, n - 1):
+            y, _ = self.outward(q, h, upto)
+            assert np.array_equal(y, restart_solve(q, h, upto))
+            y, _ = self.inward(q, h, n - 1 - upto)
+            assert np.array_equal(y[::-1], restart_solve(q[::-1], h, upto))
+
+    def test_one_defect_solves_each_row_about_once(self, solved_rows):
+        # One defect on the well's finest grid: outward to m+1 and inward to
+        # m-1 need N - 1 solved rows.  A rescale's position is known only
+        # once its row is solved, so the rows after it in its window are
+        # solved again from the rescaled pair; a window spans its predicted
+        # rescale interval plus an eighth, which bounds that rework.  One
+        # solve per rescale over the whole remaining range took 28,263 rows.
+        n = 16000
+        q, h = well_q(n), well_grid(n).h
+        oracle.numerov_defect(q, h)
+        assert len(solved_rows) <= 6
+        assert n - 1 <= sum(solved_rows) <= (n - 1) + n // 8
 
 
 class TestNumerovRegression:
@@ -656,6 +806,33 @@ class TestSchrodinger:
         v1 = schrodinger_limit(DEFAULT_PARAMS.replace(D_e=0.5), 0, grid)
         v2 = schrodinger_limit(DEFAULT_PARAMS.replace(D_e=1.0), 0, grid)
         assert v2 < v1
+
+
+class TestScipyStandIns:
+    def test_first_call_puts_scipy_in_place(self, monkeypatch):
+        # a stand-in imports its routine on its first call and leaves it in
+        # its place, so later calls go straight to scipy
+        stand_in = oracle._on_first_call("scipy.linalg.blas", "dtbsv")
+        monkeypatch.setattr(oracle, "dtbsv", stand_in)
+        grid = box_grid(L, 400)
+        assert sturm_count(np.zeros(grid.n), grid, 0.05) == 1
+        assert oracle.dtbsv is dtbsv
+
+    def test_a_substitute_keeps_its_place(self, monkeypatch):
+        # a substitute that calls the stand-in it replaced is not displaced
+        stand_in = oracle._on_first_call("scipy.linalg.blas", "dtbsv")
+        calls = []
+
+        def substitute(*args, **kwargs):
+            calls.append(len(args[2]))
+            return stand_in(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "dtbsv", substitute)
+        grid = box_grid(L, 400)
+        for _ in range(2):
+            assert sturm_count(np.zeros(grid.n), grid, 0.05) == 1
+        assert oracle.dtbsv is substitute
+        assert len(calls) >= 2
 
 
 class TestGrid:

@@ -20,6 +20,10 @@ ALLOWED_ORPHANS = {
     # acceptance criteria 7 and 8 call these, and ROADMAP direction 5 keeps them
     "schrodinger_limit",
     "simpson_adaptive",
+    # the Sturm count of any W at one sigma: SturmCounter's kernel with
+    # c = 1, the entry through which the tests hold counts to 60-digit
+    # counts and to stebz eigenvalues on arbitrary operators
+    "sturm_count",
 }
 
 

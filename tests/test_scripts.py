@@ -30,6 +30,23 @@ def test_convergence_study_orders():
     assert "low signal" not in proc.stdout
 
 
+def test_kernel_costs_smoke():
+    # one row per case, every cost a positive number (each case has an
+    # n = 0 level at N = 400)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_costs.py"),
+                           "--n", "400", "--repeat", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["case", "N", "counts", "us/count", "us/defect"]
+    assert [row[:16].strip() for row in rows] == [
+        "default grid", "well D_e=5000", "huge W (c = 0)"]
+    for row in rows:
+        n, counts, per_count, per_defect = row[16:].split()
+        assert int(n) == 400 and int(counts) > 0
+        assert float(per_count) > 0 and float(per_defect) > 0
+
+
 def test_sweep_screening_removes_its_config(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "sweep_screening", ROOT / "scripts" / "sweep_screening.py")
