@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Microseconds per Sturm count and per Numerov defect on three grids.
+"""Microseconds per Sturm count, per Numerov defect and per fixed-W eigenvalue.
 
 For each grid size N it solves the n = 0 oracle level once, then times
 
@@ -7,11 +7,14 @@ For each grid size N it solves the n = 0 oracle level once, then times
     `SeedCounts` (grid set-up excluded), divided by the number of counts;
   * defect: one `numerov_defect` at the level's energy.
 
-Each figure is the best of --repeat timed rounds.  The three cases are the
-default grid (`configs/default.cfg`'s parameters, r_max 40), the localized
-b < 0 well at D_e = 5000 on the r_max = 10 grids of the benchmark's
-oracle-refinement workload, and the c = 0 config whose W reaches ~1e26 at
-the far wall.  Run it from the repository root:
+The three cases are the default grid (`configs/default.cfg`'s parameters,
+r_max 40), the localized b < 0 well at D_e = 5000 on the r_max = 10 grids of
+the benchmark's oracle-refinement workload, and the c = 0 config whose W
+reaches ~1e26 at the far wall.  A second table gives one `eigen_tridiagonal`
+call for the three lowest eigenvalues, divided by three, on the selftest's
+box (N = 2000) and on -d^2/dr^2 + 4 V (`schrodinger_limit`'s operator) on
+the default grid at N = 4000.  Each figure is the best of --repeat timed
+rounds.  Run it from the repository root:
 
     python scripts/kernel_costs.py [--n 1000 4000 16000] [--repeat 7]
 """
@@ -21,6 +24,8 @@ import time
 import timeit
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -35,6 +40,13 @@ CASES = (
     ("default grid", DEFAULT_PARAMS, lambda n: oracle.default_grid(DEFAULT_PARAMS, n)),
     ("well D_e=5000", WELL, lambda n: oracle.RadialGrid(r_min=10.0 / n, r_max=10.0, n=n)),
     ("huge W (c = 0)", HUGE_W, lambda n: oracle.default_grid(HUGE_W, n)),
+)
+# eigen_tridiagonal's cases: the selftest's box and schrodinger_limit's 4 V
+BOX = oracle.box_grid(20.0, 2000)
+DEFAULT_4000 = oracle.default_grid(DEFAULT_PARAMS, 4000)
+EIGEN_CASES = (
+    ("selftest box", BOX, np.zeros(BOX.n)),
+    ("4V default grid", DEFAULT_4000, 4.0 * potential_V(DEFAULT_4000.points, DEFAULT_PARAMS)),
 )
 
 
@@ -72,6 +84,12 @@ def main(argv=None):
             n_counts, per_count, per_defect = costs(params, grid_of(n), args.repeat)
             defect = "-" if per_defect is None else f"{per_defect * 1e6:.1f}"
             print(f"{name:16s} {n:6d} {n_counts:6d} {per_count * 1e6:9.1f} {defect:>10s}")
+    print()
+    print(f"{'eigen_tridiagonal':18s} {'N':>6s} {'us/eigenvalue':>14s}")
+    for name, grid, w in EIGEN_CASES:
+        per_value = min(timeit.repeat(lambda: oracle.eigen_tridiagonal(w, grid, 3),
+                                      number=1, repeat=args.repeat)) / 3
+        print(f"{name:18s} {grid.n:6d} {per_value * 1e6:14.1f}")
     return 0
 
 

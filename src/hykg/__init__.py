@@ -13,7 +13,6 @@ from .hylleraas import (  # noqa: F401
     appendix_constants,
     derive_abc,
     potential_V,
-    potential_extrema,
     s_of_r,
 )
 from .levels import Engine, EnergyLevel  # noqa: F401

@@ -299,50 +299,3 @@ def appendix_a_forms(params: HylleraasParams, E: float) -> AppendixAForms:
                           xi2_a11=xi2_a11, gammap2_a12=gammap2_a12,
                           A_a13=A_a13, B_a14=B_a14)
 
-
-def potential_extrema(params: HylleraasParams, r_max: float, n_samples: int = 400,
-                      potential=None) -> list[tuple[float, float]]:
-    """Stationary points of V on (0, r_max], located from sign changes of a
-    central-difference derivative and refined by bisection.
-
-    `potential` may override V(r) for test injection.  Returns [] when V is
-    monotone on the sample grid.
-    """
-    if not (r_max > 0):
-        raise ValueError("r_max must be > 0")
-    if n_samples < 100:
-        raise ValueError("n_samples must be >= 100")
-    V = potential if potential is not None else (lambda r: potential_V(r, params))
-    # cbrt(eps)-scaled step balances truncation against cancellation noise
-    delta = 6e-6 * max(r_max / n_samples, 1.0 / ((1 + params.K) * params.omega))
-
-    def dV(r):
-        return (V(r + delta) - V(max(r - delta, 0.0))) / (2.0 * delta)
-
-    h = r_max / n_samples
-    rs = [i * h for i in range(1, n_samples + 1)]
-    ds = [dV(r) for r in rs]
-    vmax = max(abs(V(r)) for r in rs[:: max(1, n_samples // 50)])
-    noise = 64.0 * 2.2e-16 * max(vmax, 1e-300) / delta
-    tol = max(1e-10 * params.D_e * params.omega, noise) if params.D_e > 0 else max(1e-14, noise)
-
-    out: list[tuple[float, float]] = []
-    for i in range(len(rs) - 1):
-        d0, d1 = ds[i], ds[i + 1]
-        # genuine crossing only: both flanks above the noise floor
-        if d0 * d1 >= 0 or max(abs(d0), abs(d1)) <= noise:
-            continue
-        lo, hi, flo = rs[i], rs[i + 1], d0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = dV(mid)
-            if abs(fm) < tol or (hi - lo) < 1e-14 * r_max:
-                break
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        r_star = 0.5 * (lo + hi)
-        if abs(dV(r_star)) <= tol:
-            out.append((r_star, V(r_star)))
-    return out

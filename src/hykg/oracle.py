@@ -12,12 +12,13 @@ most n eigenvalues are <= E^2 - M^2, so level n is where that Sturm count
 crosses n, and counts alone bracket and bisect it.  A count is the number of
 sign changes of the scaled leading minors of the matrix, whose three-term
 recurrence is one BLAS banded triangular solve that stops soon after the
-last classically allowed point; it forms W only on the rows it solves.  A
-Numerov matching integrator provides an independent cross-check of the
-matrix eigenvalues: one band per energy, solved forward to the matching
-point and backward from the far wall, in windows, so a rescale of the
-solution re-solves only the rest of its window.  A fixed-mass Schroedinger
-solver supports the weak-coupling limit trend tests.
+last classically allowed point; it forms W only on the rows it solves.
+Fixed-W eigenvalues bisect the same counts.  A Numerov matching integrator
+provides an independent cross-check of the matrix eigenvalues: one band per
+energy, solved forward to the matching point and backward from the far wall,
+in windows, so a rescale of the solution re-solves only the rest of its
+window.  A fixed-mass Schroedinger solver supports the weak-coupling limit
+trend tests.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from .rootfind import brent, seed_grid
 
 
 # Importing scipy.linalg costs more start-up than the whole closed-form path,
-# so its three routines are imported when first called: a process that never
+# so its two routines are imported when first called: a process that never
 # solves the oracle never loads scipy.  The first call puts scipy's routine in
 # the stand-in's place, so later calls go straight to it; each stays a
 # module-level name that tests can substitute.
@@ -57,7 +58,6 @@ def _on_first_call(module: str, name: str):
     return first_call
 
 
-eigvalsh_tridiagonal = _on_first_call("scipy.linalg", "eigvalsh_tridiagonal")
 eigh_tridiagonal = _on_first_call("scipy.linalg", "eigh_tridiagonal")
 dtbsv = _on_first_call("scipy.linalg.blas", "dtbsv")
 
@@ -126,28 +126,6 @@ def effective_potential(params: HylleraasParams, e_param: float,
     return 2.0 * (e_param + params.M) * potential_V(grid.points, params)
 
 
-def _operator(w_values: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the three-point -d^2/dr^2 + W."""
-    h2 = grid.h * grid.h
-    return 2.0 / h2 + w_values, np.full(grid.n - 1, -1.0 / h2)
-
-
-def eigen_tridiagonal(w_values: np.ndarray, grid: RadialGrid, m: int,
-                      first: int = 0) -> np.ndarray:
-    """Eigenvalues first..m-1 (0-based, ascending) of -d^2/dr^2 + W.
-
-    Sturm-sequence bisection (LAPACK stebz; Barth, Martin and Wilkinson,
-    Numer. Math. 9, 386 (1967)) computes only the requested indices, so a
-    single level costs one bisection, not m.  The result is a compact copy:
-    scipy returns a view into an N-long work array, which would otherwise
-    stay alive with it.
-    """
-    diag, off = _operator(w_values, grid)
-    vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(first, m - 1),
-                                lapack_driver="stebz")
-    return np.array(vals, dtype=float)
-
-
 _RESCALE = 1e100
 
 
@@ -180,9 +158,8 @@ def _band_solve(band: np.ndarray, x: np.ndarray, lower: bool = True,
 
 
 class SturmCounter:
-    """Sturm counts of -d^2/dr^2 + c v, the operator of eigen_tridiagonal
-    with W = c v, on one grid: count(c, sigma) is its number of eigenvalues
-    <= sigma.
+    """Sturm counts of the three-point -d^2/dr^2 + c v on one grid:
+    count(c, sigma) is its number of eigenvalues <= sigma.
 
     By Sturm's theorem that is the number of sign changes of the leading
     minors of T - sigma.  Scaled, y_k = h^(2k) det(T_k - sigma), they obey
@@ -274,10 +251,35 @@ class SturmCounter:
                 end *= 4
 
 
-def sturm_count(w_values: np.ndarray, grid: RadialGrid, sigma: float) -> int:
-    """Number of eigenvalues <= sigma of the operator of eigen_tridiagonal:
-    the SturmCounter count with c = 1, as 1 * w_values is w_values exactly."""
-    return SturmCounter(w_values, grid).count(1.0, sigma)
+def eigen_tridiagonal(w_values: np.ndarray, grid: RadialGrid, m: int,
+                      first: int = 0) -> np.ndarray:
+    """Eigenvalues first..m-1 (0-based, ascending) of -d^2/dr^2 + W in a new
+    array; ValueError unless 0 <= first < m <= N.
+
+    Eigenvalue k bisects the counts of one SturmCounter(W, grid), c = 1
+    (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)), from the
+    Gershgorin interval [min W, max W + 4/h^2] with count(lo) <= k <
+    count(hi), and is the midpoint once hi - lo <= eps * max(|min W|,
+    |max W + 4/h^2|): a count sees sigma only via fl(2 + h^2 (W - sigma)),
+    whose ulp near 2 is 2 eps / h^2 in sigma.
+    """
+    if not 0 <= first < m <= grid.n:
+        raise ValueError(f"need 0 <= first < m <= {grid.n}, got {first}, {m}")
+    counter = SturmCounter(w_values, grid)
+    bottom = float(np.min(w_values))
+    top = float(np.max(w_values)) + 4.0 / grid.h ** 2
+    tol = np.finfo(float).eps * max(abs(bottom), abs(top))
+    vals = np.empty(m - first)
+    for k in range(first, m):
+        lo, hi = bottom, top
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if counter.count(1.0, mid) > k:
+                hi = mid
+            else:
+                lo = mid
+        vals[k - first] = 0.5 * (lo + hi)
+    return vals
 
 
 def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
@@ -287,8 +289,9 @@ def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
     The vector is normalized to unit quadrature norm and its sign fixed by
     making the first component of significant magnitude positive.
     """
-    diag, off = _operator(w_values, grid)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(index, index))
+    h2 = grid.h * grid.h
+    vals, vecs = eigh_tridiagonal(2.0 / h2 + w_values, np.full(grid.n - 1, -1.0 / h2),
+                                  select="i", select_range=(index, index))
     v = vecs[:, 0]
     norm = math.sqrt(float(np.sum(v * v)) * grid.h)
     v = v / norm

@@ -23,8 +23,9 @@ from hykg.levels import (
     EnergyLevel,
     EngineResult,
 )
-from hykg.oracle import RadialGrid, SeedCounts, default_grid, eigen_tridiagonal
+from hykg.oracle import RadialGrid, SeedCounts, default_grid
 
+from _stebz import stebz_eigenvalues
 from test_closedform import SWEEP_BOX
 
 AUDIT_GRID = None  # use the engine default
@@ -157,7 +158,7 @@ def seed_signs(params, grid, ns):
         w = 2.0 * (x + M) * seeds.v
         accuracy = 8.0 * np.finfo(float).eps * (float(np.max(np.abs(w))) + 4.0 / grid.h ** 2)
         for n in ns:
-            ebar_n = float(eigen_tridiagonal(w, grid, n + 1, first=n)[0])
+            ebar_n = float(stebz_eigenvalues(w, grid, n + 1, first=n)[0])
             yield seeds[i] <= n, ebar_n - (x * x - M * M), accuracy
 
 

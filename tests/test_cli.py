@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hykg import audit, cli
+from hykg import audit, cli, oracle
 from hykg.cli import cmd_wavefunction, main, run_selftest, spectrum_rows
 from hykg.config import (
     RunConfig,
@@ -458,6 +458,17 @@ class TestSelftest:
         lines = buf.getvalue().splitlines()
         assert len(lines) == 2 and "PASS" in lines[0]
         assert lines[1].startswith("over-tolerance") and "FAIL" in lines[1]
+
+    def test_matrix_fixtures_run_the_count_kernel(self, monkeypatch):
+        # one count too many shifts every eigenvalue the two matrix
+        # fixtures bisect, so both must fail and nothing else may
+        count = oracle.SturmCounter.count
+        monkeypatch.setattr(oracle.SturmCounter, "count",
+                            lambda self, c, sigma: count(self, c, sigma) + 1)
+        buf = io.StringIO()
+        assert run_selftest(stream=buf) == 1
+        failed = [line.split()[0] for line in buf.getvalue().splitlines() if "FAIL" in line]
+        assert failed == ["box-matrix", "oscillator-odd-states"]
 
     def test_no_color_env(self, monkeypatch):
         monkeypatch.setenv("HYKG_NO_COLOR", "1")

@@ -15,7 +15,6 @@ from hykg.hylleraas import (
     derive_abc,
     gamma2_printed,
     potential_V,
-    potential_extrema,
     potential_from_s,
     s_of_r,
 )
@@ -196,30 +195,6 @@ class TestAppendixConstants:
         c = appendix_constants(default_params, 0.5)
         direct = gamma2_printed(default_params, 0.5)
         assert direct != pytest.approx(c.gamma2, rel=1e-6)
-
-
-class TestPotentialExtrema:
-    def test_monotone_default_is_empty(self, default_params):
-        assert potential_extrema(default_params, r_max=30.0, n_samples=300) == []
-
-    def test_injected_minimum_found(self, default_params):
-        well = lambda r: (r - 2.0) ** 2  # one interior minimum at r = 2
-        pts = potential_extrema(default_params, r_max=5.0, n_samples=200, potential=well)
-        assert len(pts) == 1
-        assert pts[0][0] == pytest.approx(2.0, abs=1e-6)
-
-    def test_against_dense_scan(self, default_params):
-        # Oscillatory test potential; compare count and locations with a 10x
-        # finer brute-force scan.
-        f = lambda r: math.sin(r) * math.exp(-0.1 * r)
-        pts = potential_extrema(default_params, r_max=10.0, n_samples=400, potential=f)
-        rs = np.linspace(1e-3, 10.0, 4000)
-        vals = np.array([f(r) for r in rs])
-        dv = np.diff(vals)
-        brute = [rs[i + 1] for i in range(len(dv) - 1) if dv[i] * dv[i + 1] < 0]
-        assert len(pts) == len(brute)
-        for (r_found, _), r_ref in zip(pts, brute):
-            assert r_found == pytest.approx(r_ref, abs=0.01)
 
 
 class TestParamsValidation:

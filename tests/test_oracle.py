@@ -19,6 +19,7 @@ from hykg.oracle import (
     E_TOL_REL,
     GridHeuristicWarning,
     RadialGrid,
+    SturmCounter,
     box_grid,
     check_grid,
     count_sign_changes,
@@ -32,10 +33,10 @@ from hykg.oracle import (
     schrodinger_limit,
     solve_levels,
     solve_relativistic,
-    sturm_count,
 )
 from hykg.rootfind import estimate_order
 
+from _stebz import stebz_eigenvalues, tridiagonal
 from test_closedform import SWEEP_BOX
 
 L = 20.0
@@ -55,7 +56,7 @@ class TestBox:
             assert abs(v - exact) / exact < 1e-4
 
     def test_compact_result(self):
-        # a view into stebz's N-long work array would keep that array alive
+        # a new array of the m - first values, not a view into a longer one
         grid = box_grid(L, 2000)
         for m, first in ((1, 0), (3, 0), (3, 2)):
             vals = eigen_tridiagonal(np.zeros(grid.n), grid, m, first=first)
@@ -125,6 +126,47 @@ class TestOscillator:
             assert abs(root - exact) < 1e-6
             assert abs(root - v) < exact * (math.sqrt(exact) * grid.h) ** 2
             assert count_sign_changes(assembled) == n
+
+
+class TestEigenTridiagonal:
+    """Count bisection against LAPACK stebz on the same matrix.  Both stop
+    at eps times the Gershgorin bound on its norm, max W + 4/h^2 here."""
+
+    OPERATORS = {
+        "box": (lambda n: box_grid(L, n), lambda grid: np.zeros(grid.n)),
+        "oscillator": (lambda n: RadialGrid(r_min=12.0 / n, r_max=12.0, n=n),
+                       lambda grid: grid.points ** 2),
+        "4V": (lambda n: default_grid(DEFAULT_PARAMS, n),
+               lambda grid: 4.0 * potential_V(grid.points, DEFAULT_PARAMS)),
+        # W ~3e26 at the far wall; a count there restarts every few rows,
+        # which makes the larger grids cost seconds
+        "huge W": (lambda n: default_grid(HUGE_W_PARAMS, n),
+                   lambda grid: 2.0 * (0.5 + HUGE_W_PARAMS.M)
+                   * potential_V(grid.points, HUGE_W_PARAMS)),
+    }
+
+    @pytest.mark.parametrize("operator, n_points",
+                             [(op, n) for op in ("box", "oscillator", "4V")
+                              for n in (400, 2000, 4000)] + [("huge W", 400)])
+    def test_matches_stebz(self, operator, n_points):
+        grid_of, w_of = self.OPERATORS[operator]
+        grid = grid_of(n_points)
+        w = w_of(grid)
+        floor = np.finfo(float).eps * (float(np.max(w)) + 4.0 / grid.h ** 2)
+        for first, m in ((0, 3), (2, 3), (5, 9)):
+            vals = eigen_tridiagonal(w, grid, m, first=first)
+            assert np.all(np.diff(vals) >= 0)
+            assert np.max(np.abs(vals - stebz_eigenvalues(w, grid, m, first))) <= 2.0 * floor
+
+    def test_invalid_ranges_raise(self):
+        grid = box_grid(L, 400)
+        w = np.zeros(grid.n)
+        for m, first in ((2, 2), (1, 2), (grid.n + 1, 0), (1, -1)):
+            with pytest.raises(ValueError):
+                eigen_tridiagonal(w, grid, m, first=first)
+        top = eigen_tridiagonal(w, grid, grid.n, first=grid.n - 1)
+        assert abs(top[0] - stebz_eigenvalues(w, grid, grid.n, grid.n - 1)[0]) \
+            <= 2.0 * np.finfo(float).eps * 4.0 / grid.h ** 2
 
 
 class TestRelativistic:
@@ -216,17 +258,18 @@ class TestSturmCount:
         w = np.zeros(grid.n)
         k = np.arange(1, 13)
         exact = 4.0 / grid.h ** 2 * np.sin(k * math.pi / (2 * (grid.n + 1))) ** 2
-        vals = eigen_tridiagonal(w, grid, 12)
+        vals = stebz_eigenvalues(w, grid, 12)
+        counter = SturmCounter(w, grid)
         for i in range(11):
             sigma = 0.5 * (exact[i] + exact[i + 1])
-            assert sturm_count(w, grid, sigma) == i + 1
-            assert sturm_count(w, grid, sigma) == int(np.sum(vals <= sigma))
+            assert counter.count(1.0, sigma) == i + 1
+            assert counter.count(1.0, sigma) == int(np.sum(vals <= sigma))
 
     def test_below_spectrum_is_zero_and_silent(self, capfd):
         grid = box_grid(L, 400)
         w = np.zeros(grid.n)
         for sigma in (0.5 * (math.pi / L) ** 2, 0.0, -1.0, -1e12):
-            assert sturm_count(w, grid, sigma) == 0
+            assert SturmCounter(w, grid).count(1.0, sigma) == 0
         assert capfd.readouterr().err == ""
 
     def test_default_operator_agrees_with_eigenvalues(self):
@@ -236,8 +279,8 @@ class TestSturmCount:
         for E in (-0.9, -0.5, 0.0, 0.3, 0.9):
             w = effective_potential(params, E, grid)
             sigma = E * E - M * M
-            count = sturm_count(w, grid, sigma)
-            vals = eigen_tridiagonal(w, grid, count + 1)
+            count = SturmCounter(w, grid).count(1.0, sigma)
+            vals = stebz_eigenvalues(w, grid, count + 1)
             assert vals[count] > sigma
             assert count == 0 or vals[count - 1] <= sigma
 
@@ -254,7 +297,7 @@ class TestSturmCount:
         for x in oracle.SeedCounts(params, grid).xs:
             w = 2.0 * (x + M) * v
             sigma = x * x - M * M
-            assert sturm_count(w, grid, sigma) == sturm_count_hp(w, grid, sigma)
+            assert SturmCounter(w, grid).count(1.0, sigma) == sturm_count_hp(w, grid, sigma)
 
     @given(point=st.fixed_dictionaries({name: st.floats(lo, hi)
                                         for name, (lo, hi) in SWEEP_BOX.items()}),
@@ -263,8 +306,8 @@ class TestSturmCount:
     @settings(max_examples=40, deadline=None)
     @pytest.mark.filterwarnings("ignore::hykg.oracle.GridHeuristicWarning")
     def test_matches_high_precision_anywhere(self, point, s_sign, u):
-        # sturm_count of W, and SeedCounts' count, which forms W = c V on
-        # the rows it solves only
+        # the count of W with c = 1, and SeedCounts' count, which forms
+        # W = c V on the rows it solves only
         try:
             params = HylleraasParams(M=1.0, s_sign=s_sign, **point)
         except DegenerateParams:
@@ -274,7 +317,7 @@ class TestSturmCount:
         w = 2.0 * (x + M) * potential_V(grid.points, params)
         sigma = x * x - M * M
         expected = sturm_count_hp(w, grid, sigma)
-        assert sturm_count(w, grid, sigma) == expected
+        assert SturmCounter(w, grid).count(1.0, sigma) == expected
         assert oracle.SeedCounts(params, grid).at(x) == expected
 
     # h = 1/16 exactly, so t = 2 + h^2 (W - sigma) is exact for these W
@@ -288,7 +331,7 @@ class TestSturmCount:
         w = np.zeros(grid.n)
         w[0] = -2.0 / grid.h ** 2
         assert 2.0 + grid.h ** 2 * (w[0] - 0.0) == 0.0
-        assert sturm_count(w, grid, 0.0) == sturm_count_hp(w, grid, 0.0) == 1
+        assert SturmCounter(w, grid).count(1.0, 0.0) == sturm_count_hp(w, grid, 0.0) == 1
 
     def test_exact_zero_last_minor(self):
         # t = 2 gives y_k = k + 1, and t_(N-1) = (N-1)/N then gives y_N = 0:
@@ -297,8 +340,8 @@ class TestSturmCount:
         w = np.zeros(grid.n)
         w[-1] = -257.0
         assert 2.0 + grid.h ** 2 * w[-1] == (grid.n - 1) / grid.n
-        assert sturm_count(w, grid, 0.0) == 1
-        assert sturm_count(w, grid, -1e-9) == 0
+        assert SturmCounter(w, grid).count(1.0, 0.0) == 1
+        assert SturmCounter(w, grid).count(1.0, -1e-9) == 0
 
     def test_overflow_restart(self, monkeypatch):
         # sigma above the spectrum (4/h^2 + max W): every t < -2, so y
@@ -315,7 +358,7 @@ class TestSturmCount:
             return overs[-1]
 
         monkeypatch.setattr(oracle, "_band_solve", recording)
-        assert sturm_count(w, grid, sigma) == sturm_count_hp(w, grid, sigma) == grid.n
+        assert SturmCounter(w, grid).count(1.0, sigma) == sturm_count_hp(w, grid, sigma) == grid.n
         assert sum(k is not None for k in overs) >= 3
 
     def test_tail_stop(self, solved_rows):
@@ -326,7 +369,7 @@ class TestSturmCount:
         for x in (-0.9, -0.0873129, 0.5):
             w, sigma = 2.0 * (x + M) * v, x * x - M * M
             solved_rows.clear()
-            assert sturm_count(w, grid, sigma) == sturm_count_hp(w, grid, sigma)
+            assert SturmCounter(w, grid).count(1.0, sigma) == sturm_count_hp(w, grid, sigma)
             assert sum(solved_rows) < grid.n / 4
 
     def test_tail_stop_waits_for_a_late_crossing(self):
@@ -335,10 +378,11 @@ class TestSturmCount:
         # thousand rows before it crosses zero, far past 4x the last W < sigma
         grid = RadialGrid(r_min=0.01, r_max=40.0, n=4000)
         w = np.where(np.arange(grid.n) < 100, 0.0, 4.0)
-        lam = float(eigen_tridiagonal(w, grid, 1)[0])
+        lam = float(stebz_eigenvalues(w, grid, 1)[0])
         assert lam < 4.0
+        counter = SturmCounter(w, grid)
         for sigma, count in ((lam * (1 + 1e-9), 1), (lam * (1 - 1e-9), 0)):
-            assert sturm_count(w, grid, sigma) == sturm_count_hp(w, grid, sigma) == count
+            assert counter.count(1.0, sigma) == sturm_count_hp(w, grid, sigma) == count
 
     def test_work_stays_near_the_allowed_region(self, solved_rows):
         # the count at the refinement well's level, where y decays longest
@@ -347,7 +391,7 @@ class TestSturmCount:
         E = solve_relativistic(params, 0, grid).E
         w = 2.0 * (E + params.M) * potential_V(grid.points, params)
         solved_rows.clear()
-        sturm_count(w, grid, E * E - params.M ** 2)
+        SturmCounter(w, grid).count(1.0, E * E - params.M ** 2)
         assert 0 < sum(solved_rows) < grid.n / 4
 
     def test_oracle_work_counts(self, monkeypatch):
@@ -469,10 +513,10 @@ class TestTailRule:
 
 
 def sturm_count_hp(w, grid, sigma):
-    """sturm_count of the same matrix, in 60-digit arithmetic: the number of
+    """The Sturm count of -d^2/dr^2 + W in 60-digit arithmetic: the number of
     negative pivots of T - sigma.  A pivot that is exactly 0 counts as
     negative and goes on as a negligible negative one, as in LAPACK stebz."""
-    diag, off = oracle._operator(w, grid)
+    diag, off = tridiagonal(w, grid)
     with mpmath.workdps(60):
         off2 = mpmath.mpf(float(off[0])) ** 2
         q, count = None, 0
@@ -815,7 +859,7 @@ class TestScipyStandIns:
         stand_in = oracle._on_first_call("scipy.linalg.blas", "dtbsv")
         monkeypatch.setattr(oracle, "dtbsv", stand_in)
         grid = box_grid(L, 400)
-        assert sturm_count(np.zeros(grid.n), grid, 0.05) == 1
+        assert SturmCounter(np.zeros(grid.n), grid).count(1.0, 0.05) == 1
         assert oracle.dtbsv is dtbsv
 
     def test_a_substitute_keeps_its_place(self, monkeypatch):
@@ -830,7 +874,7 @@ class TestScipyStandIns:
         monkeypatch.setattr(oracle, "dtbsv", substitute)
         grid = box_grid(L, 400)
         for _ in range(2):
-            assert sturm_count(np.zeros(grid.n), grid, 0.05) == 1
+            assert SturmCounter(np.zeros(grid.n), grid).count(1.0, 0.05) == 1
         assert oracle.dtbsv is substitute
         assert len(calls) >= 2
 

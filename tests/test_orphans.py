@@ -14,16 +14,9 @@ PACKAGE = ROOT / "src" / "hykg"
 
 # Kept without a caller, each for a stated use.
 ALLOWED_ORPHANS = {
-    # the bound-state atlas of ROADMAP direction 4 asks it whether V has an
-    # interior well; deleted with its tests if the atlas does not use it
-    "potential_extrema",
     # acceptance criteria 7 and 8 call these, and ROADMAP direction 5 keeps them
     "schrodinger_limit",
     "simpson_adaptive",
-    # the Sturm count of any W at one sigma: SturmCounter's kernel with
-    # c = 1, the entry through which the tests hold counts to 60-digit
-    # counts and to stebz eigenvalues on arbitrary operators
-    "sturm_count",
 }
 
 

@@ -32,12 +32,13 @@ def test_convergence_study_orders():
 
 def test_kernel_costs_smoke():
     # one row per case, every cost a positive number (each case has an
-    # n = 0 level at N = 400)
+    # n = 0 level at N = 400); then one row per eigen_tridiagonal case
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_costs.py"),
                            "--n", "400", "--repeat", "1"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.splitlines()
+    levels, eigen = proc.stdout.split("\n\n")
+    header, *rows = levels.splitlines()
     assert header.split() == ["case", "N", "counts", "us/count", "us/defect"]
     assert [row[:16].strip() for row in rows] == [
         "default grid", "well D_e=5000", "huge W (c = 0)"]
@@ -45,6 +46,12 @@ def test_kernel_costs_smoke():
         n, counts, per_count, per_defect = row[16:].split()
         assert int(n) == 400 and int(counts) > 0
         assert float(per_count) > 0 and float(per_defect) > 0
+    header, *rows = eigen.splitlines()
+    assert header.split() == ["eigen_tridiagonal", "N", "us/eigenvalue"]
+    assert [(row[:18].strip(), int(row[18:].split()[0])) for row in rows] == [
+        ("selftest box", 2000), ("4V default grid", 4000)]
+    for row in rows:
+        assert float(row[18:].split()[1]) > 0
 
 
 def test_sweep_screening_removes_its_config(tmp_path, monkeypatch):
