@@ -185,19 +185,26 @@ def _fixture_oscillator() -> float:
 
 
 def _fixture_nu_hydrogen() -> float:
-    from .nu import BranchGap, NUInput, Poly2, quantization
-    from .rootfind import sample, scan_roots
+    from .nu import BranchGap, NUInput, Poly2, lambda_n_value, lenient_branch_array, quantization
+    from .rootfind import scan_roots, seed_grid
 
     worst = 0.0
-    beta = 2.0
-    for n in (0, 2, 5):
-        for l in (0, 2):
+    beta, lo, n_brackets = 2.0, 1e-4, 1200
+    for l in (0, 2):
+        def inp(eps):
+            return NUInput(Poly2(0.0, 1.0, 0.0), Poly2(0.0, 0.0, 0.0),
+                           Poly2(-l * (l + 1), beta, -eps * eps))
+
+        # the seed values come from the closure's array twin, bit-identical
+        # to the scalar f on every seed (NaN at the gaps); sigma'' = 0 here
+        lam, tau_prime, _ = lenient_branch_array(inp(seed_grid(lo, beta, n_brackets)))
+        for n in (0, 2, 5):
             def f(eps):
-                out = quantization(NUInput(Poly2(0.0, 1.0, 0.0), Poly2(0.0, 0.0, 0.0),
-                                           Poly2(-l * (l + 1), beta, -eps * eps)), n)
+                out = quantization(inp(eps), n)
                 return out if isinstance(out, BranchGap) else out[0].lam - out[1]
 
-            res = scan_roots(f, 1e-4, beta, 1200, 1e-13, sample(f, 1e-4, beta, 1200))
+            ys = lam - lambda_n_value(tau_prime, 0.0, n)
+            res = scan_roots(f, lo, beta, n_brackets, 1e-13, ys)
             expected = beta / (2.0 * (n + l + 1))
             best = min((abs(r - expected) / expected for r in res.roots),
                        default=math.inf)

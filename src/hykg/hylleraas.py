@@ -240,20 +240,13 @@ def gamma2_printed(params: HylleraasParams, E: float) -> float:
 
 @dataclass(frozen=True)
 class AppendixAForms:
-    """Explicit appendix expansions of the cascade, in terms of (a, b, c, Vbar).
-
-    Several of these disagree with the main chain; the verbatim closed-form
-    energy route consumes exactly these.
+    """Explicit appendix expansions of the cascade, in terms of (a, b, c, Vbar):
+    the forms that the verbatim eq45 route (A13, A14, delta A9, Lam3 A7) and
+    the audit (delta A9) read.  Several of them disagree with the main chain.
     """
 
-    Lam1_a5: float
-    Lam2_a6: float
     Lam3_a7: float
-    Lam4_a8: float
     delta_a9: float
-    xi1_a10: float
-    xi2_a11: float
-    gammap2_a12: float
     A_a13: float
     B_a14: float
 
@@ -265,16 +258,9 @@ def appendix_a_forms(params: HylleraasParams, E: float) -> AppendixAForms:
     Vbar = 2.0 * params.D_e * (E + params.M)
     vw = Vbar / w2  # the recurring Vbar/((1+K)^2 w^2) combination
 
-    Lam1_a5 = 4.0 * (1 + b) ** 2 * (a * a - 14.0 * a * c + c * c)
-    Lam2_a6 = (4.0 * a * (1 + b) ** 3 * (2 * a - c + 1)
-               - 2.0 * (1 + a) * (1 + b) * (1 + c) * (4 * b - 3) * vw)
     Lam3_a7 = 4.0 * (1 + b) * (a + c - 2 * a * c - 2)
-    Lam4_a8 = (1 + a) * (1 + c) * vw * (b * (1 + b) ** 2 + (1 + a) * (1 + c) * vw)
     delta_a9 = 64.0 * (1 + b) ** 2 * (a * (1 - c) - a * (8 * c + 1)
                                       + c * c * (1 - a) + a + 4.0)
-    xi1_a10 = 2.0 * a * (1 + b) ** 2 - (1 + a) * (1 + c) * vw
-    xi2_a11 = a * a * (1 + b) ** 2 - (1 + b) * (1 + a) * (1 + c) * vw
-    gammap2_a12 = (1 + b) * (1 + a) * (1 + c) * vw
 
     # A and B share the printed denominator 1024 (1+b)^2 [..]^2.  The A
     # numerator is transcribed as printed: a single product (no operator
@@ -294,8 +280,5 @@ def appendix_a_forms(params: HylleraasParams, E: float) -> AppendixAForms:
              - 2.0 * (1 + b) ** 2 * (1 + c) * vw * p3
              + square((1 + a) * (1 + c) * vw) * p4) / den
 
-    return AppendixAForms(Lam1_a5=Lam1_a5, Lam2_a6=Lam2_a6, Lam3_a7=Lam3_a7,
-                          Lam4_a8=Lam4_a8, delta_a9=delta_a9, xi1_a10=xi1_a10,
-                          xi2_a11=xi2_a11, gammap2_a12=gammap2_a12,
-                          A_a13=A_a13, B_a14=B_a14)
+    return AppendixAForms(Lam3_a7=Lam3_a7, delta_a9=delta_a9, A_a13=A_a13, B_a14=B_a14)
 

@@ -11,14 +11,14 @@ g(E) = Ebar_n(E) - (E^2 - M^2).  By Sturm's theorem g > 0 exactly when at
 most n eigenvalues are <= E^2 - M^2, so level n is where that Sturm count
 crosses n, and counts alone bracket and bisect it.  A count is the number of
 sign changes of the scaled leading minors of the matrix, whose three-term
-recurrence is one BLAS banded triangular solve that stops soon after the
-last classically allowed point; it forms W only on the rows it solves.
-Fixed-W eigenvalues bisect the same counts.  A Numerov matching integrator
-provides an independent cross-check of the matrix eigenvalues: one band per
-energy, solved forward to the matching point and backward from the far wall,
-in windows, so a rescale of the solution re-solves only the rest of its
-window.  A fixed-mass Schroedinger solver supports the weak-coupling limit
-trend tests.
+recurrence is one BLAS unit lower banded triangular solve that stops soon
+after the last classically allowed point; it forms W only on the rows it
+solves.  Fixed-W eigenvalues bisect the same counts.  A Numerov matching
+integrator cross-checks the matrix eigenvalues: with z = B y its steps are
+the count's recurrence with another t, swept forward from the left wall and,
+on the reversed t, from the far wall, in windows, so a rescale re-solves
+only the rest of its window.  A fixed-mass Schroedinger solver supports the
+weak-coupling limit trend tests.
 """
 from __future__ import annotations
 
@@ -129,32 +129,20 @@ def effective_potential(params: HylleraasParams, e_param: float,
 _RESCALE = 1e100
 
 
-def _band_solve(band: np.ndarray, x: np.ndarray, lower: bool = True,
-                unit: bool = False) -> int | None:
-    """Solve a triangular band system with two off-diagonals in place for x
-    from its two known end samples: x[0] and x[1] for a lower system, which
-    is solved forward, x[-2] and x[-1] for an upper one, solved backward.
-    `band` holds its len(x) columns in LAPACK band storage of that kind; the
-    rows of the known samples become identity rows.  `unit` skips the
-    diagonal, which must then be 1.
+def _band_solve(band: np.ndarray, x: np.ndarray) -> int | None:
+    """Solve x[j+1] = t[j] x[j] - x[j-1] in place for x[2:] from x[0] and
+    x[1]: the unit lower triangular band system whose len(x) columns `band`
+    holds in LAPACK band storage, -t in row 1 and 1 in row 2 (row 0, the
+    diagonal, is not read).  band[1, 0] becomes 0, so x[1] is a known row.
 
-    Returns j >= 2 when the first solved sample beyond _RESCALE in magnitude
-    is the j-th in solve order (x[j], or x[-1 - j] for an upper system), or
-    None.  The caller rescales and restarts from there.
+    Returns j >= 2 when x[j] is the first solved sample beyond _RESCALE in
+    magnitude, or None.  The caller rescales and restarts from there.
     """
-    if lower:
-        band[0, :2] = 1.0
-        band[1, 0] = 0.0
-        x[2:] = 0.0
-        x[2:] = dtbsv(2, band, x, lower=1, diag=unit, overwrite_x=1)[2:]
-        over = (np.abs(x[2:]) > _RESCALE).nonzero()[0]
-        return 2 + int(over[0]) if over.size else None
-    band[2, -2:] = 1.0
-    band[1, -1] = 0.0
-    x[:-2] = 0.0
-    x[:-2] = dtbsv(2, band, x, lower=0, diag=unit, overwrite_x=1)[:-2]
-    over = (np.abs(x[:-2]) > _RESCALE).nonzero()[0]
-    return len(x) - 1 - int(over[-1]) if over.size else None
+    band[1, 0] = 0.0
+    x[2:] = 0.0
+    x[2:] = dtbsv(2, band, x, lower=1, diag=1, overwrite_x=1)[2:]
+    over = (np.abs(x[2:]) > _RESCALE).nonzero()[0]
+    return 2 + int(over[0]) if over.size else None
 
 
 class SturmCounter:
@@ -166,10 +154,11 @@ class SturmCounter:
 
         y_(k+1) = t_k y_k - y_(k-1),   t = 2 + h^2 (W - sigma),   y_0 = 1, y_(-1) = 0,
 
-    a unit lower triangular band system, solved by a BLAS tbsv call as
-    Numerov is.  A y_k that is exactly 0 takes the sign opposite to y_(k-1),
-    as a zero pivot counts in LAPACK stebz.  Two rules keep the work near the
-    classically allowed region, W < sigma:
+    a unit lower triangular band system, solved by a BLAS tbsv call
+    (`_band_solve`, which solves Numerov's steps too).  A y_k that is
+    exactly 0 takes the sign opposite to y_(k-1), as a zero pivot counts in
+    LAPACK stebz.  Two rules keep the work near the classically allowed
+    region, W < sigma:
 
     * restart: at the first |y_k| > _RESCALE, y_(k-1) and y_k are divided by
       |y_k|, which changes no sign, and the solve restarts from them;
@@ -233,7 +222,7 @@ class SturmCounter:
             work -= sigma
             work *= h2
             np.subtract(-2.0, work, out=band[1, 1:-1])
-            over = _band_solve(band, y[start:end], unit=True)
+            over = _band_solve(band, y[start:end])
             last = end - 1 if over is None else start + over
             # a zero reads as positive here, which gives the zero rule's count
             # except for a final y_N = 0 after a positive y_(N-1)
@@ -394,75 +383,65 @@ def oracle_eigenvector(params: HylleraasParams, E: float, grid: RadialGrid,
 # Numerov matching integrator
 # ---------------------------------------------------------------------------
 
-def _numerov_band(q: np.ndarray, h: float) -> np.ndarray:
-    """The Numerov steps of y'' = q y as one band [B, -A, B] in Fortran order.
+def _numerov_t(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(t, B): t = 2 + h^2 q / B with B = 1 - h^2 q / 12, the Numerov steps
+    of y'' = q y as the count's recurrence, and the B that converts back.
 
-    With t = h^2/12, A = 2 (1 + 5 t q) and B = 1 - t q, the steps
-    B[i+1] y[i+1] - A[i] y[i] + B[i-1] y[i-1] = 0 read forward are a lower
-    triangular band system whose columns (diagonal, first and second
-    sub-diagonal) are (B, -A, B), and read backward an upper one whose
-    columns (second and first super-diagonal, diagonal) are (B, -A, B) too.
-    So one array serves both directions.
+    With A = 2 (1 + 5 h^2 q / 12) the steps
+    B[i+1] y[i+1] - A[i] y[i] + B[i-1] y[i-1] = 0 are, for z = B y,
+    z[i+1] = t[i] z[i] - z[i-1] with t = A / B: the unit lower band [1, -t, 1]
+    of SturmCounter.count (B. Numerov, 1924; the matrix Numerov method of
+    Pillai, Goglio and Walker, Am. J. Phys. 80, 1017 (2012)).
     """
-    t = h * h / 12.0
-    band = np.empty((3, len(q)), order="F")
-    work = q * (5.0 * t)
-    work += 1.0
-    work *= -2.0
-    band[1] = work
-    np.multiply(q, t, out=work)
-    np.subtract(1.0, work, out=work)
-    band[0] = work
-    band[2] = work
-    return band
+    b = q * (h * h / 12.0)
+    np.subtract(1.0, b, out=b)
+    t = q * (h * h)
+    t /= b
+    t += 2.0
+    return t, b
 
 
-def _numerov_sweep(band: np.ndarray, y: np.ndarray, lower: bool) -> list[int]:
-    """Solve the Numerov steps of `band` (len(y) columns) in place for y from
-    its two known end samples: forward from y[0], y[1] when `lower`, else
-    backward from y[-2], y[-1].  Returns the rescale positions, counted in
-    solve order.
+def _numerov_sweep(t: np.ndarray, z0: float) -> tuple[np.ndarray, list[int]]:
+    """z[i+1] = t[i] z[i] - z[i-1] from z[-1] = 0 and z[0] = z0, for i up to
+    len(t) - 1: returns z[-1..len(t)] (entry j is z[j-1]) and the entries at
+    which it rescaled.
 
-    Rescaling: when a sample k (in solve order) first exceeds _RESCALE in
-    magnitude, samples 0..k are divided by |y[k]| and the solve restarts
-    from samples k-1 and k.  The sweep solves in windows, each starting from
-    the last two samples of the one before, so a rescale re-solves only the
-    rest of its window.  A window spans the rows that the growth seen so far
-    predicts before the next rescale, plus an eighth.  The first window
-    takes the growth log|lambda| of one step of the wall's q, where
-    |lambda| + 1/|lambda| = |A/B| (none, and the whole range, where
-    |A/B| <= 2); a window after a rescale spans the last rescale interval;
-    any other takes the growth since the last rescale, or 4x the rows of
-    the window before if y has not grown.
+    When entry k first exceeds _RESCALE in magnitude, entries 0..k are
+    divided by |z[k]| and the solve restarts from entries k-1 and k.  Each
+    window starts from the last two entries of the one before, so a rescale
+    re-solves only the rest of its window.  A window spans the rows that the
+    growth seen so far predicts before the next rescale, plus an eighth: the
+    first takes acosh(|t[0]| / 2) per row (no growth where |t[0]| <= 2), one
+    after a rescale the last rescale interval, any other the growth since
+    the last rescale, or 4x the rows of the one before if z has not grown.
     """
-    n = len(y)
-    ys = y if lower else y[::-1]  # y in solve order
-    # one step of the wall's q: |lambda| + 1/|lambda| = |A/B|
-    a, b = (band[1, 0], band[0, 0]) if lower else (band[1, -1], band[2, -1])
-    a, b = abs(float(a)), abs(float(b))
-    growth = 0.0 if a <= 2.0 * b else math.inf if b == 0.0 else math.acosh(0.5 * a / b)
-    mag = max(abs(ys[0]), abs(ys[1]))
-    span = _span(growth, mag, n)
+    n = len(t) + 2
+    z = np.empty(n)
+    z[0], z[1] = 0.0, z0
+    band = np.empty((3, n), order="F")
+    band[2] = 1.0
+    np.negative(t, out=band[1, 1:-1])
+    t0 = abs(float(t[0])) if len(t) else 0.0
+    span = _span(math.acosh(0.5 * t0) if t0 > 2.0 else 0.0, abs(z0), n)
     rescales = []
-    done, base, base_mag = 2, 0, mag  # samples known; the last rescale
+    done, base, base_mag = 2, 0, abs(z0)  # entries known; the last rescale
     while done < n:
         rows = min(span, n - done)
-        lo, hi = (done - 2, done + rows) if lower else (n - done - rows, n - done + 2)
-        j = _band_solve(band[:, lo:hi], y[lo:hi], lower)
+        j = _band_solve(band[:, done - 2:done + rows], z[done - 2:done + rows])
         if j is not None:
             k = done - 2 + j
-            ys[:k + 1] /= abs(ys[k])
+            z[:k + 1] /= abs(z[k])
             rescales.append(k)
             span = (k - base) * 9 // 8 + 16
             base, base_mag, done = k, 1.0, k + 1
             continue
         done += rows
-        mag = max(abs(ys[done - 2]), abs(ys[done - 1]))
+        mag = max(abs(z[done - 2]), abs(z[done - 1]))
         if mag > base_mag:
             span = _span(math.log(mag / base_mag) / (done - 1 - base), mag, n)
         else:
             span = 4 * rows
-    return rescales
+    return z, rescales
 
 
 def _span(growth: float, mag: float, n: int) -> int:
@@ -472,29 +451,6 @@ def _span(growth: float, mag: float, n: int) -> int:
         return n
     headroom = math.log(_RESCALE / mag) if 0.0 < mag < _RESCALE else 0.0
     return min(int(headroom / growth * 1.125) + 16, n)
-
-
-def _numerov_outward(band: np.ndarray, h: float, upto: int) -> tuple[np.ndarray, list[int]]:
-    """Samples 0..upto of y'' = q y from the left wall, for the band of q;
-    and the rescale positions.  The ghost point y(-1) = 0 makes y[1] =
-    A[0] y[0] / B[1] from y[0] = h."""
-    y = np.empty(upto + 1)
-    y[0] = h
-    if upto >= 1:
-        y[1] = (-band[1, 0] * h) / band[0, 1]
-    rescales = _numerov_sweep(band[:, :upto + 1], y, True) if upto >= 2 else []
-    return y, rescales
-
-
-def _numerov_inward(band: np.ndarray, h: float, downto: int) -> tuple[np.ndarray, list[int]]:
-    """Samples downto..N-1 of y'' = q y from the right wall, for the band of
-    q; and the rescale positions, counted from the wall.  It is
-    _numerov_outward of the mirrored q, solved on the same band."""
-    y = np.empty(band.shape[1] - downto)
-    y[-1] = h
-    y[-2] = (-band[1, -1] * h) / band[2, -2]
-    rescales = _numerov_sweep(band[:, downto:], y, False) if len(y) > 2 else []
-    return y, rescales
 
 
 def _matching_index(q: np.ndarray) -> int:
@@ -514,31 +470,33 @@ def _matching_index(q: np.ndarray) -> int:
 
 def numerov_defect(q: np.ndarray, h: float) -> tuple[float, np.ndarray]:
     """Wronskian mismatch of the outward and inward solutions at the matching
-    point, plus the assembled solution."""
-    m = _matching_index(q)
-    band = _numerov_band(q, h)
-    # The sweeps share the band, and neither reads what the other's identity
-    # rows change: outward changes row 0 only at columns <= m and row 1 at
-    # columns < m, inward changes row 2 only at columns >= m and row 1 at
-    # columns > m.
-    y_out, _ = _numerov_outward(band, h, m + 1)
-    y_in, _ = _numerov_inward(band, h, m - 1)  # samples m-1..n-1
+    point, plus the assembled solution.  Both passes sweep z = B y from
+    z[0] = B h, so y = h at each wall and the defect keeps its sign where
+    B < 0; y = z / B is formed only at the matching samples and in the
+    assembled solution."""
+    n, m = len(q), _matching_index(q)
+    t, b = _numerov_t(q, h)
+    z_out, _ = _numerov_sweep(t[:m + 1], b[0] * h)   # entry j: sample j - 1
+    z_in, _ = _numerov_sweep(t[m:][::-1], b[-1] * h)  # entry j: sample n - j
 
-    # scale both to O(1) at the matching point: samples m-1, m, m+1
-    out3, in3 = y_out[m - 1:m + 2].tolist(), y_in[:3].tolist()
+    # y at samples m-1, m, m+1 of both, scaled to O(1)
+    b3 = b[m - 1:m + 2].tolist()
+    out3 = [z / bi for z, bi in zip(z_out[m:m + 3].tolist(), b3)]
+    in3 = [z / bi for z, bi in zip(z_in[n - m + 1:n - m - 2:-1].tolist(), b3)]
     s_out = max(*map(abs, out3), 1e-300)
     s_in = max(*map(abs, in3), 1e-300)
     o0, o1, o2 = (y / s_out for y in out3)
     i0, i1, i2 = (y / s_in for y in in3)
     wronskian = o1 * (i2 - i0) / (2 * h) - i1 * (o2 - o0) / (2 * h)
 
-    # assembled solution for node counting: join the inward tail at m
-    assembled = np.empty(len(q))
-    assembled[: m + 1] = y_out[: m + 1] / s_out
-    tail = y_in[1:]  # samples m .. n-1
-    if tail[0] != 0.0:
-        tail = tail * (assembled[m] / tail[0])
-    assembled[m:] = tail
+    # assembled solution for node counting: the inward tail, samples m..n-1,
+    # joins the outward samples 0..m at m
+    assembled = np.empty(n)
+    np.divide(z_out[1:m + 2], s_out, out=assembled[:m + 1])
+    z_m = z_in[n - m]
+    np.multiply(z_in[n - m:0:-1], assembled[m] / z_m if z_m != 0.0 else 1.0,
+                out=assembled[m:])
+    assembled /= b
     return wronskian, assembled
 
 

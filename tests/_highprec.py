@@ -75,16 +75,9 @@ def appendix_forms_hp(K, k1, k2, omega, De, M, E):
         p3 = 2 * a ** 2 * b + 2 * b * c ** 2 - 28 * a * b * c + 4 * a * b - 3 * a
         p4 = 16 * b ** 2 - 4 * a ** 2 * c ** 2 - 56 * a * c + a - 24 * b
         return {
-            "Lam1_a5": 4 * (1 + b) ** 2 * (a ** 2 - 14 * a * c + c ** 2),
-            "Lam2_a6": (4 * a * (1 + b) ** 3 * (2 * a - c + 1)
-                        - 2 * (1 + a) * (1 + b) * (1 + c) * (4 * b - 3) * vw),
             "Lam3_a7": 4 * (1 + b) * (a + c - 2 * a * c - 2),
-            "Lam4_a8": (1 + a) * (1 + c) * vw * (b * (1 + b) ** 2 + (1 + a) * (1 + c) * vw),
             "delta_a9": 64 * (1 + b) ** 2 * (a * (1 - c) - a * (8 * c + 1)
                                              + c ** 2 * (1 - a) + a + 4),
-            "xi1_a10": 2 * a * (1 + b) ** 2 - (1 + a) * (1 + c) * vw,
-            "xi2_a11": a ** 2 * (1 + b) ** 2 - (1 + b) * (1 + a) * (1 + c) * vw,
-            "gammap2_a12": (1 + b) * (1 + a) * (1 + c) * vw,
             "A_a13": 2 * (1 + b) ** 2 * p1 * ((1 + a) * (1 + c) / w2) * p2 * Vbar / den,
             "B_a14": (a * (1 + b) ** 4 * (2 * a - c + 1)
                       - 2 * (1 + b) ** 2 * (1 + c) * vw * p3
