@@ -403,17 +403,16 @@ def _numerov_t(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _numerov_sweep(t: np.ndarray, z0: float) -> tuple[np.ndarray, list[int]]:
     """z[i+1] = t[i] z[i] - z[i-1] from z[-1] = 0 and z[0] = z0, for i up to
-    len(t) - 1: returns z[-1..len(t)] (entry j is z[j-1]) and the entries at
-    which it rescaled.
+    len(t) - 1: returns z[0..len(t)] and the samples at which it rescaled.
 
-    When entry k first exceeds _RESCALE in magnitude, entries 0..k are
-    divided by |z[k]| and the solve restarts from entries k-1 and k.  Each
-    window starts from the last two entries of the one before, so a rescale
-    re-solves only the rest of its window.  A window spans the rows that the
-    growth seen so far predicts before the next rescale, plus an eighth: the
-    first takes acosh(|t[0]| / 2) per row (no growth where |t[0]| <= 2), one
-    after a rescale the last rescale interval, any other the growth since
-    the last rescale, or 4x the rows of the one before if z has not grown.
+    When z[k] first exceeds _RESCALE in magnitude, z[..k] is divided by
+    |z[k]| and the solve restarts from z[k-1] and z[k].  Each window starts
+    from the last two samples of the one before, so a rescale re-solves only
+    the rest of its window.  A window spans the rows that the growth seen so
+    far predicts before the next rescale, plus an eighth: the first takes
+    acosh(|t[0]| / 2) per row (no growth where |t[0]| <= 2), one after a
+    rescale the last rescale interval, any other the growth since the last
+    rescale, or 4x the rows of the one before if z has not grown.
     """
     n = len(t) + 2
     z = np.empty(n)
@@ -424,14 +423,14 @@ def _numerov_sweep(t: np.ndarray, z0: float) -> tuple[np.ndarray, list[int]]:
     t0 = abs(float(t[0])) if len(t) else 0.0
     span = _span(math.acosh(0.5 * t0) if t0 > 2.0 else 0.0, abs(z0), n)
     rescales = []
-    done, base, base_mag = 2, 0, abs(z0)  # entries known; the last rescale
+    done, base, base_mag = 2, 0, abs(z0)  # entries known, ghost first; last rescale
     while done < n:
         rows = min(span, n - done)
         j = _band_solve(band[:, done - 2:done + rows], z[done - 2:done + rows])
         if j is not None:
             k = done - 2 + j
             z[:k + 1] /= abs(z[k])
-            rescales.append(k)
+            rescales.append(k - 1)
             span = (k - base) * 9 // 8 + 16
             base, base_mag, done = k, 1.0, k + 1
             continue
@@ -441,7 +440,7 @@ def _numerov_sweep(t: np.ndarray, z0: float) -> tuple[np.ndarray, list[int]]:
             span = _span(math.log(mag / base_mag) / (done - 1 - base), mag, n)
         else:
             span = 4 * rows
-    return z, rescales
+    return z[1:], rescales
 
 
 def _span(growth: float, mag: float, n: int) -> int:
@@ -476,13 +475,13 @@ def numerov_defect(q: np.ndarray, h: float) -> tuple[float, np.ndarray]:
     assembled solution."""
     n, m = len(q), _matching_index(q)
     t, b = _numerov_t(q, h)
-    z_out, _ = _numerov_sweep(t[:m + 1], b[0] * h)   # entry j: sample j - 1
-    z_in, _ = _numerov_sweep(t[m:][::-1], b[-1] * h)  # entry j: sample n - j
+    z_out, _ = _numerov_sweep(t[:m + 1], b[0] * h)          # samples 0..m+1
+    z_in = _numerov_sweep(t[m:][::-1], b[-1] * h)[0][::-1]  # samples m-1..n-1
 
     # y at samples m-1, m, m+1 of both, scaled to O(1)
     b3 = b[m - 1:m + 2].tolist()
-    out3 = [z / bi for z, bi in zip(z_out[m:m + 3].tolist(), b3)]
-    in3 = [z / bi for z, bi in zip(z_in[n - m + 1:n - m - 2:-1].tolist(), b3)]
+    out3 = [z / bi for z, bi in zip(z_out[m - 1:].tolist(), b3)]
+    in3 = [z / bi for z, bi in zip(z_in[:3].tolist(), b3)]
     s_out = max(*map(abs, out3), 1e-300)
     s_in = max(*map(abs, in3), 1e-300)
     o0, o1, o2 = (y / s_out for y in out3)
@@ -492,9 +491,9 @@ def numerov_defect(q: np.ndarray, h: float) -> tuple[float, np.ndarray]:
     # assembled solution for node counting: the inward tail, samples m..n-1,
     # joins the outward samples 0..m at m
     assembled = np.empty(n)
-    np.divide(z_out[1:m + 2], s_out, out=assembled[:m + 1])
-    z_m = z_in[n - m]
-    np.multiply(z_in[n - m:0:-1], assembled[m] / z_m if z_m != 0.0 else 1.0,
+    np.divide(z_out[:m + 1], s_out, out=assembled[:m + 1])
+    z_m = z_in[1]
+    np.multiply(z_in[1:], assembled[m] / z_m if z_m != 0.0 else 1.0,
                 out=assembled[m:])
     assembled /= b
     return wronskian, assembled
