@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Microseconds per Sturm count, per Numerov defect and per fixed-W eigenvalue.
+"""Microseconds per Sturm count, Numerov defect, fixed-W eigenvalue and closed form.
 
 For each grid size N it solves the n = 0 oracle level once, then times
 
@@ -13,8 +13,12 @@ the benchmark's oracle-refinement workload, and the c = 0 config whose W
 reaches ~1e26 at the far wall.  A second table gives one `eigen_tridiagonal`
 call for the three lowest eigenvalues, divided by three, on the selftest's
 box (N = 2000) and on -d^2/dr^2 + 4 V (`schrodinger_limit`'s operator) on
-the default grid at N = 4000.  Each figure is the best of --repeat timed
-rounds.  Run it from the repository root:
+the default grid at N = 4000.  A third table times the three closed-form
+engines at `configs/default.cfg`'s parameters: one scalar residual
+evaluation (`mechanical_residual`, `implicit_residual`, `eq45_rhs`) at
+n = 1, averaged over 99 energies spread across |E| < M, and one engine
+call for n = 0..1 (`energy_*_result(params, (0, 1))`).  Each figure is the
+best of --repeat timed rounds.  Run it from the repository root:
 
     python scripts/kernel_costs.py [--n 1000 4000 16000] [--repeat 7]
 """
@@ -27,9 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from hykg import oracle  # noqa: E402
+from hykg import closedform, oracle  # noqa: E402
+from hykg.config import load_config  # noqa: E402
 from hykg.hylleraas import DEFAULT_PARAMS, SSign, potential_V  # noqa: E402
 
 WELL = DEFAULT_PARAMS.replace(K=1.2, k1=1.0, k2=-0.5, omega=0.25, D_e=5000.0,
@@ -47,6 +53,13 @@ DEFAULT_4000 = oracle.default_grid(DEFAULT_PARAMS, 4000)
 EIGEN_CASES = (
     ("selftest box", BOX, np.zeros(BOX.n)),
     ("4V default grid", DEFAULT_4000, 4.0 * potential_V(DEFAULT_4000.points, DEFAULT_PARAMS)),
+)
+
+# the closed-form engines' cases: (name, scalar residual, engine call)
+CLOSED_FORMS = (
+    ("mechanical", closedform.mechanical_residual, closedform.energy_mechanical_result),
+    ("implicit", closedform.implicit_residual, closedform.energy_implicit_result),
+    ("eq45", closedform.eq45_rhs, closedform.energy_eq45_result),
 )
 
 
@@ -90,6 +103,16 @@ def main(argv=None):
         per_value = min(timeit.repeat(lambda: oracle.eigen_tridiagonal(w, grid, 3),
                                       number=1, repeat=args.repeat)) / 3
         print(f"{name:18s} {grid.n:6d} {per_value * 1e6:14.1f}")
+    print()
+    params = load_config(ROOT / "configs" / "default.cfg").params
+    energies = (params.M * np.linspace(-0.98, 0.98, 99)).tolist()
+    print(f"{'closed form':12s} {'us/residual':>12s} {'us/call':>10s}")
+    for name, residual, engine in CLOSED_FORMS:
+        per_residual = min(timeit.repeat(lambda: [residual(params, E, 1) for E in energies],
+                                         number=1, repeat=args.repeat)) / len(energies)
+        per_call = min(timeit.repeat(lambda: engine(params, (0, 1)),
+                                     number=1, repeat=args.repeat))
+        print(f"{name:12s} {per_residual * 1e6:12.1f} {per_call * 1e6:10.0f}")
     return 0
 
 

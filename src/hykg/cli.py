@@ -189,7 +189,8 @@ def _fixture_nu_hydrogen() -> float:
     from .rootfind import scan_roots, seed_grid
 
     worst = 0.0
-    beta, lo, n_brackets = 2.0, 1e-4, 1200
+    beta = 2.0
+    seeds = seed_grid(1e-4, beta, 1200)
     for l in (0, 2):
         def inp(eps):
             return NUInput(Poly2(0.0, 1.0, 0.0), Poly2(0.0, 0.0, 0.0),
@@ -197,14 +198,14 @@ def _fixture_nu_hydrogen() -> float:
 
         # the seed values come from the closure's array twin, bit-identical
         # to the scalar f on every seed (NaN at the gaps); sigma'' = 0 here
-        lam, tau_prime, _ = lenient_branch_array(inp(seed_grid(lo, beta, n_brackets)))
+        lam, tau_prime, _ = lenient_branch_array(inp(seeds))
         for n in (0, 2, 5):
             def f(eps):
                 out = quantization(inp(eps), n)
                 return out if isinstance(out, BranchGap) else out[0].lam - out[1]
 
             ys = lam - lambda_n_value(tau_prime, 0.0, n)
-            res = scan_roots(f, lo, beta, n_brackets, 1e-13, ys)
+            res = scan_roots(f, seeds, ys, 1e-13)
             expected = beta / (2.0 * (n + l + 1))
             best = min((abs(r - expected) / expected for r in res.roots),
                        default=math.inf)

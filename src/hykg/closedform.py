@@ -28,7 +28,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .hylleraas import HylleraasParams, appendix_a_forms, appendix_constants, square
+from .hylleraas import (HylleraasParams, appendix_a_forms, appendix_constants, epsilon2,
+                        square)
 from .levels import (
     FLAG_BRANCH_GAP,
     FLAG_DUPLICATE_MERGED,
@@ -45,24 +46,26 @@ from .levels import (
 from .nu import BranchGap, NUInput, Poly2, lambda_n_value, lenient_branch_array, quantization
 from .rootfind import scan_roots, seed_grid
 
-# Scan protocol shared by the closed-form engines (`_scan` reads it at call
-# time): 2000 brackets over the bound-state window |E| <= M (1 - 1e-9),
-# bisection to 1e-12 absolute in E, duplicate roots merged within 1e-9 M.
+# Scan protocol shared by the closed-form engines, read at call time: 2000
+# brackets over the bound-state window |E| <= M (1 - 1e-9), bisection to
+# 1e-12 absolute in E, duplicate roots merged within 1e-9 M.
 #
 # Each engine solves every requested n in one call.  Only lambda_n (and the
 # eq45 n-terms) depend on n; the constant cascade, the NU closure and the
-# branch choice depend on E alone.  The seed values are array expressions:
-# the n-free part is evaluated once per call on the whole seed grid, then
-# each n adds its terms.  Seed values only pick the brackets.  Brent
-# refines each bracket with the public scalar residual, which evaluates
-# everything at its trial energy: Brent does not come back to an energy, so
-# nothing is kept between calls.  Each root is then judged once, by one
-# scalar evaluation that gives its residual, its acceptance and its flags
-# (`_scan`).  Every engine's seed values are bit-identical to its scalar
-# residual: array squares go through `hylleraas.square`, which repeats
-# Python's ** 2 (libm pow).  The mechanical engine reads the NU closure
-# through `nu.quantization` at one energy and `nu.lenient_branch_array` on
-# the seed grid, its bit-identical twin.
+# branch choice depend on E alone.  `_seed_energies` builds the call's one
+# seed array, and every scan of the call (each n, both eq45 signs) brackets
+# on it.  The seed values are array expressions: the n-free part is
+# evaluated once per call on the seed array, then each n adds its terms.
+# Seed values only pick the brackets.  Brent refines each bracket with the
+# public scalar residual, which evaluates everything at its trial energy:
+# Brent does not come back to an energy, so nothing is kept between calls.
+# Each root is then judged once, by one scalar evaluation that gives its
+# residual, its acceptance and its flags, EPS2_NEGATIVE included (`_scan`).
+# Every engine's seed values are bit-identical to its scalar residual: array
+# squares go through `hylleraas.square`, which repeats Python's ** 2 (libm
+# pow).  The mechanical engine reads the NU closure through
+# `nu.quantization` at one energy and `nu.lenient_branch_array` on the seed
+# array, its bit-identical twin.
 N_BRACKETS = 2000
 TOL_E = 1e-12
 DEDUP_FACTOR = 1e-9
@@ -102,10 +105,7 @@ class ClosedFormIntermediates:
     E: float
     n: int
     k: complex
-    pi_slope: complex
-    pi_intercept: complex
     tau_slope: complex
-    tau_intercept: complex
     tau_prime_printed: complex
     lam: complex
     lam_n: complex
@@ -125,7 +125,6 @@ def intermediates(params: HylleraasParams, E: float, n: int) -> ClosedFormInterm
     """Evaluate the printed branch selection verbatim.
 
     k   = -(Lam2 + Lam3 eps^2) - sqrt(U^2 - V^2)
-    pi  = alpha1 (s + a) - [muJ s + nuJ]
     tau = 2 alpha1 [2 s + (a + c)] - 2 [muJ s - nuJ]
     tau'_printed = -2 [muJ - 4 alpha1]
     lam   = -(Lam2 + Lam3 eps^2) - sqrt(U^2 - V^2)
@@ -136,7 +135,6 @@ def intermediates(params: HylleraasParams, E: float, n: int) -> ClosedFormInterm
     nuJ = sqrt(delta (eps^2+A) - sqrt(A^2-B)).
     """
     cst = appendix_constants(params, E)
-    abc = params.abc
     flags: set[str] = set()
     if cst.eps2 <= 0:
         flags.add(FLAG_EPS2_NEGATIVE)
@@ -162,10 +160,7 @@ def intermediates(params: HylleraasParams, E: float, n: int) -> ClosedFormInterm
     lam_n = _lam_n_printed(muJ, a1, n)
 
     return ClosedFormIntermediates(
-        E=E, n=n, k=k,
-        pi_slope=a1 - muJ, pi_intercept=a1 * abc.a - nuJ,
-        tau_slope=4.0 * a1 - 2.0 * muJ,
-        tau_intercept=2.0 * a1 * (abc.a + abc.c) + 2.0 * nuJ,
+        E=E, n=n, k=k, tau_slope=4.0 * a1 - 2.0 * muJ,
         tau_prime_printed=-2.0 * (muJ - 4.0 * a1),
         lam=lam, lam_n=lam_n, muJ=muJ, nuJ=nuJ,
         U2=cst.U2, V2=cst.V2, flags=frozenset(flags))
@@ -241,31 +236,28 @@ def _eq45_seed_rhs(params: HylleraasParams, forms, n: int) -> tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 
 
-def _window(params: HylleraasParams) -> tuple[float, float]:
-    """The scanned bound-state window, |E| <= M (1 - WINDOW_SHRINK)."""
-    hi = params.M * (1.0 - WINDOW_SHRINK)
-    return -hi, hi
-
-
 def _seed_energies(params: HylleraasParams) -> np.ndarray:
-    """The seed grid of every scan of one engine call."""
-    return seed_grid(*_window(params), N_BRACKETS)
+    """The seeds of every scan of one engine call: N_BRACKETS brackets over
+    the bound-state window |E| <= M (1 - WINDOW_SHRINK)."""
+    hi = params.M * (1.0 - WINDOW_SHRINK)
+    return seed_grid(-hi, hi, N_BRACKETS)
 
 
 # An engine's verdict on one root: (residual, accepted, the engine's root flags)
 Verdict = tuple[float, bool, Iterable[str]]
 
 
-def _scan(params: HylleraasParams, n: int, engine: Engine, f, ys, judge) -> EngineResult:
-    """Every root of f(E) on the bound-state window that `judge` accepts,
-    as `engine` levels at n.
+def _scan(params: HylleraasParams, n: int, engine: Engine, f, seeds, ys,
+          judge) -> EngineResult:
+    """Every root of f between consecutive seeds that `judge` accepts, as
+    `engine` levels at n.
 
-    `ys` is f on `_seed_energies(params)`, NaN where f is undefined; f is
-    called by Brent only.  `judge(root)` evaluates the engine once at a root
-    and returns its Verdict: `scan_roots` rejects a refined root it does not
-    accept, and the level takes its residual and flags.  A root taken at a
-    seed where f is exactly 0 is never rejected; it is judged for its
-    residual and flags only.
+    `seeds` is the call's `_seed_energies(params)` and `ys` is f on it, NaN
+    where f is undefined; f is called by Brent only.  `judge(root)`
+    evaluates the engine once at a root and returns its Verdict:
+    `scan_roots` rejects a refined root it does not accept, and the level
+    takes its residual and flags.  A root taken at a seed where f is exactly
+    0 is never rejected; it is judged for its residual and flags only.
     """
     M = params.M
     judged: dict[float, Verdict] = {}
@@ -274,8 +266,7 @@ def _scan(params: HylleraasParams, n: int, engine: Engine, f, ys, judge) -> Engi
         judged[root] = judge(root)
         return judged[root][1]
 
-    scan = scan_roots(f, *_window(params), N_BRACKETS, TOL_E, ys,
-                      dedup=DEDUP_FACTOR * M, accept=accept)
+    scan = scan_roots(f, seeds, ys, TOL_E, dedup=DEDUP_FACTOR * M, accept=accept)
     region: set[str] = set()
     if scan.had_gaps:
         region.add(FLAG_BRANCH_GAP)
@@ -290,8 +281,6 @@ def _scan(params: HylleraasParams, n: int, engine: Engine, f, ys, judge) -> Engi
         flags = set(engine_flags)
         if root in merged:
             flags.add(FLAG_DUPLICATE_MERGED)
-        if appendix_constants(params, root).eps2 <= 0:
-            flags.add(FLAG_EPS2_NEGATIVE)
         levels.append(EnergyLevel(n=n, E=root, Ebar=root * root - M ** 2, engine=engine,
                                   residual=residual, flags=frozenset(flags)))
     return EngineResult(levels, frozenset(region))
@@ -325,24 +314,29 @@ def mechanical_residual(params: HylleraasParams, E: float, n: int) -> float | Br
 def energy_mechanical_result(params: HylleraasParams,
                              ns: Iterable[int]) -> dict[int, EngineResult]:
     """Mechanical-engine levels for every n in ns."""
-    inp = build_nu_input(params, _seed_energies(params))
+    E = _seed_energies(params)
+    inp = build_nu_input(params, E)
     lam, tau_prime, _ = lenient_branch_array(inp)  # NaN at the gaps
     sigma_pp = 2.0 * inp.sigma.c2
-    return {n: _mechanical_levels(params, n, lam - lambda_n_value(tau_prime, sigma_pp, n))
+    return {n: _mechanical_levels(params, n, E, lam - lambda_n_value(tau_prime, sigma_pp, n))
             for n in ns}
 
 
-def _mechanical_levels(params: HylleraasParams, n: int, ys) -> EngineResult:
+def _mechanical_levels(params: HylleraasParams, n: int, seeds, ys) -> EngineResult:
     def judge(E: float) -> Verdict:
-        out = quantization(build_nu_input(params, E), n)
+        inp = build_nu_input(params, E)
+        # sigma_tilde's s^2 coefficient is -eps^2
+        flags = {FLAG_EPS2_NEGATIVE} if inp.sigma_tilde.c2 >= 0 else set()
+        out = quantization(inp, n)
         if isinstance(out, BranchGap):
-            return math.inf, False, {FLAG_BRANCH_GAP}
+            return math.inf, False, flags | {FLAG_BRANCH_GAP}
         sol, lam_n, strict_ok = out
-        return _lambda_verdict(sol.lam, lam_n, sol.lam - lam_n,
-                               set() if strict_ok else {FLAG_TAU_PRIME_NONNEG})
+        if not strict_ok:
+            flags.add(FLAG_TAU_PRIME_NONNEG)
+        return _lambda_verdict(sol.lam, lam_n, sol.lam - lam_n, flags)
 
     return _scan(params, n, Engine.MECHANICAL_NU,
-                 lambda E: mechanical_residual(params, E, n), ys, judge)
+                 lambda E: mechanical_residual(params, E, n), seeds, ys, judge)
 
 
 def _implicit_real(im: ClosedFormIntermediates) -> float | None:
@@ -371,20 +365,21 @@ def _implicit_seed_terms(params: HylleraasParams, E: np.ndarray) -> tuple[np.nda
 def energy_implicit_result(params: HylleraasParams,
                            ns: Iterable[int]) -> dict[int, EngineResult]:
     """Printed-pair levels for every n in ns."""
-    lam, sqrt_upv = _implicit_seed_terms(params, _seed_energies(params))
+    E = _seed_energies(params)
+    lam, sqrt_upv = _implicit_seed_terms(params, E)
     a1 = 1 + params.abc.b
     # n = 0 reads lambda alone: lambda_0 is 0 whether or not sqrt(U + V) is real
-    return {n: _implicit_levels(params, n, lam - _lam_n_printed(sqrt_upv, a1, n).real)
+    return {n: _implicit_levels(params, n, E, lam - _lam_n_printed(sqrt_upv, a1, n).real)
             for n in ns}
 
 
-def _implicit_levels(params: HylleraasParams, n: int, ys) -> EngineResult:
+def _implicit_levels(params: HylleraasParams, n: int, seeds, ys) -> EngineResult:
     def judge(E: float) -> Verdict:
-        im = intermediates(params, E, n)
+        im = intermediates(params, E, n)  # its flags hold EPS2_NEGATIVE
         return _lambda_verdict(im.lam, im.lam_n, _implicit_real(im), im.flags)
 
     return _scan(params, n, Engine.IMPLICIT_LAMBDA,
-                 lambda E: implicit_residual(params, E, n), ys, judge)
+                 lambda E: implicit_residual(params, E, n), seeds, ys, judge)
 
 
 def energy_eq45_result(params: HylleraasParams,
@@ -397,12 +392,12 @@ def energy_eq45_result(params: HylleraasParams,
     E = _seed_energies(params)
     seed_forms = _eq45_forms(params, E)
     lhs = E * E - params.M ** 2
-    return {n: _eq45_levels(params, n,
+    return {n: _eq45_levels(params, n, E,
                             [lhs - rhs for rhs in _eq45_seed_rhs(params, seed_forms, n)])
             for n in ns}
 
 
-def _eq45_levels(params: HylleraasParams, n: int, seed_values) -> EngineResult:
+def _eq45_levels(params: HylleraasParams, n: int, seeds, seed_values) -> EngineResult:
     M2 = params.M ** 2
     all_levels: list[EnergyLevel] = []
     region: set[str] = set()
@@ -415,17 +410,20 @@ def _eq45_levels(params: HylleraasParams, n: int, seed_values) -> EngineResult:
             return (E * E - M2) - rhs
 
         def judge(E: float) -> Verdict:
+            flags = {sign_flag}
+            if epsilon2(params, E) <= 0:
+                flags.add(FLAG_EPS2_NEGATIVE)
             fE = f(E)
             if fE is None:
-                return math.inf, False, {sign_flag}
-            return abs(fE), math.isfinite(fE) and abs(fE) / M2 <= EQ45_RESIDUAL_REL, {sign_flag}
+                return math.inf, False, flags
+            return abs(fE), math.isfinite(fE) and abs(fE) / M2 <= EQ45_RESIDUAL_REL, flags
 
-        part = _scan(params, n, Engine.EQ45_VERBATIM, f, seed_values[pick], judge)
+        part = _scan(params, n, Engine.EQ45_VERBATIM, f, seeds, seed_values[pick], judge)
         region |= part.region_flags
         all_levels.extend(part.levels)
     # both sign branches non-real at an end or the middle of the window
-    lo, hi = _window(params)
-    if any(eq45_rhs(params, x, n) == (None, None) for x in (lo, 0.0, hi)):
+    if any(eq45_rhs(params, x, n) == (None, None)
+           for x in (float(seeds[0]), 0.0, float(seeds[-1]))):
         region.add(FLAG_NEGATIVE_UNDER_SQRT)
     all_levels.sort(key=lambda l: l.E)
     if all_levels:

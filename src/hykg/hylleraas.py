@@ -187,6 +187,12 @@ def square(x: float | np.ndarray) -> float | np.ndarray:
     return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
 
 
+def epsilon2(params: HylleraasParams, E: float) -> float:
+    """eps^2 = -2 mu (1+b) Ebar / scale2 at trial energy E (float or array)."""
+    Ebar = E * E - params.M * params.M
+    return -2.0 * params.mu * (1 + params.abc.b) * Ebar / params.scale2
+
+
 def appendix_constants(params: HylleraasParams, E: float) -> AppendixConstants:
     """Evaluate every constant of the cascade verbatim at trial energy E."""
     abc = params.abc
@@ -195,7 +201,7 @@ def appendix_constants(params: HylleraasParams, E: float) -> AppendixConstants:
     Ebar = E * E - params.M * params.M
     Vbar = 2.0 * params.D_e * (E + params.M)
 
-    eps2 = -2.0 * params.mu * (1 + b) * Ebar / w2
+    eps2 = epsilon2(params, E)
     betap2 = (1 + a) * (1 + c) * Vbar / w2
     gammap2 = (1 + b) * (1 + a) * (1 + c) * Vbar / w2
     beta2 = eps2 - betap2

@@ -2,11 +2,12 @@
 
 Engines evaluate residual functions that are continuous where defined but can
 return a marker object (anything non-float-like) inside degenerate regions.
-A scan takes the residual's values on its seed grid from the caller (an
-engine evaluates them as one array expression; `sample` evaluates them point
-by point); a non-finite seed value is a hole, and a sign change is only
-pursued between two adjacent valid seeds.  Brent refinement calls the scalar
-residual, so the seed values only pick the brackets.
+A scan takes its seeds and the residual's values on them from the caller (an
+engine evaluates them as one array expression on one seed array per call;
+`sample` evaluates them point by point); a non-finite seed value is a hole,
+and a sign change is only pursued between two adjacent valid seeds.  Brent
+refinement calls the scalar residual, so the seed values only pick the
+brackets.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ def brent(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
         return a
     if fb == 0.0:
         return b
-    if fa * fb > 0:
+    if (fa > 0 and fb > 0) or (fa < 0 and fb < 0):
         raise ValueError("no sign change on the bracket")
     c, fc = a, fa
     d = e = b - a
@@ -98,43 +99,40 @@ def seed_grid(lo: float, hi: float, n_brackets: int) -> np.ndarray:
     return lo + (hi - lo) * np.arange(n_brackets + 1) / n_brackets
 
 
-def sample(f: Callable[[float], object], lo: float, hi: float,
-           n_brackets: int) -> np.ndarray:
-    """f on the seed grid, one scalar call per seed; a marker becomes NaN."""
-    values = (_as_value(f(x)) for x in seed_grid(lo, hi, n_brackets).tolist())
+def sample(f: Callable[[float], object], xs: np.ndarray) -> np.ndarray:
+    """f on the seeds xs, one scalar call per seed; a marker becomes NaN."""
+    values = (_as_value(f(float(x))) for x in xs)
     return np.array([math.nan if y is None else y for y in values])
 
 
-def scan_roots(f: Callable[[float], object], lo: float, hi: float,
-               n_brackets: int, tol_x: float, ys: np.ndarray,
-               dedup: float = 0.0,
+def scan_roots(f: Callable[[float], object], xs: np.ndarray, ys: np.ndarray,
+               tol_x: float, dedup: float = 0.0,
                accept: Callable[[float], bool] | None = None) -> ScanResult:
-    """Scan [lo, hi] with n_brackets subintervals; refine each sign change.
+    """Refine each sign change of f between consecutive seeds xs.
 
-    `ys` holds f on `seed_grid(lo, hi, n_brackets)`; a non-finite value marks
-    a seed where f is undefined.  `f` is called only by Brent and may return
-    non-float markers (see the gap rule below).
+    `ys` holds f on `xs`; a non-finite value marks a seed where f is
+    undefined.  `f` is called only by Brent and may return non-float markers
+    (see the gap rule below).
     `accept(root)`, asked once per refined root, can reject roots whose
     residual did not collapse (jump discontinuities masquerading as
     crossings).  A root taken at a seed where f is exactly 0 is not refined
     and not asked about.
     """
-    xs = seed_grid(lo, hi, n_brackets).tolist()
     ys = np.asarray(ys, dtype=float)
-    if ys.shape != (n_brackets + 1,):
-        raise ValueError(f"need {n_brackets + 1} seed values, got shape {ys.shape}")
+    if ys.shape != np.shape(xs):
+        raise ValueError(f"seed values of shape {ys.shape} for seeds of shape {np.shape(xs)}")
     valid = np.isfinite(ys)
     had_gaps = not valid.all()
-    with np.errstate(over="ignore", under="ignore"):
-        bracketed = valid[:-1] & valid[1:] & ((ys[:-1] == 0.0) | (ys[:-1] * ys[1:] < 0))
+    # compare signs, not products: a product of two tiny values underflows to 0
+    signs = np.sign(ys)
+    bracketed = valid[:-1] & valid[1:] & ((ys[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0))
 
     roots: list[float] = []
     rejected: list[float] = []
-    seeds = ys.tolist()
     for i in np.flatnonzero(bracketed).tolist():
-        y0 = seeds[i]
+        y0 = float(ys[i])
         if y0 == 0.0:
-            roots.append(xs[i])
+            roots.append(float(xs[i]))
             continue
 
         def fv(x):
@@ -144,13 +142,13 @@ def scan_roots(f: Callable[[float], object], lo: float, hi: float,
             # endpoint is nearer, so that Brent always gets a number
             return v if v is not None else math.copysign(1e300, y0)
 
-        root = brent(fv, xs[i], xs[i + 1], tol_x)
+        root = brent(fv, float(xs[i]), float(xs[i + 1]), tol_x)
         if accept is not None and not accept(root):
             rejected.append(root)
             continue
         roots.append(root)
     if ys[-1] == 0.0:
-        roots.append(xs[-1])
+        roots.append(float(xs[-1]))
 
     roots.sort()
     merged: list[float] = []

@@ -102,7 +102,6 @@ class WavefactorParams:
     F: float
     muJ: float
     nuJ: float
-    reading: str  # "printed" | "symmetric"
 
 
 def exponents_DF(params: HylleraasParams, level: EnergyLevel,
@@ -135,7 +134,7 @@ def exponents_DF(params: HylleraasParams, level: EnergyLevel,
     else:
         D = -(muJ * c + nuJ) / (2.0 * a1 * (c - a))
     F = (muJ * a + nuJ) / (2.0 * a1 * (c - a))
-    return WavefactorParams(D=D, F=F, muJ=muJ, nuJ=nuJ, reading=reading)
+    return WavefactorParams(D=D, F=F, muJ=muJ, nuJ=nuJ)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +330,6 @@ def simpson_adaptive(f, lo: float, hi: float, rel_tol: float = 1e-9,
     return prev
 
 
-def count_nodes(radial: RadialFunction) -> int:
-    """Strict sign changes of the samples, ignoring a near-zero band
-    (`count_sign_changes`)."""
-    return count_sign_changes(radial.values)
-
-
 # |R| at a grid edge below this fraction of max|R| counts as a decayed tail
 _TAIL_THRESHOLD = 1e-8
 
@@ -386,4 +379,4 @@ def build_radial(params: HylleraasParams, level: EnergyLevel, grid,
     except TailNotConverged:
         radial = replace(radial, norm_constant=None,
                          flags=radial.flags | {FLAG_TAIL_NOT_CONVERGED})
-    return replace(radial, node_count=count_nodes(radial))
+    return replace(radial, node_count=count_sign_changes(radial.values))

@@ -16,11 +16,6 @@ def abc_hp(K, k1, k2):
             (K - k1) / (1 + k1))
 
 
-def potential_hp(s, a, b, c, De):
-    s, a, b, c, De = (mp.mpf(x) for x in (s, a, b, c, De))
-    return De * (1 - (1 + a) * (1 + c) * (s + b) / ((s + a) * (s + c) * (1 + b)))
-
-
 def constants_hp(K, k1, k2, omega, De, M, mu, E):
     """Main-chain constant cascade in extended precision, as a dict."""
     with mp.workdps(DPS):

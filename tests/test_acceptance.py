@@ -40,7 +40,7 @@ from hykg.oracle import (
     schrodinger_limit,
     solve_relativistic,
 )
-from hykg.rootfind import estimate_order, sample, scan_roots
+from hykg.rootfind import estimate_order, sample, scan_roots, seed_grid
 from hykg.wavefunction import (
     RadialFunction,
     composite_simpson,
@@ -109,6 +109,7 @@ def test_criterion_2_oscillator():
 def test_criterion_3_nu_hydrogen_fixture():
     t0 = time.monotonic()
     beta = 2.0
+    seeds = seed_grid(1e-4, beta, 300)
     worst = 0.0
     for n in range(6):
         for l in range(3):
@@ -119,7 +120,7 @@ def test_criterion_3_nu_hydrogen_fixture():
                                            Poly2(-l * (l + 1), beta, -eps * eps)), n)
                 return out if isinstance(out, BranchGap) else out[0].lam - out[1]
 
-            res = scan_roots(f, 1e-4, beta, 300, 1e-13, sample(f, 1e-4, beta, 300))
+            res = scan_roots(f, seeds, sample(f, seeds), 1e-13)
             expected = beta / (2.0 * (n + l + 1))
             best = min((abs(r - expected) / expected for r in res.roots),
                        default=math.inf)

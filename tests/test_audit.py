@@ -117,9 +117,9 @@ class TestEngineTable:
         seen = []
         scan_roots = closedform.scan_roots
 
-        def recording(f, lo, hi, n_brackets, *args, **kwargs):
-            seen.append(n_brackets)
-            return scan_roots(f, lo, hi, n_brackets, *args, **kwargs)
+        def recording(f, xs, *args, **kwargs):
+            seen.append(len(xs) - 1)
+            return scan_roots(f, xs, *args, **kwargs)
 
         monkeypatch.setattr(closedform, "N_BRACKETS", 50)
         monkeypatch.setattr(closedform, "scan_roots", recording)

@@ -18,6 +18,7 @@ from hykg.closedform import (
 from hykg.errors import DegenerateParams
 from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign, appendix_constants
 from hykg.levels import (
+    FLAG_EPS2_NEGATIVE,
     FLAG_NEGATIVE_UNDER_SQRT,
     FLAG_NO_ROOT,
     FLAG_TAU_PRIME_NONNEG,
@@ -213,10 +214,10 @@ class TestSeedValues:
         seen = []
         scan_roots = closedform.scan_roots
 
-        def recording(f, lo, hi, n_brackets, tol_x, ys, **kwargs):
+        def recording(f, xs, ys, tol_x, **kwargs):
             # sampled at call time: eq45's f reads its loop's sign branch
-            seen.append((np.asarray(ys), sample(f, lo, hi, n_brackets)))
-            return scan_roots(f, lo, hi, n_brackets, tol_x, ys, **kwargs)
+            seen.append((np.asarray(ys), sample(f, xs)))
+            return scan_roots(f, xs, ys, tol_x, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(closedform, "N_BRACKETS", 200)
@@ -247,6 +248,31 @@ class TestWorkCount:
 
         monkeypatch.setattr(module, name, counted)
         return calls
+
+    @pytest.mark.parametrize("n_brackets", [closedform.N_BRACKETS, 150])
+    @pytest.mark.parametrize("engine_result", ENGINE_RESULTS)
+    def test_one_seed_array_per_call(self, monkeypatch, engine_result, n_brackets):
+        # every scan of the call (each n, both eq45 signs) brackets on the
+        # one seed array the call builds
+        grids, scanned = [], []
+        seed_grid, scan_roots = rootfind.seed_grid, closedform.scan_roots
+
+        def counted_grid(*args):
+            grids.append(seed_grid(*args))
+            return grids[-1]
+
+        def recording(f, xs, *args, **kwargs):
+            scanned.append(xs)
+            return scan_roots(f, xs, *args, **kwargs)
+
+        monkeypatch.setattr(closedform, "N_BRACKETS", n_brackets)
+        monkeypatch.setattr(closedform, "seed_grid", counted_grid)
+        monkeypatch.setattr(rootfind, "seed_grid", counted_grid)
+        monkeypatch.setattr(closedform, "scan_roots", recording)
+        engine_result(DEFAULT_PARAMS, range(4))
+        assert len(grids) == 1 and grids[0].shape == (n_brackets + 1,)
+        assert len(scanned) == (8 if engine_result is energy_eq45_result else 4)
+        assert all(xs is grids[0] for xs in scanned)
 
     def test_mechanical_pi_candidates_calls(self, monkeypatch):
         calls = self._count(monkeypatch, "pi_candidates", nu)
@@ -280,3 +306,32 @@ class TestWorkCount:
         assert any(r.levels for r in results.values())
         assert fevals
         assert len(calls) == len(fevals)
+
+
+class TestRootFlags:
+    """Each engine's verdict flags EPS2_NEGATIVE exactly where the cascade's
+    eps^2 <= 0.  1 + b < 0 makes eps^2 negative on the whole window; the
+    mechanical closure finds no root there."""
+
+    CASES = {
+        "default": (DEFAULT_PARAMS, set()),
+        "implicit-eps2-negative": (
+            HylleraasParams(K=0.142, k1=-2.971, k2=0.2, omega=0.86, D_e=1.54, M=1.0,
+                            s_sign=SSign.POSITIVE), {Engine.IMPLICIT_LAMBDA}),
+        "eq45-eps2-negative": (
+            HylleraasParams(K=-3.0, k1=1.0, k2=0.0, omega=0.25, D_e=0.5, M=1.0,
+                            s_sign=SSign.POSITIVE), {Engine.EQ45_VERBATIM}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_flag_follows_eps2(self, coarse_scan, case):
+        params, flagged_engines = self.CASES[case]
+        flagged = set()
+        for engine_result in ENGINE_RESULTS:
+            for result in engine_result(params, range(2)).values():
+                for level in result.levels:
+                    negative = appendix_constants(params, level.E).eps2 <= 0
+                    assert (FLAG_EPS2_NEGATIVE in level.flags) == negative, level
+                    if negative:
+                        flagged.add(level.engine)
+        assert flagged == flagged_engines

@@ -18,7 +18,7 @@ from hykg.nu import (
     solve_k,
     under_root_quadratic,
 )
-from hykg.rootfind import sample, scan_roots
+from hykg.rootfind import sample, scan_roots, seed_grid
 
 # The classic closed-form fixture: sigma = s, tau_tilde = 0,
 # sigma_tilde = -eps^2 s^2 + beta s - l(l+1).  Hand algebra gives the
@@ -185,7 +185,8 @@ class TestQuantization:
     def test_hydrogen_quantization(self, n, l):
         beta = 2.0
         f = lambda eps: quantization_residual(hydrogen_input(eps, beta, l), n)
-        res = scan_roots(f, 1e-4, beta, 2000, 1e-13, sample(f, 1e-4, beta, 2000))
+        seeds = seed_grid(1e-4, beta, 2000)
+        res = scan_roots(f, seeds, sample(f, seeds), 1e-13)
         expected = beta / (2.0 * (n + l + 1))
         assert any(abs(r - expected) <= 1e-10 * expected for r in res.roots), res.roots
 

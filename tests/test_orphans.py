@@ -11,12 +11,16 @@ of the same name elsewhere does not keep a definition alive.  The scan
 reads the syntax tree, so a name inside a string or a comment does not
 count.  Public definitions and private module-level functions (`_name`)
 are checked alike, so a helper left behind by a refactor fails here too.
+The tests' shared helpers (`tests/_*.py`) are held to the same rule: each
+of their top-level definitions is read in its own helper module or
+imported from it by some test module.
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hykg"
+TESTS = ROOT / "tests"
 
 # Kept without a caller, each for a stated use.
 ALLOWED_ORPHANS = {
@@ -138,4 +142,29 @@ def test_every_public_definition_has_a_caller():
 
 def test_every_private_function_has_a_caller():
     orphans = _orphans(private=True)
+    assert orphans == set(), sorted(orphans)
+
+
+def _helper_orphans() -> set[str]:
+    """helper.name of each top-level definition in tests/_*.py that neither
+    its own module (outside the definition) nor an import into a test
+    module reads."""
+    helpers = {p.stem: ast.parse(p.read_text()) for p in sorted(TESTS.glob("_*.py"))}
+    used = set()
+    for stem, tree in helpers.items():
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            used |= {(stem, node.id) for node in ast.walk(top)
+                     if isinstance(node, ast.Name) and node.id != own}
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in helpers:
+                used |= {(node.module, alias.name) for alias in node.names}
+    return {f"{stem}.{node.name}" for stem, tree in helpers.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and (stem, node.name) not in used}
+
+
+def test_every_test_helper_has_a_caller():
+    orphans = _helper_orphans()
     assert orphans == set(), sorted(orphans)

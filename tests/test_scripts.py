@@ -32,12 +32,13 @@ def test_convergence_study_orders():
 
 def test_kernel_costs_smoke():
     # one row per case, every cost a positive number (each case has an
-    # n = 0 level at N = 400); then one row per eigen_tridiagonal case
+    # n = 0 level at N = 400); then one row per eigen_tridiagonal case, and
+    # one per closed-form engine
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_costs.py"),
                            "--n", "400", "--repeat", "1"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    levels, eigen = proc.stdout.split("\n\n")
+    levels, eigen, closed = proc.stdout.split("\n\n")
     header, *rows = levels.splitlines()
     assert header.split() == ["case", "N", "counts", "us/count", "us/defect"]
     assert [row[:16].strip() for row in rows] == [
@@ -52,6 +53,12 @@ def test_kernel_costs_smoke():
         ("selftest box", 2000), ("4V default grid", 4000)]
     for row in rows:
         assert float(row[18:].split()[1]) > 0
+    header, *rows = closed.splitlines()
+    assert header.split() == ["closed", "form", "us/residual", "us/call"]
+    assert [row.split()[0] for row in rows] == ["mechanical", "implicit", "eq45"]
+    for row in rows:
+        per_residual, per_call = map(float, row.split()[1:])
+        assert 0 < per_residual < per_call
 
 
 def test_sweep_screening_removes_its_config(tmp_path, monkeypatch):

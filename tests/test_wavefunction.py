@@ -16,6 +16,7 @@ from hykg.hylleraas import (
     s_of_r,
 )
 from hykg.levels import Engine, EnergyLevel
+from hykg.oracle import count_sign_changes
 from hykg.wavefunction import (
     ConfluentFactor,
     NonClassicalWarning,
@@ -25,7 +26,6 @@ from hykg.wavefunction import (
     composite_simpson,
     confluent_chi_coeffs,
     confluent_radial_factor,
-    count_nodes,
     exponents_DF,
     jacobi_P,
     jacobi_series,
@@ -306,16 +306,11 @@ class TestNormalize:
 
 class TestCountNodes:
     def test_positive(self):
-        rad = RadialFunction(level=level_at(0.0), grid=np.linspace(0, 1, 100),
-                             values=np.ones(100), norm_constant=1.0, node_count=0)
-        assert count_nodes(rad) == 0
+        assert count_sign_changes(np.ones(100)) == 0
 
     def test_sine(self):
         grid = np.linspace(0, 1, 400)[1:-1]
-        rad = RadialFunction(level=level_at(0.0), grid=grid,
-                             values=np.sin(3 * math.pi * grid),
-                             norm_constant=1.0, node_count=0)
-        assert count_nodes(rad) == 2
+        assert count_sign_changes(np.sin(3 * math.pi * grid)) == 2
 
     def test_oracle_node_theorem(self, default_params):
         from hykg.oracle import default_grid, oracle_eigenvector, solve_relativistic
@@ -325,9 +320,7 @@ class TestCountNodes:
             lvl = solve_relativistic(default_params, n, grid)
             assert lvl.found
             vec = oracle_eigenvector(default_params, lvl.E, grid, n)
-            rad = RadialFunction(level=lvl, grid=grid.points, values=vec,
-                                 norm_constant=1.0, node_count=0)
-            assert count_nodes(rad) == n
+            assert count_sign_changes(vec) == n
 
 
 class TestRadialAssembly:
