@@ -5,7 +5,10 @@ For each grid size N it solves the n = 0 oracle level once, then times
 
   * count: the whole count bisection of that level on a fresh
     `SeedCounts` (grid set-up excluded), divided by the number of counts;
-  * defect: one `numerov_defect` at the level's energy.
+  * defect: one `numerov_defect` at the level's energy, called as
+    `numerov_shoot` calls it, on one `SturmCounter` of the grid's V; the
+    table prints its matching index m and the row its inward pass starts
+    at beside it.
 
 The three cases are the default grid (`configs/default.cfg`'s parameters,
 r_max 40), the localized b < 0 well at D_e = 5000 on the r_max = 10 grids of
@@ -64,7 +67,8 @@ CLOSED_FORMS = (
 
 
 def costs(params, grid, repeat):
-    """(counts per level, us per count, us per defect) of the n = 0 level."""
+    """(counts per level, us per count, (us per defect, m, inward start) or
+    None) of the n = 0 level."""
     M = params.M
     probe = oracle.SeedCounts(params, grid)
     E = oracle.solve_relativistic(params, 0, grid, probe).E
@@ -79,10 +83,12 @@ def costs(params, grid, repeat):
     per_count = min(level() for _ in range(repeat)) / n_counts
     if E is None:
         return n_counts, per_count, None
-    q = 2.0 * (E + M) * potential_V(grid.points, params) - (E * E - M * M)
-    per_defect = min(timeit.repeat(lambda: oracle.numerov_defect(q, grid.h),
+    well = oracle.SturmCounter(potential_V(grid.points, params), grid)
+    c, sigma = 2.0 * (E + M), E * E - M * M
+    m, rows = oracle._numerov_rows(well, c, sigma)
+    per_defect = min(timeit.repeat(lambda: oracle.numerov_defect(well, c, sigma),
                                    number=1, repeat=repeat))
-    return n_counts, per_count, per_defect
+    return n_counts, per_count, (per_defect, m, len(rows) - 1)
 
 
 def main(argv=None):
@@ -91,12 +97,15 @@ def main(argv=None):
     parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args(argv)
     warnings.simplefilter("ignore", oracle.GridHeuristicWarning)
-    print(f"{'case':16s} {'N':>6s} {'counts':>6s} {'us/count':>9s} {'us/defect':>10s}")
+    print(f"{'case':16s} {'N':>6s} {'counts':>6s} {'us/count':>9s} "
+          f"{'us/defect':>10s} {'m':>6s} {'start':>6s}")
     for name, params, grid_of in CASES:
         for n in args.n:
-            n_counts, per_count, per_defect = costs(params, grid_of(n), args.repeat)
-            defect = "-" if per_defect is None else f"{per_defect * 1e6:.1f}"
-            print(f"{name:16s} {n:6d} {n_counts:6d} {per_count * 1e6:9.1f} {defect:>10s}")
+            n_counts, per_count, defect = costs(params, grid_of(n), args.repeat)
+            per_defect, m, start = ("-",) * 3 if defect is None else (
+                f"{defect[0] * 1e6:.1f}", str(defect[1]), str(defect[2]))
+            print(f"{name:16s} {n:6d} {n_counts:6d} {per_count * 1e6:9.1f} "
+                  f"{per_defect:>10s} {m:>6s} {start:>6s}")
     print()
     print(f"{'eigen_tridiagonal':18s} {'N':>6s} {'us/eigenvalue':>14s}")
     for name, grid, w in EIGEN_CASES:

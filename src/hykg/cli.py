@@ -260,7 +260,7 @@ def run_selftest(stream=None) -> int:
         ok = defect <= tol
         failures += 0 if ok else 1
         stream.write(f"{name:28s} {paint('PASS' if ok else 'FAIL', ok)} "
-                     f"(defect {defect:.3e}, tol {tol:.1e})\n")
+                     f"(defect {defect:.1e}, tol {tol:.1e})\n")
     return 0 if failures == 0 else 1
 
 

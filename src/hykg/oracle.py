@@ -15,9 +15,14 @@ recurrence is one BLAS unit lower banded triangular solve that stops soon
 after the last classically allowed point; it forms W only on the rows it
 solves.  Fixed-W eigenvalues bisect the same counts.  A Numerov matching
 integrator cross-checks the matrix eigenvalues: with z = B y its steps are
-the count's recurrence with another t, swept forward from the left wall and,
-on the reversed t, from the far wall, in windows, so a rescale re-solves
-only the rest of its window.  A fixed-mass Schroedinger solver supports the
+the count's recurrence with another t, swept in windows, so a rescale
+re-solves only the rest of its window.  The outward pass starts at the left
+wall.  The inward pass, on the reversed t, starts at the first row past the
+turning point where the WKB decay depth h sum sqrt(q) reaches 40, before
+any row where Numerov's step is invalid (B <= 0).  There it carries the
+solution that grows outward at e^-80 of the one it seeks at the matching
+point, so the matching defect is exact to rounding, and it forms t and B
+only on the rows up to that start.  A fixed-mass Schroedinger solver supports the
 weak-coupling limit trend tests.
 """
 from __future__ import annotations
@@ -27,7 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -179,7 +184,8 @@ class SturmCounter:
     """
 
     def __init__(self, v: np.ndarray, grid: RadialGrid):
-        self.v, self.n, self.h2 = v, grid.n, grid.h ** 2
+        self.v, self.n, self.h = v, grid.n, grid.h
+        self.h2 = self.h ** 2
         self.band = np.ones((3, self.n + 2), order="F")  # row 2 stays 1
         self.y = np.empty(self.n + 2)  # y[j] is y_(j-1)
         self.work = np.empty(self.n)
@@ -467,16 +473,76 @@ def _matching_index(q: np.ndarray) -> int:
     return max(2, min(n - 3, m))
 
 
-def numerov_defect(q: np.ndarray, h: float) -> tuple[float, np.ndarray]:
-    """Wronskian mismatch of the outward and inward solutions at the matching
-    point, plus the assembled solution.  Both passes sweep z = B y from
-    z[0] = B h, so y = h at each wall and the defect keeps its sign where
-    B < 0; y = z / B is formed only at the matching samples and in the
-    assembled solution."""
-    n, m = len(q), _matching_index(q)
+# WKB decay depth D = h sum sqrt(q) past the matching point at which the
+# inward pass starts.  A pass started there, with y = 0 one row further out,
+# is the solution that decays outward plus some of the one that grows
+# outward; at the matching point that admixture is e^(-2 D) = 1.8e-35 of
+# the pass, far below eps, so the defect is that of a pass from the far wall.
+_DEPTH = 40.0
+
+
+def _numerov_rows(well: SturmCounter, c: float, sigma: float) -> tuple[int, np.ndarray]:
+    """(m, q): the matching index and q = fl(c v) - sigma on rows 0..e, where
+    e is the inward pass's first row.
+
+    m is _matching_index of the whole q: the last row with q < 0 comes from
+    well.tail, whose fl(c v) < sigma is the same test.  e is the first row
+    past m at which D = h sum sqrt(q) over rows m+1..e reaches _DEPTH, but it
+    stays before the first row past m with B = 1 - h^2 q / 12 <= 0, on which
+    Numerov's step is invalid.  q is formed on rows 0..hi-1, hi = 6 (m + 8)
+    at first and doubled until e < hi.  e is the far wall, N - 1, when neither rule stops the pass
+    earlier, when B <= 0 already at m + 1, and under _matching_index's
+    fallbacks (no q < 0, or q < 0 within 3 rows of the far wall), which form
+    q on every row.
+    """
+    n, v, h = well.n, well.v, well.h
+    m = well.tail(c, sigma) - 1
+    if 0 <= m <= n - 4:
+        m = max(2, m)
+        # rows 0..hi-1 at first, then twice as many: past a turning point
+        # the depth grows over a few times the rows to it
+        hi, k = min(n, 6 * (m + 8)), h * h / 12.0
+        while True:
+            q = c * v[:hi]
+            q -= sigma
+            reach = np.sqrt(q[m + 1:])
+            np.add.accumulate(reach, out=reach)
+            deep = m + 1 + int(reach.searchsorted(_DEPTH / h))  # D >= _DEPTH, or hi
+            # B <= 0 where b = q h^2 / 12 >= 1, as fl(1 - b) has the sign of
+            # 1 - b; fl(q h^2 / 12) is monotone in q, so the largest q decides
+            rows = q[m + 1:deep + 1]
+            if float(rows.max()) * k >= 1.0:
+                bad = m + 1 + int(np.argmax(rows * k >= 1.0))
+                if bad > m + 1:
+                    return m, q[:bad]
+                break  # no row past m can start the pass
+            if deep < hi or hi == n:
+                return m, q[:deep + 1]
+            hi = min(n, 2 * hi)
+    q = c * v
+    q -= sigma
+    return _matching_index(q), q
+
+
+def numerov_defect(well: SturmCounter, c: float,
+                   sigma: float) -> tuple[float, Callable[[], np.ndarray]]:
+    """(Wronskian mismatch at the matching point, solution) for
+    -u'' + (c v - sigma) u = 0, v = well.v: the outward and inward solutions'
+    mismatch, and a function that assembles the whole solution on N samples.
+
+    The outward pass sweeps from the left wall to m + 1, the inward one from
+    row e of _numerov_rows down to m - 1, both from z[0] = B h, so y = h at
+    each start and the defect keeps its sign where B < 0.  Samples past e,
+    where the decaying solution is below e^(-2 _DEPTH) of its size at m, are
+    0 in the solution.  y = z / B is formed only at the matching samples and
+    in the assembled solution.
+    """
+    n, h = well.n, well.h
+    m, q = _numerov_rows(well, c, sigma)
+    e = len(q) - 1
     t, b = _numerov_t(q, h)
     z_out, _ = _numerov_sweep(t[:m + 1], b[0] * h)          # samples 0..m+1
-    z_in = _numerov_sweep(t[m:][::-1], b[-1] * h)[0][::-1]  # samples m-1..n-1
+    z_in = _numerov_sweep(t[m:][::-1], b[-1] * h)[0][::-1]  # samples m-1..e
 
     # y at samples m-1, m, m+1 of both, scaled to O(1)
     b3 = b[m - 1:m + 2].tolist()
@@ -484,19 +550,21 @@ def numerov_defect(q: np.ndarray, h: float) -> tuple[float, np.ndarray]:
     in3 = [z / bi for z, bi in zip(z_in[:3].tolist(), b3)]
     s_out = max(*map(abs, out3), 1e-300)
     s_in = max(*map(abs, in3), 1e-300)
-    o0, o1, o2 = (y / s_out for y in out3)
-    i0, i1, i2 = (y / s_in for y in in3)
+    o0, o1, o2 = [y / s_out for y in out3]
+    i0, i1, i2 = [y / s_in for y in in3]
     wronskian = o1 * (i2 - i0) / (2 * h) - i1 * (o2 - o0) / (2 * h)
 
-    # assembled solution for node counting: the inward tail, samples m..n-1,
-    # joins the outward samples 0..m at m
-    assembled = np.empty(n)
-    np.divide(z_out[:m + 1], s_out, out=assembled[:m + 1])
-    z_m = z_in[1]
-    np.multiply(z_in[1:], assembled[m] / z_m if z_m != 0.0 else 1.0,
-                out=assembled[m:])
-    assembled /= b
-    return wronskian, assembled
+    def solution() -> np.ndarray:
+        # the inward tail, samples m..e, joins the outward samples 0..m at m
+        assembled = np.zeros(n)
+        np.divide(z_out[:m + 1], s_out, out=assembled[:m + 1])
+        z_m = z_in[1]
+        np.multiply(z_in[1:], assembled[m] / z_m if z_m != 0.0 else 1.0,
+                    out=assembled[m:e + 1])
+        assembled[:e + 1] /= b
+        return assembled
+
+    return wronskian, solution
 
 
 # samples below this fraction of max|values| carry no sign
@@ -512,14 +580,15 @@ def count_sign_changes(values: np.ndarray) -> int:
     return int(np.sum(np.sign(sig[:-1]) != np.sign(sig[1:]))) if sig.size > 1 else 0
 
 
-def _numerov_root(q_of, h: float, lo: float, hi: float,
+def _numerov_root(well: SturmCounter, coeffs, lo: float, hi: float,
                   tol: float) -> tuple[float, float, np.ndarray]:
-    """Brent root of the matching defect of q_of(x) on [lo, hi]: (root, defect
-    at the root, assembled solution).  Raises ValueError (from brent) when
+    """Brent root of the matching defect of (c, sigma) = coeffs(x) on
+    [lo, hi]: (root, defect at the root, assembled solution).  Only the call
+    at the root assembles the solution.  Raises ValueError (from brent) when
     the defect shows no sign change on the bracket."""
-    root = brent(lambda x: numerov_defect(q_of(x), h)[0], lo, hi, tol)
-    wronskian, assembled = numerov_defect(q_of(root), h)
-    return root, wronskian, assembled
+    root = brent(lambda x: numerov_defect(well, *coeffs(x))[0], lo, hi, tol)
+    wronskian, solution = numerov_defect(well, *coeffs(root))
+    return root, wronskian, solution()
 
 
 def numerov_eigenvalue(w_values: np.ndarray, grid: RadialGrid,
@@ -528,7 +597,8 @@ def numerov_eigenvalue(w_values: np.ndarray, grid: RadialGrid,
     """Eigenvalue of -u'' + W u = Ebar u inside `bracket` by defect root finding."""
     lo, hi = bracket
     try:
-        root, _, assembled = _numerov_root(lambda ebar: w_values - ebar, grid.h, lo, hi,
+        root, _, assembled = _numerov_root(SturmCounter(w_values, grid),
+                                           lambda ebar: (1.0, ebar), lo, hi,
                                            tol * max(1.0, abs(lo), abs(hi)))
     except ValueError:
         raise NoRoot(f"no defect sign change in bracket {bracket}") from None
@@ -543,14 +613,12 @@ def numerov_shoot(params: HylleraasParams, n: int, grid: RadialGrid,
     as a flagged level (the bracket captured a different state).
     """
     M = params.M
-    v = potential_V(grid.points, params)
-
-    def q_of(E: float) -> np.ndarray:
-        return 2.0 * (E + M) * v - (E * E - M * M)
-
+    well = SturmCounter(potential_V(grid.points, params), grid)
     lo, hi = e_bracket
     try:
-        root, wronskian, assembled = _numerov_root(q_of, grid.h, lo, hi, E_TOL_REL * M)
+        # q = 2 (E + M) V - (E^2 - M^2)
+        root, wronskian, assembled = _numerov_root(
+            well, lambda E: (2.0 * (E + M), E * E - M * M), lo, hi, E_TOL_REL * M)
     except ValueError:
         return EnergyLevel(n=n, E=None, Ebar=None, engine=Engine.ORACLE,
                            residual=None, flags=frozenset({FLAG_NO_ROOT}))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -449,6 +450,9 @@ class TestSelftest:
                      "nu-hydrogen-quantization", "jacobi-identities"):
             assert text.count(name) == 1
         assert "FAIL" not in text
+        # two significant digits: the box-numerov root tolerance resolves no more
+        for line in text.splitlines():
+            assert re.search(r"\(defect \d\.\de[+-]\d\d, tol ", line), line
 
     def test_perturbed_fixture_fails(self, monkeypatch):
         monkeypatch.setattr(cli, "FIXTURES", cli.FIXTURES[:1] + (

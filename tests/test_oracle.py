@@ -613,9 +613,32 @@ class TestNumerovShooter:
         assert shot.found
         assert counts["fevals"] > 2
         assert counts["defect"] == counts["fevals"] + 1
-        M, v = DEFAULT_PARAMS.M, potential_V(grid.points, DEFAULT_PARAMS)
-        q = 2.0 * (shot.E + M) * v - (shot.E * shot.E - M * M)
-        assert shot.residual == abs(defect(q, grid.h)[0])
+        # the residual is the defect at the root, evaluated as the shooter does
+        M, E = DEFAULT_PARAMS.M, shot.E
+        well = SturmCounter(potential_V(grid.points, DEFAULT_PARAMS), grid)
+        assert shot.residual == abs(defect(well, 2.0 * (E + M), E * E - M * M)[0])
+
+    @pytest.mark.parametrize("n", [4000, 16000])
+    def test_huge_w_never_rescales(self, monkeypatch, n):
+        # the inward pass starts before the far wall's B <= 0 rows, where t
+        # reads about -10 and z passed 1e100 every ~100 rows: from the far
+        # wall a shoot rescaled 986 times at N = 4000 and 4,290 at N = 16000
+        grid = default_grid(HUGE_W_PARAMS, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridHeuristicWarning)
+            E = solve_relativistic(HUGE_W_PARAMS, 0, grid).E
+        rescales, sweep = [], oracle._numerov_sweep
+
+        def recording(t, z0):
+            z, at = sweep(t, z0)
+            rescales.extend(at)
+            return z, at
+
+        monkeypatch.setattr(oracle, "_numerov_sweep", recording)
+        shot = numerov_shoot(HUGE_W_PARAMS, 0, grid, (E - 0.05, E + 0.05))
+        assert shot.found
+        assert shot.flags == frozenset()
+        assert rescales == []
 
     def test_no_sign_change(self):
         # free particle in a box: no level below the first box eigenvalue
@@ -672,8 +695,12 @@ def well_grid(n):
     return RadialGrid(r_min=10.0 / n, r_max=10.0, n=n)
 
 
-def well_q(n, E=0.9105063368870955):
-    """q = W - Ebar of the well; E defaults to its Numerov ground state at N = 1000."""
+# the well's Numerov ground state at N = 1000
+WELL_E0 = 0.9105063368870955
+
+
+def well_q(n, E=WELL_E0):
+    """q = W - Ebar of the well; E defaults to WELL_E0."""
     M, v = B_NEGATIVE_WELL.M, potential_V(well_grid(n).points, B_NEGATIVE_WELL)
     return 2.0 * (E + M) * v - (E * E - M * M)
 
@@ -699,10 +726,11 @@ def restart_solve(t, z0):
         start = k - 1
 
 
-def reference_defect(q, h):
+def reference_defect(q, h, m):
     """numerov_defect's Wronskian from the per-sample y recurrence: outward
-    to m+1, and inward, the outward recurrence of the mirrored q, to m-1."""
-    n, m = len(q), oracle._matching_index(q)
+    to m+1, and inward from q's last row, the outward recurrence of the
+    mirrored q, to m-1."""
+    n = len(q)
     out3 = reference_outward(q.tolist(), h, m + 1, [])[m - 1:]
     in3 = reference_outward(q[::-1].tolist(), h, n - m, [])[:-4:-1]
     s_out, s_in = max(map(abs, out3)), max(map(abs, in3))
@@ -712,20 +740,32 @@ def reference_defect(q, h):
 
 
 def numerov_case(case):
-    """(q, h) of the four integrator cases: the well's and the huge-W
-    config's level (B < 0 at its far wall), a steep q and a box level."""
-    if case == "steep":
-        return np.linspace(1e4, 3e4, 3000), 0.01
+    """(well, c, sigma), q = c well.v - sigma, of the four integrator cases:
+    the well's and the huge-W config's level (B < 0 at its far wall), a
+    steep q and a box level; and on the steep q's grid, "ramp", a q that
+    turns at row 19 and reaches the decay depth only at row 213, and two
+    steps of q at row 1500: "cliff" rises to B = 1/6 for five rows, then to
+    B = -1/4, "wall" to B = -1/4 at once."""
+    if case in ("steep", "ramp", "cliff", "wall"):
+        grid = RadialGrid(r_min=0.01, r_max=30.0, n=3000)
+        v = np.linspace(1e4, 3e4, grid.n)
+        if case == "ramp":
+            v = np.linspace(-100.0, 14900.0, grid.n)
+        elif case != "steep":
+            v[:1500], v[1500:] = -100.0, 1.5e5
+            if case == "cliff":
+                v[1500:1505] = 1e5
+        return SturmCounter(v, grid), 1.0, 0.0
     if case == "box":
         grid = box_grid(L, 4000)
-        return np.full(grid.n, -(3 * math.pi / L) ** 2), grid.h
+        return SturmCounter(np.zeros(grid.n), grid), 1.0, (3 * math.pi / L) ** 2
     params = B_NEGATIVE_WELL if case == "well" else HUGE_W_PARAMS
     grid = well_grid(16000) if case == "well" else default_grid(params, n=4000)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridHeuristicWarning)
         E = solve_relativistic(params, 0, grid).E
     M = params.M
-    return 2.0 * (E + M) * potential_V(grid.points, params) - (E * E - M * M), grid.h
+    return SturmCounter(potential_V(grid.points, params), grid), 2.0 * (E + M), E * E - M * M
 
 
 class TestNumerovIntegrator:
@@ -799,7 +839,8 @@ class TestNumerovIntegrator:
         # each sweep gives bit for bit the entries of one solve over the
         # whole remaining range after every rescale, from t and from the
         # reversed view that the inward pass solves alike
-        q, h = numerov_case(case)
+        well, c, sigma = numerov_case(case)
+        q, h = c * well.v - sigma, well.h
         t, b = oracle._numerov_t(q, h)
         n = len(q)
         for upto in (2, 40, n // 3, n - 1):
@@ -810,40 +851,89 @@ class TestNumerovIntegrator:
 
     @pytest.mark.parametrize("case", ["well", "huge-w", "steep", "box"])
     def test_defect_keeps_its_value_and_sign(self, case):
-        # each pass starts at z[0] = B h, so y = h at both walls as in the
-        # y form; on the huge-W config B < 0 at the far wall, where a start
-        # at z[0] = 1 would flip the inward solution and the defect's sign.
-        # Ebar is 0.1 below each case's level: there the defect (0.07 to 23
-        # in size) stands far above the up to 4e-10 by which the two forms'
-        # roundings move it; at a level it is no larger than that.
-        q, h = numerov_case(case)
-        q = q + 0.1
-        got, want = oracle.numerov_defect(q, h)[0], reference_defect(q, h)
-        assert want != 0.0
-        assert math.copysign(1.0, got) == math.copysign(1.0, want)
-        assert abs(got - want) <= 1e-9 * abs(want)
+        # each pass starts at z[0] = B h, so y = h at its first row as in
+        # the y form; on the huge-W config B < 0 at the far wall, where a
+        # start at z[0] = 1 would flip the inward solution and the defect's
+        # sign.  Ebar is 0.1 below each case's level: there the defect (0.07
+        # to 23 in size) stands far above the up to 4e-10 by which the two
+        # forms' roundings move it; at a level it is no larger than that.
+        # The reference's inward pass starts at the defect's first inward
+        # row e, and again at the farthest row a pass may start on: the far
+        # wall, or on the huge-W config row 841, the last before B <= 0
+        # (the far-wall pass crosses 3,158 of its 4,000 rows with B <= 0,
+        # where y flips sign).  Both agree, so starting at the set decay
+        # depth moves the defect by no more than rounding.
+        well, c, sigma = numerov_case(case)
+        sigma -= 0.1
+        got = oracle.numerov_defect(well, c, sigma)[0]
+        m, rows = oracle._numerov_rows(well, c, sigma)
+        q = c * well.v - sigma
+        invalid = np.flatnonzero(q[m + 1:] * (well.h ** 2 / 12.0) >= 1.0)
+        farthest = q[:m + 1 + invalid[0]] if invalid.size else q
+        assert len(rows) <= len(farthest)
+        for start in (rows, farthest):
+            want = reference_defect(start, well.h, m)
+            assert want != 0.0
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            assert abs(got - want) <= 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("case", ["well", "huge-w", "steep", "box", "ramp", "cliff",
+                                      "wall"])
+    @pytest.mark.parametrize("shift", [-1.0, -0.1, 0.0, 0.1, 1.0])
+    def test_rows_match_the_whole_q(self, case, shift):
+        # the defect's q is the whole q's rows 0..e bit for bit, its m is
+        # _matching_index of the whole q, and e is the first row past m at
+        # depth _DEPTH, the last before a B <= 0, or the far wall: the ramp
+        # reaches the depth past the rows first formed, 6 (m + 8); on the
+        # cliff the depth reaches only 16 before B <= 0 at row 1505, and on
+        # the wall B <= 0 right past m, where no row can start the pass
+        well, c, sigma = numerov_case(case)
+        sigma += shift
+        m, rows = oracle._numerov_rows(well, c, sigma)
+        q, h, e = c * well.v - sigma, well.h, len(rows) - 1
+        assert m == oracle._matching_index(q)
+        assert e == {"ramp": 213, "cliff": 1504, "wall": len(q) - 1}.get(case, e)
+        assert np.array_equal(rows, q[:e + 1])
+        if e < len(q) - 1:
+            past = q[m + 1:e + 1]
+            assert not np.any(past * (h * h / 12.0) >= 1.0)
+            depth = np.cumsum(np.sqrt(past))  # D / h
+            assert np.all(depth[:-1] < oracle._DEPTH / h)
+            assert depth[-1] >= oracle._DEPTH / h or q[e + 1] * (h * h / 12.0) >= 1.0
 
     def test_one_defect_solves_each_row_about_once(self, solved_rows):
         # One defect on the well's finest grid: each pass solves its samples
-        # from the ghost z[-1] = 0 and z[0], outward to m+1 and inward to
-        # m-1, N + 1 rows in all.  A rescale's position is known only once
-        # its row is solved, so the rows after it in its window are solved
-        # again from the rescaled pair; a window spans its predicted rescale
-        # interval plus an eighth, which bounds that rework.  One solve per
-        # rescale over the whole remaining range took 28,263 rows.
+        # from the ghost z[-1] = 0 and z[0], outward to m+1 and inward from
+        # row e to m-1, e + 2 rows in all (N + 1 from the far wall).  A
+        # rescale's position is known only once its row is solved, so the
+        # rows after it in its window are solved again from the rescaled
+        # pair; a window spans its predicted rescale interval plus an
+        # eighth, which bounds that rework.  The inward pass starts at the
+        # decay depth _DEPTH, e < N / 4 here; from the far wall one defect
+        # solved 17.4k rows, and one solve per rescale over the whole
+        # remaining range 28,263.
         n = 16000
-        q, h = well_q(n), well_grid(n).h
-        oracle.numerov_defect(q, h)
+        grid = well_grid(n)
+        well = SturmCounter(potential_V(grid.points, B_NEGATIVE_WELL), grid)
+        E, M = WELL_E0, B_NEGATIVE_WELL.M
+        c, sigma = 2.0 * (E + M), E * E - M * M
+        e = len(oracle._numerov_rows(well, c, sigma)[1]) - 1
+        solved_rows.clear()
+        oracle.numerov_defect(well, c, sigma)
+        assert e < n // 4
         assert len(solved_rows) <= 6
-        assert n + 1 <= sum(solved_rows) <= (n - 1) + n // 8
+        assert e + 2 <= sum(solved_rows) <= (e + 2) + (e + 2) // 8
 
 
 class TestNumerovRegression:
     # numerov_shoot's E0 on the b < 0 well, recorded from the per-sample
-    # recurrence before it became a banded solve; Brent's tolerance is
-    # 1e-10 M, so the new rounding may move a root by far less than that
+    # recurrence before it became a banded solve (N = 1000 to 4000) and from
+    # the banded solve whose inward pass started at the far wall (N = 8000,
+    # 16000); Brent's tolerance is 1e-10 M, so a new rounding or start row
+    # may move a root by far less than that
     RECORDED = {1000: 0.9105063368870955, 2000: 0.9105068762515323,
-                4000: 0.9105069099548586}
+                4000: 0.9105069099548586, 8000: 0.9105069120609967,
+                16000: 0.9105069121931914}
 
     @pytest.mark.parametrize("n", sorted(RECORDED))
     def test_ground_state_pinned(self, n):

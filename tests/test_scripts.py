@@ -32,21 +32,23 @@ def test_convergence_study_orders():
 
 def test_kernel_costs_smoke():
     # one row per case, every cost a positive number (each case has an
-    # n = 0 level at N = 400); then one row per eigen_tridiagonal case, and
-    # one per closed-form engine
+    # n = 0 level at N = 400) and the defect's inward pass starting past its
+    # matching index, at most at the far wall; then one row per
+    # eigen_tridiagonal case, and one per closed-form engine
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_costs.py"),
                            "--n", "400", "--repeat", "1"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     levels, eigen, closed = proc.stdout.split("\n\n")
     header, *rows = levels.splitlines()
-    assert header.split() == ["case", "N", "counts", "us/count", "us/defect"]
+    assert header.split() == ["case", "N", "counts", "us/count", "us/defect", "m", "start"]
     assert [row[:16].strip() for row in rows] == [
         "default grid", "well D_e=5000", "huge W (c = 0)"]
     for row in rows:
-        n, counts, per_count, per_defect = row[16:].split()
+        n, counts, per_count, per_defect, m, start = row[16:].split()
         assert int(n) == 400 and int(counts) > 0
         assert float(per_count) > 0 and float(per_defect) > 0
+        assert 2 <= int(m) < int(start) <= int(n) - 1
     header, *rows = eigen.splitlines()
     assert header.split() == ["eigen_tridiagonal", "N", "us/eigenvalue"]
     assert [(row[:18].strip(), int(row[18:].split()[0])) for row in rows] == [
