@@ -7,8 +7,9 @@ For each grid size N it solves the n = 0 oracle level once, then times
     `SeedCounts` (grid set-up excluded), divided by the number of counts;
   * defect: one `numerov_defect` at the level's energy, called as
     `numerov_shoot` calls it, on one `SturmCounter` of the grid's V; the
-    table prints its matching index m and the row its inward pass starts
-    at beside it.
+    table prints beside it the number of band solves it makes (`solves`,
+    one per pass unless a pass rescales), its matching index m and the row
+    its inward pass starts at.
 
 The three cases are the default grid (`configs/default.cfg`'s parameters,
 r_max 40), the localized b < 0 well at D_e = 5000 on the r_max = 10 grids of
@@ -31,6 +32,7 @@ import time
 import timeit
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -66,9 +68,16 @@ CLOSED_FORMS = (
 )
 
 
+def band_solves(call):
+    """The number of oracle._band_solve calls that call() makes."""
+    with mock.patch.object(oracle, "_band_solve", wraps=oracle._band_solve) as solve:
+        call()
+    return solve.call_count
+
+
 def costs(params, grid, repeat):
-    """(counts per level, us per count, (us per defect, m, inward start) or
-    None) of the n = 0 level."""
+    """(counts per level, us per count, (us per defect, band solves per
+    defect, m, inward start) or None) of the n = 0 level."""
     M = params.M
     probe = oracle.SeedCounts(params, grid)
     E = oracle.solve_relativistic(params, 0, grid, probe).E
@@ -86,9 +95,12 @@ def costs(params, grid, repeat):
     well = oracle.SturmCounter(potential_V(grid.points, params), grid)
     c, sigma = 2.0 * (E + M), E * E - M * M
     m, rows = oracle._numerov_rows(well, c, sigma)
-    per_defect = min(timeit.repeat(lambda: oracle.numerov_defect(well, c, sigma),
-                                   number=1, repeat=repeat))
-    return n_counts, per_count, (per_defect, m, len(rows) - 1)
+
+    def defect():
+        return oracle.numerov_defect(well, c, sigma)
+
+    per_defect = min(timeit.repeat(defect, number=1, repeat=repeat))
+    return n_counts, per_count, (per_defect, band_solves(defect), m, len(rows) - 1)
 
 
 def main(argv=None):
@@ -98,14 +110,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     warnings.simplefilter("ignore", oracle.GridHeuristicWarning)
     print(f"{'case':16s} {'N':>6s} {'counts':>6s} {'us/count':>9s} "
-          f"{'us/defect':>10s} {'m':>6s} {'start':>6s}")
+          f"{'us/defect':>10s} {'solves':>6s} {'m':>6s} {'start':>6s}")
     for name, params, grid_of in CASES:
         for n in args.n:
             n_counts, per_count, defect = costs(params, grid_of(n), args.repeat)
-            per_defect, m, start = ("-",) * 3 if defect is None else (
-                f"{defect[0] * 1e6:.1f}", str(defect[1]), str(defect[2]))
+            per_defect, solves, m, start = ("-",) * 4 if defect is None else (
+                f"{defect[0] * 1e6:.1f}", *map(str, defect[1:]))
             print(f"{name:16s} {n:6d} {n_counts:6d} {per_count * 1e6:9.1f} "
-                  f"{per_defect:>10s} {m:>6s} {start:>6s}")
+                  f"{per_defect:>10s} {solves:>6s} {m:>6s} {start:>6s}")
     print()
     print(f"{'eigen_tridiagonal':18s} {'N':>6s} {'us/eigenvalue':>14s}")
     for name, grid, w in EIGEN_CASES:

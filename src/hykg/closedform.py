@@ -421,9 +421,10 @@ def _eq45_levels(params: HylleraasParams, n: int, seeds, seed_values) -> EngineR
         part = _scan(params, n, Engine.EQ45_VERBATIM, f, seeds, seed_values[pick], judge)
         region |= part.region_flags
         all_levels.extend(part.levels)
-    # both sign branches non-real at an end or the middle of the window
-    if any(eq45_rhs(params, x, n) == (None, None)
-           for x in (float(seeds[0]), 0.0, float(seeds[-1]))):
+    # both sign branches non-real (NaN) at an end or the middle of the window,
+    # seeds 0, N_BRACKETS // 2 (E = 0) and N_BRACKETS
+    probes = [0, len(seeds) // 2, -1]
+    if np.any(np.isnan(seed_values[0][probes]) & np.isnan(seed_values[1][probes])):
         region.add(FLAG_NEGATIVE_UNDER_SQRT)
     all_levels.sort(key=lambda l: l.E)
     if all_levels:

@@ -15,15 +15,15 @@ recurrence is one BLAS unit lower banded triangular solve that stops soon
 after the last classically allowed point; it forms W only on the rows it
 solves.  Fixed-W eigenvalues bisect the same counts.  A Numerov matching
 integrator cross-checks the matrix eigenvalues: with z = B y its steps are
-the count's recurrence with another t, swept in windows, so a rescale
-re-solves only the rest of its window.  The outward pass starts at the left
-wall.  The inward pass, on the reversed t, starts at the first row past the
-turning point where the WKB decay depth h sum sqrt(q) reaches 40, before
-any row where Numerov's step is invalid (B <= 0).  There it carries the
-solution that grows outward at e^-80 of the one it seeks at the matching
-point, so the matching defect is exact to rounding, and it forms t and B
-only on the rows up to that start.  A fixed-mass Schroedinger solver supports the
-weak-coupling limit trend tests.
+the count's recurrence with another t, and each pass is one dtbsv solve,
+restarted from the rescaled pair only after a rescale.  The outward pass
+starts at the left wall.  The inward pass, on the reversed t, starts at the
+first row past the turning point where the WKB decay depth h sum sqrt(q)
+reaches 40, before any row where Numerov's step is invalid (B <= 0).  There
+it carries the solution that grows outward at e^-80 of the one it seeks at
+the matching point, so the matching defect is exact to rounding, and it
+forms t and B only on the rows up to that start.  A fixed-mass Schroedinger
+solver supports the weak-coupling limit trend tests.
 """
 from __future__ import annotations
 
@@ -407,55 +407,25 @@ def _numerov_t(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return t, b
 
 
-def _numerov_sweep(t: np.ndarray, z0: float) -> tuple[np.ndarray, list[int]]:
+def _numerov_sweep(t: np.ndarray, z0: float) -> np.ndarray:
     """z[i+1] = t[i] z[i] - z[i-1] from z[-1] = 0 and z[0] = z0, for i up to
-    len(t) - 1: returns z[0..len(t)] and the samples at which it rescaled.
+    len(t) - 1: returns z[0..len(t)].
 
-    When z[k] first exceeds _RESCALE in magnitude, z[..k] is divided by
-    |z[k]| and the solve restarts from z[k-1] and z[k].  Each window starts
-    from the last two samples of the one before, so a rescale re-solves only
-    the rest of its window.  A window spans the rows that the growth seen so
-    far predicts before the next rescale, plus an eighth: the first takes
-    acosh(|t[0]| / 2) per row (no growth where |t[0]| <= 2), one after a
-    rescale the last rescale interval, any other the growth since the last
-    rescale, or 4x the rows of the one before if z has not grown.
+    One band solve covers the whole pass.  When z[k] first exceeds _RESCALE
+    in magnitude, z[..k] is divided by |z[k]| and the rest of the pass is
+    solved again from z[k-1] and z[k].
     """
     n = len(t) + 2
     z = np.empty(n)
     z[0], z[1] = 0.0, z0
-    band = np.empty((3, n), order="F")
-    band[2] = 1.0
-    np.negative(t, out=band[1, 1:-1])
-    t0 = abs(float(t[0])) if len(t) else 0.0
-    span = _span(math.acosh(0.5 * t0) if t0 > 2.0 else 0.0, abs(z0), n)
-    rescales = []
-    done, base, base_mag = 2, 0, abs(z0)  # entries known, ghost first; last rescale
-    while done < n:
-        rows = min(span, n - done)
-        j = _band_solve(band[:, done - 2:done + rows], z[done - 2:done + rows])
-        if j is not None:
-            k = done - 2 + j
-            z[:k + 1] /= abs(z[k])
-            rescales.append(k - 1)
-            span = (k - base) * 9 // 8 + 16
-            base, base_mag, done = k, 1.0, k + 1
-            continue
-        done += rows
-        mag = max(abs(z[done - 2]), abs(z[done - 1]))
-        if mag > base_mag:
-            span = _span(math.log(mag / base_mag) / (done - 1 - base), mag, n)
-        else:
-            span = 4 * rows
-    return z[1:], rescales
-
-
-def _span(growth: float, mag: float, n: int) -> int:
-    """Rows until a solution of magnitude mag growing by e^growth per row
-    passes _RESCALE, plus an eighth; n when it does not grow."""
-    if not growth > 0.0:
-        return n
-    headroom = math.log(_RESCALE / mag) if 0.0 < mag < _RESCALE else 0.0
-    return min(int(headroom / growth * 1.125) + 16, n)
+    band = np.ones((3, n), order="F")  # row 2 stays 1
+    band[1, 1:-1] = -t
+    start = 0
+    while (j := _band_solve(band[:, start:], z[start:])) is not None:
+        k = start + j
+        z[:k + 1] /= abs(z[k])
+        start = k - 1
+    return z[1:]
 
 
 def _matching_index(q: np.ndarray) -> int:
@@ -541,8 +511,8 @@ def numerov_defect(well: SturmCounter, c: float,
     m, q = _numerov_rows(well, c, sigma)
     e = len(q) - 1
     t, b = _numerov_t(q, h)
-    z_out, _ = _numerov_sweep(t[:m + 1], b[0] * h)          # samples 0..m+1
-    z_in = _numerov_sweep(t[m:][::-1], b[-1] * h)[0][::-1]  # samples m-1..e
+    z_out = _numerov_sweep(t[:m + 1], b[0] * h)          # samples 0..m+1
+    z_in = _numerov_sweep(t[m:][::-1], b[-1] * h)[::-1]  # samples m-1..e
 
     # y at samples m-1, m, m+1 of both, scaled to O(1)
     b3 = b[m - 1:m + 2].tolist()

@@ -151,6 +151,13 @@ class TestEq45:
         # A = 0 at zero coupling and B > 0: A^2 - B < 0 -> no real branch.
         assert eq45_rhs(p, 0.5, 0) == (None, None)
 
+    @pytest.mark.parametrize("n_brackets", [closedform.N_BRACKETS, 400])
+    def test_middle_seed_is_zero(self, monkeypatch, default_params, n_brackets):
+        # the NegativeUnderSqrt flag reads the seed values at E = 0 there
+        monkeypatch.setattr(closedform, "N_BRACKETS", n_brackets)
+        for params in (default_params, DEFAULT_PARAMS):
+            assert closedform._seed_energies(params)[n_brackets // 2] == 0.0
+
     @pytest.mark.usefixtures("coarse_scan")
     def test_free_case_no_levels(self):
         p = DEFAULT_PARAMS.replace(D_e=0.0)
@@ -232,6 +239,30 @@ class TestSeedValues:
                     ys, scalar = ys[valid], scalar[valid]
                     assert ys.tobytes() == scalar.tobytes()
 
+    @given(point=st.fixed_dictionaries({name: st.floats(lo, hi)
+                                        for name, (lo, hi) in SWEEP_BOX.items()}),
+           s_sign=st.sampled_from(SSign))
+    # the flag is on at every n across the box; outside it, here, it is off
+    # for n >= 1
+    @example(point={"K": 1.3, "k1": -1.2, "k2": 1.9, "omega": 0.25, "D_e": 30.0},
+             s_sign=SSign.POSITIVE)
+    @settings(max_examples=60, deadline=None)
+    def test_negative_under_sqrt_flag_from_seeds(self, point, s_sign):
+        # the flag read off the seed values is the scalar probe's: both
+        # branches None at an end of the window or at E = 0
+        try:
+            params = HylleraasParams(M=1.0, s_sign=s_sign, **point)
+        except DegenerateParams:
+            assume(False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(closedform, "N_BRACKETS", 200)
+            seeds = closedform._seed_energies(params)
+            results = energy_eq45_result(params, range(4))
+        for n, result in results.items():
+            probed = any(eq45_rhs(params, x, n) == (None, None)
+                         for x in (float(seeds[0]), 0.0, float(seeds[-1])))
+            assert (FLAG_NEGATIVE_UNDER_SQRT in result.region_flags) == probed
+
 
 class TestWorkCount:
     """One engine call evaluates its seeds as arrays: a per-seed scalar
@@ -280,9 +311,11 @@ class TestWorkCount:
         assert 0 < len(calls) < 200
 
     def test_eq45_appendix_a_forms_calls(self, monkeypatch):
+        # DEFAULT_PARAMS has no eq45 root: the seed array's one call serves
+        # every n, NegativeUnderSqrt flag included
         calls = self._count(monkeypatch, "appendix_a_forms")
         energy_eq45_result(DEFAULT_PARAMS, range(4))
-        assert 0 < len(calls) < 200
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("engine_result, residual", [
         (energy_mechanical_result, "mechanical_residual"),

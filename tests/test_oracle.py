@@ -251,6 +251,21 @@ def solved_rows(monkeypatch):
     return rows
 
 
+@pytest.fixture
+def band_solves(monkeypatch):
+    """What each oracle._band_solve call returns, appended as the calls are
+    made: None, or the solved sample past _RESCALE from which it restarts."""
+    returns = []
+    solve = oracle._band_solve
+
+    def recording(band, x):
+        returns.append(solve(band, x))
+        return returns[-1]
+
+    monkeypatch.setattr(oracle, "_band_solve", recording)
+    return returns
+
+
 class TestSturmCount:
     def test_free_box_counts(self):
         # the three-point box Laplacian has lambda_k = (4/h^2) sin^2(k pi / (2(N+1)))
@@ -343,23 +358,15 @@ class TestSturmCount:
         assert SturmCounter(w, grid).count(1.0, 0.0) == 1
         assert SturmCounter(w, grid).count(1.0, -1e-9) == 0
 
-    def test_overflow_restart(self, monkeypatch):
+    def test_overflow_restart(self, band_solves):
         # sigma above the spectrum (4/h^2 + max W): every t < -2, so y
         # alternates and grows by |t| per step and passes 1e100 many times
         params, grid = B_NEGATIVE_WELL.replace(D_e=5000.0), well_grid(1000)
         w = 2.0 * (0.5 + params.M) * potential_V(grid.points, params)
         sigma = 1e5
         assert sigma > 4.0 / grid.h ** 2 + float(np.max(w))
-        overs = []
-        solve = oracle._band_solve
-
-        def recording(*args, **kwargs):
-            overs.append(solve(*args, **kwargs))
-            return overs[-1]
-
-        monkeypatch.setattr(oracle, "_band_solve", recording)
         assert SturmCounter(w, grid).count(1.0, sigma) == sturm_count_hp(w, grid, sigma) == grid.n
-        assert sum(k is not None for k in overs) >= 3
+        assert sum(k is not None for k in band_solves) >= 3
 
     def test_tail_stop(self, solved_rows):
         # W ~1e26 at the far wall: the count stops soon after the last
@@ -619,7 +626,7 @@ class TestNumerovShooter:
         assert shot.residual == abs(defect(well, 2.0 * (E + M), E * E - M * M)[0])
 
     @pytest.mark.parametrize("n", [4000, 16000])
-    def test_huge_w_never_rescales(self, monkeypatch, n):
+    def test_huge_w_never_rescales(self, band_solves, n):
         # the inward pass starts before the far wall's B <= 0 rows, where t
         # reads about -10 and z passed 1e100 every ~100 rows: from the far
         # wall a shoot rescaled 986 times at N = 4000 and 4,290 at N = 16000
@@ -627,18 +634,11 @@ class TestNumerovShooter:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridHeuristicWarning)
             E = solve_relativistic(HUGE_W_PARAMS, 0, grid).E
-        rescales, sweep = [], oracle._numerov_sweep
-
-        def recording(t, z0):
-            z, at = sweep(t, z0)
-            rescales.extend(at)
-            return z, at
-
-        monkeypatch.setattr(oracle, "_numerov_sweep", recording)
+        band_solves.clear()
         shot = numerov_shoot(HUGE_W_PARAMS, 0, grid, (E - 0.05, E + 0.05))
         assert shot.found
         assert shot.flags == frozenset()
-        assert rescales == []
+        assert band_solves and all(j is None for j in band_solves)
 
     def test_no_sign_change(self):
         # free particle in a box: no level below the first box eigenvalue
@@ -705,27 +705,6 @@ def well_q(n, E=WELL_E0):
     return 2.0 * (E + M) * v - (E * E - M * M)
 
 
-def restart_solve(t, z0):
-    """The sweep before windows: one solve of the unit band [1, -t, 1] over
-    the whole remaining range after every rescale; returns z[0..len(t)]."""
-    z = np.empty(len(t) + 2)
-    z[0], z[1] = 0.0, z0
-    band = np.ones((3, len(z)), order="F")
-    band[1, 1:-1] = -t
-    start = 0
-    while True:
-        band[1, start] = 0.0
-        x = z[start:]
-        x[2:] = 0.0
-        x[2:] = dtbsv(2, band[:, start:], x, lower=1, diag=1)[2:]
-        over = np.flatnonzero(np.abs(x[2:]) > oracle._RESCALE)
-        if not over.size:
-            return z[1:]
-        k = start + 2 + int(over[0])
-        z[: k + 1] /= abs(z[k])
-        start = k - 1
-
-
 def reference_defect(q, h, m):
     """numerov_defect's Wronskian from the per-sample y recurrence: outward
     to m+1, and inward from q's last row, the outward recurrence of the
@@ -779,33 +758,34 @@ class TestNumerovIntegrator:
         envelope = np.maximum.accumulate(np.abs(ref))
         assert np.all(np.abs(y - ref) <= rel * envelope + np.finfo(float).tiny)
 
-    def check(self, q, h, upto, y_rel=1e-12):
+    def check(self, band_solves, q, h, upto, y_rel=1e-12):
         """Samples 0..upto of the sweep of q's t from z[0] = B[0] h, taken
         both from t and, as the inward pass takes it, from the reversed t of
         the mirrored q: z against the per-sample z recurrence, which must
-        also rescale at the same samples, and y = z / B against the
-        per-sample y recurrence, to y_rel of its envelope.  Returns the
-        rescale count."""
+        also rescale as often, and y = z / B against the per-sample y
+        recurrence, to y_rel of its envelope.  The sweep makes one band
+        solve, and one more after each rescale.  Returns the rescale count."""
         t, b = oracle._numerov_t(q, h)
         expected = []
         z_ref = np.array(reference_z(t[:upto].tolist(), b[0] * h, expected))
         y_ref = np.array(reference_outward(q.tolist(), h, upto, []))
         mirrored, _ = oracle._numerov_t(q[::-1].copy(), h)
         for tt in (t[:upto], mirrored[len(q) - upto:][::-1]):
-            z, rescales = oracle._numerov_sweep(tt, b[0] * h)
+            band_solves.clear()
+            z = oracle._numerov_sweep(tt, b[0] * h)
             assert z.shape == (upto + 1,)
-            assert rescales == expected
+            assert len(band_solves) == len(expected) + 1
             assert np.all(np.abs(z) <= oracle._RESCALE)
             self.agree(z, z_ref)
             self.agree(z / b[:upto + 1], y_ref, y_rel)
         return len(expected)
 
     @pytest.mark.parametrize("upto", [0, 1, 2, 999])
-    def test_short_and_full_ranges(self, upto):
+    def test_short_and_full_ranges(self, band_solves, upto):
         q = well_q(1000)[::-1]
-        self.check(q, well_grid(1000).h, upto)
+        self.check(band_solves, q, well_grid(1000).h, upto)
 
-    def test_free_box_never_rescales(self):
+    def test_free_box_never_rescales(self, band_solves):
         # the lowest box level: one half-wave, bounded everywhere.  The
         # near-double root of the recurrence turns a last-bit difference of
         # its coefficient into a growing phase drift: against the recurrence
@@ -816,38 +796,23 @@ class TestNumerovIntegrator:
         # 1e-12.
         grid = box_grid(L, 400)
         q = np.full(grid.n, -(math.pi / L) ** 2)
-        assert self.check(q, grid.h, grid.n - 1, y_rel=1e-11) == 0
+        assert self.check(band_solves, q, grid.h, grid.n - 1, y_rel=1e-11) == 0
 
     @pytest.mark.parametrize("n", [1000, 16000])
-    def test_well_both_directions(self, n):
+    def test_well_both_directions(self, band_solves, n):
         # the two ranges numerov_defect integrates: outward to the matching
         # point, and inward from the far wall back to it, which is the
         # outward sweep of the mirrored q
         q, h = well_q(n), well_grid(n).h
         m = oracle._matching_index(q)
-        outward = self.check(q, h, m + 1)
-        inward = self.check(q[::-1], h, n - m)
+        outward = self.check(band_solves, q, h, m + 1)
+        inward = self.check(band_solves, q[::-1], h, n - m)
         assert outward + inward >= 1
 
-    def test_steep_q_rescales_repeatedly(self):
+    def test_steep_q_rescales_repeatedly(self, band_solves):
         # growth e^(h sqrt(q)) = e per step passes 1e100 every ~230 samples
         q = np.full(1000, 1e4)
-        assert self.check(q, 0.01, 999) >= 3
-
-    @pytest.mark.parametrize("case", ["well", "huge-w", "steep", "box"])
-    def test_windows_change_no_bit(self, case):
-        # each sweep gives bit for bit the entries of one solve over the
-        # whole remaining range after every rescale, from t and from the
-        # reversed view that the inward pass solves alike
-        well, c, sigma = numerov_case(case)
-        q, h = c * well.v - sigma, well.h
-        t, b = oracle._numerov_t(q, h)
-        n = len(q)
-        for upto in (2, 40, n // 3, n - 1):
-            z, _ = oracle._numerov_sweep(t[:upto], b[0] * h)
-            assert np.array_equal(z, restart_solve(t[:upto], b[0] * h))
-            z, _ = oracle._numerov_sweep(t[n - upto:][::-1], b[-1] * h)
-            assert np.array_equal(z, restart_solve(t[::-1][:upto].copy(), b[-1] * h))
+        assert self.check(band_solves, q, 0.01, 999) >= 3
 
     @pytest.mark.parametrize("case", ["well", "huge-w", "steep", "box"])
     def test_defect_keeps_its_value_and_sign(self, case):
@@ -901,17 +866,14 @@ class TestNumerovIntegrator:
             assert np.all(depth[:-1] < oracle._DEPTH / h)
             assert depth[-1] >= oracle._DEPTH / h or q[e + 1] * (h * h / 12.0) >= 1.0
 
-    def test_one_defect_solves_each_row_about_once(self, solved_rows):
-        # One defect on the well's finest grid: each pass solves its samples
-        # from the ghost z[-1] = 0 and z[0], outward to m+1 and inward from
-        # row e to m-1, e + 2 rows in all (N + 1 from the far wall).  A
-        # rescale's position is known only once its row is solved, so the
-        # rows after it in its window are solved again from the rescaled
-        # pair; a window spans its predicted rescale interval plus an
-        # eighth, which bounds that rework.  The inward pass starts at the
-        # decay depth _DEPTH, e < N / 4 here; from the far wall one defect
-        # solved 17.4k rows, and one solve per rescale over the whole
-        # remaining range 28,263.
+    def test_one_defect_solves_each_row_about_once(self, solved_rows, band_solves):
+        # One defect on the well's finest grid: each pass is one band solve
+        # of its samples from the ghost z[-1] = 0 and z[0], outward to m+1
+        # and inward from row e to m-1, e + 2 rows in all (N + 1 from the
+        # far wall).  The inward pass starts at the decay depth _DEPTH,
+        # e < N / 4 here, and grows by about e^_DEPTH, far below _RESCALE,
+        # so neither pass rescales and no row is solved twice; from the far
+        # wall one defect solved 17.4k rows in windows.
         n = 16000
         grid = well_grid(n)
         well = SturmCounter(potential_V(grid.points, B_NEGATIVE_WELL), grid)
@@ -921,8 +883,8 @@ class TestNumerovIntegrator:
         solved_rows.clear()
         oracle.numerov_defect(well, c, sigma)
         assert e < n // 4
-        assert len(solved_rows) <= 6
-        assert e + 2 <= sum(solved_rows) <= (e + 2) + (e + 2) // 8
+        assert band_solves == [None, None]
+        assert sum(solved_rows) == e + 2
 
 
 class TestNumerovRegression:

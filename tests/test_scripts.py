@@ -32,22 +32,24 @@ def test_convergence_study_orders():
 
 def test_kernel_costs_smoke():
     # one row per case, every cost a positive number (each case has an
-    # n = 0 level at N = 400) and the defect's inward pass starting past its
-    # matching index, at most at the far wall; then one row per
-    # eigen_tridiagonal case, and one per closed-form engine
+    # n = 0 level at N = 400), one band solve per pass of the defect, and its
+    # inward pass starting past its matching index, at most at the far wall;
+    # then one row per eigen_tridiagonal case, and one per closed-form engine
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_costs.py"),
                            "--n", "400", "--repeat", "1"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     levels, eigen, closed = proc.stdout.split("\n\n")
     header, *rows = levels.splitlines()
-    assert header.split() == ["case", "N", "counts", "us/count", "us/defect", "m", "start"]
+    assert header.split() == ["case", "N", "counts", "us/count", "us/defect", "solves", "m",
+                              "start"]
     assert [row[:16].strip() for row in rows] == [
         "default grid", "well D_e=5000", "huge W (c = 0)"]
     for row in rows:
-        n, counts, per_count, per_defect, m, start = row[16:].split()
+        n, counts, per_count, per_defect, solves, m, start = row[16:].split()
         assert int(n) == 400 and int(counts) > 0
         assert float(per_count) > 0 and float(per_defect) > 0
+        assert int(solves) == 2
         assert 2 <= int(m) < int(start) <= int(n) - 1
     header, *rows = eigen.splitlines()
     assert header.split() == ["eigen_tridiagonal", "N", "us/eigenvalue"]
