@@ -246,20 +246,12 @@ FIXTURES = (
 def run_selftest(stream=None) -> int:
     """Run the embedded fixtures; prints one line per fixture; 0 iff all pass."""
     stream = stream or sys.stdout
-    use_color = (os.environ.get("HYKG_NO_COLOR") is None
-                 and hasattr(stream, "isatty") and stream.isatty())
-
-    def paint(txt, ok):
-        if not use_color:
-            return txt
-        return f"\x1b[32m{txt}\x1b[0m" if ok else f"\x1b[31m{txt}\x1b[0m"
-
     failures = 0
     for name, fn, tol in FIXTURES:
         defect = fn()
         ok = defect <= tol
         failures += 0 if ok else 1
-        stream.write(f"{name:28s} {paint('PASS' if ok else 'FAIL', ok)} "
+        stream.write(f"{name:28s} {'PASS' if ok else 'FAIL'} "
                      f"(defect {defect:.1e}, tol {tol:.1e})\n")
     return 0 if failures == 0 else 1
 

@@ -32,7 +32,6 @@ from .hylleraas import (HylleraasParams, appendix_a_forms, appendix_constants, e
                         square)
 from .levels import (
     FLAG_BRANCH_GAP,
-    FLAG_DUPLICATE_MERGED,
     FLAG_EPS2_NEGATIVE,
     FLAG_NEGATIVE_UNDER_SQRT,
     FLAG_NO_ROOT,
@@ -47,8 +46,8 @@ from .nu import BranchGap, NUInput, Poly2, lambda_n_value, lenient_branch_array,
 from .rootfind import scan_roots, seed_grid
 
 # Scan protocol shared by the closed-form engines, read at call time: 2000
-# brackets over the bound-state window |E| <= M (1 - 1e-9), bisection to
-# 1e-12 absolute in E, duplicate roots merged within 1e-9 M.
+# brackets over the bound-state window |E| <= M (1 - 1e-9), Brent refinement
+# to 1e-12 absolute in E.
 #
 # Each engine solves every requested n in one call.  Only lambda_n (and the
 # eq45 n-terms) depend on n; the constant cascade, the NU closure and the
@@ -68,7 +67,6 @@ from .rootfind import scan_roots, seed_grid
 # array, its bit-identical twin.
 N_BRACKETS = 2000
 TOL_E = 1e-12
-DEDUP_FACTOR = 1e-9
 RESIDUAL_REL = 1e-8
 EQ45_RESIDUAL_REL = 1e-10
 WINDOW_SHRINK = 1e-9
@@ -102,8 +100,6 @@ class ClosedFormIntermediates:
     -2 (muJ - 4 alpha1).  The two disagree by 4 alpha1; both are kept.
     """
 
-    E: float
-    n: int
     k: complex
     tau_slope: complex
     tau_prime_printed: complex
@@ -111,8 +107,6 @@ class ClosedFormIntermediates:
     lam_n: complex
     muJ: complex
     nuJ: complex
-    U2: float
-    V2: float
     flags: frozenset[str]
 
 
@@ -160,10 +154,9 @@ def intermediates(params: HylleraasParams, E: float, n: int) -> ClosedFormInterm
     lam_n = _lam_n_printed(muJ, a1, n)
 
     return ClosedFormIntermediates(
-        E=E, n=n, k=k, tau_slope=4.0 * a1 - 2.0 * muJ,
+        k=k, tau_slope=4.0 * a1 - 2.0 * muJ,
         tau_prime_printed=-2.0 * (muJ - 4.0 * a1),
-        lam=lam, lam_n=lam_n, muJ=muJ, nuJ=nuJ,
-        U2=cst.U2, V2=cst.V2, flags=frozenset(flags))
+        lam=lam, lam_n=lam_n, muJ=muJ, nuJ=nuJ, flags=frozenset(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +259,16 @@ def _scan(params: HylleraasParams, n: int, engine: Engine, f, seeds, ys,
         judged[root] = judge(root)
         return judged[root][1]
 
-    scan = scan_roots(f, seeds, ys, TOL_E, dedup=DEDUP_FACTOR * M, accept=accept)
+    scan = scan_roots(f, seeds, ys, TOL_E, accept=accept)
     region: set[str] = set()
     if scan.had_gaps:
         region.add(FLAG_BRANCH_GAP)
     if not scan.roots:
         region.add(FLAG_NO_ROOT)
         return EngineResult([], frozenset(region))
-    # attribute each merge to the surviving root nearest the dropped one
-    merged = {min(scan.roots, key=lambda x: abs(x - r)) for r in scan.merged_duplicates}
     levels = []
     for root in scan.roots:
-        residual, _, engine_flags = judged[root] if root in judged else judge(root)
-        flags = set(engine_flags)
-        if root in merged:
-            flags.add(FLAG_DUPLICATE_MERGED)
+        residual, _, flags = judged[root] if root in judged else judge(root)
         levels.append(EnergyLevel(n=n, E=root, Ebar=root * root - M ** 2, engine=engine,
                                   residual=residual, flags=frozenset(flags)))
     return EngineResult(levels, frozenset(region))

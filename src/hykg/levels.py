@@ -16,7 +16,6 @@ class Engine(str, enum.Enum):
 FLAG_EPS2_NEGATIVE = "Eps2Negative"
 FLAG_BRANCH_GAP = "BranchGap"
 FLAG_NO_ROOT = "NoRoot"
-FLAG_DUPLICATE_MERGED = "DuplicateMerged"
 FLAG_NEGATIVE_UNDER_SQRT = "NegativeUnderSqrt"
 FLAG_NODE_MISMATCH = "NodeMismatch"
 FLAG_TAU_PRIME_NONNEG = "TauPrimeNonNegative"

@@ -54,9 +54,6 @@ class Poly2:
     def max_abs_coeff(self) -> float:
         return max(abs(self.c0), abs(self.c1), abs(self.c2))
 
-    def coeffs(self) -> tuple[float, float, float]:
-        return (self.c0, self.c1, self.c2)
-
 
 class SignChoice(enum.Enum):
     PLUS = "+"
@@ -317,7 +314,7 @@ def _solve_k_array(inp: NUInput, scale: np.ndarray):
     sq = np.sqrt(disc)
     q = -(qb + np.copysign(sq, qb)) / 2.0
     r1, r2 = q / qa, qc / q
-    # the pair solve_k dedups and sorts: {q/qa, qc/q}, its one root and the
+    # the pair solve_k keeps distinct and sorts: {q/qa, qc/q}, its one root and the
     # root's partner -qb/qa - x, or {0, -qb/qa} when q vanishes
     x = np.where(q == 0.0, 0.0, r1)
     single = ((qc == 0.0) & (sq == 0.0)) | (r1 == r2)

@@ -88,8 +88,7 @@ def brent(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
 
 @dataclass(frozen=True)
 class ScanResult:
-    roots: list[float]
-    merged_duplicates: list[float]   # roots dropped by the dedup tolerance
+    roots: list[float]               # in seed order
     rejected: list[float]            # refined crossings `accept` turned down
     had_gaps: bool                   # some sample points were exclusion zones
 
@@ -106,8 +105,7 @@ def sample(f: Callable[[float], object], xs: np.ndarray) -> np.ndarray:
 
 
 def scan_roots(f: Callable[[float], object], xs: np.ndarray, ys: np.ndarray,
-               tol_x: float, dedup: float = 0.0,
-               accept: Callable[[float], bool] | None = None) -> ScanResult:
+               tol_x: float, accept: Callable[[float], bool] | None = None) -> ScanResult:
     """Refine each sign change of f between consecutive seeds xs.
 
     `ys` holds f on `xs`; a non-finite value marks a seed where f is
@@ -116,7 +114,9 @@ def scan_roots(f: Callable[[float], object], xs: np.ndarray, ys: np.ndarray,
     `accept(root)`, asked once per refined root, can reject roots whose
     residual did not collapse (jump discontinuities masquerading as
     crossings).  A root taken at a seed where f is exactly 0 is not refined
-    and not asked about.
+    and not asked about.  Brackets are disjoint and visited in seed order,
+    so the roots come out ascending for ascending seeds; every refined
+    crossing is reported, however close to another.
     """
     ys = np.asarray(ys, dtype=float)
     if ys.shape != np.shape(xs):
@@ -149,18 +149,7 @@ def scan_roots(f: Callable[[float], object], xs: np.ndarray, ys: np.ndarray,
         roots.append(root)
     if ys[-1] == 0.0:
         roots.append(float(xs[-1]))
-
-    roots.sort()
-    merged: list[float] = []
-    if dedup > 0 and roots:
-        kept = [roots[0]]
-        for r in roots[1:]:
-            if abs(r - kept[-1]) <= dedup:
-                merged.append(r)
-            else:
-                kept.append(r)
-        roots = kept
-    return ScanResult(roots, merged, rejected, had_gaps)
+    return ScanResult(roots, rejected, had_gaps)
 
 
 def estimate_order(hs: Sequence[float], values: Sequence[float]) -> tuple[float, bool]:

@@ -473,10 +473,3 @@ class TestSelftest:
         assert run_selftest(stream=buf) == 1
         failed = [line.split()[0] for line in buf.getvalue().splitlines() if "FAIL" in line]
         assert failed == ["box-matrix", "oscillator-odd-states"]
-
-    def test_no_color_env(self, monkeypatch):
-        monkeypatch.setenv("HYKG_NO_COLOR", "1")
-        buf = io.StringIO()
-        buf.isatty = lambda: True
-        run_selftest(stream=buf)
-        assert "\x1b[" not in buf.getvalue()

@@ -40,8 +40,8 @@ class TestBuildNuInput:
         # K = k1 = k2 = 0 gives a = b = c = 0: sigma = 2 s^2, tau_tilde = 2 s.
         p = HylleraasParams(K=0.0, k1=0.0, k2=0.0, omega=0.25, D_e=1.0, M=1.0)
         inp = build_nu_input(p, 0.5)
-        assert inp.sigma.coeffs() == (0.0, 0.0, 2.0)
-        assert inp.tau_tilde.coeffs() == (0.0, 2.0, 0.0)
+        assert (inp.sigma.c0, inp.sigma.c1, inp.sigma.c2) == (0.0, 0.0, 2.0)
+        assert (inp.tau_tilde.c0, inp.tau_tilde.c1, inp.tau_tilde.c2) == (0.0, 2.0, 0.0)
 
     def test_linear_coefficient_is_constructed_beta2(self, default_params):
         cst = appendix_constants(default_params, 0.5)
@@ -166,7 +166,7 @@ class TestEq45:
         assert FLAG_NO_ROOT in res.region_flags
 
     @pytest.mark.usefixtures("coarse_scan")
-    def test_plus_minus_flags_and_dedup(self, default_params):
+    def test_plus_minus_flags_and_distinct_levels(self, default_params):
         res = energy_eq45_result(default_params, (0,))[0]
         for lvl in res.levels:
             assert ("SignPlus" in lvl.flags) or ("SignMinus" in lvl.flags)
@@ -368,3 +368,21 @@ class TestRootFlags:
                     if negative:
                         flagged.add(level.engine)
         assert flagged == flagged_engines
+
+
+class TestScan:
+    def test_close_crossings_are_both_levels(self, default_params):
+        # two crossings 1e-10 apart, one on either side of a seed, give two
+        # ascending levels that carry only the judge's flags
+        seeds = closedform._seed_energies(default_params)
+        mid = float(seeds[len(seeds) // 3])
+        lo, hi = mid - 5e-11, mid + 5e-11
+        f = lambda E: (E - lo) * (E - hi)
+        result = closedform._scan(default_params, 0, Engine.MECHANICAL_NU, f, seeds,
+                                  (seeds - lo) * (seeds - hi),
+                                  lambda E: (abs(f(E)), True, ()))
+        tol = 3 * closedform.TOL_E
+        assert [level.E for level in result.levels] == [pytest.approx(lo, abs=tol),
+                                                        pytest.approx(hi, abs=tol)]
+        assert [level.flags for level in result.levels] == [frozenset(), frozenset()]
+        assert result.region_flags == frozenset()

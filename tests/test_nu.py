@@ -43,17 +43,17 @@ def quantization_residual(inp, n):
 class TestUnderRoot:
     def test_k0(self):
         q = under_root_quadratic(toy_input(), 0.0)
-        assert q.coeffs() == (0.25, 0.0, 1.0)
+        assert (q.c0, q.c1, q.c2) == (0.25, 0.0, 1.0)
 
     def test_k1(self):
         q = under_root_quadratic(toy_input(), 1.0)
-        assert q.coeffs() == (0.25, 1.0, 1.0)
+        assert (q.c0, q.c1, q.c2) == (0.25, 1.0, 1.0)
 
     def test_constructed_cancellation(self):
         # sigma_tilde = ((sigma' - tau_tilde)/2)^2 makes Q_0 identically zero.
         inp = NUInput(Poly2(0, 1, 0), Poly2(0, 0, 0), Poly2(0.25, 0, 0))
         q = under_root_quadratic(inp, 0.0)
-        assert q.coeffs() == (0.0, 0.0, 0.0)
+        assert (q.c0, q.c1, q.c2) == (0.0, 0.0, 0.0)
 
 
 class TestSolveK:
@@ -95,16 +95,16 @@ class TestSolveK:
 class TestPiCandidates:
     def test_k_minus_one_branches(self):
         cands = [c for c in pi_candidates(toy_input()) if c.k == pytest.approx(-1.0)]
-        pis = {c.sign_choice: c.pi for c in cands}
+        pis = {c.sign_choice: (c.pi.c0, c.pi.c1, c.pi.c2) for c in cands}
         # sqrt(Q) = s - 1/2; plus branch: 1/2 + (s - 1/2) = s; minus: 1 - s
-        assert pis[SignChoice.MINUS].coeffs() == pytest.approx((1.0, -1.0, 0.0))
-        assert pis[SignChoice.PLUS].coeffs() == pytest.approx((0.0, 1.0, 0.0))
+        assert pis[SignChoice.MINUS] == pytest.approx((1.0, -1.0, 0.0))
+        assert pis[SignChoice.PLUS] == pytest.approx((0.0, 1.0, 0.0))
 
     def test_k_plus_one_branches(self):
         cands = [c for c in pi_candidates(toy_input()) if c.k == pytest.approx(1.0)]
-        pis = {c.sign_choice: c.pi for c in cands}
-        assert pis[SignChoice.PLUS].coeffs() == pytest.approx((1.0, 1.0, 0.0))
-        assert pis[SignChoice.MINUS].coeffs() == pytest.approx((0.0, -1.0, 0.0))
+        pis = {c.sign_choice: (c.pi.c0, c.pi.c1, c.pi.c2) for c in cands}
+        assert pis[SignChoice.PLUS] == pytest.approx((1.0, 1.0, 0.0))
+        assert pis[SignChoice.MINUS] == pytest.approx((0.0, -1.0, 0.0))
 
     def test_constant_root(self):
         # Q_k constant: sigma = s, sigma_tilde = -c^2 + ((sigma')/2)^2 ... take
@@ -255,7 +255,7 @@ class TestProperties:
                 # (pi - h)^2 == Q_k coefficientwise
                 d0, d1 = cand.pi.c0 - h.c0, cand.pi.c1 - h.c1
                 sq = (d0 * d0, 2 * d0 * d1, d1 * d1)
-                for got, want in zip(sq, q.coeffs()):
+                for got, want in zip(sq, (q.c0, q.c1, q.c2)):
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-9 * (1 + inp.scale()) ** 2)
                 # tau = tau_tilde + 2 pi, lam = k + pi' as stored
                 assert cand.tau.c0 == inp.tau_tilde.c0 + 2 * cand.pi.c0

@@ -1,4 +1,4 @@
-"""Every top-level function or class of hykg has a caller.
+"""Every top-level function or class of hykg, and every method, has a caller.
 
 Code with no caller in the program is deleted, not kept alive by its own
 tests.  A name counts as used when some Name or Attribute node outside its
@@ -11,11 +11,16 @@ of the same name elsewhere does not keep a definition alive.  The scan
 reads the syntax tree, so a name inside a string or a comment does not
 count.  Public definitions and private module-level functions (`_name`)
 are checked alike, so a helper left behind by a refactor fails here too.
+A non-dunder method or property of a hykg class counts as used when `src/hykg`,
+`bench/` or `scripts/` reads an attribute of its name outside its own
+definition; the scan cannot tell which class an attribute belongs to, so any
+read of the name counts.
 The tests' shared helpers (`tests/_*.py`) are held to the same rule: each
 of their top-level definitions is read in its own helper module or
 imported from it by some test module.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -131,6 +136,26 @@ def _used() -> set[tuple[str, str]]:
     return used
 
 
+def _method_orphans() -> set[str]:
+    """Class.name of each non-dunder method or property of a hykg class whose
+    name no attribute read outside its own definition names."""
+    modules = _modules()
+    trees = list(modules.values())
+    trees += [ast.parse(p.read_text()) for top in ("bench", "scripts")
+              for p in sorted((ROOT / top).rglob("*.py"))]
+
+    def reads(node: ast.AST) -> Counter:
+        return Counter(n.attr for n in ast.walk(node)
+                       if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+    everywhere = sum((reads(tree) for tree in trees), Counter())
+    return {f"{cls.name}.{fn.name}" for tree in modules.values() for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and everywhere[fn.name] == reads(fn)[fn.name]}
+
+
 def _orphans(private: bool) -> set[str]:
     return {name for _, name in _definitions(private) - _used()}
 
@@ -142,6 +167,11 @@ def test_every_public_definition_has_a_caller():
 
 def test_every_private_function_has_a_caller():
     orphans = _orphans(private=True)
+    assert orphans == set(), sorted(orphans)
+
+
+def test_every_method_has_a_caller():
+    orphans = _method_orphans()
     assert orphans == set(), sorted(orphans)
 
 
