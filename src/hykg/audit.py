@@ -50,7 +50,6 @@ from .levels import (
     PREFERENCE,
     Engine,
     EnergyLevel,
-    EngineResult,
     fmt_cell,
 )
 from .nu import BranchGap, quantization, solve_k
@@ -65,17 +64,17 @@ from .oracle import (
 from .wavefunction import _is_confluent, build_radial
 
 
-# The one engine x level dispatch: Engine -> (params, ns, grid) -> {n: result};
+# The one engine x level dispatch: Engine -> (params, ns, grid) -> {n: levels};
 # callers index it directly.
-# Every entry returns one levels.EngineResult per n in ns: the levels found,
-# ascending in E, or none and NoRoot among the region flags.  Each entry
-# solves every n in one call, so the work that does not depend on n is done
-# once.  Each entry looks its solver up by module-global name at call time,
-# so wrappers patched onto this module's attributes (bench/tracer.py, test
-# monkeypatching) see every call.  Iterating over Engine gives the column
-# order eq45, implicit, mechanical, oracle.
+# Every entry returns one list per n in ns: the levels found, ascending in
+# E, and an empty list for a miss.  Each entry solves every n in one call,
+# so the work that does not depend on n is done once.  Each entry looks its
+# solver up by module-global name at call time, so wrappers patched onto this
+# module's attributes (bench/tracer.py, test monkeypatching) see every call.
+# Iterating over Engine gives the column order eq45, implicit, mechanical,
+# oracle.
 ENGINES: dict[Engine, Callable[[HylleraasParams, Iterable[int], RadialGrid],
-                               dict[int, EngineResult]]] = {
+                               dict[int, list[EnergyLevel]]]] = {
     Engine.EQ45_VERBATIM: lambda p, ns, grid: energy_eq45_result(p, ns),
     Engine.IMPLICIT_LAMBDA: lambda p, ns, grid: energy_implicit_result(p, ns),
     Engine.MECHANICAL_NU: lambda p, ns, grid: energy_mechanical_result(p, ns),
@@ -146,14 +145,14 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def _pick(result: EngineResult) -> tuple[float | None, frozenset[str]]:
-    """Lowest root represents the engine in the row; extra roots are flagged.
-    A miss is NoRoot alone: region flags stay out of the row."""
-    if not result.levels:
+def _pick(levels: list[EnergyLevel]) -> tuple[float | None, frozenset[str]]:
+    """Lowest root represents the engine in the row; extra roots are flagged,
+    and a miss is flagged NoRoot."""
+    if not levels:
         return None, frozenset({FLAG_NO_ROOT})
-    first = result.levels[0]
+    first = levels[0]
     flags = set(first.flags)
-    if len(result.levels) > 1:
+    if len(levels) > 1:
         flags.add(FLAG_MULTIPLE_ROOTS)
     return first.E, frozenset(flags)
 

@@ -56,8 +56,8 @@ def compute_levels(config: RunConfig) -> list[EnergyLevel]:
     ns = range(config.n_max + 1)
     levels: list[EnergyLevel] = []
     for engine in config.engines:
-        for result in ENGINES[engine](config.params, ns, grid).values():
-            levels.extend(result.levels)
+        for found in ENGINES[engine](config.params, ns, grid).values():
+            levels.extend(found)
     return levels
 
 
@@ -91,7 +91,7 @@ def _closed_form_level(config: RunConfig, n: int,
     is solved only once the ones before it have none."""
     for engine in PREFERENCE:
         if engine is not Engine.ORACLE and engine in config.engines:
-            found = ENGINES[engine](config.params, (n,), grid)[n].levels
+            found = ENGINES[engine](config.params, (n,), grid)[n]
             if found:
                 return found[0]
     return None
@@ -112,7 +112,7 @@ def cmd_wavefunction(config: RunConfig, n: int, out_dir: Path) -> None:
     overlap = None
     e_oracle = None
     if Engine.ORACLE in config.engines:
-        found = ENGINES[Engine.ORACLE](config.params, (n,), grid)[n].levels
+        found = ENGINES[Engine.ORACLE](config.params, (n,), grid)[n]
         if found:
             e_oracle = found[0].E
             vec = oracle_eigenvector(config.params, e_oracle, grid, n)

@@ -31,16 +31,13 @@ import numpy as np
 from .hylleraas import (HylleraasParams, appendix_a_forms, appendix_constants, epsilon2,
                         square)
 from .levels import (
-    FLAG_BRANCH_GAP,
     FLAG_EPS2_NEGATIVE,
     FLAG_NEGATIVE_UNDER_SQRT,
-    FLAG_NO_ROOT,
     FLAG_SIGN_MINUS,
     FLAG_SIGN_PLUS,
     FLAG_TAU_PRIME_NONNEG,
     Engine,
     EnergyLevel,
-    EngineResult,
 )
 from .nu import BranchGap, NUInput, Poly2, lambda_n_value, lenient_branch_array, quantization
 from .rootfind import scan_roots, seed_grid
@@ -95,13 +92,12 @@ def build_nu_input(params: HylleraasParams, E: float) -> NUInput:
 class ClosedFormIntermediates:
     """The printed branch quantities at one (E, n), complex-capable.
 
-    `tau_slope` is the derivative of the printed tau polynomial;
     `tau_prime_printed` is the separately printed slope formula
-    -2 (muJ - 4 alpha1).  The two disagree by 4 alpha1; both are kept.
+    -2 (muJ - 4 alpha1); it disagrees by 4 alpha1 with 4 alpha1 - 2 muJ, the
+    derivative of the printed tau polynomial.
     """
 
     k: complex
-    tau_slope: complex
     tau_prime_printed: complex
     lam: complex
     lam_n: complex
@@ -154,8 +150,7 @@ def intermediates(params: HylleraasParams, E: float, n: int) -> ClosedFormInterm
     lam_n = _lam_n_printed(muJ, a1, n)
 
     return ClosedFormIntermediates(
-        k=k, tau_slope=4.0 * a1 - 2.0 * muJ,
-        tau_prime_printed=-2.0 * (muJ - 4.0 * a1),
+        k=k, tau_prime_printed=-2.0 * (muJ - 4.0 * a1),
         lam=lam, lam_n=lam_n, muJ=muJ, nuJ=nuJ, flags=frozenset(flags))
 
 
@@ -241,9 +236,9 @@ Verdict = tuple[float, bool, Iterable[str]]
 
 
 def _scan(params: HylleraasParams, n: int, engine: Engine, f, seeds, ys,
-          judge) -> EngineResult:
+          judge) -> list[EnergyLevel]:
     """Every root of f between consecutive seeds that `judge` accepts, as
-    `engine` levels at n.
+    `engine` levels at n, ascending in E.
 
     `seeds` is the call's `_seed_energies(params)` and `ys` is f on it, NaN
     where f is undefined; f is called by Brent only.  `judge(root)`
@@ -259,19 +254,12 @@ def _scan(params: HylleraasParams, n: int, engine: Engine, f, seeds, ys,
         judged[root] = judge(root)
         return judged[root][1]
 
-    scan = scan_roots(f, seeds, ys, TOL_E, accept=accept)
-    region: set[str] = set()
-    if scan.had_gaps:
-        region.add(FLAG_BRANCH_GAP)
-    if not scan.roots:
-        region.add(FLAG_NO_ROOT)
-        return EngineResult([], frozenset(region))
     levels = []
-    for root in scan.roots:
+    for root in scan_roots(f, seeds, ys, TOL_E, accept=accept).roots:
         residual, _, flags = judged[root] if root in judged else judge(root)
         levels.append(EnergyLevel(n=n, E=root, Ebar=root * root - M ** 2, engine=engine,
                                   residual=residual, flags=frozenset(flags)))
-    return EngineResult(levels, frozenset(region))
+    return levels
 
 
 def _lambda_verdict(lam, lam_n, f: float | None, flags: Iterable[str]) -> Verdict:
@@ -300,7 +288,7 @@ def mechanical_residual(params: HylleraasParams, E: float, n: int) -> float | Br
 
 
 def energy_mechanical_result(params: HylleraasParams,
-                             ns: Iterable[int]) -> dict[int, EngineResult]:
+                             ns: Iterable[int]) -> dict[int, list[EnergyLevel]]:
     """Mechanical-engine levels for every n in ns."""
     E = _seed_energies(params)
     inp = build_nu_input(params, E)
@@ -310,14 +298,14 @@ def energy_mechanical_result(params: HylleraasParams,
             for n in ns}
 
 
-def _mechanical_levels(params: HylleraasParams, n: int, seeds, ys) -> EngineResult:
+def _mechanical_levels(params: HylleraasParams, n: int, seeds, ys) -> list[EnergyLevel]:
     def judge(E: float) -> Verdict:
         inp = build_nu_input(params, E)
         # sigma_tilde's s^2 coefficient is -eps^2
         flags = {FLAG_EPS2_NEGATIVE} if inp.sigma_tilde.c2 >= 0 else set()
         out = quantization(inp, n)
         if isinstance(out, BranchGap):
-            return math.inf, False, flags | {FLAG_BRANCH_GAP}
+            return math.inf, False, flags
         sol, lam_n, strict_ok = out
         if not strict_ok:
             flags.add(FLAG_TAU_PRIME_NONNEG)
@@ -351,7 +339,7 @@ def _implicit_seed_terms(params: HylleraasParams, E: np.ndarray) -> tuple[np.nda
 
 
 def energy_implicit_result(params: HylleraasParams,
-                           ns: Iterable[int]) -> dict[int, EngineResult]:
+                           ns: Iterable[int]) -> dict[int, list[EnergyLevel]]:
     """Printed-pair levels for every n in ns."""
     E = _seed_energies(params)
     lam, sqrt_upv = _implicit_seed_terms(params, E)
@@ -361,7 +349,7 @@ def energy_implicit_result(params: HylleraasParams,
             for n in ns}
 
 
-def _implicit_levels(params: HylleraasParams, n: int, seeds, ys) -> EngineResult:
+def _implicit_levels(params: HylleraasParams, n: int, seeds, ys) -> list[EnergyLevel]:
     def judge(E: float) -> Verdict:
         im = intermediates(params, E, n)  # its flags hold EPS2_NEGATIVE
         return _lambda_verdict(im.lam, im.lam_n, _implicit_real(im), im.flags)
@@ -371,7 +359,7 @@ def _implicit_levels(params: HylleraasParams, n: int, seeds, ys) -> EngineResult
 
 
 def energy_eq45_result(params: HylleraasParams,
-                       ns: Iterable[int]) -> dict[int, EngineResult]:
+                       ns: Iterable[int]) -> dict[int, list[EnergyLevel]]:
     """Roots of Ebar(E) = RHS(E) for both printed sign branches, every n in ns.
 
     The constants in the right-hand side depend on E through Vbar, so the
@@ -385,10 +373,9 @@ def energy_eq45_result(params: HylleraasParams,
             for n in ns}
 
 
-def _eq45_levels(params: HylleraasParams, n: int, seeds, seed_values) -> EngineResult:
+def _eq45_levels(params: HylleraasParams, n: int, seeds, seed_values) -> list[EnergyLevel]:
     M2 = params.M ** 2
     all_levels: list[EnergyLevel] = []
-    region: set[str] = set()
     for pick, sign_flag in ((0, FLAG_SIGN_MINUS), (1, FLAG_SIGN_PLUS)):
 
         def f(E: float):
@@ -406,15 +393,7 @@ def _eq45_levels(params: HylleraasParams, n: int, seeds, seed_values) -> EngineR
                 return math.inf, False, flags
             return abs(fE), math.isfinite(fE) and abs(fE) / M2 <= EQ45_RESIDUAL_REL, flags
 
-        part = _scan(params, n, Engine.EQ45_VERBATIM, f, seeds, seed_values[pick], judge)
-        region |= part.region_flags
-        all_levels.extend(part.levels)
-    # both sign branches non-real (NaN) at an end or the middle of the window,
-    # seeds 0, N_BRACKETS // 2 (E = 0) and N_BRACKETS
-    probes = [0, len(seeds) // 2, -1]
-    if np.any(np.isnan(seed_values[0][probes]) & np.isnan(seed_values[1][probes])):
-        region.add(FLAG_NEGATIVE_UNDER_SQRT)
+        all_levels.extend(_scan(params, n, Engine.EQ45_VERBATIM, f, seeds,
+                                seed_values[pick], judge))
     all_levels.sort(key=lambda l: l.E)
-    if all_levels:
-        region.discard(FLAG_NO_ROOT)
-    return EngineResult(all_levels, frozenset(region))
+    return all_levels

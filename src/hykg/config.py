@@ -197,15 +197,26 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("[sweep] log scale needs positive endpoints")
         sweep = SweepSpec(parameter=parameter, start=start, stop=stop,
                           count=count, scale=scale)
-        for value in sweep.values():
-            try:
-                params.replace(**{parameter: value})
-            except DegenerateParams as exc:
-                raise ConfigError(f"[sweep] {parameter} = {value!r}: "
-                                  f"invalid parameters: {exc}") from exc
 
-    return RunConfig(params=params, r_max=r_max, grid_n=grid_n, engines=engines,
-                     n_max=n_max, formats=formats, sweep=sweep)
+    config = RunConfig(params=params, r_max=r_max, grid_n=grid_n, engines=engines,
+                       n_max=n_max, formats=formats, sweep=sweep)
+    # each config a command runs, the base or every sweep point, needs a grid
+    runs = {}
+    if sweep is None:
+        runs[""] = config
+    else:
+        for value in sweep.values():
+            where = f"[sweep] {parameter} = {value!r}: "
+            try:
+                runs[where] = config.with_param(parameter, value)
+            except DegenerateParams as exc:
+                raise ConfigError(f"{where}invalid parameters: {exc}") from exc
+    for where, run in runs.items():
+        try:
+            run.grid()
+        except ValueError as exc:
+            raise ConfigError(f"{where}no radial grid: {exc}") from exc
+    return config
 
 
 def params_dict(params: HylleraasParams) -> dict:

@@ -150,33 +150,27 @@ def potential_V(r: float | np.ndarray, params: HylleraasParams) -> float | np.nd
 
 @dataclass(frozen=True)
 class AppendixConstants:
-    """The full dimensionless constant cascade at a trial energy E.
+    """The constants of the dimensionless cascade that the closed forms and
+    the audit read, at a trial energy E.
 
     All fields follow the defining formulas of the closed-form derivation's
-    main chain; the explicit alternative delta, which disagrees with `delta2`,
-    is `AppendixAForms.delta_a9`.  `lam` here is spelled `Lam` to match the
+    main chain; the rest of the cascade (Vbar, beta'^2, alpha2, alpha3, xi1,
+    xi2, Lam1, Lam4, B) stays local to `appendix_constants`.  The explicit
+    alternative delta, which disagrees with `delta2`, is
+    `AppendixAForms.delta_a9`.  `lam` here is spelled `Lam` to match the
     audit schema.
     """
 
     Ebar: float
-    Vbar: float
     eps2: float
-    betap2: float
     gammap2: float
     beta2: float     # eps2 - betap2, by construction
     gamma2: float    # eps2 - gammap2, by construction
     alpha1: float
-    alpha2: float
-    alpha3: float
-    xi1: float
-    xi2: float
-    Lam1: float
     Lam2: float
     Lam3: float
-    Lam4: float
     delta2: float    # Lam3^2 + 12 Lam1, by construction
     A: float
-    B: float
     U2: float        # delta2 * (eps2 + A)^2
     V2: float        # A^2 - B
 
@@ -225,12 +219,9 @@ def appendix_constants(params: HylleraasParams, E: float) -> AppendixConstants:
 
     U2 = delta2 * square(eps2 + A)
     V2 = A * A - B
-    return AppendixConstants(Ebar=Ebar, Vbar=Vbar, eps2=eps2, betap2=betap2,
-                             gammap2=gammap2, beta2=beta2, gamma2=gamma2,
-                             alpha1=alpha1, alpha2=alpha2, alpha3=alpha3,
-                             xi1=xi1, xi2=xi2, Lam1=Lam1, Lam2=Lam2, Lam3=Lam3,
-                             Lam4=Lam4, delta2=delta2,
-                             A=A, B=B, U2=U2, V2=V2)
+    return AppendixConstants(Ebar=Ebar, eps2=eps2, gammap2=gammap2, beta2=beta2,
+                             gamma2=gamma2, alpha1=alpha1, Lam2=Lam2, Lam3=Lam3,
+                             delta2=delta2, A=A, U2=U2, V2=V2)
 
 
 def gamma2_printed(params: HylleraasParams, E: float) -> float:

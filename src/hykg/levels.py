@@ -14,7 +14,6 @@ class Engine(str, enum.Enum):
 
 # Flag vocabulary.  Kept as plain strings so level records serialize verbatim.
 FLAG_EPS2_NEGATIVE = "Eps2Negative"
-FLAG_BRANCH_GAP = "BranchGap"
 FLAG_NO_ROOT = "NoRoot"
 FLAG_NEGATIVE_UNDER_SQRT = "NegativeUnderSqrt"
 FLAG_NODE_MISMATCH = "NodeMismatch"
@@ -56,19 +55,6 @@ class EnergyLevel:
     @property
     def found(self) -> bool:
         return self.E is not None
-
-
-@dataclass(frozen=True)
-class EngineResult:
-    """What one engine reports at one n: every level it found, ascending in
-    E, plus region-level diagnostics.
-
-    ``levels`` holds found levels only; an empty ``levels`` carries
-    FLAG_NO_ROOT in ``region_flags``, the one way a missing level is reported.
-    """
-
-    levels: list[EnergyLevel]
-    region_flags: frozenset[str]
 
 
 def fmt_cell(x) -> str:

@@ -38,13 +38,7 @@ import numpy as np
 
 from .errors import NoRoot
 from .hylleraas import HylleraasParams, potential_V
-from .levels import (
-    FLAG_NO_ROOT,
-    FLAG_NODE_MISMATCH,
-    Engine,
-    EnergyLevel,
-    EngineResult,
-)
+from .levels import FLAG_NO_ROOT, FLAG_NODE_MISMATCH, Engine, EnergyLevel
 from .rootfind import brent, seed_grid
 
 
@@ -101,8 +95,9 @@ class RadialGrid:
 
 
 def default_grid(params: HylleraasParams, n: int = 4000) -> RadialGrid:
-    """r_max = 30 / ((1+K) w), r_min = h; tail coverage ~ e^-30."""
-    r_max = 30.0 / ((1.0 + params.K) * params.omega)
+    """r_max = 30 / (|1+K| w), r_min = h; tail coverage ~ e^-30: ln s moves
+    at the rate 2 |1+K| w for either sign of 1+K."""
+    r_max = 30.0 / (abs(1.0 + params.K) * params.omega)
     return RadialGrid(r_min=r_max / n, r_max=r_max, n=n)
 
 
@@ -365,16 +360,14 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
 
 
 def solve_levels(params: HylleraasParams, ns: Iterable[int],
-                 grid: RadialGrid) -> dict[int, EngineResult]:
-    """The solve_relativistic level of each n in ns as an EngineResult, all
-    walking one SeedCounts; a NoRoot record becomes an empty result flagged
-    NoRoot."""
+                 grid: RadialGrid) -> dict[int, list[EnergyLevel]]:
+    """The solve_relativistic level of each n in ns as a one-level list, all
+    walking one SeedCounts; a NoRoot record becomes an empty list."""
     seeds = SeedCounts(params, grid)
     results = {}
     for n in ns:
         level = solve_relativistic(params, n, grid, seeds)
-        results[n] = (EngineResult([level], frozenset()) if level.found else
-                      EngineResult([], frozenset({FLAG_NO_ROOT})))
+        results[n] = [level] if level.found else []
     return results
 
 

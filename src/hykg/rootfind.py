@@ -90,7 +90,6 @@ def brent(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
 class ScanResult:
     roots: list[float]               # in seed order
     rejected: list[float]            # refined crossings `accept` turned down
-    had_gaps: bool                   # some sample points were exclusion zones
 
 
 def seed_grid(lo: float, hi: float, n_brackets: int) -> np.ndarray:
@@ -122,7 +121,6 @@ def scan_roots(f: Callable[[float], object], xs: np.ndarray, ys: np.ndarray,
     if ys.shape != np.shape(xs):
         raise ValueError(f"seed values of shape {ys.shape} for seeds of shape {np.shape(xs)}")
     valid = np.isfinite(ys)
-    had_gaps = not valid.all()
     # compare signs, not products: a product of two tiny values underflows to 0
     signs = np.sign(ys)
     bracketed = valid[:-1] & valid[1:] & ((ys[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0))
@@ -149,7 +147,7 @@ def scan_roots(f: Callable[[float], object], xs: np.ndarray, ys: np.ndarray,
         roots.append(root)
     if ys[-1] == 0.0:
         roots.append(float(xs[-1]))
-    return ScanResult(roots, rejected, had_gaps)
+    return ScanResult(roots, rejected)
 
 
 def estimate_order(hs: Sequence[float], values: Sequence[float]) -> tuple[float, bool]:

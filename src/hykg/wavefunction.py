@@ -286,7 +286,6 @@ class RadialFunction:
     construction); values are then raw samples.
     """
 
-    level: EnergyLevel
     grid: np.ndarray
     values: np.ndarray
     norm_constant: float | None
@@ -370,8 +369,7 @@ def build_radial(params: HylleraasParams, level: EnergyLevel, grid,
     values = radial_R(level, params, points, reading=reading, ordering=ordering)
     confluent = _is_confluent(params)
     representation = "confluent-mechanical" if confluent else f"{reading}/{ordering}"
-    radial = RadialFunction(level=level, grid=points, values=values,
-                            norm_constant=1.0, node_count=0,
+    radial = RadialFunction(grid=points, values=values, norm_constant=1.0, node_count=0,
                             flags=frozenset({FLAG_CONFLUENT_FORM}) if confluent else frozenset(),
                             representation=representation)
     try:

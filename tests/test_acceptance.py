@@ -179,8 +179,8 @@ def test_criterion_5_hylleraas_end_to_end():
     grid = default_grid(params)
 
     mech = energy_mechanical_result(params, (0,))[0]
-    assert mech.levels, "mechanical n=0 level missing"
-    for lvl in mech.levels:
+    assert mech, "mechanical n=0 level missing"
+    for lvl in mech:
         assert -params.M < lvl.E < params.M
         assert lvl.residual <= 1e-8
 
@@ -199,8 +199,8 @@ def test_criterion_5_hylleraas_end_to_end():
         assert nodes == n
         assert FLAG_NODE_MISMATCH not in lvl.flags
 
-    gap = min(abs(m.E - oracle0.E) for m in mech.levels)
-    report(5, f"mech roots {[round(m.E, 6) for m in mech.levels]}, oracle E0 "
+    gap = min(abs(m.E - oracle0.E) for m in mech)
+    report(5, f"mech roots {[round(m.E, 6) for m in mech]}, oracle E0 "
               f"{oracle0.E:.6f}, |mech-oracle| {gap:.3e} (reported, not asserted), "
               f"nodes {node_counts}")
 
@@ -261,15 +261,12 @@ def test_criterion_7_wavefunction_suite():
 
     # normalization: idempotence, linearity, Gaussian fixture
     grid = np.linspace(0.0, 12.0, 4001)
-    from hykg.levels import Engine, EnergyLevel
-
-    lvl = EnergyLevel(n=0, E=-0.5, Ebar=-0.75, engine=Engine.ORACLE, residual=0.0)
-    base = RadialFunction(level=lvl, grid=grid, values=np.exp(-grid ** 2 / 2.0),
+    base = RadialFunction(grid=grid, values=np.exp(-grid ** 2 / 2.0),
                           norm_constant=1.0, node_count=0)
     one = normalize(base)
     two = normalize(one)
     assert two.norm_constant / one.norm_constant == pytest.approx(1.0, abs=1e-10)
-    seven = RadialFunction(level=lvl, grid=grid, values=7.0 * base.values,
+    seven = RadialFunction(grid=grid, values=7.0 * base.values,
                            norm_constant=1.0, node_count=0)
     assert normalize(seven).norm_constant == pytest.approx(one.norm_constant / 7.0,
                                                            rel=1e-12)

@@ -17,11 +17,9 @@ from hykg.errors import DegenerateParams, NotRepresentable
 from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign
 from hykg.levels import (
     FLAG_IDENTITY_NOT_COMPUTABLE,
-    FLAG_NO_ROOT,
     FLAG_REFERENCE_FALLBACK,
     Engine,
     EnergyLevel,
-    EngineResult,
 )
 from hykg.oracle import RadialGrid, SeedCounts, default_grid
 
@@ -43,8 +41,8 @@ def small_audit():
 def synthetic_engine(eng, E_values):
     """An ENGINES entry reporting one level E_values[n] at each n."""
     def levels(params, ns, grid):
-        return {n: EngineResult([EnergyLevel(n=n, E=E_values[n], Ebar=E_values[n] ** 2 - 1.0,
-                                             engine=eng, residual=0.0)], frozenset())
+        return {n: [EnergyLevel(n=n, E=E_values[n], Ebar=E_values[n] ** 2 - 1.0,
+                                engine=eng, residual=0.0)]
                 for n in ns}
     return levels
 
@@ -53,16 +51,13 @@ class TestEngineTable:
     def test_one_entry_per_engine(self):
         assert set(audit.ENGINES) == set(Engine)
 
-    # the contract of levels.EngineResult, for every entry of the table
+    # the contract of the table: {n: the levels found, ascending in E}, and
+    # an empty list for a miss, for every entry
     @pytest.mark.parametrize("engine", list(Engine))
     def test_entry_reports_a_miss_as_no_root(self, engine):
         params = DEFAULT_PARAMS.replace(D_e=0.0)
         results = ENGINES[engine](params, (0, 1), default_grid(params, n=400))
-        assert list(results) == [0, 1]
-        for result in results.values():
-            assert isinstance(result, EngineResult)
-            assert result.levels == []
-            assert FLAG_NO_ROOT in result.region_flags
+        assert results == {0: [], 1: []}
 
     @pytest.mark.parametrize("engine", list(Engine))
     def test_entry_reports_found_levels_ascending(self, engine):
@@ -70,13 +65,12 @@ class TestEngineTable:
         ns = range(config.n_max + 1)
         results = ENGINES[engine](config.params, ns, config.grid())
         assert list(results) == list(ns)
-        for n, result in results.items():
-            assert isinstance(result, EngineResult)
-            assert all(level.found and level.engine is engine and level.n == n
-                       for level in result.levels)
-            energies = [level.E for level in result.levels]
+        for n, levels in results.items():
+            assert isinstance(levels, list)
+            assert all(isinstance(level, EnergyLevel) and level.found
+                       and level.engine is engine and level.n == n for level in levels)
+            energies = [level.E for level in levels]
             assert energies == sorted(energies)
-            assert result.levels or FLAG_NO_ROOT in result.region_flags
 
     # bench/tracer.py wraps the solvers by patching module attributes, so the
     # table must look each one up by module-global name at call time
@@ -91,12 +85,12 @@ class TestEngineTable:
 
         def stub(params, ns):
             calls.append((params, list(ns)))
-            return {n: EngineResult([level], frozenset()) for n in ns}
+            return {n: [level] for n in ns}
 
         monkeypatch.setattr(audit, solver, stub)
         levels = ENGINES[engine](DEFAULT_PARAMS, (0, 1),
                                  default_grid(DEFAULT_PARAMS, n=400))
-        assert levels == {n: EngineResult([level], frozenset()) for n in (0, 1)}
+        assert levels == {n: [level] for n in (0, 1)}
         assert calls == [(DEFAULT_PARAMS, [0, 1])]
 
     def test_oracle_entry_calls_patched_solver(self, monkeypatch):
@@ -110,8 +104,7 @@ class TestEngineTable:
         levels = ENGINES[Engine.ORACLE](DEFAULT_PARAMS, (0, 1),
                                         default_grid(DEFAULT_PARAMS, n=400))
         assert calls == [0, 1]
-        assert levels == {n: EngineResult([stub(DEFAULT_PARAMS, n, None)], frozenset())
-                          for n in (0, 1)}
+        assert levels == {n: [stub(DEFAULT_PARAMS, n, None)] for n in (0, 1)}
 
     def test_patched_n_brackets_reaches_scan_and_report(self, monkeypatch):
         seen = []

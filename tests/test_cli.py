@@ -22,7 +22,7 @@ from hykg.config import (
     parse_config,
 )
 from hykg.errors import ConfigError, MissingLevel
-from hykg.levels import FLAG_NO_ROOT, Engine, EnergyLevel, EngineResult
+from hykg.levels import Engine, EnergyLevel
 
 FAST_CFG = """
 [params]
@@ -59,14 +59,12 @@ def fast_cfg_path(tmp_path):
 
 def stub_engine(eng, energies, calls=None):
     """An ENGINES entry reporting found levels at `energies`, ascending; no
-    energies is a miss, reported as every entry reports one."""
+    energies is a miss, an empty list."""
     def levels(params, ns, grid):
         if calls is not None:
             calls.append(eng)
-        return {n: EngineResult(
-                    [EnergyLevel(n=n, E=e, Ebar=e * e - 1.0, engine=eng, residual=0.0)
-                     for e in sorted(energies)],
-                    frozenset() if energies else frozenset({FLAG_NO_ROOT}))
+        return {n: [EnergyLevel(n=n, E=e, Ebar=e * e - 1.0, engine=eng, residual=0.0)
+                    for e in sorted(energies)]
                 for n in ns}
     return levels
 
@@ -119,6 +117,27 @@ class TestConfig:
         assert capsys.readouterr().err == ("config error: [sweep] omega = -0.5: "
                                            "invalid parameters: omega must be > 0\n")
         assert not out.exists()
+
+    def test_default_grid_for_k_below_minus_one(self, tmp_path):
+        # ln s moves at the rate 2 |1 + K| w for either sign of 1 + K
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[params]\nK = -2.0\n[grid]\nN = 400\n[run]\n"
+                       "engines = mechanical\nn_max = 0\n")
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert load_config(cfg).grid().r_max == pytest.approx(120.0)
+
+    def test_unbuildable_default_grid_is_config_error(self, tmp_path, capfd):
+        # 30 / (|1 + K| w) overflows to inf
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[params]\nomega = 1e-310\n")
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+        sweep = "[sweep]\nparameter = omega\nstart = 1e-310\nstop = 0.25\ncount = 2\n"
+        with pytest.raises(ConfigError, match=r"\[sweep\] omega = 1e-310: no radial grid"):
+            parse_config(sweep)
 
     def test_bad_number_rejected(self):
         with pytest.raises(ConfigError):
@@ -276,7 +295,7 @@ class TestWavefunctionCommand:
             engines=(Engine.EQ45_VERBATIM, Engine.IMPLICIT_LAMBDA,
                      Engine.MECHANICAL_NU))
         real = audit.ENGINES[Engine.MECHANICAL_NU](cfg.params, (0,),
-                                                   cfg.grid())[0].levels[0]
+                                                   cfg.grid())[0][0]
         calls = []
         monkeypatch.setitem(audit.ENGINES, Engine.MECHANICAL_NU,
                             stub_engine(Engine.MECHANICAL_NU, [], calls))

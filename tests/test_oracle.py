@@ -434,7 +434,7 @@ class TestSturmCount:
         monkeypatch.setattr(oracle, "solve_relativistic", grouped_solve)
         monkeypatch.setattr(oracle, "eigen_tridiagonal", counted_eigen)
         results = solve_levels(config.params, range(4), config.grid())
-        assert [len(result.levels) for result in results.values()] == [1, 1, 1, 1]
+        assert [len(levels) for levels in results.values()] == [1, 1, 1, 1]
         assert eigensolves == []
         assert len(per_level) == 4
         distinct = list(dict.fromkeys(x for xs in per_level for x in xs))
@@ -585,8 +585,8 @@ class TestCountBisection:
         grid = default_grid(params, n=400)
         seeds = oracle.SeedCounts(params, grid)
         tol = E_TOL_REL * params.M
-        for n, result in solve_levels(params, range(4), grid).items():
-            for level in result.levels:
+        for n, levels in solve_levels(params, range(4), grid).items():
+            for level in levels:
                 assert -params.M < level.E < params.M
                 assert (seeds.at(level.E - tol) <= n) != (seeds.at(level.E + tol) <= n)
                 # the residual is the final bracket's half-width: a bound on E

@@ -15,6 +15,9 @@ A non-dunder method or property of a hykg class counts as used when `src/hykg`,
 `bench/` or `scripts/` reads an attribute of its name outside its own
 definition; the scan cannot tell which class an attribute belongs to, so any
 read of the name counts.
+Every field of a hykg dataclass is read the same way, as an attribute of its
+name anywhere in `src/hykg`, `bench/` or `scripts/`, unless `src/hykg`
+enumerates the class with `dataclasses.fields`, which reads every field.
 The tests' shared helpers (`tests/_*.py`) are held to the same rule: each
 of their top-level definitions is read in its own helper module or
 imported from it by some test module.
@@ -29,7 +32,7 @@ TESTS = ROOT / "tests"
 
 # Kept without a caller, each for a stated use.
 ALLOWED_ORPHANS = {
-    # acceptance criteria 7 and 8 call these, and ROADMAP direction 5 keeps them
+    # the acceptance tests of criteria 7 and 8 call these
     "schrodinger_limit",
     "simpson_adaptive",
     # the plain seed scan: tests check the closure's array twins against it
@@ -136,24 +139,50 @@ def _used() -> set[tuple[str, str]]:
     return used
 
 
+def _program_trees(modules: dict[str, ast.Module]) -> list[ast.Module]:
+    """The hykg modules and every file under bench/ and scripts/."""
+    return list(modules.values()) + [ast.parse(p.read_text()) for top in ("bench", "scripts")
+                                     for p in sorted((ROOT / top).rglob("*.py"))]
+
+
 def _method_orphans() -> set[str]:
     """Class.name of each non-dunder method or property of a hykg class whose
     name no attribute read outside its own definition names."""
     modules = _modules()
-    trees = list(modules.values())
-    trees += [ast.parse(p.read_text()) for top in ("bench", "scripts")
-              for p in sorted((ROOT / top).rglob("*.py"))]
 
     def reads(node: ast.AST) -> Counter:
         return Counter(n.attr for n in ast.walk(node)
                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
 
-    everywhere = sum((reads(tree) for tree in trees), Counter())
+    everywhere = sum((reads(tree) for tree in _program_trees(modules)), Counter())
     return {f"{cls.name}.{fn.name}" for tree in modules.values() for cls in tree.body
             if isinstance(cls, ast.ClassDef)
             for fn in cls.body if isinstance(fn, ast.FunctionDef)
             and not (fn.name.startswith("__") and fn.name.endswith("__"))
             and everywhere[fn.name] == reads(fn)[fn.name]}
+
+
+def _field_orphans() -> set[str]:
+    """Class.field of each field of a hykg dataclass that no attribute read
+    names, the classes that `src/hykg` passes to `fields()` left out."""
+    modules = _modules()
+    read = {n.attr for tree in _program_trees(modules) for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    enumerated = {n.args[0].id for tree in modules.values() for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "fields" and n.args and isinstance(n.args[0], ast.Name)}
+
+    def is_dataclass(cls: ast.ClassDef) -> bool:
+        return any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                   for d in cls.decorator_list)
+
+    return {f"{cls.name}.{node.target.id}" for tree in modules.values() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+            and cls.name not in enumerated
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            and node.target.id not in read}
 
 
 def _orphans(private: bool) -> set[str]:
@@ -172,6 +201,11 @@ def test_every_private_function_has_a_caller():
 
 def test_every_method_has_a_caller():
     orphans = _method_orphans()
+    assert orphans == set(), sorted(orphans)
+
+
+def test_every_dataclass_field_is_read():
+    orphans = _field_orphans()
     assert orphans == set(), sorted(orphans)
 
 

@@ -260,9 +260,7 @@ class TestNormalize:
         # grid starts at the physical origin: the left tail check is vacuous
         grid = np.linspace(0.0, r_max, n_pts)
         values = np.exp(-grid ** 2 / 2.0)
-        lvl = level_at(-0.5, engine=Engine.ORACLE)
-        return RadialFunction(level=lvl, grid=grid, values=values,
-                              norm_constant=1.0, node_count=0)
+        return RadialFunction(grid=grid, values=values, norm_constant=1.0, node_count=0)
 
     def test_gaussian_against_analytic(self):
         # integral of exp(-r^2) over (0, inf) is sqrt(pi)/2
@@ -283,9 +281,8 @@ class TestNormalize:
 
     def test_scaling_linearity(self):
         base = self._gaussian_radial()
-        scaled = RadialFunction(level=base.level, grid=base.grid,
-                                values=7.0 * base.values, norm_constant=1.0,
-                                node_count=0)
+        scaled = RadialFunction(grid=base.grid, values=7.0 * base.values,
+                                norm_constant=1.0, node_count=0)
         n1 = normalize(base).norm_constant
         n7 = normalize(scaled).norm_constant
         assert n7 == pytest.approx(n1 / 7.0, rel=1e-12)
@@ -293,8 +290,7 @@ class TestNormalize:
     def test_tail_not_converged(self):
         grid = np.linspace(0.1, 5.0, 500)
         values = np.ones(500)
-        rad = RadialFunction(level=level_at(0.0), grid=grid, values=values,
-                             norm_constant=1.0, node_count=0)
+        rad = RadialFunction(grid=grid, values=values, norm_constant=1.0, node_count=0)
         with pytest.raises(TailNotConverged):
             normalize(rad)
 
