@@ -61,7 +61,7 @@ from .oracle import (
     # wraps it here too
     solve_relativistic,  # noqa: F401
 )
-from .wavefunction import _is_confluent, build_radial
+from .wavefunction import RadialFunction, build_radial
 
 
 # The one engine x level dispatch: Engine -> (params, ns, grid) -> {n: levels};
@@ -161,38 +161,28 @@ def _complex_gap(printed: complex, mechanical: float, scale: float) -> float:
     return abs(printed - mechanical) / max(1.0, scale)
 
 
-def ode_residual(params: HylleraasParams, level: EnergyLevel,
-                 grid: RadialGrid) -> tuple[float, str]:
-    """Relative L2 defect of the closed-form R in -R'' + (W - Ebar) R = 0.
+def ode_residual(params: HylleraasParams, E: float, grid: RadialGrid,
+                 forms: list[RadialFunction]) -> tuple[float, str]:
+    """Relative L2 defect of a closed-form R in -R'' + (W - Ebar) R = 0.
 
-    For asymmetric parameter sets all four printed reading/ordering combos
-    are tried and the best (smallest) defect is reported with its label; at
-    a = c the mechanical confluent form is the only representation.
+    `forms` are `build_radial`'s representations of one level at energy E;
+    the smallest defect is reported with its representation label, and
+    (inf, "none") when no form scores finite.
     """
-    combos = ([("printed", "D_on_a")] if _is_confluent(params) else
-              [(r, o) for r in ("printed", "symmetric") for o in ("D_on_a", "F_on_a")])
-    w = effective_potential(params, level.E, grid)
-    ebar = level.E ** 2 - params.M ** 2
-    best = math.inf
-    best_label = "none"
-    for reading, ordering in combos:
-        try:
-            rad = build_radial(params, level, grid, reading=reading, ordering=ordering)
-        except HykgError:
-            continue
+    w = effective_potential(params, E, grid)
+    ebar = E ** 2 - params.M ** 2
+    h = grid.h
+    best, best_label = math.inf, "none"
+    for rad in forms:
         R = rad.values
-        h = grid.h
         rpp = (R[2:] - 2 * R[1:-1] + R[:-2]) / (h * h)
         resid = -rpp + (w[1:-1] - ebar) * R[1:-1]
         num = math.sqrt(float(np.sum(resid ** 2)))
         den = math.sqrt(float(np.sum(rpp ** 2))) + math.sqrt(
             float(np.sum(((w[1:-1] - ebar) * R[1:-1]) ** 2)))
         value = num / max(den, 1e-300)
-        label = rad.representation
         if value < best:
-            best, best_label = value, label
-    if not math.isfinite(best):
-        return math.inf, "none"
+            best, best_label = value, rad.representation
     return best, best_label
 
 
@@ -232,7 +222,7 @@ def _identity_columns(params: HylleraasParams, E: float, n: int) -> dict:
                                              abs(sol.tau_prime))
     out["eq44_vs_eq12"] = _complex_gap(im.lam_n, lamn_mech, abs(lamn_mech))
     # the branch closed, so solve_k has real roots at this input
-    out["k39_vs_mechanical"] = min(abs(im.k.real - k) / max(1.0, abs(k))
+    out["k39_vs_mechanical"] = min(abs(im.lam.real - k) / max(1.0, abs(k))
                                    for k, _ in solve_k(inp))
     out["_flags"] = flags
     return out
@@ -274,7 +264,12 @@ def run_audit(params: HylleraasParams, n_max: int, grid: RadialGrid) -> AuditRep
 
         ref_level = EnergyLevel(n=n, E=ref_e, Ebar=ref_e ** 2 - params.M ** 2,
                                 engine=Engine.MECHANICAL_NU, residual=0.0)
-        ode_val, ode_form = ode_residual(params, ref_level, grid)
+        # a build error holds for every representation alike: none is scored
+        try:
+            forms = build_radial(params, ref_level, grid)
+        except HykgError:
+            forms = []
+        ode_val, ode_form = ode_residual(params, ref_e, grid, forms)
         if not math.isfinite(ode_val):
             ode_val = None
             flags.add(FLAG_IDENTITY_NOT_COMPUTABLE)

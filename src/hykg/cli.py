@@ -21,7 +21,7 @@ import numpy as np
 
 from .audit import ENGINES, ode_residual, run_audit
 from .config import N_MAX, RunConfig, load_config, params_dict
-from .errors import ConfigError, MissingLevel, NotRepresentable, OutOfRange
+from .errors import ConfigError, HykgError, MissingLevel
 from .levels import PREFERENCE, Engine, EnergyLevel, fmt_cell
 # solve_relativistic stays in this namespace: bench/tests checks that the
 # tracer wraps it here too
@@ -103,10 +103,11 @@ def cmd_wavefunction(config: RunConfig, n: int, out_dir: Path) -> None:
     if level is None:
         raise MissingLevel(f"no closed-form level n={n} for the selected engines")
     try:
-        radial = build_radial(config.params, level, grid)
-    except (OutOfRange, NotRepresentable) as exc:
+        forms = build_radial(config.params, level, grid)
+    except HykgError as exc:
         raise ConfigError(f"closed form n={n} cannot be sampled on the grid "
                           f"(r_max = {grid.r_max!r}): {exc}") from None
+    radial = forms[0]
 
     oracle_col = [""] * grid.n
     overlap = None
@@ -127,7 +128,7 @@ def cmd_wavefunction(config: RunConfig, n: int, out_dir: Path) -> None:
         lines.append(f"{fmt_cell(float(r))},{fmt_cell(float(value))},{oracle_cell}")
     atomic_write(out_dir / f"wf_n{n}.csv", "\n".join(lines) + "\n")
 
-    ode_val, ode_form = ode_residual(config.params, level, grid)
+    ode_val, ode_form = ode_residual(config.params, level.E, grid, forms)
     sidecar = {
         "n": n,
         "closed_form_engine": level.engine.value,
@@ -243,16 +244,15 @@ FIXTURES = (
 )
 
 
-def run_selftest(stream=None) -> int:
+def run_selftest() -> int:
     """Run the embedded fixtures; prints one line per fixture; 0 iff all pass."""
-    stream = stream or sys.stdout
     failures = 0
     for name, fn, tol in FIXTURES:
         defect = fn()
         ok = defect <= tol
         failures += 0 if ok else 1
-        stream.write(f"{name:28s} {'PASS' if ok else 'FAIL'} "
-                     f"(defect {defect:.1e}, tol {tol:.1e})\n")
+        print(f"{name:28s} {'PASS' if ok else 'FAIL'} "
+              f"(defect {defect:.1e}, tol {tol:.1e})")
     return 0 if failures == 0 else 1
 
 

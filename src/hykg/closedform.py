@@ -97,7 +97,6 @@ class ClosedFormIntermediates:
     derivative of the printed tau polynomial.
     """
 
-    k: complex
     tau_prime_printed: complex
     lam: complex
     lam_n: complex
@@ -114,10 +113,9 @@ def _lam_n_printed(sqrt_upv: complex, a1: float, n: int) -> complex:
 def intermediates(params: HylleraasParams, E: float, n: int) -> ClosedFormIntermediates:
     """Evaluate the printed branch selection verbatim.
 
-    k   = -(Lam2 + Lam3 eps^2) - sqrt(U^2 - V^2)
     tau = 2 alpha1 [2 s + (a + c)] - 2 [muJ s - nuJ]
     tau'_printed = -2 [muJ - 4 alpha1]
-    lam   = -(Lam2 + Lam3 eps^2) - sqrt(U^2 - V^2)
+    lam   = k = -(Lam2 + Lam3 eps^2) - sqrt(U^2 - V^2)
     lam_n = 2 n sqrt(U + V) - 2 alpha1 n (n + 3)
 
     with U^2 = delta^2 (eps^2 + A)^2, V^2 = A^2 - B,
@@ -145,12 +143,12 @@ def intermediates(params: HylleraasParams, E: float, n: int) -> ClosedFormInterm
 
     a1 = cst.alpha1
     head = -(cst.Lam2 + cst.Lam3 * cst.eps2)
-    k = head - cmath.sqrt(u2mv2)
-    lam = k
+    # the printed lambda is the printed closure constant k itself
+    lam = head - cmath.sqrt(u2mv2)
     lam_n = _lam_n_printed(muJ, a1, n)
 
     return ClosedFormIntermediates(
-        k=k, tau_prime_printed=-2.0 * (muJ - 4.0 * a1),
+        tau_prime_printed=-2.0 * (muJ - 4.0 * a1),
         lam=lam, lam_n=lam_n, muJ=muJ, nuJ=nuJ, flags=frozenset(flags))
 
 

@@ -161,7 +161,6 @@ class AppendixConstants:
     audit schema.
     """
 
-    Ebar: float
     eps2: float
     gammap2: float
     beta2: float     # eps2 - betap2, by construction
@@ -192,7 +191,6 @@ def appendix_constants(params: HylleraasParams, E: float) -> AppendixConstants:
     abc = params.abc
     a, b, c = abc.a, abc.b, abc.c
     w2 = params.scale2
-    Ebar = E * E - params.M * params.M
     Vbar = 2.0 * params.D_e * (E + params.M)
 
     eps2 = epsilon2(params, E)
@@ -219,8 +217,8 @@ def appendix_constants(params: HylleraasParams, E: float) -> AppendixConstants:
 
     U2 = delta2 * square(eps2 + A)
     V2 = A * A - B
-    return AppendixConstants(Ebar=Ebar, eps2=eps2, gammap2=gammap2, beta2=beta2,
-                             gamma2=gamma2, alpha1=alpha1, Lam2=Lam2, Lam3=Lam3,
+    return AppendixConstants(eps2=eps2, gammap2=gammap2, beta2=beta2, gamma2=gamma2,
+                             alpha1=alpha1, Lam2=Lam2, Lam3=Lam3,
                              delta2=delta2, A=A, U2=U2, V2=V2)
 
 

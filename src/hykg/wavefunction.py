@@ -89,36 +89,19 @@ def jacobi_P(n: int, alpha: float, beta: float, x: float) -> float:
 # Printed exponent pair
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WavefactorParams:
-    """Exponents of the printed factor construction at one level.
-
-    muJ, nuJ are the scalar radicals of the branch selection; D and F follow
-    either the printed grouping or the symmetric alternative (the printed
-    grouping carries an asymmetric factor 2, so both are exposed and the
-    audit reports which one behaves)."""
-
-    D: float
-    F: float
-    muJ: float
-    nuJ: float
-
-
-def exponents_DF(params: HylleraasParams, level: EnergyLevel,
-                 reading: str = "printed") -> WavefactorParams:
-    """D, F from the printed formulas:
+def exponents_DF(params: HylleraasParams,
+                 level: EnergyLevel) -> dict[str, tuple[float, float]]:
+    """(D, F) of both readings of the printed formulas, by reading name:
 
         printed:   D = (1 - (muJ c + nuJ)) / (alpha1 (c - a))
         symmetric: D = -(muJ c + nuJ) / (2 alpha1 (c - a))
         both:      F = (muJ a + nuJ) / (2 alpha1 (c - a))
 
-    muJ and nuJ are those of `closedform.intermediates`; where either is
-    complex the factor is NotRepresentable.
+    The printed grouping carries an asymmetric factor 2, so both are kept and
+    the audit reports which one behaves.  muJ and nuJ are those of one
+    `closedform.intermediates` call; where either is complex the factor is
+    NotRepresentable.
     """
-    if reading not in ("printed", "symmetric"):
-        raise ValueError("reading must be 'printed' or 'symmetric'")
-    if level.E is None:
-        raise ValueError("level has no energy")
     abc = params.abc
     a, c = abc.a, abc.c
     if a == c:
@@ -129,12 +112,9 @@ def exponents_DF(params: HylleraasParams, level: EnergyLevel,
                                f"is not real at E = {level.E}")
     muJ, nuJ = im.muJ.real, im.nuJ.real
     a1 = 1 + abc.b
-    if reading == "printed":
-        D = (1.0 - (muJ * c + nuJ)) / (a1 * (c - a))
-    else:
-        D = -(muJ * c + nuJ) / (2.0 * a1 * (c - a))
     F = (muJ * a + nuJ) / (2.0 * a1 * (c - a))
-    return WavefactorParams(D=D, F=F, muJ=muJ, nuJ=nuJ)
+    return {"printed": ((1.0 - (muJ * c + nuJ)) / (a1 * (c - a)), F),
+            "symmetric": (-(muJ * c + nuJ) / (2.0 * a1 * (c - a)), F)}
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +180,14 @@ class ConfluentFactor:
     w: float
     chi_coeffs: list[float]
 
-    def __call__(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        base = s_arr + self.a
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        base = s + self.a
         if np.any(base <= 0):
             raise DomainError("base factor must stay positive")
-        chi = np.zeros_like(s_arr)
+        chi = np.zeros_like(base)
         for j in reversed(range(len(self.chi_coeffs))):
             chi = chi * base + self.chi_coeffs[j]
-        val = base ** self.p * np.exp(-self.w / base) * chi
-        return float(val) if np.isscalar(s) else val
+        return base ** self.p * np.exp(-self.w / base) * chi
 
 
 def confluent_radial_factor(inp: NUInput, sol: NUSolution, n: int) -> ConfluentFactor:
@@ -240,29 +218,31 @@ def confluent_radial_factor(inp: NUInput, sol: NUSolution, n: int) -> ConfluentF
 # Radial assembly
 # ---------------------------------------------------------------------------
 
-def radial_R(level: EnergyLevel, params: HylleraasParams, r: float | np.ndarray,
-             reading: str = "printed", ordering: str = "D_on_a") -> float | np.ndarray:
-    """Closed-form R at a float or an array of radii (a float for a float).
+def radial_R(level: EnergyLevel, params: HylleraasParams,
+             r: np.ndarray) -> dict[str, np.ndarray]:
+    """Closed-form R on an array of radii in every representation, by label.
 
-    The level's factor is derived once per call: the confluent form at a = c,
-    otherwise the printed exponents in the chosen (D, F) ordering.  Only then
-    is s(r) sampled and the printed form evaluated as one array expression.
+    At a = c the confluent form is the only one ("confluent-mechanical").
+    Otherwise each reading's (D, F) is placed both ways on the two bases:
+    "printed/D_on_a", "printed/F_on_a", "symmetric/D_on_a",
+    "symmetric/F_on_a", in that order.  The exponents are derived once, s(r)
+    is sampled once, and chi_n is evaluated once per reading.
     """
     if _is_confluent(params):
-        sample = _confluent_for(level, params)
-    else:
-        abc = params.abc
-        wf = exponents_DF(params, level, reading=reading)
-        e_a, e_c = (wf.D, wf.F) if ordering == "D_on_a" else (wf.F, wf.D)
-
-        def sample(s: np.ndarray) -> np.ndarray:
-            if np.any(s + abc.a <= 0) or np.any(s + abc.c <= 0):
-                raise DomainError("factor bases must be positive")
-            return ((s + abc.a) ** (e_a / 2.0) * (s + abc.c) ** (e_c / 2.0)
-                    * rodrigues_chi(level.n, wf.D, wf.F, abc.a, abc.c, s))
-
-    values = sample(s_of_r(np.atleast_1d(r), params.K, params.omega, params.s_sign))
-    return float(values[0]) if np.isscalar(r) else values
+        factor = _confluent_for(level, params)
+        return {"confluent-mechanical":
+                factor(s_of_r(r, params.K, params.omega, params.s_sign))}
+    abc = params.abc
+    exponents = exponents_DF(params, level)
+    s = s_of_r(r, params.K, params.omega, params.s_sign)
+    if np.any(s + abc.a <= 0) or np.any(s + abc.c <= 0):
+        raise DomainError("factor bases must be positive")
+    forms = {}
+    for reading, (D, F) in exponents.items():
+        chi = rodrigues_chi(level.n, D, F, abc.a, abc.c, s)
+        forms[f"{reading}/D_on_a"] = (s + abc.a) ** (D / 2.0) * (s + abc.c) ** (F / 2.0) * chi
+        forms[f"{reading}/F_on_a"] = (s + abc.a) ** (F / 2.0) * (s + abc.c) ** (D / 2.0) * chi
+    return forms
 
 
 def _is_confluent(params: HylleraasParams) -> bool:
@@ -362,19 +342,21 @@ def normalize(radial: RadialFunction) -> RadialFunction:
                    norm_constant=(radial.norm_constant or 1.0) * constant)
 
 
-def build_radial(params: HylleraasParams, level: EnergyLevel, grid,
-                 reading: str = "printed", ordering: str = "D_on_a") -> RadialFunction:
-    """Sample the closed form on an oracle grid and attempt normalization."""
+def build_radial(params: HylleraasParams, level: EnergyLevel,
+                 grid) -> list[RadialFunction]:
+    """The level sampled on an oracle grid in every representation of
+    `radial_R`, in its order; each form is normalized where its tails decay
+    and carries its node count."""
     points = np.asarray(getattr(grid, "points", grid), dtype=float)
-    values = radial_R(level, params, points, reading=reading, ordering=ordering)
-    confluent = _is_confluent(params)
-    representation = "confluent-mechanical" if confluent else f"{reading}/{ordering}"
-    radial = RadialFunction(grid=points, values=values, norm_constant=1.0, node_count=0,
-                            flags=frozenset({FLAG_CONFLUENT_FORM}) if confluent else frozenset(),
-                            representation=representation)
-    try:
-        radial = normalize(radial)
-    except TailNotConverged:
-        radial = replace(radial, norm_constant=None,
-                         flags=radial.flags | {FLAG_TAIL_NOT_CONVERGED})
-    return replace(radial, node_count=count_sign_changes(radial.values))
+    flags = frozenset({FLAG_CONFLUENT_FORM}) if _is_confluent(params) else frozenset()
+    forms = []
+    for label, values in radial_R(level, params, points).items():
+        radial = RadialFunction(grid=points, values=values, norm_constant=1.0,
+                                node_count=0, flags=flags, representation=label)
+        try:
+            radial = normalize(radial)
+        except TailNotConverged:
+            radial = replace(radial, norm_constant=None,
+                             flags=radial.flags | {FLAG_TAIL_NOT_CONVERGED})
+        forms.append(replace(radial, node_count=count_sign_changes(radial.values)))
+    return forms

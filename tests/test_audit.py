@@ -22,6 +22,7 @@ from hykg.levels import (
     EnergyLevel,
 )
 from hykg.oracle import RadialGrid, SeedCounts, default_grid
+from hykg.wavefunction import build_radial
 
 from _stebz import stebz_eigenvalues
 from test_closedform import SWEEP_BOX
@@ -261,7 +262,8 @@ class TestOdeResidual:
         grid = default_grid(default_params, n=600)
         lvl = EnergyLevel(n=0, E=-0.93, Ebar=(-0.93) ** 2 - 1, engine=Engine.MECHANICAL_NU,
                           residual=0.0)
-        val, label = ode_residual(default_params, lvl, grid)
+        forms = build_radial(default_params, lvl, grid)
+        val, label = ode_residual(default_params, lvl.E, grid, forms)
         assert math.isfinite(val)
         assert label == "confluent-mechanical"
 
@@ -282,13 +284,10 @@ class TestOdeResidual:
                + math.sqrt(float(np.sum(((w[1:-1] - lvl.Ebar) * vec[1:-1]) ** 2))))
         oracle_defect = math.sqrt(float(np.sum(resid ** 2))) / den
 
-        closed_defect, _ = ode_residual(default_params, lvl, grid)
+        forms = build_radial(default_params, lvl, grid)
+        closed_defect, _ = ode_residual(default_params, lvl.E, grid, forms)
         assert oracle_defect < 1e-6
         assert closed_defect > 10 * oracle_defect
-
-    def _level(self):
-        return EnergyLevel(n=0, E=-0.93, Ebar=(-0.93) ** 2 - 1,
-                           engine=Engine.MECHANICAL_NU, residual=0.0)
 
     def test_genuine_defect_propagates(self, default_params, monkeypatch):
         def broken(*args, **kwargs):
@@ -297,7 +296,7 @@ class TestOdeResidual:
         monkeypatch.setattr(audit, "build_radial", broken)
         grid = default_grid(default_params, n=400)
         with pytest.raises(RuntimeError):
-            ode_residual(default_params, self._level(), grid)
+            run_audit(default_params, n_max=0, grid=grid)
 
     def test_not_representable_reports_none(self, default_params, monkeypatch):
         def unrepresentable(*args, **kwargs):
@@ -305,4 +304,7 @@ class TestOdeResidual:
 
         monkeypatch.setattr(audit, "build_radial", unrepresentable)
         grid = default_grid(default_params, n=400)
-        assert ode_residual(default_params, self._level(), grid) == (math.inf, "none")
+        [row] = run_audit(default_params, n_max=0, grid=grid).rows
+        assert (row.ode_residual_closedform, row.ode_form) == (None, "none")
+        assert FLAG_IDENTITY_NOT_COMPUTABLE in row.flags
+        assert ode_residual(default_params, -0.93, grid, []) == (math.inf, "none")

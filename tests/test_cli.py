@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hykg import audit, cli, oracle
+from hykg import audit, cli, oracle, wavefunction
 from hykg.cli import cmd_wavefunction, main, run_selftest, spectrum_rows
 from hykg.config import (
     RunConfig,
@@ -373,6 +372,78 @@ class TestWavefunctionCommand:
         assert "overflows" in err and "r_max = 500.0" in err
         assert not list(out.glob("wf_*"))
 
+    def test_non_positive_base_is_config_error(self, tmp_path, capfd):
+        # K = 0.5 puts a = c = -0.25: the confluent base s - 0.25 turns
+        # negative once s = exp(-r) < 0.25 on the default grid
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text("[params]\nK = 0.5\nk1 = 1.0\nk2 = 1.0\ns_sign = negative\n")
+        assert load_config(cfg).params.abc.a == -0.25
+        out = tmp_path / "w"
+        assert main(["wavefunction", "--config", str(cfg), "--out", str(out),
+                     "--n", "0"]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("config error: closed form n=0") and err.count("\n") == 1
+        assert "base factor must stay positive" in err
+        assert not list(out.glob("wf_*"))
+
+    def test_one_build_per_command(self, fast_cfg_path, tmp_path, monkeypatch):
+        # the CSV and the sidecar's ode_residual read the same sampled forms
+        calls = []
+        real = wavefunction.build_radial
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_radial", counted)
+        monkeypatch.setattr(audit, "build_radial", counted)
+        assert main(["wavefunction", "--config", str(fast_cfg_path),
+                     "--out", str(tmp_path), "--n", "0"]) == 0
+        assert len(calls) == 1
+
+
+# K = 2, k1 = 1, k2 = 0.5: a != c, so the four printed representations are
+# built and scored (the default goldens all sit at a = c)
+ASYMMETRIC_CFG = """
+[params]
+K = 2.0
+k1 = 1.0
+k2 = 0.5
+omega = 0.25
+D_e = 3.0
+M = 1.0
+mu = 1.0
+s_sign = negative
+
+[grid]
+r_max = 40.0
+N = 2000
+
+[run]
+n_max = 3
+"""
+
+ASYMMETRIC_SHA256 = {
+    "spectrum.csv": "83163319b62784fe6c4299be41cf2d9bbc2829effbfc6e5ff3e4367eb226bf88",
+    "spectrum.json": "441bfb091a7915826f8a18d49f9bc20c545d688e211e6ce358a982814515d0b8",
+    "audit.csv": "22b409b02731e966757bd6bad77ad6010f50c234ce0e977ae08fd2e56db91e35",
+    "audit.json": "c633f2154a133a04544780c6f35e25fd90ad18a8c5c8ef1a37a439e82610f5ed",
+    "wf_n1.csv": "12a767167426dd0c0e7ddc63216c0c328a94e40b07bb3d8d37633257f4c54ef2",
+    "wf_n1.flags.json": "c5bc8a4653527883917355dcdb5d3cace9b71b2040fc74a9916afd444c652f5b",
+}
+
+
+def test_asymmetric_outputs_pinned(tmp_path):
+    cfg = tmp_path / "asym.cfg"
+    cfg.write_text(ASYMMETRIC_CFG)
+    for command in (["spectrum"], ["audit"], ["wavefunction", "--n", "1"]):
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in ASYMMETRIC_SHA256}
+    assert digests == ASYMMETRIC_SHA256
+    audit_rows = json.loads((tmp_path / "out" / "audit.json").read_text())["rows"]
+    assert {row["ode_form"] for row in audit_rows} == {"none", "symmetric/F_on_a"}
+
 
 class TestAuditCommand:
     def test_far_tail_grid(self, tmp_path):
@@ -461,10 +532,9 @@ class TestStartup:
 
 
 class TestSelftest:
-    def test_passes_clean(self):
-        buf = io.StringIO()
-        assert run_selftest(stream=buf) == 0
-        text = buf.getvalue()
+    def test_passes_clean(self, capsys):
+        assert run_selftest() == 0
+        text = capsys.readouterr().out
         for name in ("box-matrix", "box-numerov", "oscillator-odd-states",
                      "nu-hydrogen-quantization", "jacobi-identities"):
             assert text.count(name) == 1
@@ -473,22 +543,21 @@ class TestSelftest:
         for line in text.splitlines():
             assert re.search(r"\(defect \d\.\de[+-]\d\d, tol ", line), line
 
-    def test_perturbed_fixture_fails(self, monkeypatch):
+    def test_perturbed_fixture_fails(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "FIXTURES", cli.FIXTURES[:1] + (
             ("over-tolerance", lambda: 2.0, 1.0),))
-        buf = io.StringIO()
-        assert run_selftest(stream=buf) == 1
-        lines = buf.getvalue().splitlines()
+        assert run_selftest() == 1
+        lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 and "PASS" in lines[0]
         assert lines[1].startswith("over-tolerance") and "FAIL" in lines[1]
 
-    def test_matrix_fixtures_run_the_count_kernel(self, monkeypatch):
+    def test_matrix_fixtures_run_the_count_kernel(self, monkeypatch, capsys):
         # one count too many shifts every eigenvalue the two matrix
         # fixtures bisect, so both must fail and nothing else may
         count = oracle.SturmCounter.count
         monkeypatch.setattr(oracle.SturmCounter, "count",
                             lambda self, c, sigma: count(self, c, sigma) + 1)
-        buf = io.StringIO()
-        assert run_selftest(stream=buf) == 1
-        failed = [line.split()[0] for line in buf.getvalue().splitlines() if "FAIL" in line]
+        assert run_selftest() == 1
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if "FAIL" in line]
         assert failed == ["box-matrix", "oscillator-odd-states"]

@@ -177,7 +177,8 @@ class TestAppendixConstants:
             assert cst.beta2 == cst.eps2 - betap2
             assert cst.gamma2 == cst.eps2 - cst.gammap2
             assert cst.delta2 == cst.Lam3 ** 2 + 12 * Lam1
-            assert cst.Ebar == E * E - p.M ** 2
+            Ebar = E * E - p.M ** 2
+            assert cst.eps2 == -2.0 * p.mu * alpha1 * Ebar / p.scale2
 
     @pytest.mark.parametrize("E", [-0.75, 0.5, 0.9])
     def test_against_extended_precision(self, E, default_params):

@@ -103,39 +103,57 @@ def _bindings(tree: ast.Module, in_package: bool, modules: set[str],
     return bound
 
 
-def _used() -> set[tuple[str, str]]:
-    """(module, name) of every definition read anywhere but inside its own
-    definition, resolved to the module that defines it."""
+def _resolver(bound: dict[str, tuple[str, str | None]], own_module: str | None,
+              modules: set[str]):
+    """Maps a Name or Attribute node of one file to the (module, name) of the
+    hykg definition it reads, or to None."""
+    def module_of(value: ast.expr) -> str | None:
+        # the hykg module an expression names: a bound name, or hykg.<module>
+        if isinstance(value, ast.Name):
+            module, name = bound.get(value.id, (None, ""))
+            return module if name is None else None
+        if (isinstance(value, ast.Attribute) and module_of(value.value) == ""
+                and value.attr in modules):
+            return value.attr
+        return None
+
+    def resolve(node: ast.AST) -> tuple[str, str] | None:
+        if isinstance(node, ast.Name):
+            if node.id in bound and bound[node.id][1] is not None:
+                return bound[node.id]
+            return None if own_module is None else (own_module, node.id)
+        if isinstance(node, ast.Attribute):
+            module = module_of(node.value)
+            return None if module is None else (module, node.attr)
+        return None
+
+    return resolve
+
+
+def _scanned() -> list[tuple]:
+    """(module stem, or None outside the package; syntax tree; `_resolver`)
+    of each file the guards read: the hykg modules, bench/ and scripts/."""
     modules, reexports = _modules(), _reexports()
     sources = [(stem, tree) for stem, tree in modules.items()]
     sources += [(None, ast.parse(p.read_text())) for top in ("bench", "scripts")
                 for p in sorted((ROOT / top).rglob("*.py"))]
+    return [(own_module, tree,
+             _resolver(_bindings(tree, own_module is not None, set(modules), reexports),
+                       own_module, set(modules)))
+            for own_module, tree in sources]
+
+
+def _used() -> set[tuple[str, str]]:
+    """(module, name) of every definition read anywhere but inside its own
+    definition, resolved to the module that defines it."""
     used = set()
-    for own_module, tree in sources:
-        bound = _bindings(tree, own_module is not None, set(modules), reexports)
-
-        def module_of(value: ast.expr) -> str | None:
-            # the hykg module an expression names: a bound name, or hykg.<module>
-            if isinstance(value, ast.Name):
-                module, name = bound.get(value.id, (None, ""))
-                return module if name is None else None
-            if (isinstance(value, ast.Attribute) and module_of(value.value) == ""
-                    and value.attr in modules):
-                return value.attr
-            return None
-
+    for own_module, tree, resolve in _scanned():
         for top in tree.body:
             own = getattr(top, "name", None)
             for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    if node.id in bound and bound[node.id][1] is not None:
-                        used.add(bound[node.id])
-                    elif own_module is not None and node.id != own:
-                        used.add((own_module, node.id))
-                elif isinstance(node, ast.Attribute):
-                    module = module_of(node.value)
-                    if module is not None and not (module == own_module and node.attr == own):
-                        used.add((module, node.attr))
+                target = resolve(node)
+                if target is not None and target != (own_module, own):
+                    used.add(target)
     return used
 
 
@@ -207,6 +225,72 @@ def test_every_method_has_a_caller():
 def test_every_dataclass_field_is_read():
     orphans = _field_orphans()
     assert orphans == set(), sorted(orphans)
+
+
+def _defaulted(fn: ast.FunctionDef, offset: int) -> list[tuple[int | None, str]]:
+    """(position in a call, name) of each parameter of `fn` with a default;
+    position None for a keyword-only one.  `offset` is the number of leading
+    parameters a call does not pass (self of a method)."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    return ([(i - offset, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            + [(None, arg.arg) for arg, default in zip(fn.args.kwonlyargs,
+                                                       fn.args.kw_defaults)
+               if default is not None])
+
+
+def _unpassed_defaults() -> set[str]:
+    """module.function(parameter) or Class.method(parameter) of each parameter
+    with a default, in a hykg function or method, that no call in `src/hykg`,
+    `bench/` or `scripts/` passes by position or keyword.  Calls resolve to
+    the defining module as the orphan guard's reads do; a method call
+    matches every method of that name."""
+    defaulted = {}   # label -> [(position, name)]
+    functions = {}   # (module, name) -> label
+    methods = {}     # method name -> [label]
+    for module, tree in _modules().items():
+        classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        in_class = {fn for cls in classes for fn in cls.body}
+        for cls in classes:
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    label = f"{cls.name}.{fn.name}"
+                    defaulted[label] = _defaulted(fn, 0 if static else 1)
+                    methods.setdefault(fn.name, []).append(label)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn not in in_class:
+                label = f"{module}.{fn.name}"
+                defaulted[label] = _defaulted(fn, 0)
+                functions[(module, fn.name)] = label
+
+    passed = set()   # (label, name)
+    for _, tree, resolve in _scanned():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            target = resolve(call.func)
+            if target in functions:
+                labels = [functions[target]]
+            elif target is None and isinstance(call.func, ast.Attribute):
+                labels = methods.get(call.func.attr, [])
+            else:
+                continue
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            keywords = {kw.arg for kw in call.keywords}   # None for **kwargs
+            passed |= {(label, name) for label in labels for pos, name in defaulted[label]
+                       if name in keywords or None in keywords
+                       or pos is not None and (starred or pos < len(call.args))}
+
+    return {f"{label}({name})" for label, params in defaulted.items()
+            if label.rsplit(".", 1)[1] not in ALLOWED_ORPHANS
+            for _, name in params if (label, name) not in passed}
+
+
+def test_every_default_argument_is_passed():
+    unpassed = _unpassed_defaults()
+    assert unpassed == set(), sorted(unpassed)
 
 
 def _helper_orphans() -> set[str]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hykg.closedform import intermediates
 from hykg.errors import DegenerateAC, DomainError, NotRepresentable, TailNotConverged
 from hykg import wavefunction
 from hykg.hylleraas import (
@@ -21,7 +22,6 @@ from hykg.wavefunction import (
     ConfluentFactor,
     NonClassicalWarning,
     RadialFunction,
-    WavefactorParams,
     build_radial,
     composite_simpson,
     confluent_chi_coeffs,
@@ -213,7 +213,7 @@ class TestConfluent:
         # D_e = 0: a = c, and the NU closure gaps with ImperfectSquare
         p = DEFAULT_PARAMS.replace(D_e=0.0)
         with pytest.raises(NotRepresentable, match="ImperfectSquare"):
-            radial_R(level_at(0.5), p, 1.0)
+            radial_R(level_at(0.5), p, np.array([1.0]))
 
 
 class TestExponents:
@@ -226,9 +226,11 @@ class TestExponents:
             exponents_DF(asymmetric_params, level_at(0.5, n=0))
 
     def test_representable_point(self):
-        wf = exponents_DF(REPRESENTABLE, level_at(REPRESENTABLE_E))
-        assert math.isfinite(wf.D) and math.isfinite(wf.F)
-        assert wf.muJ > 0 and wf.nuJ > 0
+        exponents = exponents_DF(REPRESENTABLE, level_at(REPRESENTABLE_E))
+        assert list(exponents) == ["printed", "symmetric"]
+        assert all(math.isfinite(x) for pair in exponents.values() for x in pair)
+        im = intermediates(REPRESENTABLE, REPRESENTABLE_E, 0)
+        assert im.muJ.real > 0 and im.nuJ.real > 0
 
     def test_mu_equals_nu_where_v2_vanishes(self):
         # bisect the sign change of V2 = A^2 - B; at that energy the inner
@@ -244,15 +246,18 @@ class TestExponents:
                 lo = mid
         E = 0.5 * (lo + hi)
         side = lo if appendix_constants(p, lo).V2 >= 0 else hi
-        wf = exponents_DF(p, level_at(side))
-        assert wf.muJ == pytest.approx(wf.nuJ, rel=1e-5)
+        im = intermediates(p, side, 0)
+        assert im.muJ.real == pytest.approx(im.nuJ.real, rel=1e-5)
+        # the exponents read that muJ: symmetric D + F = -muJ / (2 alpha1)
+        D, F = exponents_DF(p, level_at(side))["symmetric"]
+        assert D + F == pytest.approx(-im.muJ.real / (2.0 * (1 + p.abc.b)), rel=1e-12)
 
     def test_two_readings_differ(self):
-        lvl = level_at(REPRESENTABLE_E)
-        printed = exponents_DF(REPRESENTABLE, lvl, reading="printed")
-        symmetric = exponents_DF(REPRESENTABLE, lvl, reading="symmetric")
-        assert printed.F == symmetric.F
-        assert printed.D != symmetric.D
+        exponents = exponents_DF(REPRESENTABLE, level_at(REPRESENTABLE_E))
+        (printed_D, printed_F), (symmetric_D, symmetric_F) = (
+            exponents["printed"], exponents["symmetric"])
+        assert printed_F == symmetric_F
+        assert printed_D != symmetric_D
 
 
 class TestNormalize:
@@ -322,34 +327,33 @@ class TestCountNodes:
 class TestRadialAssembly:
     def test_pointwise_matches_formula(self):
         lvl = level_at(REPRESENTABLE_E, n=0)
-        wf = exponents_DF(REPRESENTABLE, lvl)
+        D, F = exponents_DF(REPRESENTABLE, lvl)["printed"]
         abc = REPRESENTABLE.abc
-        from hykg.hylleraas import s_of_r
 
         r = 1.3
         s = s_of_r(r, REPRESENTABLE.K, REPRESENTABLE.omega, REPRESENTABLE.s_sign)
-        want = (s + abc.a) ** (wf.D / 2) * (s + abc.c) ** (wf.F / 2)
-        assert radial_R(lvl, REPRESENTABLE, r) == pytest.approx(want, rel=1e-12)
+        want = (s + abc.a) ** (D / 2) * (s + abc.c) ** (F / 2)
+        got = radial_R(lvl, REPRESENTABLE, np.array([r]))["printed/D_on_a"]
+        assert got[0] == pytest.approx(want, rel=1e-12)
 
     def test_r_zero_value(self):
         lvl = level_at(REPRESENTABLE_E, n=0)
-        wf = exponents_DF(REPRESENTABLE, lvl)
+        D, F = exponents_DF(REPRESENTABLE, lvl)["printed"]
         abc = REPRESENTABLE.abc
-        want = (1 + abc.a) ** (wf.D / 2) * (1 + abc.c) ** (wf.F / 2)
-        assert radial_R(lvl, REPRESENTABLE, 0.0) == pytest.approx(want, rel=1e-12)
+        want = (1 + abc.a) ** (D / 2) * (1 + abc.c) ** (F / 2)
+        got = radial_R(lvl, REPRESENTABLE, np.array([0.0]))["printed/D_on_a"]
+        assert got[0] == pytest.approx(want, rel=1e-12)
 
     def test_orderings_differ(self):
-        lvl = level_at(REPRESENTABLE_E, n=0)
-        a = radial_R(lvl, REPRESENTABLE, 1.0, ordering="D_on_a")
-        b = radial_R(lvl, REPRESENTABLE, 1.0, ordering="F_on_a")
-        assert a != b
+        forms = radial_R(level_at(REPRESENTABLE_E, n=0), REPRESENTABLE, np.array([1.0]))
+        assert forms["printed/D_on_a"][0] != forms["printed/F_on_a"][0]
 
     def test_build_radial_confluent_at_defaults(self, default_params):
         from hykg.oracle import default_grid
 
         grid = default_grid(default_params, n=800)
         lvl = level_at(-0.93, n=0)
-        rad = build_radial(default_params, lvl, grid)
+        [rad] = build_radial(default_params, lvl, grid)
         assert rad.representation == "confluent-mechanical"
         assert np.all(np.isfinite(rad.values))
 
@@ -359,20 +363,30 @@ class TestRadialAssembly:
         from hykg.oracle import default_grid
 
         grid = default_grid(default_params, n=800)
-        rad = build_radial(default_params, level_at(-0.93, n=0), grid)
+        [rad] = build_radial(default_params, level_at(-0.93, n=0), grid)
         assert (rad.norm_constant is None) == ("TailNotConverged" in rad.flags)
+
+    def test_build_radial_returns_every_form_in_order(self):
+        grid = np.linspace(0.05, 30.0, 400)
+        forms = build_radial(REPRESENTABLE, level_at(REPRESENTABLE_E, n=1), grid)
+        assert [f.representation for f in forms] == [
+            "printed/D_on_a", "printed/F_on_a", "symmetric/D_on_a", "symmetric/F_on_a"]
+        for rad in forms:
+            assert rad.node_count == count_sign_changes(rad.values)
+            assert (rad.norm_constant is None) == ("TailNotConverged" in rad.flags)
+            assert "ConfluentForm" not in rad.flags
 
 
 def _printed_R_pointwise(params, level, r, reading, ordering):
     """The printed R(r) at one radius in plain math: Leibniz chi_n times the
     two powers, with the exponents placed by `ordering`."""
-    wf = exponents_DF(params, level, reading=reading)
-    e_a, e_c = (wf.D, wf.F) if ordering == "D_on_a" else (wf.F, wf.D)
+    D, F = exponents_DF(params, level)[reading]
+    e_a, e_c = (D, F) if ordering == "D_on_a" else (F, D)
     a, c = params.abc.a, params.abc.c
     s = s_of_r(r, params.K, params.omega, params.s_sign)
     n = level.n
-    chi = sum(math.comb(n, k) * math.prod(n + wf.D - j for j in range(k))
-              * math.prod(n + wf.F - j for j in range(n - k))
+    chi = sum(math.comb(n, k) * math.prod(n + D - j for j in range(k))
+              * math.prod(n + F - j for j in range(n - k))
               * (s + a) ** (n - k) * (s + c) ** k for k in range(n + 1))
     return (s + a) ** (e_a / 2.0) * (s + c) ** (e_c / 2.0) * chi
 
@@ -395,16 +409,23 @@ class TestArraySampler:
     def test_one_exponent_derivation_per_printed_build(self, monkeypatch):
         calls = _counting(monkeypatch, "exponents_DF")
         grid = np.linspace(0.05, 30.0, 400)
-        build_radial(REPRESENTABLE, level_at(REPRESENTABLE_E, n=1), grid,
-                     reading="symmetric", ordering="F_on_a")
+        build_radial(REPRESENTABLE, level_at(REPRESENTABLE_E, n=1), grid)
         assert len(calls) == 1
+
+    def test_one_s_of_r_and_intermediates_call_for_all_four_forms(self, monkeypatch):
+        s_calls = _counting(monkeypatch, "s_of_r")
+        im_calls = _counting(monkeypatch, "intermediates")
+        grid = np.linspace(0.05, 30.0, 400)
+        forms = build_radial(REPRESENTABLE, level_at(REPRESENTABLE_E, n=1), grid)
+        assert len(forms) == 4
+        assert (len(s_calls), len(im_calls)) == (1, 1)
 
     def test_one_confluent_derivation_per_build(self, default_params, monkeypatch):
         from hykg.oracle import default_grid
 
         calls = _counting(monkeypatch, "_confluent_for")
-        rad = build_radial(default_params, level_at(-0.93, n=0),
-                           default_grid(default_params, n=800))
+        [rad] = build_radial(default_params, level_at(-0.93, n=0),
+                             default_grid(default_params, n=800))
         assert rad.representation == "confluent-mechanical"
         assert len(calls) == 1
 
@@ -412,26 +433,21 @@ class TestArraySampler:
     def test_one_s_of_r_call_per_sample(self, confluent, default_params, monkeypatch):
         params, E = (default_params, -0.93) if confluent else (REPRESENTABLE, REPRESENTABLE_E)
         calls = _counting(monkeypatch, "s_of_r")
-        values = radial_R(level_at(E, n=1), params, self.RADII)
-        assert values.shape == self.RADII.shape
+        forms = radial_R(level_at(E, n=1), params, self.RADII)
+        assert len(forms) == (1 if confluent else 4)
+        for values in forms.values():
+            assert values.shape == self.RADII.shape
         assert len(calls) == 1
 
     @pytest.mark.parametrize("reading", ["printed", "symmetric"])
     @pytest.mark.parametrize("ordering", ["D_on_a", "F_on_a"])
     def test_array_matches_pointwise_formula(self, reading, ordering):
         lvl = level_at(REPRESENTABLE_E, n=2)
-        got = radial_R(lvl, REPRESENTABLE, self.RADII, reading=reading,
-                       ordering=ordering)
+        got = radial_R(lvl, REPRESENTABLE, self.RADII)[f"{reading}/{ordering}"]
         assert isinstance(got, np.ndarray) and got.shape == self.RADII.shape
         want = [_printed_R_pointwise(REPRESENTABLE, lvl, float(r), reading, ordering)
                 for r in self.RADII]
         assert got == pytest.approx(want, rel=1e-13)
-
-    def test_scalar_in_scalar_out(self):
-        lvl = level_at(REPRESENTABLE_E, n=2)
-        got = radial_R(lvl, REPRESENTABLE, 1.3)
-        assert type(got) is float
-        assert got == radial_R(lvl, REPRESENTABLE, np.array([1.3]))[0]
 
     def test_negative_radicand_not_representable(self, asymmetric_params):
         with pytest.raises(NotRepresentable):
