@@ -4,7 +4,8 @@
 For each grid size N it solves the n = 0 oracle level once, then times
 
   * count: the whole count bisection of that level on a fresh
-    `SeedCounts` (grid set-up excluded), divided by the number of counts;
+    `energy_counts` memo (grid set-up excluded), divided by the number of
+    counts, which is the memo's size after the solve;
   * defect: one `numerov_defect` at the level's energy, called as
     `numerov_shoot` calls it, on one `SturmCounter` of the grid's V; the
     table prints beside it the number of band solves it makes (`solves`,
@@ -15,14 +16,15 @@ The three cases are the default grid (`configs/default.cfg`'s parameters,
 r_max 40), the localized b < 0 well at D_e = 5000 on the r_max = 10 grids of
 the benchmark's oracle-refinement workload, and the c = 0 config whose W
 reaches ~1e26 at the far wall.  A second table gives one `eigen_tridiagonal`
-call for the three lowest eigenvalues, divided by three, on the selftest's
-box (N = 2000) and on -d^2/dr^2 + 4 V (`schrodinger_limit`'s operator) on
-the default grid at N = 4000.  A third table times the three closed-form
-engines at `configs/default.cfg`'s parameters: one scalar residual
-evaluation (`mechanical_residual`, `implicit_residual`, `eq45_rhs`) at
-n = 1, averaged over 99 energies spread across |E| < M, and one engine
-call for n = 0..1 (`energy_*_result(params, (0, 1))`).  Each figure is the
-best of --repeat timed rounds.  Run it from the repository root:
+call for the three lowest eigenvalues on the selftest's box (N = 2000) and
+on -d^2/dr^2 + 4 V (`schrodinger_limit`'s operator) on the default grid at
+N = 4000: the Sturm counts it makes, and its time divided by three.  A
+third table times the three closed-form engines at `configs/default.cfg`'s
+parameters: one scalar residual evaluation (`mechanical_residual`,
+`implicit_residual`, `eq45_rhs`) at n = 1, averaged over 99 energies spread
+across |E| < M, and one engine call for n = 0..1
+(`energy_*_result(params, (0, 1))`).  Each figure is the best of --repeat
+timed rounds.  Run it from the repository root:
 
     python scripts/kernel_costs.py [--n 1000 4000 16000] [--repeat 7]
 """
@@ -75,18 +77,26 @@ def band_solves(call):
     return solve.call_count
 
 
+def sturm_counts(call):
+    """The number of oracle.SturmCounter.count calls that call() makes."""
+    with mock.patch.object(oracle.SturmCounter, "count", autospec=True,
+                           side_effect=oracle.SturmCounter.count) as count:
+        call()
+    return count.call_count
+
+
 def costs(params, grid, repeat):
     """(counts per level, us per count, (us per defect, band solves per
     defect, m, inward start) or None) of the n = 0 level."""
     M = params.M
-    probe = oracle.SeedCounts(params, grid)
+    probe = oracle.energy_counts(params, grid)
     E = oracle.solve_relativistic(params, 0, grid, probe).E
-    n_counts = len(probe._memo)
+    n_counts = probe.cache_info().currsize
 
     def level():
-        seeds = oracle.SeedCounts(params, grid)
+        counts = oracle.energy_counts(params, grid)
         t0 = time.perf_counter()
-        oracle.solve_relativistic(params, 0, grid, seeds)
+        oracle.solve_relativistic(params, 0, grid, counts)
         return time.perf_counter() - t0
 
     per_count = min(level() for _ in range(repeat)) / n_counts
@@ -119,11 +129,12 @@ def main(argv=None):
             print(f"{name:16s} {n:6d} {n_counts:6d} {per_count * 1e6:9.1f} "
                   f"{per_defect:>10s} {solves:>6s} {m:>6s} {start:>6s}")
     print()
-    print(f"{'eigen_tridiagonal':18s} {'N':>6s} {'us/eigenvalue':>14s}")
+    print(f"{'eigen_tridiagonal':18s} {'N':>6s} {'counts':>6s} {'us/eigenvalue':>14s}")
     for name, grid, w in EIGEN_CASES:
+        n_counts = sturm_counts(lambda: oracle.eigen_tridiagonal(w, grid, 3))
         per_value = min(timeit.repeat(lambda: oracle.eigen_tridiagonal(w, grid, 3),
                                       number=1, repeat=args.repeat)) / 3
-        print(f"{name:18s} {grid.n:6d} {per_value * 1e6:14.1f}")
+        print(f"{name:18s} {grid.n:6d} {n_counts:6d} {per_value * 1e6:14.1f}")
     print()
     params = load_config(ROOT / "configs" / "default.cfg").params
     energies = (params.M * np.linspace(-0.98, 0.98, 99)).tolist()

@@ -186,11 +186,10 @@ def ode_residual(params: HylleraasParams, E: float, grid: RadialGrid,
     return best, best_label
 
 
-def _identity_columns(params: HylleraasParams, E: float, n: int) -> dict:
-    """All per-row identity findings at one reference energy."""
+def _identity_columns(params: HylleraasParams, E: float, n: int) -> tuple[dict, set[str]]:
+    """(columns, flags): all per-row identity findings at one reference energy."""
     cst = appendix_constants(params, E)
     out: dict = {}
-    flags: set[str] = set()
 
     # gamma^2: direct printed form vs subtractive construction
     direct = gamma2_printed(params, E)
@@ -201,8 +200,7 @@ def _identity_columns(params: HylleraasParams, E: float, n: int) -> dict:
     out["delta_a9_vs_eq35"] = abs(d_a9_sq - cst.delta2) / max(1.0, d_a9_sq, cst.delta2)
 
     im = intermediates(params, E, n)
-    if FLAG_NEGATIVE_UNDER_SQRT in im.flags:
-        flags.add(FLAG_NEGATIVE_UNDER_SQRT)
+    flags = {FLAG_NEGATIVE_UNDER_SQRT} & im.flags
 
     inp = build_nu_input(params, E)
     branch = quantization(inp, n)
@@ -212,8 +210,7 @@ def _identity_columns(params: HylleraasParams, E: float, n: int) -> dict:
         out["eq42_vs_derivative"] = math.inf
         out["eq44_vs_eq12"] = math.inf
         out["k39_vs_mechanical"] = math.inf
-        out["_flags"] = flags | {branch.reason}
-        return out
+        return out, flags | {branch.reason}
     sol, lamn_mech, _ = branch
     scale2 = (1.0 + max(inp.scale(), 1.0)) ** 2
     out["disc_residual"] = sol.residual_square / scale2
@@ -224,8 +221,7 @@ def _identity_columns(params: HylleraasParams, E: float, n: int) -> dict:
     # the branch closed, so solve_k has real roots at this input
     out["k39_vs_mechanical"] = min(abs(im.lam.real - k) / max(1.0, abs(k))
                                    for k, _ in solve_k(inp))
-    out["_flags"] = flags
-    return out
+    return out, flags
 
 
 def run_audit(params: HylleraasParams, n_max: int, grid: RadialGrid) -> AuditReport:
@@ -255,8 +251,8 @@ def run_audit(params: HylleraasParams, n_max: int, grid: RadialGrid) -> AuditRep
             ref_e = 0.0
             flags.add(FLAG_REFERENCE_FALLBACK)
 
-        ident = _identity_columns(params, ref_e, n)
-        flags |= ident.pop("_flags", set())
+        ident, ident_flags = _identity_columns(params, ref_e, n)
+        flags |= ident_flags
         for key, val in ident.items():
             if isinstance(val, float) and not math.isfinite(val):
                 ident[key] = None

@@ -31,7 +31,7 @@ import importlib
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -109,8 +109,8 @@ def box_grid(length: float, n: int) -> RadialGrid:
 
 def check_grid(grid: RadialGrid, w_values: np.ndarray) -> None:
     """Emit (not raise) heuristic warnings: the u(0) = 0 wall placement and
-    stencil stability.  SeedCounts calls it, so a warning names the line that
-    called solve_relativistic or solve_levels."""
+    stencil stability.  energy_counts calls it, so a warning names the line
+    that called solve_relativistic or solve_levels."""
     if abs(grid.r_min - grid.h) > 1e-9 * grid.h:
         warnings.warn("r_min != h moves the u(0) = 0 wall off the origin",
                       GridHeuristicWarning, stacklevel=4)
@@ -241,33 +241,41 @@ class SturmCounter:
                 end *= 4
 
 
+def _bisect(below: Callable[[float], bool], lo: float, hi: float,
+            tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] until hi - lo <= tol, keeping below(lo) true and
+    below(hi) false: the final bracket.  The ends are never evaluated."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def eigen_tridiagonal(w_values: np.ndarray, grid: RadialGrid, m: int,
                       first: int = 0) -> np.ndarray:
     """Eigenvalues first..m-1 (0-based, ascending) of -d^2/dr^2 + W in a new
     array; ValueError unless 0 <= first < m <= N.
 
-    Eigenvalue k bisects the counts of one SturmCounter(W, grid), c = 1
-    (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)), from the
-    Gershgorin interval [min W, max W + 4/h^2] with count(lo) <= k <
-    count(hi), and is the midpoint once hi - lo <= eps * max(|min W|,
-    |max W + 4/h^2|): a count sees sigma only via fl(2 + h^2 (W - sigma)),
-    whose ulp near 2 is 2 eps / h^2 in sigma.
+    Eigenvalue k is the midpoint of the _bisect bracket of count(sigma) <= k
+    on the Gershgorin interval [min W, max W + 4/h^2] to eps * max(|min W|,
+    |max W + 4/h^2|), with count one memoized SturmCounter(W, grid) at c = 1
+    (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)): a count sees
+    sigma only via fl(2 + h^2 (W - sigma)), whose ulp near 2 is 2 eps / h^2
+    in sigma.  The eigenvalues share their first midpoints, counted once.
     """
     if not 0 <= first < m <= grid.n:
         raise ValueError(f"need 0 <= first < m <= {grid.n}, got {first}, {m}")
     counter = SturmCounter(w_values, grid)
+    count = cache(lambda sigma: counter.count(1.0, sigma))
     bottom = float(np.min(w_values))
     top = float(np.max(w_values)) + 4.0 / grid.h ** 2
     tol = np.finfo(float).eps * max(abs(bottom), abs(top))
     vals = np.empty(m - first)
     for k in range(first, m):
-        lo, hi = bottom, top
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if counter.count(1.0, mid) > k:
-                hi = mid
-            else:
-                lo = mid
+        lo, hi = _bisect(lambda sigma: count(sigma) <= k, bottom, top, tol)
         vals[k - first] = 0.5 * (lo + hi)
     return vals
 
@@ -291,67 +299,45 @@ def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
     return float(vals[0]), v
 
 
-# equal steps of the oracle's seed walk across (-M, M)
-_SEEDS = 64
+def seed_energies(M: float) -> list[float]:
+    """The 65 energies of the oracle's seed walk: 64 equal steps across (-M, M)."""
+    return seed_grid(-M * (1 - 1e-9), M * (1 - 1e-9), 64).tolist()
 
 
-class SeedCounts:
-    """Sturm counts of the effective operator at energy x (the number of its
-    eigenvalues <= x^2 - M^2), one memo for every energy asked: the seed
-    energies xs that a walk reaches and the bisection midpoints.  A count
-    does not depend on n, so one instance serves every level and counts each
-    energy once.  The grid is checked once here, against the largest W on
-    the window, 2 (2M) V."""
-
-    def __init__(self, params: HylleraasParams, grid: RadialGrid):
-        M = params.M
-        self.params, self.grid = params, grid
-        self.v = potential_V(grid.points, params)
-        check_grid(grid, 2.0 * (2 * M) * self.v)
-        self.counter = SturmCounter(self.v, grid)
-        self.xs = seed_grid(-M * (1 - 1e-9), M * (1 - 1e-9), _SEEDS).tolist()
-        self._memo: dict[float, int] = {}
-
-    def at(self, x: float) -> int:
-        """The count at any energy x: W = 2 (x + M) V at x^2 - M^2."""
-        count = self._memo.get(x)
-        if count is None:
-            M = self.params.M
-            count = self.counter.count(2.0 * (x + M), x * x - M * M)
-            self._memo[x] = count
-        return count
-
-    def __getitem__(self, i: int) -> int:
-        return self.at(self.xs[i])
+def energy_counts(params: HylleraasParams, grid: RadialGrid) -> Callable[[float], int]:
+    """Memoized x -> Sturm count of the effective operator at energy x (its
+    eigenvalues <= x^2 - M^2 for W = 2 (x + M) V).  A count does not depend
+    on n, so one memo serves every level's seeds and midpoints.  The grid is
+    checked here, against the largest W on the window, 2 (2M) V."""
+    M = params.M
+    v = potential_V(grid.points, params)
+    check_grid(grid, 2.0 * (2 * M) * v)
+    counter = SturmCounter(v, grid)
+    return cache(lambda x: counter.count(2.0 * (x + M), x * x - M * M))
 
 
 def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
-                       seeds: SeedCounts | None = None) -> EnergyLevel:
+                       counts: Callable[[float], int] | None = None) -> EnergyLevel:
     """Lowest crossing of the Sturm count through n on (-M, M).
 
-    The walk up the seeds (`seeds` when given, else new ones) stops at the
-    first interval where `count <= n`, the sign of g, flips; bisection on
-    that predicate then narrows it to E_TOL_REL * M and reports the
-    midpoint.  No step reads a computed eigenvalue, whose absolute error
-    (eps times the matrix norm) swamps g where W is huge.  The residual is
-    the half-width of the final bracket: the counts at its ends straddle n,
-    so it bounds the distance from E to the crossing.
+    The walk up seed_energies(M), counted by `counts` (a new energy_counts
+    memo when None), stops at the first interval where `count <= n`, the
+    sign of g, flips; _bisect on that predicate narrows it to E_TOL_REL * M
+    and the midpoint is reported.  No step reads a computed eigenvalue, whose
+    absolute error (eps times the matrix norm) swamps g where W is huge.  The
+    residual is the half-width of the final bracket: the counts at its ends
+    straddle n, so it bounds the distance from E to the crossing.
 
     Returns a flagged NoRoot level when no interval flips.
     """
     M = params.M
-    seeds = seeds or SeedCounts(params, grid)
-    for i in range(len(seeds.xs) - 1):
-        below = seeds[i] <= n
-        if below == (seeds[i + 1] <= n):
+    counts = counts or energy_counts(params, grid)
+    xs = seed_energies(M)
+    for x0, x1 in zip(xs, xs[1:]):
+        below = counts(x0) <= n
+        if below == (counts(x1) <= n):
             continue
-        lo, hi = seeds.xs[i], seeds.xs[i + 1]
-        while hi - lo > E_TOL_REL * M:
-            mid = 0.5 * (lo + hi)
-            if (seeds.at(mid) <= n) == below:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _bisect(lambda x: (counts(x) <= n) == below, x0, x1, E_TOL_REL * M)
         E = 0.5 * (lo + hi)
         return EnergyLevel(n=n, E=E, Ebar=E * E - M * M, engine=Engine.ORACLE,
                            residual=0.5 * (hi - lo))
@@ -362,11 +348,11 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
 def solve_levels(params: HylleraasParams, ns: Iterable[int],
                  grid: RadialGrid) -> dict[int, list[EnergyLevel]]:
     """The solve_relativistic level of each n in ns as a one-level list, all
-    walking one SeedCounts; a NoRoot record becomes an empty list."""
-    seeds = SeedCounts(params, grid)
+    counted by one energy_counts memo; a NoRoot record becomes an empty list."""
+    counts = energy_counts(params, grid)
     results = {}
     for n in ns:
-        level = solve_relativistic(params, n, grid, seeds)
+        level = solve_relativistic(params, n, grid, counts)
         results[n] = [level] if level.found else []
     return results
 

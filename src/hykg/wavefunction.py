@@ -141,7 +141,7 @@ def rodrigues_chi(n: int, D: float, F: float, a: float, c: float, s) -> float:
         raise ValueError(f"derivative order capped at {_MAX_RODRIGUES_N}")
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr + a <= 0) or np.any(s_arr + c <= 0):
-        raise DomainError("base factors must stay positive on the domain")
+        raise DomainError("factor bases must be positive")
     total = np.zeros_like(s_arr)
     for k in range(n + 1):
         coeff = math.comb(n, k) * _falling(n + D, k) * _falling(n + F, n - k)
@@ -235,8 +235,6 @@ def radial_R(level: EnergyLevel, params: HylleraasParams,
     abc = params.abc
     exponents = exponents_DF(params, level)
     s = s_of_r(r, params.K, params.omega, params.s_sign)
-    if np.any(s + abc.a <= 0) or np.any(s + abc.c <= 0):
-        raise DomainError("factor bases must be positive")
     forms = {}
     for reading, (D, F) in exponents.items():
         chi = rodrigues_chi(level.n, D, F, abc.a, abc.c, s)

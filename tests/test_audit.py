@@ -14,14 +14,14 @@ from hykg.audit import (
 )
 from hykg.config import default_config
 from hykg.errors import DegenerateParams, NotRepresentable
-from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign
+from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign, potential_V
 from hykg.levels import (
     FLAG_IDENTITY_NOT_COMPUTABLE,
     FLAG_REFERENCE_FALLBACK,
     Engine,
     EnergyLevel,
 )
-from hykg.oracle import RadialGrid, SeedCounts, default_grid
+from hykg.oracle import RadialGrid, default_grid
 from hykg.wavefunction import build_radial
 
 from _stebz import stebz_eigenvalues
@@ -97,7 +97,7 @@ class TestEngineTable:
     def test_oracle_entry_calls_patched_solver(self, monkeypatch):
         calls = []
 
-        def stub(params, n, grid, seeds=None):
+        def stub(params, n, grid, counts=None):
             calls.append(n)
             return EnergyLevel(n=n, E=-0.5, Ebar=-0.75, engine=Engine.ORACLE, residual=0.0)
 
@@ -146,14 +146,14 @@ def seed_signs(params, grid, ns):
     """(count <= n, g_n, accuracy) at every seed of the oracle's seed walk,
     with g_n the single-index g of an eigensolve and `accuracy` a bound on
     its absolute error: stebz bisects to eps times the matrix norm."""
-    M = params.M
-    seeds = SeedCounts(params, grid)
-    for i, x in enumerate(seeds.xs):
-        w = 2.0 * (x + M) * seeds.v
+    M, v = params.M, potential_V(grid.points, params)
+    counts = oracle.energy_counts(params, grid)
+    for x in oracle.seed_energies(M):
+        w = 2.0 * (x + M) * v
         accuracy = 8.0 * np.finfo(float).eps * (float(np.max(np.abs(w))) + 4.0 / grid.h ** 2)
         for n in ns:
             ebar_n = float(stebz_eigenvalues(w, grid, n + 1, first=n)[0])
-            yield seeds[i] <= n, ebar_n - (x * x - M * M), accuracy
+            yield counts(x) <= n, ebar_n - (x * x - M * M), accuracy
 
 
 class TestBatchedLevels:

@@ -386,6 +386,27 @@ class TestWavefunctionCommand:
         assert "base factor must stay positive" in err
         assert not list(out.glob("wf_*"))
 
+    def test_non_positive_factor_base_is_config_error(self, tmp_path, capfd):
+        # a != c here: the mechanical n = 0 level's printed factor has a base
+        # that turns non-positive on the default grid, so no representation
+        # can be sampled; audit scores none and still writes both rows
+        cfg = tmp_path / "bases.cfg"
+        cfg.write_text("[params]\nK = 1.5686060290282287\nk1 = 1.9701800862985168\n"
+                       "k2 = 0.16771226534540684\nomega = 0.2119913530134746\n"
+                       "D_e = 2.5136068291881974\ns_sign = negative\n\n"
+                       "[run]\nengines = mechanical, oracle\nn_max = 1\n")
+        assert not wavefunction._is_confluent(load_config(cfg).params)
+        out = tmp_path / "w"
+        assert main(["wavefunction", "--config", str(cfg), "--out", str(out),
+                     "--n", "0"]) == 2
+        assert capfd.readouterr().err == (
+            "config error: closed form n=0 cannot be sampled on the grid "
+            "(r_max = 55.09416564425451): factor bases must be positive\n")
+        assert not list(out.glob("wf_*"))
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        rows = json.loads((tmp_path / "a" / "audit.json").read_text())["rows"]
+        assert [row["ode_form"] for row in rows] == ["none", "none"]
+
     def test_one_build_per_command(self, fast_cfg_path, tmp_path, monkeypatch):
         # the CSV and the sidecar's ode_residual read the same sampled forms
         calls = []

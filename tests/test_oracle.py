@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -36,6 +37,7 @@ from hykg.oracle import (
 )
 from hykg.rootfind import estimate_order
 
+from _count_bisection import reference_eigenvalues
 from _stebz import stebz_eigenvalues, tridiagonal
 from test_closedform import SWEEP_BOX
 
@@ -158,6 +160,29 @@ class TestEigenTridiagonal:
             assert np.all(np.diff(vals) >= 0)
             assert np.max(np.abs(vals - stebz_eigenvalues(w, grid, m, first))) <= 2.0 * floor
 
+    # the selftest's box and oscillator, schrodinger_limit's 4 V, and huge W
+    @pytest.mark.parametrize("operator, n_points, most", [
+        ("box", 2000, 120), ("oscillator", 2000, 130), ("4V", 4000, 118), ("huge W", 400, 53)])
+    def test_counts_each_sigma_once(self, monkeypatch, operator, n_points, most):
+        # the three eigenvalues bisect from one interval, so they share their
+        # first midpoints; one memo counts those once (157, 159, 159 and 159
+        # counts without it) and leaves every bit of the result unchanged
+        grid_of, w_of = self.OPERATORS[operator]
+        grid = grid_of(n_points)
+        w = w_of(grid)
+        expected = reference_eigenvalues(w, grid, 3)
+        sigmas = []
+        count = oracle.SturmCounter.count
+
+        def counted(self, c, sigma):
+            sigmas.append(sigma)
+            return count(self, c, sigma)
+
+        monkeypatch.setattr(oracle.SturmCounter, "count", counted)
+        vals = eigen_tridiagonal(w, grid, 3)
+        assert len(sigmas) == len(set(sigmas)) <= most
+        assert vals.tobytes() == expected.tobytes()
+
     def test_invalid_ranges_raise(self):
         grid = box_grid(L, 400)
         w = np.zeros(grid.n)
@@ -238,6 +263,23 @@ class TestRelativistic:
         assert diffs[0] > diffs[1] > diffs[2]
 
 
+def record_energy_counts(monkeypatch, record):
+    """Make every memo from oracle.energy_counts call record(x, count) on
+    each count it is asked for, whether the memo holds it or not."""
+    energy_counts = oracle.energy_counts
+
+    def recording_counts(params, grid):
+        counts = energy_counts(params, grid)
+
+        def recorded(x):
+            count = counts(x)
+            record(x, count)
+            return count
+        return recorded
+
+    monkeypatch.setattr(oracle, "energy_counts", recording_counts)
+
+
 @pytest.fixture
 def solved_rows(monkeypatch):
     """The rows each oracle.dtbsv call solves, appended as the calls are made."""
@@ -309,7 +351,7 @@ class TestSturmCount:
         assert params.abc.c == 0.0
         grid = default_grid(params, n=400)
         M, v = params.M, potential_V(grid.points, params)
-        for x in oracle.SeedCounts(params, grid).xs:
+        for x in oracle.seed_energies(M):
             w = 2.0 * (x + M) * v
             sigma = x * x - M * M
             assert SturmCounter(w, grid).count(1.0, sigma) == sturm_count_hp(w, grid, sigma)
@@ -321,7 +363,7 @@ class TestSturmCount:
     @settings(max_examples=40, deadline=None)
     @pytest.mark.filterwarnings("ignore::hykg.oracle.GridHeuristicWarning")
     def test_matches_high_precision_anywhere(self, point, s_sign, u):
-        # the count of W with c = 1, and SeedCounts' count, which forms
+        # the count of W with c = 1, and energy_counts' count, which forms
         # W = c V on the rows it solves only
         try:
             params = HylleraasParams(M=1.0, s_sign=s_sign, **point)
@@ -333,7 +375,7 @@ class TestSturmCount:
         sigma = x * x - M * M
         expected = sturm_count_hp(w, grid, sigma)
         assert SturmCounter(w, grid).count(1.0, sigma) == expected
-        assert oracle.SeedCounts(params, grid).at(x) == expected
+        assert oracle.energy_counts(params, grid)(x) == expected
 
     # h = 1/16 exactly, so t = 2 + h^2 (W - sigma) is exact for these W
     ZERO_GRID = RadialGrid(r_min=0.0625, r_max=16.0, n=256)
@@ -408,14 +450,10 @@ class TestSturmCount:
         # memo counts each energy once, so the four walks share their seeds
         # and their common first midpoints
         config = default_config()
-        seeds = oracle.SeedCounts(config.params, config.grid()).xs
+        seeds = oracle.seed_energies(config.params.M)
         per_level, counts, eigensolves = [], [], []
-        at, count = oracle.SeedCounts.at, oracle.SturmCounter.count
+        count = oracle.SturmCounter.count
         solve, eigen = oracle.solve_relativistic, oracle.eigen_tridiagonal
-
-        def recorded_at(self, x):
-            per_level[-1].append(x)
-            return at(self, x)
 
         def counted_count(self, c, sigma):
             counts.append(sigma)
@@ -429,7 +467,7 @@ class TestSturmCount:
             eigensolves.append(args[2:])
             return eigen(*args, **kwargs)
 
-        monkeypatch.setattr(oracle.SeedCounts, "at", recorded_at)
+        record_energy_counts(monkeypatch, lambda x, _: per_level[-1].append(x))
         monkeypatch.setattr(oracle.SturmCounter, "count", counted_count)
         monkeypatch.setattr(oracle, "solve_relativistic", grouped_solve)
         monkeypatch.setattr(oracle, "eigen_tridiagonal", counted_eigen)
@@ -447,16 +485,18 @@ class TestSturmCount:
         # finest grid, and allocates far less than one N-long array: W, the
         # band and y live only on the solved rows or in the grid's buffers
         params, grid = B_NEGATIVE_WELL.replace(D_e=5000.0), well_grid(16000)
-        seeds = oracle.SeedCounts(params, grid)
-        E = solve_relativistic(params, 0, grid, seeds).E
+        counts = oracle.energy_counts(params, grid)
+        E = solve_relativistic(params, 0, grid, counts).E
         x = math.nextafter(E, 1.0)
-        assert x not in seeds._memo
+        memo = counts.cache_info().currsize
         tracemalloc.start()
         try:
-            seeds.at(x)
+            counts(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # x was not in the memo: this call counted it
+        assert counts.cache_info().currsize == memo + 1
         assert peak < 8 * grid.n / 2
 
 
@@ -548,13 +588,7 @@ class TestCountBisection:
     def test_level_is_the_exact_count_crossing(self, monkeypatch, n_points, crossing):
         grid = default_grid(HUGE_W_PARAMS, n=n_points)
         counted = []
-        at = oracle.SeedCounts.at
-
-        def recording(self, x):
-            counted.append((x, at(self, x)))
-            return counted[-1][1]
-
-        monkeypatch.setattr(oracle.SeedCounts, "at", recording)
+        record_energy_counts(monkeypatch, lambda x, count: counted.append((x, count)))
         level = solve_relativistic(HUGE_W_PARAMS, 0, grid)
         assert level.found
         assert abs(level.E - crossing) < 5e-8
@@ -583,16 +617,16 @@ class TestCountBisection:
         except DegenerateParams:
             assume(False)
         grid = default_grid(params, n=400)
-        seeds = oracle.SeedCounts(params, grid)
+        counts = oracle.energy_counts(params, grid)
         tol = E_TOL_REL * params.M
         for n, levels in solve_levels(params, range(4), grid).items():
             for level in levels:
                 assert -params.M < level.E < params.M
-                assert (seeds.at(level.E - tol) <= n) != (seeds.at(level.E + tol) <= n)
+                assert (counts(level.E - tol) <= n) != (counts(level.E + tol) <= n)
                 # the residual is the final bracket's half-width: a bound on E
                 assert 0 < level.residual <= tol / 2
                 lo, hi = level.E - level.residual, level.E + level.residual
-                assert (seeds.at(lo) <= n) != (seeds.at(hi) <= n)
+                assert (counts(lo) <= n) != (counts(hi) <= n)
 
 
 class TestNumerovShooter:
@@ -1031,6 +1065,18 @@ class TestGrid:
         assert [str(w.message) for w in caught
                 if issubclass(w.category, GridHeuristicWarning)] == [
             "h^2 * max|W| >= 0.5; stencil accuracy is degraded"]
+
+    def test_warning_names_the_calling_line(self):
+        # the check runs inside the count memo that either entry builds, and
+        # its warning points past both at the line that called the entry
+        params, grid = B_NEGATIVE_WELL.replace(D_e=5000.0), well_grid(1000)
+        for entry, n in ((solve_relativistic, 0), (solve_levels, (0,))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                line = sys._getframe().f_lineno + 1
+                entry(params, n, grid)
+            assert [(w.filename, w.lineno) for w in caught
+                    if issubclass(w.category, GridHeuristicWarning)] == [(__file__, line)]
 
     def test_low_signal_flagged(self):
         slope, low = estimate_order([0.1, 0.05, 0.025], [1.0, 1.0, 1.0])

@@ -34,7 +34,8 @@ def test_kernel_costs_smoke():
     # one row per case, every cost a positive number (each case has an
     # n = 0 level at N = 400), one band solve per pass of the defect, and its
     # inward pass starting past its matching index, at most at the far wall;
-    # then one row per eigen_tridiagonal case, and one per closed-form engine
+    # then one row per eigen_tridiagonal case with its Sturm counts, and one
+    # per closed-form engine
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_costs.py"),
                            "--n", "400", "--repeat", "1"],
                           capture_output=True, text=True, timeout=120)
@@ -52,11 +53,13 @@ def test_kernel_costs_smoke():
         assert int(solves) == 2
         assert 2 <= int(m) < int(start) <= int(n) - 1
     header, *rows = eigen.splitlines()
-    assert header.split() == ["eigen_tridiagonal", "N", "us/eigenvalue"]
+    assert header.split() == ["eigen_tridiagonal", "N", "counts", "us/eigenvalue"]
     assert [(row[:18].strip(), int(row[18:].split()[0])) for row in rows] == [
         ("selftest box", 2000), ("4V default grid", 4000)]
     for row in rows:
-        assert float(row[18:].split()[1]) > 0
+        counts, per_value = row[18:].split()[1:]
+        assert counts.isdigit() and int(counts) > 0
+        assert float(per_value) > 0
     header, *rows = closed.splitlines()
     assert header.split() == ["closed", "form", "us/residual", "us/call"]
     assert [row.split()[0] for row in rows] == ["mechanical", "implicit", "eq45"]
