@@ -3,9 +3,11 @@
 
 For each grid size N it solves the n = 0 oracle level once, then times
 
-  * count: the whole count bisection of that level on a fresh
-    `energy_counts` memo (grid set-up excluded), divided by the number of
-    counts, which is the memo's size after the solve;
+  * count: the whole solve of that level on a fresh `energy_counts` memo
+    (grid set-up excluded), divided by the number of counts, which is the
+    memo's size after the solve; the table splits them into the seed
+    search's (`walk`, the memo's size when `_bisect` starts) and the
+    bisection's (`bisect`);
   * defect: one `numerov_defect` at the level's energy, called as
     `numerov_shoot` calls it, on one `SturmCounter` of the grid's V; the
     table prints beside it the number of band solves it makes (`solves`,
@@ -86,12 +88,21 @@ def sturm_counts(call):
 
 
 def costs(params, grid, repeat):
-    """(counts per level, us per count, (us per defect, band solves per
-    defect, m, inward start) or None) of the n = 0 level."""
+    """((walk, bisect) counts of the level, us per count, (us per defect,
+    band solves per defect, m, inward start) or None) of the n = 0 level."""
     M = params.M
     probe = oracle.energy_counts(params, grid)
-    E = oracle.solve_relativistic(params, 0, grid, probe).E
+    walked = []
+    bisect = oracle._bisect
+
+    def recorded_bisect(*args):
+        walked.append(probe.cache_info().currsize)
+        return bisect(*args)
+
+    with mock.patch.object(oracle, "_bisect", recorded_bisect):
+        E = oracle.solve_relativistic(params, 0, grid, probe).E
     n_counts = probe.cache_info().currsize
+    walk = walked[0] if walked else n_counts
 
     def level():
         counts = oracle.energy_counts(params, grid)
@@ -100,8 +111,9 @@ def costs(params, grid, repeat):
         return time.perf_counter() - t0
 
     per_count = min(level() for _ in range(repeat)) / n_counts
+    split = (walk, n_counts - walk)
     if E is None:
-        return n_counts, per_count, None
+        return split, per_count, None
     well = oracle.SturmCounter(potential_V(grid.points, params), grid)
     c, sigma = 2.0 * (E + M), E * E - M * M
     m, rows = oracle._numerov_rows(well, c, sigma)
@@ -110,7 +122,7 @@ def costs(params, grid, repeat):
         return oracle.numerov_defect(well, c, sigma)
 
     per_defect = min(timeit.repeat(defect, number=1, repeat=repeat))
-    return n_counts, per_count, (per_defect, band_solves(defect), m, len(rows) - 1)
+    return split, per_count, (per_defect, band_solves(defect), m, len(rows) - 1)
 
 
 def main(argv=None):
@@ -119,14 +131,14 @@ def main(argv=None):
     parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args(argv)
     warnings.simplefilter("ignore", oracle.GridHeuristicWarning)
-    print(f"{'case':16s} {'N':>6s} {'counts':>6s} {'us/count':>9s} "
+    print(f"{'case':16s} {'N':>6s} {'walk':>6s} {'bisect':>6s} {'us/count':>9s} "
           f"{'us/defect':>10s} {'solves':>6s} {'m':>6s} {'start':>6s}")
     for name, params, grid_of in CASES:
         for n in args.n:
-            n_counts, per_count, defect = costs(params, grid_of(n), args.repeat)
+            (walk, bisect), per_count, defect = costs(params, grid_of(n), args.repeat)
             per_defect, solves, m, start = ("-",) * 4 if defect is None else (
                 f"{defect[0] * 1e6:.1f}", *map(str, defect[1:]))
-            print(f"{name:16s} {n:6d} {n_counts:6d} {per_count * 1e6:9.1f} "
+            print(f"{name:16s} {n:6d} {walk:6d} {bisect:6d} {per_count * 1e6:9.1f} "
                   f"{per_defect:>10s} {solves:>6s} {m:>6s} {start:>6s}")
     print()
     print(f"{'eigen_tridiagonal':18s} {'N':>6s} {'counts':>6s} {'us/eigenvalue':>14s}")

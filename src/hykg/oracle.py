@@ -31,7 +31,7 @@ import importlib
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -304,45 +304,93 @@ def seed_energies(M: float) -> list[float]:
     return seed_grid(-M * (1 - 1e-9), M * (1 - 1e-9), 64).tolist()
 
 
+@lru_cache(maxsize=1)
+def _well(params: HylleraasParams, grid: RadialGrid) -> SturmCounter:
+    """The SturmCounter of V on grid, kept for the next call on the same
+    (params, grid): energy_counts and numerov_shoot share its V and its
+    suffix extrema.  Its v is read-only, as every caller sees the same
+    array; its band and work buffers are scratch that each count rewrites."""
+    v = potential_V(grid.points, params)
+    v.flags.writeable = False
+    return SturmCounter(v, grid)
+
+
 def energy_counts(params: HylleraasParams, grid: RadialGrid) -> Callable[[float], int]:
     """Memoized x -> Sturm count of the effective operator at energy x (its
-    eigenvalues <= x^2 - M^2 for W = 2 (x + M) V).  A count does not depend
-    on n, so one memo serves every level's seeds and midpoints.  The grid is
-    checked here, against the largest W on the window, 2 (2M) V."""
+    eigenvalues <= x^2 - M^2 for W = 2 (x + M) V), counted on _well(params,
+    grid).  A count does not depend on n, so one memo serves every level's
+    seeds and midpoints.  The grid is checked on every call, against the
+    largest W on the window, 2 (2M) V."""
     M = params.M
-    v = potential_V(grid.points, params)
-    check_grid(grid, 2.0 * (2 * M) * v)
-    counter = SturmCounter(v, grid)
+    counter = _well(params, grid)
+    check_grid(grid, 2.0 * (2 * M) * counter.v)
     return cache(lambda x: counter.count(2.0 * (x + M), x * x - M * M))
+
+
+def _first_flip(counts: Callable[[float], int], n: int, xs: list[float]) -> int | None:
+    """The first i at which count <= n differs between xs[i] and xs[i + 1],
+    or None.
+
+    For n = 0 with count(xs[0]) = 0 the zero counts form a prefix of xs: the
+    count is 0 where lambda_min(x) - (x^2 - M^2) > 0, lambda_min the lowest
+    eigenvalue of T + 2 (x + M) V.  A minimum of Rayleigh quotients, each
+    linear in the coupling 2 (x + M) and so in x, is concave in x, and
+    x^2 - M^2 is convex, so that difference is concave and positive on one
+    interval of x.  The prefix's end is found by galloping, as in timsort:
+    the probe index runs 1, 3, 7, 15, ..., each probe covering twice the
+    seeds of the last, up to the first nonzero count, and the last gap is
+    then halved.  Otherwise every interval is walked in turn.
+    """
+    last = len(xs) - 1
+    if n == 0 and counts(xs[0]) == 0:
+        lo, hi = 0, 1
+        while counts(xs[hi]) == 0:
+            if hi == last:
+                return None
+            lo, hi = hi, min(2 * hi + 1, last)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if counts(xs[mid]) == 0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+    for i in range(last):
+        if (counts(xs[i]) <= n) != (counts(xs[i + 1]) <= n):
+            return i
+    return None
 
 
 def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
                        counts: Callable[[float], int] | None = None) -> EnergyLevel:
     """Lowest crossing of the Sturm count through n on (-M, M).
 
-    The walk up seed_energies(M), counted by `counts` (a new energy_counts
-    memo when None), stops at the first interval where `count <= n`, the
-    sign of g, flips; _bisect on that predicate narrows it to E_TOL_REL * M
-    and the midpoint is reported.  No step reads a computed eigenvalue, whose
-    absolute error (eps times the matrix norm) swamps g where W is huge.  The
-    residual is the half-width of the final bracket: the counts at its ends
-    straddle n, so it bounds the distance from E to the crossing.
+    _first_flip finds, among seed_energies(M) counted by `counts` (a new
+    energy_counts memo when None), the first interval where `count <= n`,
+    the sign of g, flips: for n = 0 from a zero count at the lowest seed it
+    gallops, as the zero counts then form a prefix of the seeds (the count
+    is 0 where a concave function of the energy is positive), and otherwise
+    it walks the intervals in turn.  _bisect on that predicate narrows the
+    interval to E_TOL_REL * M and the midpoint is reported.  No step reads a
+    computed eigenvalue, whose absolute error (eps times the matrix norm)
+    swamps g where W is huge.  The residual is the half-width of the final
+    bracket: the counts at its ends straddle n, so it bounds the distance
+    from E to the crossing.
 
     Returns a flagged NoRoot level when no interval flips.
     """
     M = params.M
     counts = counts or energy_counts(params, grid)
     xs = seed_energies(M)
-    for x0, x1 in zip(xs, xs[1:]):
-        below = counts(x0) <= n
-        if below == (counts(x1) <= n):
-            continue
-        lo, hi = _bisect(lambda x: (counts(x) <= n) == below, x0, x1, E_TOL_REL * M)
-        E = 0.5 * (lo + hi)
-        return EnergyLevel(n=n, E=E, Ebar=E * E - M * M, engine=Engine.ORACLE,
-                           residual=0.5 * (hi - lo))
-    return EnergyLevel(n=n, E=None, Ebar=None, engine=Engine.ORACLE,
-                       residual=None, flags=frozenset({FLAG_NO_ROOT}))
+    i = _first_flip(counts, n, xs)
+    if i is None:
+        return EnergyLevel(n=n, E=None, Ebar=None, engine=Engine.ORACLE,
+                           residual=None, flags=frozenset({FLAG_NO_ROOT}))
+    below = counts(xs[i]) <= n
+    lo, hi = _bisect(lambda x: (counts(x) <= n) == below, xs[i], xs[i + 1], E_TOL_REL * M)
+    E = 0.5 * (lo + hi)
+    return EnergyLevel(n=n, E=E, Ebar=E * E - M * M, engine=Engine.ORACLE,
+                       residual=0.5 * (hi - lo))
 
 
 def solve_levels(params: HylleraasParams, ns: Iterable[int],
@@ -532,11 +580,19 @@ def count_sign_changes(values: np.ndarray) -> int:
 def _numerov_root(well: SturmCounter, coeffs, lo: float, hi: float,
                   tol: float) -> tuple[float, float, np.ndarray]:
     """Brent root of the matching defect of (c, sigma) = coeffs(x) on
-    [lo, hi]: (root, defect at the root, assembled solution).  Only the call
-    at the root assembles the solution.  Raises ValueError (from brent) when
-    the defect shows no sign change on the bracket."""
-    root = brent(lambda x: numerov_defect(well, *coeffs(x))[0], lo, hi, tol)
-    wronskian, solution = numerov_defect(well, *coeffs(root))
+    [lo, hi]: (root, defect at the root, assembled solution).  Brent returns
+    an energy it has evaluated, so the defect and solution at the root are
+    those of its own evaluation there, kept by energy; only the root's
+    solution is assembled.  Raises ValueError (from brent) when the defect
+    shows no sign change on the bracket."""
+    shots = {}
+
+    def defect(x):
+        shots[x] = numerov_defect(well, *coeffs(x))
+        return shots[x][0]
+
+    root = brent(defect, lo, hi, tol)
+    wronskian, solution = shots[root]
     return root, wronskian, solution()
 
 
@@ -556,13 +612,14 @@ def numerov_eigenvalue(w_values: np.ndarray, grid: RadialGrid,
 
 def numerov_shoot(params: HylleraasParams, n: int, grid: RadialGrid,
                   e_bracket: tuple[float, float]) -> EnergyLevel:
-    """Independent relativistic solve: Numerov matching inside an E bracket.
+    """Independent relativistic solve: Numerov matching inside an E bracket,
+    on the _well that solve_relativistic counts on for the same (params, grid).
 
     The assembled solution's node count must equal n; a mismatch is returned
     as a flagged level (the bracket captured a different state).
     """
     M = params.M
-    well = SturmCounter(potential_V(grid.points, params), grid)
+    well = _well(params, grid)
     lo, hi = e_bracket
     try:
         # q = 2 (E + M) V - (E^2 - M^2)

@@ -128,7 +128,8 @@ def _falling(x: float, k: int) -> float:
     return out
 
 
-def rodrigues_chi(n: int, D: float, F: float, a: float, c: float, s) -> float:
+def rodrigues_chi(n: int, D: float, F: float, a: float, c: float,
+                  s: np.ndarray) -> np.ndarray:
     """chi_n(s) = (s+a)^-D (s+c)^-F d^n/ds^n [(s+a)^(n+D) (s+c)^(n+F)].
 
     Evaluated through the Leibniz expansion, exact for the polynomial result:
@@ -139,14 +140,13 @@ def rodrigues_chi(n: int, D: float, F: float, a: float, c: float, s) -> float:
         raise ValueError("n must be >= 0")
     if n > _MAX_RODRIGUES_N:
         raise ValueError(f"derivative order capped at {_MAX_RODRIGUES_N}")
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr + a <= 0) or np.any(s_arr + c <= 0):
+    if np.any(s + a <= 0) or np.any(s + c <= 0):
         raise DomainError("factor bases must be positive")
-    total = np.zeros_like(s_arr)
+    total = np.zeros_like(s)
     for k in range(n + 1):
         coeff = math.comb(n, k) * _falling(n + D, k) * _falling(n + F, n - k)
-        total = total + coeff * (s_arr + a) ** (n - k) * (s_arr + c) ** k
-    return float(total) if np.isscalar(s) else total
+        total = total + coeff * (s + a) ** (n - k) * (s + c) ** k
+    return total
 
 
 def confluent_chi_coeffs(n: int, u: float, v: float) -> list[float]:
@@ -268,8 +268,8 @@ class RadialFunction:
     values: np.ndarray
     norm_constant: float | None
     node_count: int
+    representation: str
     flags: frozenset[str] = frozenset()
-    representation: str = "printed"
 
     def __post_init__(self):
         if np.any(np.diff(self.grid) <= 0):

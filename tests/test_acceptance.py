@@ -249,11 +249,12 @@ def test_criterion_7_wavefunction_suite():
     D, F, a, c = 0.7, -0.2, 0.3, 1.1
     for n in range(6):
         ratios = []
-        for s in np.linspace(0.2, 4.0, 25):
+        ss = np.linspace(0.2, 4.0, 25)
+        for s, chi in zip(ss, rodrigues_chi(n, D, F, a, c, ss)):
             x = (2 * s + a + c) / (c - a)
             pj = jacobi_P(n, D, F, x)
             if abs(pj) > 1e-9:
-                ratios.append(rodrigues_chi(n, D, F, a, c, s) / pj)
+                ratios.append(chi / pj)
         assert len(ratios) >= 20
         mid = float(np.median(ratios))
         for ratio in ratios:
@@ -262,12 +263,12 @@ def test_criterion_7_wavefunction_suite():
     # normalization: idempotence, linearity, Gaussian fixture
     grid = np.linspace(0.0, 12.0, 4001)
     base = RadialFunction(grid=grid, values=np.exp(-grid ** 2 / 2.0),
-                          norm_constant=1.0, node_count=0)
+                          norm_constant=1.0, node_count=0, representation="gaussian")
     one = normalize(base)
     two = normalize(one)
     assert two.norm_constant / one.norm_constant == pytest.approx(1.0, abs=1e-10)
     seven = RadialFunction(grid=grid, values=7.0 * base.values,
-                           norm_constant=1.0, node_count=0)
+                           norm_constant=1.0, node_count=0, representation="gaussian")
     assert normalize(seven).norm_constant == pytest.approx(one.norm_constant / 7.0,
                                                            rel=1e-12)
     integral = simpson_adaptive(lambda r: math.exp(-r * r), 0.0, 12.0, rel_tol=1e-12)

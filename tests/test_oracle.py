@@ -38,6 +38,7 @@ from hykg.oracle import (
 from hykg.rootfind import estimate_order
 
 from _count_bisection import reference_eigenvalues
+from _seed_walk import reference_level
 from _stebz import stebz_eigenvalues, tridiagonal
 from test_closedform import SWEEP_BOX
 
@@ -629,10 +630,85 @@ class TestCountBisection:
                 assert (counts(lo) <= n) != (counts(hi) <= n)
 
 
+@pytest.mark.filterwarnings("ignore::hykg.oracle.GridHeuristicWarning")
+class TestSeedSearch:
+    """solve_relativistic's galloping n = 0 search against the linear walk
+    of tests/_seed_walk.py, bit for bit."""
+
+    @staticmethod
+    def assert_matches_the_walk(params, grid):
+        level = solve_relativistic(params, 0, grid)
+        walk = reference_level(params, 0, grid)
+        if walk is None:
+            assert level.E is None and level.flags == frozenset({FLAG_NO_ROOT})
+        else:
+            E, residual = walk
+            assert (level.E.hex(), level.residual.hex(), level.flags) == (
+                E.hex(), residual.hex(), frozenset())
+
+    @given(point=st.fixed_dictionaries({name: st.floats(lo, hi)
+                                        for name, (lo, hi) in SWEEP_BOX.items()}),
+           s_sign=st.sampled_from(SSign))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_walk_on_the_sweep_box(self, point, s_sign):
+        try:
+            params = HylleraasParams(M=1.0, s_sign=s_sign, **point)
+        except DegenerateParams:
+            assume(False)
+        self.assert_matches_the_walk(params, default_grid(params, n=400))
+
+    @given(D_e=st.floats(1000.0, 5000.0))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_the_walk_on_the_refinement_well(self, D_e):
+        self.assert_matches_the_walk(B_NEGATIVE_WELL.replace(D_e=D_e), well_grid(1000))
+
+    def test_count_bound(self, monkeypatch):
+        # the level lies in seed interval 61: the walk counted seeds 0..62
+        # and the bisection 29 midpoints, 92 counts; the search counts seeds
+        # 0, 1, 3, 7, 15, 31, 63 and halves (31, 63) in five more
+        counted = []
+        count = oracle.SturmCounter.count
+
+        def counted_count(self, c, sigma):
+            counted.append(sigma)
+            return count(self, c, sigma)
+
+        monkeypatch.setattr(oracle.SturmCounter, "count", counted_count)
+        assert solve_relativistic(B_NEGATIVE_WELL, 0, well_grid(1000)).found
+        assert len(counted) <= 41
+
+    def test_nonzero_first_count_walks(self):
+        # count(x0) >= 1 leaves the zero counts no prefix: every seed up to
+        # the first zero count is asked for in turn
+        seeds = oracle.seed_energies(1.0)
+        asked = []
+
+        def counts(x):
+            asked.append(x)
+            return int(x < 0.3)
+
+        level = solve_relativistic(B_NEGATIVE_WELL, 0, well_grid(1000), counts)
+        first_zero = next(i for i, x in enumerate(seeds) if x >= 0.3)
+        assert list(dict.fromkeys(x for x in asked if x in seeds)) == seeds[:first_zero + 1]
+        assert abs(level.E - 0.3) <= E_TOL_REL
+
+    def test_zero_counts_on_every_seed_have_no_root(self):
+        seeds = oracle.seed_energies(1.0)
+        asked = []
+
+        def counts(x):
+            asked.append(x)
+            return 0
+
+        level = solve_relativistic(B_NEGATIVE_WELL, 0, well_grid(1000), counts)
+        assert level.E is None and level.flags == frozenset({FLAG_NO_ROOT})
+        assert asked == [seeds[i] for i in (0, 1, 3, 7, 15, 31, 63, 64)]
+
+
 class TestNumerovShooter:
     def test_one_integration_per_brent_evaluation(self, monkeypatch):
-        # Brent's own evaluations plus one at the root, which gives both the
-        # assembled solution and the residual
+        # one integration per Brent evaluation: the assembled solution and
+        # the residual at the root come from Brent's own evaluation there
         grid = default_grid(DEFAULT_PARAMS, n=600)
         E = solve_relativistic(DEFAULT_PARAMS, 0, grid).E
         counts = {"defect": 0, "fevals": 0}
@@ -653,11 +729,32 @@ class TestNumerovShooter:
         shot = numerov_shoot(DEFAULT_PARAMS, 0, grid, (E - 0.005, E + 0.005))
         assert shot.found
         assert counts["fevals"] > 2
-        assert counts["defect"] == counts["fevals"] + 1
+        assert counts["defect"] == counts["fevals"]
         # the residual is the defect at the root, evaluated as the shooter does
         M, E = DEFAULT_PARAMS.M, shot.E
         well = SturmCounter(potential_V(grid.points, DEFAULT_PARAMS), grid)
         assert shot.residual == abs(defect(well, 2.0 * (E + M), E * E - M * M)[0])
+
+    def test_one_well_per_params_and_grid(self, monkeypatch):
+        # the level's counts and the shot's defects read one V, sampled once,
+        # though each call is given a grid of its own
+        sampled = []
+        sample = oracle.potential_V
+
+        def counted_sample(r, params):
+            sampled.append(params)
+            return sample(r, params)
+
+        monkeypatch.setattr(oracle, "potential_V", counted_sample)
+        oracle._well.cache_clear()
+        E = solve_relativistic(B_NEGATIVE_WELL, 0, well_grid(1000)).E
+        assert numerov_shoot(B_NEGATIVE_WELL, 0, well_grid(1000), (E - 0.05, E + 0.05)).found
+        assert sampled == [B_NEGATIVE_WELL]
+
+    def test_shared_well_is_read_only(self):
+        well = oracle._well(B_NEGATIVE_WELL, well_grid(1000))
+        with pytest.raises(ValueError, match="read-only"):
+            well.v[0] = 0.0
 
     @pytest.mark.parametrize("n", [4000, 16000])
     def test_huge_w_never_rescales(self, band_solves, n):
@@ -1075,6 +1172,20 @@ class TestGrid:
                 warnings.simplefilter("always")
                 line = sys._getframe().f_lineno + 1
                 entry(params, n, grid)
+            assert [(w.filename, w.lineno) for w in caught
+                    if issubclass(w.category, GridHeuristicWarning)] == [(__file__, line)]
+
+    def test_warning_names_the_calling_line_on_a_cache_hit(self):
+        # the second solve reads the well the first one built; the check
+        # still runs, and its warning still names the calling line
+        params, grid = B_NEGATIVE_WELL.replace(D_e=5000.0), well_grid(1000)
+        oracle._well.cache_clear()
+        for hits in (0, 1):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                line = sys._getframe().f_lineno + 1
+                solve_relativistic(params, 0, grid)
+            assert oracle._well.cache_info().hits == hits
             assert [(w.filename, w.lineno) for w in caught
                     if issubclass(w.category, GridHeuristicWarning)] == [(__file__, line)]
 

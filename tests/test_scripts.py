@@ -32,8 +32,10 @@ def test_convergence_study_orders():
 
 def test_kernel_costs_smoke():
     # one row per case, every cost a positive number (each case has an
-    # n = 0 level at N = 400), one band solve per pass of the defect, and its
-    # inward pass starting past its matching index, at most at the far wall;
+    # n = 0 level at N = 400, so its seed search counts two seeds or more
+    # and its bisection at least one midpoint), one band solve per pass of
+    # the defect, and its inward pass starting past its matching index, at
+    # most at the far wall;
     # then one row per eigen_tridiagonal case with its Sturm counts, and one
     # per closed-form engine
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_costs.py"),
@@ -42,13 +44,13 @@ def test_kernel_costs_smoke():
     assert proc.returncode == 0, proc.stderr
     levels, eigen, closed = proc.stdout.split("\n\n")
     header, *rows = levels.splitlines()
-    assert header.split() == ["case", "N", "counts", "us/count", "us/defect", "solves", "m",
-                              "start"]
+    assert header.split() == ["case", "N", "walk", "bisect", "us/count", "us/defect",
+                              "solves", "m", "start"]
     assert [row[:16].strip() for row in rows] == [
         "default grid", "well D_e=5000", "huge W (c = 0)"]
     for row in rows:
-        n, counts, per_count, per_defect, solves, m, start = row[16:].split()
-        assert int(n) == 400 and int(counts) > 0
+        n, walk, bisect, per_count, per_defect, solves, m, start = row[16:].split()
+        assert int(n) == 400 and int(walk) >= 2 and int(bisect) > 0
         assert float(per_count) > 0 and float(per_defect) > 0
         assert int(solves) == 2
         assert 2 <= int(m) < int(start) <= int(n) - 1

@@ -96,14 +96,14 @@ class TestJacobi:
 
 class TestRodrigues:
     def test_n0_is_one(self):
-        for s in (0.5, 1.0, 3.0):
-            assert rodrigues_chi(0, 0.7, -0.2, 0.3, 1.1, s) == 1.0
+        s = np.array([0.5, 1.0, 3.0])
+        assert np.array_equal(rodrigues_chi(0, 0.7, -0.2, 0.3, 1.1, s), np.ones(3))
 
     def test_n1_product_rule(self):
         D, F, a, c = 0.7, -0.2, 0.3, 1.1
-        for s in (0.5, 2.0):
-            want = (1 + D) * (s + c) + (1 + F) * (s + a)
-            assert rodrigues_chi(1, D, F, a, c, s) == pytest.approx(want, rel=1e-14)
+        s = np.array([0.5, 2.0])
+        want = (1 + D) * (s + c) + (1 + F) * (s + a)
+        assert rodrigues_chi(1, D, F, a, c, s) == pytest.approx(want, rel=1e-14)
 
     def test_n4_against_finite_differences(self):
         D, F, a, c, s = 0.55, -0.35, 0.4, 1.3, 1.7
@@ -121,33 +121,32 @@ class TestRodrigues:
         h = 0.05
         d4 = sum(w * inner(s + k * h) for k, w in zip(offsets, weights)) / h ** 4
         want = (s + a) ** (-D) * (s + c) ** (-F) * d4
-        got = rodrigues_chi(4, D, F, a, c, s)
-        assert got == pytest.approx(want, rel=1e-6)
+        got = rodrigues_chi(4, D, F, a, c, np.array([s]))
+        assert got == pytest.approx([want], rel=1e-6)
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
-            rodrigues_chi(1, 0.5, 0.5, -2.0, 1.0, 0.5)
+            rodrigues_chi(1, 0.5, 0.5, -2.0, 1.0, np.array([0.5]))
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
-            rodrigues_chi(13, 0.0, 0.0, 1.0, 2.0, 1.0)
+            rodrigues_chi(13, 0.0, 0.0, 1.0, 2.0, np.array([1.0]))
 
     def test_hypergeometric_ode(self):
         # chi_n solves sigma y'' + tau y' + lambda_n y = 0 with
         # sigma = (s+a)(s+c) and tau = sigma' + D (s+c) + F (s+a).
         D, F, a, c, n = 0.7, -0.2, 0.3, 1.1, 3
         lam_n = -n * (2 + D + F) - n * (n - 1)
-        for s in (0.6, 1.2, 2.5):
-            h = 1e-4
-            y0 = rodrigues_chi(n, D, F, a, c, s)
-            yp = (rodrigues_chi(n, D, F, a, c, s + h)
-                  - rodrigues_chi(n, D, F, a, c, s - h)) / (2 * h)
-            ypp = (rodrigues_chi(n, D, F, a, c, s + h) - 2 * y0
-                   + rodrigues_chi(n, D, F, a, c, s - h)) / h ** 2
-            sigma = (s + a) * (s + c)
-            tau = (2 * s + a + c) + D * (s + c) + F * (s + a)
-            resid = sigma * ypp + tau * yp + lam_n * y0
-            assert abs(resid) <= 1e-5 * max(1.0, abs(lam_n * y0))
+        s, h = np.array([0.6, 1.2, 2.5]), 1e-4
+        y0 = rodrigues_chi(n, D, F, a, c, s)
+        yp = (rodrigues_chi(n, D, F, a, c, s + h)
+              - rodrigues_chi(n, D, F, a, c, s - h)) / (2 * h)
+        ypp = (rodrigues_chi(n, D, F, a, c, s + h) - 2 * y0
+               + rodrigues_chi(n, D, F, a, c, s - h)) / h ** 2
+        sigma = (s + a) * (s + c)
+        tau = (2 * s + a + c) + D * (s + c) + F * (s + a)
+        resid = sigma * ypp + tau * yp + lam_n * y0
+        assert np.all(np.abs(resid) <= 1e-5 * np.maximum(1.0, np.abs(lam_n * y0)))
 
     def test_affine_map_matches_jacobi(self):
         # Under x = (2s + a + c)/(c - a), chi_n is proportional to
@@ -155,10 +154,10 @@ class TestRodrigues:
         D, F, a, c = 0.7, -0.2, 0.3, 1.1
         for n in range(6):
             ratios = []
-            for s in np.linspace(0.2, 4.0, 20):
+            ss = np.linspace(0.2, 4.0, 20)
+            for s, ch in zip(ss, rodrigues_chi(n, D, F, a, c, ss)):
                 x = (2 * s + a + c) / (c - a)
                 pj = jacobi_P(n, D, F, x)
-                ch = rodrigues_chi(n, D, F, a, c, s)
                 if abs(pj) > 1e-9:
                     ratios.append(ch / pj)
             assert len(ratios) >= 15
@@ -265,7 +264,8 @@ class TestNormalize:
         # grid starts at the physical origin: the left tail check is vacuous
         grid = np.linspace(0.0, r_max, n_pts)
         values = np.exp(-grid ** 2 / 2.0)
-        return RadialFunction(grid=grid, values=values, norm_constant=1.0, node_count=0)
+        return RadialFunction(grid=grid, values=values, norm_constant=1.0, node_count=0,
+                              representation="gaussian")
 
     def test_gaussian_against_analytic(self):
         # integral of exp(-r^2) over (0, inf) is sqrt(pi)/2
@@ -287,7 +287,7 @@ class TestNormalize:
     def test_scaling_linearity(self):
         base = self._gaussian_radial()
         scaled = RadialFunction(grid=base.grid, values=7.0 * base.values,
-                                norm_constant=1.0, node_count=0)
+                                norm_constant=1.0, node_count=0, representation="gaussian")
         n1 = normalize(base).norm_constant
         n7 = normalize(scaled).norm_constant
         assert n7 == pytest.approx(n1 / 7.0, rel=1e-12)
@@ -295,7 +295,8 @@ class TestNormalize:
     def test_tail_not_converged(self):
         grid = np.linspace(0.1, 5.0, 500)
         values = np.ones(500)
-        rad = RadialFunction(grid=grid, values=values, norm_constant=1.0, node_count=0)
+        rad = RadialFunction(grid=grid, values=values, norm_constant=1.0, node_count=0,
+                             representation="constant")
         with pytest.raises(TailNotConverged):
             normalize(rad)
 
