@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Microseconds per Sturm count, Numerov defect, fixed-W eigenvalue and closed form.
+"""Microseconds per Sturm count, Numerov defect, fixed-W eigenvalue, eigenvector and closed form.
 
 For each grid size N it solves the n = 0 oracle level once, then times
 
@@ -21,7 +21,10 @@ reaches ~1e26 at the far wall.  A second table gives one `eigen_tridiagonal`
 call for the three lowest eigenvalues on the selftest's box (N = 2000) and
 on -d^2/dr^2 + 4 V (`schrodinger_limit`'s operator) on the default grid at
 N = 4000: the Sturm counts it makes, and its time divided by three.  A
-third table times the three closed-form engines at `configs/default.cfg`'s
+third times one `eigenvector_tridiagonal` at the default grid's n = 0 level
+(N = 4000, W = 2 (E + M) V, sigma = E^2 - M^2) beside scipy's
+`eigh_tridiagonal` for the same eigenvector of the same operator.  A
+fourth table times the three closed-form engines at `configs/default.cfg`'s
 parameters: one scalar residual evaluation (`mechanical_residual`,
 `implicit_residual`, `eq45_rhs`) at n = 1, averaged over 99 energies spread
 across |E| < M, and one engine call for n = 0..1
@@ -39,6 +42,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -125,6 +129,22 @@ def costs(params, grid, repeat):
     return split, per_count, (per_defect, band_solves(defect), m, len(rows) - 1)
 
 
+def eigenvector_costs(repeat):
+    """(us per sweep, us per eigh_tridiagonal) for the n = 0 eigenvector on
+    DEFAULT_4000."""
+    E = oracle.solve_relativistic(DEFAULT_PARAMS, 0, DEFAULT_4000).E
+    w = oracle.effective_potential(DEFAULT_PARAMS, E, DEFAULT_4000)
+    sigma = E * E - DEFAULT_PARAMS.M ** 2
+    h2 = DEFAULT_4000.h ** 2
+    diag, off = 2.0 / h2 + w, np.full(DEFAULT_4000.n - 1, -1.0 / h2)
+    sweep = min(timeit.repeat(lambda: oracle.eigenvector_tridiagonal(w, DEFAULT_4000, sigma),
+                              number=1, repeat=repeat))
+    lapack = min(timeit.repeat(lambda: eigh_tridiagonal(diag, off, select="i",
+                                                        select_range=(0, 0)),
+                               number=1, repeat=repeat))
+    return sweep * 1e6, lapack * 1e6
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, nargs="+", default=[1000, 2000, 4000, 8000, 16000])
@@ -147,6 +167,10 @@ def main(argv=None):
         per_value = min(timeit.repeat(lambda: oracle.eigen_tridiagonal(w, grid, 3),
                                       number=1, repeat=args.repeat)) / 3
         print(f"{name:18s} {grid.n:6d} {n_counts:6d} {per_value * 1e6:14.1f}")
+    print()
+    print(f"{'eigenvector':16s} {'N':>6s} {'us/sweep':>9s} {'us/eigh':>9s}")
+    per_sweep, per_eigh = eigenvector_costs(args.repeat)
+    print(f"{'default grid n=0':16s} {DEFAULT_4000.n:6d} {per_sweep:9.1f} {per_eigh:9.1f}")
     print()
     params = load_config(ROOT / "configs" / "default.cfg").params
     energies = (params.M * np.linspace(-0.98, 0.98, 99)).tolist()

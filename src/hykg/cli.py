@@ -116,7 +116,7 @@ def cmd_wavefunction(config: RunConfig, n: int, out_dir: Path) -> None:
         found = ENGINES[Engine.ORACLE](config.params, (n,), grid)[n]
         if found:
             e_oracle = found[0].E
-            vec = oracle_eigenvector(config.params, e_oracle, grid, n)
+            vec = oracle_eigenvector(config.params, e_oracle, grid)
             oracle_col = [fmt_cell(float(v)) for v in vec]
             denom = (math.sqrt(float(np.sum(radial.values ** 2)))
                      * math.sqrt(float(np.sum(vec ** 2))))

@@ -22,8 +22,10 @@ first row past the turning point where the WKB decay depth h sum sqrt(q)
 reaches 40, before any row where Numerov's step is invalid (B <= 0).  There
 it carries the solution that grows outward at e^-80 of the one it seeks at
 the matching point, so the matching defect is exact to rounding, and it
-forms t and B only on the rows up to that start.  A fixed-mass Schroedinger
-solver supports the weak-coupling limit trend tests.
+forms t and B only on the rows up to that start.  A level's eigenvector is
+the count's recurrence at sigma = E^2 - M^2, swept outward from the left wall
+and inward from the far wall to the matching point and joined there.  A
+fixed-mass Schroedinger solver supports the weak-coupling limit trend tests.
 """
 from __future__ import annotations
 
@@ -43,10 +45,10 @@ from .rootfind import brent, seed_grid
 
 
 # Importing scipy.linalg costs more start-up than the whole closed-form path,
-# so its two routines are imported when first called: a process that never
-# solves the oracle never loads scipy.  The first call puts scipy's routine in
-# the stand-in's place, so later calls go straight to it; each stays a
-# module-level name that tests can substitute.
+# so its one routine, dtbsv, is imported when first called: a process that
+# never solves the oracle never loads scipy.  The first call puts scipy's
+# routine in the stand-in's place, so later calls go straight to it; it stays
+# a module-level name that tests can substitute.
 def _on_first_call(module: str, name: str):
     def first_call(*args, **kwargs):
         routine = getattr(importlib.import_module(module), name)
@@ -57,7 +59,6 @@ def _on_first_call(module: str, name: str):
     return first_call
 
 
-eigh_tridiagonal = _on_first_call("scipy.linalg", "eigh_tridiagonal")
 dtbsv = _on_first_call("scipy.linalg.blas", "dtbsv")
 
 
@@ -107,15 +108,15 @@ def box_grid(length: float, n: int) -> RadialGrid:
     return RadialGrid(r_min=h, r_max=length - h, n=n)
 
 
-def check_grid(grid: RadialGrid, w_values: np.ndarray) -> None:
+def check_grid(grid: RadialGrid, w_max: float) -> None:
     """Emit (not raise) heuristic warnings: the u(0) = 0 wall placement and
-    stencil stability.  energy_counts calls it, so a warning names the line
-    that called solve_relativistic or solve_levels."""
+    stencil stability against w_max, the largest |W|.  energy_counts calls
+    it, so a warning names the line that called solve_relativistic or
+    solve_levels."""
     if abs(grid.r_min - grid.h) > 1e-9 * grid.h:
         warnings.warn("r_min != h moves the u(0) = 0 wall off the origin",
                       GridHeuristicWarning, stacklevel=4)
-    wmax = float(np.max(np.abs(w_values))) if w_values.size else 0.0
-    if grid.h ** 2 * wmax >= 0.5:
+    if grid.h ** 2 * w_max >= 0.5:
         warnings.warn("h^2 * max|W| >= 0.5; stencil accuracy is degraded",
                       GridHeuristicWarning, stacklevel=4)
 
@@ -280,25 +281,6 @@ def eigen_tridiagonal(w_values: np.ndarray, grid: RadialGrid, m: int,
     return vals
 
 
-def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
-                            index: int) -> tuple[float, np.ndarray]:
-    """(eigenvalue, normalized eigenvector) of the index-th level (0-based).
-
-    The vector is normalized to unit quadrature norm and its sign fixed by
-    making the first component of significant magnitude positive.
-    """
-    h2 = grid.h * grid.h
-    vals, vecs = eigh_tridiagonal(2.0 / h2 + w_values, np.full(grid.n - 1, -1.0 / h2),
-                                  select="i", select_range=(index, index))
-    v = vecs[:, 0]
-    norm = math.sqrt(float(np.sum(v * v)) * grid.h)
-    v = v / norm
-    big = np.nonzero(np.abs(v) > 1e-8 * float(np.max(np.abs(v))))[0]
-    if big.size and v[big[0]] < 0:
-        v = -v
-    return float(vals[0]), v
-
-
 def seed_energies(M: float) -> list[float]:
     """The 65 energies of the oracle's seed walk: 64 equal steps across (-M, M)."""
     return seed_grid(-M * (1 - 1e-9), M * (1 - 1e-9), 64).tolist()
@@ -320,10 +302,12 @@ def energy_counts(params: HylleraasParams, grid: RadialGrid) -> Callable[[float]
     eigenvalues <= x^2 - M^2 for W = 2 (x + M) V), counted on _well(params,
     grid).  A count does not depend on n, so one memo serves every level's
     seeds and midpoints.  The grid is checked on every call, against the
-    largest W on the window, 2 (2M) V."""
+    largest |W| on the window, max |2 (2M) V| = 4M max(|min V|, |max V|), as
+    fl(4M v) is monotone in v."""
     M = params.M
     counter = _well(params, grid)
-    check_grid(grid, 2.0 * (2 * M) * counter.v)
+    v = counter.v
+    check_grid(grid, 2.0 * (2 * M) * max(abs(float(v.min())), abs(float(v.max()))))
     return cache(lambda x: counter.count(2.0 * (x + M), x * x - M * M))
 
 
@@ -405,11 +389,11 @@ def solve_levels(params: HylleraasParams, ns: Iterable[int],
     return results
 
 
-def oracle_eigenvector(params: HylleraasParams, E: float, grid: RadialGrid,
-                       n: int) -> np.ndarray:
-    """Normalized n-th eigenvector of the effective operator at energy E."""
-    w = effective_potential(params, E, grid)
-    return eigenvector_tridiagonal(w, grid, n)[1]
+def oracle_eigenvector(params: HylleraasParams, E: float, grid: RadialGrid) -> np.ndarray:
+    """Normalized eigenvector of the effective operator at energy E for the
+    eigenvalue E^2 - M^2: level n's vector at solve_relativistic's E."""
+    return eigenvector_tridiagonal(effective_potential(params, E, grid), grid,
+                                   E * E - params.M * params.M)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +429,8 @@ def _numerov_sweep(t: np.ndarray, z0: float) -> np.ndarray:
     n = len(t) + 2
     z = np.empty(n)
     z[0], z[1] = 0.0, z0
-    band = np.ones((3, n), order="F")  # row 2 stays 1
+    band = np.empty((3, n), order="F")  # row 0, the diagonal, is not read
+    band[2] = 1.0
     band[1, 1:-1] = -t
     start = 0
     while (j := _band_solve(band[:, start:], z[start:])) is not None:
@@ -468,6 +453,35 @@ def _matching_index(q: np.ndarray) -> int:
         # allowed region touches the far wall: match mid-well
         m = (first + last) // 2
     return max(2, min(n - 3, m))
+
+
+def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
+                            sigma: float) -> np.ndarray:
+    """Normalized eigenvector of -d^2/dr^2 + W for its eigenvalue sigma.
+
+    Row i of (T - sigma) u = 0, times h^2, is the count's recurrence with
+    t = 2 + h^2 (W - sigma) and u = 0 one step past either wall.
+    _numerov_sweep runs it outward from the left wall to sample m + 1 and,
+    on the reversed t, inward from the far wall to sample m - 1, m the
+    _matching_index of W - sigma.  The inward pass is scaled onto the outward
+    one by least squares over samples m - 1..m + 1 and joins it past m: the
+    twisted-factorization eigenvector (K. V. Fernando, SIAM J. Matrix Anal.
+    Appl. 18, 1013 (1997); Parlett and Dhillon, Linear Algebra Appl. 267, 247
+    (1997)).  It has unit quadrature norm, and its first component of
+    significant magnitude is positive.
+    """
+    q = w_values - sigma
+    t = 2.0 + q * (grid.h * grid.h)
+    m = _matching_index(q)
+    out = _numerov_sweep(t[:m + 1], 1.0)               # samples 0..m+1
+    inward = _numerov_sweep(t[m:][::-1], 1.0)[::-1]  # samples m-1..N-1
+    shared = inward[:3]
+    v = np.concatenate((out[:m + 1],
+                        inward[2:] * (np.dot(out[m - 1:], shared) / np.dot(shared, shared))))
+    v /= math.sqrt(float(np.dot(v, v)) * grid.h)
+    if v[np.argmax(np.abs(v) > 1e-8 * np.max(np.abs(v)))] < 0:
+        v = -v
+    return v
 
 
 # WKB decay depth D = h sum sqrt(q) past the matching point at which the

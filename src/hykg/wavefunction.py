@@ -29,7 +29,7 @@ from .errors import (
 from .hylleraas import HylleraasParams, s_of_r
 from .levels import FLAG_CONFLUENT_FORM, FLAG_TAIL_NOT_CONVERGED, EnergyLevel
 from .nu import BranchGap, NUInput, NUSolution, quantization
-from .oracle import count_sign_changes
+from .oracle import RadialGrid, count_sign_changes
 
 _MAX_RODRIGUES_N = 12
 
@@ -269,7 +269,7 @@ class RadialFunction:
     norm_constant: float | None
     node_count: int
     representation: str
-    flags: frozenset[str] = frozenset()
+    flags: frozenset[str]
 
     def __post_init__(self):
         if np.any(np.diff(self.grid) <= 0):
@@ -289,22 +289,6 @@ def composite_simpson(values: np.ndarray, h: float) -> float:
         tail = 0.5 * h * (values[-2] + values[-1])
     acc = main[0] + main[-1] + 4.0 * np.sum(main[1:-1:2]) + 2.0 * np.sum(main[2:-2:2])
     return float(acc * h / 3.0 + tail)
-
-
-def simpson_adaptive(f, lo: float, hi: float, rel_tol: float = 1e-9,
-                     max_doublings: int = 16) -> float:
-    """Composite Simpson with dyadic grid doubling until relative stability."""
-    n = 128
-    xs = np.linspace(lo, hi, n + 1)
-    prev = composite_simpson(np.array([f(x) for x in xs]), (hi - lo) / n)
-    for _ in range(max_doublings):
-        n *= 2
-        xs = np.linspace(lo, hi, n + 1)
-        cur = composite_simpson(np.array([f(x) for x in xs]), (hi - lo) / n)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    return prev
 
 
 # |R| at a grid edge below this fraction of max|R| counts as a decayed tail
@@ -341,11 +325,11 @@ def normalize(radial: RadialFunction) -> RadialFunction:
 
 
 def build_radial(params: HylleraasParams, level: EnergyLevel,
-                 grid) -> list[RadialFunction]:
+                 grid: RadialGrid) -> list[RadialFunction]:
     """The level sampled on an oracle grid in every representation of
     `radial_R`, in its order; each form is normalized where its tails decay
     and carries its node count."""
-    points = np.asarray(getattr(grid, "points", grid), dtype=float)
+    points = grid.points
     flags = frozenset({FLAG_CONFLUENT_FORM}) if _is_confluent(params) else frozenset()
     forms = []
     for label, values in radial_R(level, params, points).items():

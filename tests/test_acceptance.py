@@ -47,7 +47,6 @@ from hykg.wavefunction import (
     jacobi_P,
     normalize,
     rodrigues_chi,
-    simpson_adaptive,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -193,7 +192,7 @@ def test_criterion_5_hylleraas_end_to_end():
     for n in range(4):
         lvl = solve_relativistic(params, n, grid)
         assert lvl.found
-        vec = oracle_eigenvector(params, lvl.E, grid, n)
+        vec = oracle_eigenvector(params, lvl.E, grid)
         nodes = count_sign_changes(vec)
         node_counts.append(nodes)
         assert nodes == n
@@ -263,19 +262,22 @@ def test_criterion_7_wavefunction_suite():
     # normalization: idempotence, linearity, Gaussian fixture
     grid = np.linspace(0.0, 12.0, 4001)
     base = RadialFunction(grid=grid, values=np.exp(-grid ** 2 / 2.0),
-                          norm_constant=1.0, node_count=0, representation="gaussian")
+                          norm_constant=1.0, node_count=0, representation="gaussian",
+                          flags=frozenset())
     one = normalize(base)
     two = normalize(one)
     assert two.norm_constant / one.norm_constant == pytest.approx(1.0, abs=1e-10)
     seven = RadialFunction(grid=grid, values=7.0 * base.values,
-                           norm_constant=1.0, node_count=0, representation="gaussian")
+                           norm_constant=1.0, node_count=0, representation="gaussian",
+                           flags=frozenset())
     assert normalize(seven).norm_constant == pytest.approx(one.norm_constant / 7.0,
                                                            rel=1e-12)
-    integral = simpson_adaptive(lambda r: math.exp(-r * r), 0.0, 12.0, rel_tol=1e-12)
-    assert integral == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-8)
-    assert one.norm_constant == pytest.approx(1.0 / math.sqrt(integral), rel=1e-8)
+    # the integral of exp(-r^2) over (0, 12) is sqrt(pi)/2 erf(12), and
+    # erf(12) = 1 in double precision
+    exact = 1.0 / math.sqrt(math.sqrt(math.pi) / 2.0)
+    assert one.norm_constant == pytest.approx(exact, rel=1e-8)
     report(7, f"jacobi {max(worst_sym, worst_end):.2e}, rodrigues map ok, "
-              f"gauss fixture rel {abs(integral - math.sqrt(math.pi)/2)/integral:.1e}")
+              f"gauss fixture rel {abs(one.norm_constant - exact) / exact:.1e}")
 
 
 def test_criterion_8_nonrelativistic_limit_trend():

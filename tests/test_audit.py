@@ -275,7 +275,7 @@ class TestOdeResidual:
 
         grid = default_grid(default_params, n=600)
         lvl = solve_relativistic(default_params, 0, grid)
-        vec = oracle_eigenvector(default_params, lvl.E, grid, 0)
+        vec = oracle_eigenvector(default_params, lvl.E, grid)
         w = effective_potential(default_params, lvl.E, grid)
         h = grid.h
         rpp = (vec[2:] - 2 * vec[1:-1] + vec[:-2]) / (h * h)

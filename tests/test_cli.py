@@ -45,8 +45,8 @@ formats = csv, json
 """
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# sha256 of the default `wavefunction --n 0` profile (4000 rows, 194,298 bytes)
-WF_N0_CSV_SHA256 = "1d0e07a960110a88afcae0115ee9ecba2b42532544d3aa99422c9baabb4aba2a"
+# sha256 of the default `wavefunction --n 0` profile (4000 rows, 194,300 bytes)
+WF_N0_CSV_SHA256 = "13fdd39b00bc5aca73b53e4319ee4a34803269701cf05ff8c4abd4ef9e33b05f"
 
 
 @pytest.fixture
@@ -449,8 +449,8 @@ ASYMMETRIC_SHA256 = {
     "spectrum.json": "441bfb091a7915826f8a18d49f9bc20c545d688e211e6ce358a982814515d0b8",
     "audit.csv": "22b409b02731e966757bd6bad77ad6010f50c234ce0e977ae08fd2e56db91e35",
     "audit.json": "c633f2154a133a04544780c6f35e25fd90ad18a8c5c8ef1a37a439e82610f5ed",
-    "wf_n1.csv": "12a767167426dd0c0e7ddc63216c0c328a94e40b07bb3d8d37633257f4c54ef2",
-    "wf_n1.flags.json": "c5bc8a4653527883917355dcdb5d3cace9b71b2040fc74a9916afd444c652f5b",
+    "wf_n1.csv": "59cea0db810de1bd7d58ca9985eb0f0d0b0f7b95358c4b3d1bb89641f1a91a30",
+    "wf_n1.flags.json": "529816e4efebac4610cfc13310f0ee626902ca72a1d311a85dfdddad74a4225e",
 }
 
 

@@ -1,8 +1,10 @@
+import ast
 import math
 import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -39,7 +41,7 @@ from hykg.rootfind import estimate_order
 
 from _count_bisection import reference_eigenvalues
 from _seed_walk import reference_level
-from _stebz import stebz_eigenvalues, tridiagonal
+from _stebz import stebz_eigenvalues, stein_eigenvector, tridiagonal
 from test_closedform import SWEEP_BOX
 
 L = 20.0
@@ -195,6 +197,39 @@ class TestEigenTridiagonal:
             <= 2.0 * np.finfo(float).eps * 4.0 / grid.h ** 2
 
 
+class TestEigenvector:
+    # k = 2's central node sits 1.5 samples from the join at m = N // 2 - 1,
+    # where the three shared samples are 0.5% of the peak, so the least
+    # squares scale carries their rounding about 200-fold (2.0e-10 there,
+    # against 2.8e-12 and 6e-13 for k = 1 and 3)
+    @pytest.mark.parametrize("k, tol", [(1, 5e-12), (2, 5e-10), (3, 5e-12)])
+    def test_box_is_the_discrete_sine(self, k, tol):
+        grid = box_grid(L, 2000)
+        theta = k * math.pi / (grid.n + 1)
+        sigma = (2.0 - 2.0 * math.cos(theta)) / grid.h ** 2
+        sine = np.sin(theta * np.arange(1, grid.n + 1))
+        sine /= math.sqrt(float(np.sum(sine * sine)) * grid.h)
+        vec = eigenvector_tridiagonal(np.zeros(grid.n), grid, sigma)
+        assert np.max(np.abs(vec - sine)) < tol
+
+    @pytest.mark.parametrize("params, grid, ns, tol", [
+        (DEFAULT_PARAMS, default_config().grid(), range(4), 1e-7),
+        (DEFAULT_PARAMS.replace(K=1.2, k1=1.0, k2=-0.5, omega=0.25, D_e=1000.0,
+                                s_sign=SSign.POSITIVE),
+         RadialGrid(r_min=10.0 / 4000, r_max=10.0, n=4000), range(1), 1e-10),
+    ], ids=["default", "well D_e=1000"])
+    def test_levels_match_lapack(self, params, grid, ns, tol):
+        # at each level's energy the sweep's vector is LAPACK's, up to the
+        # kink that the level's E tolerance leaves at the join, and it has
+        # n nodes
+        for n, found in solve_levels(params, ns, grid).items():
+            [level] = found
+            vec = oracle_eigenvector(params, level.E, grid)
+            w = effective_potential(params, level.E, grid)
+            assert np.max(np.abs(vec - stein_eigenvector(w, grid, n))) < tol
+            assert count_sign_changes(vec) == n
+
+
 class TestRelativistic:
     def test_free_case_has_no_root(self):
         params = DEFAULT_PARAMS.replace(D_e=0.0)
@@ -231,7 +266,7 @@ class TestRelativistic:
         for n in range(4):
             level = solve_relativistic(DEFAULT_PARAMS, n, grid)
             assert level.found
-            vec = oracle_eigenvector(DEFAULT_PARAMS, level.E, grid, n)
+            vec = oracle_eigenvector(DEFAULT_PARAMS, level.E, grid)
             assert count_sign_changes(vec) == n
 
     def test_numerov_cross_check(self):
@@ -1107,6 +1142,22 @@ class TestScipyStandIns:
         assert oracle.dtbsv is substitute
         assert len(calls) >= 2
 
+    def test_dtbsv_is_the_only_scipy_routine(self):
+        # scipy is reached only through _on_first_call, and only for dtbsv
+        routines = []
+        for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    modules = [alias.name for alias in node.names]
+                    modules.append(getattr(node, "module", None) or "")
+                    assert not any(m.startswith("scipy") for m in modules), path
+                if isinstance(node, ast.Call) and any(
+                        isinstance(a, ast.Constant) and str(a.value).startswith("scipy")
+                        for a in node.args):
+                    assert getattr(node.func, "id", None) == "_on_first_call", path
+                    routines.append(node.args[1].value)
+        assert routines == ["dtbsv"]
+
 
 class TestGrid:
     def test_validation(self):
@@ -1125,7 +1176,7 @@ class TestGrid:
     def test_origin_wall_mismatch_warns(self):
         grid = RadialGrid(r_min=0.05, r_max=10.0, n=1000)
         with pytest.warns(GridHeuristicWarning, match="r_min"):
-            check_grid(grid, np.zeros(grid.n))
+            check_grid(grid, 0.0)
 
     def test_shipped_grids_do_not_warn(self):
         cfg = default_config()
@@ -1138,7 +1189,7 @@ class TestGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error", GridHeuristicWarning)
             for grid in grids:
-                check_grid(grid, np.zeros(grid.n))
+                check_grid(grid, 0.0)
 
     @pytest.mark.parametrize("n", [1000, 16000])
     def test_refinement_solve_does_not_warn(self, n):

@@ -32,9 +32,8 @@ TESTS = ROOT / "tests"
 
 # Kept without a caller, each for a stated use.
 ALLOWED_ORPHANS = {
-    # the acceptance tests of criteria 7 and 8 call these
+    # the acceptance test of criterion 8 calls it
     "schrodinger_limit",
-    "simpson_adaptive",
     # the plain seed scan: tests check the closure's array twins against it
     "sample",
 }

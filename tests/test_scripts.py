@@ -36,13 +36,14 @@ def test_kernel_costs_smoke():
     # and its bisection at least one midpoint), one band solve per pass of
     # the defect, and its inward pass starting past its matching index, at
     # most at the far wall;
-    # then one row per eigen_tridiagonal case with its Sturm counts, and one
-    # per closed-form engine
+    # then one row per eigen_tridiagonal case with its Sturm counts, one for
+    # the default grid's eigenvector by the sweep and by eigh_tridiagonal,
+    # and one per closed-form engine
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_costs.py"),
                            "--n", "400", "--repeat", "1"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    levels, eigen, closed = proc.stdout.split("\n\n")
+    levels, eigen, vector, closed = proc.stdout.split("\n\n")
     header, *rows = levels.splitlines()
     assert header.split() == ["case", "N", "walk", "bisect", "us/count", "us/defect",
                               "solves", "m", "start"]
@@ -62,6 +63,11 @@ def test_kernel_costs_smoke():
         counts, per_value = row[18:].split()[1:]
         assert counts.isdigit() and int(counts) > 0
         assert float(per_value) > 0
+    header, row = vector.splitlines()
+    assert header.split() == ["eigenvector", "N", "us/sweep", "us/eigh"]
+    assert row[:16].strip() == "default grid n=0"
+    n, per_sweep, per_eigh = row[16:].split()
+    assert int(n) == 4000 and float(per_sweep) > 0 and float(per_eigh) > 0
     header, *rows = closed.splitlines()
     assert header.split() == ["closed", "form", "us/residual", "us/call"]
     assert [row.split()[0] for row in rows] == ["mechanical", "implicit", "eq45"]
