@@ -21,9 +21,11 @@ reaches ~1e26 at the far wall.  A second table gives one `eigen_tridiagonal`
 call for the three lowest eigenvalues on the selftest's box (N = 2000) and
 on -d^2/dr^2 + 4 V (`schrodinger_limit`'s operator) on the default grid at
 N = 4000: the Sturm counts it makes, and its time divided by three.  A
-third times one `eigenvector_tridiagonal` at the default grid's n = 0 level
-(N = 4000, W = 2 (E + M) V, sigma = E^2 - M^2) beside scipy's
-`eigh_tridiagonal` for the same eigenvector of the same operator.  A
+third times one `eigenvector_tridiagonal` at the default grid's n = 0 and
+n = 1 levels (N = 4000, W = 2 (E + M) V, sigma = E^2 - M^2) beside scipy's
+`eigh_tridiagonal` for the same eigenvector of the same operator, and gives
+max|d|, the largest |difference| of the two vectors, each of unit
+quadrature norm with its first significant component positive.  A
 fourth table times the three closed-form engines at `configs/default.cfg`'s
 parameters: one scalar residual evaluation (`mechanical_residual`,
 `implicit_residual`, `eq45_rhs`) at n = 1, averaged over 99 energies spread
@@ -129,20 +131,29 @@ def costs(params, grid, repeat):
     return split, per_count, (per_defect, band_solves(defect), m, len(rows) - 1)
 
 
-def eigenvector_costs(repeat):
-    """(us per sweep, us per eigh_tridiagonal) for the n = 0 eigenvector on
-    DEFAULT_4000."""
-    E = oracle.solve_relativistic(DEFAULT_PARAMS, 0, DEFAULT_4000).E
+def eigenvector_costs(n, repeat):
+    """(us per sweep, us per eigh_tridiagonal, max |sweep - eigh_tridiagonal|)
+    for the level n eigenvector on DEFAULT_4000."""
+    E = oracle.solve_relativistic(DEFAULT_PARAMS, n, DEFAULT_4000).E
     w = oracle.effective_potential(DEFAULT_PARAMS, E, DEFAULT_4000)
     sigma = E * E - DEFAULT_PARAMS.M ** 2
     h2 = DEFAULT_4000.h ** 2
     diag, off = 2.0 / h2 + w, np.full(DEFAULT_4000.n - 1, -1.0 / h2)
-    sweep = min(timeit.repeat(lambda: oracle.eigenvector_tridiagonal(w, DEFAULT_4000, sigma),
-                              number=1, repeat=repeat))
-    lapack = min(timeit.repeat(lambda: eigh_tridiagonal(diag, off, select="i",
-                                                        select_range=(0, 0)),
-                               number=1, repeat=repeat))
-    return sweep * 1e6, lapack * 1e6
+
+    def sweep():
+        return oracle.eigenvector_tridiagonal(w, DEFAULT_4000, sigma)
+
+    def lapack():
+        return eigh_tridiagonal(diag, off, select="i", select_range=(n, n))
+
+    # eigh_tridiagonal's vector in the sweep's normalization and sign
+    ref = lapack()[1][:, 0]
+    ref = ref / np.sqrt(np.sum(ref ** 2) * DEFAULT_4000.h)
+    if ref[np.argmax(np.abs(ref) > 1e-8 * np.max(np.abs(ref)))] < 0:
+        ref = -ref
+    per_sweep = min(timeit.repeat(sweep, number=1, repeat=repeat))
+    per_eigh = min(timeit.repeat(lapack, number=1, repeat=repeat))
+    return per_sweep * 1e6, per_eigh * 1e6, float(np.max(np.abs(sweep() - ref)))
 
 
 def main(argv=None):
@@ -168,9 +179,11 @@ def main(argv=None):
                                       number=1, repeat=args.repeat)) / 3
         print(f"{name:18s} {grid.n:6d} {n_counts:6d} {per_value * 1e6:14.1f}")
     print()
-    print(f"{'eigenvector':16s} {'N':>6s} {'us/sweep':>9s} {'us/eigh':>9s}")
-    per_sweep, per_eigh = eigenvector_costs(args.repeat)
-    print(f"{'default grid n=0':16s} {DEFAULT_4000.n:6d} {per_sweep:9.1f} {per_eigh:9.1f}")
+    print(f"{'eigenvector':16s} {'N':>6s} {'us/sweep':>9s} {'us/eigh':>9s} {'max|d|':>8s}")
+    for n in (0, 1):
+        per_sweep, per_eigh, diff = eigenvector_costs(n, args.repeat)
+        print(f"{f'default grid n={n}':16s} {DEFAULT_4000.n:6d} {per_sweep:9.1f} "
+              f"{per_eigh:9.1f} {diff:8.1e}")
     print()
     params = load_config(ROOT / "configs" / "default.cfg").params
     energies = (params.M * np.linspace(-0.98, 0.98, 99)).tolist()

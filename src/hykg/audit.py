@@ -258,11 +258,9 @@ def run_audit(params: HylleraasParams, n_max: int, grid: RadialGrid) -> AuditRep
                 ident[key] = None
                 flags.add(FLAG_IDENTITY_NOT_COMPUTABLE)
 
-        ref_level = EnergyLevel(n=n, E=ref_e, Ebar=ref_e ** 2 - params.M ** 2,
-                                engine=Engine.MECHANICAL_NU, residual=0.0)
         # a build error holds for every representation alike: none is scored
         try:
-            forms = build_radial(params, ref_level, grid)
+            forms = build_radial(params, ref_e, n, grid)
         except HykgError:
             forms = []
         ode_val, ode_form = ode_residual(params, ref_e, grid, forms)

@@ -103,7 +103,7 @@ def cmd_wavefunction(config: RunConfig, n: int, out_dir: Path) -> None:
     if level is None:
         raise MissingLevel(f"no closed-form level n={n} for the selected engines")
     try:
-        forms = build_radial(config.params, level, grid)
+        forms = build_radial(config.params, level.E, level.n, grid)
     except HykgError as exc:
         raise ConfigError(f"closed form n={n} cannot be sampled on the grid "
                           f"(r_max = {grid.r_max!r}): {exc}") from None

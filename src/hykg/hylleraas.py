@@ -108,10 +108,9 @@ def _exponent(r: float | np.ndarray, K: float, omega: float,
     return -expo if s_sign is SSign.NEGATIVE else expo
 
 
-def s_of_r(r: float | np.ndarray, K: float, omega: float,
-           s_sign: SSign) -> float | np.ndarray:
-    """s = exp(+/- 2(1+K) w r) at a float or an array of radii (a float for a
-    float).  A negative r or a saturating exponent raises OutOfRange, never inf."""
+def s_of_r(r: np.ndarray, K: float, omega: float, s_sign: SSign) -> np.ndarray:
+    """s = exp(+/- 2(1+K) w r) at an array of radii.  A negative r or a
+    saturating exponent raises OutOfRange, never inf."""
     if np.any(r < 0):
         raise OutOfRange("r must be >= 0")
     expo = _exponent(r, K, omega, s_sign)
@@ -121,8 +120,6 @@ def s_of_r(r: float | np.ndarray, K: float, omega: float,
     # math.exp per element, not np.exp: the wavefunction samples s(r), and
     # np.exp's last-bit differences change the audit (the n = 2
     # ode_residual_closedform cell 0.9853221836034423 -> 0.985322183603442)
-    if np.ndim(expo) == 0:
-        return math.exp(expo)
     return np.frompyfunc(math.exp, 1, 1)(expo).astype(float)
 
 

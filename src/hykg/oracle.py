@@ -24,8 +24,9 @@ it carries the solution that grows outward at e^-80 of the one it seeks at
 the matching point, so the matching defect is exact to rounding, and it
 forms t and B only on the rows up to that start.  A level's eigenvector is
 the count's recurrence at sigma = E^2 - M^2, swept outward from the left wall
-and inward from the far wall to the matching point and joined there.  A
-fixed-mass Schroedinger solver supports the weak-coupling limit trend tests.
+to the matching point and inward from the far wall to the outward pass's
+largest sample, where the two are joined.  A fixed-mass Schroedinger solver
+supports the weak-coupling limit trend tests.
 """
 from __future__ import annotations
 
@@ -123,8 +124,9 @@ def check_grid(grid: RadialGrid, w_max: float) -> None:
 
 def effective_potential(params: HylleraasParams, e_param: float,
                         grid: RadialGrid) -> np.ndarray:
-    """W(r) = 2 (E + M) V(r): the equal-coupling effective potential."""
-    return 2.0 * (e_param + params.M) * potential_V(grid.points, params)
+    """W(r) = 2 (E + M) V(r): the equal-coupling effective potential, from
+    the V that _well keeps for (params, grid)."""
+    return 2.0 * (e_param + params.M) * _well(params, grid).v
 
 
 _RESCALE = 1e100
@@ -290,8 +292,9 @@ def seed_energies(M: float) -> list[float]:
 def _well(params: HylleraasParams, grid: RadialGrid) -> SturmCounter:
     """The SturmCounter of V on grid, kept for the next call on the same
     (params, grid): energy_counts and numerov_shoot share its V and its
-    suffix extrema.  Its v is read-only, as every caller sees the same
-    array; its band and work buffers are scratch that each count rewrites."""
+    suffix extrema, and effective_potential scales its V.  Its v is
+    read-only, as every caller sees the same array; its band and work
+    buffers are scratch that each count rewrites."""
     v = potential_V(grid.points, params)
     v.flags.writeable = False
     return SturmCounter(v, grid)
@@ -461,23 +464,21 @@ def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
 
     Row i of (T - sigma) u = 0, times h^2, is the count's recurrence with
     t = 2 + h^2 (W - sigma) and u = 0 one step past either wall.
-    _numerov_sweep runs it outward from the left wall to sample m + 1 and,
-    on the reversed t, inward from the far wall to sample m - 1, m the
-    _matching_index of W - sigma.  The inward pass is scaled onto the outward
-    one by least squares over samples m - 1..m + 1 and joins it past m: the
-    twisted-factorization eigenvector (K. V. Fernando, SIAM J. Matrix Anal.
-    Appl. 18, 1013 (1997); Parlett and Dhillon, Linear Algebra Appl. 267, 247
-    (1997)).  It has unit quadrature norm, and its first component of
-    significant magnitude is positive.
+    _numerov_sweep runs it outward from the left wall to sample m, the
+    _matching_index of W - sigma, and, on the reversed t, inward from the far
+    wall to sample k - 1, where k is the outward pass's largest |sample|.  The
+    inward pass is scaled to the outward one at k and joins it past k: the
+    twisted-factorization eigenvector, twisted where |v| is large (K. V.
+    Fernando, SIAM J. Matrix Anal. Appl. 18, 1013 (1997); Parlett and Dhillon,
+    Linear Algebra Appl. 267, 247 (1997)).  It has unit quadrature norm, and
+    its first component of significant magnitude is positive.
     """
     q = w_values - sigma
     t = 2.0 + q * (grid.h * grid.h)
-    m = _matching_index(q)
-    out = _numerov_sweep(t[:m + 1], 1.0)               # samples 0..m+1
-    inward = _numerov_sweep(t[m:][::-1], 1.0)[::-1]  # samples m-1..N-1
-    shared = inward[:3]
-    v = np.concatenate((out[:m + 1],
-                        inward[2:] * (np.dot(out[m - 1:], shared) / np.dot(shared, shared))))
+    out = _numerov_sweep(t[:_matching_index(q)], 1.0)  # samples 0..m
+    k = int(np.argmax(np.abs(out)))
+    inward = _numerov_sweep(t[k:][::-1], 1.0)[::-1]    # samples k-1..N-1
+    v = np.concatenate((out[:k + 1], inward[2:] * (out[k] / inward[1])))
     v /= math.sqrt(float(np.dot(v, v)) * grid.h)
     if v[np.argmax(np.abs(v) > 1e-8 * np.max(np.abs(v)))] < 0:
         v = -v

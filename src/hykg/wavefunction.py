@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     TailNotConverged,
 )
 from .hylleraas import HylleraasParams, s_of_r
-from .levels import FLAG_CONFLUENT_FORM, FLAG_TAIL_NOT_CONVERGED, EnergyLevel
+from .levels import FLAG_CONFLUENT_FORM, FLAG_TAIL_NOT_CONVERGED
 from .nu import BranchGap, NUInput, NUSolution, quantization
 from .oracle import RadialGrid, count_sign_changes
 
@@ -89,9 +89,10 @@ def jacobi_P(n: int, alpha: float, beta: float, x: float) -> float:
 # Printed exponent pair
 # ---------------------------------------------------------------------------
 
-def exponents_DF(params: HylleraasParams,
-                 level: EnergyLevel) -> dict[str, tuple[float, float]]:
-    """(D, F) of both readings of the printed formulas, by reading name:
+def exponents_DF(params: HylleraasParams, E: float,
+                 n: int) -> dict[str, tuple[float, float]]:
+    """(D, F) of both readings of the printed formulas at level n's energy
+    E, by reading name:
 
         printed:   D = (1 - (muJ c + nuJ)) / (alpha1 (c - a))
         symmetric: D = -(muJ c + nuJ) / (2 alpha1 (c - a))
@@ -106,10 +107,10 @@ def exponents_DF(params: HylleraasParams,
     a, c = abc.a, abc.c
     if a == c:
         raise DegenerateAC("printed exponents divide by c - a = 0")
-    im = intermediates(params, level.E, level.n)
+    im = intermediates(params, E, n)
     if im.muJ.imag or im.nuJ.imag:
         raise NotRepresentable(f"muJ = {im.muJ:.6g} or nuJ = {im.nuJ:.6g} "
-                               f"is not real at E = {level.E}")
+                               f"is not real at E = {E}")
     muJ, nuJ = im.muJ.real, im.nuJ.real
     a1 = 1 + abc.b
     F = (muJ * a + nuJ) / (2.0 * a1 * (c - a))
@@ -218,9 +219,10 @@ def confluent_radial_factor(inp: NUInput, sol: NUSolution, n: int) -> ConfluentF
 # Radial assembly
 # ---------------------------------------------------------------------------
 
-def radial_R(level: EnergyLevel, params: HylleraasParams,
+def radial_R(params: HylleraasParams, E: float, n: int,
              r: np.ndarray) -> dict[str, np.ndarray]:
-    """Closed-form R on an array of radii in every representation, by label.
+    """Closed-form R of level n at energy E on an array of radii in every
+    representation, by label.
 
     At a = c the confluent form is the only one ("confluent-mechanical").
     Otherwise each reading's (D, F) is placed both ways on the two bases:
@@ -229,15 +231,15 @@ def radial_R(level: EnergyLevel, params: HylleraasParams,
     is sampled once, and chi_n is evaluated once per reading.
     """
     if _is_confluent(params):
-        factor = _confluent_for(level, params)
+        factor = _confluent_for(params, E, n)
         return {"confluent-mechanical":
                 factor(s_of_r(r, params.K, params.omega, params.s_sign))}
     abc = params.abc
-    exponents = exponents_DF(params, level)
+    exponents = exponents_DF(params, E, n)
     s = s_of_r(r, params.K, params.omega, params.s_sign)
     forms = {}
     for reading, (D, F) in exponents.items():
-        chi = rodrigues_chi(level.n, D, F, abc.a, abc.c, s)
+        chi = rodrigues_chi(n, D, F, abc.a, abc.c, s)
         forms[f"{reading}/D_on_a"] = (s + abc.a) ** (D / 2.0) * (s + abc.c) ** (F / 2.0) * chi
         forms[f"{reading}/F_on_a"] = (s + abc.a) ** (F / 2.0) * (s + abc.c) ** (D / 2.0) * chi
     return forms
@@ -248,32 +250,28 @@ def _is_confluent(params: HylleraasParams) -> bool:
     return abs(abc.a - abc.c) <= 1e-12 * max(1.0, abs(abc.a), abs(abc.c))
 
 
-def _confluent_for(level: EnergyLevel, params: HylleraasParams) -> ConfluentFactor:
-    inp = build_nu_input(params, level.E)
-    out = quantization(inp, level.n)
+def _confluent_for(params: HylleraasParams, E: float, n: int) -> ConfluentFactor:
+    inp = build_nu_input(params, E)
+    out = quantization(inp, n)
     if isinstance(out, BranchGap):
-        raise NotRepresentable(f"no mechanical branch at E = {level.E}: {out.reason}")
-    return confluent_radial_factor(inp, out[0], level.n)
+        raise NotRepresentable(f"no mechanical branch at E = {E}: {out.reason}")
+    return confluent_radial_factor(inp, out[0], n)
 
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """Sampled radial function with normalization bookkeeping.
+    """Radial function sampled on a grid's points, with normalization
+    bookkeeping.
 
     norm_constant is None when the tail check failed (non-normalizable
     construction); values are then raw samples.
     """
 
-    grid: np.ndarray
     values: np.ndarray
     norm_constant: float | None
     node_count: int
     representation: str
     flags: frozenset[str]
-
-    def __post_init__(self):
-        if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
 
 
 def composite_simpson(values: np.ndarray, h: float) -> float:
@@ -295,50 +293,49 @@ def composite_simpson(values: np.ndarray, h: float) -> float:
 _TAIL_THRESHOLD = 1e-8
 
 
-def _tails_decayed(grid: np.ndarray, values: np.ndarray) -> bool:
+def _tails_decayed(points: np.ndarray, values: np.ndarray) -> bool:
     vmax = float(np.max(np.abs(values)))
     if vmax == 0.0:
         return False
     # the left check is vacuous when the grid starts at the physical origin:
     # the support cannot extend below r = 0
-    h = float(grid[1] - grid[0])
-    left_ok = grid[0] <= 3.0 * h or abs(values[0]) < _TAIL_THRESHOLD * vmax
+    h = float(points[1] - points[0])
+    left_ok = points[0] <= 3.0 * h or abs(values[0]) < _TAIL_THRESHOLD * vmax
     return left_ok and abs(values[-1]) < _TAIL_THRESHOLD * vmax
 
 
-def normalize(radial: RadialFunction) -> RadialFunction:
-    """Rescale so the quadrature norm integral of |R|^2 equals 1.
+def normalize(points: np.ndarray, values: np.ndarray) -> float:
+    """The constant that gives the samples on uniform points a quadrature
+    norm integral of |R|^2 equal to 1.
 
     Raises TailNotConverged when the samples have not decayed at the grid
     edges; that outcome is expected for the non-normalizable printed
     convention and is recorded, not swallowed, by callers.
     """
-    if not _tails_decayed(radial.grid, radial.values):
+    if not _tails_decayed(points, values):
         raise TailNotConverged("samples have not decayed at the grid edges")
-    h = float(radial.grid[1] - radial.grid[0])
-    integral = composite_simpson(radial.values ** 2, h)
+    integral = composite_simpson(values ** 2, float(points[1] - points[0]))
     if integral <= 0:
         raise TailNotConverged("norm integral is not positive")
-    constant = 1.0 / math.sqrt(integral)
-    return replace(radial, values=radial.values * constant,
-                   norm_constant=(radial.norm_constant or 1.0) * constant)
+    return 1.0 / math.sqrt(integral)
 
 
-def build_radial(params: HylleraasParams, level: EnergyLevel,
+def build_radial(params: HylleraasParams, E: float, n: int,
                  grid: RadialGrid) -> list[RadialFunction]:
-    """The level sampled on an oracle grid in every representation of
-    `radial_R`, in its order; each form is normalized where its tails decay
-    and carries its node count."""
+    """Level n at energy E sampled on an oracle grid in every representation
+    of `radial_R`, in its order; each form is normalized where its tails
+    decay and carries its node count."""
     points = grid.points
-    flags = frozenset({FLAG_CONFLUENT_FORM}) if _is_confluent(params) else frozenset()
+    base_flags = frozenset({FLAG_CONFLUENT_FORM}) if _is_confluent(params) else frozenset()
     forms = []
-    for label, values in radial_R(level, params, points).items():
-        radial = RadialFunction(grid=points, values=values, norm_constant=1.0,
-                                node_count=0, flags=flags, representation=label)
+    for label, values in radial_R(params, E, n, points).items():
         try:
-            radial = normalize(radial)
+            constant = normalize(points, values)
         except TailNotConverged:
-            radial = replace(radial, norm_constant=None,
-                             flags=radial.flags | {FLAG_TAIL_NOT_CONVERGED})
-        forms.append(replace(radial, node_count=count_sign_changes(radial.values)))
+            constant, flags = None, base_flags | {FLAG_TAIL_NOT_CONVERGED}
+        else:
+            values, flags = values * constant, base_flags
+        forms.append(RadialFunction(values=values, norm_constant=constant,
+                                    node_count=count_sign_changes(values),
+                                    representation=label, flags=flags))
     return forms

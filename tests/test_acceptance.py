@@ -42,7 +42,6 @@ from hykg.oracle import (
 )
 from hykg.rootfind import estimate_order, sample, scan_roots, seed_grid
 from hykg.wavefunction import (
-    RadialFunction,
     composite_simpson,
     jacobi_P,
     normalize,
@@ -261,23 +260,16 @@ def test_criterion_7_wavefunction_suite():
 
     # normalization: idempotence, linearity, Gaussian fixture
     grid = np.linspace(0.0, 12.0, 4001)
-    base = RadialFunction(grid=grid, values=np.exp(-grid ** 2 / 2.0),
-                          norm_constant=1.0, node_count=0, representation="gaussian",
-                          flags=frozenset())
-    one = normalize(base)
-    two = normalize(one)
-    assert two.norm_constant / one.norm_constant == pytest.approx(1.0, abs=1e-10)
-    seven = RadialFunction(grid=grid, values=7.0 * base.values,
-                           norm_constant=1.0, node_count=0, representation="gaussian",
-                           flags=frozenset())
-    assert normalize(seven).norm_constant == pytest.approx(one.norm_constant / 7.0,
-                                                           rel=1e-12)
+    gaussian = np.exp(-grid ** 2 / 2.0)
+    one = normalize(grid, gaussian)
+    assert normalize(grid, gaussian * one) == pytest.approx(1.0, abs=1e-10)
+    assert normalize(grid, 7.0 * gaussian) == pytest.approx(one / 7.0, rel=1e-12)
     # the integral of exp(-r^2) over (0, 12) is sqrt(pi)/2 erf(12), and
     # erf(12) = 1 in double precision
     exact = 1.0 / math.sqrt(math.sqrt(math.pi) / 2.0)
-    assert one.norm_constant == pytest.approx(exact, rel=1e-8)
+    assert one == pytest.approx(exact, rel=1e-8)
     report(7, f"jacobi {max(worst_sym, worst_end):.2e}, rodrigues map ok, "
-              f"gauss fixture rel {abs(one.norm_constant - exact) / exact:.1e}")
+              f"gauss fixture rel {abs(one - exact) / exact:.1e}")
 
 
 def test_criterion_8_nonrelativistic_limit_trend():

@@ -260,10 +260,8 @@ class TestSerialization:
 class TestOdeResidual:
     def test_reports_finite_at_defaults(self, default_params):
         grid = default_grid(default_params, n=600)
-        lvl = EnergyLevel(n=0, E=-0.93, Ebar=(-0.93) ** 2 - 1, engine=Engine.MECHANICAL_NU,
-                          residual=0.0)
-        forms = build_radial(default_params, lvl, grid)
-        val, label = ode_residual(default_params, lvl.E, grid, forms)
+        forms = build_radial(default_params, -0.93, 0, grid)
+        val, label = ode_residual(default_params, -0.93, grid, forms)
         assert math.isfinite(val)
         assert label == "confluent-mechanical"
 
@@ -284,7 +282,7 @@ class TestOdeResidual:
                + math.sqrt(float(np.sum(((w[1:-1] - lvl.Ebar) * vec[1:-1]) ** 2))))
         oracle_defect = math.sqrt(float(np.sum(resid ** 2))) / den
 
-        forms = build_radial(default_params, lvl, grid)
+        forms = build_radial(default_params, lvl.E, lvl.n, grid)
         closed_defect, _ = ode_residual(default_params, lvl.E, grid, forms)
         assert oracle_defect < 1e-6
         assert closed_defect > 10 * oracle_defect

@@ -45,8 +45,8 @@ formats = csv, json
 """
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# sha256 of the default `wavefunction --n 0` profile (4000 rows, 194,300 bytes)
-WF_N0_CSV_SHA256 = "13fdd39b00bc5aca73b53e4319ee4a34803269701cf05ff8c4abd4ef9e33b05f"
+# sha256 of the default `wavefunction --n 0` profile (4000 rows, 194,231 bytes)
+WF_N0_CSV_SHA256 = "98e6d32782fec0e5660c41cdb55204f08f26e81d2c20263e6c198a71eaa7df8c"
 
 
 @pytest.fixture
@@ -422,6 +422,24 @@ class TestWavefunctionCommand:
                      "--out", str(tmp_path), "--n", "0"]) == 0
         assert len(calls) == 1
 
+    def test_one_sample_of_v_per_run(self, tmp_path, monkeypatch):
+        # the spectrum's counts, the audit's ode residuals and the
+        # wavefunction's oracle vector and residual all read the V that
+        # oracle._well sampled once for the config's (params, grid)
+        sampled = []
+        sample = oracle.potential_V
+
+        def counted_sample(r, params):
+            sampled.append(params)
+            return sample(r, params)
+
+        monkeypatch.setattr(oracle, "potential_V", counted_sample)
+        oracle._well.cache_clear()
+        cfg = GOLDEN.parent.parent / "configs" / "default.cfg"
+        for command in (["spectrum"], ["audit"], ["wavefunction", "--n", "0"]):
+            assert main(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert sampled == [load_config(cfg).params]
+
 
 # K = 2, k1 = 1, k2 = 0.5: a != c, so the four printed representations are
 # built and scored (the default goldens all sit at a = c)
@@ -449,8 +467,8 @@ ASYMMETRIC_SHA256 = {
     "spectrum.json": "441bfb091a7915826f8a18d49f9bc20c545d688e211e6ce358a982814515d0b8",
     "audit.csv": "22b409b02731e966757bd6bad77ad6010f50c234ce0e977ae08fd2e56db91e35",
     "audit.json": "c633f2154a133a04544780c6f35e25fd90ad18a8c5c8ef1a37a439e82610f5ed",
-    "wf_n1.csv": "59cea0db810de1bd7d58ca9985eb0f0d0b0f7b95358c4b3d1bb89641f1a91a30",
-    "wf_n1.flags.json": "529816e4efebac4610cfc13310f0ee626902ca72a1d311a85dfdddad74a4225e",
+    "wf_n1.csv": "f8174126da6bebea88417ed12b9ad787f7a2b6e682624b460d12777dbf1d25ec",
+    "wf_n1.flags.json": "428860f77f7c5fddaafa1f2ed20928220dfa2c8c0c95d72fbfb7f91a59d89be4",
 }
 
 

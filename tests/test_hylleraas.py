@@ -71,27 +71,28 @@ class TestDeriveAbc:
 
 class TestSOfR:
     def test_r_zero(self):
-        assert s_of_r(0.0, 1.0, 0.25, SSign.POSITIVE) == 1.0
+        assert s_of_r(np.array([0.0]), 1.0, 0.25, SSign.POSITIVE) == 1.0
 
     def test_log2_exponent(self):
         # 2(1+K) w = 1 at K=1, w=0.25, so s(ln 2) = 2.
-        assert s_of_r(math.log(2.0), 1.0, 0.25, SSign.POSITIVE) == pytest.approx(2.0, rel=1e-15)
-        assert s_of_r(math.log(2.0), 1.0, 0.25, SSign.NEGATIVE) == pytest.approx(0.5, rel=1e-15)
+        r = np.array([math.log(2.0)])
+        assert s_of_r(r, 1.0, 0.25, SSign.POSITIVE) == pytest.approx(2.0, rel=1e-15)
+        assert s_of_r(r, 1.0, 0.25, SSign.NEGATIVE) == pytest.approx(0.5, rel=1e-15)
 
     def test_overflow_is_reported(self):
         with pytest.raises(OutOfRange):
-            s_of_r(1e6, 1.0, 1.0, SSign.POSITIVE)
+            s_of_r(np.array([1e6]), 1.0, 1.0, SSign.POSITIVE)
 
     def test_negative_r_rejected(self):
         with pytest.raises(OutOfRange):
-            s_of_r(-1.0, 1.0, 1.0, SSign.POSITIVE)
+            s_of_r(np.array([-1.0]), 1.0, 1.0, SSign.POSITIVE)
 
     @pytest.mark.parametrize("s_sign", list(SSign))
     def test_array_is_pointwise(self, s_sign):
         rs = np.linspace(0.0, 40.0, 401)
         got = s_of_r(rs, 2.0, 0.25, s_sign)
         assert got.dtype == float and got.shape == rs.shape
-        assert np.array_equal(got, [s_of_r(r, 2.0, 0.25, s_sign) for r in rs])
+        assert np.array_equal(got, [s_of_r(np.array([r]), 2.0, 0.25, s_sign)[0] for r in rs])
 
     def test_array_overflow_reports_the_first_offending_exponent(self):
         rs = np.array([1.0, 750.0, 800.0])
@@ -102,9 +103,9 @@ class TestSOfR:
 
     def test_monotone(self):
         rs = np.linspace(0.0, 5.0, 50)
-        vals = [s_of_r(r, 2.0, 0.25, SSign.POSITIVE) for r in rs]
+        vals = [s_of_r(np.array([r]), 2.0, 0.25, SSign.POSITIVE)[0] for r in rs]
         assert all(x < y for x, y in zip(vals, vals[1:]))
-        vals = [s_of_r(r, 2.0, 0.25, SSign.NEGATIVE) for r in rs]
+        vals = [s_of_r(np.array([r]), 2.0, 0.25, SSign.NEGATIVE)[0] for r in rs]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
 

@@ -17,7 +17,7 @@ from hykg import oracle
 from hykg.errors import DegenerateParams, NoRoot, OutOfRange
 from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign, potential_V, s_of_r
 from hykg.levels import FLAG_NO_ROOT, FLAG_NODE_MISMATCH
-from hykg.config import default_config
+from hykg.config import default_config, parse_config
 from hykg.oracle import (
     E_TOL_REL,
     GridHeuristicWarning,
@@ -42,9 +42,11 @@ from hykg.rootfind import estimate_order
 from _count_bisection import reference_eigenvalues
 from _seed_walk import reference_level
 from _stebz import stebz_eigenvalues, stein_eigenvector, tridiagonal
+from test_cli import ASYMMETRIC_CFG
 from test_closedform import SWEEP_BOX
 
 L = 20.0
+ASYMMETRIC = parse_config(ASYMMETRIC_CFG)
 
 
 def box_levels(n_points, m=3):
@@ -198,11 +200,11 @@ class TestEigenTridiagonal:
 
 
 class TestEigenvector:
-    # k = 2's central node sits 1.5 samples from the join at m = N // 2 - 1,
-    # where the three shared samples are 0.5% of the peak, so the least
-    # squares scale carries their rounding about 200-fold (2.0e-10 there,
-    # against 2.8e-12 and 6e-13 for k = 1 and 3)
-    @pytest.mark.parametrize("k, tol", [(1, 5e-12), (2, 5e-10), (3, 5e-12)])
+    # k = 2's central node sits 1.5 samples from the matching point
+    # m = N // 2 - 1, where the samples are 0.5% of the peak: a join there
+    # would scale the inward pass by their rounding, the join at the outward
+    # pass's largest sample does not
+    @pytest.mark.parametrize("k, tol", [(1, 5e-12), (2, 5e-12), (3, 5e-12)])
     def test_box_is_the_discrete_sine(self, k, tol):
         grid = box_grid(L, 2000)
         theta = k * math.pi / (grid.n + 1)
@@ -213,11 +215,12 @@ class TestEigenvector:
         assert np.max(np.abs(vec - sine)) < tol
 
     @pytest.mark.parametrize("params, grid, ns, tol", [
-        (DEFAULT_PARAMS, default_config().grid(), range(4), 1e-7),
+        (DEFAULT_PARAMS, default_config().grid(), range(4), 5e-9),
+        (ASYMMETRIC.params, ASYMMETRIC.grid(), range(4), 5e-9),
         (DEFAULT_PARAMS.replace(K=1.2, k1=1.0, k2=-0.5, omega=0.25, D_e=1000.0,
                                 s_sign=SSign.POSITIVE),
          RadialGrid(r_min=10.0 / 4000, r_max=10.0, n=4000), range(1), 1e-10),
-    ], ids=["default", "well D_e=1000"])
+    ], ids=["default", "asymmetric", "well D_e=1000"])
     def test_levels_match_lapack(self, params, grid, ns, tol):
         # at each level's energy the sweep's vector is LAPACK's, up to the
         # kink that the level's E tolerance leaves at the join, and it has

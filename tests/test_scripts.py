@@ -37,8 +37,9 @@ def test_kernel_costs_smoke():
     # the defect, and its inward pass starting past its matching index, at
     # most at the far wall;
     # then one row per eigen_tridiagonal case with its Sturm counts, one for
-    # the default grid's eigenvector by the sweep and by eigh_tridiagonal,
-    # and one per closed-form engine
+    # each of the default grid's n = 0 and n = 1 eigenvectors by the sweep
+    # and by eigh_tridiagonal with the largest difference of the two, within
+    # 1e-8, and one per closed-form engine
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_costs.py"),
                            "--n", "400", "--repeat", "1"],
                           capture_output=True, text=True, timeout=120)
@@ -63,11 +64,13 @@ def test_kernel_costs_smoke():
         counts, per_value = row[18:].split()[1:]
         assert counts.isdigit() and int(counts) > 0
         assert float(per_value) > 0
-    header, row = vector.splitlines()
-    assert header.split() == ["eigenvector", "N", "us/sweep", "us/eigh"]
-    assert row[:16].strip() == "default grid n=0"
-    n, per_sweep, per_eigh = row[16:].split()
-    assert int(n) == 4000 and float(per_sweep) > 0 and float(per_eigh) > 0
+    header, *rows = vector.splitlines()
+    assert header.split() == ["eigenvector", "N", "us/sweep", "us/eigh", "max|d|"]
+    assert [row[:16].strip() for row in rows] == ["default grid n=0", "default grid n=1"]
+    for row in rows:
+        n, per_sweep, per_eigh, diff = row[16:].split()
+        assert int(n) == 4000 and float(per_sweep) > 0 and float(per_eigh) > 0
+        assert 0 < float(diff) < 1e-8
     header, *rows = closed.splitlines()
     assert header.split() == ["closed", "form", "us/residual", "us/call"]
     assert [row.split()[0] for row in rows] == ["mechanical", "implicit", "eq45"]

@@ -16,12 +16,10 @@ from hykg.hylleraas import (
     appendix_constants,
     s_of_r,
 )
-from hykg.levels import Engine, EnergyLevel
 from hykg.oracle import RadialGrid, count_sign_changes
 from hykg.wavefunction import (
     ConfluentFactor,
     NonClassicalWarning,
-    RadialFunction,
     build_radial,
     composite_simpson,
     confluent_chi_coeffs,
@@ -35,10 +33,6 @@ from hykg.wavefunction import (
 )
 
 from _highprec import jacobi_series_hp
-
-
-def level_at(E, n=0, engine=Engine.MECHANICAL_NU):
-    return EnergyLevel(n=n, E=E, Ebar=E * E - 1.0, engine=engine, residual=0.0)
 
 
 REPRESENTABLE = HylleraasParams(K=2.0, k1=1.0, k2=0.5, omega=0.25, D_e=0.5,
@@ -211,20 +205,20 @@ class TestConfluent:
         # D_e = 0: a = c, and the NU closure gaps with ImperfectSquare
         p = DEFAULT_PARAMS.replace(D_e=0.0)
         with pytest.raises(NotRepresentable, match="ImperfectSquare"):
-            radial_R(level_at(0.5), p, np.array([1.0]))
+            radial_R(p, 0.5, 0, np.array([1.0]))
 
 
 class TestExponents:
     def test_degenerate_ac(self, default_params):
         with pytest.raises(DegenerateAC):
-            exponents_DF(default_params, level_at(-0.5))
+            exponents_DF(default_params, -0.5, 0)
 
     def test_not_representable_when_v2_negative(self, asymmetric_params):
         with pytest.raises(NotRepresentable):
-            exponents_DF(asymmetric_params, level_at(0.5, n=0))
+            exponents_DF(asymmetric_params, 0.5, 0)
 
     def test_representable_point(self):
-        exponents = exponents_DF(REPRESENTABLE, level_at(REPRESENTABLE_E))
+        exponents = exponents_DF(REPRESENTABLE, REPRESENTABLE_E, 0)
         assert list(exponents) == ["printed", "symmetric"]
         assert all(math.isfinite(x) for pair in exponents.values() for x in pair)
         im = intermediates(REPRESENTABLE, REPRESENTABLE_E, 0)
@@ -247,11 +241,11 @@ class TestExponents:
         im = intermediates(p, side, 0)
         assert im.muJ.real == pytest.approx(im.nuJ.real, rel=1e-5)
         # the exponents read that muJ: symmetric D + F = -muJ / (2 alpha1)
-        D, F = exponents_DF(p, level_at(side))["symmetric"]
+        D, F = exponents_DF(p, side, 0)["symmetric"]
         assert D + F == pytest.approx(-im.muJ.real / (2.0 * (1 + p.abc.b)), rel=1e-12)
 
     def test_two_readings_differ(self):
-        exponents = exponents_DF(REPRESENTABLE, level_at(REPRESENTABLE_E))
+        exponents = exponents_DF(REPRESENTABLE, REPRESENTABLE_E, 0)
         (printed_D, printed_F), (symmetric_D, symmetric_F) = (
             exponents["printed"], exponents["symmetric"])
         assert printed_F == symmetric_F
@@ -259,48 +253,36 @@ class TestExponents:
 
 
 class TestNormalize:
-    def _gaussian_radial(self, n_pts=2001, r_max=12.0):
-        # grid starts at the physical origin: the left tail check is vacuous
-        grid = np.linspace(0.0, r_max, n_pts)
-        values = np.exp(-grid ** 2 / 2.0)
-        return RadialFunction(grid=grid, values=values, norm_constant=1.0, node_count=0,
-                              representation="gaussian", flags=frozenset())
+    # the grid starts at the physical origin: the left tail check is vacuous
+    GRID = np.linspace(0.0, 12.0, 2001)
+    GAUSSIAN = np.exp(-GRID ** 2 / 2.0)
 
     def test_gaussian_against_analytic(self):
         # integral of exp(-r^2) over (0, inf) is sqrt(pi)/2
         # the grid ends at r = 12, and erf(12) = 1 in double precision
-        rad = normalize(self._gaussian_radial())
         want = (math.pi / 4.0) ** (-0.25)
-        assert rad.norm_constant == pytest.approx(want, rel=1e-8)
+        assert normalize(self.GRID, self.GAUSSIAN) == pytest.approx(want, rel=1e-8)
 
     def test_idempotent(self):
-        rad = normalize(self._gaussian_radial())
-        again = normalize(rad)
-        h = float(rad.grid[1] - rad.grid[0])
-        assert composite_simpson(again.values ** 2, h) == pytest.approx(1.0, abs=1e-10)
-        assert again.norm_constant / rad.norm_constant == pytest.approx(1.0, abs=1e-10)
+        values = self.GAUSSIAN * normalize(self.GRID, self.GAUSSIAN)
+        again = normalize(self.GRID, values)
+        h = float(self.GRID[1] - self.GRID[0])
+        assert composite_simpson((values * again) ** 2, h) == pytest.approx(1.0, abs=1e-10)
+        assert again == pytest.approx(1.0, abs=1e-10)
 
     def test_scaling_linearity(self):
-        base = self._gaussian_radial()
-        scaled = RadialFunction(grid=base.grid, values=7.0 * base.values,
-                                norm_constant=1.0, node_count=0, representation="gaussian",
-                                flags=frozenset())
-        n1 = normalize(base).norm_constant
-        n7 = normalize(scaled).norm_constant
+        n1 = normalize(self.GRID, self.GAUSSIAN)
+        n7 = normalize(self.GRID, 7.0 * self.GAUSSIAN)
         assert n7 == pytest.approx(n1 / 7.0, rel=1e-12)
 
     def test_tail_not_converged(self):
-        grid = np.linspace(0.1, 5.0, 500)
-        values = np.ones(500)
-        rad = RadialFunction(grid=grid, values=values, norm_constant=1.0, node_count=0,
-                             representation="constant", flags=frozenset())
         with pytest.raises(TailNotConverged):
-            normalize(rad)
+            normalize(np.linspace(0.1, 5.0, 500), np.ones(500))
 
     def test_norm_integral_within_tolerance(self):
-        rad = normalize(self._gaussian_radial())
-        h = float(rad.grid[1] - rad.grid[0])
-        assert abs(composite_simpson(rad.values ** 2, h) - 1.0) <= 1e-6
+        values = self.GAUSSIAN * normalize(self.GRID, self.GAUSSIAN)
+        h = float(self.GRID[1] - self.GRID[0])
+        assert abs(composite_simpson(values ** 2, h) - 1.0) <= 1e-6
 
 
 class TestCountNodes:
@@ -324,34 +306,31 @@ class TestCountNodes:
 
 class TestRadialAssembly:
     def test_pointwise_matches_formula(self):
-        lvl = level_at(REPRESENTABLE_E, n=0)
-        D, F = exponents_DF(REPRESENTABLE, lvl)["printed"]
+        D, F = exponents_DF(REPRESENTABLE, REPRESENTABLE_E, 0)["printed"]
         abc = REPRESENTABLE.abc
 
-        r = 1.3
-        s = s_of_r(r, REPRESENTABLE.K, REPRESENTABLE.omega, REPRESENTABLE.s_sign)
+        r = np.array([1.3])
+        [s] = s_of_r(r, REPRESENTABLE.K, REPRESENTABLE.omega, REPRESENTABLE.s_sign)
         want = (s + abc.a) ** (D / 2) * (s + abc.c) ** (F / 2)
-        got = radial_R(lvl, REPRESENTABLE, np.array([r]))["printed/D_on_a"]
+        got = radial_R(REPRESENTABLE, REPRESENTABLE_E, 0, r)["printed/D_on_a"]
         assert got[0] == pytest.approx(want, rel=1e-12)
 
     def test_r_zero_value(self):
-        lvl = level_at(REPRESENTABLE_E, n=0)
-        D, F = exponents_DF(REPRESENTABLE, lvl)["printed"]
+        D, F = exponents_DF(REPRESENTABLE, REPRESENTABLE_E, 0)["printed"]
         abc = REPRESENTABLE.abc
         want = (1 + abc.a) ** (D / 2) * (1 + abc.c) ** (F / 2)
-        got = radial_R(lvl, REPRESENTABLE, np.array([0.0]))["printed/D_on_a"]
+        got = radial_R(REPRESENTABLE, REPRESENTABLE_E, 0, np.array([0.0]))["printed/D_on_a"]
         assert got[0] == pytest.approx(want, rel=1e-12)
 
     def test_orderings_differ(self):
-        forms = radial_R(level_at(REPRESENTABLE_E, n=0), REPRESENTABLE, np.array([1.0]))
+        forms = radial_R(REPRESENTABLE, REPRESENTABLE_E, 0, np.array([1.0]))
         assert forms["printed/D_on_a"][0] != forms["printed/F_on_a"][0]
 
     def test_build_radial_confluent_at_defaults(self, default_params):
         from hykg.oracle import default_grid
 
         grid = default_grid(default_params, n=800)
-        lvl = level_at(-0.93, n=0)
-        [rad] = build_radial(default_params, lvl, grid)
+        [rad] = build_radial(default_params, -0.93, 0, grid)
         assert rad.representation == "confluent-mechanical"
         assert np.all(np.isfinite(rad.values))
 
@@ -361,12 +340,12 @@ class TestRadialAssembly:
         from hykg.oracle import default_grid
 
         grid = default_grid(default_params, n=800)
-        [rad] = build_radial(default_params, level_at(-0.93, n=0), grid)
+        [rad] = build_radial(default_params, -0.93, 0, grid)
         assert (rad.norm_constant is None) == ("TailNotConverged" in rad.flags)
 
     def test_build_radial_returns_every_form_in_order(self):
         grid = RadialGrid(r_min=0.05, r_max=30.0, n=400)
-        forms = build_radial(REPRESENTABLE, level_at(REPRESENTABLE_E, n=1), grid)
+        forms = build_radial(REPRESENTABLE, REPRESENTABLE_E, 1, grid)
         assert [f.representation for f in forms] == [
             "printed/D_on_a", "printed/F_on_a", "symmetric/D_on_a", "symmetric/F_on_a"]
         for rad in forms:
@@ -375,14 +354,14 @@ class TestRadialAssembly:
             assert "ConfluentForm" not in rad.flags
 
 
-def _printed_R_pointwise(params, level, r, reading, ordering):
-    """The printed R(r) at one radius in plain math: Leibniz chi_n times the
-    two powers, with the exponents placed by `ordering`."""
-    D, F = exponents_DF(params, level)[reading]
+def _printed_R_pointwise(params, E, n, r, reading, ordering):
+    """The printed R(r) of level n at energy E at one radius in plain math:
+    Leibniz chi_n times the two powers, with the exponents placed by
+    `ordering`."""
+    D, F = exponents_DF(params, E, n)[reading]
     e_a, e_c = (D, F) if ordering == "D_on_a" else (F, D)
     a, c = params.abc.a, params.abc.c
-    s = s_of_r(r, params.K, params.omega, params.s_sign)
-    n = level.n
+    [s] = s_of_r(np.array([r]), params.K, params.omega, params.s_sign)
     chi = sum(math.comb(n, k) * math.prod(n + D - j for j in range(k))
               * math.prod(n + F - j for j in range(n - k))
               * (s + a) ** (n - k) * (s + c) ** k for k in range(n + 1))
@@ -407,14 +386,14 @@ class TestArraySampler:
     def test_one_exponent_derivation_per_printed_build(self, monkeypatch):
         calls = _counting(monkeypatch, "exponents_DF")
         grid = RadialGrid(r_min=0.05, r_max=30.0, n=400)
-        build_radial(REPRESENTABLE, level_at(REPRESENTABLE_E, n=1), grid)
+        build_radial(REPRESENTABLE, REPRESENTABLE_E, 1, grid)
         assert len(calls) == 1
 
     def test_one_s_of_r_and_intermediates_call_for_all_four_forms(self, monkeypatch):
         s_calls = _counting(monkeypatch, "s_of_r")
         im_calls = _counting(monkeypatch, "intermediates")
         grid = RadialGrid(r_min=0.05, r_max=30.0, n=400)
-        forms = build_radial(REPRESENTABLE, level_at(REPRESENTABLE_E, n=1), grid)
+        forms = build_radial(REPRESENTABLE, REPRESENTABLE_E, 1, grid)
         assert len(forms) == 4
         assert (len(s_calls), len(im_calls)) == (1, 1)
 
@@ -422,7 +401,7 @@ class TestArraySampler:
         from hykg.oracle import default_grid
 
         calls = _counting(monkeypatch, "_confluent_for")
-        [rad] = build_radial(default_params, level_at(-0.93, n=0),
+        [rad] = build_radial(default_params, -0.93, 0,
                              default_grid(default_params, n=800))
         assert rad.representation == "confluent-mechanical"
         assert len(calls) == 1
@@ -431,7 +410,7 @@ class TestArraySampler:
     def test_one_s_of_r_call_per_sample(self, confluent, default_params, monkeypatch):
         params, E = (default_params, -0.93) if confluent else (REPRESENTABLE, REPRESENTABLE_E)
         calls = _counting(monkeypatch, "s_of_r")
-        forms = radial_R(level_at(E, n=1), params, self.RADII)
+        forms = radial_R(params, E, 1, self.RADII)
         assert len(forms) == (1 if confluent else 4)
         for values in forms.values():
             assert values.shape == self.RADII.shape
@@ -440,16 +419,16 @@ class TestArraySampler:
     @pytest.mark.parametrize("reading", ["printed", "symmetric"])
     @pytest.mark.parametrize("ordering", ["D_on_a", "F_on_a"])
     def test_array_matches_pointwise_formula(self, reading, ordering):
-        lvl = level_at(REPRESENTABLE_E, n=2)
-        got = radial_R(lvl, REPRESENTABLE, self.RADII)[f"{reading}/{ordering}"]
+        got = radial_R(REPRESENTABLE, REPRESENTABLE_E, 2, self.RADII)[f"{reading}/{ordering}"]
         assert isinstance(got, np.ndarray) and got.shape == self.RADII.shape
-        want = [_printed_R_pointwise(REPRESENTABLE, lvl, float(r), reading, ordering)
+        want = [_printed_R_pointwise(REPRESENTABLE, REPRESENTABLE_E, 2, float(r), reading,
+                                     ordering)
                 for r in self.RADII]
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_negative_radicand_not_representable(self, asymmetric_params):
         with pytest.raises(NotRepresentable):
-            radial_R(level_at(0.5, n=0), asymmetric_params, self.RADII)
+            radial_R(asymmetric_params, 0.5, 0, self.RADII)
 
     def test_non_positive_base_is_domain_error_without_warnings(self):
         # a = -1/3 < 0: s + a <= 0 once s = exp(-r) <= 1/3, i.e. r >= ln 3
@@ -459,4 +438,4 @@ class TestArraySampler:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError):
-                radial_R(level_at(-0.5, n=1), params, self.RADII)
+                radial_R(params, -0.5, 1, self.RADII)
