@@ -30,13 +30,22 @@ fourth table times the three closed-form engines at `configs/default.cfg`'s
 parameters: one scalar residual evaluation (`mechanical_residual`,
 `implicit_residual`, `eq45_rhs`) at n = 1, averaged over 99 energies spread
 across |E| < M, and one engine call for n = 0..1
-(`energy_*_result(params, (0, 1))`).  Each figure is the best of --repeat
-timed rounds.  Run it from the repository root:
+(`energy_*_result(params, (0, 1))`).  A fifth table gives the start-up
+costs that no benchmark iteration sees, each in a fresh interpreter, since
+this script imports scipy itself: the wall time and peak resident set
+growth of the first `oracle.dtbsv` call, which loads BLAS's compiled
+wrapper, and the wall time of a whole `hykg spectrum` process on
+`configs/default.cfg`.  Each figure is the best of --repeat timed rounds.
+Run it from the repository root:
 
     python scripts/kernel_costs.py [--n 1000 4000 16000] [--repeat 7]
 """
 import argparse
+import json
+import os
+import subprocess
 import sys
+import tempfile
 import time
 import timeit
 import warnings
@@ -156,6 +165,48 @@ def eigenvector_costs(n, repeat):
     return per_sweep * 1e6, per_eigh * 1e6, float(np.max(np.abs(sweep() - ref)))
 
 
+# run in a fresh interpreter: the first dtbsv call's wall time and the growth
+# of the process's peak resident set, as JSON [s, kB].  The peak is VmHWM,
+# not ru_maxrss: on Linux a child's ru_maxrss starts at the peak of the
+# process that spawned it, here one that has imported scipy, which hides
+# any smaller growth.
+FIRST_DTBSV = """
+import json, time
+import numpy as np
+from hykg import oracle
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+band, x = np.ones((3, 8)), np.ones(8)
+peak = peak_kb()
+t0 = time.perf_counter()
+oracle.dtbsv(2, band, x, lower=1, diag=1)
+elapsed = time.perf_counter() - t0
+print(json.dumps([elapsed, peak_kb() - peak]))
+"""
+SPECTRUM = "import sys; from hykg.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def startup_costs(repeat):
+    """((s, MB) of the first oracle.dtbsv call, s of a fresh hykg spectrum
+    process on configs/default.cfg), each the best of `repeat` subprocesses."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    first = min(tuple(json.loads(subprocess.run(
+        [sys.executable, "-c", FIRST_DTBSV], env=env, capture_output=True, text=True,
+        check=True).stdout)) for _ in range(repeat))
+    spectrum = []
+    with tempfile.TemporaryDirectory() as out:
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-c", SPECTRUM, "spectrum", "--config",
+                            str(ROOT / "configs" / "default.cfg"), "--out", out],
+                           env=env, capture_output=True, check=True)
+            spectrum.append(time.perf_counter() - t0)
+    return (first[0], first[1] / 1024), min(spectrum)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, nargs="+", default=[1000, 2000, 4000, 8000, 16000])
@@ -194,6 +245,11 @@ def main(argv=None):
         per_call = min(timeit.repeat(lambda: engine(params, (0, 1)),
                                      number=1, repeat=args.repeat))
         print(f"{name:12s} {per_residual * 1e6:12.1f} {per_call * 1e6:10.0f}")
+    print()
+    (first_s, first_mb), spectrum_s = startup_costs(args.repeat)
+    print(f"{'start-up':22s} {'ms':>8s} {'+MB':>6s}")
+    print(f"{'first dtbsv call':22s} {first_s * 1e3:8.1f} {first_mb:6.1f}")
+    print(f"{'hykg spectrum process':22s} {spectrum_s * 1e3:8.1f} {'-':>6s}")
     return 0
 
 

@@ -52,9 +52,10 @@ from .rootfind import scan_roots, seed_grid
 # seed array, and every scan of the call (each n, both eq45 signs) brackets
 # on it.  The seed values are array expressions: the n-free part is
 # evaluated once per call on the seed array, then each n adds its terms.
-# Seed values only pick the brackets.  Brent refines each bracket with the
-# public scalar residual, which evaluates everything at its trial energy:
-# Brent does not come back to an energy, so nothing is kept between calls.
+# Seed values pick the brackets, and Brent starts from the two at a
+# bracket's ends.  It refines each bracket with the public scalar residual,
+# which evaluates everything at its trial energy: Brent does not come back
+# to an energy, so nothing is kept between calls.
 # Each root is then judged once, by one scalar evaluation that gives its
 # residual, its acceptance and its flags, EPS2_NEGATIVE included (`_scan`).
 # Every engine's seed values are bit-identical to its scalar residual: array

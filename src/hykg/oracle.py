@@ -30,8 +30,11 @@ supports the weak-coupling limit trend tests.
 """
 from __future__ import annotations
 
-import importlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
@@ -45,14 +48,42 @@ from .levels import FLAG_NO_ROOT, FLAG_NODE_MISMATCH, Engine, EnergyLevel
 from .rootfind import brent, seed_grid
 
 
-# Importing scipy.linalg costs more start-up than the whole closed-form path,
-# so its one routine, dtbsv, is imported when first called: a process that
-# never solves the oracle never loads scipy.  The first call puts scipy's
-# routine in the stand-in's place, so later calls go straight to it; it stays
-# a module-level name that tests can substitute.
+# The oracle's one scipy routine is BLAS's dtbsv, from scipy's compiled
+# wrapper scipy/linalg/_fblas.  Importing it through scipy.linalg.blas runs
+# the scipy and scipy.linalg package __init__s, which cost more start-up time
+# and memory than a default command's own work (about 150 ms and 27 MB on a
+# 2-CPU Xeon).  So the first call takes the extension module from
+# sys.modules, or loads it from its file beside scipy's __init__, found
+# without importing it, and registers it there: a later import of
+# scipy.linalg.blas then re-exports this same dtbsv.  A process that never
+# solves the oracle loads nothing of scipy.  The first call puts the routine
+# in the stand-in's place, so later calls go straight to it; it stays a
+# module-level name that tests can substitute.
+def _extension(module: str):
+    """The compiled extension `module` of an installed package, loaded from
+    its file with no package __init__ run; ImportError names what was
+    searched when the package or the file is missing."""
+    if module in sys.modules:
+        return sys.modules[module]
+    package, *parts = module.split(".")
+    spec = importlib.util.find_spec(package)
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError(f"no package {package!r} on sys.path {sys.path}", name=module)
+    stem = os.path.join(spec.submodule_search_locations[0], *parts)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            file_spec = importlib.util.spec_from_file_location(module, stem + suffix)
+            extension = importlib.util.module_from_spec(file_spec)
+            sys.modules[module] = extension
+            file_spec.loader.exec_module(extension)
+            return extension
+    suffixes = ", ".join(importlib.machinery.EXTENSION_SUFFIXES)
+    raise ImportError(f"no extension file {stem} + one of {suffixes}", name=module, path=stem)
+
+
 def _on_first_call(module: str, name: str):
     def first_call(*args, **kwargs):
-        routine = getattr(importlib.import_module(module), name)
+        routine = getattr(_extension(module), name)
         if globals()[name] is first_call:
             globals()[name] = routine
         return routine(*args, **kwargs)
@@ -60,7 +91,7 @@ def _on_first_call(module: str, name: str):
     return first_call
 
 
-dtbsv = _on_first_call("scipy.linalg.blas", "dtbsv")
+dtbsv = _on_first_call("scipy.linalg._fblas", "dtbsv")
 
 
 # Tolerance on E for the relativistic roots, in units of M: the width of
@@ -606,7 +637,7 @@ def _numerov_root(well: SturmCounter, coeffs, lo: float, hi: float,
         shots[x] = numerov_defect(well, *coeffs(x))
         return shots[x][0]
 
-    root = brent(defect, lo, hi, tol)
+    root = brent(defect, lo, hi, defect(lo), defect(hi), tol)
     wronskian, solution = shots[root]
     return root, wronskian, solution()
 

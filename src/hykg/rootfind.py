@@ -6,8 +6,9 @@ A scan takes its seeds and the residual's values on them from the caller (an
 engine evaluates them as one array expression on one seed array per call;
 `sample` evaluates them point by point); a non-finite seed value is a hole,
 and a sign change is only pursued between two adjacent valid seeds.  Brent
-refinement calls the scalar residual, so the seed values only pick the
-brackets.
+starts from the seed values at the bracket's ends, which must therefore be
+the scalar residual's values there, and calls the scalar residual at its
+trial points.
 """
 from __future__ import annotations
 
@@ -27,15 +28,16 @@ def _as_value(y) -> float | None:
 _BRENT_MAX_ITER = 200
 
 
-def brent(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+def brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
+          tol: float) -> float:
     """Classic Brent root refinement on a sign-change interval [a, b].
 
-    Inverse quadratic interpolation and secant steps safeguarded by
-    bisection: R. P. Brent, "Algorithms for Minimization without
-    Derivatives" (Prentice-Hall, 1973), ch. 4.  Raises ValueError when
-    f(a) and f(b) have the same sign.
+    `fa` and `fb` are f(a) and f(b), which the caller already holds; f is
+    called only at the trial points inside the bracket.  Inverse quadratic
+    interpolation and secant steps safeguarded by bisection: R. P. Brent,
+    "Algorithms for Minimization without Derivatives" (Prentice-Hall, 1973),
+    ch. 4.  Raises ValueError when fa and fb have the same sign.
     """
-    fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -108,8 +110,9 @@ def scan_roots(f: Callable[[float], object], xs: np.ndarray, ys: np.ndarray,
     """Refine each sign change of f between consecutive seeds xs.
 
     `ys` holds f on `xs`; a non-finite value marks a seed where f is
-    undefined.  `f` is called only by Brent and may return non-float markers
-    (see the gap rule below).
+    undefined; a finite value must be f's own value at its seed, since Brent
+    starts from it.  `f` is called only by Brent, never at a seed, and may
+    return non-float markers (see the gap rule below).
     `accept(root)`, asked once per refined root, can reject roots whose
     residual did not collapse (jump discontinuities masquerading as
     crossings).  A root taken at a seed where f is exactly 0 is not refined
@@ -140,7 +143,7 @@ def scan_roots(f: Callable[[float], object], xs: np.ndarray, ys: np.ndarray,
             # endpoint is nearer, so that Brent always gets a number
             return v if v is not None else math.copysign(1e300, y0)
 
-        root = brent(fv, float(xs[i]), float(xs[i + 1]), tol_x)
+        root = brent(fv, float(xs[i]), float(xs[i + 1]), y0, float(ys[i + 1]), tol_x)
         if accept is not None and not accept(root):
             rejected.append(root)
             continue

@@ -523,23 +523,26 @@ scale = log
 
 
 # Runs in a fresh interpreter: the test process has long since loaded scipy.
+# Each entry is the sorted list of scipy modules the process holds.
 _STARTUP_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 cfg, oracle_cfg, out = sys.argv[2], sys.argv[3], sys.argv[4]
 loaded = []
+def scipy_modules():
+    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 import hykg
-loaded.append("scipy" in sys.modules)
+scipy_modules()
 import hykg.cli
 from hykg.config import load_config
-loaded.append("scipy" in sys.modules)
+scipy_modules()
 load_config(cfg)
-loaded.append("scipy" in sys.modules)
+scipy_modules()
 assert hykg.cli.main(["spectrum", "--config", cfg, "--out", out + "/cf"]) == 0
 assert hykg.cli.main(["wavefunction", "--n", "0", "--config", cfg, "--out", out + "/cf"]) == 0
-loaded.append("scipy" in sys.modules)
+scipy_modules()
 assert hykg.cli.main(["spectrum", "--config", oracle_cfg, "--out", out + "/oracle"]) == 0
-loaded.append("scipy" in sys.modules)
+scipy_modules()
 print(json.dumps(loaded))
 """
 
@@ -557,8 +560,9 @@ class TestStartup:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         # after import hykg, import hykg.cli, load_config, spectrum and
-        # wavefunction: no scipy; an oracle spectrum loads it
-        assert json.loads(proc.stdout) == [False, False, False, False, True]
+        # wavefunction: no scipy; an oracle spectrum loads BLAS's compiled
+        # wrapper alone, and neither the scipy nor the scipy.linalg package
+        assert json.loads(proc.stdout) == [[], [], [], [], ["scipy.linalg._fblas"]]
         assert sorted(p.name for p in (tmp_path / "fresh" / "cf").iterdir()) == [
             "spectrum.csv", "spectrum.json", "wf_n0.csv", "wf_n0.flags.json"]
 

@@ -293,11 +293,11 @@ class TestWorkCount:
         fevals = []
         brent = rootfind.brent
 
-        def counting_brent(f, a, b, tol):
+        def counting_brent(f, a, b, fa, fb, tol):
             def counted(x):
                 fevals.append(x)
                 return f(x)
-            return brent(counted, a, b, tol)
+            return brent(counted, a, b, fa, fb, tol)
 
         monkeypatch.setattr(rootfind, "brent", counting_brent)
         results = engine_result(DEFAULT_PARAMS, range(4))

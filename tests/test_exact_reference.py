@@ -57,7 +57,8 @@ def _oracle_level(params, n, grid, E_exact):
         w = 2.0 * (E + M) * v
         return float(eigen_tridiagonal(w, grid, n + 1, first=n)[0]) - (E * E - M * M)
 
-    return brent(g, E_exact - BRACKET, E_exact + BRACKET, 1e-13)
+    lo, hi = E_exact - BRACKET, E_exact + BRACKET
+    return brent(g, lo, hi, g(lo), g(hi), 1e-13)
 
 
 @pytest.mark.parametrize("D_e, s_sign, n", [(5.0, "negative", 0), (5.0, "negative", 1),

@@ -1,5 +1,6 @@
 import ast
 import math
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -745,8 +746,9 @@ class TestSeedSearch:
 
 class TestNumerovShooter:
     def test_one_integration_per_brent_evaluation(self, monkeypatch):
-        # one integration per Brent evaluation: the assembled solution and
-        # the residual at the root come from Brent's own evaluation there
+        # one integration per Brent evaluation and one at each end of the
+        # bracket, handed to Brent: the assembled solution and the residual
+        # at the root come from an evaluation Brent already made there
         grid = default_grid(DEFAULT_PARAMS, n=600)
         E = solve_relativistic(DEFAULT_PARAMS, 0, grid).E
         counts = {"defect": 0, "fevals": 0}
@@ -756,18 +758,18 @@ class TestNumerovShooter:
             counts["defect"] += 1
             return defect(*args)
 
-        def counted_brent(f, *args):
+        def counted_brent(f, a, b, fa, fb, tol):
             def counted_f(x):
                 counts["fevals"] += 1
                 return f(x)
-            return brent(counted_f, *args)
+            return brent(counted_f, a, b, fa, fb, tol)
 
         monkeypatch.setattr(oracle, "numerov_defect", counted_defect)
         monkeypatch.setattr(oracle, "brent", counted_brent)
         shot = numerov_shoot(DEFAULT_PARAMS, 0, grid, (E - 0.005, E + 0.005))
         assert shot.found
-        assert counts["fevals"] > 2
-        assert counts["defect"] == counts["fevals"]
+        assert counts["fevals"] > 0
+        assert counts["defect"] == counts["fevals"] + 2
         # the residual is the defect at the root, evaluated as the shooter does
         M, E = DEFAULT_PARAMS.M, shot.E
         well = SturmCounter(potential_V(grid.points, DEFAULT_PARAMS), grid)
@@ -1119,11 +1121,27 @@ class TestSchrodinger:
         assert v2 < v1
 
 
+# Runs in a fresh interpreter: the test process has long since loaded scipy.
+_SHARED_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from hykg import oracle
+grid = oracle.box_grid(20.0, 400)
+assert oracle.SturmCounter(np.zeros(grid.n), grid).count(1.0, 0.05) == 1
+fblas = sys.modules["scipy.linalg._fblas"]
+assert "scipy" not in sys.modules and oracle.dtbsv is fblas.dtbsv
+import scipy.linalg.blas
+assert sys.modules["scipy.linalg._fblas"] is fblas
+assert scipy.linalg.blas.dtbsv is oracle.dtbsv
+"""
+
+
 class TestScipyStandIns:
     def test_first_call_puts_scipy_in_place(self, monkeypatch):
-        # a stand-in imports its routine on its first call and leaves it in
+        # a stand-in loads its routine on its first call and leaves it in
         # its place, so later calls go straight to scipy
-        stand_in = oracle._on_first_call("scipy.linalg.blas", "dtbsv")
+        stand_in = oracle._on_first_call("scipy.linalg._fblas", "dtbsv")
         monkeypatch.setattr(oracle, "dtbsv", stand_in)
         grid = box_grid(L, 400)
         assert SturmCounter(np.zeros(grid.n), grid).count(1.0, 0.05) == 1
@@ -1131,7 +1149,7 @@ class TestScipyStandIns:
 
     def test_a_substitute_keeps_its_place(self, monkeypatch):
         # a substitute that calls the stand-in it replaced is not displaced
-        stand_in = oracle._on_first_call("scipy.linalg.blas", "dtbsv")
+        stand_in = oracle._on_first_call("scipy.linalg._fblas", "dtbsv")
         calls = []
 
         def substitute(*args, **kwargs):
@@ -1145,8 +1163,33 @@ class TestScipyStandIns:
         assert oracle.dtbsv is substitute
         assert len(calls) >= 2
 
+    @pytest.mark.parametrize("module, searched", [
+        ("scipy.linalg._no_such_extension", "linalg/_no_such_extension"),
+        ("no_such_package_here._fblas", "sys.path"),
+    ])
+    def test_a_missing_extension_raises_import_error(self, monkeypatch, module, searched):
+        # no fallback: the first call names the path it searched, and the
+        # stand-in stays in place
+        stand_in = oracle._on_first_call(module, "dtbsv")
+        monkeypatch.setattr(oracle, "dtbsv", stand_in)
+        grid = box_grid(L, 400)
+        with pytest.raises(ImportError, match=searched):
+            SturmCounter(np.zeros(grid.n), grid).count(1.0, 0.05)
+        assert module not in sys.modules
+        assert oracle.dtbsv is stand_in
+
+    def test_a_later_scipy_import_shares_the_routine(self):
+        # in a fresh interpreter the first count loads the extension module
+        # from its file; scipy.linalg.blas, imported afterwards, re-exports
+        # the same routine from that module rather than loading it again
+        src = Path(oracle.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", _SHARED_SCRIPT, str(src)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_dtbsv_is_the_only_scipy_routine(self):
-        # scipy is reached only through _on_first_call, and only for dtbsv
+        # scipy is reached only through _on_first_call, and only for
+        # scipy.linalg._fblas's dtbsv
         routines = []
         for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -1158,8 +1201,8 @@ class TestScipyStandIns:
                         isinstance(a, ast.Constant) and str(a.value).startswith("scipy")
                         for a in node.args):
                     assert getattr(node.func, "id", None) == "_on_first_call", path
-                    routines.append(node.args[1].value)
-        assert routines == ["dtbsv"]
+                    routines.append((node.args[0].value, node.args[1].value))
+        assert routines == [("scipy.linalg._fblas", "dtbsv")]
 
 
 class TestGrid:

@@ -17,11 +17,28 @@ class TestSignTests:
 
     def test_brent_rejects_tiny_values_of_one_sign(self):
         with pytest.raises(ValueError):
-            brent(lambda x: 1e-200, 0.0, 1.0, 1e-12)
+            brent(lambda x: 1e-200, 0.0, 1.0, 1e-200, 1e-200, 1e-12)
 
     def test_brent_returns_a_zero_end(self):
-        assert brent(lambda x: x, 0.0, 1.0, 1e-12) == 0.0
-        assert brent(lambda x: x - 1.0, 0.0, 1.0, 1e-12) == 1.0
+        assert brent(lambda x: x, 0.0, 1.0, 0.0, 1.0, 1e-12) == 0.0
+        assert brent(lambda x: x - 1.0, 0.0, 1.0, -1.0, 0.0, 1e-12) == 1.0
+
+    def test_scan_never_calls_f_at_a_seed(self):
+        # Brent starts from the seed values the scan holds, so f is asked
+        # only at trial points strictly inside a bracket
+        asked = []
+
+        def f(x):
+            asked.append(x)
+            return math.cos(3.0 * x)
+
+        xs = np.linspace(0.0, 4.0, 9)
+        ys = sample(f, xs)
+        asked.clear()
+        res = scan_roots(f, xs, ys, 1e-12)
+        assert res.roots == pytest.approx([(2 * k + 1) * math.pi / 6 for k in range(4)],
+                                          abs=1e-12)
+        assert asked and not set(asked) & set(xs.tolist())
 
     def test_exact_zero_seed_is_a_root(self):
         # a zero seed is taken as it is, never refined; a zero next to it is

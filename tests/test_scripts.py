@@ -39,12 +39,14 @@ def test_kernel_costs_smoke():
     # then one row per eigen_tridiagonal case with its Sturm counts, one for
     # each of the default grid's n = 0 and n = 1 eigenvectors by the sweep
     # and by eigh_tridiagonal with the largest difference of the two, within
-    # 1e-8, and one per closed-form engine
+    # 1e-8, one per closed-form engine, and the start-up table: the first
+    # dtbsv call's milliseconds and peak growth, and a fresh hykg spectrum
+    # process's milliseconds
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kernel_costs.py"),
                            "--n", "400", "--repeat", "1"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    levels, eigen, vector, closed = proc.stdout.split("\n\n")
+    levels, eigen, vector, closed, startup = proc.stdout.split("\n\n")
     header, *rows = levels.splitlines()
     assert header.split() == ["case", "N", "walk", "bisect", "us/count", "us/defect",
                               "solves", "m", "start"]
@@ -77,6 +79,13 @@ def test_kernel_costs_smoke():
     for row in rows:
         per_residual, per_call = map(float, row.split()[1:])
         assert 0 < per_residual < per_call
+    header, first, spectrum = startup.splitlines()
+    assert header.split() == ["start-up", "ms", "+MB"]
+    assert [first[:22].strip(), spectrum[:22].strip()] == [
+        "first dtbsv call", "hykg spectrum process"]
+    first_ms, first_mb = map(float, first[22:].split())
+    spectrum_ms, dash = spectrum[22:].split()
+    assert 0 < first_ms < float(spectrum_ms) and first_mb >= 0 and dash == "-"
 
 
 def test_sweep_screening_removes_its_config(tmp_path, monkeypatch):
