@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Microseconds per Sturm count, Numerov defect, fixed-W eigenvalue, eigenvector and closed form.
+"""Microseconds per Sturm count, Numerov defect, eigenvector and closed form; ms per selftest fixture.
 
 For each grid size N it solves the n = 0 oracle level once, then times
 
@@ -17,17 +17,15 @@ For each grid size N it solves the n = 0 oracle level once, then times
 The three cases are the default grid (`configs/default.cfg`'s parameters,
 r_max 40), the localized b < 0 well at D_e = 5000 on the r_max = 10 grids of
 the benchmark's oracle-refinement workload, and the c = 0 config whose W
-reaches ~1e26 at the far wall.  A second table gives one `eigen_tridiagonal`
-call for the three lowest eigenvalues on the selftest's box (N = 2000) and
-on -d^2/dr^2 + 4 V (`schrodinger_limit`'s operator) on the default grid at
-N = 4000: the Sturm counts it makes, and its time divided by three.  A
-third times one `eigenvector_tridiagonal` at the default grid's n = 0 and
-n = 1 levels (N = 4000, W = 2 (E + M) V, sigma = E^2 - M^2) beside scipy's
-`eigh_tridiagonal` for the same eigenvector of the same operator, and gives
-max|d|, the largest |difference| of the two vectors, each of unit
-quadrature norm with its first significant component positive.  A
-fourth table times the three closed-form engines at `configs/default.cfg`'s
-parameters: one scalar residual evaluation (`mechanical_residual`,
+reaches ~1e26 at the far wall.  A second table times each fixture of
+`hykg selftest` (`hykg.cli.FIXTURES`), one row per fixture, in
+milliseconds.  A third times one `eigenvector_tridiagonal` at the default
+grid's n = 0 and n = 1 levels (N = 4000, W = 2 (E + M) V,
+sigma = E^2 - M^2) beside scipy's `eigh_tridiagonal` for the same
+eigenvector of the same operator, and gives max|d|, the largest |difference|
+of the two vectors, each of unit quadrature norm with its first significant
+component positive.  A fourth table times the three closed-form engines at
+`configs/default.cfg`'s parameters: one scalar residual evaluation (`mechanical_residual`,
 `implicit_residual`, `eq45_rhs`) at n = 1, averaged over 99 energies spread
 across |E| < M, and one engine call for n = 0..1
 (`energy_*_result(params, (0, 1))`).  A fifth table gives the start-up
@@ -58,7 +56,7 @@ from scipy.linalg import eigh_tridiagonal
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from hykg import closedform, oracle  # noqa: E402
+from hykg import cli, closedform, oracle  # noqa: E402
 from hykg.config import load_config  # noqa: E402
 from hykg.hylleraas import DEFAULT_PARAMS, SSign, potential_V  # noqa: E402
 
@@ -71,13 +69,7 @@ CASES = (
     ("well D_e=5000", WELL, lambda n: oracle.RadialGrid(r_min=10.0 / n, r_max=10.0, n=n)),
     ("huge W (c = 0)", HUGE_W, lambda n: oracle.default_grid(HUGE_W, n)),
 )
-# eigen_tridiagonal's cases: the selftest's box and schrodinger_limit's 4 V
-BOX = oracle.box_grid(20.0, 2000)
 DEFAULT_4000 = oracle.default_grid(DEFAULT_PARAMS, 4000)
-EIGEN_CASES = (
-    ("selftest box", BOX, np.zeros(BOX.n)),
-    ("4V default grid", DEFAULT_4000, 4.0 * potential_V(DEFAULT_4000.points, DEFAULT_PARAMS)),
-)
 
 # the closed-form engines' cases: (name, scalar residual, engine call)
 CLOSED_FORMS = (
@@ -92,14 +84,6 @@ def band_solves(call):
     with mock.patch.object(oracle, "_band_solve", wraps=oracle._band_solve) as solve:
         call()
     return solve.call_count
-
-
-def sturm_counts(call):
-    """The number of oracle.SturmCounter.count calls that call() makes."""
-    with mock.patch.object(oracle.SturmCounter, "count", autospec=True,
-                           side_effect=oracle.SturmCounter.count) as count:
-        call()
-    return count.call_count
 
 
 def costs(params, grid, repeat):
@@ -223,12 +207,10 @@ def main(argv=None):
             print(f"{name:16s} {n:6d} {walk:6d} {bisect:6d} {per_count * 1e6:9.1f} "
                   f"{per_defect:>10s} {solves:>6s} {m:>6s} {start:>6s}")
     print()
-    print(f"{'eigen_tridiagonal':18s} {'N':>6s} {'counts':>6s} {'us/eigenvalue':>14s}")
-    for name, grid, w in EIGEN_CASES:
-        n_counts = sturm_counts(lambda: oracle.eigen_tridiagonal(w, grid, 3))
-        per_value = min(timeit.repeat(lambda: oracle.eigen_tridiagonal(w, grid, 3),
-                                      number=1, repeat=args.repeat)) / 3
-        print(f"{name:18s} {grid.n:6d} {n_counts:6d} {per_value * 1e6:14.1f}")
+    print(f"{'selftest fixture':26s} {'ms':>8s}")
+    for name, fixture, _ in cli.FIXTURES:
+        ms = min(timeit.repeat(fixture, number=1, repeat=args.repeat)) * 1e3
+        print(f"{name:26s} {ms:8.2f}")
     print()
     print(f"{'eigenvector':16s} {'N':>6s} {'us/sweep':>9s} {'us/eigh':>9s} {'max|d|':>8s}")
     for n in (0, 1):

@@ -158,23 +158,40 @@ def cmd_audit(config: RunConfig, out_dir: Path) -> None:
 # Embedded selftest fixtures
 # ---------------------------------------------------------------------------
 
-def _fixture_box_matrix() -> float:
-    from .oracle import box_grid, eigen_tridiagonal
+def _fixture_box_counts() -> float:
+    """The number of wrong Sturm counts of the free box just below and just
+    above its eigenvalues lambda_k = (4/h^2) sin^2(k pi / (2 (N + 1))),
+    k = 1..49: k - 1 and k at lambda_k -/+ 2 eps / h^2, a count's own
+    resolution in sigma."""
+    from .oracle import SturmCounter, box_grid
 
     grid = box_grid(20.0, 2000)
-    vals = eigen_tridiagonal(np.zeros(grid.n), grid, 3)
-    return max(abs(v - (i * math.pi / 20.0) ** 2) / (i * math.pi / 20.0) ** 2
-               for i, v in enumerate(vals, start=1))
+    counter = SturmCounter(np.zeros(grid.n), grid)
+    h2 = grid.h ** 2
+    margin = 2.0 * np.finfo(float).eps / h2
+    wrong = 0
+    for k in range(1, 50):
+        lam = 4.0 / h2 * math.sin(k * math.pi / (2 * (grid.n + 1))) ** 2
+        wrong += counter.count(1.0, lam - margin) != k - 1
+        wrong += counter.count(1.0, lam + margin) != k
+    return float(wrong)
 
 
-def _fixture_box_numerov() -> float:
-    from .oracle import box_grid, numerov_eigenvalue
+def _fixture_box_vector() -> float:
+    """Largest deviation of the free box's eigenvectors k = 1..3 from the
+    discrete sine sin(k pi j / (N + 1)) of unit quadrature norm."""
+    from .oracle import box_grid, eigenvector_tridiagonal
 
-    grid = box_grid(20.0, 800)
-    exact = (2 * math.pi / 20.0) ** 2
-    root, _ = numerov_eigenvalue(np.zeros(grid.n), grid,
-                                 (0.98 * exact, 1.02 * exact), tol=1e-14)
-    return abs(root - exact) / exact
+    grid = box_grid(20.0, 2000)
+    j = np.arange(1, grid.n + 1)
+    worst = 0.0
+    for k in (1, 2, 3):
+        theta = k * math.pi / (grid.n + 1)
+        lam = 4.0 / grid.h ** 2 * math.sin(theta / 2) ** 2
+        sine = np.sin(theta * j) / math.sqrt(grid.h * (grid.n + 1) / 2)
+        vec = eigenvector_tridiagonal(np.zeros(grid.n), grid, lam)
+        worst = max(worst, float(np.max(np.abs(vec - sine))))
+    return worst
 
 
 def _fixture_oscillator() -> float:
@@ -214,41 +231,58 @@ def _fixture_nu_hydrogen() -> float:
     return worst
 
 
-def _fixture_jacobi() -> float:
-    from .wavefunction import jacobi_P
+def _fixture_radial_polynomials() -> float:
+    """Relative deviation of radial_R's two polynomial factors from closed
+    forms, over 200 seeded draws.
+
+    The Rodrigues factor (a != c) is n! (c - a)^n P_n^(D,F)(x) with
+    x = (2 s + a + c) / (c - a), by jacobi_P; the confluent one's
+    coefficients (a = c) are C(n, k) (n + u + 1)_k v^(n - k), a generalized
+    Bessel polynomial (Krall and Frink, Trans. AMS 65, 100 (1949)).
+    """
+    from .wavefunction import confluent_chi_coeffs, jacobi_P, rodrigues_chi
 
     rng = np.random.default_rng(7)
+    draws = zip(rng.integers(0, 11, 200).tolist(), rng.uniform(-0.9, 3.0, (200, 3)).tolist(),
+                rng.uniform(-1.0, 2.0, (200, 3)).tolist(), rng.uniform(0.05, 3.0, (200, 2)))
     worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(0, 11))
-        alpha, beta = rng.uniform(-0.9, 3.0, 2)
-        x = rng.uniform(-1.0, 1.0)
-        left = jacobi_P(n, alpha, beta, -x)
-        right = (-1.0) ** n * jacobi_P(n, beta, alpha, x)
-        worst = max(worst, abs(left - right) / max(1.0, abs(left), abs(right)))
-        endpoint = 1.0
-        for j in range(1, n + 1):
-            endpoint *= (alpha + j)
-        endpoint /= math.factorial(n)
-        got = jacobi_P(n, alpha, beta, 1.0)
-        worst = max(worst, abs(got - endpoint) / max(1.0, abs(endpoint)))
+    for n, (D, F, u), (a, c, v), step in draws:
+        s = max(-a, -c) + step
+        for got, si in zip(rodrigues_chi(n, D, F, a, c, s).tolist(), s.tolist()):
+            want = (math.factorial(n) * (c - a) ** n
+                    * jacobi_P(n, D, F, (2 * si + a + c) / (c - a)))
+            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+        for k, got in enumerate(confluent_chi_coeffs(n, u, v)):
+            want = math.comb(n, k) * math.prod(n + u + 1 + j for j in range(k)) * v ** (n - k)
+            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     return worst
 
 
+# Each fixture runs a kernel that spectrum, audit or wavefunction runs:
+# the Sturm count, the eigenvector sweep, the count and _bisect on a fixed
+# W, the NU quantization scan and radial_R's two polynomial factors.
 FIXTURES = (
-    ("box-matrix", _fixture_box_matrix, 1e-4),
-    ("box-numerov", _fixture_box_numerov, 1e-6),
+    ("box-counts", _fixture_box_counts, 0.0),
+    ("box-vector", _fixture_box_vector, 1e-10),
     ("oscillator-odd-states", _fixture_oscillator, 1e-4),
     ("nu-hydrogen-quantization", _fixture_nu_hydrogen, 1e-10),
-    ("jacobi-identities", _fixture_jacobi, 1e-12),
+    ("radial-polynomials", _fixture_radial_polynomials, 1e-12),
 )
 
 
 def run_selftest() -> int:
-    """Run the embedded fixtures; prints one line per fixture; 0 iff all pass."""
+    """Run the embedded fixtures; prints one line per fixture; 0 iff all
+    pass.  A fixture that raises fails, with its traceback on stderr, and
+    the rest still run."""
     failures = 0
     for name, fn, tol in FIXTURES:
-        defect = fn()
+        try:
+            defect = fn()
+        except Exception as exc:
+            traceback.print_exc()
+            failures += 1
+            print(f"{name:28s} FAIL (raised {type(exc).__name__}: {exc})")
+            continue
         ok = defect <= tol
         failures += 0 if ok else 1
         print(f"{name:28s} {'PASS' if ok else 'FAIL'} "

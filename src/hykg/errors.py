@@ -45,10 +45,6 @@ class TailNotConverged(HykgError):
     """Samples have not decayed at the grid edge; the norm integral is not trustworthy."""
 
 
-class NoRoot(HykgError):
-    """A bracketed scan found no sign change."""
-
-
 class ConfigError(HykgError):
     """Invalid or unknown configuration input."""
 

@@ -25,8 +25,7 @@ the matching point, so the matching defect is exact to rounding, and it
 forms t and B only on the rows up to that start.  A level's eigenvector is
 the count's recurrence at sigma = E^2 - M^2, swept outward from the left wall
 to the matching point and inward from the far wall to the outward pass's
-largest sample, where the two are joined.  A fixed-mass Schroedinger solver
-supports the weak-coupling limit trend tests.
+largest sample, where the two are joined.
 """
 from __future__ import annotations
 
@@ -42,7 +41,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import NoRoot
 from .hylleraas import HylleraasParams, potential_V
 from .levels import FLAG_NO_ROOT, FLAG_NODE_MISMATCH, Engine, EnergyLevel
 from .rootfind import brent, seed_grid
@@ -288,10 +286,9 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float,
     return lo, hi
 
 
-def eigen_tridiagonal(w_values: np.ndarray, grid: RadialGrid, m: int,
-                      first: int = 0) -> np.ndarray:
-    """Eigenvalues first..m-1 (0-based, ascending) of -d^2/dr^2 + W in a new
-    array; ValueError unless 0 <= first < m <= N.
+def eigen_tridiagonal(w_values: np.ndarray, grid: RadialGrid, m: int) -> np.ndarray:
+    """The m lowest eigenvalues of -d^2/dr^2 + W, ascending, in a new array;
+    ValueError unless 0 < m <= N.
 
     Eigenvalue k is the midpoint of the _bisect bracket of count(sigma) <= k
     on the Gershgorin interval [min W, max W + 4/h^2] to eps * max(|min W|,
@@ -300,17 +297,17 @@ def eigen_tridiagonal(w_values: np.ndarray, grid: RadialGrid, m: int,
     sigma only via fl(2 + h^2 (W - sigma)), whose ulp near 2 is 2 eps / h^2
     in sigma.  The eigenvalues share their first midpoints, counted once.
     """
-    if not 0 <= first < m <= grid.n:
-        raise ValueError(f"need 0 <= first < m <= {grid.n}, got {first}, {m}")
+    if not 0 < m <= grid.n:
+        raise ValueError(f"need 0 < m <= {grid.n}, got {m}")
     counter = SturmCounter(w_values, grid)
     count = cache(lambda sigma: counter.count(1.0, sigma))
     bottom = float(np.min(w_values))
     top = float(np.max(w_values)) + 4.0 / grid.h ** 2
     tol = np.finfo(float).eps * max(abs(bottom), abs(top))
-    vals = np.empty(m - first)
-    for k in range(first, m):
+    vals = np.empty(m)
+    for k in range(m):
         lo, hi = _bisect(lambda sigma: count(sigma) <= k, bottom, top, tol)
-        vals[k - first] = 0.5 * (lo + hi)
+        vals[k] = 0.5 * (lo + hi)
     return vals
 
 
@@ -642,20 +639,6 @@ def _numerov_root(well: SturmCounter, coeffs, lo: float, hi: float,
     return root, wronskian, solution()
 
 
-def numerov_eigenvalue(w_values: np.ndarray, grid: RadialGrid,
-                       bracket: tuple[float, float],
-                       tol: float = 1e-12) -> tuple[float, np.ndarray]:
-    """Eigenvalue of -u'' + W u = Ebar u inside `bracket` by defect root finding."""
-    lo, hi = bracket
-    try:
-        root, _, assembled = _numerov_root(SturmCounter(w_values, grid),
-                                           lambda ebar: (1.0, ebar), lo, hi,
-                                           tol * max(1.0, abs(lo), abs(hi)))
-    except ValueError:
-        raise NoRoot(f"no defect sign change in bracket {bracket}") from None
-    return root, assembled
-
-
 def numerov_shoot(params: HylleraasParams, n: int, grid: RadialGrid,
                   e_bracket: tuple[float, float]) -> EnergyLevel:
     """Independent relativistic solve: Numerov matching inside an E bracket,
@@ -681,13 +664,3 @@ def numerov_shoot(params: HylleraasParams, n: int, grid: RadialGrid,
     return EnergyLevel(n=n, E=root, Ebar=root * root - M * M,
                        engine=Engine.ORACLE, residual=float(abs(wronskian)),
                        flags=flags)
-
-
-def schrodinger_limit(params: HylleraasParams, n: int, grid: RadialGrid) -> float:
-    """(n+1)-th smallest eigenvalue of -(1/2) d^2/dr^2 + 2 V, unit-mass convention.
-
-    -(1/2) u'' + 2 V u = lam u is -u'' + 4 V u = 2 lam u, the operator of
-    eigen_tridiagonal with W = 4 V.
-    """
-    return 0.5 * float(eigen_tridiagonal(4.0 * potential_V(grid.points, params), grid,
-                                         n + 1, first=n)[0])

@@ -3,12 +3,11 @@
 Engines evaluate residual functions that are continuous where defined but can
 return a marker object (anything non-float-like) inside degenerate regions.
 A scan takes its seeds and the residual's values on them from the caller (an
-engine evaluates them as one array expression on one seed array per call;
-`sample` evaluates them point by point); a non-finite seed value is a hole,
-and a sign change is only pursued between two adjacent valid seeds.  Brent
-starts from the seed values at the bracket's ends, which must therefore be
-the scalar residual's values there, and calls the scalar residual at its
-trial points.
+engine evaluates them as one array expression on one seed array per call); a
+non-finite seed value is a hole, and a sign change is only pursued between
+two adjacent valid seeds.  Brent starts from the seed values at the
+bracket's ends, which must therefore be the scalar residual's values there,
+and calls the scalar residual at its trial points.
 """
 from __future__ import annotations
 
@@ -97,12 +96,6 @@ class ScanResult:
 def seed_grid(lo: float, hi: float, n_brackets: int) -> np.ndarray:
     """The scan's seeds lo + (hi - lo) i / n_brackets, i = 0..n_brackets."""
     return lo + (hi - lo) * np.arange(n_brackets + 1) / n_brackets
-
-
-def sample(f: Callable[[float], object], xs: np.ndarray) -> np.ndarray:
-    """f on the seeds xs, one scalar call per seed; a marker becomes NaN."""
-    values = (_as_value(f(float(x))) for x in xs)
-    return np.array([math.nan if y is None else y for y in values])
 
 
 def scan_roots(f: Callable[[float], object], xs: np.ndarray, ys: np.ndarray,

@@ -8,14 +8,14 @@ import numpy as np
 from hykg.oracle import SturmCounter
 
 
-def reference_eigenvalues(w, grid, m, first=0):
-    """Eigenvalues first..m-1 of -d^2/dr^2 + W, one bisection loop each."""
+def reference_eigenvalues(w, grid, m):
+    """The m lowest eigenvalues of -d^2/dr^2 + W, one bisection loop each."""
     counter = SturmCounter(w, grid)
     bottom = float(np.min(w))
     top = float(np.max(w)) + 4.0 / grid.h ** 2
     tol = np.finfo(float).eps * max(abs(bottom), abs(top))
-    vals = np.empty(m - first)
-    for k in range(first, m):
+    vals = np.empty(m)
+    for k in range(m):
         lo, hi = bottom, top
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
@@ -23,5 +23,5 @@ def reference_eigenvalues(w, grid, m, first=0):
                 hi = mid
             else:
                 lo = mid
-        vals[k - first] = 0.5 * (lo + hi)
+        vals[k] = 0.5 * (lo + hi)
     return vals

@@ -35,18 +35,19 @@ from hykg.oracle import (
     count_sign_changes,
     default_grid,
     eigen_tridiagonal,
-    numerov_eigenvalue,
     oracle_eigenvector,
-    schrodinger_limit,
     solve_relativistic,
 )
-from hykg.rootfind import estimate_order, sample, scan_roots, seed_grid
+from hykg.rootfind import estimate_order, scan_roots, seed_grid
 from hykg.wavefunction import (
     composite_simpson,
     jacobi_P,
     normalize,
     rodrigues_chi,
 )
+
+from _fixed_w import numerov_eigenvalue, schrodinger_limit
+from _sample import sample
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"

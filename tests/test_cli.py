@@ -575,15 +575,15 @@ class TestStartup:
 
 
 class TestSelftest:
+    FIXTURE_NAMES = ["box-counts", "box-vector", "oscillator-odd-states",
+                     "nu-hydrogen-quantization", "radial-polynomials"]
+
     def test_passes_clean(self, capsys):
         assert run_selftest() == 0
-        text = capsys.readouterr().out
-        for name in ("box-matrix", "box-numerov", "oscillator-odd-states",
-                     "nu-hydrogen-quantization", "jacobi-identities"):
-            assert text.count(name) == 1
-        assert "FAIL" not in text
-        # two significant digits: the box-numerov root tolerance resolves no more
-        for line in text.splitlines():
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == self.FIXTURE_NAMES
+        assert all(line.split()[1] == "PASS" for line in lines)
+        for line in lines:
             assert re.search(r"\(defect \d\.\de[+-]\d\d, tol ", line), line
 
     def test_perturbed_fixture_fails(self, monkeypatch, capsys):
@@ -594,13 +594,89 @@ class TestSelftest:
         assert len(lines) == 2 and "PASS" in lines[0]
         assert lines[1].startswith("over-tolerance") and "FAIL" in lines[1]
 
+    def test_raising_fixture_fails_and_the_rest_run(self, monkeypatch, capsys):
+        def broken():
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "FIXTURES", (("broken", broken, 1.0),) + cli.FIXTURES[:1])
+        assert run_selftest() == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 2
+        assert lines[0] == f"{'broken':28s} FAIL (raised ZeroDivisionError: float division by zero)"
+        assert "in broken" in captured.err and "Traceback" in captured.err
+        assert lines[1].startswith("box-counts") and "PASS" in lines[1]
+
     def test_matrix_fixtures_run_the_count_kernel(self, monkeypatch, capsys):
-        # one count too many shifts every eigenvalue the two matrix
-        # fixtures bisect, so both must fail and nothing else may
+        # one count too many shifts every count the box fixture checks and
+        # every eigenvalue the oscillator fixture bisects, so both must fail
+        # and nothing else may
         count = oracle.SturmCounter.count
         monkeypatch.setattr(oracle.SturmCounter, "count",
                             lambda self, c, sigma: count(self, c, sigma) + 1)
         assert run_selftest() == 1
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                   if "FAIL" in line]
-        assert failed == ["box-matrix", "oscillator-odd-states"]
+        assert failed == ["box-counts", "oscillator-odd-states"]
+
+    @pytest.mark.parametrize("module, name, perturb, fixture", [
+        (oracle, "eigenvector_tridiagonal", lambda vec: vec + 1e-9, "box-vector"),
+        (wavefunction, "rodrigues_chi", lambda chi: chi * (1 + 1e-9), "radial-polynomials"),
+        (wavefunction, "confluent_chi_coeffs", lambda coeffs: [g * (1 + 1e-9) for g in coeffs],
+         "radial-polynomials"),
+    ], ids=["eigenvector_tridiagonal", "rodrigues_chi", "confluent_chi_coeffs"])
+    def test_a_perturbed_kernel_fails_only_its_fixture(self, monkeypatch, capsys,
+                                                       module, name, perturb, fixture):
+        kernel = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: perturb(kernel(*args)))
+        assert run_selftest() == 1
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if "FAIL" in line]
+        assert failed == [fixture]
+
+    def test_reaches_only_what_the_commands_reach(self, tmp_path, capsys):
+        # every hykg function the selftest calls outside its own fixtures is
+        # one that spectrum, audit or wavefunction calls, on the default
+        # config (the confluent factor) or the asymmetric one (the Rodrigues
+        # factor), except the names below
+        allowed = {
+            "oracle.box_grid",  # a grid constructor
+            # the benchmark's tracer target; the oscillator fixture bisects
+            # its fixed W on the count kernel
+            "oracle.eigen_tridiagonal",
+            "oracle.eigen_tridiagonal.<locals>.<lambda>",
+            "wavefunction.jacobi_P",  # the reference for the Rodrigues factor
+        }
+        package = os.path.dirname(cli.__file__)
+
+        def reached(run):
+            names = set()
+
+            def profile(frame, event, arg):
+                code = frame.f_code
+                if event == "call" and os.path.dirname(code.co_filename) == package:
+                    names.add(f"{Path(code.co_filename).stem}.{code.co_qualname}")
+
+            sys.setprofile(profile)
+            try:
+                run()
+            finally:
+                sys.setprofile(None)
+            return names
+
+        asymmetric = tmp_path / "asym.cfg"
+        asymmetric.write_text(ASYMMETRIC_CFG)
+
+        def commands():
+            for cfg in (GOLDEN.parents[1] / "configs" / "default.cfg", asymmetric):
+                for command in (["spectrum"], ["audit"], ["wavefunction", "--n", "0"]):
+                    assert main(command + ["--config", str(cfg),
+                                           "--out", str(tmp_path / "out")]) == 0
+
+        by_commands = reached(commands)
+        by_selftest = reached(run_selftest)
+        assert "wavefunction.rodrigues_chi" in by_commands
+        assert "wavefunction.confluent_chi_coeffs" in by_commands
+        only = {name for name in by_selftest - by_commands
+                if not name.startswith(("cli._fixture_", "cli.run_selftest"))}
+        assert only <= allowed, sorted(only - allowed)

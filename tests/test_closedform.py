@@ -24,9 +24,9 @@ from hykg.levels import (
     Engine,
 )
 from hykg.nu import BranchGap
-from hykg.rootfind import sample
 
 from _highprec import constants_hp
+from _sample import sample
 
 
 @pytest.fixture

@@ -55,7 +55,7 @@ def _oracle_level(params, n, grid, E_exact):
 
     def g(E):
         w = 2.0 * (E + M) * v
-        return float(eigen_tridiagonal(w, grid, n + 1, first=n)[0]) - (E * E - M * M)
+        return float(eigen_tridiagonal(w, grid, n + 1)[n]) - (E * E - M * M)
 
     lo, hi = E_exact - BRACKET, E_exact + BRACKET
     return brent(g, lo, hi, g(lo), g(hi), 1e-13)

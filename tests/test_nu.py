@@ -18,7 +18,9 @@ from hykg.nu import (
     solve_k,
     under_root_quadratic,
 )
-from hykg.rootfind import sample, scan_roots, seed_grid
+from hykg.rootfind import scan_roots, seed_grid
+
+from _sample import sample
 
 # The classic closed-form fixture: sigma = s, tau_tilde = 0,
 # sigma_tilde = -eps^2 s^2 + beta s - l(l+1).  Hand algebra gives the

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg.blas import dtbsv
 
 from hykg import oracle
-from hykg.errors import DegenerateParams, NoRoot, OutOfRange
+from hykg.errors import DegenerateParams, OutOfRange
 from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign, potential_V, s_of_r
 from hykg.levels import FLAG_NO_ROOT, FLAG_NODE_MISMATCH
 from hykg.config import default_config, parse_config
@@ -31,16 +31,15 @@ from hykg.oracle import (
     effective_potential,
     eigen_tridiagonal,
     eigenvector_tridiagonal,
-    numerov_eigenvalue,
     numerov_shoot,
     oracle_eigenvector,
-    schrodinger_limit,
     solve_levels,
     solve_relativistic,
 )
 from hykg.rootfind import estimate_order
 
 from _count_bisection import reference_eigenvalues
+from _fixed_w import numerov_eigenvalue, schrodinger_limit
 from _seed_walk import reference_level
 from _stebz import stebz_eigenvalues, stein_eigenvector, tridiagonal
 from test_cli import ASYMMETRIC_CFG
@@ -64,12 +63,12 @@ class TestBox:
             assert abs(v - exact) / exact < 1e-4
 
     def test_compact_result(self):
-        # a new array of the m - first values, not a view into a longer one
+        # a new array of the m values, not a view into a longer one
         grid = box_grid(L, 2000)
-        for m, first in ((1, 0), (3, 0), (3, 2)):
-            vals = eigen_tridiagonal(np.zeros(grid.n), grid, m, first=first)
+        for m in (1, 3):
+            vals = eigen_tridiagonal(np.zeros(grid.n), grid, m)
             assert vals.base is None
-            assert vals.nbytes == 8 * (m - first)
+            assert vals.nbytes == 8 * m
 
     def test_interlacing(self):
         _, vals = box_levels(1000, m=6)
@@ -161,12 +160,12 @@ class TestEigenTridiagonal:
         grid = grid_of(n_points)
         w = w_of(grid)
         floor = np.finfo(float).eps * (float(np.max(w)) + 4.0 / grid.h ** 2)
-        for first, m in ((0, 3), (2, 3), (5, 9)):
-            vals = eigen_tridiagonal(w, grid, m, first=first)
+        for m in (3, 9):
+            vals = eigen_tridiagonal(w, grid, m)
             assert np.all(np.diff(vals) >= 0)
-            assert np.max(np.abs(vals - stebz_eigenvalues(w, grid, m, first))) <= 2.0 * floor
+            assert np.max(np.abs(vals - stebz_eigenvalues(w, grid, m))) <= 2.0 * floor
 
-    # the selftest's box and oscillator, schrodinger_limit's 4 V, and huge W
+    # a free box, the selftest's oscillator, schrodinger_limit's 4 V, and huge W
     @pytest.mark.parametrize("operator, n_points, most", [
         ("box", 2000, 120), ("oscillator", 2000, 130), ("4V", 4000, 118), ("huge W", 400, 53)])
     def test_counts_each_sigma_once(self, monkeypatch, operator, n_points, most):
@@ -192,11 +191,11 @@ class TestEigenTridiagonal:
     def test_invalid_ranges_raise(self):
         grid = box_grid(L, 400)
         w = np.zeros(grid.n)
-        for m, first in ((2, 2), (1, 2), (grid.n + 1, 0), (1, -1)):
+        for m in (0, grid.n + 1, -1):
             with pytest.raises(ValueError):
-                eigen_tridiagonal(w, grid, m, first=first)
-        top = eigen_tridiagonal(w, grid, grid.n, first=grid.n - 1)
-        assert abs(top[0] - stebz_eigenvalues(w, grid, grid.n, grid.n - 1)[0]) \
+                eigen_tridiagonal(w, grid, m)
+        top = eigen_tridiagonal(w, grid, grid.n)
+        assert np.max(np.abs(top - stebz_eigenvalues(w, grid, grid.n))) \
             <= 2.0 * np.finfo(float).eps * 4.0 / grid.h ** 2
 
 
@@ -815,7 +814,7 @@ class TestNumerovShooter:
         # free particle in a box: no level below the first box eigenvalue
         grid = box_grid(L, 400)
         exact = (math.pi / L) ** 2
-        with pytest.raises(NoRoot):
+        with pytest.raises(ValueError, match="no sign change"):
             numerov_eigenvalue(np.zeros(grid.n), grid, (0.2 * exact, 0.5 * exact))
         params = DEFAULT_PARAMS.replace(D_e=0.0)
         level = numerov_shoot(params, 0, default_grid(params, n=400), (-0.9, -0.8))

@@ -30,14 +30,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hykg"
 TESTS = ROOT / "tests"
 
-# Kept without a caller, each for a stated use.
-ALLOWED_ORPHANS = {
-    # the acceptance test of criterion 8 calls it
-    "schrodinger_limit",
-    # the plain seed scan: tests check the closure's array twins against it
-    "sample",
-}
-
 
 def _modules() -> dict[str, ast.Module]:
     return {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
@@ -208,7 +200,7 @@ def _orphans(private: bool) -> set[str]:
 
 def test_every_public_definition_has_a_caller():
     orphans = _orphans(private=False)
-    assert orphans == ALLOWED_ORPHANS, sorted(orphans)
+    assert orphans == set(), sorted(orphans)
 
 
 def test_every_private_function_has_a_caller():
@@ -283,7 +275,6 @@ def _unpassed_defaults() -> set[str]:
                        or pos is not None and (starred or pos < len(call.args))}
 
     return {f"{label}({name})" for label, params in defaulted.items()
-            if label.rsplit(".", 1)[1] not in ALLOWED_ORPHANS
             for _, name in params if (label, name) not in passed}
 
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hykg.rootfind import brent, sample, scan_roots
+from hykg.rootfind import brent, scan_roots
+
+from _sample import sample
 
 
 class TestSignTests:

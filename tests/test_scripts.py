@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from hykg.cli import FIXTURES
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -36,7 +38,7 @@ def test_kernel_costs_smoke():
     # and its bisection at least one midpoint), one band solve per pass of
     # the defect, and its inward pass starting past its matching index, at
     # most at the far wall;
-    # then one row per eigen_tridiagonal case with its Sturm counts, one for
+    # then one row per selftest fixture with its milliseconds, one for
     # each of the default grid's n = 0 and n = 1 eigenvectors by the sweep
     # and by eigh_tridiagonal with the largest difference of the two, within
     # 1e-8, one per closed-form engine, and the start-up table: the first
@@ -46,7 +48,7 @@ def test_kernel_costs_smoke():
                            "--n", "400", "--repeat", "1"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    levels, eigen, vector, closed, startup = proc.stdout.split("\n\n")
+    levels, fixtures, vector, closed, startup = proc.stdout.split("\n\n")
     header, *rows = levels.splitlines()
     assert header.split() == ["case", "N", "walk", "bisect", "us/count", "us/defect",
                               "solves", "m", "start"]
@@ -58,14 +60,10 @@ def test_kernel_costs_smoke():
         assert float(per_count) > 0 and float(per_defect) > 0
         assert int(solves) == 2
         assert 2 <= int(m) < int(start) <= int(n) - 1
-    header, *rows = eigen.splitlines()
-    assert header.split() == ["eigen_tridiagonal", "N", "counts", "us/eigenvalue"]
-    assert [(row[:18].strip(), int(row[18:].split()[0])) for row in rows] == [
-        ("selftest box", 2000), ("4V default grid", 4000)]
-    for row in rows:
-        counts, per_value = row[18:].split()[1:]
-        assert counts.isdigit() and int(counts) > 0
-        assert float(per_value) > 0
+    header, *rows = fixtures.splitlines()
+    assert header.split() == ["selftest", "fixture", "ms"]
+    assert [row.split()[0] for row in rows] == [name for name, _, _ in FIXTURES]
+    assert all(float(row.split()[1]) > 0 for row in rows)
     header, *rows = vector.splitlines()
     assert header.split() == ["eigenvector", "N", "us/sweep", "us/eigh", "max|d|"]
     assert [row[:16].strip() for row in rows] == ["default grid n=0", "default grid n=1"]
