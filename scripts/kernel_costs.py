@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Microseconds per Sturm count, Numerov defect, eigenvector and closed form; ms per selftest fixture.
+"""Microseconds per Sturm count, last-minor sweep, Numerov defect, eigenvector and closed form; ms per selftest fixture.
 
-For each grid size N it solves the n = 0 oracle level once, then times
+For each grid size N it solves the n = 0 oracle level once on a fresh
+`energy_counts` memo, records its work, and times its kernels at the
+level's energy E:
 
-  * count: the whole solve of that level on a fresh `energy_counts` memo
-    (grid set-up excluded), divided by the number of counts, which is the
-    memo's size after the solve; the table splits them into the seed
-    search's (`walk`, the memo's size when `_bisect` starts) and the
-    bisection's (`bisect`);
-  * defect: one `numerov_defect` at the level's energy, called as
-    `numerov_shoot` calls it, on one `SturmCounter` of the grid's V; the
-    table prints beside it the number of band solves it makes (`solves`,
-    one per pass unless a pass rescales), its matching index m and the row
-    its inward pass starts at.
+  * work: the counts of the seed search and the isolation (`seed`, the
+    memo's size when `_last_minor` is built), Brent's sweeps of the last
+    minor (`sweeps`, its evaluations) and the certificate's counts
+    (`certify`, the memo's growth after Brent);
+  * count: one `SturmCounter.count` at E, where a count solves the most
+    rows;
+  * sweep: one evaluation of the level's `_last_minor` at E, built on the
+    isolated bracket as `solve_relativistic` builds it;
+  * defect: one `numerov_defect` at E, called as `numerov_shoot` calls it,
+    on one `SturmCounter` of the grid's V; the table prints beside it the
+    number of band solves it makes (`solves`, one per pass unless a pass
+    rescales), its matching index m and the row its inward pass starts at.
 
 The three cases are the default grid (`configs/default.cfg`'s parameters,
 r_max 40), the localized b < 0 well at D_e = 5000 on the r_max = 10 grids of
@@ -87,41 +91,41 @@ def band_solves(call):
 
 
 def costs(params, grid, repeat):
-    """((walk, bisect) counts of the level, us per count, (us per defect,
-    band solves per defect, m, inward start) or None) of the n = 0 level."""
+    """((seed, sweeps, certify) work of the n = 0 level, us per count, us per
+    sweep, (us per defect, band solves per defect, m, inward start)), the
+    last three None when the level has no root, and us per sweep also when
+    its bracket needed no refinement."""
     M = params.M
     probe = oracle.energy_counts(params, grid)
-    walked = []
-    bisect = oracle._bisect
+    built, sweeps = [], []
+    last_minor = oracle._last_minor
 
-    def recorded_bisect(*args):
-        walked.append(probe.cache_info().currsize)
-        return bisect(*args)
+    def recorded_minor(*args):
+        built.append((probe.cache_info().currsize, args))
+        minor = last_minor(*args)
+        return lambda x: sweeps.append(x) or minor(x)
 
-    with mock.patch.object(oracle, "_bisect", recorded_bisect):
+    with mock.patch.object(oracle, "_last_minor", recorded_minor):
         E = oracle.solve_relativistic(params, 0, grid, probe).E
     n_counts = probe.cache_info().currsize
-    walk = walked[0] if walked else n_counts
-
-    def level():
-        counts = oracle.energy_counts(params, grid)
-        t0 = time.perf_counter()
-        oracle.solve_relativistic(params, 0, grid, counts)
-        return time.perf_counter() - t0
-
-    per_count = min(level() for _ in range(repeat)) / n_counts
-    split = (walk, n_counts - walk)
+    seed = built[0][0] if built else n_counts
+    work = (seed, len(sweeps), n_counts - seed)
     if E is None:
-        return split, per_count, None
+        return work, None, None, None
     well = oracle.SturmCounter(potential_V(grid.points, params), grid)
     c, sigma = 2.0 * (E + M), E * E - M * M
-    m, rows = oracle._numerov_rows(well, c, sigma)
+    per_count = min(timeit.repeat(lambda: well.count(c, sigma), number=1, repeat=repeat))
+    per_sweep = None
+    if built:
+        minor = last_minor(*built[0][1])
+        per_sweep = min(timeit.repeat(lambda: minor(E), number=1, repeat=repeat))
+    m, rows = oracle._depth_rows(well, c, sigma, True)
 
     def defect():
         return oracle.numerov_defect(well, c, sigma)
 
     per_defect = min(timeit.repeat(defect, number=1, repeat=repeat))
-    return split, per_count, (per_defect, band_solves(defect), m, len(rows) - 1)
+    return work, per_count, per_sweep, (per_defect, band_solves(defect), m, len(rows) - 1)
 
 
 def eigenvector_costs(n, repeat):
@@ -197,15 +201,22 @@ def main(argv=None):
     parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args(argv)
     warnings.simplefilter("ignore", oracle.GridHeuristicWarning)
-    print(f"{'case':16s} {'N':>6s} {'walk':>6s} {'bisect':>6s} {'us/count':>9s} "
-          f"{'us/defect':>10s} {'solves':>6s} {'m':>6s} {'start':>6s}")
+    print(f"{'case':16s} {'N':>6s} {'seed':>5s} {'sweeps':>6s} {'certify':>7s} "
+          f"{'us/count':>9s} {'us/sweep':>9s} {'us/defect':>10s} {'solves':>6s} "
+          f"{'m':>6s} {'start':>6s}")
+
+    def us(seconds):
+        return "-" if seconds is None else f"{seconds * 1e6:.1f}"
+
     for name, params, grid_of in CASES:
         for n in args.n:
-            (walk, bisect), per_count, defect = costs(params, grid_of(n), args.repeat)
+            (seed, sweeps, certify), per_count, per_sweep, defect = costs(
+                params, grid_of(n), args.repeat)
             per_defect, solves, m, start = ("-",) * 4 if defect is None else (
-                f"{defect[0] * 1e6:.1f}", *map(str, defect[1:]))
-            print(f"{name:16s} {n:6d} {walk:6d} {bisect:6d} {per_count * 1e6:9.1f} "
-                  f"{per_defect:>10s} {solves:>6s} {m:>6s} {start:>6s}")
+                us(defect[0]), *map(str, defect[1:]))
+            print(f"{name:16s} {n:6d} {seed:5d} {sweeps:6d} {certify:7d} "
+                  f"{us(per_count):>9s} {us(per_sweep):>9s} {per_defect:>10s} "
+                  f"{solves:>6s} {m:>6s} {start:>6s}")
     print()
     print(f"{'selftest fixture':26s} {'ms':>8s}")
     for name, fixture, _ in cli.FIXTURES:

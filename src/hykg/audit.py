@@ -52,7 +52,7 @@ from .levels import (
     EnergyLevel,
     fmt_cell,
 )
-from .nu import BranchGap, quantization, solve_k
+from .nu import BranchGap, quantization
 from .oracle import (
     RadialGrid,
     effective_potential,
@@ -211,16 +211,15 @@ def _identity_columns(params: HylleraasParams, E: float, n: int) -> tuple[dict, 
         out["eq44_vs_eq12"] = math.inf
         out["k39_vs_mechanical"] = math.inf
         return out, flags | {branch.reason}
-    sol, lamn_mech, _ = branch
+    sol, lamn_mech, _, ks = branch
     scale2 = (1.0 + max(inp.scale(), 1.0)) ** 2
     out["disc_residual"] = sol.residual_square / scale2
     out["tau_prime_sign"] = bool(sol.tau_prime < 0.0)
     out["eq42_vs_derivative"] = _complex_gap(im.tau_prime_printed, sol.tau_prime,
                                              abs(sol.tau_prime))
     out["eq44_vs_eq12"] = _complex_gap(im.lam_n, lamn_mech, abs(lamn_mech))
-    # the branch closed, so solve_k has real roots at this input
-    out["k39_vs_mechanical"] = min(abs(im.lam.real - k) / max(1.0, abs(k))
-                                   for k, _ in solve_k(inp))
+    # the branch closed, so solve_k found real roots at this input
+    out["k39_vs_mechanical"] = min(abs(im.lam.real - k) / max(1.0, abs(k)) for k, _ in ks)
     return out, flags
 
 

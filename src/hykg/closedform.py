@@ -282,7 +282,7 @@ def mechanical_residual(params: HylleraasParams, E: float, n: int) -> float | Br
     out = quantization(build_nu_input(params, E), n)
     if isinstance(out, BranchGap):
         return out
-    sol, lam_n, _ = out
+    sol, lam_n, _, _ = out
     return sol.lam - lam_n
 
 
@@ -305,7 +305,7 @@ def _mechanical_levels(params: HylleraasParams, n: int, seeds, ys) -> list[Energ
         out = quantization(inp, n)
         if isinstance(out, BranchGap):
             return math.inf, False, flags
-        sol, lam_n, strict_ok = out
+        sol, lam_n, strict_ok, _ = out
         if not strict_ok:
             flags.add(FLAG_TAU_PRIME_NONNEG)
         return _lambda_verdict(sol.lam, lam_n, sol.lam - lam_n, flags)

@@ -26,6 +26,7 @@ FLAG_REFERENCE_FALLBACK = "ReferenceEnergyFallback"
 FLAG_TAIL_NOT_CONVERGED = "TailNotConverged"
 FLAG_CONFLUENT_FORM = "ConfluentForm"
 FLAG_IDENTITY_NOT_COMPUTABLE = "IdentityNotComputable"
+FLAG_COUNT_FALLBACK = "CountBisectionFallback"
 
 # The one engine preference order: the audit's reference energy is the first
 # of these with a level, and `wavefunction` samples the first closed form
@@ -41,8 +42,8 @@ class EnergyLevel:
     ``E`` is None when the engine could not produce the level; a flag then
     explains why.  ``Ebar`` is E^2 - M^2 for found levels.  For a closed
     form, ``residual`` is |f(E)| of the engine's residual function.  For the
-    oracle's count bisection it is the half-width of the final Sturm-count
-    bracket, whose ends' counts straddle n: a bound on |E - crossing|.
+    oracle it is the half-width of the Sturm-count bracket that certifies
+    the level, whose ends' counts straddle n: a bound on |E - crossing|.
     """
 
     n: int

@@ -204,9 +204,9 @@ def _linear_sqrt(q: Poly2, scale: float) -> Poly2 | None:
     return Poly2(math.sqrt(max(q.c0, 0.0)), 0.0, 0.0)
 
 
-def pi_candidates(inp: NUInput) -> list[NUSolution]:
-    """All (k, +/-) branches: pi = (sigma' - tau_tilde)/2 +/- sqrt(Q_k)."""
-    ks = solve_k(inp)
+def pi_candidates(inp: NUInput, ks: list[tuple[float, float]]) -> list[NUSolution]:
+    """All (k, +/-) branches: pi = (sigma' - tau_tilde)/2 +/- sqrt(Q_k), for
+    the closure constants ks = solve_k(inp) whose Q_k is a perfect square."""
     h = inp.half_diff()
     scale = inp.scale()
     cands: list[NUSolution] = []
@@ -269,24 +269,28 @@ def lambda_n_value(tau_prime: float, sigma_pp: float, n: int) -> float:
     return -n * tau_prime - 0.5 * n * (n - 1) * sigma_pp
 
 
-def quantization(inp: NUInput, n: int) -> tuple[NUSolution, float, bool] | BranchGap:
-    """(branch, lambda_n, strict_ok) of the accepted branch at level n, or a
+def quantization(inp: NUInput, n: int) -> tuple[NUSolution, float, bool,
+                                               list[tuple[float, float]]] | BranchGap:
+    """(branch, lambda_n, strict_ok, ks) of the accepted branch at level n,
+    with solve_k's closure constants ks that it was chosen from, or a
     BranchGap naming the closure failure (NoRealK, ImperfectSquare or
     DegenerateSigma).  The quantization condition is branch.lam == lambda_n.
     """
     try:
-        sol, strict_ok = select_branch_lenient(pi_candidates(inp))
+        ks = solve_k(inp)
+        sol, strict_ok = select_branch_lenient(pi_candidates(inp, ks))
     except (NoRealK, ImperfectSquare, DegenerateSigma) as exc:
         return BranchGap(type(exc).__name__)
-    return sol, lambda_n_value(sol.tau_prime, 2.0 * inp.sigma.c2, n), strict_ok
+    return sol, lambda_n_value(sol.tau_prime, 2.0 * inp.sigma.c2, n), strict_ok, ks
 
 
 # ---------------------------------------------------------------------------
 # Array twin of the lenient closure
 # ---------------------------------------------------------------------------
 #
-# `lenient_branch_array` is select_branch_lenient(pi_candidates(inp)) for
-# many trial points at once: sigma and tau_tilde are scalar and the
+# `lenient_branch_array` is
+# select_branch_lenient(pi_candidates(inp, solve_k(inp))) for many trial
+# points at once: sigma and tau_tilde are scalar and the
 # coefficients of sigma_tilde are arrays.  It repeats the scalar operations in
 # the scalar order, through the same under_root_quadratic / _disc_in_k /
 # _disc_at helpers, so every element is bit-identical to the scalar result; a
@@ -339,9 +343,10 @@ def _linear_sqrt_slope_array(q: Poly2, scale: np.ndarray) -> tuple[np.ndarray, n
 def lenient_branch_array(inp: NUInput) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lam, tau', gap) of the lenient branch at every point of inp.sigma_tilde.
 
-    lam and tau' are those of select_branch_lenient(pi_candidates(inp)); gap
-    marks the points where solve_k or pi_candidates raises (lam and tau' are
-    NaN there).
+    lam and tau' are those of
+    select_branch_lenient(pi_candidates(inp, solve_k(inp))); gap marks the
+    points where solve_k or pi_candidates raises (lam and tau' are NaN
+    there).
     """
     st = inp.sigma_tilde
     scale = np.maximum(max(inp.sigma.max_abs_coeff(), inp.tau_tilde.max_abs_coeff()),

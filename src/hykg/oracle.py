@@ -9,23 +9,26 @@ solved on a uniform grid with Dirichlet conditions one step outside both
 ends (u(0) = 0 regularity and a far-wall cutoff).  Bound states are roots of
 g(E) = Ebar_n(E) - (E^2 - M^2).  By Sturm's theorem g > 0 exactly when at
 most n eigenvalues are <= E^2 - M^2, so level n is where that Sturm count
-crosses n, and counts alone bracket and bisect it.  A count is the number of
-sign changes of the scaled leading minors of the matrix, whose three-term
-recurrence is one BLAS unit lower banded triangular solve that stops soon
-after the last classically allowed point; it forms W only on the rows it
-solves.  Fixed-W eigenvalues bisect the same counts.  A Numerov matching
-integrator cross-checks the matrix eigenvalues: with z = B y its steps are
-the count's recurrence with another t, and each pass is one dtbsv solve,
-restarted from the rescaled pair only after a rescale.  The outward pass
-starts at the left wall.  The inward pass, on the reversed t, starts at the
-first row past the turning point where the WKB decay depth h sum sqrt(q)
-reaches 40, before any row where Numerov's step is invalid (B <= 0).  There
-it carries the solution that grows outward at e^-80 of the one it seeks at
-the matching point, so the matching defect is exact to rounding, and it
-forms t and B only on the rows up to that start.  A level's eigenvector is
-the count's recurrence at sigma = E^2 - M^2, swept outward from the left wall
-to the matching point and inward from the far wall to the outward pass's
-largest sample, where the two are joined.
+crosses n.  A count is the number of sign changes of the scaled leading
+minors of the matrix, whose three-term recurrence is one BLAS unit lower
+banded triangular solve that stops soon after the last classically allowed
+point; it forms W only on the rows it solves.  Counts bracket a level until
+one eigenvalue crosses inside the bracket; Brent then refines it on the
+recurrence's last leading minor, a continuous function of the energy, and
+two counts certify the result.  Fixed-W eigenvalues bisect the same
+counts.  A Numerov matching integrator cross-checks the matrix eigenvalues:
+with z = B y its steps are the count's recurrence with another t, and each
+pass is one dtbsv solve, restarted from the rescaled pair only after a
+rescale.  The outward pass starts at the left wall.  The inward pass, on
+the reversed t, starts at the first row past the turning point where the
+WKB decay depth h sum sqrt(q) reaches 40, before any row where Numerov's
+step is invalid (B <= 0).  There it carries the solution that grows outward
+at e^-80 of the one it seeks at the matching point, so the matching defect
+is exact to rounding, and it forms t and B only on the rows up to that
+start.  A level's eigenvector is the count's recurrence at
+sigma = E^2 - M^2, swept outward from the left wall to the matching point
+and inward from the far wall to the outward pass's largest sample, where
+the two are joined.
 """
 from __future__ import annotations
 
@@ -42,7 +45,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .hylleraas import HylleraasParams, potential_V
-from .levels import FLAG_NO_ROOT, FLAG_NODE_MISMATCH, Engine, EnergyLevel
+from .levels import (FLAG_COUNT_FALLBACK, FLAG_NO_ROOT, FLAG_NODE_MISMATCH, Engine,
+                     EnergyLevel)
 from .rootfind import brent, seed_grid
 
 
@@ -92,8 +96,9 @@ def _on_first_call(module: str, name: str):
 dtbsv = _on_first_call("scipy.linalg._fblas", "dtbsv")
 
 
-# Tolerance on E for the relativistic roots, in units of M: the width of
-# solve_relativistic's final count bracket and numerov_shoot's Brent tolerance.
+# Tolerance on E for the relativistic roots, in units of M: numerov_shoot's
+# Brent tolerance, and the largest width of the count bracket that certifies
+# a solve_relativistic level, whose Brent runs to a quarter of it.
 E_TOL_REL = 1e-10
 
 
@@ -273,11 +278,12 @@ class SturmCounter:
                 end *= 4
 
 
-def _bisect(below: Callable[[float], bool], lo: float, hi: float,
-            tol: float) -> tuple[float, float]:
-    """Halve [lo, hi] until hi - lo <= tol, keeping below(lo) true and
-    below(hi) false: the final bracket.  The ends are never evaluated."""
-    while hi - lo > tol:
+def _bisect(below: Callable[[float], bool], lo: float, hi: float, tol: float,
+            isolated: Callable[[float, float], bool] | None = None) -> tuple[float, float]:
+    """Halve [lo, hi] until hi - lo <= tol, or until isolated(lo, hi) when
+    given, keeping below(lo) true and below(hi) false: the final bracket.
+    `below` never evaluates the ends."""
+    while hi - lo > tol and not (isolated and isolated(lo, hi)):
         mid = 0.5 * (lo + hi)
         if below(mid):
             lo = mid
@@ -331,15 +337,18 @@ def _well(params: HylleraasParams, grid: RadialGrid) -> SturmCounter:
 def energy_counts(params: HylleraasParams, grid: RadialGrid) -> Callable[[float], int]:
     """Memoized x -> Sturm count of the effective operator at energy x (its
     eigenvalues <= x^2 - M^2 for W = 2 (x + M) V), counted on _well(params,
-    grid).  A count does not depend on n, so one memo serves every level's
-    seeds and midpoints.  The grid is checked on every call, against the
-    largest |W| on the window, max |2 (2M) V| = 4M max(|min V|, |max V|), as
-    fl(4M v) is monotone in v."""
+    grid), which the memo keeps as its `well` for solve_relativistic's
+    refinement.  A count does not depend on n, so one memo serves every
+    level's seeds, midpoints and certificates.  The grid is checked on every
+    call, against the largest |W| on the window, max |2 (2M) V| =
+    4M max(|min V|, |max V|), as fl(4M v) is monotone in v."""
     M = params.M
     counter = _well(params, grid)
     v = counter.v
     check_grid(grid, 2.0 * (2 * M) * max(abs(float(v.min())), abs(float(v.max()))))
-    return cache(lambda x: counter.count(2.0 * (x + M), x * x - M * M))
+    counts = cache(lambda x: counter.count(2.0 * (x + M), x * x - M * M))
+    counts.well = counter
+    return counts
 
 
 def _first_flip(counts: Callable[[float], int], n: int, xs: list[float]) -> int | None:
@@ -380,17 +389,30 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
                        counts: Callable[[float], int] | None = None) -> EnergyLevel:
     """Lowest crossing of the Sturm count through n on (-M, M).
 
-    _first_flip finds, among seed_energies(M) counted by `counts` (a new
-    energy_counts memo when None), the first interval where `count <= n`,
-    the sign of g, flips: for n = 0 from a zero count at the lowest seed it
-    gallops, as the zero counts then form a prefix of the seeds (the count
-    is 0 where a concave function of the energy is positive), and otherwise
-    it walks the intervals in turn.  _bisect on that predicate narrows the
-    interval to E_TOL_REL * M and the midpoint is reported.  No step reads a
-    computed eigenvalue, whose absolute error (eps times the matrix norm)
-    swamps g where W is huge.  The residual is the half-width of the final
-    bracket: the counts at its ends straddle n, so it bounds the distance
-    from E to the crossing.
+    _first_flip finds, among seed_energies(M) counted by `counts` (an
+    energy_counts memo, whose well the refinement reads; a new one when
+    None), the first interval where `count <= n`, the sign of g, flips: for
+    n = 0 from a zero count at the lowest seed it gallops, as the zero counts
+    then form a prefix of the seeds (the count is 0 where a concave function
+    of the energy is positive), and otherwise it walks the intervals in
+    turn.  Three steps then finish the level:
+
+    * isolate: _bisect on that predicate, until the counts at the bracket's
+      ends differ by exactly one, so that one eigenvalue crosses inside it;
+    * refine: rootfind.brent to E_TOL_REL * M / 4 on _last_minor, the
+      count recurrence's own last leading minor, a continuous function of
+      the energy that vanishes at the crossing;
+    * certify: count at the ends of a bracket no wider than E_TOL_REL * M
+      around Brent's root.  If they do not straddle n, or if Brent raises,
+      _bisect on counts alone narrows the isolated bracket to E_TOL_REL * M,
+      its midpoint is reported, and the level is flagged
+      CountBisectionFallback.  A bracket that reaches E_TOL_REL * M before
+      it is isolated is reported the same way, without the flag.
+
+    No step reads a computed eigenvalue, whose absolute error (eps times the
+    matrix norm) swamps g where W is huge.  The residual is the half-width
+    of the certifying bracket: the counts at its ends straddle n, so it
+    bounds the distance from E to the crossing.
 
     Returns a flagged NoRoot level when no interval flips.
     """
@@ -402,10 +424,34 @@ def solve_relativistic(params: HylleraasParams, n: int, grid: RadialGrid,
         return EnergyLevel(n=n, E=None, Ebar=None, engine=Engine.ORACLE,
                            residual=None, flags=frozenset({FLAG_NO_ROOT}))
     below = counts(xs[i]) <= n
-    lo, hi = _bisect(lambda x: (counts(x) <= n) == below, xs[i], xs[i + 1], E_TOL_REL * M)
+
+    def left(x):
+        return (counts(x) <= n) == below
+
+    tol = E_TOL_REL * M
+    lo, hi = _bisect(left, xs[i], xs[i + 1], tol,
+                     lambda a, b: abs(counts(a) - counts(b)) == 1)
+    flags = frozenset()
+    if hi - lo > tol:
+        minor = _last_minor(counts.well, lambda x: (2.0 * (x + M), x * x - M * M), lo, hi)
+        try:
+            # Brent's root lies within twice its tolerance of the sign
+            # change, so a quarter of tol keeps that inside the certificate
+            E = brent(minor, lo, hi, minor(lo), minor(hi), 0.25 * tol)
+        except ValueError:  # no sign change on the bracket
+            pass
+        else:
+            # E -/+ half rounds by at most ulp(E) / 2 each: the bracket's
+            # width stays within tol
+            half = 0.5 * tol - math.ulp(E)
+            if left(E - half) and not left(E + half):
+                return EnergyLevel(n=n, E=E, Ebar=E * E - M * M, engine=Engine.ORACLE,
+                                   residual=half)
+        flags = frozenset({FLAG_COUNT_FALLBACK})
+        lo, hi = _bisect(left, lo, hi, tol)
     E = 0.5 * (lo + hi)
     return EnergyLevel(n=n, E=E, Ebar=E * E - M * M, engine=Engine.ORACLE,
-                       residual=0.5 * (hi - lo))
+                       residual=0.5 * (hi - lo), flags=flags)
 
 
 def solve_levels(params: HylleraasParams, ns: Iterable[int],
@@ -449,25 +495,33 @@ def _numerov_t(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return t, b
 
 
-def _numerov_sweep(t: np.ndarray, z0: float) -> np.ndarray:
-    """z[i+1] = t[i] z[i] - z[i-1] from z[-1] = 0 and z[0] = z0, for i up to
-    len(t) - 1: returns z[0..len(t)].
+def _sweep(band: np.ndarray, z: np.ndarray) -> None:
+    """Solve the pass z[j+1] = t[j] z[j] - z[j-1] in place for z[2:] from
+    z[0] and z[1], `band` holding -t in row 1 and 1 in row 2 as for
+    _band_solve.
 
     One band solve covers the whole pass.  When z[k] first exceeds _RESCALE
     in magnitude, z[..k] is divided by |z[k]| and the rest of the pass is
-    solved again from z[k-1] and z[k].
+    solved again from z[k-1] and z[k]: every sample keeps one positive
+    scale.
     """
+    start = 0
+    while (j := _band_solve(band[:, start:], z[start:])) is not None:
+        k = start + j
+        z[:k + 1] /= abs(z[k])
+        start = k - 1
+
+
+def _numerov_sweep(t: np.ndarray, z0: float) -> np.ndarray:
+    """z[i+1] = t[i] z[i] - z[i-1] from z[-1] = 0 and z[0] = z0, for i up to
+    len(t) - 1, by _sweep: returns z[0..len(t)]."""
     n = len(t) + 2
     z = np.empty(n)
     z[0], z[1] = 0.0, z0
     band = np.empty((3, n), order="F")  # row 0, the diagonal, is not read
     band[2] = 1.0
     band[1, 1:-1] = -t
-    start = 0
-    while (j := _band_solve(band[:, start:], z[start:])) is not None:
-        k = start + j
-        z[:k + 1] /= abs(z[k])
-        start = k - 1
+    _sweep(band, z)
     return z[1:]
 
 
@@ -521,19 +575,22 @@ def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
 _DEPTH = 40.0
 
 
-def _numerov_rows(well: SturmCounter, c: float, sigma: float) -> tuple[int, np.ndarray]:
+def _depth_rows(well: SturmCounter, c: float, sigma: float,
+                b_stop: bool) -> tuple[int, np.ndarray]:
     """(m, q): the matching index and q = fl(c v) - sigma on rows 0..e, where
-    e is the inward pass's first row.
+    e is the first row of an inward pass, or the last row of the truncated
+    operator whose last minor _last_minor takes.
 
     m is _matching_index of the whole q: the last row with q < 0 comes from
     well.tail, whose fl(c v) < sigma is the same test.  e is the first row
-    past m at which D = h sum sqrt(q) over rows m+1..e reaches _DEPTH, but it
-    stays before the first row past m with B = 1 - h^2 q / 12 <= 0, on which
-    Numerov's step is invalid.  q is formed on rows 0..hi-1, hi = 6 (m + 8)
-    at first and doubled until e < hi.  e is the far wall, N - 1, when neither rule stops the pass
-    earlier, when B <= 0 already at m + 1, and under _matching_index's
-    fallbacks (no q < 0, or q < 0 within 3 rows of the far wall), which form
-    q on every row.
+    past m at which D = h sum sqrt(q) over rows m+1..e reaches _DEPTH.  With
+    b_stop, Numerov's rule, it stays before the first row past m with
+    B = 1 - h^2 q / 12 <= 0, on which Numerov's step is invalid; the
+    three-point recurrence has no such row.  q is formed on rows 0..hi-1,
+    hi = 6 (m + 8) at first and doubled until e < hi.  e is the far wall,
+    N - 1, when neither rule stops the pass earlier, when B <= 0 already at
+    m + 1 under b_stop, and under _matching_index's fallbacks (no q < 0, or
+    q < 0 within 3 rows of the far wall), which form q on every row.
     """
     n, v, h = well.n, well.v, well.h
     m = well.tail(c, sigma) - 1
@@ -551,7 +608,7 @@ def _numerov_rows(well: SturmCounter, c: float, sigma: float) -> tuple[int, np.n
             # B <= 0 where b = q h^2 / 12 >= 1, as fl(1 - b) has the sign of
             # 1 - b; fl(q h^2 / 12) is monotone in q, so the largest q decides
             rows = q[m + 1:deep + 1]
-            if float(rows.max()) * k >= 1.0:
+            if b_stop and float(rows.max()) * k >= 1.0:
                 bad = m + 1 + int(np.argmax(rows * k >= 1.0))
                 if bad > m + 1:
                     return m, q[:bad]
@@ -564,6 +621,63 @@ def _numerov_rows(well: SturmCounter, c: float, sigma: float) -> tuple[int, np.n
     return _matching_index(q), q
 
 
+# exp of this is the largest |value| _last_minor returns: its sign and its
+# zero are what Brent needs, so a pass that outgrows its WKB factor by more
+# is held there rather than overflowing
+_LOG_MINOR_MAX = 700.0
+
+
+def _last_minor(well: SturmCounter, coeffs: Callable[[float], tuple[float, float]],
+                lo: float, hi: float) -> Callable[[float], float]:
+    """The function of x on [lo, hi] that solve_relativistic's Brent refines:
+    the last leading minor y_(e+1) = h^(2(e+1)) det(T_e - sigma) of the
+    count's recurrence at (c, sigma) = coeffs(x), T_e the operator truncated
+    to rows 0..e, over max|y_(m-1..m+1)| and exp(h sum sqrt(q)) over rows
+    m+1..e.
+
+    m and e are the largest of _depth_rows' at lo and at hi, so one smooth
+    function serves the whole Brent run; where the allowed region reaches
+    the far wall, e + 1 = N and the minor is det(T - sigma) itself.  Each
+    value is one outward pass of t = 2 + h^2 q from y_0 = 1, the count's own
+    t formed as the count forms it, in the well's scratch buffers.  The
+    root is the eigenvalue's: with unit off-diagonals the Casoratian of this
+    pass and of an inward pass is the same at every row, and matched at e,
+    where the inward pass has y_(e+1) = 0, it is -y_(e+1) times positive
+    factors; at depth _DEPTH the truncation leaves the decaying solution
+    e^(-2 _DEPTH) of its size at m.  The WKB factor takes out the minor's
+    growth past m, which leaves it nearly linear in x near its root; the
+    ratio is formed as a log, so that a bracket whose far end grows by more
+    than the float range (W ~ 1e24 past m) still gives finite values.
+    """
+    v, h2 = well.v, well.h2
+    (m0, q0), (m1, q1) = (_depth_rows(well, *coeffs(x), False) for x in (lo, hi))
+    m, e = max(m0, m1), max(len(q0), len(q1)) - 1
+    # the count's scratch: band columns and y[j] = y_(j-1) for j = 0..e+2,
+    # and h^2 q on rows 0..e
+    band, y, work = well.band[:, :e + 3], well.y[:e + 3], well.work[:e + 1]
+
+    def minor(x: float) -> float:
+        c, sigma = coeffs(x)
+        np.multiply(v[:e + 1], c, out=work)
+        np.subtract(work, sigma, out=work)
+        np.multiply(work, h2, out=work)
+        np.subtract(-2.0, work, out=band[1, 1:-1])
+        y[:2] = 0.0, 1.0
+        _sweep(band, y)
+        last, scale = float(y[e + 2]), max(map(abs, y[m:m + 3].tolist()))
+        if last == 0.0:
+            return 0.0
+        past = work[m + 1:]  # h^2 q past m, where q may dip below 0 off the ends
+        np.maximum(past, 0.0, out=past)
+        np.sqrt(past, out=past)
+        # rescales divide y at m and at e + 1 alike; one that left y at m
+        # below the float range marks a pass that outgrew it
+        log_ratio = (math.log(abs(last) / scale) if scale else math.inf) - float(past.sum())
+        return math.copysign(math.exp(min(log_ratio, _LOG_MINOR_MAX)), last)
+
+    return minor
+
+
 def numerov_defect(well: SturmCounter, c: float,
                    sigma: float) -> tuple[float, Callable[[], np.ndarray]]:
     """(Wronskian mismatch at the matching point, solution) for
@@ -571,14 +685,14 @@ def numerov_defect(well: SturmCounter, c: float,
     mismatch, and a function that assembles the whole solution on N samples.
 
     The outward pass sweeps from the left wall to m + 1, the inward one from
-    row e of _numerov_rows down to m - 1, both from z[0] = B h, so y = h at
+    row e of _depth_rows down to m - 1, both from z[0] = B h, so y = h at
     each start and the defect keeps its sign where B < 0.  Samples past e,
     where the decaying solution is below e^(-2 _DEPTH) of its size at m, are
     0 in the solution.  y = z / B is formed only at the matching samples and
     in the assembled solution.
     """
     n, h = well.n, well.h
-    m, q = _numerov_rows(well, c, sigma)
+    m, q = _depth_rows(well, c, sigma, True)
     e = len(q) - 1
     t, b = _numerov_t(q, h)
     z_out = _numerov_sweep(t[:m + 1], b[0] * h)          # samples 0..m+1

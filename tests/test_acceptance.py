@@ -143,7 +143,7 @@ def test_criterion_4_perfect_square_invariant():
                       Poly2(c[5], c[6], c[7]))
         try:
             ks = solve_k(inp)
-            cands = pi_candidates(inp)
+            cands = pi_candidates(inp, ks)
         except (NoRealK, ImperfectSquare):
             continue
         scale = (1.0 + inp.scale()) ** 2
@@ -163,7 +163,7 @@ def test_criterion_4_perfect_square_invariant():
         inp = NUInput(Poly2(c[0], c[1], c[2]), Poly2(c[3], c[4], 0.0),
                       Poly2(c[5], c[6], c[7]))
         try:
-            cands = pi_candidates(inp)
+            cands = pi_candidates(inp, solve_k(inp))
         except (NoRealK, ImperfectSquare):
             continue
         sol, _ = select_branch_lenient(cands)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hykg import audit, closedform, oracle
+from hykg import audit, closedform, nu, oracle
 from hykg.audit import (
     CSV_COLUMNS,
     ENGINES,
@@ -243,6 +243,36 @@ class TestRunAudit:
     def test_n_max_bound(self):
         with pytest.raises(ValueError):
             run_audit(DEFAULT_PARAMS, n_max=11, grid=default_grid(DEFAULT_PARAMS, n=400))
+
+    def test_identity_columns_solve_k_once_per_row(self, monkeypatch):
+        # k39_vs_mechanical reads the closure constants that the row's
+        # quantization solved: one solve_k per row, and the same column as
+        # a second solve_k at the row's reference energy gives
+        grid = default_grid(DEFAULT_PARAMS, n=400)
+        for eng in Engine:
+            monkeypatch.setitem(audit.ENGINES, eng, synthetic_engine(eng, [-0.5, -0.2]))
+        solve_k, identity_columns = nu.solve_k, audit._identity_columns
+        calls, per_row = [], []
+
+        def counted_solve_k(inp):
+            calls.append(inp)
+            return solve_k(inp)
+
+        def counted_identity_columns(params, E, n):
+            before = len(calls)
+            out = identity_columns(params, E, n)
+            per_row.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(nu, "solve_k", counted_solve_k)
+        monkeypatch.setattr(audit, "_identity_columns", counted_identity_columns)
+        report = run_audit(DEFAULT_PARAMS, n_max=1, grid=grid)
+        assert per_row == [1, 1]
+        for row in report.rows:
+            im = closedform.intermediates(DEFAULT_PARAMS, row.reference_E, row.n)
+            ks = solve_k(closedform.build_nu_input(DEFAULT_PARAMS, row.reference_E))
+            assert row.k39_vs_mechanical == min(abs(im.lam.real - k) / max(1.0, abs(k))
+                                                for k, _ in ks)
 
 
 class TestSerialization:

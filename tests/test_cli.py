@@ -45,8 +45,8 @@ formats = csv, json
 """
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# sha256 of the default `wavefunction --n 0` profile (4000 rows, 194,231 bytes)
-WF_N0_CSV_SHA256 = "98e6d32782fec0e5660c41cdb55204f08f26e81d2c20263e6c198a71eaa7df8c"
+# sha256 of the default `wavefunction --n 0` profile (4000 rows, 194,205 bytes)
+WF_N0_CSV_SHA256 = "2248276a47f8c085d30dd619c3203728abd51834c2cd8358b173561d62021bec"
 
 
 @pytest.fixture
@@ -463,12 +463,12 @@ n_max = 3
 """
 
 ASYMMETRIC_SHA256 = {
-    "spectrum.csv": "83163319b62784fe6c4299be41cf2d9bbc2829effbfc6e5ff3e4367eb226bf88",
-    "spectrum.json": "441bfb091a7915826f8a18d49f9bc20c545d688e211e6ce358a982814515d0b8",
-    "audit.csv": "22b409b02731e966757bd6bad77ad6010f50c234ce0e977ae08fd2e56db91e35",
-    "audit.json": "c633f2154a133a04544780c6f35e25fd90ad18a8c5c8ef1a37a439e82610f5ed",
-    "wf_n1.csv": "f8174126da6bebea88417ed12b9ad787f7a2b6e682624b460d12777dbf1d25ec",
-    "wf_n1.flags.json": "428860f77f7c5fddaafa1f2ed20928220dfa2c8c0c95d72fbfb7f91a59d89be4",
+    "spectrum.csv": "892d16e8c15eee5e8debc2bc5e10f8140851cfa301dc751ea8a33b2e442cf691",
+    "spectrum.json": "f430f6f41cd40375cab066ed2334c3f552102affb3c56a091cf5f8aac3006993",
+    "audit.csv": "98f87f166b26f351501caa77ff287c12f5186acd548a795972a10363acca0e86",
+    "audit.json": "d640b7c1459ace165c8f7de2b573c1e233e2f1831b4e0ca47c3560c76aa133e2",
+    "wf_n1.csv": "26e61226920a73760f378bfb4f921004b08edf0f082080f7bd4f8be54b0cc980",
+    "wf_n1.flags.json": "61167316c362caaebab772e23602e41eb37a6970a0b8fb8be0d67ad70ad6fe2a",
 }
 
 

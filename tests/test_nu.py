@@ -96,14 +96,16 @@ class TestSolveK:
 
 class TestPiCandidates:
     def test_k_minus_one_branches(self):
-        cands = [c for c in pi_candidates(toy_input()) if c.k == pytest.approx(-1.0)]
+        inp = toy_input()
+        cands = [c for c in pi_candidates(inp, solve_k(inp)) if c.k == pytest.approx(-1.0)]
         pis = {c.sign_choice: (c.pi.c0, c.pi.c1, c.pi.c2) for c in cands}
         # sqrt(Q) = s - 1/2; plus branch: 1/2 + (s - 1/2) = s; minus: 1 - s
         assert pis[SignChoice.MINUS] == pytest.approx((1.0, -1.0, 0.0))
         assert pis[SignChoice.PLUS] == pytest.approx((0.0, 1.0, 0.0))
 
     def test_k_plus_one_branches(self):
-        cands = [c for c in pi_candidates(toy_input()) if c.k == pytest.approx(1.0)]
+        inp = toy_input()
+        cands = [c for c in pi_candidates(inp, solve_k(inp)) if c.k == pytest.approx(1.0)]
         pis = {c.sign_choice: (c.pi.c0, c.pi.c1, c.pi.c2) for c in cands}
         assert pis[SignChoice.PLUS] == pytest.approx((1.0, 1.0, 0.0))
         assert pis[SignChoice.MINUS] == pytest.approx((0.0, -1.0, 0.0))
@@ -114,7 +116,7 @@ class TestPiCandidates:
         # sigma = s, tau_tilde = 0, sigma_tilde = -4 + s/1... choose
         # sigma_tilde = s * k0... simplest: sigma_tilde = 0.25 - 4, no s terms:
         inp = NUInput(Poly2(0, 1, 0), Poly2(0, 0, 0), Poly2(0.25 - 4.0, 0, 0))
-        cands = [c for c in pi_candidates(inp) if abs(c.k) < 1e-12]
+        cands = [c for c in pi_candidates(inp, solve_k(inp)) if abs(c.k) < 1e-12]
         # Q_0 = 1/4 - (1/4 - 4) = 4, sqrt = 2: pi = 1/2 +/- 2
         vals = sorted(c.pi.c0 for c in cands)
         assert vals == pytest.approx([-1.5, 2.5])
@@ -126,13 +128,13 @@ class TestPiCandidates:
         # nonzero slope instead: sigma = 1, sigma_tilde = s^2 + s.
         inp = NUInput(Poly2(1.0, 0, 0), Poly2(0, 0, 0), Poly2(0.0, -1.0, -1.0))
         # Q_k = s^2 + s + k: disc = 1 - 4k = 0 at k = 1/4 -> perfect square.
-        cands = pi_candidates(inp)
+        cands = pi_candidates(inp, solve_k(inp))
         assert cands  # sanity: that one closes fine
         # Now make disc(k) constant-zero impossible: sigma = 1 and
         # sigma_tilde slope such that Q_k = s + k (degree 1 for every k).
         inp2 = NUInput(Poly2(1.0, 0, 0), Poly2(0, 0, 0), Poly2(0.0, -1.0, 0.0))
         with pytest.raises((ImperfectSquare, NoRealK)):
-            pi_candidates(inp2)
+            pi_candidates(inp2, solve_k(inp2))
 
 
 class TestSelectBranch:
@@ -178,7 +180,7 @@ class TestQuantization:
     def test_synthetic_zero(self):
         # the toy input's selected branch: k=-1 minus: tau' = -2, lam = -2;
         # lambda_1 = -n tau' = 2
-        sol, lam_n, strict_ok = quantization(toy_input(), 1)
+        sol, lam_n, strict_ok, _ = quantization(toy_input(), 1)
         assert (sol.lam, sol.tau_prime, lam_n, strict_ok) == pytest.approx((-2.0, -2.0, 2.0, True))
         assert quantization_residual(toy_input(), 1) == pytest.approx(-4.0)
 
@@ -237,7 +239,7 @@ class TestProperties:
             inp = NUInput(Poly2(c[0], c[1], c[2]), Poly2(c[3], c[4], 0.0),
                           Poly2(c[5], c[6], c[7]))
             try:
-                pi_candidates(inp)
+                pi_candidates(inp, solve_k(inp))
             except (NoRealK, ImperfectSquare):
                 continue
             found.append(inp)
@@ -252,7 +254,7 @@ class TestProperties:
     def test_back_substitution_and_identities(self, rng):
         for inp in self._random_inputs(rng, count=40):
             h = inp.half_diff()
-            for cand in pi_candidates(inp):
+            for cand in pi_candidates(inp, solve_k(inp)):
                 q = under_root_quadratic(inp, cand.k)
                 # (pi - h)^2 == Q_k coefficientwise
                 d0, d1 = cand.pi.c0 - h.c0, cand.pi.c1 - h.c1
@@ -268,6 +270,6 @@ class TestProperties:
         for inp in self._random_inputs(rng, count=30):
             picks = set()
             for _ in range(3):
-                sol, _, _ = quantization(inp, 0)
+                sol, _, _, _ = quantization(inp, 0)
                 picks.add((sol.k, sol.sign_choice))
             assert len(picks) == 1

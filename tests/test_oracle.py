@@ -10,14 +10,14 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import dtbsv
 
 from hykg import oracle
 from hykg.errors import DegenerateParams, OutOfRange
 from hykg.hylleraas import DEFAULT_PARAMS, HylleraasParams, SSign, potential_V, s_of_r
-from hykg.levels import FLAG_NO_ROOT, FLAG_NODE_MISMATCH
+from hykg.levels import FLAG_COUNT_FALLBACK, FLAG_NO_ROOT, FLAG_NODE_MISMATCH
 from hykg.config import default_config, parse_config
 from hykg.oracle import (
     E_TOL_REL,
@@ -40,7 +40,7 @@ from hykg.rootfind import estimate_order
 
 from _count_bisection import reference_eigenvalues
 from _fixed_w import numerov_eigenvalue, schrodinger_limit
-from _seed_walk import reference_level
+from _seed_walk import count_crossing, isolation_bracket
 from _stebz import stebz_eigenvalues, stein_eigenvector, tridiagonal
 from test_cli import ASYMMETRIC_CFG
 from test_closedform import SWEEP_BOX
@@ -304,7 +304,8 @@ class TestRelativistic:
 
 def record_energy_counts(monkeypatch, record):
     """Make every memo from oracle.energy_counts call record(x, count) on
-    each count it is asked for, whether the memo holds it or not."""
+    each count it is asked for, whether the memo holds it or not; the
+    wrapper keeps the memo's well."""
     energy_counts = oracle.energy_counts
 
     def recording_counts(params, grid):
@@ -314,6 +315,7 @@ def record_energy_counts(monkeypatch, record):
             count = counts(x)
             record(x, count)
             return count
+        recorded.well = counts.well
         return recorded
 
     monkeypatch.setattr(oracle, "energy_counts", recording_counts)
@@ -484,40 +486,55 @@ class TestSturmCount:
 
     def test_oracle_work_counts(self, monkeypatch):
         # every default level lies in the first seed interval: two seed counts
-        # serve all four, each level bisects that interval (2M/64) to
-        # E_TOL_REL * M in at most 29 counts and makes no eigensolve; one
-        # memo counts each energy once, so the four walks share their seeds
-        # and their common first midpoints
+        # serve all four.  Halving it until its end counts differ by one
+        # isolates each level, on midpoints the four share through one memo
+        # (four in all); Brent refines each on the last minor in 7 to 10
+        # sweeps, and two counts around its root certify it.  No eigensolve.
+        # Count bisection to E_TOL_REL * M took 112 counts.
         config = default_config()
         seeds = oracle.seed_energies(config.params.M)
         per_level, counts, eigensolves = [], [], []
-        count = oracle.SturmCounter.count
+        count, last_minor = oracle.SturmCounter.count, oracle._last_minor
         solve, eigen = oracle.solve_relativistic, oracle.eigen_tridiagonal
 
         def counted_count(self, c, sigma):
             counts.append(sigma)
             return count(self, c, sigma)
 
+        def counted_minor(*args):
+            minor = last_minor(*args)
+
+            def swept(x):
+                per_level[-1][1] += 1
+                return minor(x)
+            return swept
+
         def grouped_solve(*args):
-            per_level.append([])
+            per_level.append([[], 0])
             return solve(*args)
 
         def counted_eigen(*args, **kwargs):
             eigensolves.append(args[2:])
             return eigen(*args, **kwargs)
 
-        record_energy_counts(monkeypatch, lambda x, _: per_level[-1].append(x))
+        record_energy_counts(monkeypatch, lambda x, _: per_level[-1][0].append(x))
         monkeypatch.setattr(oracle.SturmCounter, "count", counted_count)
+        monkeypatch.setattr(oracle, "_last_minor", counted_minor)
         monkeypatch.setattr(oracle, "solve_relativistic", grouped_solve)
         monkeypatch.setattr(oracle, "eigen_tridiagonal", counted_eigen)
         results = solve_levels(config.params, range(4), config.grid())
         assert [len(levels) for levels in results.values()] == [1, 1, 1, 1]
+        assert all(not level.flags for [level] in results.values())
         assert eigensolves == []
         assert len(per_level) == 4
-        distinct = list(dict.fromkeys(x for xs in per_level for x in xs))
+        distinct = list(dict.fromkeys(x for xs, _ in per_level for x in xs))
         assert [x for x in distinct if x in seeds] == seeds[:2]
-        assert len(counts) == len(distinct) == 112
-        assert all(0 < len([x for x in xs if x not in seeds]) <= 29 for xs in per_level)
+        assert len(counts) == len(distinct) == 14
+        for (xs, sweeps), [level] in zip(per_level, results.values()):
+            # the last two counts of each level are its certificate
+            assert xs[-2:] == [level.E - level.residual, level.E + level.residual]
+            assert 7 <= sweeps <= 10
+        assert sum(sweeps for _, sweeps in per_level) == 34
 
     def test_counts_touch_only_the_rows_they_solve(self):
         # the count at the refinement well's level solves a small part of the
@@ -668,52 +685,144 @@ class TestCountBisection:
                 assert (counts(lo) <= n) != (counts(hi) <= n)
 
 
+def sweep_box_case(n_points, **point):
+    """(params, [default grid], (3,)) of a `negative` sweep-box point."""
+    params = HylleraasParams(M=1.0, s_sign=SSign.NEGATIVE, **point)
+    return params, [default_grid(params, n_points)], (3,)
+
+
 @pytest.mark.filterwarnings("ignore::hykg.oracle.GridHeuristicWarning")
 class TestSeedSearch:
-    """solve_relativistic's galloping n = 0 search against the linear walk
-    of tests/_seed_walk.py, bit for bit."""
+    """solve_relativistic's galloping n = 0 search and its isolation against
+    the count-only walk of tests/_seed_walk.py: the isolation bracket that
+    Brent refines bit for bit, and the certified level within
+    E_TOL_REL * M of the walk's pure count crossing."""
 
     @staticmethod
-    def assert_matches_the_walk(params, grid):
-        level = solve_relativistic(params, 0, grid)
-        walk = reference_level(params, 0, grid)
-        if walk is None:
-            assert level.E is None and level.flags == frozenset({FLAG_NO_ROOT})
-        else:
-            E, residual = walk
-            assert (level.E.hex(), level.residual.hex(), level.flags) == (
-                E.hex(), residual.hex(), frozenset())
+    def assert_matches_the_walk(params, grid, ns=(0,)):
+        for n in ns:
+            brackets = []
+            last_minor = oracle._last_minor
+
+            def recorded(well, coeffs, lo, hi):
+                brackets.append((lo.hex(), hi.hex()))
+                return last_minor(well, coeffs, lo, hi)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle, "_last_minor", recorded)
+                level = solve_relativistic(params, n, grid)
+            bracket = isolation_bracket(params, n, grid)
+            if bracket is None:
+                assert level.E is None and level.flags == frozenset({FLAG_NO_ROOT})
+                assert count_crossing(params, n, grid) is None
+                continue
+            lo, hi = bracket
+            tol = E_TOL_REL * params.M
+            # a bracket that reaches tol before it is isolated is reported
+            # as it stands, with no refinement
+            assert brackets == ([(lo.hex(), hi.hex())] if hi - lo > tol else [])
+            assert level.flags == frozenset()
+            assert abs(level.E - count_crossing(params, n, grid)[0]) <= tol
 
     @given(point=st.fixed_dictionaries({name: st.floats(lo, hi)
                                         for name, (lo, hi) in SWEEP_BOX.items()}),
            s_sign=st.sampled_from(SSign))
+    # c = 0: n = 0's bracket starts 1e-9 above -M, where W past the turning
+    # point is tiny, and ends where it reaches 1e24, so that the pass to the
+    # bracket's e outgrows the float range; divided by its WKB factor as a
+    # plain ratio the minor divided by zero there
+    @example(point={"K": 1.0, "k1": 1.0, "k2": 2.0, "omega": 0.109375, "D_e": 1.0},
+             s_sign=SSign.NEGATIVE)
     @settings(max_examples=40, deadline=None)
     def test_matches_the_walk_on_the_sweep_box(self, point, s_sign):
         try:
             params = HylleraasParams(M=1.0, s_sign=s_sign, **point)
         except DegenerateParams:
             assume(False)
-        self.assert_matches_the_walk(params, default_grid(params, n=400))
+        self.assert_matches_the_walk(params, default_grid(params, n=400), range(4))
 
     @given(D_e=st.floats(1000.0, 5000.0))
     @settings(max_examples=20, deadline=None)
     def test_matches_the_walk_on_the_refinement_well(self, D_e):
         self.assert_matches_the_walk(B_NEGATIVE_WELL.replace(D_e=D_e), well_grid(1000))
 
+    # (params, grids, ns) per case: both k2 = 0 slices of
+    # tests/test_exact_reference.py, whose window levels lie outside (-M, M),
+    # so that their levels here are box states; the free box, with no level;
+    # the huge-W config; the refinement wells; and two sweep-box points where
+    # Brent run to E_TOL_REL * M, not a quarter of it, stopped 7e-11 and
+    # 5e-11 from the crossing, outside the certificate
+    CERTIFIED = {
+        "F3 negative": lambda: (
+            HylleraasParams(K=2.0, k1=1.0, k2=0.0, omega=0.25, D_e=5.0, M=1.0,
+                            s_sign=SSign.NEGATIVE),
+            [RadialGrid(40.0 / n, 40.0, n) for n in (1000, 4000)], range(4)),
+        "F3 positive": lambda: (
+            HylleraasParams(K=2.0, k1=1.0, k2=0.0, omega=0.25, D_e=3.0, M=1.0,
+                            s_sign=SSign.POSITIVE),
+            [RadialGrid(40.0 / n, 40.0, n) for n in (1000, 4000)], range(4)),
+        "free box": lambda: (DEFAULT_PARAMS.replace(D_e=0.0), [box_grid(L, 2000)], range(2)),
+        "huge W": lambda: (HUGE_W_PARAMS,
+                           [default_grid(HUGE_W_PARAMS, n) for n in (400, 4000)], range(4)),
+        "well D_e=1000": lambda: (B_NEGATIVE_WELL,
+                                  [well_grid(n) for n in (1000, 4000, 16000)], range(1)),
+        "well D_e=5000": lambda: (B_NEGATIVE_WELL.replace(D_e=5000.0),
+                                  [well_grid(n) for n in (1000, 16000)], range(1)),
+        "sweep box N=4000": lambda: sweep_box_case(
+            4000, K=2.241117910958737, k1=0.5466458759892674, k2=-0.5943070988384872,
+            omega=0.6313079913505477, D_e=3.993580861435585),
+        "sweep box N=1000": lambda: sweep_box_case(
+            1000, K=0.853006021178419, k1=1.8440066873922936, k2=1.0130451605905364,
+            omega=0.2523609182119877, D_e=2.706532887943029),
+    }
+
+    @pytest.mark.parametrize("case", list(CERTIFIED))
+    def test_certified_level_is_the_count_crossing(self, case):
+        params, grids, ns = self.CERTIFIED[case]()
+        for grid in grids:
+            self.assert_matches_the_walk(params, grid, ns)
+
+    @pytest.mark.parametrize("fault", ["wrong root", "no sign change"])
+    def test_certification_catches_a_wrong_refinement(self, monkeypatch, fault):
+        # Brent refines a minor shifted by 1e-6, or one with no sign change,
+        # on which it raises: either way the level is the walk's pure count
+        # crossing, bit for bit, flagged as the fallback
+        last_minor = oracle._last_minor
+
+        def faulty(well, coeffs, lo, hi):
+            minor = last_minor(well, coeffs, lo, hi)
+            return (lambda x: minor(x - 1e-6)) if fault == "wrong root" else (lambda x: 1.0)
+
+        monkeypatch.setattr(oracle, "_last_minor", faulty)
+        grid = well_grid(1000)
+        level = solve_relativistic(B_NEGATIVE_WELL, 0, grid)
+        E, residual = count_crossing(B_NEGATIVE_WELL, 0, grid)
+        assert (level.E.hex(), level.residual.hex()) == (E.hex(), residual.hex())
+        assert level.flags == frozenset({FLAG_COUNT_FALLBACK})
+
     def test_count_bound(self, monkeypatch):
         # the level lies in seed interval 61: the walk counted seeds 0..62
-        # and the bisection 29 midpoints, 92 counts; the search counts seeds
-        # 0, 1, 3, 7, 15, 31, 63 and halves (31, 63) in five more
-        counted = []
-        count = oracle.SturmCounter.count
+        # and the bisection 29 midpoints, 92 counts.  The search counts seeds
+        # 0, 1, 3, 7, 15, 31, 63 and halves (31, 63) in five more, which
+        # leaves it isolated; Brent refines it in six sweeps and two counts
+        # certify it.  Count bisection to E_TOL_REL * M took 41 counts.
+        counted, sweeps = [], []
+        count, last_minor = oracle.SturmCounter.count, oracle._last_minor
 
         def counted_count(self, c, sigma):
             counted.append(sigma)
             return count(self, c, sigma)
 
+        def counted_minor(*args):
+            minor = last_minor(*args)
+            return lambda x: sweeps.append(x) or minor(x)
+
         monkeypatch.setattr(oracle.SturmCounter, "count", counted_count)
-        assert solve_relativistic(B_NEGATIVE_WELL, 0, well_grid(1000)).found
-        assert len(counted) <= 41
+        monkeypatch.setattr(oracle, "_last_minor", counted_minor)
+        level = solve_relativistic(B_NEGATIVE_WELL, 0, well_grid(1000))
+        assert level.found and not level.flags
+        assert len(counted) == 14
+        assert len(sweeps) == 6
 
     def test_nonzero_first_count_walks(self):
         # count(x0) >= 1 leaves the zero counts no prefix: every seed up to
@@ -725,10 +834,14 @@ class TestSeedSearch:
             asked.append(x)
             return int(x < 0.3)
 
+        # the well's own last minor has no root at 0.3, so the level is
+        # certified by these counts only through the fallback
+        counts.well = oracle._well(B_NEGATIVE_WELL, well_grid(1000))
         level = solve_relativistic(B_NEGATIVE_WELL, 0, well_grid(1000), counts)
         first_zero = next(i for i, x in enumerate(seeds) if x >= 0.3)
         assert list(dict.fromkeys(x for x in asked if x in seeds)) == seeds[:first_zero + 1]
         assert abs(level.E - 0.3) <= E_TOL_REL
+        assert level.flags == frozenset({FLAG_COUNT_FALLBACK})
 
     def test_zero_counts_on_every_seed_have_no_root(self):
         seeds = oracle.seed_energies(1.0)
@@ -1001,7 +1114,7 @@ class TestNumerovIntegrator:
         well, c, sigma = numerov_case(case)
         sigma -= 0.1
         got = oracle.numerov_defect(well, c, sigma)[0]
-        m, rows = oracle._numerov_rows(well, c, sigma)
+        m, rows = oracle._depth_rows(well, c, sigma, True)
         q = c * well.v - sigma
         invalid = np.flatnonzero(q[m + 1:] * (well.h ** 2 / 12.0) >= 1.0)
         farthest = q[:m + 1 + invalid[0]] if invalid.size else q
@@ -1024,7 +1137,7 @@ class TestNumerovIntegrator:
         # the wall B <= 0 right past m, where no row can start the pass
         well, c, sigma = numerov_case(case)
         sigma += shift
-        m, rows = oracle._numerov_rows(well, c, sigma)
+        m, rows = oracle._depth_rows(well, c, sigma, True)
         q, h, e = c * well.v - sigma, well.h, len(rows) - 1
         assert m == oracle._matching_index(q)
         assert e == {"ramp": 213, "cliff": 1504, "wall": len(q) - 1}.get(case, e)
@@ -1049,7 +1162,7 @@ class TestNumerovIntegrator:
         well = SturmCounter(potential_V(grid.points, B_NEGATIVE_WELL), grid)
         E, M = WELL_E0, B_NEGATIVE_WELL.M
         c, sigma = 2.0 * (E + M), E * E - M * M
-        e = len(oracle._numerov_rows(well, c, sigma)[1]) - 1
+        e = len(oracle._depth_rows(well, c, sigma, True)[1]) - 1
         solved_rows.clear()
         oracle.numerov_defect(well, c, sigma)
         assert e < n // 4

@@ -34,10 +34,10 @@ def test_convergence_study_orders():
 
 def test_kernel_costs_smoke():
     # one row per case, every cost a positive number (each case has an
-    # n = 0 level at N = 400, so its seed search counts two seeds or more
-    # and its bisection at least one midpoint), one band solve per pass of
-    # the defect, and its inward pass starting past its matching index, at
-    # most at the far wall;
+    # n = 0 level at N = 400, so its seed search counts two seeds or more,
+    # Brent sweeps its last minor at least twice, at the bracket's ends, and
+    # two counts certify it), one band solve per pass of the defect, and its
+    # inward pass starting past its matching index, at most at the far wall;
     # then one row per selftest fixture with its milliseconds, one for
     # each of the default grid's n = 0 and n = 1 eigenvectors by the sweep
     # and by eigh_tridiagonal with the largest difference of the two, within
@@ -50,14 +50,15 @@ def test_kernel_costs_smoke():
     assert proc.returncode == 0, proc.stderr
     levels, fixtures, vector, closed, startup = proc.stdout.split("\n\n")
     header, *rows = levels.splitlines()
-    assert header.split() == ["case", "N", "walk", "bisect", "us/count", "us/defect",
-                              "solves", "m", "start"]
+    assert header.split() == ["case", "N", "seed", "sweeps", "certify", "us/count",
+                              "us/sweep", "us/defect", "solves", "m", "start"]
     assert [row[:16].strip() for row in rows] == [
         "default grid", "well D_e=5000", "huge W (c = 0)"]
     for row in rows:
-        n, walk, bisect, per_count, per_defect, solves, m, start = row[16:].split()
-        assert int(n) == 400 and int(walk) >= 2 and int(bisect) > 0
-        assert float(per_count) > 0 and float(per_defect) > 0
+        n, seed, sweeps, certify, per_count, per_sweep, per_defect, solves, m, start = (
+            row[16:].split())
+        assert int(n) == 400 and int(seed) >= 2 and int(sweeps) >= 2 and int(certify) == 2
+        assert float(per_count) > 0 and float(per_sweep) > 0 and float(per_defect) > 0
         assert int(solves) == 2
         assert 2 <= int(m) < int(start) <= int(n) - 1
     header, *rows = fixtures.splitlines()

@@ -186,7 +186,7 @@ class TestConfluent:
 
         inp = build_nu_input(default_params, -0.5)
         for n in (0, 1, 2):
-            sol, lam_n, _ = quantization(inp, n)
+            sol, lam_n, _, _ = quantization(inp, n)
             fac = confluent_radial_factor(inp, sol, n)
             coeffs = fac.chi_coeffs
 
