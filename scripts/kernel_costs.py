@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Microseconds per Sturm count, last-minor sweep, Numerov defect, eigenvector and closed form; ms per selftest fixture.
+"""Microseconds per Sturm count, last-minor sweep, Numerov pass, eigenvector and closed form; ms per selftest fixture.
 
 For each grid size N it solves the n = 0 oracle level once on a fresh
 `energy_counts` memo, records its work, and times its kernels at the
@@ -13,10 +13,12 @@ level's energy E:
     rows;
   * sweep: one evaluation of the level's `_last_minor` at E, built on the
     isolated bracket as `solve_relativistic` builds it;
-  * defect: one `numerov_defect` at E, called as `numerov_shoot` calls it,
-    on one `SturmCounter` of the grid's V; the table prints beside it the
-    number of band solves it makes (`solves`, one per pass unless a pass
-    rescales), its matching index m and the row its inward pass starts at.
+  * numerov: one `numerov_defect` at E, the pass of the Numerov last minor
+    that `numerov_shoot`'s Brent makes per evaluation, on one
+    `SturmCounter` of the grid's V, with the m and e that `_depth_rows`
+    gives at E; the table prints beside it the number of band solves it
+    makes (`solves`, one unless the pass rescales), m and e, the last row
+    of the truncated operator.
 
 The three cases are the default grid (`configs/default.cfg`'s parameters,
 r_max 40), the localized b < 0 well at D_e = 5000 on the r_max = 10 grids of
@@ -92,7 +94,7 @@ def band_solves(call):
 
 def costs(params, grid, repeat):
     """((seed, sweeps, certify) work of the n = 0 level, us per count, us per
-    sweep, (us per defect, band solves per defect, m, inward start)), the
+    sweep, (us per Numerov pass, band solves per pass, m, e)), the
     last three None when the level has no root, and us per sweep also when
     its bracket needed no refinement."""
     M = params.M
@@ -120,12 +122,13 @@ def costs(params, grid, repeat):
         minor = last_minor(*built[0][1])
         per_sweep = min(timeit.repeat(lambda: minor(E), number=1, repeat=repeat))
     m, rows = oracle._depth_rows(well, c, sigma, True)
+    e = len(rows) - 1
 
-    def defect():
-        return oracle.numerov_defect(well, c, sigma)
+    def numerov():
+        return oracle.numerov_defect(well, c, sigma, m, e)
 
-    per_defect = min(timeit.repeat(defect, number=1, repeat=repeat))
-    return work, per_count, per_sweep, (per_defect, band_solves(defect), m, len(rows) - 1)
+    per_pass = min(timeit.repeat(numerov, number=1, repeat=repeat))
+    return work, per_count, per_sweep, (per_pass, band_solves(numerov), m, e)
 
 
 def eigenvector_costs(n, repeat):
@@ -202,21 +205,21 @@ def main(argv=None):
     args = parser.parse_args(argv)
     warnings.simplefilter("ignore", oracle.GridHeuristicWarning)
     print(f"{'case':16s} {'N':>6s} {'seed':>5s} {'sweeps':>6s} {'certify':>7s} "
-          f"{'us/count':>9s} {'us/sweep':>9s} {'us/defect':>10s} {'solves':>6s} "
-          f"{'m':>6s} {'start':>6s}")
+          f"{'us/count':>9s} {'us/sweep':>9s} {'us/numerov':>10s} {'solves':>6s} "
+          f"{'m':>6s} {'e':>6s}")
 
     def us(seconds):
         return "-" if seconds is None else f"{seconds * 1e6:.1f}"
 
     for name, params, grid_of in CASES:
         for n in args.n:
-            (seed, sweeps, certify), per_count, per_sweep, defect = costs(
+            (seed, sweeps, certify), per_count, per_sweep, numerov = costs(
                 params, grid_of(n), args.repeat)
-            per_defect, solves, m, start = ("-",) * 4 if defect is None else (
-                us(defect[0]), *map(str, defect[1:]))
+            per_pass, solves, m, e = ("-",) * 4 if numerov is None else (
+                us(numerov[0]), *map(str, numerov[1:]))
             print(f"{name:16s} {n:6d} {seed:5d} {sweeps:6d} {certify:7d} "
-                  f"{us(per_count):>9s} {us(per_sweep):>9s} {per_defect:>10s} "
-                  f"{solves:>6s} {m:>6s} {start:>6s}")
+                  f"{us(per_count):>9s} {us(per_sweep):>9s} {per_pass:>10s} "
+                  f"{solves:>6s} {m:>6s} {e:>6s}")
     print()
     print(f"{'selftest fixture':26s} {'ms':>8s}")
     for name, fixture, _ in cli.FIXTURES:

@@ -41,9 +41,12 @@ class EnergyLevel:
 
     ``E`` is None when the engine could not produce the level; a flag then
     explains why.  ``Ebar`` is E^2 - M^2 for found levels.  For a closed
-    form, ``residual`` is |f(E)| of the engine's residual function.  For the
-    oracle it is the half-width of the Sturm-count bracket that certifies
-    the level, whose ends' counts straddle n: a bound on |E - crossing|.
+    form, ``residual`` is |f(E)| of the engine's residual function.  For an
+    oracle level it is the half-width of the Sturm-count bracket that
+    certifies it, whose ends' counts straddle n: a bound on |E - crossing|.
+    For the Numerov cross-check (`oracle.numerov_shoot`) it is |f(E)| of
+    its matching function, the Numerov last minor, scaled as `_last_minor`
+    scales it.
     """
 
     n: int

@@ -16,19 +16,16 @@ point; it forms W only on the rows it solves.  Counts bracket a level until
 one eigenvalue crosses inside the bracket; Brent then refines it on the
 recurrence's last leading minor, a continuous function of the energy, and
 two counts certify the result.  Fixed-W eigenvalues bisect the same
-counts.  A Numerov matching integrator cross-checks the matrix eigenvalues:
-with z = B y its steps are the count's recurrence with another t, and each
-pass is one dtbsv solve, restarted from the rescaled pair only after a
-rescale.  The outward pass starts at the left wall.  The inward pass, on
-the reversed t, starts at the first row past the turning point where the
-WKB decay depth h sum sqrt(q) reaches 40, before any row where Numerov's
-step is invalid (B <= 0).  There it carries the solution that grows outward
-at e^-80 of the one it seeks at the matching point, so the matching defect
-is exact to rounding, and it forms t and B only on the rows up to that
-start.  A level's eigenvector is the count's recurrence at
-sigma = E^2 - M^2, swept outward from the left wall to the matching point
-and inward from the far wall to the outward pass's largest sample, where
-the two are joined.
+counts.  A Numerov cross-check refines on the same last minor with
+Numerov's t: with z = B y, B = 1 - h^2 q / 12, its steps are the count's
+recurrence with t = 2 + h^2 q / B.  The minor's operator is truncated at
+the first row past the turning point where the WKB decay depth
+h sum sqrt(q) reaches 40, and for Numerov before any row where its step is
+invalid (B <= 0); a value is one dtbsv solve from the left wall to there,
+restarted from the rescaled pair only after a rescale.  A level's
+eigenvector is the count's recurrence at sigma = E^2 - M^2, swept outward
+from the left wall to the matching point and inward from the far wall to
+the outward pass's largest sample, where the two are joined.
 """
 from __future__ import annotations
 
@@ -327,8 +324,9 @@ def _well(params: HylleraasParams, grid: RadialGrid) -> SturmCounter:
     """The SturmCounter of V on grid, kept for the next call on the same
     (params, grid): energy_counts and numerov_shoot share its V and its
     suffix extrema, and effective_potential scales its V.  Its v is
-    read-only, as every caller sees the same array; its band and work
-    buffers are scratch that each count rewrites."""
+    read-only, as every caller sees the same array; its band, y and work
+    buffers are scratch that each count and each pass of a last minor
+    rewrites."""
     v = potential_V(grid.points, params)
     v.flags.writeable = False
     return SturmCounter(v, grid)
@@ -474,26 +472,8 @@ def oracle_eigenvector(params: HylleraasParams, E: float, grid: RadialGrid) -> n
 
 
 # ---------------------------------------------------------------------------
-# Numerov matching integrator
+# Sweeps of the count's recurrence: eigenvectors and last minors
 # ---------------------------------------------------------------------------
-
-def _numerov_t(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(t, B): t = 2 + h^2 q / B with B = 1 - h^2 q / 12, the Numerov steps
-    of y'' = q y as the count's recurrence, and the B that converts back.
-
-    With A = 2 (1 + 5 h^2 q / 12) the steps
-    B[i+1] y[i+1] - A[i] y[i] + B[i-1] y[i-1] = 0 are, for z = B y,
-    z[i+1] = t[i] z[i] - z[i-1] with t = A / B: the unit lower band [1, -t, 1]
-    of SturmCounter.count (B. Numerov, 1924; the matrix Numerov method of
-    Pillai, Goglio and Walker, Am. J. Phys. 80, 1017 (2012)).
-    """
-    b = q * (h * h / 12.0)
-    np.subtract(1.0, b, out=b)
-    t = q * (h * h)
-    t /= b
-    t += 2.0
-    return t, b
-
 
 def _sweep(band: np.ndarray, z: np.ndarray) -> None:
     """Solve the pass z[j+1] = t[j] z[j] - z[j-1] in place for z[2:] from
@@ -567,19 +547,20 @@ def eigenvector_tridiagonal(w_values: np.ndarray, grid: RadialGrid,
     return v
 
 
-# WKB decay depth D = h sum sqrt(q) past the matching point at which the
-# inward pass starts.  A pass started there, with y = 0 one row further out,
-# is the solution that decays outward plus some of the one that grows
-# outward; at the matching point that admixture is e^(-2 D) = 1.8e-35 of
-# the pass, far below eps, so the defect is that of a pass from the far wall.
+# WKB decay depth D = h sum sqrt(q) past the matching point at which
+# _last_minor truncates the operator.  The truncated operator's solution,
+# with y = 0 one row past its last, is the one that decays outward plus some
+# of the one that grows outward; at the matching point that admixture is
+# e^(-2 D) = 1.8e-35 of it, far below eps, so the last minor's root is that
+# of the whole operator to rounding.
 _DEPTH = 40.0
 
 
 def _depth_rows(well: SturmCounter, c: float, sigma: float,
                 b_stop: bool) -> tuple[int, np.ndarray]:
     """(m, q): the matching index and q = fl(c v) - sigma on rows 0..e, where
-    e is the first row of an inward pass, or the last row of the truncated
-    operator whose last minor _last_minor takes.
+    e is the last row of the truncated operator whose last minor _last_minor
+    takes.
 
     m is _matching_index of the whole q: the last row with q < 0 comes from
     well.tail, whose fl(c v) < sigma is the same test.  e is the first row
@@ -612,7 +593,7 @@ def _depth_rows(well: SturmCounter, c: float, sigma: float,
                 bad = m + 1 + int(np.argmax(rows * k >= 1.0))
                 if bad > m + 1:
                     return m, q[:bad]
-                break  # no row past m can start the pass
+                break  # no row past m can end the truncated operator
             if deep < hi or hi == n:
                 return m, q[:deep + 1]
             hi = min(n, 2 * hi)
@@ -627,98 +608,88 @@ def _depth_rows(well: SturmCounter, c: float, sigma: float,
 _LOG_MINOR_MAX = 700.0
 
 
-def _last_minor(well: SturmCounter, coeffs: Callable[[float], tuple[float, float]],
-                lo: float, hi: float) -> Callable[[float], float]:
-    """The function of x on [lo, hi] that solve_relativistic's Brent refines:
-    the last leading minor y_(e+1) = h^(2(e+1)) det(T_e - sigma) of the
-    count's recurrence at (c, sigma) = coeffs(x), T_e the operator truncated
-    to rows 0..e, over max|y_(m-1..m+1)| and exp(h sum sqrt(q)) over rows
-    m+1..e.
+def _minor_pass(well: SturmCounter, c: float, sigma: float, m: int, e: int,
+                numerov: bool) -> float:
+    """One value of a _last_minor at (c, sigma): the outward pass of the
+    count's recurrence over rows 0..e to z_(e+1), over max|z_(m-1..m+1)|
+    and exp(h sum sqrt(q)) over rows m+1..e.
 
-    m and e are the largest of _depth_rows' at lo and at hi, so one smooth
-    function serves the whole Brent run; where the allowed region reaches
-    the far wall, e + 1 = N and the minor is det(T - sigma) itself.  Each
-    value is one outward pass of t = 2 + h^2 q from y_0 = 1, the count's own
-    t formed as the count forms it, in the well's scratch buffers.  The
-    root is the eigenvalue's: with unit off-diagonals the Casoratian of this
-    pass and of an inward pass is the same at every row, and matched at e,
-    where the inward pass has y_(e+1) = 0, it is -y_(e+1) times positive
-    factors; at depth _DEPTH the truncation leaves the decaying solution
-    e^(-2 _DEPTH) of its size at m.  The WKB factor takes out the minor's
-    growth past m, which leaves it nearly linear in x near its root; the
-    ratio is formed as a log, so that a bracket whose far end grows by more
-    than the float range (W ~ 1e24 past m) still gives finite values.
+    h^2 q is formed on rows 0..e as the count forms it, in the well's
+    scratch buffers.  The three-point pass takes t = 2 + h^2 q from z_0 = 1.
+    The Numerov pass takes t = 2 + h^2 q / B, B = 1 - h^2 q / 12, from
+    z_0 = B_0, so y = z / B is 1 at row 0; it leaves B in the band's
+    diagonal row, which no solve reads, and z in well.y[1:e + 2], where
+    _numerov_y reads them.  The WKB factor takes out the pass's growth past
+    m; the ratio is formed as a log, so that a pass that grows by more than
+    the float range (W ~ 1e24 past m) still gives a finite value.
     """
     v, h2 = well.v, well.h2
-    (m0, q0), (m1, q1) = (_depth_rows(well, *coeffs(x), False) for x in (lo, hi))
-    m, e = max(m0, m1), max(len(q0), len(q1)) - 1
-    # the count's scratch: band columns and y[j] = y_(j-1) for j = 0..e+2,
-    # and h^2 q on rows 0..e
+    # band columns and y[j] = z_(j-1) for j = 0..e+2, and h^2 q on rows 0..e
     band, y, work = well.band[:, :e + 3], well.y[:e + 3], well.work[:e + 1]
+    np.multiply(v[:e + 1], c, out=work)
+    np.subtract(work, sigma, out=work)
+    np.multiply(work, h2, out=work)
+    minus_t = band[1, 1:-1]
+    if numerov:
+        b = band[0, :e + 1]
+        np.divide(work, -12.0, out=b)
+        b += 1.0
+        np.divide(work, b, out=minus_t)
+        np.subtract(-2.0, minus_t, out=minus_t)
+        y[:2] = 0.0, b[0]
+    else:
+        np.subtract(-2.0, work, out=minus_t)
+        y[:2] = 0.0, 1.0
+    _sweep(band, y)
+    last, scale = float(y[e + 2]), max(map(abs, y[m:m + 3].tolist()))
+    if last == 0.0:
+        return 0.0
+    past = work[m + 1:]  # h^2 q past m, where q may dip below 0 off the ends
+    np.maximum(past, 0.0, out=past)
+    np.sqrt(past, out=past)
+    # rescales divide z at m and at e + 1 alike; one that left z at m
+    # below the float range marks a pass that outgrew it
+    log_ratio = (math.log(abs(last) / scale) if scale else math.inf) - float(past.sum())
+    return math.copysign(math.exp(min(log_ratio, _LOG_MINOR_MAX)), last)
+
+
+def numerov_defect(well: SturmCounter, c: float, sigma: float, m: int, e: int) -> float:
+    """_minor_pass with Numerov's t: one value of the Numerov _last_minor
+    that numerov_shoot's Brent refines."""
+    return _minor_pass(well, c, sigma, m, e, True)
+
+
+def _last_minor(well: SturmCounter, coeffs: Callable[[float], tuple[float, float]],
+                lo: float, hi: float, numerov: bool = False) -> Callable[[float], float]:
+    """The function of x on [lo, hi] that Brent refines for a level: the
+    last leading minor z_(e+1) = h^(2(e+1)) det(T_e - sigma) of the count's
+    recurrence at (c, sigma) = coeffs(x), T_e the operator truncated to
+    rows 0..e, scaled by _minor_pass; with numerov, the same pass of
+    Numerov's recurrence in z = B y, by numerov_defect.
+
+    m and e are the largest of _depth_rows' at lo and at hi, with its B <= 0
+    stop for Numerov only, and are kept as the function's `rows`: one smooth
+    function serves the whole Brent run.  Where the allowed region reaches
+    the far wall, e + 1 = N and the minor is det(T - sigma) itself.  Its
+    root is the eigenvalue's: with unit off-diagonals, as both recurrences
+    have, the Casoratian of the outward pass and of an inward pass is the
+    same at every row, and matched at e, where the inward pass has
+    z_(e+1) = 0, it is -z_(e+1) times the inward pass's z_e; at depth
+    _DEPTH the truncation leaves the decaying solution e^(-2 _DEPTH) of its
+    size at m.  The WKB factor leaves the minor nearly linear in x near its
+    root.
+    """
+    (m0, q0), (m1, q1) = (_depth_rows(well, *coeffs(x), numerov) for x in (lo, hi))
+    m, e = max(m0, m1), max(len(q0), len(q1)) - 1
 
     def minor(x: float) -> float:
         c, sigma = coeffs(x)
-        np.multiply(v[:e + 1], c, out=work)
-        np.subtract(work, sigma, out=work)
-        np.multiply(work, h2, out=work)
-        np.subtract(-2.0, work, out=band[1, 1:-1])
-        y[:2] = 0.0, 1.0
-        _sweep(band, y)
-        last, scale = float(y[e + 2]), max(map(abs, y[m:m + 3].tolist()))
-        if last == 0.0:
-            return 0.0
-        past = work[m + 1:]  # h^2 q past m, where q may dip below 0 off the ends
-        np.maximum(past, 0.0, out=past)
-        np.sqrt(past, out=past)
-        # rescales divide y at m and at e + 1 alike; one that left y at m
-        # below the float range marks a pass that outgrew it
-        log_ratio = (math.log(abs(last) / scale) if scale else math.inf) - float(past.sum())
-        return math.copysign(math.exp(min(log_ratio, _LOG_MINOR_MAX)), last)
+        if numerov:
+            return numerov_defect(well, c, sigma, m, e)
+        return _minor_pass(well, c, sigma, m, e, False)
 
+    minor.rows = m, e
     return minor
-
-
-def numerov_defect(well: SturmCounter, c: float,
-                   sigma: float) -> tuple[float, Callable[[], np.ndarray]]:
-    """(Wronskian mismatch at the matching point, solution) for
-    -u'' + (c v - sigma) u = 0, v = well.v: the outward and inward solutions'
-    mismatch, and a function that assembles the whole solution on N samples.
-
-    The outward pass sweeps from the left wall to m + 1, the inward one from
-    row e of _depth_rows down to m - 1, both from z[0] = B h, so y = h at
-    each start and the defect keeps its sign where B < 0.  Samples past e,
-    where the decaying solution is below e^(-2 _DEPTH) of its size at m, are
-    0 in the solution.  y = z / B is formed only at the matching samples and
-    in the assembled solution.
-    """
-    n, h = well.n, well.h
-    m, q = _depth_rows(well, c, sigma, True)
-    e = len(q) - 1
-    t, b = _numerov_t(q, h)
-    z_out = _numerov_sweep(t[:m + 1], b[0] * h)          # samples 0..m+1
-    z_in = _numerov_sweep(t[m:][::-1], b[-1] * h)[::-1]  # samples m-1..e
-
-    # y at samples m-1, m, m+1 of both, scaled to O(1)
-    b3 = b[m - 1:m + 2].tolist()
-    out3 = [z / bi for z, bi in zip(z_out[m - 1:].tolist(), b3)]
-    in3 = [z / bi for z, bi in zip(z_in[:3].tolist(), b3)]
-    s_out = max(*map(abs, out3), 1e-300)
-    s_in = max(*map(abs, in3), 1e-300)
-    o0, o1, o2 = [y / s_out for y in out3]
-    i0, i1, i2 = [y / s_in for y in in3]
-    wronskian = o1 * (i2 - i0) / (2 * h) - i1 * (o2 - o0) / (2 * h)
-
-    def solution() -> np.ndarray:
-        # the inward tail, samples m..e, joins the outward samples 0..m at m
-        assembled = np.zeros(n)
-        np.divide(z_out[:m + 1], s_out, out=assembled[:m + 1])
-        z_m = z_in[1]
-        np.multiply(z_in[1:], assembled[m] / z_m if z_m != 0.0 else 1.0,
-                    out=assembled[m:e + 1])
-        assembled[:e + 1] /= b
-        return assembled
-
-    return wronskian, solution
 
 
 # samples below this fraction of max|values| carry no sign
@@ -734,47 +705,44 @@ def count_sign_changes(values: np.ndarray) -> int:
     return int(np.sum(np.sign(sig[:-1]) != np.sign(sig[1:]))) if sig.size > 1 else 0
 
 
-def _numerov_root(well: SturmCounter, coeffs, lo: float, hi: float,
-                  tol: float) -> tuple[float, float, np.ndarray]:
-    """Brent root of the matching defect of (c, sigma) = coeffs(x) on
-    [lo, hi]: (root, defect at the root, assembled solution).  Brent returns
-    an energy it has evaluated, so the defect and solution at the root are
-    those of its own evaluation there, kept by energy; only the root's
-    solution is assembled.  Raises ValueError (from brent) when the defect
-    shows no sign change on the bracket."""
-    shots = {}
-
-    def defect(x):
-        shots[x] = numerov_defect(well, *coeffs(x))
-        return shots[x][0]
-
-    root = brent(defect, lo, hi, defect(lo), defect(hi), tol)
-    wronskian, solution = shots[root]
-    return root, wronskian, solution()
+def _numerov_y(well: SturmCounter, minor: Callable[[float], float], c: float,
+               sigma: float) -> np.ndarray:
+    """y = z / B on rows 0..k of the pass that the Numerov _last_minor
+    `minor` last made, at (c, sigma): k is one row past the last classically
+    allowed row (well.tail - 1, at least m), capped at e.  Past k a pass at
+    Brent's root still carries the solution that grows outward, at about
+    the root's error times e^D, whose sign changes are not nodes."""
+    m, e = minor.rows
+    k = min(e, max(well.tail(c, sigma) - 1, m) + 1)
+    return well.y[1:k + 2] / well.band[0, :k + 1]
 
 
 def numerov_shoot(params: HylleraasParams, n: int, grid: RadialGrid,
                   e_bracket: tuple[float, float]) -> EnergyLevel:
-    """Independent relativistic solve: Numerov matching inside an E bracket,
-    on the _well that solve_relativistic counts on for the same (params, grid).
+    """Fourth-order cross-check of a relativistic level: rootfind.brent to
+    E_TOL_REL * M on the Numerov _last_minor over e_bracket, on the _well that
+    solve_relativistic counts on for the same (params, grid).
 
-    The assembled solution's node count must equal n; a mismatch is returned
-    as a flagged level (the bracket captured a different state).
+    One more pass at Brent's root gives the residual, |minor(E)|, and the
+    node count of _numerov_y, which must equal n; a mismatch is returned as
+    a flagged level (the bracket captured a different state).
     """
     M = params.M
     well = _well(params, grid)
     lo, hi = e_bracket
+
+    def coeffs(E):  # q = 2 (E + M) V - (E^2 - M^2)
+        return 2.0 * (E + M), E * E - M * M
+
+    minor = _last_minor(well, coeffs, lo, hi, numerov=True)
     try:
-        # q = 2 (E + M) V - (E^2 - M^2)
-        root, wronskian, assembled = _numerov_root(
-            well, lambda E: (2.0 * (E + M), E * E - M * M), lo, hi, E_TOL_REL * M)
+        E = float(brent(minor, lo, hi, minor(lo), minor(hi), E_TOL_REL * M))
     except ValueError:
         return EnergyLevel(n=n, E=None, Ebar=None, engine=Engine.ORACLE,
                            residual=None, flags=frozenset({FLAG_NO_ROOT}))
-    root = float(root)
+    residual = abs(minor(E))
     flags = frozenset()
-    if count_sign_changes(assembled) != n:
+    if count_sign_changes(_numerov_y(well, minor, *coeffs(E))) != n:
         flags = frozenset({FLAG_NODE_MISMATCH})
-    return EnergyLevel(n=n, E=root, Ebar=root * root - M * M,
-                       engine=Engine.ORACLE, residual=float(abs(wronskian)),
-                       flags=flags)
+    return EnergyLevel(n=n, E=E, Ebar=E * E - M * M, engine=Engine.ORACLE,
+                       residual=residual, flags=flags)

@@ -1,24 +1,27 @@
 """Fixed-W solvers that no command needs, kept for the tests that use them.
 
-numerov_eigenvalue is the Numerov matching solver on a given W: the Brent
-root of the oracle's matching defect in the eigenvalue, with the oracle's
-own defect and root finder.  schrodinger_limit is the fixed-mass
-Schroedinger eigenvalue of the weak-coupling limit, by the oracle's count
-bisection of a fixed W.
+numerov_eigenvalue is the Numerov solver on a given W: the Brent root of
+the oracle's Numerov last minor in the eigenvalue, with the oracle's own
+kernel and root finder.  schrodinger_limit is the fixed-mass Schroedinger
+eigenvalue of the weak-coupling limit, by the oracle's count bisection of a
+fixed W.
 """
 from hykg.hylleraas import potential_V
-from hykg.oracle import SturmCounter, _numerov_root, eigen_tridiagonal
+from hykg.oracle import SturmCounter, _last_minor, _numerov_y, eigen_tridiagonal
+from hykg.rootfind import brent
 
 
 def numerov_eigenvalue(w_values, grid, bracket, tol=1e-12):
-    """(eigenvalue, assembled solution) of -u'' + W u = Ebar u inside
-    `bracket` by the matching defect's root; brent's ValueError when the
-    defect shows no sign change on the bracket."""
+    """(eigenvalue, y on the rows that carry its nodes) of -u'' + W u = Ebar u
+    inside `bracket` by the Numerov last minor's root, with coefficients
+    (1, Ebar); brent's ValueError when the minor shows no sign change on the
+    bracket."""
     lo, hi = bracket
-    root, _, assembled = _numerov_root(SturmCounter(w_values, grid),
-                                       lambda ebar: (1.0, ebar), lo, hi,
-                                       tol * max(1.0, abs(lo), abs(hi)))
-    return root, assembled
+    well = SturmCounter(w_values, grid)
+    minor = _last_minor(well, lambda ebar: (1.0, ebar), lo, hi, numerov=True)
+    root = brent(minor, lo, hi, minor(lo), minor(hi), tol * max(1.0, abs(lo), abs(hi)))
+    minor(root)
+    return root, _numerov_y(well, minor, 1.0, root)
 
 
 def schrodinger_limit(params, n, grid):

@@ -39,6 +39,7 @@ from hykg.oracle import (
 from hykg.rootfind import estimate_order
 
 from _count_bisection import reference_eigenvalues
+from _exact import window
 from _fixed_w import numerov_eigenvalue, schrodinger_limit
 from _seed_walk import count_crossing, isolation_bracket
 from _stebz import stebz_eigenvalues, stein_eigenvector, tridiagonal
@@ -858,11 +859,12 @@ class TestSeedSearch:
 
 class TestNumerovShooter:
     def test_one_integration_per_brent_evaluation(self, monkeypatch):
-        # one integration per Brent evaluation and one at each end of the
-        # bracket, handed to Brent: the assembled solution and the residual
-        # at the root come from an evaluation Brent already made there
+        # one Numerov pass per Brent evaluation, one at each end of the
+        # bracket, handed to Brent, and one more at the root for the
+        # residual and the node count
         grid = default_grid(DEFAULT_PARAMS, n=600)
         E = solve_relativistic(DEFAULT_PARAMS, 0, grid).E
+        lo, hi = E - 0.005, E + 0.005
         counts = {"defect": 0, "fevals": 0}
         defect, brent = oracle.numerov_defect, oracle.brent
 
@@ -878,14 +880,16 @@ class TestNumerovShooter:
 
         monkeypatch.setattr(oracle, "numerov_defect", counted_defect)
         monkeypatch.setattr(oracle, "brent", counted_brent)
-        shot = numerov_shoot(DEFAULT_PARAMS, 0, grid, (E - 0.005, E + 0.005))
+        shot = numerov_shoot(DEFAULT_PARAMS, 0, grid, (lo, hi))
         assert shot.found
         assert counts["fevals"] > 0
-        assert counts["defect"] == counts["fevals"] + 2
-        # the residual is the defect at the root, evaluated as the shooter does
+        assert counts["defect"] == counts["fevals"] + 3
+        # the residual is the minor at the root, evaluated as the shooter does
         M, E = DEFAULT_PARAMS.M, shot.E
         well = SturmCounter(potential_V(grid.points, DEFAULT_PARAMS), grid)
-        assert shot.residual == abs(defect(well, 2.0 * (E + M), E * E - M * M)[0])
+        minor = oracle._last_minor(well, lambda x: (2.0 * (x + M), x * x - M * M), lo, hi,
+                                   numerov=True)
+        assert shot.residual == abs(minor(E))
 
     def test_one_well_per_params_and_grid(self, monkeypatch):
         # the level's counts and the shot's defects read one V, sampled once,
@@ -910,9 +914,10 @@ class TestNumerovShooter:
 
     @pytest.mark.parametrize("n", [4000, 16000])
     def test_huge_w_never_rescales(self, band_solves, n):
-        # the inward pass starts before the far wall's B <= 0 rows, where t
-        # reads about -10 and z passed 1e100 every ~100 rows: from the far
-        # wall a shoot rescaled 986 times at N = 4000 and 4,290 at N = 16000
+        # the Numerov pass ends before the far wall's B <= 0 rows, where t
+        # reads about -10 and z passed 1e100 every ~100 rows: an inward pass
+        # from the far wall rescaled 986 times per shoot at N = 4000 and
+        # 4,290 at N = 16000
         grid = default_grid(HUGE_W_PARAMS, n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridHeuristicWarning)
@@ -922,6 +927,31 @@ class TestNumerovShooter:
         assert shot.found
         assert shot.flags == frozenset()
         assert band_solves and all(j is None for j in band_solves)
+
+    def test_wrong_state_is_flagged(self):
+        # n = 0 asked on the bracket of the n = 1 level at the defaults: the
+        # root is that level, and the node count finds its one node
+        grid = default_grid(DEFAULT_PARAMS, n=1500)
+        E = solve_relativistic(DEFAULT_PARAMS, 1, grid).E
+        wrong, right = (numerov_shoot(DEFAULT_PARAMS, n, grid, (E - 0.005, E + 0.005))
+                        for n in (0, 1))
+        assert wrong.found and wrong.E == right.E
+        assert wrong.flags == frozenset({FLAG_NODE_MISMATCH})
+        assert right.flags == frozenset()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_refinement_wells_are_not_flagged(self, workloads, seed):
+        # the node count reads y only up to one row past the last
+        # classically allowed one: at Brent's root the pass still carries
+        # the solution that grows outward, at about the root's error times
+        # e^D, and counted on every row to e it flagged levels of these
+        # wells NodeMismatch
+        for i in range(workloads.REFINEMENT_BLOCK):
+            params = workloads.well_params(workloads.refinement_d_e(seed, i))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", GridHeuristicWarning)
+                study = workloads.refinement_study(params, workloads.refinement_grids())
+            assert all(level.found and not level.flags for level in study.numerov)
 
     def test_no_sign_change(self):
         # free particle in a box: no level below the first box eigenvalue
@@ -989,9 +1019,10 @@ def well_q(n, E=WELL_E0):
 
 
 def reference_defect(q, h, m):
-    """numerov_defect's Wronskian from the per-sample y recurrence: outward
-    to m+1, and inward from q's last row, the outward recurrence of the
-    mirrored q, to m-1."""
+    """The two-pass Numerov matching defect from the per-sample y
+    recurrence: the centred Wronskian at m of the pass outward to m+1 and
+    the pass inward from q's last row, the outward recurrence of the
+    mirrored q, to m-1, each scaled to O(1) there."""
     n = len(q)
     out3 = reference_outward(q.tolist(), h, m + 1, [])[m - 1:]
     in3 = reference_outward(q[::-1].tolist(), h, n - m, [])[:-4:-1]
@@ -999,6 +1030,44 @@ def reference_defect(q, h, m):
     o0, o1, o2 = (y / s_out for y in out3)
     i0, i1, i2 = (y / s_in for y in in3)
     return o1 * (i2 - i0) / (2 * h) - i1 * (o2 - o0) / (2 * h)
+
+
+def farthest_rows(q, m, h):
+    """q up to the farthest row a Numerov pass may start on: the far wall,
+    or the last row past m before B = 1 - h^2 q / 12 <= 0."""
+    invalid = np.flatnonzero(q[m + 1:] * (h ** 2 / 12.0) >= 1.0)
+    return q[:m + 1 + invalid[0]] if invalid.size else q
+
+
+# the k2 = 0 slices of tests/test_exact_reference.py: D_e and the exact n = 0
+# and 1 levels per s_sign
+F3_D_E = {"negative": 5.0, "positive": 3.0}
+F3_LEVELS = {"negative": (-3.13542028521466, -3.98871002601087),
+             "positive": (3.98905584246971, 5.59630661721617)}
+
+
+def level_bracket(params, grid):
+    """(params, 0, grid, E -/+ 0.05) about solve_relativistic's ground state."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridHeuristicWarning)
+        E = solve_relativistic(params, 0, grid).E
+    return params, 0, grid, (E - 0.05, E + 0.05)
+
+
+def f3_bracket(s_sign, n):
+    """The exact F3 level's E -/+ 0.02, clipped to its window."""
+    lo, hi = (float(E) for E in window(2.0, F3_D_E[s_sign], 1.0, s_sign))
+    E = F3_LEVELS[s_sign][n]
+    return max(E - 0.02, lo), min(E + 0.02, hi)
+
+
+def numerov_t(q, h):
+    """(t, B): t = 2 + h^2 q / B with B = 1 - h^2 q / 12, the Numerov steps
+    of y'' = q y as the count's recurrence in z = B y, and the B that
+    converts back: B[i+1] y[i+1] - A[i] y[i] + B[i-1] y[i-1] = 0 with
+    A = 2 (1 + 5 h^2 q / 12) is z[i+1] = t[i] z[i] - z[i-1], t = A / B."""
+    b = 1.0 - q * (h * h / 12.0)
+    return 2.0 + q * (h * h) / b, b
 
 
 def numerov_case(case):
@@ -1042,17 +1111,17 @@ class TestNumerovIntegrator:
         assert np.all(np.abs(y - ref) <= rel * envelope + np.finfo(float).tiny)
 
     def check(self, band_solves, q, h, upto, y_rel=1e-12):
-        """Samples 0..upto of the sweep of q's t from z[0] = B[0] h, taken
-        both from t and, as the inward pass takes it, from the reversed t of
-        the mirrored q: z against the per-sample z recurrence, which must
+        """Samples 0..upto of the sweep of q's Numerov t from z[0] = B[0] h,
+        taken both from t and, as an inward pass takes it, from the reversed
+        t of the mirrored q: z against the per-sample z recurrence, which must
         also rescale as often, and y = z / B against the per-sample y
         recurrence, to y_rel of its envelope.  The sweep makes one band
         solve, and one more after each rescale.  Returns the rescale count."""
-        t, b = oracle._numerov_t(q, h)
+        t, b = numerov_t(q, h)
         expected = []
         z_ref = np.array(reference_z(t[:upto].tolist(), b[0] * h, expected))
         y_ref = np.array(reference_outward(q.tolist(), h, upto, []))
-        mirrored, _ = oracle._numerov_t(q[::-1].copy(), h)
+        mirrored, _ = numerov_t(q[::-1].copy(), h)
         for tt in (t[:upto], mirrored[len(q) - upto:][::-1]):
             band_solves.clear()
             z = oracle._numerov_sweep(tt, b[0] * h)
@@ -1083,9 +1152,10 @@ class TestNumerovIntegrator:
 
     @pytest.mark.parametrize("n", [1000, 16000])
     def test_well_both_directions(self, band_solves, n):
-        # the two ranges numerov_defect integrates: outward to the matching
-        # point, and inward from the far wall back to it, which is the
-        # outward sweep of the mirrored q
+        # the two ranges of a two-pass matching on Numerov's t, the passes
+        # of eigenvector_tridiagonal: outward to the matching point, and
+        # inward from the far wall back to it, which is the outward sweep
+        # of the mirrored q
         q, h = well_q(n), well_grid(n).h
         m = oracle._matching_index(q)
         outward = self.check(band_solves, q, h, m + 1)
@@ -1099,31 +1169,69 @@ class TestNumerovIntegrator:
 
     @pytest.mark.parametrize("case", ["well", "huge-w", "steep", "box"])
     def test_defect_keeps_its_value_and_sign(self, case):
-        # each pass starts at z[0] = B h, so y = h at its first row as in
-        # the y form; on the huge-W config B < 0 at the far wall, where a
-        # start at z[0] = 1 would flip the inward solution and the defect's
-        # sign.  Ebar is 0.1 below each case's level: there the defect (0.07
-        # to 23 in size) stands far above the up to 4e-10 by which the two
-        # forms' roundings move it; at a level it is no larger than that.
-        # The reference's inward pass starts at the defect's first inward
-        # row e, and again at the farthest row a pass may start on: the far
-        # wall, or on the huge-W config row 841, the last before B <= 0
-        # (the far-wall pass crosses 3,158 of its 4,000 rows with B <= 0,
-        # where y flips sign).  Both agree, so starting at the set decay
-        # depth moves the defect by no more than rounding.
+        # The Numerov last minor is the two-pass matching defect of the
+        # per-sample y recurrence times factors of one sign: the Casoratian
+        # of the outward and inward passes, matched where the inward one
+        # starts, is -z_(e+1) times its first z, and the defect is the same
+        # Casoratian times positive scales.  The pass starts at z_0 = B_0,
+        # so y = 1 at row 0, and ends before any B <= 0 row, as the huge-W
+        # config's far rows are.  Ebar is 0.1 below each case's level, where
+        # the defect (0.07 to 23 in size) stands far above rounding.  The
+        # reference's inward pass starts at the minor's last row e, and
+        # again at the farthest row a pass may start on: the far wall, or on
+        # the huge-W config row 841, the last before B <= 0.
+        # test_root_is_the_reference_defect_root checks the minor's value
+        # where it matters, at its root.
         well, c, sigma = numerov_case(case)
         sigma -= 0.1
-        got = oracle.numerov_defect(well, c, sigma)[0]
-        m, rows = oracle._depth_rows(well, c, sigma, True)
+        minor = oracle._last_minor(well, lambda s: (c, s), sigma, sigma, numerov=True)
+        got = minor(sigma)
+        m, e = minor.rows
         q = c * well.v - sigma
-        invalid = np.flatnonzero(q[m + 1:] * (well.h ** 2 / 12.0) >= 1.0)
-        farthest = q[:m + 1 + invalid[0]] if invalid.size else q
-        assert len(rows) <= len(farthest)
-        for start in (rows, farthest):
+        assert got != 0.0
+        for start in (q[:e + 1], farthest_rows(q, m, well.h)):
             want = reference_defect(start, well.h, m)
             assert want != 0.0
-            assert math.copysign(1.0, got) == math.copysign(1.0, want)
-            assert abs(got - want) <= 1e-9 * abs(want)
+            assert math.copysign(1.0, got) == -math.copysign(1.0, want)
+
+    # (params, n, grid, bracket) of each level: the well's and the huge-W
+    # config's ground state at their numerov_case grids, on the level's
+    # E -/+ 0.05, and the four F3 levels of tests/test_exact_reference.py at
+    # N = 2000, on the exact E -/+ 0.02 clipped to the window of bound states
+    ROOT_CASES = {
+        "well": lambda: level_bracket(B_NEGATIVE_WELL, well_grid(16000)),
+        "huge-w": lambda: level_bracket(HUGE_W_PARAMS, default_grid(HUGE_W_PARAMS, n=4000)),
+        **{f"F3 {s} n={n}": (lambda s=s, n=n: (
+            HylleraasParams(K=2.0, k1=1.0, k2=0.0, omega=0.25, D_e=F3_D_E[s], M=1.0,
+                            s_sign=SSign(s)), n, RadialGrid(40.0 / 2000, 40.0, 2000),
+            f3_bracket(s, n)))
+           for s in F3_LEVELS for n in (0, 1)},
+    }
+
+    @pytest.mark.parametrize("case", list(ROOT_CASES))
+    def test_root_is_the_reference_defect_root(self, case):
+        # Brent to 1e-13 M on the Numerov last minor and on the two-pass
+        # defect of the per-sample y recurrence, from the farthest row a
+        # pass may start on, give one root to E_TOL_REL * M: one outward
+        # pass to the depth _DEPTH finds the level of the whole operator
+        params, n, grid, (lo, hi) = self.ROOT_CASES[case]()
+        M = params.M
+        well = SturmCounter(potential_V(grid.points, params), grid)
+
+        def coeffs(x):
+            return 2.0 * (x + M), x * x - M * M
+
+        def reference(x):
+            c, sigma = coeffs(x)
+            q = c * well.v - sigma
+            m = oracle._matching_index(q)
+            return reference_defect(farthest_rows(q, m, well.h), well.h, m)
+
+        tol = 1e-13 * M
+        minor = oracle._last_minor(well, coeffs, lo, hi, numerov=True)
+        got = oracle.brent(minor, lo, hi, minor(lo), minor(hi), tol)
+        want = oracle.brent(reference, lo, hi, reference(lo), reference(hi), tol)
+        assert abs(got - want) <= E_TOL_REL * M
 
     @pytest.mark.parametrize("case", ["well", "huge-w", "steep", "box", "ramp", "cliff",
                                       "wall"])
@@ -1150,24 +1258,24 @@ class TestNumerovIntegrator:
             assert depth[-1] >= oracle._DEPTH / h or q[e + 1] * (h * h / 12.0) >= 1.0
 
     def test_one_defect_solves_each_row_about_once(self, solved_rows, band_solves):
-        # One defect on the well's finest grid: each pass is one band solve
-        # of its samples from the ghost z[-1] = 0 and z[0], outward to m+1
-        # and inward from row e to m-1, e + 2 rows in all (N + 1 from the
-        # far wall).  The inward pass starts at the decay depth _DEPTH,
-        # e < N / 4 here, and grows by about e^_DEPTH, far below _RESCALE,
-        # so neither pass rescales and no row is solved twice; from the far
-        # wall one defect solved 17.4k rows in windows.
+        # One Numerov pass on the well's finest grid is one band solve of
+        # z_1..z_(e+1) from the ghost z_(-1) = 0 and z_0 = B_0, e + 1 rows.
+        # The truncated operator ends at the decay depth _DEPTH, e < N / 4
+        # here, and the pass grows past m by about e^_DEPTH, far below
+        # _RESCALE, so it does not rescale and no row is solved twice; from
+        # the far wall a pass solved 17.4k rows in windows.
         n = 16000
         grid = well_grid(n)
         well = SturmCounter(potential_V(grid.points, B_NEGATIVE_WELL), grid)
         E, M = WELL_E0, B_NEGATIVE_WELL.M
         c, sigma = 2.0 * (E + M), E * E - M * M
-        e = len(oracle._depth_rows(well, c, sigma, True)[1]) - 1
+        m, rows = oracle._depth_rows(well, c, sigma, True)
+        e = len(rows) - 1
         solved_rows.clear()
-        oracle.numerov_defect(well, c, sigma)
+        oracle.numerov_defect(well, c, sigma, m, e)
         assert e < n // 4
-        assert band_solves == [None, None]
-        assert sum(solved_rows) == e + 2
+        assert band_solves == [None]
+        assert sum(solved_rows) == e + 1
 
 
 class TestNumerovRegression:

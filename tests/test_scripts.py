@@ -36,8 +36,8 @@ def test_kernel_costs_smoke():
     # one row per case, every cost a positive number (each case has an
     # n = 0 level at N = 400, so its seed search counts two seeds or more,
     # Brent sweeps its last minor at least twice, at the bracket's ends, and
-    # two counts certify it), one band solve per pass of the defect, and its
-    # inward pass starting past its matching index, at most at the far wall;
+    # two counts certify it), one band solve per Numerov pass, and its last
+    # row e past its matching index, at most at the far wall;
     # then one row per selftest fixture with its milliseconds, one for
     # each of the default grid's n = 0 and n = 1 eigenvectors by the sweep
     # and by eigh_tridiagonal with the largest difference of the two, within
@@ -51,16 +51,16 @@ def test_kernel_costs_smoke():
     levels, fixtures, vector, closed, startup = proc.stdout.split("\n\n")
     header, *rows = levels.splitlines()
     assert header.split() == ["case", "N", "seed", "sweeps", "certify", "us/count",
-                              "us/sweep", "us/defect", "solves", "m", "start"]
+                              "us/sweep", "us/numerov", "solves", "m", "e"]
     assert [row[:16].strip() for row in rows] == [
         "default grid", "well D_e=5000", "huge W (c = 0)"]
     for row in rows:
-        n, seed, sweeps, certify, per_count, per_sweep, per_defect, solves, m, start = (
+        n, seed, sweeps, certify, per_count, per_sweep, per_pass, solves, m, e = (
             row[16:].split())
         assert int(n) == 400 and int(seed) >= 2 and int(sweeps) >= 2 and int(certify) == 2
-        assert float(per_count) > 0 and float(per_sweep) > 0 and float(per_defect) > 0
-        assert int(solves) == 2
-        assert 2 <= int(m) < int(start) <= int(n) - 1
+        assert float(per_count) > 0 and float(per_sweep) > 0 and float(per_pass) > 0
+        assert int(solves) == 1
+        assert 2 <= int(m) < int(e) <= int(n) - 1
     header, *rows = fixtures.splitlines()
     assert header.split() == ["selftest", "fixture", "ms"]
     assert [row.split()[0] for row in rows] == [name for name, _, _ in FIXTURES]
